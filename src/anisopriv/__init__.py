@@ -15,7 +15,6 @@ from .errors import (
     CovarianceEvaluationFailed,
     DegenerateGap,
     IndexOutOfRange,
-    NonCommuting,
     NonPositiveVariance,
     NotPositiveDefinite,
     ScoreRequired,
@@ -105,7 +104,7 @@ from .audit import (
 __all__ = [
     "__version__",
     "AnisoError", "BatchLargerThanDataset", "CovarianceEvaluationFailed",
-    "DegenerateGap", "IndexOutOfRange", "NonCommuting", "NonPositiveVariance",
+    "DegenerateGap", "IndexOutOfRange", "NonPositiveVariance",
     "NotPositiveDefinite", "ScoreRequired", "TrainingDivergedWarning",
     "SpdMatrix", "SymMatrix",
     "GaussianState", "QuadraticProblem", "error_to_opt", "exact_state",

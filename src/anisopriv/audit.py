@@ -152,6 +152,8 @@ def estimate_delta(cfg: AuditConfig) -> AuditReport:
 
 
 def audit_report_to_dict(report: AuditReport) -> dict:
+    """JSON fields of the report. runtime_seconds is left out so that reruns
+    write identical bytes; the run manifest's timestamp block has the time."""
     return {
         "delta": report.delta,
         "delta_per_outer": list(report.delta_per_outer),
@@ -159,7 +161,6 @@ def audit_report_to_dict(report: AuditReport) -> dict:
         "total_comparisons": report.total_comparisons,
         "worst_loss": report.worst_loss,
         "excluded_rounds": report.excluded_rounds,
-        "runtime_seconds": report.runtime_seconds,
     }
 
 
@@ -242,11 +243,11 @@ def write_membership_csv(report: MembershipReport, path) -> None:
 
 
 def membership_report_to_dict(report: MembershipReport) -> dict:
+    """JSON fields of the report, without runtime_seconds (see audit_report_to_dict)."""
     return {
         "mean_gap": report.mean_gap,
         "worst_loss": report.worst_loss,
         "mean_loss_with": float(report.losses_with.mean()),
         "mean_loss_without": float(report.losses_without.mean()),
         "runs": int(report.losses_with.shape[0]),
-        "runtime_seconds": report.runtime_seconds,
     }

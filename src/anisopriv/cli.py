@@ -376,7 +376,7 @@ def _v_ou_exact(p, errs, base_dir):
         _err(errs, "experiment.target", "length must match design rows")
     if design is not None and dim is not None and design.shape[1] != dim:
         _err(errs, "experiment.x0", "length must match design columns")
-    return ["time-t Gaussian mean", "time-t Gaussian covariance (closed form or quadrature)",
+    return ["time-t Gaussian mean", "time-t Gaussian covariance (closed form)",
             "gaussian_state.json"]
 
 
@@ -594,13 +594,20 @@ def _v_quad_tradeoff(p, errs, base_dir):
                         "x0", "time", "x_range", "y_range", "resolution"},
                     "experiment", errs)
     design = _matrix(p, "design", "experiment", errs)
-    _vector(p, "target", "experiment", errs)
-    _matrix(p, "design_prime", "experiment", errs, required=False)
-    _vector(p, "target_prime", "experiment", errs)
-    x0 = _vector(p, "x0", "experiment", errs, length=2)
-    if design is not None and design.shape[1] != 2:
-        _err(errs, "experiment.design", "must have 2 columns")
-    _time_value(p, "time", "experiment", errs)
+    target = _vector(p, "target", "experiment", errs)
+    design_p = _matrix(p, "design_prime", "experiment", errs, required=False)
+    target_p = _vector(p, "target_prime", "experiment", errs)
+    _vector(p, "x0", "experiment", errs, length=2)
+    for key, b in (("design", design), ("design_prime", design_p)):
+        if b is not None and b.shape[1] != 2:
+            _err(errs, f"experiment.{key}", "must have 2 columns")
+    prime = ("design_prime", design_p) if "design_prime" in p else ("design", design)
+    for key, y, (b_key, b) in (("target", target, ("design", design)),
+                               ("target_prime", target_p, prime)):
+        if b is not None and y is not None and y.shape[0] != b.shape[0]:
+            _err(errs, f"experiment.{key}", f"length must match {b_key} rows")
+    if _time_value(p, "time", "experiment", errs) == 0.0:
+        _err(errs, "experiment.time", 'must be positive or "inf"')
     _range_pair(p, "x_range", errs)
     _range_pair(p, "y_range", errs)
     _integer(p, "resolution", "experiment", errs, minimum=2)

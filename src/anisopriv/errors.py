@@ -17,10 +17,6 @@ class NotPositiveDefinite(AnisoError, ValueError):
     """A matrix required to be symmetric positive definite is not."""
 
 
-class NonCommuting(AnisoError, ValueError):
-    """A closed form was requested but the commutation identity fails."""
-
-
 class ScoreRequired(AnisoError, ValueError):
     """Diffusion matrices differ, so the score term cannot be dropped."""
 

@@ -6,10 +6,14 @@ from a least-squares design, the time-t law is Gaussian with
     mean(t) = (I - exp(-G t)) G^{-1} B.T b + exp(-G t) x0
     cov(t)  = int_0^t exp(-G (t-u)) S exp(-G (t-u)) du  +  exp(-G t) V0 exp(-G t)
 
-When G and S commute the covariance integral collapses to
-(1/2)(I - exp(-2 G t)) G^{-1} S; otherwise it is evaluated by composite
-Simpson quadrature with panel doubling. The stationary covariance solves
-G V + V G = S, done in G's eigenbasis.
+G is symmetric, so in its eigenbasis (G = Q diag(w) Q.T) the integral has a
+closed form for every S, commuting with G or not. With S~ = Q.T S Q,
+
+    cov(t) = Q [S~_ij (1 - exp(-(w_i + w_j) t)) / (w_i + w_j)] Q.T
+             + exp(-G t) V0 exp(-G t)
+
+using expm1 for small (w_i + w_j) t. At t = inf this is the stationary
+covariance S~_ij / (w_i + w_j), the solution of G V + V G = S.
 """
 
 from __future__ import annotations
@@ -21,11 +25,8 @@ from functools import cached_property
 import numpy as np
 from scipy.linalg import cho_solve, solve_triangular
 
-from .errors import NonCommuting, NotPositiveDefinite
 from .linalg import SpdMatrix
 
-REVERSIBILITY_RTOL = 1e-10
-QUADRATURE_RTOL = 1e-8
 _MIN_GRAM_EIG = 1e-12
 
 
@@ -114,56 +115,17 @@ class GaussianState:
         return self.cov.dim
 
 
-def check_reversibility(gram: SpdMatrix, sigma: SpdMatrix) -> bool:
-    """True when gram and sigma commute (relative Frobenius 1e-10)."""
-    return _commutes(gram.entries, sigma.entries)
+def _rotated_noise(p: QuadraticProblem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gram eigenpairs (w, q) and the noise covariance in that basis, q.T S q."""
+    w, q = p._eig
+    return w, q, q.T @ p.noise_cov.entries @ q
 
 
-def _commutes(a: np.ndarray, s: np.ndarray) -> bool:
-    comm = a @ s - s @ a
-    bound = REVERSIBILITY_RTOL * np.linalg.norm(a) * np.linalg.norm(s)
-    return float(np.linalg.norm(comm)) <= bound
-
-
-def _simpson_doubling(f, lo: float, hi: float, *, rtol: float = QUADRATURE_RTOL,
-                      start_panels: int = 8, max_panels: int = 1 << 22):
-    """Composite Simpson with panel doubling until the result stabilizes."""
-    panels = start_panels
-    prev = None
-    while True:
-        xs = np.linspace(lo, hi, panels + 1)
-        vals = [f(x) for x in xs]
-        h = (hi - lo) / panels
-        acc = vals[0] + vals[-1]
-        for i in range(1, panels):
-            acc = acc + (4.0 if i % 2 else 2.0) * vals[i]
-        est = acc * (h / 3.0)
-        if prev is not None:
-            diff = np.linalg.norm(np.atleast_1d(est - prev))
-            scale = max(1.0, float(np.linalg.norm(np.atleast_1d(est))))
-            if diff <= rtol * scale:
-                return est
-        if panels >= max_panels:
-            return est
-        prev = est
-        panels *= 2
-
-
-def _cov_quadrature(p: QuadraticProblem, t: float) -> np.ndarray:
-    s = p.noise_cov.entries
-
-    def integrand(u: float) -> np.ndarray:
-        e = p._expm_gram(-(t - u))
-        return e @ s @ e
-
-    return _simpson_doubling(integrand, 0.0, t)
-
-
-def exact_state(p: QuadraticProblem, t: float, *, closed_form: bool | None = None) -> GaussianState:
+def exact_state(p: QuadraticProblem, t: float) -> GaussianState:
     """Gaussian law of the process at time t (math.inf delegates to the
     stationary law)."""
     if math.isinf(t):
-        return invariant_state(p, closed_form=closed_form)
+        return invariant_state(p)
     if not (t >= 0.0):
         raise ValueError(f"time must be nonnegative, got {t}")
     if t == 0.0:
@@ -173,40 +135,20 @@ def exact_state(p: QuadraticProblem, t: float, *, closed_form: bool | None = Non
     e = p._expm_gram(-t)
     mean = (np.eye(p.dim) - e) @ p.optimum + e @ p.x0
 
-    reversible = _commutes(p.gram, p.noise_cov.entries)
-    if closed_form is True and not reversible:
-        raise NonCommuting(
-            "closed-form covariance requires gram and noise covariance to commute",
-            operation="exact_state",
-        )
-    use_closed = reversible if closed_form is None else closed_form
-    if use_closed:
-        w, q = p._eig
-        s_rot = q.T @ p.noise_cov.entries @ q
-        cov = q @ (s_rot * ((1.0 - np.exp(-2.0 * w * t)) / (2.0 * w))[:, None]) @ q.T
-    else:
-        cov = _cov_quadrature(p, t)
+    w, q, s_rot = _rotated_noise(p)
+    rate = np.add.outer(w, w)
+    cov = q @ (s_rot * (-np.expm1(-rate * t) / rate)) @ q.T
     if p.v0 is not None:
         cov = cov + e @ p.v0.entries @ e
     cov = (cov + cov.T) / 2.0
     return GaussianState(mean, SpdMatrix(cov, allow_semidefinite=True), float(t))
 
 
-def invariant_state(p: QuadraticProblem, *, closed_form: bool | None = None) -> GaussianState:
+def invariant_state(p: QuadraticProblem) -> GaussianState:
     """Stationary Gaussian law: mean at the optimum, covariance from the
     Lyapunov identity gram @ V + V @ gram = noise_cov."""
-    reversible = _commutes(p.gram, p.noise_cov.entries)
-    if closed_form is True and not reversible:
-        raise NonCommuting(
-            "closed-form stationary covariance requires commutation", operation="invariant_state"
-        )
-    use_closed = reversible if closed_form is None else closed_form
-    w, q = p._eig
-    s_rot = q.T @ p.noise_cov.entries @ q
-    if use_closed:
-        cov = q @ (s_rot * (1.0 / (2.0 * w))[:, None]) @ q.T
-    else:
-        cov = q @ (s_rot / np.add.outer(w, w)) @ q.T
+    w, q, s_rot = _rotated_noise(p)
+    cov = q @ (s_rot / np.add.outer(w, w)) @ q.T
     cov = (cov + cov.T) / 2.0
     return GaussianState(p.optimum.copy(), SpdMatrix(cov), math.inf)
 
@@ -231,20 +173,10 @@ def gaussian_kl(state: GaussianState, other: GaussianState) -> float:
 
 def error_to_opt(p: QuadraticProblem, t: float) -> float:
     """Accumulated noise energy around the optimum:
-    int_0^t ||exp(gram (u-t)) L||_F^2 du with L L.T = noise_cov;
-    at t = math.inf this is (1/2) tr(L.T gram^{-1} L)."""
-    w, q = p._eig
-    if math.isinf(t):
-        s_rot = q.T @ p.noise_cov.entries @ q
-        return 0.5 * float(np.sum(np.diag(s_rot) / w))
+    int_0^t ||exp(gram (u-t)) L||_F^2 du with L L.T = noise_cov, which is
+    (1/2) sum_i (q.T S q)_ii (1 - exp(-2 w_i t)) / w_i; at t = math.inf this
+    is (1/2) tr(L.T gram^{-1} L)."""
     if not (t > 0.0):
         raise ValueError(f"time must be positive or math.inf, got {t}")
-
-    chol = p.noise_cov.chol_lower
-
-    def integrand(u: float) -> float:
-        e = p._expm_gram(u - t)
-        m = e @ chol
-        return float(np.sum(m * m))
-
-    return float(_simpson_doubling(integrand, 0.0, t))
+    w, _, s_rot = _rotated_noise(p)
+    return 0.5 * float(np.sum(np.diag(s_rot) * -np.expm1(-2.0 * w * t) / w))

@@ -222,3 +222,39 @@ def test_run_simulate_writes_ensemble(tmp_path, capsys):
     assert lines[0] == "path,time,x0"
     # 3 paths, 5 recorded times each (t=0 through t=1 in steps of 0.25)
     assert len(lines) == 1 + 3 * 5
+
+
+def quad_tradeoff_doc(**over):
+    exp = {
+        "kind": "quad-tradeoff",
+        "design": [[1.0, 0.4], [0.0, 2.0]], "target": [0.0, 0.0],
+        "target_prime": [0.1, 0.2], "x0": [0.0, 0.0], "time": 1.0,
+        "x_range": [0.5, 1.0], "y_range": [0.5, 1.0], "resolution": 2,
+    }
+    exp.update(over)
+    return {"seed": 1, "output_dir": "out", "experiment": exp}
+
+
+def test_quad_tradeoff_base_config_runs(tmp_path, capsys):
+    cfg = write_config(tmp_path / "cfg.json", quad_tradeoff_doc())
+    assert run_cli(capsys, "validate", cfg)[0] == 0
+    assert run_cli(capsys, "run", cfg)[0] == 0
+    assert len((tmp_path / "out" / "tradeoff.csv").read_text().splitlines()) == 1 + 4
+
+
+@pytest.mark.parametrize("over, path", [
+    # a zero-time covariance is singular, so the exact KL has no Cholesky factor
+    ({"time": 0}, "experiment.time"),
+    ({"target": [0.0, 0.0, 0.0]}, "experiment.target"),
+    ({"target_prime": [0.1, 0.2, 0.3]}, "experiment.target_prime"),
+    ({"design_prime": [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]}, "experiment.target_prime"),
+    ({"design_prime": [[1.0, 0.0, 0.5], [0.0, 1.0, 0.5]]}, "experiment.design_prime"),
+], ids=["zero-time", "target-vs-design", "target-prime-vs-design", "target-prime-vs-design-prime",
+        "design-prime-columns"])
+def test_quad_tradeoff_shape_errors_rejected_by_validate(tmp_path, capsys, over, path):
+    cfg = write_config(tmp_path / "cfg.json", quad_tradeoff_doc(**over))
+    for cmd in ("validate", "run"):
+        code, doc = run_cli(capsys, cmd, cfg)
+        assert code == 1
+        assert path in error_paths(doc)
+    assert not (tmp_path / "out").exists()

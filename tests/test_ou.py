@@ -10,12 +10,10 @@ import math
 import numpy as np
 import pytest
 
-from anisopriv.errors import NonCommuting
 from anisopriv.linalg import SpdMatrix
 from anisopriv.ou import (
     GaussianState,
     QuadraticProblem,
-    check_reversibility,
     error_to_opt,
     exact_state,
     gaussian_kl,
@@ -89,25 +87,35 @@ def test_moments_match_rk4_oracle_noncommuting():
     assert np.allclose(st.cov.entries, v, rtol=0, atol=1e-8)
 
 
-def test_commuting_closed_form_matches_quadrature():
-    # diagonal design and sigma commute, so both routes are available
-    p = QuadraticProblem(
-        np.diag([1.0, 2.0]), np.array([1.0, 2.0]),
-        SpdMatrix.diagonal([0.5, 1.5]), np.array([0.0, 0.0]),
-    )
-    closed = exact_state(p, 0.9, closed_form=True)
-    quad = exact_state(p, 0.9, closed_form=False)
-    assert np.allclose(closed.cov.entries, quad.cov.entries, rtol=1e-7, atol=1e-9)
-    assert np.allclose(closed.mean, quad.mean, rtol=0, atol=1e-12)
+def random_noncommuting_problem(with_v0=True):
+    rng = np.random.default_rng(2302)
+    design = rng.standard_normal((4, 3))
+    a = rng.standard_normal((3, 3))
+    b = rng.standard_normal((3, 3))
+    v0 = SpdMatrix(0.1 * b @ b.T) if with_v0 else None
+    return QuadraticProblem(design, rng.standard_normal(4), SpdMatrix(a @ a.T + 0.2 * np.eye(3)),
+                            rng.standard_normal(3), v0)
 
 
-def test_closed_form_refused_when_noncommuting():
-    with pytest.raises(NonCommuting):
-        exact_state(noncommuting_problem(), 1.0, closed_form=True)
-    assert not check_reversibility(noncommuting_problem().gram_matrix
-                                   if hasattr(noncommuting_problem(), "gram_matrix")
-                                   else SpdMatrix(noncommuting_problem().gram),
-                                   noncommuting_problem().noise_cov)
+@pytest.mark.parametrize("with_v0", [True, False])
+@pytest.mark.parametrize("t", [0.7, 1e-4, 1e-9])
+def test_random_noncommuting_moments_match_rk4(t, with_v0):
+    # small t puts every (w_i + w_j) t in the expm1 regime, where 1 - exp
+    # loses about 1e-7 relative at t = 1e-9; without v0 the covariance there
+    # is only the O(t) noise term, so a relative check sees it
+    p = random_noncommuting_problem(with_v0)
+    comm = p.gram @ p.noise_cov.entries - p.noise_cov.entries @ p.gram
+    assert np.linalg.norm(comm) > 0.1 * np.linalg.norm(p.gram) * np.linalg.norm(p.noise_cov.entries)
+    v0 = p.v0.entries if with_v0 else np.zeros((3, 3))
+    m, v = rk4_moments(p.gram, p.noise_cov.entries, p.optimum, p.x0, v0, t)
+    st = exact_state(p, t)
+    assert np.allclose(st.mean, m, rtol=1e-12, atol=1e-14)
+    assert np.allclose(st.cov.entries, v, rtol=0, atol=1e-12 * np.abs(v).max())
+
+
+def test_error_to_opt_long_time_reaches_stationary_value():
+    p = random_noncommuting_problem()
+    assert error_to_opt(p, 200.0) == pytest.approx(error_to_opt(p, math.inf), rel=1e-14)
 
 
 def test_initial_covariance_propagates():
@@ -139,7 +147,7 @@ def test_invariant_closed_form_half_inverse():
         np.diag([1.0, 2.0]), np.zeros(2), SpdMatrix.diagonal([1.0, 1.0]),
         np.zeros(2),
     )
-    inv = invariant_state(p, closed_form=True)
+    inv = invariant_state(p)
     assert np.allclose(inv.cov.entries, np.diag([0.5, 0.125]), rtol=1e-14)
 
 
@@ -200,7 +208,7 @@ def test_gaussian_kl_affine_invariance():
 
 def test_error_to_opt_hand_values():
     p = scalar_problem()
-    assert error_to_opt(p, 1.0) == pytest.approx((1 - math.exp(-2.0)) / 2, rel=1e-7)
+    assert error_to_opt(p, 1.0) == pytest.approx((1 - math.exp(-2.0)) / 2, rel=1e-12)
     assert error_to_opt(p, math.inf) == pytest.approx(0.5, rel=1e-14)
 
 
