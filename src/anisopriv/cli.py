@@ -56,7 +56,7 @@ from .models import (
     read_dataset_csv,
     synth_blobs,
 )
-from .ou import QuadraticProblem, exact_state, gaussian_kl
+from .ou import QuadraticProblem, _check_full_rank, exact_state, gaussian_kl
 from .sde import ConstantSpd, QuadraticDrift, SimConfig, simulate, write_ensemble_csv
 from .tradeoff import (
     GradientGap,
@@ -196,6 +196,16 @@ def _matrix(obj, key, path, errs, *, required=True):
         _err(errs, f"{path}.{key}", "must be a rectangular matrix of finite numbers")
         return None
     return np.asarray(v, dtype=float)
+
+
+def _full_rank_designs(errs, **designs):
+    """Record an error for each given design whose Gram matrix is singular."""
+    for key, b in designs.items():
+        if b is not None:
+            try:
+                _check_full_rank(b)
+            except ValueError as exc:
+                _err(errs, f"experiment.{key}", str(exc))
 
 
 def _time_value(obj, key, path, errs, *, required=True, default=None):
@@ -376,6 +386,7 @@ def _v_ou_exact(p, errs, base_dir):
         _err(errs, "experiment.target", "length must match design rows")
     if design is not None and dim is not None and design.shape[1] != dim:
         _err(errs, "experiment.x0", "length must match design columns")
+    _full_rank_designs(errs, design=design)
     return ["time-t Gaussian mean", "time-t Gaussian covariance (closed form)",
             "gaussian_state.json"]
 
@@ -409,7 +420,8 @@ def _v_kl_bound(p, errs, base_dir):
                         "paths", "record_stride"}, "experiment", errs)
     design = _matrix(p, "design", "experiment", errs)
     _vector(p, "target", "experiment", errs)
-    _matrix(p, "design_prime", "experiment", errs, required=False)
+    design_p = _matrix(p, "design_prime", "experiment", errs, required=False)
+    _full_rank_designs(errs, design=design, design_prime=design_p)
     target_prime = _vector(p, "target_prime", "experiment", errs)
     x0 = _vector(p, "x0", "experiment", errs)
     dim = x0.shape[0] if x0 is not None else None
@@ -601,6 +613,7 @@ def _v_quad_tradeoff(p, errs, base_dir):
     for key, b in (("design", design), ("design_prime", design_p)):
         if b is not None and b.shape[1] != 2:
             _err(errs, f"experiment.{key}", "must have 2 columns")
+    _full_rank_designs(errs, design=design, design_prime=design_p)
     prime = ("design_prime", design_p) if "design_prime" in p else ("design", design)
     for key, y, (b_key, b) in (("target", target, ("design", design)),
                                ("target_prime", target_p, prime)):

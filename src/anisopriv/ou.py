@@ -30,6 +30,12 @@ from .linalg import SpdMatrix
 _MIN_GRAM_EIG = 1e-12
 
 
+def _check_full_rank(design: np.ndarray) -> None:
+    """Raise ValueError unless design.T @ design is strictly positive definite."""
+    if np.linalg.eigvalsh(design.T @ design).min() <= _MIN_GRAM_EIG:
+        raise ValueError("design.T @ design must be strictly positive definite")
+
+
 @dataclass(frozen=True, eq=False)
 class QuadraticProblem:
     """Least-squares drift -design.T @ (design @ x - target) plus constant noise."""
@@ -55,9 +61,7 @@ class QuadraticProblem:
         object.__setattr__(self, "design", b)
         object.__setattr__(self, "target", t)
         object.__setattr__(self, "x0", x0)
-        gram = b.T @ b
-        if np.linalg.eigvalsh(gram).min() <= _MIN_GRAM_EIG:
-            raise ValueError("design.T @ design must be strictly positive definite")
+        _check_full_rank(b)
 
     @property
     def dim(self) -> int:

@@ -16,12 +16,9 @@ from typing import Any, Callable
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .errors import (
-    BatchLargerThanDataset,
-    CovarianceEvaluationFailed,
-    NotPositiveDefinite,
-)
-from .linalg import SpdMatrix, SymMatrix
+from .errors import BatchLargerThanDataset, CovarianceEvaluationFailed, NotPositiveDefinite
+from .linalg import (SpdMatrix, SymMatrix, _check_semidefinite, _checked_cholesky,
+                     _cholesky_rows, _symmetrized)
 from .rng import step_normals
 
 _FD_STEP = 1e-6
@@ -100,6 +97,12 @@ def _finite_or_fail(arr: np.ndarray, what: str) -> np.ndarray:
     return arr
 
 
+def _eigh_root(m: np.ndarray) -> np.ndarray:
+    """Symmetric square roots of a stack of PSD matrices (negative roundoff clamped)."""
+    w, q = np.linalg.eigh(m)
+    return (q * np.sqrt(np.maximum(w, 0.0))[..., None, :]) @ q.swapaxes(-1, -2)
+
+
 @dataclass(frozen=True, eq=False)
 class ConstantSpd:
     """State-independent covariance. PSD-relaxed matrices (e.g. exactly zero)
@@ -112,8 +115,7 @@ class ConstantSpd:
         try:
             return self.matrix.chol_lower
         except NotPositiveDefinite:
-            w, q = np.linalg.eigh(self.matrix.entries)
-            return (q * np.sqrt(np.maximum(w, 0.0))) @ q.T
+            return _eigh_root(self.matrix.entries)
 
     def apply_sqrt(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
         return z @ self._sqrt.T
@@ -178,9 +180,13 @@ class MinibatchSgd:
     """Minibatch-sampling covariance built from per-example gradients.
 
     grad_fn maps a state vector to the (N, dim) stack of per-example
-    gradients of a sum-structured loss. The raw sampling covariance is not
-    PSD in general; it is projected (eigenvalue clamp at psd_floor) before
-    taking the square root.
+    gradients of a sum-structured loss. It is called once per state row, so
+    once per path and step in a simulation. The raw sampling covariance is
+    not PSD in general; it is projected (eigenvalue clamp at psd_floor)
+    before taking the square root. All rows go through one stacked pass: a
+    batched eigh projection, one PSD check and a batched Cholesky. Only rows
+    whose Cholesky fails or has a pivot at or below linalg.PIVOT_FLOOR take
+    the symmetric square root from eigh instead.
     """
 
     grad_fn: Callable[[np.ndarray], np.ndarray]
@@ -188,67 +194,73 @@ class MinibatchSgd:
     replacement: bool = True
     psd_floor: float = 1e-10
 
-    def matrix_at(self, x: np.ndarray, *, strict: bool = False) -> np.ndarray:
-        x = np.asarray(x, dtype=float).ravel()
-        grads = np.asarray(self.grad_fn(x), dtype=float)
-        _finite_or_fail(grads, "per-example gradients")
-        raw = minibatch_covariance(grads, grads.sum(axis=0), self.batch, self.replacement)
-        proj = psd_project(raw, self.psd_floor)
-        if strict and self.psd_floor <= 0.0 and not np.any(proj.entries):
+    def _matrices(self, x: np.ndarray, *, strict: bool = False) -> np.ndarray:
+        """Projected covariances (P, dim, dim) at the rows of x (P, dim)."""
+        g = np.stack([np.asarray(self.grad_fn(row), dtype=float) for row in x])
+        _finite_or_fail(g, "per-example gradients")
+        raw = _symmetrized(_sampling_covariance(g, g.sum(axis=-2), self.batch, self.replacement))
+        proj = _symmetrized(_clamped(raw, self.psd_floor))
+        _check_semidefinite(proj)
+        if strict and self.psd_floor <= 0.0 and not np.all(np.any(proj, axis=(-2, -1))):
             raise CovarianceEvaluationFailed(
-                "PSD projection degenerated to zero with psd_floor = 0",
-                operation="covariance",
-            )
-        return proj.entries
+                "PSD projection degenerated to zero with psd_floor = 0", operation="covariance")
+        return proj
 
-    def _sqrt_at(self, x: np.ndarray, *, strict: bool = False) -> np.ndarray:
-        m = self.matrix_at(x, strict=strict)
-        try:
-            return SpdMatrix(m, allow_semidefinite=True).chol_lower
-        except NotPositiveDefinite:
-            w, q = np.linalg.eigh(m)
-            return (q * np.sqrt(np.maximum(w, 0.0))) @ q.T
+    def matrix_at(self, x: np.ndarray, *, strict: bool = False) -> np.ndarray:
+        return self._matrices(np.asarray(x, dtype=float).ravel()[None], strict=strict)[0]
 
     def apply_sqrt(self, x: np.ndarray, z: np.ndarray, *, strict: bool = False) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        z = np.atleast_2d(z)
-        out = np.empty_like(z)
-        for p in range(x.shape[0]):
-            out[p] = self._sqrt_at(x[p], strict=strict) @ z[p]
-        return out
+        m = self._matrices(np.atleast_2d(np.asarray(x, dtype=float)), strict=strict)
+        root, ok = _cholesky_rows(m)
+        if not np.all(ok):
+            root[~ok] = _eigh_root(m[~ok])
+        return (root @ np.atleast_2d(z)[..., None])[..., 0]
 
     def whiten(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        v = np.atleast_2d(v)
-        out = np.empty_like(v)
-        for p in range(x.shape[0]):
-            l = SpdMatrix(self.matrix_at(x[p])).chol_lower
-            out[p] = solve_triangular(l, v[p], lower=True)
-        return out
+        low = _checked_cholesky(self._matrices(np.atleast_2d(np.asarray(x, dtype=float))))
+        return np.linalg.solve(low, np.atleast_2d(v)[..., None])[..., 0]
 
     def divergence(self, x: np.ndarray) -> np.ndarray:
+        """(div S)_i = sum_j dS_ij/dx_j per row, by forward differences."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        out = np.empty_like(x)
-        for p in range(x.shape[0]):
-            out[p] = _generic_divergence(lambda y: self.matrix_at(y), x[p])
+        paths, d = x.shape
+        steps = _FD_STEP * np.maximum(1.0, np.abs(x))
+        shifted = np.repeat(x[:, None, :], d, axis=1)
+        shifted[:, np.arange(d), np.arange(d)] += steps
+        m = self._matrices(np.concatenate([x, shifted.reshape(paths * d, d)]))
+        base, moved = m[:paths], m[paths:].reshape(paths, d, d, d)
+        out = np.zeros((paths, d))
+        for j in range(d):
+            out += (moved[:, j, :, j] - base[:, :, j]) / steps[:, j, None]
         return out
-
-
-def _generic_divergence(matrix_at: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndarray:
-    """(div S)_i = sum_j dS_ij/dx_j by forward differences."""
-    d = x.shape[0]
-    base = matrix_at(x)
-    out = np.zeros(d)
-    for j in range(d):
-        step = _FD_STEP * max(1.0, abs(float(x[j])))
-        xp = x.copy()
-        xp[j] += step
-        out += (matrix_at(xp)[:, j] - base[:, j]) / step
-    return out
 
 
 # ---------------------------------------------------------------------------
-# minibatch covariance and PSD repair
+# minibatch covariance and PSD repair; the private helpers act on stacks
+
+
+def _sampling_covariance(g: np.ndarray, full: np.ndarray, batch: int,
+                         replacement: bool) -> np.ndarray:
+    """alpha (g.T g - full full.T), symmetrized, for g (..., N, d), full (..., d)."""
+    n_examples = g.shape[-2]
+    if batch < 1:
+        raise ValueError(f"batch must be >= 1, got {batch}")
+    if batch > n_examples:
+        raise BatchLargerThanDataset(
+            f"batch {batch} exceeds dataset size {n_examples}", operation="minibatch_covariance"
+        )
+    alpha = n_examples**2 / batch * (1.0 - (1.0 if replacement else batch) / n_examples)
+    raw = alpha * (np.swapaxes(g, -1, -2) @ g - full[..., :, None] * full[..., None, :])
+    return (raw + np.swapaxes(raw, -1, -2)) / 2.0
+
+
+def _clamped(m: np.ndarray, floor: float) -> np.ndarray:
+    """Symmetric matrices of the stack with eigenvalues clamped at floor."""
+    if floor < 0.0:
+        raise ValueError(f"floor must be nonnegative, got {floor}")
+    w, q = np.linalg.eigh(m)
+    out = (q * np.maximum(w, floor)[..., None, :]) @ np.swapaxes(q, -1, -2)
+    return (out + np.swapaxes(out, -1, -2)) / 2.0
 
 
 def minibatch_covariance(per_example_grads: np.ndarray, full_grad: np.ndarray,
@@ -261,32 +273,17 @@ def minibatch_covariance(per_example_grads: np.ndarray, full_grad: np.ndarray,
     """
     g = np.atleast_2d(np.asarray(per_example_grads, dtype=float))
     full = np.asarray(full_grad, dtype=float).ravel()
-    n_examples = g.shape[0]
-    if batch < 1:
-        raise ValueError(f"batch must be >= 1, got {batch}")
-    if batch > n_examples:
-        raise BatchLargerThanDataset(
-            f"batch {batch} exceeds dataset size {n_examples}", operation="minibatch_covariance"
-        )
+    raw = _sampling_covariance(g, full, batch, replacement)
     colsum = g.sum(axis=0)
     tol = 1e-9 * max(1.0, float(np.abs(colsum).max(initial=0.0)))
     if np.abs(colsum - full).max(initial=0.0) > tol:
         raise ValueError("full_grad must equal the column sum of per_example_grads")
-    if replacement:
-        alpha = n_examples**2 / batch * (1.0 - 1.0 / n_examples)
-    else:
-        alpha = n_examples**2 / batch * (1.0 - batch / n_examples)
-    raw = alpha * (g.T @ g - np.outer(full, full))
-    return SymMatrix((raw + raw.T) / 2.0)
+    return SymMatrix(raw)
 
 
 def psd_project(m: SymMatrix, floor: float = 0.0) -> SpdMatrix:
     """Nearest (Frobenius) PSD matrix with eigenvalues clamped at floor."""
-    if floor < 0.0:
-        raise ValueError(f"floor must be nonnegative, got {floor}")
-    w, q = np.linalg.eigh(m.entries)
-    clamped = (q * np.maximum(w, floor)) @ q.T
-    return SpdMatrix((clamped + clamped.T) / 2.0, allow_semidefinite=True)
+    return SpdMatrix(_clamped(m.entries, floor), allow_semidefinite=True)
 
 
 # ---------------------------------------------------------------------------

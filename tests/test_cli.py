@@ -258,3 +258,44 @@ def test_quad_tradeoff_shape_errors_rejected_by_validate(tmp_path, capsys, over,
         assert code == 1
         assert path in error_paths(doc)
     assert not (tmp_path / "out").exists()
+
+
+def ou_exact_doc(**over):
+    exp = {
+        "kind": "ou-exact",
+        "design": [[1.0, 0.3], [0.0, 1.5]], "target": [0.5, 0.0],
+        "sigma": [[1.0, 0.2], [0.2, 0.5]], "x0": [0.0, 0.0], "time": 1.5,
+    }
+    exp.update(over)
+    return {"seed": 1, "output_dir": "out", "experiment": exp}
+
+
+def kl_bound_doc(**over):
+    exp = {
+        "kind": "kl-bound",
+        "design": [[1.0, 0.0], [0.0, 1.0]], "target": [0.0, 0.0],
+        "target_prime": [0.1, 0.0], "sigma_diag": [1.0, 1.0], "x0": [0.0, 0.0],
+        "step": 0.1, "horizon": 0.2, "paths": 4,
+    }
+    exp.update(over)
+    return {"seed": 1, "output_dir": "out", "experiment": exp}
+
+
+@pytest.mark.parametrize("make_doc, key", [
+    (ou_exact_doc, "design"),
+    (kl_bound_doc, "design"),
+    (kl_bound_doc, "design_prime"),
+    (quad_tradeoff_doc, "design"),
+    (quad_tradeoff_doc, "design_prime"),
+], ids=["ou-exact-design", "kl-bound-design", "kl-bound-design-prime",
+        "quad-tradeoff-design", "quad-tradeoff-design-prime"])
+def test_singular_design_rejected_by_validate(tmp_path, capsys, make_doc, key):
+    # the Gram matrix of [[1, 1], [1, 1]] is singular, so the exact law has no optimum
+    base = write_config(tmp_path / "base.json", make_doc())
+    assert run_cli(capsys, "validate", base)[0] == 0
+    cfg = write_config(tmp_path / "cfg.json", make_doc(**{key: [[1.0, 1.0], [1.0, 1.0]]}))
+    for cmd in ("validate", "run"):
+        code, doc = run_cli(capsys, cmd, cfg)
+        assert code == 1
+        assert f"experiment.{key}" in error_paths(doc)
+    assert not (tmp_path / "out").exists()

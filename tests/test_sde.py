@@ -18,6 +18,7 @@ from anisopriv.rng import step_normals
 from anisopriv.sde import (
     CallableDrift,
     ConstantSpd,
+    DatasetGradientDrift,
     DiagonalOfState,
     MinibatchSgd,
     QuadraticDrift,
@@ -198,6 +199,117 @@ def test_minibatch_sgd_covariance_spec():
         minibatch_covariance(peg, peg.sum(axis=0), 1, True), floor=1e-10
     )
     assert np.allclose(mat, want.entries, rtol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# MinibatchSgd factors every path's covariance in one stacked pass; the
+# reference below does one path at a time with the public 2-D functions.
+
+FEATURES = np.random.default_rng(21).standard_normal((6, 3))
+TARGETS = np.random.default_rng(22).standard_normal(6)
+
+
+def least_squares_grads(x):
+    """Mean-scaled per-example gradients of a least-squares loss, (6, 3)."""
+    r = FEATURES @ x - TARGETS
+    return FEATURES * (r / 6.0)[:, None]
+
+
+def reference_root(cov, x):
+    """(root, fell_back): the Cholesky factor of the projected covariance at
+    x, or its eigh square root when a pivot is at or below 1e-14."""
+    g = np.asarray(cov.grad_fn(x), dtype=float)
+    raw = minibatch_covariance(g, g.sum(axis=0), cov.batch, cov.replacement)
+    m = psd_project(raw, cov.psd_floor).entries
+    try:
+        low = np.linalg.cholesky(m)
+        if np.all(np.diag(low) ** 2 > 1e-14):
+            return low, False
+    except np.linalg.LinAlgError:
+        pass
+    w, q = np.linalg.eigh(m)
+    return (q * np.sqrt(np.maximum(w, 0.0))) @ q.T, True
+
+
+def test_minibatch_sgd_batched_matches_per_path_reference():
+    # centred gradients give a PSD raw covariance, full rank in general; the
+    # state's first coordinate scales gradient columns 1 and 2, so rows with
+    # x0 = 0 have a rank-one covariance and take the eigh fallback
+    def grad_fn(x):
+        g = least_squares_grads(x) * np.array([1.0, x[0], x[0]])
+        return g - g.mean(axis=0)
+
+    cov = MinibatchSgd(grad_fn, batch=2, replacement=False, psd_floor=0.0)
+    x = np.array([[1.0, 0.5, -0.2], [0.0, 0.3, 0.1], [-2.0, 1.0, 0.4],
+                  [0.0, -1.0, 2.0], [0.7, 0.0, 0.0]])
+    z = step_normals(4, 0, x.shape)
+    refs = [reference_root(cov, row) for row in x]
+    assert [fell_back for _, fell_back in refs] == [False, True, False, True, False]
+    want = np.stack([root @ zp for (root, _), zp in zip(refs, z)])
+    assert np.array_equal(cov.apply_sqrt(x, z), want)
+    for row in x:
+        g = grad_fn(row)
+        m = psd_project(minibatch_covariance(g, g.sum(axis=0), 2, False), 0.0).entries
+        assert np.array_equal(cov.matrix_at(row), m)
+
+
+def test_minibatch_sgd_strict_rejects_zero_projection():
+    cov = MinibatchSgd(lambda x: least_squares_grads(x) * x[0], batch=2, psd_floor=0.0)
+    x = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0]])
+    z = np.ones_like(x)
+    assert np.array_equal(cov.apply_sqrt(x, z)[1], np.zeros(3))
+    with pytest.raises(CovarianceEvaluationFailed):
+        cov.apply_sqrt(x, z, strict=True)
+
+
+def test_minibatch_sgd_rejects_nonfinite_gradients_on_one_path():
+    def grad_fn(x):
+        return least_squares_grads(x) * (np.nan if x[0] < 0 else 1.0)
+
+    cov = MinibatchSgd(grad_fn, batch=2)
+    x = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
+    with pytest.raises(CovarianceEvaluationFailed):
+        cov.apply_sqrt(x, np.ones_like(x))
+    with pytest.raises(CovarianceEvaluationFailed):
+        cov.whiten(x, np.ones_like(x))
+
+
+def test_minibatch_sgd_whiten_inverts_apply_sqrt():
+    cov = MinibatchSgd(least_squares_grads, batch=3)
+    x = np.random.default_rng(5).standard_normal((7, 3))
+    z = step_normals(5, 1, x.shape)
+    assert np.allclose(cov.whiten(x, cov.apply_sqrt(x, z)), z, rtol=1e-10, atol=1e-10)
+
+
+def test_minibatch_sgd_divergence_rows_match_single_rows():
+    cov = MinibatchSgd(least_squares_grads, batch=3)
+    x = np.random.default_rng(6).standard_normal((4, 3))
+    single = np.stack([cov.divergence(row[None])[0] for row in x])
+    assert np.array_equal(cov.divergence(x), single)
+
+
+def test_paired_minibatch_sgd_matches_per_path_euler_loop():
+    features_b = FEATURES.copy()
+    features_b[2] = [0.5, -1.0, 2.0]
+
+    def full_grad(x, features):
+        return (features * ((features @ x - TARGETS) / 6.0)[:, None]).sum(axis=0)
+
+    cov = MinibatchSgd(least_squares_grads, batch=3)
+    cfg = SimConfig(step=0.01, horizon=0.1, paths=20, seed=17)
+    x0 = np.array([0.2, -0.1, 0.4])
+    ens_a, ens_b = paired_simulate(DatasetGradientDrift(full_grad, FEATURES),
+                                   DatasetGradientDrift(full_grad, features_b),
+                                   cov, x0, cfg)
+    h = 0.01
+    for features, ens in ((FEATURES, ens_a), (features_b, ens_b)):
+        x = np.tile(x0, (20, 1))
+        for k in range(10):
+            z = step_normals(17, k, (20, 3))
+            for p in range(20):
+                noise = reference_root(cov, x[p])[0] @ z[p]
+                x[p] = x[p] + h * -full_grad(x[p], features) + np.sqrt(h) * noise
+            assert np.array_equal(ens.states[:, k + 1, :], x)
 
 
 def test_write_ensemble_csv_roundtrip(tmp_path):
