@@ -5,14 +5,14 @@ trains the pair repeatedly with shared seeds (identical initialization,
 batch selection, and noise draws) and counts training points whose predicted
 class-probability log-ratio between the two models exceeds epsilon. The
 membership experiment instead tracks the loss on one target record with and
-without that record in the training set.
+without that record in the training set. Both train all runs of one arm in
+a single `train_stacked` call.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-import time
 import warnings
 from dataclasses import dataclass
 
@@ -21,12 +21,12 @@ import numpy as np
 from .errors import TrainingDivergedWarning
 from .models import (
     Dataset,
-    MlpModel,
     forward,
     init_model,
     loss_on_example,
     make_adjacent,
-    train,
+    train,  # noqa: F401  (audit.train is a traced site of perfbench)
+    train_stacked,
 )
 from .rng import derive_seed, tagged_stream
 
@@ -78,7 +78,6 @@ class AuditReport:
     total_comparisons: int
     worst_loss: float
     excluded_rounds: int
-    runtime_seconds: float
 
 
 def _adjacent_pair(dataset: Dataset, mode: str, rng) -> Dataset:
@@ -103,57 +102,51 @@ def _adjacent_pair(dataset: Dataset, mode: str, rng) -> Dataset:
     )
 
 
+def _worst_finite_loss(logs) -> float:
+    finite = [lg.losses[np.isfinite(lg.losses)] for lg in logs]
+    return max((float(fl.max()) for fl in finite if fl.size), default=-np.inf)
+
+
 def estimate_delta(cfg: AuditConfig) -> AuditReport:
     """Empirical delta at cfg.epsilon, maximized over outer-round pairs."""
-    t_start = time.perf_counter()
     ds = cfg.dataset
     template = init_model(ds.n_features, cfg.hidden, ds.n_classes, 0, cfg.activation)
     adj_rng = tagged_stream(cfg.seed, _ADJ_TAG)
+    others = [_adjacent_pair(ds, cfg.adjacency, adj_rng) for _ in range(cfg.outer_rounds)]
+    rounds = [(t1, t2) for t1 in range(cfg.outer_rounds) for t2 in range(cfg.inner_rounds)]
+    seeds = [derive_seed(cfg.seed, t1, t2) for t1, t2 in rounds]
+    kwargs = dict(scheme=cfg.scheme, lr=cfg.lr, iters=cfg.iters, batch=cfg.batch,
+                  noise_on=cfg.noise_on)
+    models_a, logs_a = train_stacked(template, [ds] * len(rounds), seeds, **kwargs)
+    models_b, logs_b = train_stacked(template, [others[t1] for t1, _ in rounds], seeds,
+                                     **kwargs)
     sel = np.arange(ds.size)
-
-    deltas, counts = [], []
-    worst_loss = -np.inf
+    counts = [0] * cfg.outer_rounds
     excluded = 0
-    for t1 in range(cfg.outer_rounds):
-        ds_other = _adjacent_pair(ds, cfg.adjacency, adj_rng)
-        count = 0
-        for t2 in range(cfg.inner_rounds):
-            seed = derive_seed(cfg.seed, t1, t2)
-            model_a, log_a = train(template, ds, cfg.scheme, lr=cfg.lr, iters=cfg.iters,
-                                   batch=cfg.batch, seed=seed, noise_on=cfg.noise_on)
-            model_b, log_b = train(template, ds_other, cfg.scheme, lr=cfg.lr,
-                                   iters=cfg.iters, batch=cfg.batch, seed=seed,
-                                   noise_on=cfg.noise_on)
-            finite_losses = [lg.losses[np.isfinite(lg.losses)] for lg in (log_a, log_b)]
-            for fl in finite_losses:
-                if fl.size:
-                    worst_loss = max(worst_loss, float(fl.max()))
-            if log_a.diverged or log_b.diverged:
-                excluded += 1
-                warnings.warn(
-                    f"outer {t1} inner {t2}: training diverged, round excluded",
-                    TrainingDivergedWarning,
-                )
-                continue
-            pa = forward(model_a, ds.features)[sel, ds.labels]
-            pb = forward(model_b, ds.features)[sel, ds.labels]
-            count += int((clamped_log_ratios(pa, pb) > cfg.epsilon).sum())
-        counts.append(count)
-        deltas.append(count / (cfg.inner_rounds * ds.size))
+    for (t1, t2), model_a, log_a, model_b, log_b in zip(rounds, models_a, logs_a,
+                                                        models_b, logs_b):
+        if log_a.diverged or log_b.diverged:
+            excluded += 1
+            warnings.warn(f"outer {t1} inner {t2}: training diverged, round excluded",
+                          TrainingDivergedWarning)
+            continue
+        pa = forward(model_a, ds.features)[sel, ds.labels]
+        pb = forward(model_b, ds.features)[sel, ds.labels]
+        counts[t1] += int((clamped_log_ratios(pa, pb) > cfg.epsilon).sum())
+    deltas = [count / (cfg.inner_rounds * ds.size) for count in counts]
     return AuditReport(
         delta=float(max(deltas)),
         delta_per_outer=tuple(deltas),
         counts_per_outer=tuple(counts),
         total_comparisons=cfg.outer_rounds * cfg.inner_rounds * ds.size,
-        worst_loss=float(worst_loss),
+        worst_loss=_worst_finite_loss(logs_a + logs_b),
         excluded_rounds=excluded,
-        runtime_seconds=time.perf_counter() - t_start,
     )
 
 
 def audit_report_to_dict(report: AuditReport) -> dict:
-    """JSON fields of the report. runtime_seconds is left out so that reruns
-    write identical bytes; the run manifest's timestamp block has the time."""
+    """JSON fields of the report; the run manifest's timestamp block has the
+    run time, so reruns write identical bytes."""
     return {
         "delta": report.delta,
         "delta_per_outer": list(report.delta_per_outer),
@@ -182,7 +175,6 @@ class MembershipReport:
     losses_without: np.ndarray
     mean_gap: float
     worst_loss: float
-    runtime_seconds: float
 
 
 def membership_experiment(dataset: Dataset, target_index: int, runs: int, scheme,
@@ -197,37 +189,22 @@ def membership_experiment(dataset: Dataset, target_index: int, runs: int, scheme
     """
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
-    t_start = time.perf_counter()
     ds = dataset
-    if null_control:
-        ds_without = ds
-    else:
-        ds_without = make_adjacent(ds, target_index, "remove")
+    ds_without = ds if null_control else make_adjacent(ds, target_index, "remove")
     target_x = ds.features[target_index]
     target_y = int(ds.labels[target_index])
     template = init_model(ds.n_features, hidden, ds.n_classes, 0, activation)
-
-    losses_with = np.empty(runs)
-    losses_without = np.empty(runs)
-    worst_loss = -np.inf
-    for r in range(runs):
-        run_seed = derive_seed(seed, r)
-        model_a, log_a = train(template, ds, scheme, lr=lr, iters=iters, batch=batch,
-                               seed=run_seed, noise_on=noise_on)
-        model_b, log_b = train(template, ds_without, scheme, lr=lr, iters=iters,
-                               batch=batch, seed=run_seed, noise_on=noise_on)
-        losses_with[r] = loss_on_example(model_a, target_x, target_y)
-        losses_without[r] = loss_on_example(model_b, target_x, target_y)
-        for lg in (log_a, log_b):
-            fl = lg.losses[np.isfinite(lg.losses)]
-            if fl.size:
-                worst_loss = max(worst_loss, float(fl.max()))
+    seeds = [derive_seed(seed, r) for r in range(runs)]
+    kwargs = dict(scheme=scheme, lr=lr, iters=iters, batch=batch, noise_on=noise_on)
+    models_a, logs_a = train_stacked(template, [ds] * runs, seeds, **kwargs)
+    models_b, logs_b = train_stacked(template, [ds_without] * runs, seeds, **kwargs)
+    losses_with = np.array([loss_on_example(m, target_x, target_y) for m in models_a])
+    losses_without = np.array([loss_on_example(m, target_x, target_y) for m in models_b])
     return MembershipReport(
         losses_with=losses_with,
         losses_without=losses_without,
         mean_gap=float(abs(losses_with.mean() - losses_without.mean())),
-        worst_loss=float(worst_loss),
-        runtime_seconds=time.perf_counter() - t_start,
+        worst_loss=_worst_finite_loss(logs_a + logs_b),
     )
 
 
@@ -243,7 +220,7 @@ def write_membership_csv(report: MembershipReport, path) -> None:
 
 
 def membership_report_to_dict(report: MembershipReport) -> dict:
-    """JSON fields of the report, without runtime_seconds (see audit_report_to_dict)."""
+    """JSON fields of the report."""
     return {
         "mean_gap": report.mean_gap,
         "worst_loss": report.worst_loss,

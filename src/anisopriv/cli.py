@@ -316,7 +316,8 @@ def _load_dataset(spec):
     return synth_blobs(*payload)
 
 
-def _check_training(p, path, errs, dataset_size):
+def _check_training(p, path, errs, dataset_size, drops_record=False):
+    """drops_record: one arm trains on the dataset less one record."""
     lr = _number(p, "lr", path, errs, positive=True)
     iters = _integer(p, "iters", path, errs, minimum=1)
     batch = _integer(p, "batch", path, errs, minimum=1)
@@ -325,8 +326,9 @@ def _check_training(p, path, errs, dataset_size):
             choices={"relu", "tanh"})
     _string(p, "noise_on", path, errs, required=False, default="step",
             choices={"step", "full"})
-    if batch is not None and dataset_size is not None and batch > dataset_size:
-        _err(errs, f"{path}.batch", f"exceeds dataset size {dataset_size}")
+    if batch is not None and dataset_size is not None and batch > dataset_size - drops_record:
+        _err(errs, f"{path}.batch", f"exceeds dataset size {dataset_size}"
+             + (" less the dropped record" if drops_record else ""))
     return lr, iters, batch, hidden
 
 
@@ -648,11 +650,11 @@ def _v_dp_audit(p, errs, base_dir):
     _number(p, "epsilon", "experiment", errs, positive=True)
     _integer(p, "outer_rounds", "experiment", errs, minimum=1)
     _integer(p, "inner_rounds", "experiment", errs, minimum=1)
-    _string(p, "adjacency", "experiment", errs, required=False, default="replace",
-            choices={"replace", "remove", "null"})
+    adjacency = _string(p, "adjacency", "experiment", errs, required=False,
+                        default="replace", choices={"replace", "remove", "null"})
     _check_scheme(p, "experiment", errs)
     spec, size = _check_dataset(p, "experiment", errs, base_dir)
-    _check_training(p, "experiment", errs, size)
+    _check_training(p, "experiment", errs, size, drops_record=adjacency == "remove")
     return ["empirical delta (max over outer rounds)", "per-outer-round deltas",
             "worst training loss", "audit_report.json"]
 
@@ -677,10 +679,10 @@ def _v_membership(p, errs, base_dir):
                     "experiment", errs)
     target = _integer(p, "target_index", "experiment", errs, minimum=0)
     _integer(p, "runs", "experiment", errs, minimum=1)
-    _boolean(p, "null_control", "experiment", errs)
+    null_control = _boolean(p, "null_control", "experiment", errs)
     _check_scheme(p, "experiment", errs)
     spec, size = _check_dataset(p, "experiment", errs, base_dir)
-    _check_training(p, "experiment", errs, size)
+    _check_training(p, "experiment", errs, size, drops_record=not null_control)
     if target is not None and size is not None and target >= size:
         _err(errs, "experiment.target_index", f"outside dataset of size {size}")
     return ["per-run target losses, both arms (membership_hist.csv)",
@@ -791,20 +793,6 @@ def _validate_document(doc, base_dir):
     return errs, derived
 
 
-def _threads_from_env(errs):
-    raw = os.environ.get("ANISO_THREADS")
-    if raw is None:
-        return None
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    if n < 1:
-        _err(errs, "env.ANISO_THREADS", f"must be a positive integer, got {raw!r}")
-        return None
-    return n
-
-
 def _config_hash(doc) -> str:
     semantic = {
         "schema_version": doc.get("schema_version", SCHEMA_VERSION),
@@ -840,7 +828,6 @@ def _cmd_validate(path) -> int:
         base_dir = os.path.dirname(os.path.abspath(path))
         more, derived = _validate_document(doc, base_dir)
         errs.extend(more)
-    _threads_from_env(errs)
     if errs:
         _emit({"ok": False, "errors": errs})
         return 1
@@ -860,7 +847,6 @@ def _cmd_run(path) -> int:
         base_dir = os.path.dirname(os.path.abspath(path))
         more, _ = _validate_document(doc, base_dir)
         errs.extend(more)
-    threads = _threads_from_env(errs)
     if errs:
         _emit({"ok": False, "errors": errs})
         return 1
@@ -889,7 +875,6 @@ def _cmd_run(path) -> int:
             "numpy": np.__version__,
             "python": ".".join(str(v) for v in sys.version_info[:3]),
         },
-        "threads": threads,
         "timestamp": {
             "utc": datetime.now(timezone.utc).isoformat(),
             "wall_clock_seconds": time.perf_counter() - started,

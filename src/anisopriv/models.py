@@ -6,6 +6,10 @@ descent with optional injected Gaussian noise whose magnitude follows the
 current gradient, either per layer or per parameter. All randomness comes
 from tagged counter-based streams, so a seed pins initialization, batch
 selection, and noise draws; two trainings that share a seed share all three.
+
+`train_stacked` trains R runs as one (R, P) parameter array; each run draws
+batches and noise from its own streams, in blocks of 32 iterations, so its
+result does not depend on the other runs. `train` is the one-run case.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from .rng import tagged_stream
 from .sde import DatasetGradientDrift
 
 _INIT_TAG, _BATCH_TAG, _NOISE_TAG = 1, 2, 3
+_STREAM_BLOCK = 32  # iterations of batch indices and noise drawn per stream at once
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,12 +99,13 @@ def layer_slices(layer_sizes: tuple[int, int, int]) -> list[slice]:
 
 
 def _unpack(layer_sizes, params):
+    """Views of (W1, b1, W2, b2) in a parameter vector or stack (..., P)."""
     m, h, k = layer_sizes
     i = 0
-    w1 = params[i : i + m * h].reshape(m, h); i += m * h
-    b1 = params[i : i + h]; i += h
-    w2 = params[i : i + h * k].reshape(h, k); i += h * k
-    b2 = params[i : i + k]
+    w1 = params[..., i : i + m * h].reshape(*params.shape[:-1], m, h); i += m * h
+    b1 = params[..., i : i + h]; i += h
+    w2 = params[..., i : i + h * k].reshape(*params.shape[:-1], h, k); i += h * k
+    b2 = params[..., i : i + k]
     return w1, b1, w2, b2
 
 
@@ -115,48 +121,54 @@ def init_model(n_features: int, hidden: int, classes: int, seed: int,
     return MlpModel((m, h, k), params, activation, seed)
 
 
-def _hidden(model: MlpModel, x: np.ndarray):
-    w1, b1, w2, b2 = _unpack(model.layer_sizes, model.params)
-    z1 = x @ w1 + b1
-    if model.activation == "relu":
+def _forward(layer_sizes, activation, params, x):
+    """For params (..., P) on inputs (..., n, m): W2, the hidden activations
+    a1 and their derivatives d1, and the logits less their max."""
+    w1, b1, w2, b2 = _unpack(layer_sizes, params)
+    z1 = x @ w1 + b1[..., None, :]
+    if activation == "relu":
         a1, d1 = np.maximum(z1, 0.0), (z1 > 0.0).astype(float)
     else:
         a1 = np.tanh(z1)
         d1 = 1.0 - a1**2
-    return w1, b1, w2, b2, a1, d1
+    z2 = a1 @ w2 + b2[..., None, :]
+    return w2, a1, d1, z2 - z2.max(axis=-1, keepdims=True)
 
 
 def forward(model: MlpModel, features: np.ndarray) -> np.ndarray:
     """Class probabilities, shape (n, classes)."""
     x = np.atleast_2d(np.asarray(features, dtype=float))
-    *_, w2, b2, a1, _ = _hidden(model, x)
-    z2 = a1 @ w2 + b2
-    z2 = z2 - z2.max(axis=1, keepdims=True)
-    e = np.exp(z2)
+    e = np.exp(_forward(model.layer_sizes, model.activation, model.params, x)[-1])
     return e / e.sum(axis=1, keepdims=True)
+
+
+def _loss_and_grad(layer_sizes, activation, params, x, y):
+    """Per run of a stack: mean cross-entropy of params[r] (R, P) on its own
+    rows x[r] (R, n, m) with labels y[r] (R, n), and the gradient (R, P)."""
+    runs, n = y.shape
+    w2, a1, d1, shift = _forward(layer_sizes, activation, params, x)
+    logz = np.log(np.exp(shift).sum(axis=2))
+    run, row = np.arange(runs)[:, None], np.arange(n)
+    loss = np.mean(logz - shift[run, row, y], axis=1)
+    dz2 = np.exp(shift - logz[..., None])
+    dz2[run, row, y] -= 1.0
+    dz2 /= n
+    dw2 = a1.swapaxes(1, 2) @ dz2
+    db2 = dz2.sum(axis=1)
+    dz1 = (dz2 @ w2.swapaxes(1, 2)) * d1
+    dw1 = x.swapaxes(1, 2) @ dz1
+    db1 = dz1.sum(axis=1)
+    grad = np.concatenate([dw1.reshape(runs, -1), db1, dw2.reshape(runs, -1), db2], axis=1)
+    return loss, grad
 
 
 def loss_and_grad(model: MlpModel, features: np.ndarray, labels: np.ndarray):
     """Mean cross-entropy over the rows and its gradient in the flat params."""
     x = np.atleast_2d(np.asarray(features, dtype=float))
     y = np.asarray(labels).ravel()
-    n = x.shape[0]
-    w1, b1, w2, b2, a1, d1 = _hidden(model, x)
-    z2 = a1 @ w2 + b2
-    shift = z2 - z2.max(axis=1, keepdims=True)
-    logz = np.log(np.exp(shift).sum(axis=1))
-    loss = float(np.mean(logz - shift[np.arange(n), y]))
-    p = np.exp(shift - logz[:, None])
-    dz2 = p.copy()
-    dz2[np.arange(n), y] -= 1.0
-    dz2 /= n
-    dw2 = a1.T @ dz2
-    db2 = dz2.sum(axis=0)
-    dz1 = (dz2 @ w2.T) * d1
-    dw1 = x.T @ dz1
-    db1 = dz1.sum(axis=0)
-    grad = np.concatenate([dw1.ravel(), db1, dw2.ravel(), db2])
-    return loss, grad
+    loss, grad = _loss_and_grad(model.layer_sizes, model.activation,
+                                model.params[None], x[None], y[None])
+    return float(loss[0]), grad[0]
 
 
 def per_example_grads(model: MlpModel, features: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -164,21 +176,9 @@ def per_example_grads(model: MlpModel, features: np.ndarray, labels: np.ndarray)
     so the rows sum to the gradient of the sum-structured loss."""
     x = np.atleast_2d(np.asarray(features, dtype=float))
     y = np.asarray(labels).ravel()
-    n = x.shape[0]
-    w1, b1, w2, b2, a1, d1 = _hidden(model, x)
-    z2 = a1 @ w2 + b2
-    shift = z2 - z2.max(axis=1, keepdims=True)
-    p = np.exp(shift)
-    p /= p.sum(axis=1, keepdims=True)
-    dz2 = p
-    dz2[np.arange(n), y] -= 1.0
-    dw2 = np.einsum("nh,nk->nhk", a1, dz2)
-    dz1 = (dz2 @ w2.T) * d1
-    dw1 = np.einsum("nm,nh->nmh", x, dz1)
-    m, h, k = model.layer_sizes
-    return np.concatenate(
-        [dw1.reshape(n, m * h), dz1, dw2.reshape(n, h * k), dz2], axis=1
-    )
+    # one single-record run per example, all on the same parameters
+    params = np.broadcast_to(model.params, (x.shape[0], model.n_params))
+    return _loss_and_grad(model.layer_sizes, model.activation, params, x[:, None], y[:, None])[1]
 
 
 def loss_on_example(model: MlpModel, features_row: np.ndarray, label: int) -> float:
@@ -221,13 +221,15 @@ class AnisotropicPerParam:
 
 
 def noise_std(scheme, grad: np.ndarray, slices: list[slice]) -> np.ndarray:
-    """Per-parameter standard deviation of the injected noise."""
+    """Per-parameter standard deviation of the injected noise, for a gradient
+    (P,) or a stack of them (R, P); slices index the last axis."""
     if isinstance(scheme, NoNoise):
         return np.zeros_like(grad)
     if isinstance(scheme, IsotropicPerLayer):
         std = np.empty_like(grad)
         for sl in slices:
-            std[sl] = np.sqrt(scheme.sigma2 * np.abs(grad[sl]).max(initial=0.0))
+            top = np.abs(grad[..., sl]).max(axis=-1, keepdims=True, initial=0.0)
+            std[..., sl] = np.sqrt(scheme.sigma2 * top)
         return std
     if isinstance(scheme, AnisotropicPerParam):
         return np.sqrt(scheme.sigma2 * np.abs(grad))
@@ -254,14 +256,31 @@ def train(model: MlpModel, dataset: Dataset, scheme=NO_NOISE, *, lr: float,
     bit-identical end to end. noise_on selects the gradient whose magnitude
     sets the noise scale: "step" uses the minibatch gradient just computed,
     "full" recomputes the full-dataset gradient for the scale (updates always
-    use the minibatch gradient). A non-finite loss stops training and flags
-    the log as diverged.
+    use the minibatch gradient). A non-finite loss or gradient stops training
+    and flags the log as diverged; the parameters are those before that step.
     """
+    models, logs = train_stacked(model, [dataset], [seed], scheme, lr=lr, iters=iters,
+                                 batch=batch, noise_on=noise_on)
+    return models[0], logs[0]
+
+
+def train_stacked(model: MlpModel, datasets, seeds, scheme=NO_NOISE, *, lr: float,
+                  iters: int, batch: int, noise_on: str = "step"):
+    """`train` of run r on (datasets[r], seeds[r]) for all runs at once; all
+    datasets must have the same number of rows. Returns a list of models and
+    one of logs, each equal to what `train` gives for that run alone. A run
+    that diverges leaves the stack at that step; the others carry on."""
+    if len(datasets) != len(seeds) or not seeds:
+        raise ValueError("need one seed per dataset and at least one run")
+    rows = {ds.size for ds in datasets}
+    if len(rows) > 1:
+        raise ValueError(f"datasets must have equal row counts, got {sorted(rows)}")
+    n = rows.pop()
     if batch < 1:
         raise ValueError(f"batch must be >= 1, got {batch}")
-    if batch > dataset.size:
+    if batch > n:
         raise BatchLargerThanDataset(
-            f"batch {batch} exceeds dataset size {dataset.size}", operation="train"
+            f"batch {batch} exceeds dataset size {n}", operation="train"
         )
     if not (lr > 0.0):
         raise ValueError(f"lr must be positive, got {lr}")
@@ -270,38 +289,57 @@ def train(model: MlpModel, dataset: Dataset, scheme=NO_NOISE, *, lr: float,
     if noise_on not in ("step", "full"):
         raise ValueError(f"noise_on must be 'step' or 'full', got {noise_on!r}")
 
-    fresh = init_model(*model.layer_sizes, seed, model.activation)
-    params = fresh.params.copy()
-    slices = layer_slices(model.layer_sizes)
-    batch_rng = tagged_stream(seed, _BATCH_TAG)
-    noise_rng = tagged_stream(seed, _NOISE_TAG)
+    sizes, activation = model.layer_sizes, model.activation
+    slices = layer_slices(sizes)
+    runs = len(seeds)
+    features = np.stack([ds.features for ds in datasets])
+    labels = np.stack([ds.labels for ds in datasets])
+    params = np.stack([init_model(*sizes, s, activation).params for s in seeds])
+    batch_rngs = [tagged_stream(s, _BATCH_TAG) for s in seeds]
+    noise_rngs = [tagged_stream(s, _NOISE_TAG) for s in seeds]
+    noisy = not isinstance(scheme, NoNoise)
 
-    losses = np.empty(iters)
-    layer_max = np.empty((iters, len(slices)))
-    diverged = False
-    work = replace(model, params=params, seed=seed)
+    losses = np.empty((runs, iters))
+    layer_max = np.empty((runs, iters, len(slices)))
+    steps = np.full(runs, iters)
+    diverged = np.zeros(runs, dtype=bool)
+    final = np.empty_like(params)
+    live = np.arange(runs)  # runs still training; row i of the stack is run live[i]
     for it in range(iters):
-        idx = batch_rng.integers(0, dataset.size, size=batch)
-        loss, grad = loss_and_grad(work, dataset.features[idx], dataset.labels[idx])
-        losses[it] = loss
+        j = it % _STREAM_BLOCK
+        if j == 0:
+            k = min(_STREAM_BLOCK, iters - it)
+            idx = np.stack([batch_rngs[r].integers(0, n, size=(k, batch)) for r in live])
+            if noisy:
+                noise = np.empty((live.size, k, params.shape[1]))
+                for row, r in zip(noise, live):
+                    noise_rngs[r].standard_normal(out=row)
+        at = live[:, None], idx[:, j]
+        loss, grad = _loss_and_grad(sizes, activation, params, features[at], labels[at])
+        losses[live, it] = loss
         for li, sl in enumerate(slices):
-            layer_max[it, li] = np.abs(grad[sl]).max(initial=0.0)
-        if not (np.isfinite(loss) and np.all(np.isfinite(grad))):
-            diverged = True
-            losses = losses[: it + 1]
-            layer_max = layer_max[: it + 1]
-            break
-        if isinstance(scheme, NoNoise):
+            layer_max[live, it, li] = np.abs(grad[:, sl]).max(axis=1, initial=0.0)
+        ok = np.isfinite(loss) & np.all(np.isfinite(grad), axis=1)
+        if not ok.all():
+            gone = live[~ok]
+            steps[gone], diverged[gone], final[gone] = it + 1, True, params[~ok]
+            live, params, grad, idx = live[ok], params[ok], grad[ok], idx[ok]
+            if noisy:
+                noise = noise[ok]
+            if not live.size:
+                break
+        if not noisy:
             params = params - lr * grad
-        else:
-            if noise_on == "full":
-                _, scale_grad = loss_and_grad(work, dataset.features, dataset.labels)
-            else:
-                scale_grad = grad
-            std = noise_std(scheme, scale_grad, slices)
-            params = params - lr * grad + std * noise_rng.standard_normal(params.shape[0])
-        work = replace(work, params=params)
-    return work, TrainLog(losses, layer_max, diverged)
+            continue
+        scale = grad if noise_on == "step" else _loss_and_grad(
+            sizes, activation, params, features[live], labels[live])[1]
+        params = params - lr * grad + noise_std(scheme, scale, slices) * noise[:, j]
+    final[live] = params
+
+    models = [MlpModel(sizes, final[r], activation, seeds[r]) for r in range(runs)]
+    logs = [TrainLog(losses[r, : steps[r]], layer_max[r, : steps[r]], bool(diverged[r]))
+            for r in range(runs)]
+    return models, logs
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,15 @@ from anisopriv.audit import (
     write_membership_csv,
 )
 from anisopriv.errors import TrainingDivergedWarning
-from anisopriv.models import AnisotropicPerParam, NO_NOISE, synth_blobs
-from anisopriv.rng import tagged_stream
+from anisopriv.models import (
+    NO_NOISE,
+    AnisotropicPerParam,
+    forward,
+    init_model,
+    synth_blobs,
+    train,
+)
+from anisopriv.rng import derive_seed, tagged_stream
 
 
 @pytest.fixture
@@ -90,6 +97,39 @@ def test_delta_nonincreasing_in_epsilon(small_blobs):
         assert all(a >= b for a, b in zip(lo.counts_per_outer, hi.counts_per_outer))
         assert lo.delta >= hi.delta
     assert reports[0].delta > 0.0
+
+
+def test_estimate_delta_remove_full_matches_per_run_training(small_blobs):
+    # neither remove adjacency nor the full-gradient noise scale is in a
+    # shipped config; 40 iterations cross a stream block boundary
+    cfg = small_config(small_blobs, adjacency="remove", noise_on="full", iters=40,
+                       batch=7, epsilon=0.05)
+    report = estimate_delta(cfg)
+
+    ds = cfg.dataset
+    template = init_model(ds.n_features, cfg.hidden, ds.n_classes, 0, cfg.activation)
+    adj_rng = tagged_stream(cfg.seed, 5)
+    counts, worst = [], -np.inf
+    for t1 in range(cfg.outer_rounds):
+        other = _adjacent_pair(ds, "remove", adj_rng)
+        count = 0
+        for t2 in range(cfg.inner_rounds):
+            kwargs = dict(lr=cfg.lr, iters=cfg.iters, batch=cfg.batch,
+                          seed=derive_seed(cfg.seed, t1, t2), noise_on="full")
+            model_a, log_a = train(template, ds, cfg.scheme, **kwargs)
+            model_b, log_b = train(template, other, cfg.scheme, **kwargs)
+            assert not (log_a.diverged or log_b.diverged)
+            worst = max(worst, log_a.losses.max(), log_b.losses.max())
+            pa = forward(model_a, ds.features)[np.arange(ds.size), ds.labels]
+            pb = forward(model_b, ds.features)[np.arange(ds.size), ds.labels]
+            count += int((clamped_log_ratios(pa, pb) > cfg.epsilon).sum())
+        counts.append(count)
+    assert sum(counts) > 0
+    assert report.counts_per_outer == tuple(counts)
+    assert report.delta_per_outer == tuple(c / (cfg.inner_rounds * ds.size) for c in counts)
+    assert report.delta == max(report.delta_per_outer)
+    assert report.worst_loss == worst
+    assert report.excluded_rounds == 0
 
 
 def test_divergent_rounds_are_excluded(small_blobs):

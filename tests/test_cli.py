@@ -1,6 +1,7 @@
 """Config-driven CLI: validation paths, run outputs, reproducibility."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -112,26 +113,17 @@ def test_validate_invalid_json(tmp_path, capsys):
     assert "invalid JSON" in doc["errors"][0]["message"]
 
 
-@pytest.mark.parametrize("raw", ["abc", "0", "-3"])
-def test_invalid_thread_env(tmp_path, capsys, monkeypatch, raw):
-    monkeypatch.setenv("ANISO_THREADS", raw)
-    cfg = write_config(tmp_path / "cfg.json", closed_bounds_doc())
-    code, doc = run_cli(capsys, "validate", cfg)
-    assert code == 1
-    assert "env.ANISO_THREADS" in error_paths(doc)
-
-
 def test_thread_env_lands_in_manifest(tmp_path, capsys, monkeypatch):
+    # ANISO_THREADS is not read any more: it neither fails nor is recorded
     monkeypatch.setenv("ANISO_THREADS", "2")
     cfg = write_config(tmp_path / "cfg.json", closed_bounds_doc())
     code, _ = run_cli(capsys, "run", cfg)
     assert code == 0
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
-    assert manifest["threads"] == 2
+    assert "threads" not in manifest
 
 
-def test_run_closed_bounds(tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv("ANISO_THREADS", raising=False)
+def test_run_closed_bounds(tmp_path, capsys):
     cfg = write_config(tmp_path / "cfg.json", closed_bounds_doc())
     code, doc = run_cli(capsys, "run", cfg)
     assert code == 0
@@ -149,7 +141,7 @@ def test_run_closed_bounds(tmp_path, capsys, monkeypatch):
     assert manifest["seed"] == 3
     assert manifest["experiment"] == "closed-bounds"
     assert manifest["versions"]["anisopriv"] == __version__
-    assert manifest["threads"] is None
+    assert "threads" not in manifest
     assert set(manifest["timestamp"]) == {"utc", "wall_clock_seconds"}
 
 
@@ -298,4 +290,31 @@ def test_singular_design_rejected_by_validate(tmp_path, capsys, make_doc, key):
         code, doc = run_cli(capsys, cmd, cfg)
         assert code == 1
         assert f"experiment.{key}" in error_paths(doc)
+    assert not (tmp_path / "out").exists()
+
+
+def shipped_doc(name, **over):
+    path = Path(__file__).resolve().parent.parent / "scripts" / "configs" / f"{name}.json"
+    doc = json.loads(path.read_text())
+    doc["output_dir"] = "out"
+    doc["experiment"].update(over)
+    return doc
+
+
+@pytest.mark.parametrize("name, over, ok_over", [
+    # 80 records; without the control one arm trains on the other 79
+    ("membership", {"batch": 80}, {"batch": 80, "null_control": True}),
+    # 100 records; remove adjacency trains one arm on 99
+    ("dp-audit", {"batch": 100, "adjacency": "remove"}, {"batch": 100}),
+], ids=["membership", "dp-audit-remove"])
+def test_batch_larger_than_smaller_arm_rejected_by_validate(tmp_path, capsys, name, over,
+                                                            ok_over):
+    # the same batch is fine when both arms keep every record
+    base = write_config(tmp_path / "base.json", shipped_doc(name, **ok_over))
+    assert run_cli(capsys, "validate", base)[0] == 0
+    cfg = write_config(tmp_path / "cfg.json", shipped_doc(name, **over))
+    for cmd in ("validate", "run"):
+        code, doc = run_cli(capsys, cmd, cfg)
+        assert code == 1
+        assert error_paths(doc) == ["experiment.batch"]
     assert not (tmp_path / "out").exists()

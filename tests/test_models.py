@@ -7,6 +7,8 @@ import pytest
 
 from anisopriv.errors import BatchLargerThanDataset, IndexOutOfRange
 from anisopriv.models import (
+    _BATCH_TAG,
+    _NOISE_TAG,
     NO_NOISE,
     AnisotropicPerParam,
     Dataset,
@@ -26,8 +28,10 @@ from anisopriv.models import (
     save_model,
     synth_blobs,
     train,
+    train_stacked,
     write_dataset_csv,
 )
+from anisopriv.rng import tagged_stream
 
 
 @pytest.fixture
@@ -287,3 +291,120 @@ def test_model_json_roundtrip(tmp_path):
     assert back.activation == model.activation
     assert back.seed == model.seed
     assert np.array_equal(back.params, model.params)
+
+
+def reference_train(model, dataset, scheme, *, lr, iters, batch, seed, noise_on="step"):
+    """One run, one step at a time: a loss_and_grad call and one draw from each
+    of the run's tagged streams per step. Returns (params, losses, layer_max,
+    diverged)."""
+    params = init_model(*model.layer_sizes, seed, model.activation).params
+    slices = layer_slices(model.layer_sizes)
+    batch_rng = tagged_stream(seed, _BATCH_TAG)
+    noise_rng = tagged_stream(seed, _NOISE_TAG)
+    losses, layer_max = [], []
+    for _ in range(iters):
+        work = MlpModel(model.layer_sizes, params, model.activation)
+        idx = batch_rng.integers(0, dataset.size, size=batch)
+        loss, grad = loss_and_grad(work, dataset.features[idx], dataset.labels[idx])
+        losses.append(loss)
+        layer_max.append([np.abs(grad[sl]).max(initial=0.0) for sl in slices])
+        if not (np.isfinite(loss) and np.all(np.isfinite(grad))):
+            return params, np.array(losses), np.array(layer_max), True
+        if scheme is NO_NOISE:
+            params = params - lr * grad
+            continue
+        if noise_on == "full":
+            _, scale = loss_and_grad(work, dataset.features, dataset.labels)
+        else:
+            scale = grad
+        noise = noise_rng.standard_normal(params.shape[0])
+        params = params - lr * grad + noise_std(scheme, scale, slices) * noise
+    return params, np.array(losses), np.array(layer_max), False
+
+
+def assert_matches_reference(model, log, ref):
+    params, losses, layer_max, diverged = ref
+    assert np.array_equal(model.params, params)
+    # a diverged run logs its non-finite last step
+    assert np.array_equal(log.losses, losses, equal_nan=True)
+    assert np.array_equal(log.layer_max_grad, layer_max, equal_nan=True)
+    assert log.diverged == diverged
+
+
+def neighbours(ds, count):
+    """ds with record j replaced by a copy of record j + 1, for j < count."""
+    return [make_adjacent(ds, j, "replace", new_features=ds.features[j + 1],
+                          new_label=ds.labels[j + 1]) for j in range(count)]
+
+
+@pytest.mark.parametrize("noise_on", ["step", "full"])
+@pytest.mark.parametrize("scheme", [NO_NOISE, IsotropicPerLayer(0.05),
+                                    AnisotropicPerParam(0.05)],
+                         ids=["none", "isotropic-layer", "anisotropic-param"])
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+def test_stacked_training_matches_per_run_reference(blobs, activation, scheme, noise_on):
+    # 45 iterations cross the 32-iteration boundary of the stream blocks
+    model = init_model(3, 6, 3, 0, activation)
+    datasets, seeds = neighbours(blobs, 3), [21, 22, 23]
+    kwargs = dict(lr=0.3, iters=45, batch=16, noise_on=noise_on)
+    models, logs = train_stacked(model, datasets, seeds, scheme, **kwargs)
+    assert len(models) == len(logs) == 3
+    for ds, seed, m, log in zip(datasets, seeds, models, logs):
+        assert m.seed == seed
+        assert_matches_reference(m, log, reference_train(model, ds, scheme, seed=seed,
+                                                         **kwargs))
+    # no two runs share a stream
+    assert not np.array_equal(models[0].params, models[1].params)
+
+
+def test_stacked_training_diverged_row_leaves_the_stack(blobs):
+    # features 1e5 times larger blow up at lr 30 within the first stream block;
+    # the blobs themselves train on for all 45 iterations
+    model = init_model(3, 6, 3, 0, "relu")
+    huge = Dataset(blobs.features * 1e5, blobs.labels)
+    datasets, seeds = [blobs, huge, blobs], [4, 3, 5]
+    kwargs = dict(lr=30.0, iters=45, batch=16)
+    scheme = AnisotropicPerParam(0.05)
+    with np.errstate(over="ignore", invalid="ignore"):
+        models, logs = train_stacked(model, datasets, seeds, scheme, **kwargs)
+        refs = [reference_train(model, ds, scheme, seed=s, **kwargs)
+                for ds, s in zip(datasets, seeds)]
+    assert logs[1].diverged and 1 < len(logs[1].losses) < 32
+    assert not np.isfinite(logs[1].losses[-1])
+    assert np.all(np.isfinite(models[1].params))  # frozen before the bad step
+    for r in (0, 2):
+        assert not logs[r].diverged and len(logs[r].losses) == 45
+        alone, alone_log = train(model, datasets[r], scheme, seed=seeds[r], **kwargs)
+        assert np.array_equal(models[r].params, alone.params)
+        assert np.array_equal(logs[r].losses, alone_log.losses)
+    for m, log, ref in zip(models, logs, refs):
+        assert_matches_reference(m, log, ref)
+
+
+@pytest.mark.parametrize("noise_on", ["step", "full"])
+def test_stacked_training_all_rows_diverge(blobs, noise_on):
+    model = init_model(3, 6, 3, 0, "relu")
+    huge = Dataset(blobs.features * 1e5, blobs.labels)
+    kwargs = dict(lr=30.0, iters=45, batch=16, noise_on=noise_on)
+    scheme = AnisotropicPerParam(0.05)
+    with np.errstate(over="ignore", invalid="ignore"):
+        models, logs = train_stacked(model, [huge, huge], [3, 6], scheme, **kwargs)
+        refs = [reference_train(model, huge, scheme, seed=s, **kwargs) for s in (3, 6)]
+    assert all(log.diverged for log in logs)
+    for m, log, ref in zip(models, logs, refs):
+        assert_matches_reference(m, log, ref)
+
+
+def test_stacked_training_validation(blobs):
+    model = init_model(3, 6, 3, 0)
+    smaller = make_adjacent(blobs, 0, "remove")
+    kwargs = dict(lr=0.1, iters=5, batch=4)
+    with pytest.raises(ValueError, match="equal row counts"):
+        train_stacked(model, [blobs, smaller], [1, 2], NO_NOISE, **kwargs)
+    with pytest.raises(ValueError):
+        train_stacked(model, [blobs, blobs], [1], NO_NOISE, **kwargs)
+    with pytest.raises(ValueError):
+        train_stacked(model, [], [], NO_NOISE, **kwargs)
+    with pytest.raises(BatchLargerThanDataset):
+        train_stacked(model, [smaller, smaller], [1, 2], NO_NOISE, lr=0.1, iters=5,
+                      batch=blobs.size)
