@@ -16,6 +16,7 @@ the manifest's "timestamp" object. Exit codes: 0 success, 1 invalid config,
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import json
 import math
@@ -23,6 +24,7 @@ import os
 import sys
 import time
 from datetime import datetime, timezone
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -95,28 +97,33 @@ def _reject_unknown(obj, allowed, path, errs):
             _err(errs, f"{path}.{key}", "unknown key")
 
 
+def _finite(x):
+    """x is a finite number; bools do not count, nor ints beyond the float range."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
+
+
 def _get(obj, key, path, errs, *, required=True, default=None):
-    if key not in obj:
+    """obj[key]; a key set to null counts as missing."""
+    if obj.get(key) is None:
         if required:
             _err(errs, f"{path}.{key}", "missing required field")
         return default
     return obj[key]
 
 
-def _number(obj, key, path, errs, *, required=True, default=None, positive=False,
-            nonneg=False):
-    v = _get(obj, key, path, errs, required=required, default=None)
+def _number(obj, key, path, errs, *, positive=False, nonneg=False):
+    v = _get(obj, key, path, errs)
     if v is None:
-        return default
-    if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+        return None
+    if not _finite(v):
         _err(errs, f"{path}.{key}", "must be a finite number")
-        return default
+        return None
     if positive and not v > 0:
         _err(errs, f"{path}.{key}", "must be positive")
-        return default
+        return None
     if nonneg and v < 0:
         _err(errs, f"{path}.{key}", "must be nonnegative")
-        return default
+        return None
     return float(v)
 
 
@@ -156,16 +163,12 @@ def _boolean(obj, key, path, errs, *, default=False):
     return v
 
 
-def _vector(obj, key, path, errs, *, required=True, length=None, positive=False,
-            nonneg=False):
+def _vector(obj, key, path, errs, *, required=True, default=None, length=None,
+            positive=False, nonneg=False):
     v = _get(obj, key, path, errs, required=required, default=None)
     if v is None:
-        return None
-    ok = isinstance(v, list) and v and all(
-        isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
-        for x in v
-    )
-    if not ok:
+        return default
+    if not (isinstance(v, list) and v and all(_finite(x) for x in v)):
         _err(errs, f"{path}.{key}", "must be a nonempty list of finite numbers")
         return None
     if length is not None and len(v) != length:
@@ -187,10 +190,7 @@ def _matrix(obj, key, path, errs, *, required=True):
     ok = (
         isinstance(v, list) and v and all(isinstance(r, list) and r for r in v)
         and len({len(r) for r in v}) == 1
-        and all(
-            isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
-            for r in v for x in r
-        )
+        and all(_finite(x) for r in v for x in r)
     )
     if not ok:
         _err(errs, f"{path}.{key}", "must be a rectangular matrix of finite numbers")
@@ -198,49 +198,81 @@ def _matrix(obj, key, path, errs, *, required=True):
     return np.asarray(v, dtype=float)
 
 
-def _full_rank_designs(errs, **designs):
-    """Record an error for each given design whose Gram matrix is singular."""
-    for key, b in designs.items():
-        if b is not None:
-            try:
-                _check_full_rank(b)
-            except ValueError as exc:
-                _err(errs, f"experiment.{key}", str(exc))
-
-
-def _time_value(obj, key, path, errs, *, required=True, default=None):
-    v = _get(obj, key, path, errs, required=required, default=None)
+def _time_value(obj, key, path, errs):
+    v = _get(obj, key, path, errs)
     if v is None:
-        return default
+        return None
     if v == "inf":
         return math.inf
-    if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v) or v < 0:
+    if not _finite(v) or v < 0:
         _err(errs, f"{path}.{key}", 'must be a nonnegative number or "inf"')
-        return default
+        return None
     return float(v)
 
 
-def _cov_matrix(obj, path, errs, *, dim=None, key="sigma", diag_key="sigma_diag",
-                required=True):
+def _cov_matrix(p, errs, dim):
     """Either `sigma` (full matrix) or `sigma_diag` (positive diagonal)."""
-    has_full, has_diag = key in obj, diag_key in obj
+    has_full, has_diag = p.get("sigma") is not None, p.get("sigma_diag") is not None
     if has_full and has_diag:
-        _err(errs, f"{path}.{key}", f"give either {key} or {diag_key}, not both")
+        _err(errs, "experiment.sigma", "give either sigma or sigma_diag, not both")
         return None
     if not has_full and not has_diag:
-        if required:
-            _err(errs, f"{path}.{key}", f"missing: provide {key} or {diag_key}")
+        _err(errs, "experiment.sigma", "missing: provide sigma or sigma_diag")
         return None
     if has_diag:
-        d = _vector(obj, diag_key, path, errs, length=dim, positive=True)
+        d = _vector(p, "sigma_diag", "experiment", errs, length=dim, positive=True)
         return None if d is None else np.diag(d)
-    m = _matrix(obj, key, path, errs)
+    m = _matrix(p, "sigma", "experiment", errs)
     if m is None:
         return None
     if m.shape[0] != m.shape[1] or (dim is not None and m.shape[0] != dim):
-        _err(errs, f"{path}.{key}", "must be square" + (f" with dimension {dim}" if dim else ""))
+        _err(errs, "experiment.sigma", "must be square" + (f" with dimension {dim}" if dim else ""))
         return None
     return m
+
+
+def _problems(p, errs, *, primed, dim=None, full_rank=True):
+    """x0 and the (design, target) arrays of a quadratic problem and, when
+    primed, of its partner, whose design_prime defaults to design. Each design
+    needs one row per target entry, one column per x0 entry and, with
+    full_rank, a positive definite Gram matrix; dim fixes the length of x0."""
+    design = _matrix(p, "design", "experiment", errs)
+    pairs = [("design", design, "target", _vector(p, "target", "experiment", errs))]
+    if primed:
+        design_p = _matrix(p, "design_prime", "experiment", errs, required=False)
+        given = p.get("design_prime") is not None
+        pairs.append(("design_prime" if given else "design", design_p if given else design,
+                      "target_prime", _vector(p, "target_prime", "experiment", errs)))
+    x0 = _vector(p, "x0", "experiment", errs, length=dim)
+    cols = dim if x0 is None else x0.shape[0]
+    for b_key, b, y_key, y in pairs:
+        if b is not None and y is not None and y.shape[0] != b.shape[0]:
+            _err(errs, f"experiment.{y_key}", f"length must match {b_key} rows")
+    for b_key, b in {b_key: b for b_key, b, _, _ in pairs}.items():
+        if b is None:
+            continue
+        if cols is not None and b.shape[1] != cols:
+            _err(errs, f"experiment.{b_key}", f"must have {cols} columns")
+        elif full_rank:
+            try:
+                _check_full_rank(b)
+            except ValueError as exc:
+                _err(errs, f"experiment.{b_key}", str(exc))
+    return x0, [(b, y) for _, b, _, y in pairs]
+
+
+def _sim_config(p, errs, seed):
+    step = _number(p, "step", "experiment", errs, positive=True)
+    horizon = _number(p, "horizon", "experiment", errs, positive=True)
+    paths = _integer(p, "paths", "experiment", errs, minimum=1)
+    stride = _integer(p, "record_stride", "experiment", errs, required=False,
+                      default=1, minimum=1)
+    if None in (step, horizon, paths, stride):
+        return None
+    try:
+        return SimConfig(step, horizon, paths, seed, stride)
+    except ValueError as exc:
+        _err(errs, "experiment.step", str(exc))
 
 
 # ---------------------------------------------------------------------------
@@ -268,32 +300,35 @@ def _check_scheme(p, path, errs):
 
 
 def _check_dataset(p, path, errs, base_dir):
+    """The Dataset, read from a CSV file or drawn by synth_blobs."""
     ds = _get(p, "dataset", path, errs)
     if ds is None:
-        return None, None
+        return None
     if not isinstance(ds, dict):
         _err(errs, f"{path}.dataset", "must be an object")
-        return None, None
+        return None
     _reject_unknown(ds, {"csv", "synth"}, f"{path}.dataset", errs)
     if ("csv" in ds) == ("synth" in ds):
         _err(errs, f"{path}.dataset", "provide exactly one of csv or synth")
-        return None, None
+        return None
     if "csv" in ds:
         rel = _string(ds, "csv", f"{path}.dataset", errs)
         if rel is None:
-            return None, None
+            return None
         full = os.path.join(base_dir, rel)
         if not os.path.isfile(full):
             _err(errs, f"{path}.dataset.csv", f"file not found: {rel}")
-            return None, None
-        with open(full) as fh:
-            size = sum(1 for _ in fh) - 1
-        return ("csv", full), size
+            return None
+        try:
+            return read_dataset_csv(full)
+        except ValueError as exc:
+            _err(errs, f"{path}.dataset.csv", str(exc))
+            return None
     sub = ds["synth"]
     spath = f"{path}.dataset.synth"
     if not isinstance(sub, dict):
         _err(errs, spath, "must be an object")
-        return None, None
+        return None
     _reject_unknown(sub, {"classes", "per_class", "dim", "separation", "seed"}, spath, errs)
     classes = _integer(sub, "classes", spath, errs, minimum=2)
     per_class = _integer(sub, "per_class", spath, errs, minimum=1)
@@ -301,192 +336,130 @@ def _check_dataset(p, path, errs, base_dir):
     separation = _number(sub, "separation", spath, errs, nonneg=True)
     seed = _integer(sub, "seed", spath, errs, minimum=0)
     if None in (classes, per_class, dim, separation, seed):
-        return None, None
+        return None
     if dim < classes:
         _err(errs, f"{spath}.dim", "must be >= classes")
-        return None, None
-    spec = ("synth", (classes, per_class, dim, separation, seed))
-    return spec, classes * per_class
+        return None
+    return synth_blobs(classes, per_class, dim, separation, seed)
 
 
-def _load_dataset(spec):
-    kind, payload = spec
-    if kind == "csv":
-        return read_dataset_csv(payload)
-    return synth_blobs(*payload)
-
-
-def _check_training(p, path, errs, dataset_size, drops_record=False):
-    """drops_record: one arm trains on the dataset less one record."""
-    lr = _number(p, "lr", path, errs, positive=True)
-    iters = _integer(p, "iters", path, errs, minimum=1)
-    batch = _integer(p, "batch", path, errs, minimum=1)
-    hidden = _integer(p, "hidden", path, errs, minimum=1)
-    _string(p, "activation", path, errs, required=False, default="relu",
-            choices={"relu", "tanh"})
-    _string(p, "noise_on", path, errs, required=False, default="step",
-            choices={"step", "full"})
-    if batch is not None and dataset_size is not None and batch > dataset_size - drops_record:
-        _err(errs, f"{path}.batch", f"exceeds dataset size {dataset_size}"
+def _check_training(p, errs, base_dir, drops_record=False):
+    """Noise scheme, dataset and training keywords of dp-audit and membership.
+    drops_record: one arm trains on the dataset less one record."""
+    scheme = _check_scheme(p, "experiment", errs)
+    dataset = _check_dataset(p, "experiment", errs, base_dir)
+    train = {
+        "lr": _number(p, "lr", "experiment", errs, positive=True),
+        "iters": _integer(p, "iters", "experiment", errs, minimum=1),
+        "batch": _integer(p, "batch", "experiment", errs, minimum=1),
+        "hidden": _integer(p, "hidden", "experiment", errs, minimum=1),
+        "activation": _string(p, "activation", "experiment", errs, required=False,
+                              default="relu", choices={"relu", "tanh"}),
+        "noise_on": _string(p, "noise_on", "experiment", errs, required=False,
+                            default="step", choices={"step", "full"}),
+    }
+    batch = train["batch"]
+    if batch is not None and dataset is not None and batch > dataset.size - drops_record:
+        _err(errs, "experiment.batch", f"exceeds dataset size {dataset.size}"
              + (" less the dropped record" if drops_record else ""))
-    return lr, iters, batch, hidden
+    return scheme, dataset, train
 
 
 # ---------------------------------------------------------------------------
-# per-experiment validation; each returns the derived-quantity names
+# per-experiment parsers: each checks and converts its fields once and returns
+# the derived-quantity names and run(outdir), called only if errs stays empty
 
 
 _TRAIN_KEYS = {"lr", "iters", "batch", "hidden", "activation", "noise_on", "scheme",
                "dataset"}
 
 
-def _v_simulate(p, errs, base_dir):
+def _simulate(p, errs, base_dir, seed):
     _reject_unknown(p, {"kind", "design", "target", "sigma", "sigma_diag", "x0",
                         "step", "horizon", "paths", "record_stride"}, "experiment", errs)
-    design = _matrix(p, "design", "experiment", errs)
-    target = _vector(p, "target", "experiment", errs)
-    x0 = _vector(p, "x0", "experiment", errs)
-    dim = x0.shape[0] if x0 is not None else None
-    _cov_matrix(p, "experiment", errs, dim=dim)
-    step = _number(p, "step", "experiment", errs, positive=True)
-    horizon = _number(p, "horizon", "experiment", errs, positive=True)
-    paths = _integer(p, "paths", "experiment", errs, minimum=1)
-    stride = _integer(p, "record_stride", "experiment", errs, required=False,
-                      default=1, minimum=1)
-    if design is not None and target is not None and design.shape[0] != target.shape[0]:
-        _err(errs, "experiment.target", "length must match design rows")
-    if design is not None and dim is not None and design.shape[1] != dim:
-        _err(errs, "experiment.x0", "length must match design columns")
-    if None not in (step, horizon, paths, stride):
-        try:
-            SimConfig(step, horizon, paths, 0, stride)
-        except ValueError as exc:
-            _err(errs, "experiment.step", str(exc))
-    return ["trajectory ensemble (ensemble.csv)"]
+    x0, [(design, target)] = _problems(p, errs, primed=False, full_rank=False)
+    sigma = _cov_matrix(p, errs, None if x0 is None else x0.shape[0])
+    cfg = _sim_config(p, errs, seed)
+
+    def run(outdir):
+        cov = ConstantSpd(SpdMatrix(sigma))
+        ens = simulate(QuadraticDrift(design, target), cov, x0, cfg)
+        write_ensemble_csv(ens, os.path.join(outdir, "ensemble.csv"))
+
+    return ["trajectory ensemble (ensemble.csv)"], run
 
 
-def _r_simulate(p, ctx):
-    cov = ConstantSpd(SpdMatrix(_cov_matrix(p, "x", [], dim=None)))
-    cfg = SimConfig(p["step"], p["horizon"], p["paths"], ctx["seed"],
-                    p.get("record_stride", 1))
-    drift = QuadraticDrift(np.asarray(p["design"], float), np.asarray(p["target"], float))
-    ens = simulate(drift, cov, np.asarray(p["x0"], float), cfg)
-    write_ensemble_csv(ens, os.path.join(ctx["outdir"], "ensemble.csv"))
-
-
-def _v_ou_exact(p, errs, base_dir):
+def _ou_exact(p, errs, base_dir, seed):
     _reject_unknown(p, {"kind", "design", "target", "sigma", "sigma_diag", "x0",
                         "v0_diag", "time"}, "experiment", errs)
-    design = _matrix(p, "design", "experiment", errs)
-    target = _vector(p, "target", "experiment", errs)
-    x0 = _vector(p, "x0", "experiment", errs)
-    dim = x0.shape[0] if x0 is not None else None
-    _cov_matrix(p, "experiment", errs, dim=dim)
-    _vector(p, "v0_diag", "experiment", errs, required=False, length=dim, nonneg=True)
-    _time_value(p, "time", "experiment", errs)
-    if design is not None and target is not None and design.shape[0] != target.shape[0]:
-        _err(errs, "experiment.target", "length must match design rows")
-    if design is not None and dim is not None and design.shape[1] != dim:
-        _err(errs, "experiment.x0", "length must match design columns")
-    _full_rank_designs(errs, design=design)
+    x0, [(design, target)] = _problems(p, errs, primed=False)
+    dim = None if x0 is None else x0.shape[0]
+    sigma = _cov_matrix(p, errs, dim)
+    v0_diag = _vector(p, "v0_diag", "experiment", errs, required=False, length=dim,
+                      nonneg=True)
+    t = _time_value(p, "time", "experiment", errs)
+
+    def run(outdir):
+        v0 = None if v0_diag is None else SpdMatrix(np.diag(v0_diag), allow_semidefinite=True)
+        state = exact_state(QuadraticProblem(design, target, SpdMatrix(sigma), x0, v0), t)
+        doc = {
+            "mean": [float(v) for v in state.mean],
+            "cov": [[float(v) for v in row] for row in state.cov.entries],
+            "time": "inf" if math.isinf(state.time) else state.time,
+        }
+        with open(os.path.join(outdir, "gaussian_state.json"), "w") as fh:
+            json.dump(doc, fh, indent=2)
+
     return ["time-t Gaussian mean", "time-t Gaussian covariance (closed form)",
-            "gaussian_state.json"]
+            "gaussian_state.json"], run
 
 
-def _build_problem(p):
-    sigma = _cov_matrix(p, "x", [], dim=None)
-    v0 = None
-    if p.get("v0_diag") is not None:
-        v0 = SpdMatrix(np.diag(np.asarray(p["v0_diag"], float)), allow_semidefinite=True)
-    return QuadraticProblem(
-        np.asarray(p["design"], float), np.asarray(p["target"], float),
-        SpdMatrix(sigma), np.asarray(p["x0"], float), v0,
-    )
-
-
-def _r_ou_exact(p, ctx):
-    t = math.inf if p["time"] == "inf" else float(p["time"])
-    state = exact_state(_build_problem(p), t)
-    doc = {
-        "mean": [float(v) for v in state.mean],
-        "cov": [[float(v) for v in row] for row in state.cov.entries],
-        "time": "inf" if math.isinf(state.time) else state.time,
-    }
-    with open(os.path.join(ctx["outdir"], "gaussian_state.json"), "w") as fh:
-        json.dump(doc, fh, indent=2)
-
-
-def _v_kl_bound(p, errs, base_dir):
+def _kl_bound(p, errs, base_dir, seed):
     _reject_unknown(p, {"kind", "design", "target", "design_prime", "target_prime",
                         "sigma", "sigma_diag", "sigma_prime", "x0", "step", "horizon",
                         "paths", "record_stride"}, "experiment", errs)
-    design = _matrix(p, "design", "experiment", errs)
-    _vector(p, "target", "experiment", errs)
-    design_p = _matrix(p, "design_prime", "experiment", errs, required=False)
-    _full_rank_designs(errs, design=design, design_prime=design_p)
-    target_prime = _vector(p, "target_prime", "experiment", errs)
-    x0 = _vector(p, "x0", "experiment", errs)
-    dim = x0.shape[0] if x0 is not None else None
-    _cov_matrix(p, "experiment", errs, dim=dim)
-    sp = _matrix(p, "sigma_prime", "experiment", errs, required=False)
-    if sp is not None and dim is not None and sp.shape != (dim, dim):
+    x0, [(design, target), (design_p, target_p)] = _problems(p, errs, primed=True)
+    dim = None if x0 is None else x0.shape[0]
+    sigma = _cov_matrix(p, errs, dim)
+    sigma_p = _matrix(p, "sigma_prime", "experiment", errs, required=False)
+    if sigma_p is not None and dim is not None and sigma_p.shape != (dim, dim):
         _err(errs, "experiment.sigma_prime", f"must be {dim}x{dim}")
-    step = _number(p, "step", "experiment", errs, positive=True)
-    horizon = _number(p, "horizon", "experiment", errs, positive=True)
-    paths = _integer(p, "paths", "experiment", errs, minimum=1)
-    stride = _integer(p, "record_stride", "experiment", errs, required=False,
-                     default=1, minimum=1)
-    if None not in (step, horizon, paths, stride):
-        try:
-            SimConfig(step, horizon, paths, 0, stride)
-        except ValueError as exc:
-            _err(errs, "experiment.step", str(exc))
-    derived = ["Monte-Carlo KL bound curve (bound_curve.csv)",
-               "exact Gaussian KL curve (exact_kl.csv)"]
-    if sp is not None:
-        derived.append("score-corrected mismatch (unequal diffusions)")
-    else:
-        derived.append("drift-gap mismatch (shared diffusion)")
-    return derived
+    cfg = _sim_config(p, errs, seed)
+
+    def run(outdir):
+        cov_a = ConstantSpd(SpdMatrix(sigma))
+        cov_b = cov_a
+        if sigma_p is not None and not np.array_equal(sigma_p, sigma):
+            cov_b = ConstantSpd(SpdMatrix(sigma_p))
+        prob_a = QuadraticProblem(design, target, cov_a.matrix, x0)
+        prob_b = QuadraticProblem(design_p, target_p, cov_b.matrix, x0)
+        drift_a = QuadraticDrift(design, target)
+        drift_b = QuadraticDrift(design_p, target_p)
+        ens = simulate(drift_a, cov_a, x0, cfg)
+        if cov_b is cov_a:
+            curve = mc_kl_bound(ens, drift_a, drift_b, cov_a, cov_a)
+        else:
+            score = TimeVaryingScore(
+                lambda t: GaussianScore(exact_state(prob_b, max(t, cfg.step))))
+            curve = mc_kl_bound(ens, drift_a, drift_b, cov_a, cov_b, score)
+        write_bound_csv(curve, os.path.join(outdir, "bound_curve.csv"))
+        with open(os.path.join(outdir, "exact_kl.csv"), "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(["time", "kl"])
+            for t in curve.times:
+                if t == 0.0:
+                    w.writerow(["0", "0"])
+                    continue
+                kl = gaussian_kl(exact_state(prob_a, float(t)), exact_state(prob_b, float(t)))
+                w.writerow([f"{t:.17g}", f"{kl:.17g}"])
+
+    return ["Monte-Carlo KL bound curve (bound_curve.csv)",
+            "exact Gaussian KL curve (exact_kl.csv)",
+            "score-corrected mismatch (unequal diffusions)" if sigma_p is not None
+            else "drift-gap mismatch (shared diffusion)"], run
 
 
-def _r_kl_bound(p, ctx):
-    sigma = _cov_matrix(p, "x", [], dim=None)
-    design = np.asarray(p["design"], float)
-    target = np.asarray(p["target"], float)
-    design_p = np.asarray(p.get("design_prime", p["design"]), float)
-    target_p = np.asarray(p["target_prime"], float)
-    x0 = np.asarray(p["x0"], float)
-    prob_a = QuadraticProblem(design, target, SpdMatrix(sigma), x0)
-    sigma_p = np.asarray(p["sigma_prime"], float) if p.get("sigma_prime") is not None else sigma
-    prob_b = QuadraticProblem(design_p, target_p, SpdMatrix(sigma_p), x0)
-    cfg = SimConfig(p["step"], p["horizon"], p["paths"], ctx["seed"],
-                    p.get("record_stride", 1))
-    drift_a = QuadraticDrift(design, target)
-    drift_b = QuadraticDrift(design_p, target_p)
-    cov_a = ConstantSpd(SpdMatrix(sigma))
-    ens = simulate(drift_a, cov_a, x0, cfg)
-    if p.get("sigma_prime") is not None and not np.array_equal(sigma_p, sigma):
-        cov_b = ConstantSpd(SpdMatrix(sigma_p))
-        score = TimeVaryingScore(lambda t: GaussianScore(exact_state(prob_b, max(t, cfg.step))))
-        curve = mc_kl_bound(ens, drift_a, drift_b, cov_a, cov_b, score)
-    else:
-        curve = mc_kl_bound(ens, drift_a, drift_b, cov_a, cov_a)
-    write_bound_csv(curve, os.path.join(ctx["outdir"], "bound_curve.csv"))
-    import csv as _csv
-
-    with open(os.path.join(ctx["outdir"], "exact_kl.csv"), "w", newline="") as fh:
-        w = _csv.writer(fh)
-        w.writerow(["time", "kl"])
-        for t in curve.times:
-            if t == 0.0:
-                w.writerow(["0", "0"])
-                continue
-            kl = gaussian_kl(exact_state(prob_a, float(t)), exact_state(prob_b, float(t)))
-            w.writerow([f"{t:.17g}", f"{kl:.17g}"])
-
-
-def _v_closed_bounds(p, errs, base_dir):
+def _closed_bounds(p, errs, base_dir, seed):
     _reject_unknown(p, {"kind", "kappa", "grad_lip", "kappa_prime", "grad_lip_prime",
                         "sigma", "sigma_prime", "lsi0", "xstar", "xstar_prime",
                         "times"}, "experiment", errs)
@@ -494,9 +467,9 @@ def _v_closed_bounds(p, errs, base_dir):
     grad_lip = _number(p, "grad_lip", "experiment", errs, positive=True)
     kappa_p = _number(p, "kappa_prime", "experiment", errs, positive=True)
     grad_lip_p = _number(p, "grad_lip_prime", "experiment", errs, positive=True)
-    _number(p, "sigma", "experiment", errs, positive=True)
-    _number(p, "sigma_prime", "experiment", errs, positive=True)
-    _number(p, "lsi0", "experiment", errs, positive=True)
+    sigma = _number(p, "sigma", "experiment", errs, positive=True)
+    sigma_p = _number(p, "sigma_prime", "experiment", errs, positive=True)
+    lsi0 = _number(p, "lsi0", "experiment", errs, positive=True)
     xs = _vector(p, "xstar", "experiment", errs)
     xsp = _vector(p, "xstar_prime", "experiment", errs)
     if xs is not None and xsp is not None and xs.shape != xsp.shape:
@@ -505,258 +478,180 @@ def _v_closed_bounds(p, errs, base_dir):
         _err(errs, "experiment.kappa", "cannot exceed grad_lip")
     if kappa_p is not None and grad_lip_p is not None and kappa_p > grad_lip_p:
         _err(errs, "experiment.kappa_prime", "cannot exceed grad_lip_prime")
-    times = _get(p, "times", "experiment", errs, required=False)
-    if times is not None:
-        ok = isinstance(times, list) and times and all(
-            isinstance(t, (int, float)) and not isinstance(t, bool)
-            and math.isfinite(t) and t >= 0 for t in times
+    times = _vector(p, "times", "experiment", errs, required=False,
+                    default=[0.0, 1.0, 10.0, 100.0], nonneg=True)
+
+    def run(outdir):
+        rp = RegularityParams(
+            kappa=kappa, grad_lip=grad_lip, kappa_prime=kappa_p, grad_lip_prime=grad_lip_p,
+            sigma=sigma, sigma_prime=sigma_p, lsi0=lsi0, xstar=xs, xstar_prime=xsp,
         )
-        if not ok:
-            _err(errs, "experiment.times", "must be a list of nonnegative numbers")
+        rho = lsi_rate(rp.sigma, rp.kappa)
+        doc = {
+            "klbound": klbound_closed(rp),
+            "klbound_stationary_start": klbound_closed(rp, stationary_limit=True),
+            "klbound_stationary": klbound_stationary(rp),
+            "lsi": {
+                "rho": rho,
+                "curve": [[float(t), lsi_constant(float(t), rho, rp.lsi0)] for t in times],
+            },
+        }
+        with open(os.path.join(outdir, "closed_bounds.json"), "w") as fh:
+            json.dump(doc, fh, indent=2)
+
     return ["time-uniform KL bound", "time-uniform KL bound (stationary-start variant)",
-            "stationary KL bound", "log-Sobolev constant curve"]
+            "stationary KL bound", "log-Sobolev constant curve"], run
 
 
-def _r_closed_bounds(p, ctx):
-    rp = RegularityParams(
-        kappa=p["kappa"], grad_lip=p["grad_lip"], kappa_prime=p["kappa_prime"],
-        grad_lip_prime=p["grad_lip_prime"], sigma=p["sigma"],
-        sigma_prime=p["sigma_prime"], lsi0=p["lsi0"],
-        xstar=np.asarray(p["xstar"], float),
-        xstar_prime=np.asarray(p["xstar_prime"], float),
-    )
-    rho = lsi_rate(rp.sigma, rp.kappa)
-    times = p.get("times", [0.0, 1.0, 10.0, 100.0])
-    doc = {
-        "klbound": klbound_closed(rp),
-        "klbound_stationary_start": klbound_closed(rp, stationary_limit=True),
-        "klbound_stationary": klbound_stationary(rp),
-        "lsi": {
-            "rho": rho,
-            "curve": [[float(t), lsi_constant(float(t), rho, rp.lsi0)] for t in times],
-        },
-    }
-    with open(os.path.join(ctx["outdir"], "closed_bounds.json"), "w") as fh:
-        json.dump(doc, fh, indent=2)
-
-
-def _v_optimize_cov(p, errs, base_dir):
+def _optimize_cov(p, errs, base_dir, seed):
     _reject_unknown(p, {"kind", "gaps", "zetas"}, "experiment", errs)
     gaps = _vector(p, "gaps", "experiment", errs, nonneg=True)
-    zetas = _get(p, "zetas", "experiment", errs)
-    if zetas is not None:
-        ok = isinstance(zetas, list) and zetas and all(
-            isinstance(z, (int, float)) and not isinstance(z, bool)
-            and math.isfinite(z) and z > 0 for z in zetas
-        )
-        if not ok:
-            _err(errs, "experiment.zetas", "must be a list of positive numbers")
+    zetas = _vector(p, "zetas", "experiment", errs, positive=True)
     if gaps is not None and not any(g > 0 for g in gaps):
         _err(errs, "experiment.gaps", "at least one entry must be positive")
+
+    def run(outdir):
+        gap = GradientGap(gaps)
+        with open(os.path.join(outdir, "optimal_cov.csv"), "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(["zeta", *[f"sigma{i}" for i in range(gap.dim)], "kl_term"])
+            for z in zetas:
+                pt = optimal_diag_cov(gap, float(z))
+                w.writerow([f"{z:.17g}", *[f"{v:.17g}" for v in pt.diag_sigma],
+                            f"{pt.kl_term:.17g}"])
+
     return ["optimal diagonal covariance per zeta", "kl_term at each optimum",
-            "optimal_cov.csv"]
-
-
-def _r_optimize_cov(p, ctx):
-    gap = GradientGap(np.asarray(p["gaps"], float))
-    import csv as _csv
-
-    with open(os.path.join(ctx["outdir"], "optimal_cov.csv"), "w", newline="") as fh:
-        w = _csv.writer(fh)
-        w.writerow(["zeta", *[f"sigma{i}" for i in range(gap.dim)], "kl_term"])
-        for z in p["zetas"]:
-            pt = optimal_diag_cov(gap, float(z))
-            w.writerow([f"{z:.17g}", *[f"{v:.17g}" for v in pt.diag_sigma],
-                        f"{pt.kl_term:.17g}"])
+            "optimal_cov.csv"], run
 
 
 def _range_pair(p, key, errs):
     v = _get(p, key, "experiment", errs)
     if v is None:
         return None
-    ok = (isinstance(v, list) and len(v) == 2
-          and all(isinstance(x, (int, float)) and not isinstance(x, bool)
-                  and math.isfinite(x) for x in v)
-          and 0 < v[0] < v[1])
-    if not ok:
+    if not (isinstance(v, list) and len(v) == 2 and all(_finite(x) for x in v)
+            and 0 < v[0] < v[1]):
         _err(errs, f"experiment.{key}", "must be [lo, hi] with 0 < lo < hi")
         return None
     return (float(v[0]), float(v[1]))
 
 
-def _v_grid_surface(p, errs, base_dir):
+def _grid_surface(p, errs, base_dir, seed):
     _reject_unknown(p, {"kind", "gaps", "x_range", "y_range", "resolution"},
                     "experiment", errs)
     gaps = _vector(p, "gaps", "experiment", errs, length=2, nonneg=True)
-    _range_pair(p, "x_range", errs)
-    _range_pair(p, "y_range", errs)
-    _integer(p, "resolution", "experiment", errs, minimum=2)
+    x_range = _range_pair(p, "x_range", errs)
+    y_range = _range_pair(p, "y_range", errs)
+    resolution = _integer(p, "resolution", "experiment", errs, minimum=2)
     if gaps is not None and not any(g > 0 for g in gaps):
         _err(errs, "experiment.gaps", "at least one entry must be positive")
-    return ["kl_term surface over the noise grid", "trace surface", "grid.csv"]
+
+    def run(outdir):
+        rows = grid_surface(GradientGap(gaps), x_range, y_range, resolution)
+        write_grid_csv(rows, os.path.join(outdir, "grid.csv"),
+                       header=("x", "y", "kl_term", "trace"))
+
+    return ["kl_term surface over the noise grid", "trace surface", "grid.csv"], run
 
 
-def _r_grid_surface(p, ctx):
-    rows = grid_surface(GradientGap(np.asarray(p["gaps"], float)),
-                        tuple(p["x_range"]), tuple(p["y_range"]), p["resolution"])
-    write_grid_csv(rows, os.path.join(ctx["outdir"], "grid.csv"),
-                   header=("x", "y", "kl_term", "trace"))
-
-
-def _v_quad_tradeoff(p, errs, base_dir):
+def _quad_tradeoff(p, errs, base_dir, seed):
     _reject_unknown(p, {"kind", "design", "target", "design_prime", "target_prime",
                         "x0", "time", "x_range", "y_range", "resolution"},
                     "experiment", errs)
-    design = _matrix(p, "design", "experiment", errs)
-    target = _vector(p, "target", "experiment", errs)
-    design_p = _matrix(p, "design_prime", "experiment", errs, required=False)
-    target_p = _vector(p, "target_prime", "experiment", errs)
-    _vector(p, "x0", "experiment", errs, length=2)
-    for key, b in (("design", design), ("design_prime", design_p)):
-        if b is not None and b.shape[1] != 2:
-            _err(errs, f"experiment.{key}", "must have 2 columns")
-    _full_rank_designs(errs, design=design, design_prime=design_p)
-    prime = ("design_prime", design_p) if "design_prime" in p else ("design", design)
-    for key, y, (b_key, b) in (("target", target, ("design", design)),
-                               ("target_prime", target_p, prime)):
-        if b is not None and y is not None and y.shape[0] != b.shape[0]:
-            _err(errs, f"experiment.{key}", f"length must match {b_key} rows")
-    if _time_value(p, "time", "experiment", errs) == 0.0:
+    x0, [(design, target), (design_p, target_p)] = _problems(p, errs, primed=True, dim=2)
+    t = _time_value(p, "time", "experiment", errs)
+    if t == 0.0:
         _err(errs, "experiment.time", 'must be positive or "inf"')
-    _range_pair(p, "x_range", errs)
-    _range_pair(p, "y_range", errs)
-    _integer(p, "resolution", "experiment", errs, minimum=2)
+    x_range = _range_pair(p, "x_range", errs)
+    y_range = _range_pair(p, "y_range", errs)
+    resolution = _integer(p, "resolution", "experiment", errs, minimum=2)
+
+    def run(outdir):
+        placeholder = SpdMatrix.identity(2)
+        pa = QuadraticProblem(design, target, placeholder, x0)
+        pb = QuadraticProblem(design_p, target_p, placeholder, x0)
+        rows = quadratic_tradeoff(pa, pb, t, x_range, y_range, resolution)
+        write_grid_csv(rows, os.path.join(outdir, "tradeoff.csv"),
+                       header=("x", "y", "exact_kl", "error"))
+
     return ["exact KL over the noise grid", "accumulated-noise error over the grid",
-            "tradeoff.csv"]
+            "tradeoff.csv"], run
 
 
-def _r_quad_tradeoff(p, ctx):
-    t = math.inf if p["time"] == "inf" else float(p["time"])
-    placeholder = SpdMatrix.identity(2)
-    x0 = np.asarray(p["x0"], float)
-    pa = QuadraticProblem(np.asarray(p["design"], float), np.asarray(p["target"], float),
-                          placeholder, x0)
-    pb = QuadraticProblem(np.asarray(p.get("design_prime", p["design"]), float),
-                          np.asarray(p["target_prime"], float), placeholder, x0)
-    rows = quadratic_tradeoff(pa, pb, t, tuple(p["x_range"]), tuple(p["y_range"]),
-                              p["resolution"])
-    write_grid_csv(rows, os.path.join(ctx["outdir"], "tradeoff.csv"),
-                   header=("x", "y", "exact_kl", "error"))
-
-
-def _v_dp_audit(p, errs, base_dir):
+def _dp_audit(p, errs, base_dir, seed):
     _reject_unknown(p, {"kind", "epsilon", "outer_rounds", "inner_rounds",
                         "adjacency", *_TRAIN_KEYS}, "experiment", errs)
-    _number(p, "epsilon", "experiment", errs, positive=True)
-    _integer(p, "outer_rounds", "experiment", errs, minimum=1)
-    _integer(p, "inner_rounds", "experiment", errs, minimum=1)
+    epsilon = _number(p, "epsilon", "experiment", errs, positive=True)
+    outer = _integer(p, "outer_rounds", "experiment", errs, minimum=1)
+    inner = _integer(p, "inner_rounds", "experiment", errs, minimum=1)
     adjacency = _string(p, "adjacency", "experiment", errs, required=False,
                         default="replace", choices={"replace", "remove", "null"})
-    _check_scheme(p, "experiment", errs)
-    spec, size = _check_dataset(p, "experiment", errs, base_dir)
-    _check_training(p, "experiment", errs, size, drops_record=adjacency == "remove")
+    scheme, dataset, train = _check_training(p, errs, base_dir,
+                                             drops_record=adjacency == "remove")
+
+    def run(outdir):
+        cfg = AuditConfig(epsilon=epsilon, outer_rounds=outer, inner_rounds=inner,
+                          scheme=scheme, dataset=dataset, adjacency=adjacency, seed=seed,
+                          **train)
+        write_audit_json(estimate_delta(cfg), os.path.join(outdir, "audit_report.json"))
+
     return ["empirical delta (max over outer rounds)", "per-outer-round deltas",
-            "worst training loss", "audit_report.json"]
+            "worst training loss", "audit_report.json"], run
 
 
-def _r_dp_audit(p, ctx):
-    errs: list = []
-    scheme = _check_scheme(p, "experiment", errs)
-    spec, _ = _check_dataset(p, "experiment", errs, ctx["base_dir"])
-    cfg = AuditConfig(
-        epsilon=p["epsilon"], outer_rounds=p["outer_rounds"],
-        inner_rounds=p["inner_rounds"], scheme=scheme, lr=p["lr"], iters=p["iters"],
-        batch=p["batch"], hidden=p["hidden"], dataset=_load_dataset(spec),
-        adjacency=p.get("adjacency", "replace"),
-        activation=p.get("activation", "relu"), noise_on=p.get("noise_on", "step"),
-        seed=ctx["seed"],
-    )
-    write_audit_json(estimate_delta(cfg), os.path.join(ctx["outdir"], "audit_report.json"))
-
-
-def _v_membership(p, errs, base_dir):
+def _membership(p, errs, base_dir, seed):
     _reject_unknown(p, {"kind", "target_index", "runs", "null_control", *_TRAIN_KEYS},
                     "experiment", errs)
     target = _integer(p, "target_index", "experiment", errs, minimum=0)
-    _integer(p, "runs", "experiment", errs, minimum=1)
+    runs = _integer(p, "runs", "experiment", errs, minimum=1)
     null_control = _boolean(p, "null_control", "experiment", errs)
-    _check_scheme(p, "experiment", errs)
-    spec, size = _check_dataset(p, "experiment", errs, base_dir)
-    _check_training(p, "experiment", errs, size, drops_record=not null_control)
-    if target is not None and size is not None and target >= size:
-        _err(errs, "experiment.target_index", f"outside dataset of size {size}")
+    scheme, dataset, train = _check_training(p, errs, base_dir,
+                                             drops_record=not null_control)
+    if target is not None and dataset is not None and target >= dataset.size:
+        _err(errs, "experiment.target_index", f"outside dataset of size {dataset.size}")
+
+    def run(outdir):
+        report = membership_experiment(dataset, target, runs, scheme, seed=seed,
+                                       null_control=null_control, **train)
+        write_membership_csv(report, os.path.join(outdir, "membership_hist.csv"))
+        with open(os.path.join(outdir, "membership_report.json"), "w") as fh:
+            json.dump(membership_report_to_dict(report), fh, indent=2)
+
     return ["per-run target losses, both arms (membership_hist.csv)",
-            "mean loss gap", "worst training loss", "membership_report.json"]
+            "mean loss gap", "worst training loss", "membership_report.json"], run
 
 
-def _r_membership(p, ctx):
-    errs: list = []
-    scheme = _check_scheme(p, "experiment", errs)
-    spec, _ = _check_dataset(p, "experiment", errs, ctx["base_dir"])
-    report = membership_experiment(
-        _load_dataset(spec), p["target_index"], p["runs"], scheme, lr=p["lr"],
-        iters=p["iters"], batch=p["batch"], hidden=p["hidden"], seed=ctx["seed"],
-        activation=p.get("activation", "relu"), noise_on=p.get("noise_on", "step"),
-        null_control=p.get("null_control", False),
-    )
-    write_membership_csv(report, os.path.join(ctx["outdir"], "membership_hist.csv"))
-    with open(os.path.join(ctx["outdir"], "membership_report.json"), "w") as fh:
-        json.dump(membership_report_to_dict(report), fh, indent=2)
-
-
-def _v_privacy_translate(p, errs, base_dir):
+def _privacy_translate(p, errs, base_dir, seed):
     _reject_unknown(p, {"kind", "kl", "lsi_const", "lip", "eps", "delta"},
                     "experiment", errs)
-    _number(p, "kl", "experiment", errs, nonneg=True)
-    _number(p, "lsi_const", "experiment", errs, positive=True)
-    _number(p, "lip", "experiment", errs, positive=True)
-    eps = _get(p, "eps", "experiment", errs, required=False)
+    kl = _number(p, "kl", "experiment", errs, nonneg=True)
+    lsi_const = _number(p, "lsi_const", "experiment", errs, positive=True)
+    lip = _number(p, "lip", "experiment", errs, positive=True)
+    eps = _vector(p, "eps", "experiment", errs, required=False, default=[], positive=True)
     delta = _get(p, "delta", "experiment", errs, required=False)
-    if eps is not None:
-        ok = isinstance(eps, list) and eps and all(
-            isinstance(x, (int, float)) and not isinstance(x, bool)
-            and math.isfinite(x) and x > 0 for x in eps
-        )
-        if not ok:
-            _err(errs, "experiment.eps", "must be a list of positive numbers")
-    if delta is not None:
-        ok = isinstance(delta, list) and delta and all(
-            isinstance(x, (int, float)) and not isinstance(x, bool)
-            and 0 < x < 1 for x in delta
-        )
-        if not ok:
-            _err(errs, "experiment.delta", "must be a list of numbers in (0, 1)")
+    if delta is not None and not (
+            isinstance(delta, list) and delta and all(_finite(x) and 0 < x < 1 for x in delta)):
+        _err(errs, "experiment.delta", "must be a list of numbers in (0, 1)")
+
+    def run(outdir):
+        cp = ConcentrationParams(lsi_const=lsi_const, lip=lip, kl=kl)
+        doc = {
+            "membership_advantage": membership_advantage(kl),
+            "delta_from_eps": [[float(e), delta_from_eps(float(e), cp)] for e in eps],
+            "eps_from_delta": [[float(d), eps_from_delta(float(d), cp)] for d in delta or ()],
+        }
+        with open(os.path.join(outdir, "privacy.json"), "w") as fh:
+            json.dump(doc, fh, indent=2)
+
     return ["membership advantage from KL", "delta at each eps", "eps at each delta",
-            "privacy.json"]
+            "privacy.json"], run
 
 
-def _r_privacy_translate(p, ctx):
-    cp = ConcentrationParams(lsi_const=p["lsi_const"], lip=p["lip"], kl=p["kl"])
-    doc = {
-        "membership_advantage": membership_advantage(p["kl"]),
-        "delta_from_eps": [[float(e), delta_from_eps(float(e), cp)]
-                           for e in p.get("eps", [])],
-        "eps_from_delta": [[float(d), eps_from_delta(float(d), cp)]
-                           for d in p.get("delta", [])],
-    }
-    with open(os.path.join(ctx["outdir"], "privacy.json"), "w") as fh:
-        json.dump(doc, fh, indent=2)
-
-
-_VALIDATORS = {
-    "simulate": _v_simulate, "ou-exact": _v_ou_exact, "kl-bound": _v_kl_bound,
-    "closed-bounds": _v_closed_bounds, "optimize-cov": _v_optimize_cov,
-    "grid-surface": _v_grid_surface, "quad-tradeoff": _v_quad_tradeoff,
-    "dp-audit": _v_dp_audit, "membership": _v_membership,
-    "privacy-translate": _v_privacy_translate,
-}
-
-_RUNNERS = {
-    "simulate": _r_simulate, "ou-exact": _r_ou_exact, "kl-bound": _r_kl_bound,
-    "closed-bounds": _r_closed_bounds, "optimize-cov": _r_optimize_cov,
-    "grid-surface": _r_grid_surface, "quad-tradeoff": _r_quad_tradeoff,
-    "dp-audit": _r_dp_audit, "membership": _r_membership,
-    "privacy-translate": _r_privacy_translate,
+_PARSERS = {
+    "simulate": _simulate, "ou-exact": _ou_exact, "kl-bound": _kl_bound,
+    "closed-bounds": _closed_bounds, "optimize-cov": _optimize_cov,
+    "grid-surface": _grid_surface, "quad-tradeoff": _quad_tradeoff,
+    "dp-audit": _dp_audit, "membership": _membership,
+    "privacy-translate": _privacy_translate,
 }
 
 
@@ -764,12 +659,21 @@ _RUNNERS = {
 # top-level config handling
 
 
-def _validate_document(doc, base_dir):
-    errs: list = []
-    derived: list = []
+class _Config(NamedTuple):
+    kind: str
+    seed: int
+    output_dir: str
+    config_hash: str
+    derived: list
+    run: Callable[[str], None]
+
+
+def _validate_document(doc, base_dir, errs):
+    """Parse a config document, recording every problem in errs; the _Config
+    it returns is complete only when errs stays empty."""
     if not isinstance(doc, dict):
         _err(errs, "", "config must be a JSON object")
-        return errs, derived
+        return None
     _reject_unknown(doc, {"schema_version", "seed", "output_dir", "experiment"}, "$", errs)
     sv = _get(doc, "schema_version", "$", errs, required=False, default=SCHEMA_VERSION)
     if sv != SCHEMA_VERSION:
@@ -777,42 +681,29 @@ def _validate_document(doc, base_dir):
     seed = _get(doc, "seed", "$", errs, required=False, default=0)
     if isinstance(seed, bool) or not isinstance(seed, int) or not (0 <= seed < 2**64):
         _err(errs, "$.seed", "must be an unsigned 64-bit integer")
+        seed = 0  # a stand-in, so that the experiment's own checks still run
     out = _get(doc, "output_dir", "$", errs, required=False, default="out")
-    if not isinstance(out, str) or not out:
+    if isinstance(out, str) and out:
+        out = os.path.join(base_dir, out)
+    else:
         _err(errs, "$.output_dir", "must be a nonempty string")
     exp = _get(doc, "experiment", "$", errs)
     if exp is None:
-        return errs, derived
+        return None
     if not isinstance(exp, dict):
         _err(errs, "experiment", "must be an object")
-        return errs, derived
+        return None
     kind = _string(exp, "kind", "experiment", errs, choices=set(EXPERIMENT_KINDS))
     if kind is None:
-        return errs, derived
-    derived = _VALIDATORS[kind](exp, errs, base_dir)
-    return errs, derived
+        return None
+    derived, run = _PARSERS[kind](exp, errs, base_dir, seed)
+    return _Config(kind, seed, out, _config_hash(seed, exp), derived, run)
 
 
-def _config_hash(doc) -> str:
-    semantic = {
-        "schema_version": doc.get("schema_version", SCHEMA_VERSION),
-        "seed": doc.get("seed", 0),
-        "experiment": doc["experiment"],
-    }
+def _config_hash(seed, exp) -> str:
+    semantic = {"schema_version": SCHEMA_VERSION, "seed": seed, "experiment": exp}
     blob = json.dumps(semantic, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()
-
-
-def _load_config(path, errs):
-    if not os.path.isfile(path):
-        _err(errs, "$", f"config file not found: {path}")
-        return None
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except json.JSONDecodeError as exc:
-        _err(errs, "$", f"invalid JSON: {exc}")
-        return None
 
 
 def _emit(doc) -> None:
@@ -820,56 +711,57 @@ def _emit(doc) -> None:
     sys.stdout.write("\n")
 
 
-def _cmd_validate(path) -> int:
+def _load(path):
+    """The parsed config file at path, or None after reporting its errors."""
     errs: list = []
-    doc = _load_config(path, errs)
-    derived: list = []
-    if doc is not None:
-        base_dir = os.path.dirname(os.path.abspath(path))
-        more, derived = _validate_document(doc, base_dir)
-        errs.extend(more)
+    cfg = None
+    if not os.path.isfile(path):
+        _err(errs, "$", f"config file not found: {path}")
+    else:
+        try:
+            with open(path) as fh:
+                doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            _err(errs, "$", f"invalid JSON: {exc}")
+        else:
+            cfg = _validate_document(doc, os.path.dirname(os.path.abspath(path)), errs)
     if errs:
         _emit({"ok": False, "errors": errs})
+        return None
+    return cfg
+
+
+def _cmd_validate(path) -> int:
+    cfg = _load(path)
+    if cfg is None:
         return 1
     _emit({
         "ok": True,
-        "experiment": doc["experiment"]["kind"],
-        "config_hash": _config_hash(doc),
-        "derived": derived,
+        "experiment": cfg.kind,
+        "config_hash": cfg.config_hash,
+        "derived": cfg.derived,
     })
     return 0
 
 
 def _cmd_run(path) -> int:
-    errs: list = []
-    doc = _load_config(path, errs)
-    if doc is not None:
-        base_dir = os.path.dirname(os.path.abspath(path))
-        more, _ = _validate_document(doc, base_dir)
-        errs.extend(more)
-    if errs:
-        _emit({"ok": False, "errors": errs})
+    cfg = _load(path)
+    if cfg is None:
         return 1
-
-    outdir = doc.get("output_dir", "out")
-    if not os.path.isabs(outdir):
-        outdir = os.path.join(base_dir, outdir)
-    os.makedirs(outdir, exist_ok=True)
-    ctx = {"outdir": outdir, "seed": doc.get("seed", 0), "base_dir": base_dir}
-    kind = doc["experiment"]["kind"]
+    os.makedirs(cfg.output_dir, exist_ok=True)
     started = time.perf_counter()
     try:
-        _RUNNERS[kind](doc["experiment"], ctx)
+        cfg.run(cfg.output_dir)
     except AnisoError as exc:
         _emit({"ok": False, "operation": exc.operation, "message": str(exc)})
         return 2
     except (np.linalg.LinAlgError, ValueError, FloatingPointError) as exc:
-        _emit({"ok": False, "operation": kind, "message": str(exc)})
+        _emit({"ok": False, "operation": cfg.kind, "message": str(exc)})
         return 2
     manifest = {
-        "config_hash": _config_hash(doc),
-        "seed": doc.get("seed", 0),
-        "experiment": kind,
+        "config_hash": cfg.config_hash,
+        "seed": cfg.seed,
+        "experiment": cfg.kind,
         "versions": {
             "anisopriv": __version__,
             "numpy": np.__version__,
@@ -880,10 +772,10 @@ def _cmd_run(path) -> int:
             "wall_clock_seconds": time.perf_counter() - started,
         },
     }
-    with open(os.path.join(outdir, "manifest.json"), "w") as fh:
+    with open(os.path.join(cfg.output_dir, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=2)
-    _emit({"ok": True, "output_dir": outdir, "experiment": kind,
-           "config_hash": manifest["config_hash"]})
+    _emit({"ok": True, "output_dir": cfg.output_dir, "experiment": cfg.kind,
+           "config_hash": cfg.config_hash})
     return 0
 
 

@@ -414,15 +414,22 @@ def write_dataset_csv(dataset: Dataset, path) -> None:
 
 
 def read_dataset_csv(path) -> Dataset:
+    """Records under the header f0,...,f{m-1},label; blank lines are skipped."""
     with open(path, newline="") as fh:
         r = csv.reader(fh)
-        header = next(r)
-        if header[-1] != "label" or any(h != f"f{i}" for i, h in enumerate(header[:-1])):
+        header = next(r, [])
+        if header[-1:] != ["label"] or any(h != f"f{i}" for i, h in enumerate(header[:-1])):
             raise ValueError(f"unexpected dataset header {header}")
         feats, labels = [], []
         for row in r:
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise ValueError(f"line {r.line_num} has {len(row)} fields, expected {len(header)}")
             feats.append([float(v) for v in row[:-1]])
             labels.append(int(row[-1]))
+    if not labels:
+        raise ValueError("dataset has no records")
     return Dataset(np.asarray(feats), np.asarray(labels, dtype=np.int64))
 
 

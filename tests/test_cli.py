@@ -1,5 +1,6 @@
 """Config-driven CLI: validation paths, run outputs, reproducibility."""
 
+import copy
 import json
 from pathlib import Path
 
@@ -227,6 +228,17 @@ def quad_tradeoff_doc(**over):
     return {"seed": 1, "output_dir": "out", "experiment": exp}
 
 
+def kl_bound_doc(**over):
+    exp = {
+        "kind": "kl-bound",
+        "design": [[1.0, 0.0], [0.0, 1.0]], "target": [0.0, 0.0],
+        "target_prime": [0.1, 0.0], "sigma_diag": [1.0, 1.0], "x0": [0.0, 0.0],
+        "step": 0.1, "horizon": 0.2, "paths": 4,
+    }
+    exp.update(over)
+    return {"seed": 1, "output_dir": "out", "experiment": exp}
+
+
 def test_quad_tradeoff_base_config_runs(tmp_path, capsys):
     cfg = write_config(tmp_path / "cfg.json", quad_tradeoff_doc())
     assert run_cli(capsys, "validate", cfg)[0] == 0
@@ -234,17 +246,30 @@ def test_quad_tradeoff_base_config_runs(tmp_path, capsys):
     assert len((tmp_path / "out" / "tradeoff.csv").read_text().splitlines()) == 1 + 4
 
 
-@pytest.mark.parametrize("over, path", [
+@pytest.mark.parametrize("make_doc, over, path", [
     # a zero-time covariance is singular, so the exact KL has no Cholesky factor
-    ({"time": 0}, "experiment.time"),
-    ({"target": [0.0, 0.0, 0.0]}, "experiment.target"),
-    ({"target_prime": [0.1, 0.2, 0.3]}, "experiment.target_prime"),
-    ({"design_prime": [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]}, "experiment.target_prime"),
-    ({"design_prime": [[1.0, 0.0, 0.5], [0.0, 1.0, 0.5]]}, "experiment.design_prime"),
+    (quad_tradeoff_doc, {"time": 0}, "experiment.time"),
+    (quad_tradeoff_doc, {"target": [0.0, 0.0, 0.0]}, "experiment.target"),
+    (quad_tradeoff_doc, {"target_prime": [0.1, 0.2, 0.3]}, "experiment.target_prime"),
+    (quad_tradeoff_doc, {"design_prime": [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]},
+     "experiment.target_prime"),
+    (quad_tradeoff_doc, {"design_prime": [[1.0, 0.0, 0.5], [0.0, 1.0, 0.5]]},
+     "experiment.design_prime"),
+    (kl_bound_doc, {"target": [0.0, 0.0, 0.0]}, "experiment.target"),
+    (kl_bound_doc, {"design": [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]}, "experiment.target"),
+    (kl_bound_doc, {"target_prime": [0.1, 0.0, 0.0]}, "experiment.target_prime"),
+    (kl_bound_doc, {"design_prime": [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]},
+     "experiment.target_prime"),
+    # a full-rank 2-column design_prime against a 1-d problem
+    (kl_bound_doc, {"design": [[1.0]], "target": [0.0], "sigma_diag": [1.0], "x0": [0.0],
+                    "design_prime": [[1.0, 0.0], [0.0, 1.0]], "target_prime": [0.1, 0.0]},
+     "experiment.design_prime"),
 ], ids=["zero-time", "target-vs-design", "target-prime-vs-design", "target-prime-vs-design-prime",
-        "design-prime-columns"])
-def test_quad_tradeoff_shape_errors_rejected_by_validate(tmp_path, capsys, over, path):
-    cfg = write_config(tmp_path / "cfg.json", quad_tradeoff_doc(**over))
+        "design-prime-columns", "kl-bound-target-vs-design", "kl-bound-design-vs-target",
+        "kl-bound-target-prime-vs-design", "kl-bound-target-prime-vs-design-prime",
+        "kl-bound-design-prime-columns"])
+def test_quad_tradeoff_shape_errors_rejected_by_validate(tmp_path, capsys, make_doc, over, path):
+    cfg = write_config(tmp_path / "cfg.json", make_doc(**over))
     for cmd in ("validate", "run"):
         code, doc = run_cli(capsys, cmd, cfg)
         assert code == 1
@@ -257,17 +282,6 @@ def ou_exact_doc(**over):
         "kind": "ou-exact",
         "design": [[1.0, 0.3], [0.0, 1.5]], "target": [0.5, 0.0],
         "sigma": [[1.0, 0.2], [0.2, 0.5]], "x0": [0.0, 0.0], "time": 1.5,
-    }
-    exp.update(over)
-    return {"seed": 1, "output_dir": "out", "experiment": exp}
-
-
-def kl_bound_doc(**over):
-    exp = {
-        "kind": "kl-bound",
-        "design": [[1.0, 0.0], [0.0, 1.0]], "target": [0.0, 0.0],
-        "target_prime": [0.1, 0.0], "sigma_diag": [1.0, 1.0], "x0": [0.0, 0.0],
-        "step": 0.1, "horizon": 0.2, "paths": 4,
     }
     exp.update(over)
     return {"seed": 1, "output_dir": "out", "experiment": exp}
@@ -293,8 +307,11 @@ def test_singular_design_rejected_by_validate(tmp_path, capsys, make_doc, key):
     assert not (tmp_path / "out").exists()
 
 
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "scripts" / "configs"
+
+
 def shipped_doc(name, **over):
-    path = Path(__file__).resolve().parent.parent / "scripts" / "configs" / f"{name}.json"
+    path = CONFIG_DIR / f"{name}.json"
     doc = json.loads(path.read_text())
     doc["output_dir"] = "out"
     doc["experiment"].update(over)
@@ -318,3 +335,123 @@ def test_batch_larger_than_smaller_arm_rejected_by_validate(tmp_path, capsys, na
         assert code == 1
         assert error_paths(doc) == ["experiment.batch"]
     assert not (tmp_path / "out").exists()
+
+
+# A small two-class dataset in the CSV layout read_dataset_csv expects.
+DATA_CSV = """f0,f1,label
+0.1,0.2,0
+-0.3,0.4,0
+0.5,-0.6,0
+0.0,0.3,0
+2.1,1.9,1
+1.8,2.2,1
+2.4,2.0,1
+1.9,1.7,1
+"""
+
+
+def csv_audit_doc():
+    return shipped_doc("dp-audit", dataset={"csv": "data.csv"}, batch=4, iters=5,
+                       outer_rounds=1, inner_rounds=2)
+
+
+def test_dp_audit_reads_csv_dataset(tmp_path, capsys):
+    # a trailing blank line is not a record, so it changes no output
+    for name, text in (("plain", DATA_CSV), ("blank-line", DATA_CSV + "\n")):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "data.csv").write_text(text)
+        cfg = write_config(tmp_path / name / "cfg.json", csv_audit_doc())
+        assert run_cli(capsys, "validate", cfg)[0] == 0
+        assert run_cli(capsys, "run", cfg)[0] == 0
+    plain = (tmp_path / "plain" / "out" / "audit_report.json").read_bytes()
+    assert plain == (tmp_path / "blank-line" / "out" / "audit_report.json").read_bytes()
+
+
+@pytest.mark.parametrize("text", [
+    DATA_CSV.replace("f0,f1,label", "x,y,label"),
+    DATA_CSV.replace(",1\n", ",1.5\n", 1),
+    DATA_CSV + "0.5,1\n",
+    "f0,f1,label\n",
+], ids=["bad-header", "non-integer-label", "ragged-row", "header-only"])
+def test_bad_csv_dataset_rejected_by_validate(tmp_path, capsys, text):
+    (tmp_path / "data.csv").write_text(text)
+    cfg = write_config(tmp_path / "cfg.json", csv_audit_doc())
+    for cmd in ("validate", "run"):
+        code, doc = run_cli(capsys, cmd, cfg)
+        assert code == 1
+        assert error_paths(doc) == ["experiment.dataset.csv"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_privacy_translate_huge_eps_runs(tmp_path, capsys):
+    # (eps - kl)**2 overflows a float; delta takes its limit 0
+    cfg = write_config(tmp_path / "cfg.json", shipped_doc("privacy-translate", eps=[1e308]))
+    assert run_cli(capsys, "run", cfg)[0] == 0
+    doc = json.loads((tmp_path / "out" / "privacy.json").read_text())
+    assert doc["delta_from_eps"] == [[1e308, 0.0]]
+
+
+DROP = object()
+
+# Fields that only set how long a run takes, shrunk so that every mutant runs fast.
+SHRINK = {"paths": 4, "iters": 5, "outer_rounds": 1, "inner_rounds": 1, "runs": 2}
+
+
+def mutations(obj, where=()):
+    """(where, key, value) for every single mutation of obj: drop a key, set it to
+    null, append or drop the last entry of a list, and append or drop the last
+    row or column of a matrix. value is DROP to delete the key."""
+    for key, v in obj.items():
+        yield where, key, DROP
+        yield where, key, None
+        if isinstance(v, dict):
+            yield from mutations(v, where + (key,))
+        elif isinstance(v, list) and v:
+            yield where, key, v + v[-1:]
+            yield where, key, v[:-1]
+            if isinstance(v[0], list):
+                yield where, key, [row + row[-1:] for row in v]
+                yield where, key, [row[:-1] for row in v]
+
+
+def outcome(capsys, cmd, cfg):
+    """(exit code, report), or (None, the exception) when main raised."""
+    try:
+        return run_cli(capsys, cmd, cfg)
+    except Exception as exc:
+        capsys.readouterr()
+        return None, repr(exc)
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in CONFIG_DIR.glob("*.json")))
+def test_shape_mutations_of_shipped_configs_fail_validate_or_run_cleanly(tmp_path, capsys,
+                                                                         name):
+    # a config that passes validate fails run only as a numerical failure named
+    # after the failing operation; an exit 2 named after the kind comes from the
+    # catch-all ValueError branch, i.e. from a shape validate let through
+    doc = shipped_doc(name)
+    exp = doc["experiment"]
+    exp.update({k: v for k, v in SHRINK.items() if k in exp})
+    bad = []
+    for i, (where, key, value) in enumerate(mutations(doc)):
+        mutant = copy.deepcopy(doc)
+        obj = mutant
+        for k in where:
+            obj = obj[k]
+        if value is DROP:
+            del obj[key]
+        else:
+            obj[key] = value
+        (tmp_path / str(i)).mkdir()
+        cfg = write_config(tmp_path / str(i) / "cfg.json", mutant)
+        code_v, report_v = outcome(capsys, "validate", cfg)
+        code_r, report_r = outcome(capsys, "run", cfg)
+        if code_v == 1:
+            ok = code_r == 1 and report_r["errors"] == report_v["errors"]
+        else:
+            ok = code_v == 0 and (code_r == 0 or (
+                code_r == 2 and report_r["operation"] != exp["kind"]))
+        if not ok:
+            change = "dropped" if value is DROP else json.dumps(value)
+            bad.append((".".join(where + (key,)), change, code_v, code_r, report_r))
+    assert bad == []

@@ -85,3 +85,15 @@ def test_concentration_params_validation():
         ConcentrationParams(lsi_const=1.0, lip=-1.0)
     with pytest.raises(ValueError):
         concentration_tail(0.0, 1.0, 1.0)
+
+
+def test_concentration_tail_takes_its_limits_where_squares_overflow():
+    # r**2 and lip**2 overflow above ~1.34e154 and lip**2 underflows to 0 below ~1e-162
+    assert concentration_tail(1e154, 1.0, 1.0) == 0.0
+    assert concentration_tail(1.4e154, 1.0, 1.0) == 0.0
+    assert concentration_tail(1e308, 1.0, 1.0) == 0.0
+    assert concentration_tail(1.0, 1.0, 1e200) == 1.0
+    assert concentration_tail(1e200, 1.0, 1e200) == pytest.approx(math.exp(-1.0), rel=1e-15)
+    assert concentration_tail(1.0, 1.0, 1e-200) == 0.0
+    cp = ConcentrationParams(lsi_const=2.0, lip=1.0, kl=0.08)
+    assert delta_from_eps(1e308, cp) == 0.0
