@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import cho_solve
 
 from .errors import ScoreRequired
 from .ou import GaussianState
@@ -42,7 +41,9 @@ class GaussianScore:
     def evaluate(self, x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=float))
         l = self.state.cov.chol_lower
-        return -cho_solve((l, True), (x - self.state.mean).T).T
+        # cov^{-1} = L^{-T} L^{-1}: one solve with L, then one with L.T
+        y = np.linalg.solve(l, (x - self.state.mean).T)
+        return -np.linalg.solve(l.T, y).T
 
 
 @dataclass(frozen=True, eq=False)

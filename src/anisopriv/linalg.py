@@ -9,7 +9,7 @@ Conventions
   entries are the symmetrized input (m + m.T)/2 and are read-only.
 * The checks work on (..., d, d) stacks, so a batch of matrices is checked
   in one call by the same rules as a single one.
-* Diagonal matrices take fast paths in ``sym_exp`` and ``inverse``.
+* Diagonal matrices take a fast path in ``sym_exp``.
 """
 
 from __future__ import annotations
@@ -176,17 +176,6 @@ def _sym_exp_entries(a: np.ndarray, scale: float) -> np.ndarray:
     return (q * np.exp(scale * w)) @ q.T
 
 
-def inverse(m: SpdMatrix) -> SpdMatrix:
-    """Inverse via the cached Cholesky factor."""
-    if m.is_diagonal:
-        m.chol_lower  # pivot validation
-        return SpdMatrix(np.diag(1.0 / np.diag(m.entries)))
-    from scipy.linalg import cho_solve
-
-    inv = cho_solve((m.chol_lower, True), np.eye(m.dim))
-    return SpdMatrix((inv + inv.T) / 2.0)
-
-
 def log_det(m: SpdMatrix) -> float:
     """log det m, computed as 2 * sum(log diag(L))."""
     return 2.0 * float(np.sum(np.log(np.diag(m.chol_lower))))
@@ -195,9 +184,3 @@ def log_det(m: SpdMatrix) -> float:
 def trace(m: SymMatrix) -> float:
     return float(np.trace(m.entries))
 
-
-def spectral_norm(m: SymMatrix) -> float:
-    """Largest absolute eigenvalue."""
-    if m.dim == 0:
-        return 0.0
-    return float(np.abs(np.linalg.eigvalsh(m.entries)).max())

@@ -23,9 +23,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
 
-from .linalg import SpdMatrix
+from .linalg import SpdMatrix, log_det
 
 _MIN_GRAM_EIG = 1e-12
 
@@ -164,13 +163,12 @@ def gaussian_kl(state: GaussianState, other: GaussianState) -> float:
     d = state.dim
     lp = state.cov.chol_lower
     lq = other.cov.chol_lower
-    # log det ratio from the triangular factors
-    logdet = 2.0 * float(np.sum(np.log(np.diag(lq))) - np.sum(np.log(np.diag(lp))))
-    # trace(Vq^{-1} Vp) = ||Lq^{-1} Lp||_F^2
-    a = solve_triangular(lq, lp, lower=True)
+    # trace(Vq^{-1} Vp) = ||Lq^{-1} Lp||_F^2 and quad = ||Lq^{-1} dm||^2
+    a = np.linalg.solve(lq, lp)
     tr = float(np.sum(a * a))
-    dm = other.mean - state.mean
-    quad = float(dm @ cho_solve((lq, True), dm))
+    w = np.linalg.solve(lq, other.mean - state.mean)
+    quad = float(w @ w)
+    logdet = log_det(other.cov) - log_det(state.cov)
     kl = 0.5 * (logdet - d + tr + quad)
     return max(0.0, kl)
 

@@ -14,7 +14,6 @@ from functools import cached_property
 from typing import Any, Callable
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import BatchLargerThanDataset, CovarianceEvaluationFailed, NotPositiveDefinite
 from .linalg import (SpdMatrix, SymMatrix, _check_semidefinite, _checked_cholesky,
@@ -123,7 +122,7 @@ class ConstantSpd:
     def whiten(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Rows of sqrt_cov^{-1} v; requires strict positive definiteness."""
         l = self.matrix.chol_lower
-        return solve_triangular(l, np.atleast_2d(v).T, lower=True).T
+        return np.linalg.solve(l, np.atleast_2d(v).T).T
 
     def matrix_at(self, x: np.ndarray) -> np.ndarray:
         return self.matrix.entries

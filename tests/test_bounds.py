@@ -79,6 +79,13 @@ def test_phi_gaussian_score_matches_formula():
     x = np.array([[2.0, 1.0]])
     want = -np.linalg.solve(state.cov.entries, (x[0] - state.mean))
     assert np.allclose(score.evaluate(x)[0], want, rtol=1e-12)
+    # a dense covariance, where the factor is not its own transpose, on many rows
+    rng = np.random.default_rng(12)
+    a = rng.standard_normal((5, 5))
+    state = GaussianState(rng.standard_normal(5), SpdMatrix(a @ a.T + 0.1 * np.eye(5)), 1.0)
+    x = rng.standard_normal((30, 5))
+    want = -np.linalg.solve(state.cov.entries, (x - state.mean).T).T
+    assert np.allclose(GaussianScore(state).evaluate(x), want, rtol=1e-10, atol=1e-12)
 
 
 def test_phi_preserves_single_point_shape():

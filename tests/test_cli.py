@@ -2,10 +2,14 @@
 
 import copy
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import anisopriv
 from anisopriv import __version__
 from anisopriv.cli import main
 
@@ -455,3 +459,36 @@ def test_shape_mutations_of_shipped_configs_fail_validate_or_run_cleanly(tmp_pat
             change = "dropped" if value is DROP else json.dumps(value)
             bad.append((".".join(where + (key,)), change, code_v, code_r, report_r))
     assert bad == []
+
+
+# Imports the package and runs each config, then fails if scipy was loaded.
+NO_SCIPY_SCRIPT = """
+import sys
+from anisopriv.cli import main
+for cfg in sys.argv[1:]:
+    assert main(["run", cfg]) == 0, cfg
+assert "scipy" not in sys.modules, "scipy was imported"
+"""
+
+
+def test_runtime_does_not_import_scipy(tmp_path):
+    # numpy is the only runtime dependency; scipy is a test oracle. A fresh
+    # interpreter runs the configs whose analytic paths use Cholesky solves:
+    # whitening, the Gaussian score (unequal diffusions) and the Gaussian KL.
+    cfgs = []
+    for name, over in [
+        ("kl-bound", {"paths": 4, "horizon": 0.2, "sigma_prime": [[0.8]]}),
+        ("quad-tradeoff", {"resolution": 2}),
+        ("ou-exact", {}),
+        ("closed-bounds", {}),
+    ]:
+        doc = shipped_doc(name, **over)
+        doc["output_dir"] = f"out/{name}"
+        cfgs.append(write_config(tmp_path / f"{name}.json", doc))
+    src = str(Path(anisopriv.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", NO_SCIPY_SCRIPT, *cfgs], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "out" / "kl-bound" / "exact_kl.csv").exists()

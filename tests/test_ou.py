@@ -206,6 +206,35 @@ def test_gaussian_kl_affine_invariance():
     assert kl1 == pytest.approx(kl0, rel=1e-9)
 
 
+def spd_with_condition(rng, dim, cond):
+    """Random SPD matrix with eigenvalues spaced log-evenly over a ratio of cond."""
+    q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+    w = np.logspace(0.0, -np.log10(cond), dim) * rng.uniform(0.5, 2.0)
+    return SpdMatrix((q * w) @ q.T)
+
+
+def test_gaussian_kl_matches_slogdet_inverse_oracle():
+    # independent oracle: log-determinants from slogdet, Vq^{-1} from an explicit
+    # inverse. Both routes lose about cond(Vq) * eps to the rounding of their
+    # inputs, so the tolerance is 1e-9 plus that.
+    rng = np.random.default_rng(31)
+    conds = (1.0, 1e2, 1e4, 1e6, 1e8)
+    for dim in range(1, 9):
+        for cond_p in conds:
+            for cond_q in conds:
+                vp = spd_with_condition(rng, dim, cond_p).entries
+                vq = spd_with_condition(rng, dim, cond_q).entries
+                mp, mq = rng.standard_normal(dim), rng.standard_normal(dim)
+                iq = np.linalg.inv(vq)
+                dm = mq - mp
+                want = 0.5 * (np.linalg.slogdet(vq)[1] - np.linalg.slogdet(vp)[1] - dim
+                              + np.trace(iq @ vp) + dm @ iq @ dm)
+                got = gaussian_kl(GaussianState(mp, SpdMatrix(vp), 1.0),
+                                  GaussianState(mq, SpdMatrix(vq), 1.0))
+                rel = 1e-9 + np.linalg.cond(vq) * np.finfo(float).eps
+                assert got == pytest.approx(want, rel=rel), (dim, cond_p, cond_q)
+
+
 def test_error_to_opt_hand_values():
     p = scalar_problem()
     assert error_to_opt(p, 1.0) == pytest.approx((1 - math.exp(-2.0)) / 2, rel=1e-12)

@@ -274,6 +274,14 @@ def test_minibatch_sgd_rejects_nonfinite_gradients_on_one_path():
         cov.whiten(x, np.ones_like(x))
 
 
+def test_constant_spd_whiten_inverts_apply_sqrt():
+    a = np.random.default_rng(4).standard_normal((4, 4))
+    cov = ConstantSpd(SpdMatrix(a @ a.T + 0.1 * np.eye(4)))
+    x = np.zeros((50, 4))
+    z = step_normals(4, 1, x.shape)
+    assert np.allclose(cov.whiten(x, cov.apply_sqrt(x, z)), z, rtol=1e-10, atol=1e-10)
+
+
 def test_minibatch_sgd_whiten_inverts_apply_sqrt():
     cov = MinibatchSgd(least_squares_grads, batch=3)
     x = np.random.default_rng(5).standard_normal((7, 3))
