@@ -68,7 +68,6 @@ from .tradeoff import (
     grid_surface,
     kl_term,
     optimal_diag_cov,
-    projected_gradient_diag_cov,
     quadratic_tradeoff,
     write_grid_csv,
 )
@@ -120,7 +119,7 @@ __all__ = [
     "ConcentrationParams", "PrivacyBudget", "concentration_tail",
     "delta_from_eps", "eps_from_delta", "membership_advantage",
     "GradientGap", "TradeoffPoint", "grid_surface", "kl_term",
-    "optimal_diag_cov", "projected_gradient_diag_cov", "quadratic_tradeoff",
+    "optimal_diag_cov", "quadratic_tradeoff",
     "write_grid_csv",
     "AnisotropicPerParam", "Dataset", "IsotropicPerLayer", "MlpModel",
     "NO_NOISE", "NoNoise", "TrainLog", "gradient_drift", "init_model",

@@ -50,7 +50,7 @@ from .bounds import (
     write_bound_csv,
 )
 from .errors import AnisoError
-from .linalg import SpdMatrix
+from .linalg import SpdMatrix, SymMatrix
 from .models import (
     AnisotropicPerParam,
     IsotropicPerLayer,
@@ -227,6 +227,16 @@ def _cov_matrix(p, errs, dim):
         return None
     if m.shape[0] != m.shape[1] or (dim is not None and m.shape[0] != dim):
         _err(errs, "experiment.sigma", "must be square" + (f" with dimension {dim}" if dim else ""))
+        return None
+    return _symmetric(m, "experiment.sigma", errs)
+
+
+def _symmetric(m, path, errs):
+    """The square matrix m, or None after recording that it is not symmetric."""
+    try:
+        SymMatrix(m)
+    except ValueError as exc:
+        _err(errs, path, str(exc))
         return None
     return m
 
@@ -424,6 +434,8 @@ def _kl_bound(p, errs, base_dir, seed):
     sigma_p = _matrix(p, "sigma_prime", "experiment", errs, required=False)
     if sigma_p is not None and dim is not None and sigma_p.shape != (dim, dim):
         _err(errs, "experiment.sigma_prime", f"must be {dim}x{dim}")
+    elif sigma_p is not None:
+        sigma_p = _symmetric(sigma_p, "experiment.sigma_prime", errs)
     cfg = _sim_config(p, errs, seed)
 
     def run(outdir):
@@ -754,9 +766,6 @@ def _cmd_run(path) -> int:
         cfg.run(cfg.output_dir)
     except AnisoError as exc:
         _emit({"ok": False, "operation": exc.operation, "message": str(exc)})
-        return 2
-    except (np.linalg.LinAlgError, ValueError, FloatingPointError) as exc:
-        _emit({"ok": False, "operation": cfg.kind, "message": str(exc)})
         return 2
     manifest = {
         "config_hash": cfg.config_hash,

@@ -9,7 +9,6 @@ Conventions
   entries are the symmetrized input (m + m.T)/2 and are read-only.
 * The checks work on (..., d, d) stacks, so a batch of matrices is checked
   in one call by the same rules as a single one.
-* Diagonal matrices take a fast path in ``sym_exp``.
 """
 
 from __future__ import annotations
@@ -115,11 +114,6 @@ class SymMatrix:
     def dim(self) -> int:
         return self.entries.shape[0]
 
-    @property
-    def is_diagonal(self) -> bool:
-        off = self.entries - np.diag(np.diag(self.entries))
-        return not np.any(off)
-
     @classmethod
     def diagonal(cls, diag) -> "SymMatrix":
         return cls(np.diag(np.asarray(diag, dtype=float)))
@@ -137,6 +131,8 @@ class SpdMatrix(SymMatrix):
     allow_semidefinite: bool = field(default=False)
 
     def __post_init__(self):
+        if not np.isfinite(_as_square(self.entries)).all():
+            raise NotPositiveDefinite("matrix entries must be finite", operation="SpdMatrix")
         super().__post_init__()
         if self.allow_semidefinite:
             _check_semidefinite(self.entries)
@@ -159,28 +155,6 @@ class SpdMatrix(SymMatrix):
         return cls(np.diag(np.asarray(diag, dtype=float)), allow_semidefinite)
 
 
-def cholesky(m: SpdMatrix) -> np.ndarray:
-    """Lower-triangular L with L @ L.T == m.entries."""
-    return m.chol_lower
-
-
-def sym_exp(m: SymMatrix, scale: float = 1.0) -> SymMatrix:
-    """Matrix exponential exp(scale * m) through the symmetric eigendecomposition."""
-    return SymMatrix(_sym_exp_entries(m.entries, scale))
-
-
-def _sym_exp_entries(a: np.ndarray, scale: float) -> np.ndarray:
-    if not np.any(a - np.diag(np.diag(a))):
-        return np.diag(np.exp(scale * np.diag(a)))
-    w, q = np.linalg.eigh(a)
-    return (q * np.exp(scale * w)) @ q.T
-
-
 def log_det(m: SpdMatrix) -> float:
     """log det m, computed as 2 * sum(log diag(L))."""
     return 2.0 * float(np.sum(np.log(np.diag(m.chol_lower))))
-
-
-def trace(m: SymMatrix) -> float:
-    return float(np.trace(m.entries))
-

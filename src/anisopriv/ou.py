@@ -30,8 +30,12 @@ _MIN_GRAM_EIG = 1e-12
 
 
 def _check_full_rank(design: np.ndarray) -> None:
-    """Raise ValueError unless design.T @ design is strictly positive definite."""
-    if np.linalg.eigvalsh(design.T @ design).min() <= _MIN_GRAM_EIG:
+    """Raise ValueError unless design.T @ design is finite and strictly positive
+    definite."""
+    gram = design.T @ design
+    if not np.isfinite(gram).all():
+        raise ValueError("design.T @ design overflows")
+    if np.linalg.eigvalsh(gram).min() <= _MIN_GRAM_EIG:
         raise ValueError("design.T @ design must be strictly positive definite")
 
 

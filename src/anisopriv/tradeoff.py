@@ -86,32 +86,6 @@ def optimal_diag_cov(gap: GradientGap, zeta: float) -> TradeoffPoint:
     return point
 
 
-def projected_gradient_diag_cov(gap: GradientGap, zeta: float, *, iters: int = 20000,
-                                tol: float = 1e-12) -> np.ndarray:
-    """Numerical minimizer of kl_term on the simplex {v > 0, sum v = zeta};
-    verification oracle for optimal_diag_cov."""
-    if not (zeta > 0.0 and math.isfinite(zeta)):
-        raise ValueError(f"zeta must be positive and finite, got {zeta}")
-    s2 = gap.gaps**2
-    if not np.any(s2 > 0.0):
-        raise DegenerateGap("all gap entries are zero", operation="projected_gradient_diag_cov")
-    d = gap.dim
-    v = np.full(d, zeta / d)
-    lo = ZERO_GAP_FLOOR * zeta
-    for _ in range(iters):
-        g = -s2 / v**2
-        g = g - g.mean()  # tangent to the trace constraint
-        step = 0.25 * float(v.min() ** 3 / max(s2.max(), 1e-300)) if s2.max() > 0 else 0.1
-        step = min(step, 0.25 * zeta / max(float(np.abs(g).max()), 1e-300))
-        nxt = np.maximum(v - step * g, lo)
-        nxt *= zeta / nxt.sum()
-        if np.abs(nxt - v).max() <= tol * zeta:
-            v = nxt
-            break
-        v = nxt
-    return v
-
-
 def grid_surface(gap: GradientGap, x_range: tuple[float, float],
                  y_range: tuple[float, float], resolution: int) -> np.ndarray:
     """kl_term surface over a square-root grid: rows (x, y, kl_term, trace)

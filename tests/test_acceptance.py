@@ -21,7 +21,7 @@ from anisopriv.bounds import (
     lsi_rate,
     mc_kl_bound,
 )
-from anisopriv.linalg import SpdMatrix, SymMatrix, sym_exp
+from anisopriv.linalg import SpdMatrix
 from anisopriv.models import (
     AnisotropicPerParam,
     MlpModel,
@@ -40,9 +40,9 @@ from anisopriv.tradeoff import (
     GradientGap,
     kl_term,
     optimal_diag_cov,
-    projected_gradient_diag_cov,
     quadratic_tradeoff,
 )
+from test_tradeoff import projected_gradient_diag_cov
 
 UNIT_OU = QuadraticProblem([[1.0]], [0.0], SpdMatrix([[1.0]]), [1.0])
 UNIT_DRIFT = QuadraticDrift(np.array([[1.0]]), np.array([0.0]))
@@ -205,33 +205,6 @@ def test_ensemble_error_within_convergence_bound():
         "mean-square error under convergence bound",
         f"min slack {slack.min():.2e} over {len(slack)} times "
         f"(exact equality at t=0)",
-    )
-
-
-def test_matrix_exponential_taylor_agreement():
-    def taylor_expm(m, terms=30):
-        out = np.eye(m.shape[0])
-        term = np.eye(m.shape[0])
-        for k in range(1, terms + 1):
-            term = term @ m / k
-            out = out + term
-        return out
-
-    rng = np.random.default_rng(51)
-    worst = 0.0
-    for _ in range(100):
-        d = int(rng.integers(1, 6))
-        s = rng.normal(0, 1, (d, d))
-        s = (s + s.T) / 2.0
-        top = np.abs(np.linalg.eigvalsh(s)).max()
-        if top > 0.0:
-            s = s / top * rng.uniform(0.1, 1.0)
-        diff = np.linalg.norm(sym_exp(SymMatrix(s)).entries - taylor_expm(s))
-        worst = max(worst, diff)
-    verdict(
-        worst <= 1e-10,
-        "matrix exponential vs taylor oracle",
-        f"worst frobenius gap {worst:.1e} over 100 matrices (cap 1e-10)",
     )
 
 

@@ -10,8 +10,10 @@ from pathlib import Path
 import pytest
 
 import anisopriv
+import anisopriv.sde
 from anisopriv import __version__
 from anisopriv.cli import main
+from anisopriv.errors import AnisoError
 
 
 def write_config(path, doc):
@@ -311,6 +313,57 @@ def test_singular_design_rejected_by_validate(tmp_path, capsys, make_doc, key):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("make_doc, over, path", [
+    (ou_exact_doc, {"sigma": [[1.0, 0.2], [0.3, 0.5]]}, "experiment.sigma"),
+    (kl_bound_doc, {"sigma_prime": [[1.0, 0.2], [0.3, 1.0]]}, "experiment.sigma_prime"),
+    # 1e300 squared overflows, so the Gram matrix is not finite
+    (ou_exact_doc, {"design": [[1e300, 0.0], [0.0, 1.0]]}, "experiment.design"),
+], ids=["asymmetric-sigma", "asymmetric-sigma-prime", "overflowing-gram"])
+def test_bad_matrix_values_rejected_by_validate(tmp_path, capsys, make_doc, over, path):
+    cfg = write_config(tmp_path / "cfg.json", make_doc(**over))
+    for cmd in ("validate", "run"):
+        code, doc = run_cli(capsys, cmd, cfg)
+        assert code == 1
+        assert error_paths(doc) == [path]
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_overflow_is_numerical_failure(tmp_path, capsys):
+    # x = 1e300 passes validate, but the grid's noise variance x^2 overflows
+    cfg = write_config(tmp_path / "cfg.json", quad_tradeoff_doc(x_range=[0.5, 1e300]))
+    assert run_cli(capsys, "validate", cfg)[0] == 0
+    code, doc = run_cli(capsys, "run", cfg)
+    assert code == 2
+    assert doc["operation"] == "SpdMatrix"
+
+
+def test_run_exits_2_only_for_library_errors(tmp_path, capsys, monkeypatch):
+    # an AnisoError is a numerical failure, also when raised on the helper thread
+    # that draws the normals; any other exception is a bug and propagates
+    cfg = write_config(tmp_path / "cfg.json", ou_exact_doc())
+    sim = write_config(tmp_path / "sim.json", {"output_dir": "out", "experiment": {
+        "kind": "simulate", "design": [[1.0]], "target": [0.0], "sigma_diag": [1.0],
+        "x0": [0.0], "step": 0.1, "horizon": 0.5, "paths": 3}})
+
+    def failed_draw(seed, step, shape):
+        raise AnisoError("draw failed", operation="step_normals")
+
+    monkeypatch.setattr(anisopriv.sde, "step_normals", failed_draw)
+    code, doc = run_cli(capsys, "run", sim)
+    assert code == 2
+    assert doc["operation"] == "step_normals"
+
+    def bug(*args):
+        raise ValueError("a bug")
+
+    monkeypatch.setattr(anisopriv.sde, "step_normals", bug)
+    with pytest.raises(ValueError, match="a bug"):
+        main(["run", sim])
+    monkeypatch.setattr(anisopriv.cli, "exact_state", bug)
+    with pytest.raises(ValueError, match="a bug"):
+        main(["run", cfg])
+
+
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "scripts" / "configs"
 
 
@@ -431,8 +484,7 @@ def outcome(capsys, cmd, cfg):
 def test_shape_mutations_of_shipped_configs_fail_validate_or_run_cleanly(tmp_path, capsys,
                                                                          name):
     # a config that passes validate fails run only as a numerical failure named
-    # after the failing operation; an exit 2 named after the kind comes from the
-    # catch-all ValueError branch, i.e. from a shape validate let through
+    # after the failing operation; a shape validate let through raises from main
     doc = shipped_doc(name)
     exp = doc["experiment"]
     exp.update({k: v for k, v in SHRINK.items() if k in exp})

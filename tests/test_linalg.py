@@ -1,8 +1,7 @@
 """Symmetric and SPD matrix wrappers against independent oracles.
 
-The matrix exponential is checked against a plain Taylor series, log-dets
-against slogdet. Hand values are computed from 2x2 factorizations worked
-out on paper.
+Log-dets are checked against slogdet. Hand values are computed from 2x2
+factorizations worked out on paper.
 """
 
 import numpy as np
@@ -10,25 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from anisopriv.errors import NotPositiveDefinite
-from anisopriv.linalg import (
-    SpdMatrix,
-    SymMatrix,
-    cholesky,
-    log_det,
-    sym_exp,
-    trace,
-)
-
-
-def taylor_expm(m, terms=30):
-    # independent oracle: plain truncated series, fine for ||m|| <= 1
-    d = m.shape[0]
-    acc = np.eye(d)
-    term = np.eye(d)
-    for k in range(1, terms + 1):
-        term = term @ m / k
-        acc = acc + term
-    return acc
+from anisopriv.linalg import SpdMatrix, SymMatrix, log_det
 
 
 def random_spd(rng, dim, scale=1.0):
@@ -104,34 +85,6 @@ def test_cholesky_recomposes(seed):
     assert np.all(np.triu(low, 1) == 0.0)
 
 
-def test_sym_exp_matches_taylor_oracle():
-    rng = np.random.default_rng(3)
-    for _ in range(20):
-        dim = int(rng.integers(1, 5))
-        a = rng.standard_normal((dim, dim))
-        m = (a + a.T) / 2
-        norm = np.linalg.norm(m, 2)
-        if norm > 1.0:
-            m = m / (norm * 1.01)
-        got = sym_exp(SymMatrix(m)).entries
-        want = taylor_expm(m)
-        assert np.linalg.norm(got - want) <= 1e-10
-
-
-def test_sym_exp_scale_and_diagonal():
-    m = SymMatrix.diagonal([1.0, -2.0])
-    got = sym_exp(m, scale=-0.5).entries
-    assert np.allclose(got, np.diag([np.exp(-0.5), np.exp(1.0)]), rtol=1e-15)
-
-
-def test_sym_exp_inverse_property():
-    rng = np.random.default_rng(9)
-    a = rng.standard_normal((3, 3))
-    m = SymMatrix((a + a.T) / 4)
-    prod = sym_exp(m).entries @ sym_exp(m, scale=-1.0).entries
-    assert np.allclose(prod, np.eye(3), rtol=0, atol=1e-12)
-
-
 def test_log_det_vs_slogdet():
     rng = np.random.default_rng(14)
     for _ in range(20):
@@ -146,12 +99,6 @@ def test_log_det_diagonal_exact():
     assert log_det(SpdMatrix.diagonal([2.0, 8.0])) == pytest.approx(np.log(16.0), rel=1e-15)
 
 
-def test_trace_and_spectral_norm():
-    m = SpdMatrix(np.array([[3.0, 1.0], [1.0, 3.0]]))
-    assert trace(m) == 6.0
-
-
 def test_identity_constructor():
     m = SpdMatrix.identity(3)
     assert np.array_equal(m.entries, np.eye(3))
-    assert m.is_diagonal

@@ -3,11 +3,13 @@ covariance formula."""
 
 import csv
 import math
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import anisopriv.sde
 from anisopriv.errors import (
     BatchLargerThanDataset,
     CovarianceEvaluationFailed,
@@ -318,6 +320,102 @@ def test_paired_minibatch_sgd_matches_per_path_euler_loop():
                 noise = reference_root(cov, x[p])[0] @ z[p]
                 x[p] = x[p] + h * -full_grad(x[p], features) + np.sqrt(h) * noise
             assert np.array_equal(ens.states[:, k + 1, :], x)
+
+
+# ---------------------------------------------------------------------------
+# The simulators draw each step's normals on a helper thread while the
+# previous step is integrated, and update at most 2048 rows at a time. The
+# reference draws each step in turn and updates the whole ensemble at once.
+# Above 2048 paths the ensemble takes several blocks, which no shipped config
+# reaches, so only these tests cover them.
+
+
+def unblocked_euler(drifts, cov, x0, cfg, **kwargs):
+    """Recorded states (paths, R, dim) of one arm per drift, all driven by the
+    same per-step normals."""
+    xs = [np.tile(x0, (cfg.paths, 1)) for _ in drifts]
+    recs = [[x] for x in xs]
+    for k in range(cfg.n_steps):
+        z = step_normals(cfg.seed, k, (cfg.paths, x0.shape[0]))
+        xs = [x + cfg.step * drift.evaluate(x) + np.sqrt(cfg.step) * cov.apply_sqrt(x, z, **kwargs)
+              for drift, x in zip(drifts, xs)]
+        if (k + 1) % cfg.record_stride == 0:
+            for rec, x in zip(recs, xs):
+                rec.append(x)
+    return [np.stack(rec, axis=1) for rec in recs]
+
+
+def assert_simulators_match_reference(drift_a, drift_b, cov, x0, cfg, *, strict=False):
+    threads = threading.active_count()
+    want_a, want_b = unblocked_euler((drift_a, drift_b), cov, x0, cfg,
+                                     **({"strict": True} if strict else {}))
+    assert np.array_equal(simulate(drift_a, cov, x0, cfg, strict_covariance=strict).states,
+                          want_a)
+    ens_a, ens_b = paired_simulate(drift_a, drift_b, cov, x0, cfg, strict_covariance=strict)
+    assert np.array_equal(ens_a.states, want_a)
+    assert np.array_equal(ens_b.states, want_b)
+    assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("paths", [1, 2, 3, 2049, 4097, 5000])
+def test_simulators_match_unblocked_reference(paths):
+    rng = np.random.default_rng(paths)
+    design, target = rng.standard_normal((4, 3)), rng.standard_normal(4)
+    a = rng.standard_normal((3, 3))
+    cov = ConstantSpd(SpdMatrix(a @ a.T + 0.1 * np.eye(3)))
+    cfg = SimConfig(step=0.05, horizon=0.3, paths=paths, seed=23, record_stride=2)
+    assert_simulators_match_reference(QuadraticDrift(design, target),
+                                      QuadraticDrift(design, target + 0.1), cov,
+                                      np.array([0.5, -1.0, 2.0]), cfg)
+
+
+@pytest.mark.parametrize("paths", [3, 2049])
+def test_strict_minibatch_sgd_simulators_match_unblocked_reference(paths):
+    features_b = FEATURES.copy()
+    features_b[2] = [0.5, -1.0, 2.0]
+    cov = MinibatchSgd(least_squares_grads, batch=3)
+    cfg = SimConfig(step=0.01, horizon=0.04, paths=paths, seed=31, record_stride=2)
+    assert_simulators_match_reference(QuadraticDrift(FEATURES, TARGETS),
+                                      QuadraticDrift(features_b, TARGETS), cov,
+                                      np.array([0.2, -0.1, 0.4]), cfg, strict=True)
+
+
+def test_simulator_errors_propagate_and_stop_the_helper_thread(monkeypatch):
+    threads = threading.active_count()
+    cfg = SimConfig(step=0.1, horizon=1.0, paths=5, seed=2)
+    identity = ConstantSpd(SpdMatrix.identity(2))
+    error = ZeroDivisionError("drift failed at step 3")
+    steps = iter(range(10))
+
+    def drift_fn(x):
+        if next(steps) == 3:
+            raise error
+        return -x
+
+    with pytest.raises(ZeroDivisionError) as info:
+        simulate(CallableDrift(drift_fn, vectorized=True), identity, np.zeros(2), cfg)
+    assert info.value is error
+    assert threading.active_count() == threads
+
+    negative = DiagonalOfState(lambda x: -np.ones_like(x), vectorized=True)
+    drift = QuadraticDrift(np.eye(2), np.zeros(2))
+    with pytest.raises(CovarianceEvaluationFailed, match="strictly positive"):
+        paired_simulate(drift, drift, negative, np.zeros(2), cfg)
+    assert threading.active_count() == threads
+
+    # a failed draw on the helper thread reaches the caller unchanged
+    failed = MemoryError("draw failed at step 4")
+
+    def draw(seed, step, shape):
+        if step == 4:
+            raise failed
+        return step_normals(seed, step, shape)
+
+    monkeypatch.setattr(anisopriv.sde, "step_normals", draw)
+    with pytest.raises(MemoryError) as info:
+        simulate(drift, identity, np.zeros(2), cfg)
+    assert info.value is failed
+    assert threading.active_count() == threads
 
 
 def test_write_ensemble_csv_roundtrip(tmp_path):
