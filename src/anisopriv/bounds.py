@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import ScoreRequired
 from .ou import GaussianState
-from .sde import ConstantSpd, DiagonalOfState, TrajectoryEnsemble
+from .sde import ConstantSpd, TrajectoryEnsemble
 
 # ---------------------------------------------------------------------------
 # score specifications
@@ -48,14 +48,13 @@ class GaussianScore:
 
 @dataclass(frozen=True, eq=False)
 class CallableScore:
+    """Arbitrary score; fn maps a (paths, dim) row stack of states to the
+    (paths, dim) stack of their scores."""
+
     fn: Callable[[np.ndarray], np.ndarray]
-    vectorized: bool = False
 
     def evaluate(self, x: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        if self.vectorized:
-            return np.asarray(self.fn(x), dtype=float)
-        return np.stack([np.asarray(self.fn(row), dtype=float) for row in x])
+        return np.asarray(self.fn(np.atleast_2d(np.asarray(x, dtype=float))), dtype=float)
 
 
 class AbsentScore:
@@ -85,18 +84,6 @@ def _covs_equal(cov_a, cov_b) -> bool:
     return False
 
 
-def _delta_sigma_apply(cov_a, cov_b, x: np.ndarray, s: np.ndarray) -> np.ndarray:
-    if isinstance(cov_a, ConstantSpd) and isinstance(cov_b, ConstantSpd):
-        return s @ (cov_b.matrix.entries - cov_a.matrix.entries)
-    if isinstance(cov_a, DiagonalOfState) and isinstance(cov_b, DiagonalOfState):
-        return (cov_b.diag_at(x) - cov_a.diag_at(x)) * s
-    out = np.empty_like(s)
-    for p in range(x.shape[0]):
-        delta = cov_b.matrix_at(x[p : p + 1]) - cov_a.matrix_at(x[p : p + 1])
-        out[p] = delta @ s[p]
-    return out
-
-
 def phi(x, drift_a, drift_b, cov_a, cov_b, score=ABSENT_SCORE) -> np.ndarray:
     """Mismatch field between (drift_a, cov_a) and (drift_b, cov_b) at x.
 
@@ -110,7 +97,7 @@ def phi(x, drift_a, drift_b, cov_a, cov_b, score=ABSENT_SCORE) -> np.ndarray:
     rows = np.atleast_2d(x_arr)
 
     if _covs_equal(cov_a, cov_b):
-        out = np.atleast_2d(drift_a.evaluate(rows)) - np.atleast_2d(drift_b.evaluate(rows))
+        out = drift_a.evaluate(rows) - drift_b.evaluate(rows)
         return out[0] if single else out
 
     if isinstance(score, AbsentScore):
@@ -120,12 +107,13 @@ def phi(x, drift_a, drift_b, cov_a, cov_b, score=ABSENT_SCORE) -> np.ndarray:
         )
     s = score.evaluate(rows)
     h_gap = (
-        np.atleast_2d(drift_b.evaluate(rows))
+        drift_b.evaluate(rows)
         - cov_b.divergence(rows)
-        - np.atleast_2d(drift_a.evaluate(rows))
+        - drift_a.evaluate(rows)
         + cov_a.divergence(rows)
     )
-    out = _delta_sigma_apply(cov_a, cov_b, rows, s) - h_gap
+    delta = cov_b.matrices(rows) - cov_a.matrices(rows)
+    out = (delta @ s[..., None])[..., 0] - h_gap
     return out[0] if single else out
 
 

@@ -75,11 +75,6 @@ from .privacy import (
     membership_advantage,
 )
 
-EXPERIMENT_KINDS = (
-    "simulate", "ou-exact", "kl-bound", "closed-bounds", "optimize-cov",
-    "grid-surface", "quad-tradeoff", "dp-audit", "membership", "privacy-translate",
-)
-
 SCHEMA_VERSION = 1
 
 
@@ -471,45 +466,56 @@ def _kl_bound(p, errs, base_dir, seed):
             else "drift-gap mismatch (shared diffusion)"], run
 
 
+def _closed_bounds_json(rp, times):
+    """closed_bounds.json's text. Raises ArithmeticError or ValueError when a
+    closed form overflows, divides by zero or is not finite."""
+    rho = lsi_rate(rp.sigma, rp.kappa)
+    doc = {
+        "klbound": klbound_closed(rp),
+        "klbound_stationary_start": klbound_closed(rp, stationary_limit=True),
+        "klbound_stationary": klbound_stationary(rp),
+        "lsi": {
+            "rho": rho,
+            "curve": [[float(t), lsi_constant(float(t), rho, rp.lsi0)] for t in times],
+        },
+    }
+    return json.dumps(doc, indent=2, allow_nan=False)
+
+
 def _closed_bounds(p, errs, base_dir, seed):
+    n_errs = len(errs)
     _reject_unknown(p, {"kind", "kappa", "grad_lip", "kappa_prime", "grad_lip_prime",
                         "sigma", "sigma_prime", "lsi0", "xstar", "xstar_prime",
                         "times"}, "experiment", errs)
-    kappa = _number(p, "kappa", "experiment", errs, positive=True)
-    grad_lip = _number(p, "grad_lip", "experiment", errs, positive=True)
-    kappa_p = _number(p, "kappa_prime", "experiment", errs, positive=True)
-    grad_lip_p = _number(p, "grad_lip_prime", "experiment", errs, positive=True)
-    sigma = _number(p, "sigma", "experiment", errs, positive=True)
-    sigma_p = _number(p, "sigma_prime", "experiment", errs, positive=True)
-    lsi0 = _number(p, "lsi0", "experiment", errs, positive=True)
+    scalars = {key: _number(p, key, "experiment", errs, positive=True)
+               for key in ("kappa", "grad_lip", "kappa_prime", "grad_lip_prime",
+                           "sigma", "sigma_prime", "lsi0")}
     xs = _vector(p, "xstar", "experiment", errs)
     xsp = _vector(p, "xstar_prime", "experiment", errs)
     if xs is not None and xsp is not None and xs.shape != xsp.shape:
         _err(errs, "experiment.xstar_prime", "length must match xstar")
-    if kappa is not None and grad_lip is not None and kappa > grad_lip:
-        _err(errs, "experiment.kappa", "cannot exceed grad_lip")
-    if kappa_p is not None and grad_lip_p is not None and kappa_p > grad_lip_p:
-        _err(errs, "experiment.kappa_prime", "cannot exceed grad_lip_prime")
+    for kappa, lip in (("kappa", "grad_lip"), ("kappa_prime", "grad_lip_prime")):
+        if None not in (scalars[kappa], scalars[lip]) and scalars[kappa] > scalars[lip]:
+            _err(errs, f"experiment.{kappa}", f"cannot exceed {lip}")
     times = _vector(p, "times", "experiment", errs, required=False,
                     default=[0.0, 1.0, 10.0, 100.0], nonneg=True)
+    text = None
+    if len(errs) == n_errs:
+        with np.errstate(over="ignore"):
+            try:
+                rp = RegularityParams(**scalars, xstar=xs, xstar_prime=xsp)
+                text = _closed_bounds_json(rp, times)
+            except (ArithmeticError, ValueError) as exc:
+                # blame the value farthest from 1 in scale, the likeliest cause
+                scale = {k: abs(math.log(v)) for k, v in scalars.items()}
+                scale["xstar_prime"] = math.log(max(1.0, np.abs(xsp - xs).max(initial=0.0)))
+                key = max(scale, key=scale.get)
+                _err(errs, f"experiment.{key}", "the closed-form bounds are not finite at "
+                     f"these values, and this is the most extreme one ({exc})")
 
     def run(outdir):
-        rp = RegularityParams(
-            kappa=kappa, grad_lip=grad_lip, kappa_prime=kappa_p, grad_lip_prime=grad_lip_p,
-            sigma=sigma, sigma_prime=sigma_p, lsi0=lsi0, xstar=xs, xstar_prime=xsp,
-        )
-        rho = lsi_rate(rp.sigma, rp.kappa)
-        doc = {
-            "klbound": klbound_closed(rp),
-            "klbound_stationary_start": klbound_closed(rp, stationary_limit=True),
-            "klbound_stationary": klbound_stationary(rp),
-            "lsi": {
-                "rho": rho,
-                "curve": [[float(t), lsi_constant(float(t), rho, rp.lsi0)] for t in times],
-            },
-        }
         with open(os.path.join(outdir, "closed_bounds.json"), "w") as fh:
-            json.dump(doc, fh, indent=2)
+            fh.write(text)
 
     return ["time-uniform KL bound", "time-uniform KL bound (stationary-start variant)",
             "stationary KL bound", "log-Sobolev constant curve"], run
@@ -705,7 +711,7 @@ def _validate_document(doc, base_dir, errs):
     if not isinstance(exp, dict):
         _err(errs, "experiment", "must be an object")
         return None
-    kind = _string(exp, "kind", "experiment", errs, choices=set(EXPERIMENT_KINDS))
+    kind = _string(exp, "kind", "experiment", errs, choices=set(_PARSERS))
     if kind is None:
         return None
     derived, run = _PARSERS[kind](exp, errs, base_dir, seed)

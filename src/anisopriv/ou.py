@@ -89,13 +89,6 @@ class QuadraticProblem:
         rhs = self.design.T @ self.target
         return q @ ((q.T @ rhs) / w)
 
-    def drift(self, x: np.ndarray) -> np.ndarray:
-        """-design.T @ (design @ x - target); accepts a vector or (paths, dim) rows."""
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            return -self.design.T @ (self.design @ x - self.target)
-        return -(x @ self.design.T - self.target) @ self.design
-
     def _expm_gram(self, scale: float) -> np.ndarray:
         w, q = self._eig
         return (q * np.exp(scale * w)) @ q.T

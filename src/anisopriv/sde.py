@@ -9,12 +9,14 @@ The simulators draw each step's normals on one helper thread while the main
 thread integrates the previous step, and apply the update to blocks of at most
 2048 rows. Both leave every output bit-identical: a step's normals depend on
 (seed, step) alone, and each row's update on its own row.
+
+Every drift, covariance and score specification takes the states as a
+(paths, dim) row stack, which is what the simulators and the bounds pass.
 """
 
 from __future__ import annotations
 
 import csv
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Callable
@@ -61,19 +63,13 @@ class QuadraticDrift:
 
 @dataclass(frozen=True, eq=False)
 class CallableDrift:
-    """Arbitrary drift; fn maps a state vector to a drift vector.
-
-    Set vectorized=True when fn accepts (paths, dim) row batches directly.
-    """
+    """Arbitrary drift; fn maps a (paths, dim) row stack of states to the
+    (paths, dim) stack of their drifts."""
 
     fn: Callable[[np.ndarray], np.ndarray]
-    vectorized: bool = False
 
     def evaluate(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 1 or self.vectorized:
-            return np.asarray(self.fn(x), dtype=float)
-        return np.stack([np.asarray(self.fn(row), dtype=float) for row in x])
+        return np.asarray(self.fn(np.asarray(x, dtype=float)), dtype=float)
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,8 +126,9 @@ class ConstantSpd:
         l = self.matrix.chol_lower
         return np.linalg.solve(l, np.atleast_2d(v).T).T
 
-    def matrix_at(self, x: np.ndarray) -> np.ndarray:
-        return self.matrix.entries
+    def matrices(self, x: np.ndarray) -> np.ndarray:
+        """The matrix once per row of x, (paths, dim, dim), as a read-only view."""
+        return np.broadcast_to(self.matrix.entries, (len(x), *self.matrix.entries.shape))
 
     def divergence(self, x: np.ndarray) -> np.ndarray:
         return np.zeros_like(np.atleast_2d(x), dtype=float)
@@ -139,18 +136,13 @@ class ConstantSpd:
 
 @dataclass(frozen=True, eq=False)
 class DiagonalOfState:
-    """Diagonal covariance diag(fn(x)) with fn mapping state to positive
-    variances. Set vectorized=True when fn handles (paths, dim) batches."""
+    """Diagonal covariance diag(fn(x)); fn maps a (paths, dim) row stack of
+    states to the (paths, dim) stack of their positive variances."""
 
     fn: Callable[[np.ndarray], np.ndarray]
-    vectorized: bool = False
 
     def diag_at(self, x: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        if self.vectorized:
-            d = np.asarray(self.fn(x), dtype=float)
-        else:
-            d = np.stack([np.asarray(self.fn(row), dtype=float) for row in x])
+        d = np.asarray(self.fn(np.atleast_2d(np.asarray(x, dtype=float))), dtype=float)
         _finite_or_fail(d, "diagonal covariance")
         if np.any(d <= 0.0):
             raise CovarianceEvaluationFailed(
@@ -164,8 +156,10 @@ class DiagonalOfState:
     def whiten(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
         return np.atleast_2d(v) / np.sqrt(self.diag_at(x))
 
-    def matrix_at(self, x: np.ndarray) -> np.ndarray:
-        return np.diag(self.diag_at(x)[0])
+    def matrices(self, x: np.ndarray) -> np.ndarray:
+        """diag(fn(x)) per row of x, (paths, dim, dim)."""
+        d = self.diag_at(x)
+        return d[:, :, None] * np.eye(d.shape[1])
 
     def divergence(self, x: np.ndarray) -> np.ndarray:
         # diagonal case: component i is d Sigma_ii / d x_i, forward difference
@@ -184,7 +178,7 @@ class DiagonalOfState:
 class MinibatchSgd:
     """Minibatch-sampling covariance built from per-example gradients.
 
-    grad_fn maps a state vector to the (N, dim) stack of per-example
+    grad_fn maps one state vector to the (N, dim) stack of per-example
     gradients of a sum-structured loss. It is called once per state row, so
     once per path and step in a simulation. The raw sampling covariance is
     not PSD in general; it is projected (eigenvalue clamp at psd_floor)
@@ -199,30 +193,25 @@ class MinibatchSgd:
     replacement: bool = True
     psd_floor: float = 1e-10
 
-    def _matrices(self, x: np.ndarray, *, strict: bool = False) -> np.ndarray:
-        """Projected covariances (P, dim, dim) at the rows of x (P, dim)."""
+    def matrices(self, x: np.ndarray) -> np.ndarray:
+        """Projected covariances (paths, dim, dim) at the rows of x. A projection
+        that degenerates to zero (psd_floor = 0) gives a zero noise increment."""
         g = np.stack([np.asarray(self.grad_fn(row), dtype=float) for row in x])
         _finite_or_fail(g, "per-example gradients")
         raw = _symmetrized(_sampling_covariance(g, g.sum(axis=-2), self.batch, self.replacement))
         proj = _symmetrized(_clamped(raw, self.psd_floor))
         _check_semidefinite(proj)
-        if strict and self.psd_floor <= 0.0 and not np.all(np.any(proj, axis=(-2, -1))):
-            raise CovarianceEvaluationFailed(
-                "PSD projection degenerated to zero with psd_floor = 0", operation="covariance")
         return proj
 
-    def matrix_at(self, x: np.ndarray, *, strict: bool = False) -> np.ndarray:
-        return self._matrices(np.asarray(x, dtype=float).ravel()[None], strict=strict)[0]
-
-    def apply_sqrt(self, x: np.ndarray, z: np.ndarray, *, strict: bool = False) -> np.ndarray:
-        m = self._matrices(np.atleast_2d(np.asarray(x, dtype=float)), strict=strict)
+    def apply_sqrt(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
+        m = self.matrices(np.atleast_2d(np.asarray(x, dtype=float)))
         root, ok = _cholesky_rows(m)
         if not np.all(ok):
             root[~ok] = _eigh_root(m[~ok])
         return (root @ np.atleast_2d(z)[..., None])[..., 0]
 
     def whiten(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-        low = _checked_cholesky(self._matrices(np.atleast_2d(np.asarray(x, dtype=float))))
+        low = _checked_cholesky(self.matrices(np.atleast_2d(np.asarray(x, dtype=float))))
         return np.linalg.solve(low, np.atleast_2d(v)[..., None])[..., 0]
 
     def divergence(self, x: np.ndarray) -> np.ndarray:
@@ -232,7 +221,7 @@ class MinibatchSgd:
         steps = _FD_STEP * np.maximum(1.0, np.abs(x))
         shifted = np.repeat(x[:, None, :], d, axis=1)
         shifted[:, np.arange(d), np.arange(d)] += steps
-        m = self._matrices(np.concatenate([x, shifted.reshape(paths * d, d)]))
+        m = self.matrices(np.concatenate([x, shifted.reshape(paths * d, d)]))
         base, moved = m[:paths], m[paths:].reshape(paths, d, d, d)
         out = np.zeros((paths, d))
         for j in range(d):
@@ -364,13 +353,9 @@ class TrajectoryEnsemble:
 # into near-equal blocks, so no block has a single row: numpy sends 1-row
 # products to gemv, whose last bits differ from gemm's.
 _BLOCK_ROWS = 2048
-# Steps whose normals are drawn ahead of the step being integrated. One step
-# hides the draws, which take about as long as an update; each further step
-# would only hold one more (paths, dim) block in memory.
-_LOOKAHEAD = 1
 
 
-def _euler(drifts, cov, x0, cfg: SimConfig, strict_covariance: bool) -> list[TrajectoryEnsemble]:
+def _euler(drifts, cov, x0, cfg: SimConfig) -> list[TrajectoryEnsemble]:
     """One ensemble per drift, all driven by the same increments; see simulate."""
     from concurrent.futures import ThreadPoolExecutor
 
@@ -384,22 +369,23 @@ def _euler(drifts, cov, x0, cfg: SimConfig, strict_covariance: bool) -> list[Tra
     for rec, x in zip(recs, xs):
         rec[:, 0, :] = x
     sqrt_h = np.sqrt(cfg.step)
-    kwargs = {"strict": True} if strict_covariance and isinstance(cov, MinibatchSgd) else {}
     n_blocks = -(-cfg.paths // _BLOCK_ROWS)
     blocks = [slice(i * cfg.paths // n_blocks, (i + 1) * cfg.paths // n_blocks)
               for i in range(n_blocks)]
     n, shape = cfg.n_steps, (cfg.paths, d)
     with ThreadPoolExecutor(max_workers=1) as pool:
-        ahead = deque(pool.submit(step_normals, cfg.seed, k, shape)
-                      for k in range(min(_LOOKAHEAD, n)))
+        # Step k + 1's normals are drawn while step k is integrated. One step
+        # ahead hides the draws, which take about as long as an update; each
+        # further step would only hold one more (paths, dim) block in memory.
+        pending = pool.submit(step_normals, cfg.seed, 0, shape)
         for k in range(n):
-            z = ahead.popleft().result()
-            if k + _LOOKAHEAD < n:
-                ahead.append(pool.submit(step_normals, cfg.seed, k + _LOOKAHEAD, shape))
+            z = pending.result()
+            if k + 1 < n:
+                pending = pool.submit(step_normals, cfg.seed, k + 1, shape)
             for s in blocks:
                 for drift, x, out in zip(drifts, xs, nxt):
                     out[s] = (x[s] + cfg.step * drift.evaluate(x[s])
-                              + sqrt_h * cov.apply_sqrt(x[s], z[s], **kwargs))
+                              + sqrt_h * cov.apply_sqrt(x[s], z[s]))
             xs, nxt = nxt, xs
             if (k + 1) % cfg.record_stride == 0:
                 for rec, x in zip(recs, xs):
@@ -407,19 +393,19 @@ def _euler(drifts, cov, x0, cfg: SimConfig, strict_covariance: bool) -> list[Tra
     return [TrajectoryEnsemble(times, rec, cfg.seed) for rec in recs]
 
 
-def simulate(drift, cov, x0, cfg: SimConfig, *, strict_covariance: bool = False) -> TrajectoryEnsemble:
+def simulate(drift, cov, x0, cfg: SimConfig) -> TrajectoryEnsemble:
     """Euler-Maruyama ensemble of cfg.paths trajectories from the shared x0."""
-    return _euler((drift,), cov, x0, cfg, strict_covariance)[0]
+    return _euler((drift,), cov, x0, cfg)[0]
 
 
-def paired_simulate(drift_a, drift_b, cov, x0, cfg: SimConfig,
-                    *, strict_covariance: bool = False) -> tuple[TrajectoryEnsemble, TrajectoryEnsemble]:
+def paired_simulate(drift_a, drift_b, cov, x0,
+                    cfg: SimConfig) -> tuple[TrajectoryEnsemble, TrajectoryEnsemble]:
     """Two ensembles driven by the same Gaussian increments per (path, step).
 
     Equal drifts therefore give bit-identical ensembles, and the pathwise
     difference between the arms is the data-difference signal alone.
     """
-    ens_a, ens_b = _euler((drift_a, drift_b), cov, x0, cfg, strict_covariance)
+    ens_a, ens_b = _euler((drift_a, drift_b), cov, x0, cfg)
     return ens_a, ens_b
 
 

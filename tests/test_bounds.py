@@ -30,7 +30,9 @@ from anisopriv.bounds import (
 from anisopriv.errors import ScoreRequired
 from anisopriv.linalg import SpdMatrix
 from anisopriv.ou import GaussianState
-from anisopriv.sde import ConstantSpd, QuadraticDrift, SimConfig, simulate
+from anisopriv.sde import (ConstantSpd, DiagonalOfState, MinibatchSgd, QuadraticDrift, SimConfig,
+                           simulate)
+from test_sde import least_squares_grads, projected_least_squares_cov
 
 
 def all_ones_params(gap=0.0):
@@ -67,10 +69,49 @@ def test_phi_score_term_hand_value():
     drift = QuadraticDrift(np.array([[1.0]]), np.array([0.0]))
     cov_a = ConstantSpd(SpdMatrix.diagonal([1.0]))
     cov_b = ConstantSpd(SpdMatrix.diagonal([2.0]))
-    score = CallableScore(lambda x: -x, vectorized=True)
+    score = CallableScore(lambda x: -x)
     x = np.array([[2.0], [-1.0]])
     out = phi(x, drift, drift, cov_a, cov_b, score)
     assert np.allclose(out, -x, rtol=1e-14)
+
+
+def random_spd(rng, d):
+    a = rng.standard_normal((d, d))
+    return SpdMatrix(a @ a.T + 0.1 * np.eye(d))
+
+
+@pytest.mark.parametrize("pair", ["constant", "diagonal", "minibatch-constant"])
+def test_phi_unequal_covariances_match_per_row_reference(pair):
+    # phi's score term, (S_b - S_a)(x) @ score(x), against one matrix-vector
+    # product per row with each S built from its definition
+    rng = np.random.default_rng(13)
+    x = rng.standard_normal((40, 3))
+    drift = QuadraticDrift(rng.standard_normal((4, 3)), rng.standard_normal(4))
+    score = CallableScore(lambda x: np.sin(3.0 * x) - x)
+    if pair == "constant":
+        m_a, m_b = random_spd(rng, 3), random_spd(rng, 3)
+        cov_a, cov_b = ConstantSpd(m_a), ConstantSpd(m_b)
+        at_a, at_b = (lambda row: m_a.entries), (lambda row: m_b.entries)
+    elif pair == "diagonal":
+        cov_a = DiagonalOfState(lambda x: x * x + 0.5)
+        cov_b = DiagonalOfState(lambda x: np.exp(0.3 * x))
+        at_a = lambda row: np.diag(row * row + 0.5)
+        at_b = lambda row: np.diag(np.exp(0.3 * row))
+    else:
+        m_b = random_spd(rng, 3)
+        cov_a, cov_b = MinibatchSgd(least_squares_grads, batch=2), ConstantSpd(m_b)
+        at_a, at_b = projected_least_squares_cov, (lambda row: m_b.entries)
+    s = score.evaluate(x)
+    deltas = np.stack([at_b(row) - at_a(row) for row in x])
+    h_gap = (drift.evaluate(x) - cov_b.divergence(x) - drift.evaluate(x) + cov_a.divergence(x))
+    want = np.stack([dp @ sp for dp, sp in zip(deltas, s)]) - h_gap
+    got = phi(x, drift, drift, cov_a, cov_b, score)
+    if pair == "constant":
+        # the batched product may round differently from one gemv per row
+        scale = np.stack([np.abs(dp) @ np.abs(sp) for dp, sp in zip(deltas, s)])
+        assert np.all(np.abs(got - want) <= 1e-15 * scale)
+    else:
+        assert np.array_equal(got, want)
 
 
 def test_phi_gaussian_score_matches_formula():
@@ -162,7 +203,7 @@ def test_time_varying_score_resolved_per_time():
 
     def at_time(t):
         sign = 1.0 if t < 0.5 else -1.0
-        return CallableScore(lambda x: sign * np.ones_like(x), vectorized=True)
+        return CallableScore(lambda x: sign * np.ones_like(x))
 
     cfg = SimConfig(step=0.25, horizon=1.0, paths=2, seed=6)
     ens = simulate(drift, cov_a, np.array([0.0]), cfg)

@@ -152,6 +152,25 @@ def test_run_closed_bounds(tmp_path, capsys):
     assert set(manifest["timestamp"]) == {"utc", "wall_clock_seconds"}
 
 
+@pytest.mark.parametrize("over, path", [
+    ({"sigma": 1e300}, "experiment.sigma"),  # sigma**2 overflows
+    ({"sigma": 1e-300}, "experiment.sigma"),  # sigma**2 is 0, a division by zero
+    ({"sigma": 1e-154}, "experiment.sigma"),  # a bound of inf
+    ({"sigma_prime": 1e-154}, "experiment.sigma_prime"),  # sigma_prime**6 is 0
+    ({"sigma": 1e-100, "kappa": 1e-200}, "experiment.kappa"),  # the LSI rate is 0
+    ({"xstar_prime": [1e300]}, "experiment.xstar_prime"),  # the optimum gap overflows
+])
+def test_closed_bounds_not_finite_rejected_by_validate(tmp_path, capsys, over, path):
+    doc = closed_bounds_doc()
+    doc["experiment"].update(over)
+    cfg = write_config(tmp_path / "cfg.json", doc)
+    for cmd in ("validate", "run"):
+        code, report = run_cli(capsys, cmd, cfg)
+        assert code == 1
+        assert error_paths(report) == [path]
+    assert not (tmp_path / "out").exists()
+
+
 def test_rerun_identical_except_timestamp(tmp_path, capsys):
     cfg = write_config(tmp_path / "cfg.json", closed_bounds_doc())
     assert run_cli(capsys, "run", cfg)[0] == 0
@@ -471,6 +490,19 @@ def mutations(obj, where=()):
                 yield where, key, [row[:-1] for row in v]
 
 
+def numeric_mutations(obj, where=()):
+    """(where, key, value) for every numeric leaf of obj other than seeds and the
+    schema version, set in turn to zero times itself, its negation, +-1e300,
+    1e154 and 1e-154."""
+    for key, v in obj.items() if isinstance(obj, dict) else enumerate(obj):
+        if isinstance(v, (dict, list)):
+            yield from numeric_mutations(v, where + (key,))
+        elif (isinstance(v, (int, float)) and not isinstance(v, bool)
+              and key not in ("seed", "schema_version")):
+            for value in (v * 0, -v, 1e300, -1e300, 1e154, 1e-154):
+                yield where, key, value
+
+
 def outcome(capsys, cmd, cfg):
     """(exit code, report), or (None, the exception) when main raised."""
     try:
@@ -480,16 +512,14 @@ def outcome(capsys, cmd, cfg):
         return None, repr(exc)
 
 
-@pytest.mark.parametrize("name", sorted(p.stem for p in CONFIG_DIR.glob("*.json")))
-def test_shape_mutations_of_shipped_configs_fail_validate_or_run_cleanly(tmp_path, capsys,
-                                                                         name):
-    # a config that passes validate fails run only as a numerical failure named
-    # after the failing operation; a shape validate let through raises from main
-    doc = shipped_doc(name)
-    exp = doc["experiment"]
-    exp.update({k: v for k, v in SHRINK.items() if k in exp})
+def contract_breaches(tmp_path, capsys, doc, mutants):
+    """The mutants of doc that break the exit-code contract, as (field, change,
+    validate code, run code, run report). A config that validate rejects is
+    rejected by run with the same errors; one that passes validate fails run
+    only as a numerical failure named after the failing operation. A value
+    validate let through that makes main raise is a breach."""
     bad = []
-    for i, (where, key, value) in enumerate(mutations(doc)):
+    for i, (where, key, value) in enumerate(mutants):
         mutant = copy.deepcopy(doc)
         obj = mutant
         for k in where:
@@ -506,11 +536,36 @@ def test_shape_mutations_of_shipped_configs_fail_validate_or_run_cleanly(tmp_pat
             ok = code_r == 1 and report_r["errors"] == report_v["errors"]
         else:
             ok = code_v == 0 and (code_r == 0 or (
-                code_r == 2 and report_r["operation"] != exp["kind"]))
+                code_r == 2 and report_r["operation"] != doc["experiment"]["kind"]))
         if not ok:
             change = "dropped" if value is DROP else json.dumps(value)
-            bad.append((".".join(where + (key,)), change, code_v, code_r, report_r))
-    assert bad == []
+            bad.append((".".join(map(str, where + (key,))), change, code_v, code_r, report_r))
+    return bad
+
+
+def shrunk_shipped_doc(name):
+    doc = shipped_doc(name)
+    exp = doc["experiment"]
+    exp.update({k: v for k, v in SHRINK.items() if k in exp})
+    return doc
+
+
+SHIPPED = sorted(p.stem for p in CONFIG_DIR.glob("*.json"))
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_shape_mutations_of_shipped_configs_fail_validate_or_run_cleanly(tmp_path, capsys,
+                                                                         name):
+    doc = shrunk_shipped_doc(name)
+    assert contract_breaches(tmp_path, capsys, doc, mutations(doc)) == []
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_numeric_mutations_of_shipped_configs_fail_validate_or_run_cleanly(tmp_path, capsys,
+                                                                           name):
+    # zeroed, negated and extreme values: validate rejects what would overflow
+    doc = shrunk_shipped_doc(name)
+    assert contract_breaches(tmp_path, capsys, doc, numeric_mutations(doc)) == []
 
 
 # Imports the package and runs each config, then fails if scipy was loaded.

@@ -48,7 +48,7 @@ def test_zero_drift_trajectory_is_cumulative_noise():
     # with zero drift and unit covariance the state is x0 plus scaled sums
     # of exactly the per-step blocks, bit for bit
     cfg = SimConfig(step=0.25, horizon=1.0, paths=3, seed=99)
-    drift = CallableDrift(lambda x: np.zeros_like(x), vectorized=True)
+    drift = CallableDrift(lambda x: np.zeros_like(x))
     cov = ConstantSpd(SpdMatrix.identity(2))
     ens = simulate(drift, cov, np.zeros(2), cfg)
     x = np.zeros((3, 2))
@@ -112,7 +112,7 @@ def test_quadratic_drift_vectorized_rows():
 
 
 def test_diagonal_of_state_covariance():
-    cov = DiagonalOfState(lambda x: np.abs(x) + 1.0, vectorized=False)
+    cov = DiagonalOfState(lambda x: np.abs(x) + 1.0)
     x = np.array([[1.0, -3.0]])
     z = np.array([[1.0, 1.0]])
     out = cov.apply_sqrt(x, z)
@@ -122,7 +122,7 @@ def test_diagonal_of_state_covariance():
 
 
 def test_diagonal_of_state_rejects_nonpositive():
-    cov = DiagonalOfState(lambda x: x, vectorized=False)
+    cov = DiagonalOfState(lambda x: x)
     with pytest.raises(CovarianceEvaluationFailed):
         cov.diag_at(np.array([[-1.0, 1.0]]))
 
@@ -195,7 +195,7 @@ def test_minibatch_sgd_covariance_spec():
         return np.array([[x[0] - d] for d in data])
 
     cov = MinibatchSgd(grad_fn, batch=1, replacement=True)
-    mat = cov.matrix_at(np.array([0.0]))
+    mat = cov.matrices(np.array([[0.0]]))[0]
     peg = grad_fn(np.array([0.0]))
     want = psd_project(
         minibatch_covariance(peg, peg.sum(axis=0), 1, True), floor=1e-10
@@ -215,6 +215,13 @@ def least_squares_grads(x):
     """Mean-scaled per-example gradients of a least-squares loss, (6, 3)."""
     r = FEATURES @ x - TARGETS
     return FEATURES * (r / 6.0)[:, None]
+
+
+def projected_least_squares_cov(x):
+    """Covariance of MinibatchSgd(least_squares_grads, batch=2) at the state x,
+    from the public 2-D functions."""
+    g = least_squares_grads(x)
+    return psd_project(minibatch_covariance(g, g.sum(axis=0), 2, True), 1e-10).entries
 
 
 def reference_root(cov, x):
@@ -252,16 +259,30 @@ def test_minibatch_sgd_batched_matches_per_path_reference():
     for row in x:
         g = grad_fn(row)
         m = psd_project(minibatch_covariance(g, g.sum(axis=0), 2, False), 0.0).entries
-        assert np.array_equal(cov.matrix_at(row), m)
+        assert np.array_equal(cov.matrices(row[None])[0], m)
 
 
-def test_minibatch_sgd_strict_rejects_zero_projection():
+def test_minibatch_sgd_zero_projection_gives_zero_increment():
     cov = MinibatchSgd(lambda x: least_squares_grads(x) * x[0], batch=2, psd_floor=0.0)
     x = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0]])
     z = np.ones_like(x)
     assert np.array_equal(cov.apply_sqrt(x, z)[1], np.zeros(3))
-    with pytest.raises(CovarianceEvaluationFailed):
-        cov.apply_sqrt(x, z, strict=True)
+
+
+def test_matrices_rows_match_one_row_calls():
+    # every covariance spec gives one (dim, dim) matrix per row of a row stack
+    a = np.random.default_rng(9).standard_normal((3, 3))
+    x = np.random.default_rng(10).standard_normal((5, 3))
+    constant = SpdMatrix(a @ a.T + 0.1 * np.eye(3))
+    specs = [(ConstantSpd(constant), lambda row: constant.entries),
+             (DiagonalOfState(lambda x: x * x + 0.5), lambda row: np.diag(row * row + 0.5)),
+             (MinibatchSgd(least_squares_grads, batch=2), projected_least_squares_cov)]
+    for cov, definition in specs:
+        m = cov.matrices(x)
+        assert m.shape == (5, 3, 3)
+        for row, mp in zip(x, m):
+            assert np.array_equal(mp, cov.matrices(row[None])[0])
+            assert np.array_equal(mp, definition(row))
 
 
 def test_minibatch_sgd_rejects_nonfinite_gradients_on_one_path():
@@ -330,14 +351,14 @@ def test_paired_minibatch_sgd_matches_per_path_euler_loop():
 # reaches, so only these tests cover them.
 
 
-def unblocked_euler(drifts, cov, x0, cfg, **kwargs):
+def unblocked_euler(drifts, cov, x0, cfg):
     """Recorded states (paths, R, dim) of one arm per drift, all driven by the
     same per-step normals."""
     xs = [np.tile(x0, (cfg.paths, 1)) for _ in drifts]
     recs = [[x] for x in xs]
     for k in range(cfg.n_steps):
         z = step_normals(cfg.seed, k, (cfg.paths, x0.shape[0]))
-        xs = [x + cfg.step * drift.evaluate(x) + np.sqrt(cfg.step) * cov.apply_sqrt(x, z, **kwargs)
+        xs = [x + cfg.step * drift.evaluate(x) + np.sqrt(cfg.step) * cov.apply_sqrt(x, z)
               for drift, x in zip(drifts, xs)]
         if (k + 1) % cfg.record_stride == 0:
             for rec, x in zip(recs, xs):
@@ -345,13 +366,11 @@ def unblocked_euler(drifts, cov, x0, cfg, **kwargs):
     return [np.stack(rec, axis=1) for rec in recs]
 
 
-def assert_simulators_match_reference(drift_a, drift_b, cov, x0, cfg, *, strict=False):
+def assert_simulators_match_reference(drift_a, drift_b, cov, x0, cfg):
     threads = threading.active_count()
-    want_a, want_b = unblocked_euler((drift_a, drift_b), cov, x0, cfg,
-                                     **({"strict": True} if strict else {}))
-    assert np.array_equal(simulate(drift_a, cov, x0, cfg, strict_covariance=strict).states,
-                          want_a)
-    ens_a, ens_b = paired_simulate(drift_a, drift_b, cov, x0, cfg, strict_covariance=strict)
+    want_a, want_b = unblocked_euler((drift_a, drift_b), cov, x0, cfg)
+    assert np.array_equal(simulate(drift_a, cov, x0, cfg).states, want_a)
+    ens_a, ens_b = paired_simulate(drift_a, drift_b, cov, x0, cfg)
     assert np.array_equal(ens_a.states, want_a)
     assert np.array_equal(ens_b.states, want_b)
     assert threading.active_count() == threads
@@ -370,14 +389,14 @@ def test_simulators_match_unblocked_reference(paths):
 
 
 @pytest.mark.parametrize("paths", [3, 2049])
-def test_strict_minibatch_sgd_simulators_match_unblocked_reference(paths):
+def test_minibatch_sgd_simulators_match_unblocked_reference(paths):
     features_b = FEATURES.copy()
     features_b[2] = [0.5, -1.0, 2.0]
     cov = MinibatchSgd(least_squares_grads, batch=3)
     cfg = SimConfig(step=0.01, horizon=0.04, paths=paths, seed=31, record_stride=2)
     assert_simulators_match_reference(QuadraticDrift(FEATURES, TARGETS),
                                       QuadraticDrift(features_b, TARGETS), cov,
-                                      np.array([0.2, -0.1, 0.4]), cfg, strict=True)
+                                      np.array([0.2, -0.1, 0.4]), cfg)
 
 
 def test_simulator_errors_propagate_and_stop_the_helper_thread(monkeypatch):
@@ -393,11 +412,11 @@ def test_simulator_errors_propagate_and_stop_the_helper_thread(monkeypatch):
         return -x
 
     with pytest.raises(ZeroDivisionError) as info:
-        simulate(CallableDrift(drift_fn, vectorized=True), identity, np.zeros(2), cfg)
+        simulate(CallableDrift(drift_fn), identity, np.zeros(2), cfg)
     assert info.value is error
     assert threading.active_count() == threads
 
-    negative = DiagonalOfState(lambda x: -np.ones_like(x), vectorized=True)
+    negative = DiagonalOfState(lambda x: -np.ones_like(x))
     drift = QuadraticDrift(np.eye(2), np.zeros(2))
     with pytest.raises(CovarianceEvaluationFailed, match="strictly positive"):
         paired_simulate(drift, drift, negative, np.zeros(2), cfg)
