@@ -8,7 +8,9 @@ Conventions
 * Symmetry is enforced up to a relative tolerance of 1e-12; the stored
   entries are the symmetrized input (m + m.T)/2 and are read-only.
 * The checks work on (..., d, d) stacks, so a batch of matrices is checked
-  in one call by the same rules as a single one.
+  in one call by the same rules as a single one. ``SpdMatrix`` holds one
+  (d, d) matrix or a (G, d, d) stack; a stack's Cholesky factors and
+  log-determinants come out with the leading G axis.
 """
 
 from __future__ import annotations
@@ -26,8 +28,8 @@ PIVOT_FLOOR = 1e-14
 
 
 # ---------------------------------------------------------------------------
-# checks on (..., d, d) stacks; the matrix types below apply them with no
-# leading axes, and sde applies them to one covariance per path
+# checks on (..., d, d) stacks; the matrix types below apply them to what they
+# hold, and sde applies them to one covariance per path
 
 
 def _symmetrized(m: np.ndarray) -> np.ndarray:
@@ -93,15 +95,15 @@ def _checked_cholesky(m: np.ndarray) -> np.ndarray:
 
 def _as_square(entries) -> np.ndarray:
     m = np.asarray(entries, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    if m.ndim not in (2, 3) or m.shape[-2] != m.shape[-1]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {m.shape}")
     return m
 
 
 @dataclass(frozen=True, eq=False)
 class SymMatrix:
-    """Symmetric matrix; input is checked against the symmetry tolerance,
-    then stored symmetrized."""
+    """Symmetric (d, d) matrix or (G, d, d) stack; input is checked against the
+    symmetry tolerance, then stored symmetrized."""
 
     entries: np.ndarray
 
@@ -112,7 +114,7 @@ class SymMatrix:
 
     @property
     def dim(self) -> int:
-        return self.entries.shape[0]
+        return self.entries.shape[-1]
 
     @classmethod
     def diagonal(cls, diag) -> "SymMatrix":
@@ -121,7 +123,8 @@ class SymMatrix:
 
 @dataclass(frozen=True, eq=False)
 class SpdMatrix(SymMatrix):
-    """Symmetric positive-definite matrix with a cached Cholesky factor.
+    """Symmetric positive-definite matrix, or (G, d, d) stack of them, with a
+    cached Cholesky factor.
 
     ``allow_semidefinite=True`` relaxes the construction check to PSD
     (needed for zero initial covariances and projection outputs); strict
@@ -141,8 +144,10 @@ class SpdMatrix(SymMatrix):
 
     @cached_property
     def chol_lower(self) -> np.ndarray:
-        """Lower-triangular Cholesky factor; raises if any pivot <= 1e-14."""
-        out = _checked_cholesky(self.entries[None])[0]
+        """Lower-triangular Cholesky factor (one per matrix of a stack); raises if
+        any pivot <= 1e-14."""
+        d = self.dim
+        out = _checked_cholesky(self.entries.reshape(-1, d, d)).reshape(self.entries.shape)
         out.flags.writeable = False
         return out
 
@@ -155,6 +160,6 @@ class SpdMatrix(SymMatrix):
         return cls(np.diag(np.asarray(diag, dtype=float)), allow_semidefinite)
 
 
-def log_det(m: SpdMatrix) -> float:
-    """log det m, computed as 2 * sum(log diag(L))."""
-    return 2.0 * float(np.sum(np.log(np.diag(m.chol_lower))))
+def log_det(m: SpdMatrix) -> float | np.ndarray:
+    """log det m, computed as 2 * sum(log diag(L)); a (G,) array for a stack."""
+    return 2.0 * np.sum(np.log(np.diagonal(m.chol_lower, axis1=-2, axis2=-1)), axis=-1)

@@ -14,6 +14,11 @@ closed form for every S, commuting with G or not. With S~ = Q.T S Q,
 
 using expm1 for small (w_i + w_j) t. At t = inf this is the stationary
 covariance S~_ij / (w_i + w_j), the solution of G V + V G = S.
+
+S may be one (d, d) matrix or a (G, d, d) stack, for G processes that share
+the drift. The eigenbasis, mean and optimum are computed once per problem, and
+the covariances, KL divergences and errors of a stack come out with the
+leading G axis; one matrix is the same computation without that axis.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .errors import AnisoError
 from .linalg import SpdMatrix, log_det
 
 _MIN_GRAM_EIG = 1e-12
@@ -41,7 +47,8 @@ def _check_full_rank(design: np.ndarray) -> None:
 
 @dataclass(frozen=True, eq=False)
 class QuadraticProblem:
-    """Least-squares drift -design.T @ (design @ x - target) plus constant noise."""
+    """Least-squares drift -design.T @ (design @ x - target) plus constant noise;
+    noise_cov may hold a (G, d, d) stack of noise covariances."""
 
     design: np.ndarray
     target: np.ndarray
@@ -96,7 +103,8 @@ class QuadraticProblem:
 
 @dataclass(frozen=True, eq=False)
 class GaussianState:
-    """Gaussian law snapshot; covariance may be PSD at time zero only."""
+    """Gaussian law snapshot; covariance may be PSD at time zero only. A (G, d, d)
+    covariance stack holds G laws that share the mean."""
 
     mean: np.ndarray
     cov: SpdMatrix
@@ -116,7 +124,7 @@ class GaussianState:
 
 
 def _rotated_noise(p: QuadraticProblem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gram eigenpairs (w, q) and the noise covariance in that basis, q.T S q."""
+    """Gram eigenpairs (w, q) and the noise covariance(s) in that basis, q.T S q."""
     w, q = p._eig
     return w, q, q.T @ p.noise_cov.entries @ q
 
@@ -130,6 +138,7 @@ def exact_state(p: QuadraticProblem, t: float) -> GaussianState:
         raise ValueError(f"time must be nonnegative, got {t}")
     if t == 0.0:
         v0 = p.v0.entries if p.v0 is not None else np.zeros((p.dim, p.dim))
+        v0 = np.broadcast_to(v0, p.noise_cov.entries.shape)
         return GaussianState(p.x0.copy(), SpdMatrix(v0, allow_semidefinite=True), 0.0)
 
     e = p._expm_gram(-t)
@@ -140,7 +149,7 @@ def exact_state(p: QuadraticProblem, t: float) -> GaussianState:
     cov = q @ (s_rot * (-np.expm1(-rate * t) / rate)) @ q.T
     if p.v0 is not None:
         cov = cov + e @ p.v0.entries @ e
-    cov = (cov + cov.T) / 2.0
+    cov = (cov + cov.swapaxes(-1, -2)) / 2.0
     return GaussianState(mean, SpdMatrix(cov, allow_semidefinite=True), float(t))
 
 
@@ -149,12 +158,14 @@ def invariant_state(p: QuadraticProblem) -> GaussianState:
     Lyapunov identity gram @ V + V @ gram = noise_cov."""
     w, q, s_rot = _rotated_noise(p)
     cov = q @ (s_rot / np.add.outer(w, w)) @ q.T
-    cov = (cov + cov.T) / 2.0
+    cov = (cov + cov.swapaxes(-1, -2)) / 2.0
     return GaussianState(p.optimum.copy(), SpdMatrix(cov), math.inf)
 
 
-def gaussian_kl(state: GaussianState, other: GaussianState) -> float:
-    """KL(state || other) between Gaussians; both covariances strictly SPD."""
+def gaussian_kl(state: GaussianState, other: GaussianState) -> float | np.ndarray:
+    """KL(state || other) between Gaussians; both covariances strictly SPD. For
+    covariance stacks, the (G,) KLs between matching laws. Raises AnisoError
+    (operation "gaussian_kl") if a KL is not finite."""
     if state.dim != other.dim:
         raise ValueError("states must share dimension")
     d = state.dim
@@ -162,20 +173,30 @@ def gaussian_kl(state: GaussianState, other: GaussianState) -> float:
     lq = other.cov.chol_lower
     # trace(Vq^{-1} Vp) = ||Lq^{-1} Lp||_F^2 and quad = ||Lq^{-1} dm||^2
     a = np.linalg.solve(lq, lp)
-    tr = float(np.sum(a * a))
-    w = np.linalg.solve(lq, other.mean - state.mean)
-    quad = float(w @ w)
+    tr = np.sum(a * a, axis=(-2, -1))
+    w = np.linalg.solve(lq, (other.mean - state.mean)[:, None])
+    # w.T @ w for each law, as a matmul so that it stays a BLAS dot product
+    quad = (w.swapaxes(-1, -2) @ w)[..., 0, 0]
     logdet = log_det(other.cov) - log_det(state.cov)
     kl = 0.5 * (logdet - d + tr + quad)
-    return max(0.0, kl)
+    if not np.isfinite(kl).all():
+        raise AnisoError(f"KL divergence is not finite (max {np.max(kl):g})",
+                         operation="gaussian_kl")
+    return np.maximum(0.0, kl)
 
 
-def error_to_opt(p: QuadraticProblem, t: float) -> float:
+def error_to_opt(p: QuadraticProblem, t: float) -> float | np.ndarray:
     """Accumulated noise energy around the optimum:
     int_0^t ||exp(gram (u-t)) L||_F^2 du with L L.T = noise_cov, which is
     (1/2) sum_i (q.T S q)_ii (1 - exp(-2 w_i t)) / w_i; at t = math.inf this
-    is (1/2) tr(L.T gram^{-1} L)."""
+    is (1/2) tr(L.T gram^{-1} L). A (G,) array for a noise stack. Raises
+    AnisoError (operation "error_to_opt") if an error is not finite."""
     if not (t > 0.0):
         raise ValueError(f"time must be positive or math.inf, got {t}")
     w, _, s_rot = _rotated_noise(p)
-    return 0.5 * float(np.sum(np.diag(s_rot) * -np.expm1(-2.0 * w * t) / w))
+    s_diag = np.diagonal(s_rot, axis1=-2, axis2=-1)
+    err = 0.5 * np.sum(s_diag * -np.expm1(-2.0 * w * t) / w, axis=-1)
+    if not np.isfinite(err).all():
+        raise AnisoError(f"accumulated noise error is not finite (max {np.max(err):g})",
+                         operation="error_to_opt")
+    return err

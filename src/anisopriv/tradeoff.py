@@ -51,16 +51,17 @@ class TradeoffPoint:
     accuracy_loss: float
 
 
-def kl_term(gap: GradientGap, diag_sigma) -> float:
-    """sum_i s_i^2 / v_i for strictly positive variances v."""
-    v = np.asarray(diag_sigma, dtype=float).ravel()
-    if v.shape[0] != gap.dim:
+def kl_term(gap: GradientGap, diag_sigma) -> float | np.ndarray:
+    """sum_i s_i^2 / v_i for strictly positive variances v; for a (..., d) stack
+    of variance vectors, one term per vector."""
+    v = np.atleast_1d(np.asarray(diag_sigma, dtype=float))
+    if v.shape[-1] != gap.dim:
         raise ValueError("diag_sigma length does not match the gap vector")
     if np.any(v <= 0.0):
         raise NonPositiveVariance(
             f"variances must be strictly positive, got min {v.min():g}", operation="kl_term"
         )
-    return float(np.sum(gap.gaps**2 / v))
+    return np.sum(gap.gaps**2 / v, axis=-1)
 
 
 def optimal_diag_cov(gap: GradientGap, zeta: float) -> TradeoffPoint:
@@ -86,28 +87,27 @@ def optimal_diag_cov(gap: GradientGap, zeta: float) -> TradeoffPoint:
     return point
 
 
+def _grid(x_range: tuple[float, float], y_range: tuple[float, float], resolution: int,
+          operation: str) -> tuple[np.ndarray, np.ndarray]:
+    """(x, y) coordinates of the resolution x resolution grid, row-major in (x, y)."""
+    if resolution < 2:
+        raise ValueError(f"resolution must be >= 2, got {resolution}")
+    xs = np.linspace(x_range[0], x_range[1], resolution)
+    ys = np.linspace(y_range[0], y_range[1], resolution)
+    if xs[0] <= 0.0 or ys[0] <= 0.0:
+        raise NonPositiveVariance("grid ranges must be strictly positive", operation=operation)
+    return np.repeat(xs, resolution), np.tile(ys, resolution)
+
+
 def grid_surface(gap: GradientGap, x_range: tuple[float, float],
                  y_range: tuple[float, float], resolution: int) -> np.ndarray:
     """kl_term surface over a square-root grid: rows (x, y, kl_term, trace)
     with diag_sigma = (x^2, y^2), row-major in (x, y)."""
     if gap.dim != 2:
         raise ValueError("grid_surface requires a 2-dimensional gap")
-    if resolution < 2:
-        raise ValueError(f"resolution must be >= 2, got {resolution}")
-    xs = np.linspace(x_range[0], x_range[1], resolution)
-    ys = np.linspace(y_range[0], y_range[1], resolution)
-    if xs[0] <= 0.0 or ys[0] <= 0.0:
-        raise NonPositiveVariance(
-            "grid ranges must be strictly positive", operation="grid_surface"
-        )
-    rows = np.empty((resolution * resolution, 4))
-    k = 0
-    for x in xs:
-        for y in ys:
-            v = (x * x, y * y)
-            rows[k] = (x, y, kl_term(gap, v), v[0] + v[1])
-            k += 1
-    return rows
+    x, y = _grid(x_range, y_range, resolution, "grid_surface")
+    v = np.stack([x * x, y * y], axis=-1)
+    return np.column_stack([x, y, kl_term(gap, v), v[:, 0] + v[:, 1]])
 
 
 def quadratic_tradeoff(p: QuadraticProblem, p_other: QuadraticProblem, t: float,
@@ -115,30 +115,21 @@ def quadratic_tradeoff(p: QuadraticProblem, p_other: QuadraticProblem, t: float,
                        resolution: int) -> np.ndarray:
     """Exact KL and accumulated-noise error over a noise grid for an adjacent
     quadratic pair: rows (x, y, exact_kl, error) with the shared noise
-    covariance set to diag(x^2, y^2) at every grid point."""
+    covariance set to diag(x^2, y^2) at every grid point. The whole grid is one
+    noise stack, so each arm's law is evaluated once."""
     if p.dim != 2 or p_other.dim != 2:
         raise ValueError("quadratic_tradeoff requires 2-dimensional problems")
     if not np.array_equal(p.noise_cov.entries, p_other.noise_cov.entries):
         raise ValueError("the problem pair must share its noise covariance")
-    if resolution < 2:
-        raise ValueError(f"resolution must be >= 2, got {resolution}")
-    xs = np.linspace(x_range[0], x_range[1], resolution)
-    ys = np.linspace(y_range[0], y_range[1], resolution)
-    if xs[0] <= 0.0 or ys[0] <= 0.0:
-        raise NonPositiveVariance(
-            "grid ranges must be strictly positive", operation="quadratic_tradeoff"
-        )
-    rows = np.empty((resolution * resolution, 4))
-    k = 0
-    for x in xs:
-        for y in ys:
-            cov = SpdMatrix.diagonal([x * x, y * y])
-            pa = replace(p, noise_cov=cov)
-            pb = replace(p_other, noise_cov=cov)
-            kl = gaussian_kl(exact_state(pa, t), exact_state(pb, t))
-            rows[k] = (x, y, kl, error_to_opt(pa, t))
-            k += 1
-    return rows
+    x, y = _grid(x_range, y_range, resolution, "quadratic_tradeoff")
+    noise = np.zeros((x.size, 2, 2))
+    noise[:, 0, 0] = x * x
+    noise[:, 1, 1] = y * y
+    cov = SpdMatrix(noise)
+    pa = replace(p, noise_cov=cov)
+    pb = replace(p_other, noise_cov=cov)
+    kl = gaussian_kl(exact_state(pa, t), exact_state(pb, t))
+    return np.column_stack([x, y, kl, error_to_opt(pa, t)])
 
 
 def write_grid_csv(rows: np.ndarray, path, *, header: tuple[str, str, str, str]) -> None:

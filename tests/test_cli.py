@@ -3,6 +3,7 @@
 import copy
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -512,12 +513,24 @@ def outcome(capsys, cmd, cfg):
         return None, repr(exc)
 
 
+# Kinds whose successful runs write only finite numbers.
+FINITE_OUTPUT_KINDS = {"quad-tradeoff"}
+NON_FINITE = re.compile(r"\b(?:inf|infinity|nan)\b", re.IGNORECASE)
+
+
+def non_finite_outputs(out_dir):
+    """Names of the files in out_dir, manifest.json aside, holding inf or nan."""
+    return sorted(f.name for f in Path(out_dir).iterdir()
+                  if f.name != "manifest.json" and NON_FINITE.search(f.read_text()))
+
+
 def contract_breaches(tmp_path, capsys, doc, mutants):
     """The mutants of doc that break the exit-code contract, as (field, change,
     validate code, run code, run report). A config that validate rejects is
     rejected by run with the same errors; one that passes validate fails run
     only as a numerical failure named after the failing operation. A value
-    validate let through that makes main raise is a breach."""
+    validate let through that makes main raise is a breach, and so is a
+    successful run of a FINITE_OUTPUT_KINDS kind that writes inf or nan."""
     bad = []
     for i, (where, key, value) in enumerate(mutants):
         mutant = copy.deepcopy(doc)
@@ -537,6 +550,8 @@ def contract_breaches(tmp_path, capsys, doc, mutants):
         else:
             ok = code_v == 0 and (code_r == 0 or (
                 code_r == 2 and report_r["operation"] != doc["experiment"]["kind"]))
+            if ok and code_r == 0 and doc["experiment"]["kind"] in FINITE_OUTPUT_KINDS:
+                ok = not non_finite_outputs(report_r["output_dir"])
         if not ok:
             change = "dropped" if value is DROP else json.dumps(value)
             bad.append((".".join(map(str, where + (key,))), change, code_v, code_r, report_r))

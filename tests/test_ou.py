@@ -7,9 +7,12 @@ cases, and the defining algebraic equation for the stationary covariance.
 
 import math
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from anisopriv.errors import AnisoError
 from anisopriv.linalg import SpdMatrix
 from anisopriv.ou import (
     GaussianState,
@@ -265,3 +268,102 @@ def test_problem_rejects_singular_design():
             np.array([[1.0, 1.0], [1.0, 1.0]]), np.zeros(2),
             SpdMatrix(np.eye(2)), np.zeros(2),
         )
+
+
+# Per-matrix reference: the one-noise-matrix formulas as they stood before the
+# closed form took noise stacks, on plain arrays. The library must reproduce
+# them bit for bit, one stack entry at a time.
+
+
+def reference_law(p, noise, t):
+    """(mean, cov) of p's time-t law with the (d, d) noise covariance noise."""
+    w, q = np.linalg.eigh(p.gram)
+    optimum = q @ ((q.T @ (p.design.T @ p.target)) / w)
+    s_rot = q.T @ noise @ q
+    if math.isinf(t):
+        cov = q @ (s_rot / np.add.outer(w, w)) @ q.T
+        return optimum.copy(), (cov + cov.T) / 2.0
+    e = (q * np.exp(-t * w)) @ q.T
+    mean = (np.eye(p.dim) - e) @ optimum + e @ p.x0
+    rate = np.add.outer(w, w)
+    cov = q @ (s_rot * (-np.expm1(-rate * t) / rate)) @ q.T
+    if p.v0 is not None:
+        cov = cov + e @ p.v0.entries @ e
+    return mean, (cov + cov.T) / 2.0
+
+
+def reference_kl(mean_p, cov_p, mean_q, cov_q):
+    lp = np.linalg.cholesky(cov_p)
+    lq = np.linalg.cholesky(cov_q)
+    a = np.linalg.solve(lq, lp)
+    tr = float(np.sum(a * a))
+    w = np.linalg.solve(lq, mean_q - mean_p)
+    quad = float(w @ w)
+    logdet = (2.0 * float(np.sum(np.log(np.diag(lq))))
+              - 2.0 * float(np.sum(np.log(np.diag(lp)))))
+    return max(0.0, 0.5 * (logdet - mean_p.shape[0] + tr + quad))
+
+
+def reference_error(p, noise, t):
+    w, q = np.linalg.eigh(p.gram)
+    s_rot = q.T @ noise @ q
+    return 0.5 * float(np.sum(np.diag(s_rot) * -np.expm1(-2.0 * w * t) / w))
+
+
+def stacked_pair(d, with_v0, count=9):
+    """Two problems of dimension d with different designs and targets that share
+    a stack of count dense noise covariances."""
+    rng = np.random.default_rng(6100 + 10 * d + with_v0)
+    a = rng.standard_normal((count, d, d))
+    noise = SpdMatrix(a @ a.swapaxes(-1, -2) + 0.1 * np.eye(d))
+    b = rng.standard_normal((d, d))
+    v0 = SpdMatrix(0.2 * b @ b.T + 0.01 * np.eye(d)) if with_v0 else None
+    x0 = rng.standard_normal(d)
+    design = rng.standard_normal((d + 2, d))
+    design_b = design + 0.1 * rng.standard_normal((d + 2, d))
+    pa = QuadraticProblem(design, rng.standard_normal(d + 2), noise, x0, v0)
+    pb = QuadraticProblem(design_b, rng.standard_normal(d + 2), noise, x0, v0)
+    return pa, pb
+
+
+@pytest.mark.parametrize("t", [0.3, 10.0, math.inf])
+@pytest.mark.parametrize("with_v0", [False, True])
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+def test_noise_stack_matches_per_matrix_reference(d, with_v0, t):
+    pa, pb = stacked_pair(d, with_v0)
+    noise = pa.noise_cov.entries
+    assert np.abs(noise[..., ~np.eye(d, dtype=bool)]).min(initial=1.0) > 0.0
+    sa, sb = exact_state(pa, t), exact_state(pb, t)
+    kl = gaussian_kl(sa, sb)
+    err = error_to_opt(pa, t)
+    assert sa.cov.entries.shape == noise.shape and kl.shape == err.shape == (len(noise),)
+    for g, s in enumerate(noise):
+        ma, va = reference_law(pa, s, t)
+        mb, vb = reference_law(pb, s, t)
+        assert np.array_equal(sa.mean, ma) and np.array_equal(sb.mean, mb)
+        assert np.array_equal(sa.cov.entries[g], va) and np.array_equal(sb.cov.entries[g], vb)
+        want_kl = reference_kl(ma, va, mb, vb)
+        assert kl[g] == want_kl and err[g] == reference_error(pa, s, t)
+        # one noise matrix is the same computation without the leading axis
+        one = SpdMatrix(s)
+        qa, qb = replace(pa, noise_cov=one), replace(pb, noise_cov=one)
+        oa, ob = exact_state(qa, t), exact_state(qb, t)
+        assert np.array_equal(oa.cov.entries, va) and np.array_equal(ob.mean, mb)
+        assert gaussian_kl(oa, ob) == want_kl and error_to_opt(qa, t) == err[g]
+
+
+def test_noise_stack_at_time_zero_is_the_initial_law():
+    pa, _ = stacked_pair(3, with_v0=True)
+    st = exact_state(pa, 0.0)
+    assert st.cov.entries.shape == pa.noise_cov.entries.shape
+    assert np.array_equal(st.cov.entries, np.broadcast_to(pa.v0.entries, st.cov.entries.shape))
+    assert np.array_equal(st.mean, pa.x0)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_gaussian_kl_that_overflows_raises():
+    a = GaussianState(np.zeros(2), SpdMatrix.identity(2), 1.0)
+    b = GaussianState(np.array([0.0, 1e300]), SpdMatrix.identity(2), 1.0)
+    with pytest.raises(AnisoError) as exc:
+        gaussian_kl(a, b)
+    assert exc.value.operation == "gaussian_kl"

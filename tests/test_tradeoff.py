@@ -1,6 +1,7 @@
 """Noise-allocation trade-off: closed-form optimum vs numerical oracle."""
 
 import csv
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from anisopriv.errors import DegenerateGap, NonPositiveVariance
+from anisopriv.errors import AnisoError, DegenerateGap, NonPositiveVariance, NotPositiveDefinite
 from anisopriv.linalg import SpdMatrix
 from anisopriv.ou import QuadraticProblem, error_to_opt
 from anisopriv.tradeoff import (
@@ -20,6 +21,7 @@ from anisopriv.tradeoff import (
     quadratic_tradeoff,
     write_grid_csv,
 )
+from test_ou import reference_error, reference_kl, reference_law
 
 
 def projected_gradient_diag_cov(gap, zeta, *, iters=20000, tol=1e-12):
@@ -150,6 +152,15 @@ def test_grid_surface_symmetry_and_monotonicity():
     assert np.all(np.diff(kl, axis=0) < 0.0)
 
 
+def test_grid_surface_matches_per_point_loop():
+    gap = GradientGap([0.7, 2.3])
+    res = 9
+    rows = grid_surface(gap, (0.3, 1.9), (1.1, 4.0), res)
+    want = [(x, y, kl_term(gap, [x * x, y * y]), x * x + y * y)
+            for x in np.linspace(0.3, 1.9, res) for y in np.linspace(1.1, 4.0, res)]
+    assert np.array_equal(rows, np.array(want))
+
+
 def test_grid_surface_validation():
     gap = GradientGap([1.0, 1.0])
     with pytest.raises(ValueError):
@@ -199,6 +210,49 @@ def test_quadratic_tradeoff_validation(adjacent_pair):
         quadratic_tradeoff(p, q, 1.0, (0.5, 1.5), (0.5, 1.5), 1)
     with pytest.raises(NonPositiveVariance):
         quadratic_tradeoff(p, q, 1.0, (-0.5, 1.5), (0.5, 1.5), 2)
+
+
+@pytest.mark.parametrize("t", [0.3, 10.0, math.inf])
+def test_quadratic_tradeoff_matches_per_point_loop(t):
+    # non-commuting designs that differ between the arms, a 12 x 12 grid
+    rng = np.random.default_rng(912)
+    design = np.array([[1.0, 0.4], [0.0, 2.0], [0.3, -0.5]])
+    design_b = design + 0.05 * rng.standard_normal(design.shape)
+    x0 = rng.standard_normal(2)
+    placeholder = SpdMatrix.identity(2)
+    p = QuadraticProblem(design, rng.standard_normal(3), placeholder, x0)
+    q = QuadraticProblem(design_b, rng.standard_normal(3), placeholder, x0)
+    x_range, y_range, res = (0.2, 1.7), (0.5, 2.4), 12
+    rows = quadratic_tradeoff(p, q, t, x_range, y_range, res)
+    want = []
+    for x in np.linspace(*x_range, res):
+        for y in np.linspace(*y_range, res):
+            noise = np.diag([x * x, y * y])
+            ma, va = reference_law(p, noise, t)
+            mb, vb = reference_law(q, noise, t)
+            want.append((x, y, reference_kl(ma, va, mb, vb), reference_error(p, noise, t)))
+    assert np.array_equal(rows, np.array(want))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_quadratic_tradeoff_overflowing_variance_is_not_positive_definite(adjacent_pair):
+    p, q = adjacent_pair
+    # only the last x squares past the largest float
+    with pytest.raises(NotPositiveDefinite) as exc:
+        quadratic_tradeoff(p, q, 1.0, (0.5, 1.5e154), (0.5, 1.5), 3)
+    assert exc.value.operation == "SpdMatrix"
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_quadratic_tradeoff_overflowing_error_raises():
+    # every entry of the law stays finite, but the error sums two terms near
+    # 1.6e308 at the largest grid point
+    cov = SpdMatrix.identity(2)
+    p = QuadraticProblem(0.7071 * np.eye(2), [0.0, 0.0], cov, [0.0, 0.0])
+    q = QuadraticProblem(0.7071 * np.eye(2), [0.1, 0.3], cov, [0.0, 0.0])
+    with pytest.raises(AnisoError) as exc:
+        quadratic_tradeoff(p, q, 100.0, (0.3, 8.9e153), (0.3, 8.9e153), 2)
+    assert exc.value.operation == "error_to_opt"
 
 
 def test_write_grid_csv_roundtrip(tmp_path):
