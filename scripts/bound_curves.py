@@ -21,7 +21,7 @@ from anisopriv.bounds import (
 )
 from anisopriv.linalg import SpdMatrix
 from anisopriv.ou import QuadraticProblem, exact_state, gaussian_kl
-from anisopriv.sde import ConstantSpd, QuadraticDrift, SimConfig, simulate
+from anisopriv.sde import ConstantSpd, QuadraticDrift, SimConfig
 
 
 def parse_args(argv):
@@ -47,8 +47,7 @@ def run(argv=None) -> int:
     cov = ConstantSpd(sigma)
 
     cfg = SimConfig(0.01, args.horizon, args.paths, args.seed, record_stride=10)
-    ens = simulate(drift_a, cov, [0.0], cfg)
-    curve = mc_kl_bound(ens, drift_a, drift_b, cov, cov)
+    curve = mc_kl_bound(drift_a, drift_b, cov, cov, [0.0], cfg)
     write_bound_csv(curve, args.out / "bound_curve.csv")
 
     with open(args.out / "exact_kl.csv", "w", newline="") as fh:

@@ -8,7 +8,10 @@ Two ingredients:
       h(x) = drift(x) - div S(x),
 
   whose whitened squared norm, averaged over the first process's law and
-  integrated in time, upper-bounds KL(law_a(t) || law_b(t)).
+  integrated in time, upper-bounds KL(law_a(t) || law_b(t)). mc_kl_bound
+  simulates the first process itself and adds up the integrand at each
+  recorded state inside the Euler loop, so the ensemble it averages over is
+  the first process's by construction and is never stored.
 
 * Closed-form bounds for strongly convex losses with isotropic noise,
   driven by log-Sobolev constants, plus the gradient-moment and
@@ -24,9 +27,9 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ScoreRequired
+from .errors import AnisoError, ScoreRequired
 from .ou import GaussianState
-from .sde import ConstantSpd, TrajectoryEnsemble
+from .sde import ConstantSpd, SimConfig, _euler, _record_times, _row_blocks
 
 # ---------------------------------------------------------------------------
 # score specifications
@@ -67,7 +70,9 @@ ABSENT_SCORE = AbsentScore()
 
 @dataclass(frozen=True, eq=False)
 class TimeVaryingScore:
-    """Family t -> ScoreSpec, resolved per recorded time by mc_kl_bound."""
+    """Family t -> ScoreSpec. mc_kl_bound resolves it once per recorded time,
+    at the left endpoints of the time grid, and evaluates the resolved score
+    on every row block of that record."""
 
     at_time: Callable[[float], object]
 
@@ -134,31 +139,45 @@ class BoundCurve:
     stderr: np.ndarray
 
 
-def mc_kl_bound(ensemble: TrajectoryEnsemble, drift_a, drift_b, cov_a, cov_b,
+def mc_kl_bound(drift_a, drift_b, cov_a, cov_b, x0, cfg: SimConfig,
                 score=ABSENT_SCORE) -> BoundCurve:
-    """Estimate t -> (1/2) int_0^t E ||S_a^{-1/2} mismatch||^2 ds on the
-    ensemble's recorded times (ensemble average in space, left-endpoint
-    Riemann sum in time). The ensemble must be simulated under the FIRST
-    process."""
-    times = ensemble.times
+    """Estimate t -> (1/2) int_0^t E ||S_a^{-1/2} mismatch||^2 ds on cfg's
+    recorded times, along the first process's law.
+
+    Simulates the Euler-Maruyama ensemble of (drift_a, cov_a) from x0 under
+    cfg, the ensemble simulate would return, and averages over its paths in
+    space with a left-endpoint Riemann sum in time. The integrand is taken at
+    each recorded state while the simulation runs, one row block at a time, so
+    no trajectory is stored. Raises AnisoError (operation mc_kl_bound) when a
+    bound or its standard error is not finite.
+    """
+    times = _record_times(cfg)
     n_rec = times.shape[0]
-    paths = ensemble.paths
-    w = np.zeros((paths, n_rec))
-    for j in range(n_rec - 1):  # left endpoints only
+    blocks = _row_blocks(cfg.paths)
+    w = np.zeros((cfg.paths, n_rec))
+
+    def integrand(j, states):
+        if j == n_rec - 1:  # left endpoints only
+            return
         sc = score.at_time(float(times[j])) if isinstance(score, TimeVaryingScore) else score
-        x = ensemble.states[:, j, :]
-        f = phi(x, drift_a, drift_b, cov_a, cov_b, sc)
-        white = cov_a.whiten(x, f)
-        w[:, j] = np.sum(white * white, axis=1)
+        x = states[0]
+        for s in blocks:
+            white = cov_a.whiten(x[s], phi(x[s], drift_a, drift_b, cov_a, cov_b, sc))
+            w[s, j] = np.sum(white * white, axis=1)
+
+    _euler((drift_a,), cov_a, x0, cfg, integrand)
     dt = np.diff(times)
-    per_path = np.zeros((paths, n_rec))
+    per_path = np.zeros((cfg.paths, n_rec))
     per_path[:, 1:] = 0.5 * np.cumsum(w[:, :-1] * dt, axis=1)
     bounds = per_path.mean(axis=0)
-    if paths > 1:
-        stderr = per_path.std(axis=0, ddof=1) / math.sqrt(paths)
+    if cfg.paths > 1:
+        stderr = per_path.std(axis=0, ddof=1) / math.sqrt(cfg.paths)
     else:
         stderr = np.zeros(n_rec)
-    return BoundCurve(times.copy(), bounds, stderr)
+    if not (np.all(np.isfinite(bounds)) and np.all(np.isfinite(stderr))):
+        raise AnisoError("the KL bound or its standard error is not finite",
+                         operation="mc_kl_bound")
+    return BoundCurve(times, bounds, stderr)
 
 
 def write_bound_csv(curve: BoundCurve, path) -> None:

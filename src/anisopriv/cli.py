@@ -63,7 +63,6 @@ from .sde import ConstantSpd, QuadraticDrift, SimConfig, simulate, write_ensembl
 from .tradeoff import (
     GradientGap,
     grid_surface,
-    kl_term,
     optimal_diag_cov,
     quadratic_tradeoff,
     write_grid_csv,
@@ -442,13 +441,12 @@ def _kl_bound(p, errs, base_dir, seed):
         prob_b = QuadraticProblem(design_p, target_p, cov_b.matrix, x0)
         drift_a = QuadraticDrift(design, target)
         drift_b = QuadraticDrift(design_p, target_p)
-        ens = simulate(drift_a, cov_a, x0, cfg)
         if cov_b is cov_a:
-            curve = mc_kl_bound(ens, drift_a, drift_b, cov_a, cov_a)
+            curve = mc_kl_bound(drift_a, drift_b, cov_a, cov_a, x0, cfg)
         else:
             score = TimeVaryingScore(
                 lambda t: GaussianScore(exact_state(prob_b, max(t, cfg.step))))
-            curve = mc_kl_bound(ens, drift_a, drift_b, cov_a, cov_b, score)
+            curve = mc_kl_bound(drift_a, drift_b, cov_a, cov_b, x0, cfg, score)
         write_bound_csv(curve, os.path.join(outdir, "bound_curve.csv"))
         with open(os.path.join(outdir, "exact_kl.csv"), "w", newline="") as fh:
             w = csv.writer(fh)

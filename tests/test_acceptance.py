@@ -80,8 +80,7 @@ def test_mc_bound_dominates_exact_kl():
     prob_a = QuadraticProblem([[1.0]], [0.0], SpdMatrix([[1.0]]), [0.0])
     prob_b = QuadraticProblem([[1.0]], [0.1], SpdMatrix([[1.0]]), [0.0])
     cfg = SimConfig(0.01, 2.0, 10**4, seed=3, record_stride=10)
-    ens = simulate(UNIT_DRIFT, UNIT_COV, [0.0], cfg)
-    curve = mc_kl_bound(ens, UNIT_DRIFT, drift_b, UNIT_COV, UNIT_COV)
+    curve = mc_kl_bound(UNIT_DRIFT, drift_b, UNIT_COV, UNIT_COV, [0.0], cfg)
     margins = []
     for k, t in enumerate(curve.times):
         if t == 0.0:

@@ -2,11 +2,14 @@
 bound family.
 
 The accumulation test recomputes the time integral with explicit Python
-loops so the vectorized path has an independent witness. Closed-form values
+loops so the vectorized path has an independent witness, and a stored-ensemble
+reference checks that the bound taken inside the Euler loop, block by block,
+is bit-identical to one taken after simulate. Closed-form values
 are frozen from separate hand derivations of each factor.
 """
 
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -27,7 +30,7 @@ from anisopriv.bounds import (
     phi,
     xi_bound,
 )
-from anisopriv.errors import ScoreRequired
+from anisopriv.errors import AnisoError, ScoreRequired
 from anisopriv.linalg import SpdMatrix
 from anisopriv.ou import GaussianState
 from anisopriv.sde import (ConstantSpd, DiagonalOfState, MinibatchSgd, QuadraticDrift, SimConfig,
@@ -142,8 +145,9 @@ def test_mc_bound_matches_loop_oracle():
     drift_b = QuadraticDrift(np.array([[1.0, 0.0], [0.0, 2.0]]), np.array([0.2, -0.1]))
     cov = ConstantSpd(SpdMatrix.diagonal([1.0, 4.0]))
     cfg = SimConfig(step=0.25, horizon=1.0, paths=3, seed=17)
+    curve = mc_kl_bound(drift_a, drift_b, cov, cov, np.array([1.0, -1.0]), cfg)
+    # mc_kl_bound stores no states; simulate gives the same ensemble for the seed
     ens = simulate(drift_a, cov, np.array([1.0, -1.0]), cfg)
-    curve = mc_kl_bound(ens, drift_a, drift_b, cov, cov)
 
     # loop oracle: left-endpoint rectangle rule per path, then average
     sig_inv_half = np.diag([1.0, 0.5])
@@ -168,8 +172,7 @@ def test_mc_bound_constant_mismatch_linear_in_time():
     drift_b = QuadraticDrift(np.array([[1.0]]), np.array([0.1]))
     cov = ConstantSpd(SpdMatrix.identity(1))
     cfg = SimConfig(step=0.01, horizon=1.0, paths=8, seed=2, record_stride=25)
-    ens = simulate(drift_a, cov, np.array([1.0]), cfg)
-    curve = mc_kl_bound(ens, drift_a, drift_b, cov, cov)
+    curve = mc_kl_bound(drift_a, drift_b, cov, cov, np.array([1.0]), cfg)
     assert np.allclose(curve.bounds, 0.005 * curve.times, rtol=1e-12)
     assert np.allclose(curve.stderr, 0.0, atol=1e-15)
 
@@ -179,8 +182,7 @@ def test_mc_bound_starts_at_zero_and_is_nondecreasing():
     drift_b = QuadraticDrift(np.array([[0.5]]), np.array([0.3]))
     cov = ConstantSpd(SpdMatrix.identity(1))
     cfg = SimConfig(step=0.05, horizon=2.0, paths=16, seed=4)
-    ens = simulate(drift_a, cov, np.array([0.0]), cfg)
-    curve = mc_kl_bound(ens, drift_a, drift_b, cov, cov)
+    curve = mc_kl_bound(drift_a, drift_b, cov, cov, np.array([0.0]), cfg)
     assert curve.bounds[0] == 0.0
     assert np.all(np.diff(curve.bounds) >= 0.0)
 
@@ -189,9 +191,8 @@ def test_mc_bound_single_path_has_zero_stderr():
     drift = QuadraticDrift(np.array([[1.0]]), np.array([0.0]))
     cov = ConstantSpd(SpdMatrix.identity(1))
     cfg = SimConfig(step=0.1, horizon=0.5, paths=1, seed=0)
-    ens = simulate(drift, cov, np.array([1.0]), cfg)
-    curve = mc_kl_bound(ens, drift, QuadraticDrift(np.array([[1.0]]), np.array([1.0])),
-                        cov, cov)
+    curve = mc_kl_bound(drift, QuadraticDrift(np.array([[1.0]]), np.array([1.0])),
+                        cov, cov, np.array([1.0]), cfg)
     assert np.all(curve.stderr == 0.0)
 
 
@@ -201,16 +202,122 @@ def test_time_varying_score_resolved_per_time():
     cov_a = ConstantSpd(SpdMatrix.diagonal([1.0]))
     cov_b = ConstantSpd(SpdMatrix.diagonal([2.0]))
 
+    resolved = []
+
     def at_time(t):
+        resolved.append(t)
         sign = 1.0 if t < 0.5 else -1.0
         return CallableScore(lambda x: sign * np.ones_like(x))
 
     cfg = SimConfig(step=0.25, horizon=1.0, paths=2, seed=6)
-    ens = simulate(drift, cov_a, np.array([0.0]), cfg)
-    curve = mc_kl_bound(ens, drift, drift, cov_a, cov_b, TimeVaryingScore(at_time))
+    curve = mc_kl_bound(drift, drift, cov_a, cov_b, np.array([0.0]), cfg,
+                        TimeVaryingScore(at_time))
+    # once per left endpoint, never at the horizon
+    assert resolved == list(curve.times[:-1])
     # phi = (2-1)*score = +-1, whitened norm^2 = 1 under cov_a at every point,
     # so each step adds 0.5 * 1 * 0.25 regardless of the sign flip
     assert np.allclose(curve.bounds, 0.125 * np.arange(5), rtol=1e-12)
+
+
+def stored_ensemble_bound(drift_a, drift_b, cov_a, cov_b, x0, cfg, score=ABSENT_SCORE):
+    """Reference: simulate and store the ensemble, then take the integrand one
+    record at a time over all paths and sum it in time."""
+    ens = simulate(drift_a, cov_a, x0, cfg)
+    times = ens.times
+    w = np.zeros((ens.paths, times.shape[0]))
+    for j in range(times.shape[0] - 1):
+        sc = score.at_time(float(times[j])) if isinstance(score, TimeVaryingScore) else score
+        x = ens.states[:, j, :]
+        white = cov_a.whiten(x, phi(x, drift_a, drift_b, cov_a, cov_b, sc))
+        w[:, j] = np.sum(white * white, axis=1)
+    per_path = np.zeros_like(w)
+    per_path[:, 1:] = 0.5 * np.cumsum(w[:, :-1] * np.diff(times), axis=1)
+    stderr = (per_path.std(axis=0, ddof=1) / math.sqrt(ens.paths) if ens.paths > 1
+              else np.zeros(times.shape[0]))
+    return times, per_path.mean(axis=0), stderr
+
+
+DESIGN3 = np.array([[1.0, 0.2, 0.0], [0.0, 1.5, -0.3], [0.4, 0.0, 0.8], [0.1, 0.1, 0.1]])
+SIGMA3 = np.array([[1.0, 0.3, 0.1], [0.3, 0.8, 0.0], [0.1, 0.0, 0.6]])
+
+
+def shared_case():
+    cov = ConstantSpd(SpdMatrix(SIGMA3))
+    return (QuadraticDrift(DESIGN3, [0.0, 0.1, -0.2, 0.3]),
+            QuadraticDrift(DESIGN3, [0.2, 0.1, -0.2, 0.0]), cov, cov, ABSENT_SCORE)
+
+
+def unequal_case():
+    # a Gaussian score whose law moves and widens with t
+    def at_time(t):
+        law = GaussianState(np.array([t, -t, 0.5 * t]), SpdMatrix((0.1 + t) * SIGMA3), t)
+        return GaussianScore(law)
+
+    drift = QuadraticDrift(DESIGN3, [0.0, 0.1, -0.2, 0.3])
+    return (drift, drift, ConstantSpd(SpdMatrix(SIGMA3)),
+            ConstantSpd(SpdMatrix(np.diag([0.9, 1.1, 0.7]))), TimeVaryingScore(at_time))
+
+
+@pytest.mark.parametrize("case", [shared_case, unequal_case])
+@pytest.mark.parametrize("stride", [1, 10])
+@pytest.mark.parametrize("paths", [1, 2, 3, 2049, 4097, 5000])
+def test_mc_bound_equals_stored_ensemble_bound(paths, stride, case):
+    # 2049 and more paths span several row blocks, which must stitch exactly
+    drift_a, drift_b, cov_a, cov_b, score = case()
+    x0 = np.array([0.5, -0.5, 1.0])
+    cfg = SimConfig(step=0.01, horizon=0.2, paths=paths, seed=23, record_stride=stride)
+    curve = mc_kl_bound(drift_a, drift_b, cov_a, cov_b, x0, cfg, score)
+    times, bounds, stderr = stored_ensemble_bound(drift_a, drift_b, cov_a, cov_b, x0, cfg,
+                                                  score)
+    assert np.array_equal(curve.times, times)
+    assert np.array_equal(curve.bounds, bounds)
+    assert np.array_equal(curve.stderr, stderr)
+
+
+def test_mc_bound_without_score_for_unequal_covariances_raises_and_stops_threads():
+    drift = QuadraticDrift(np.array([[1.0]]), np.array([0.0]))
+    cov_a = ConstantSpd(SpdMatrix.diagonal([1.0]))
+    cov_b = ConstantSpd(SpdMatrix.diagonal([2.0]))
+    cfg = SimConfig(step=0.1, horizon=1.0, paths=4, seed=1)
+    before = threading.active_count()
+    with pytest.raises(ScoreRequired) as exc:
+        mc_kl_bound(drift, drift, cov_a, cov_b, np.array([0.0]), cfg)
+    assert exc.value.operation == "phi"
+    assert threading.active_count() == before
+
+
+def test_mc_bound_propagates_the_score_error_and_stops_threads():
+    drift = QuadraticDrift(np.array([[1.0]]), np.array([0.0]))
+    cov_a = ConstantSpd(SpdMatrix.diagonal([1.0]))
+    cov_b = ConstantSpd(SpdMatrix.diagonal([2.0]))
+    boom = RuntimeError("score failed")
+    seen = []
+
+    def fn(x, t):
+        seen.append(t)
+        if t > 0.35:
+            raise boom
+        return -x
+
+    score = TimeVaryingScore(lambda t: CallableScore(lambda x: fn(x, t)))
+    cfg = SimConfig(step=0.1, horizon=1.0, paths=4, seed=1)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError) as exc:
+        mc_kl_bound(drift, drift, cov_a, cov_b, np.array([0.0]), cfg, score)
+    assert exc.value is boom
+    assert seen == pytest.approx([0.0, 0.1, 0.2, 0.3, 0.4])
+    assert threading.active_count() == before
+
+
+def test_mc_bound_rejects_a_non_finite_bound():
+    # a mismatch of 1e160 squares past the float range
+    drift_a = QuadraticDrift(np.array([[1.0]]), np.array([0.0]))
+    drift_b = QuadraticDrift(np.array([[1.0]]), np.array([1e160]))
+    cov = ConstantSpd(SpdMatrix.identity(1))
+    cfg = SimConfig(step=0.1, horizon=0.5, paths=3, seed=0)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(AnisoError) as exc:
+        mc_kl_bound(drift_a, drift_b, cov, cov, np.array([0.0]), cfg)
+    assert exc.value.operation == "mc_kl_bound"
 
 
 def test_lsi_constant_endpoints_and_monotonicity():
