@@ -5,8 +5,10 @@ trains the pair repeatedly with shared seeds (identical initialization,
 batch selection, and noise draws) and counts training points whose predicted
 class-probability log-ratio between the two models exceeds epsilon. The
 membership experiment instead tracks the loss on one target record with and
-without that record in the training set. Both train all runs of one arm in
-a single `train_stacked` call.
+without that record in the training set, and raises `AnisoError` rather than
+report a target loss or gap that is not finite. Both train all runs of one
+arm in a single `train_stacked` call, so nearly all their time is the
+stacked training step of `models` (one matmul per layer each way).
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import TrainingDivergedWarning
+from .errors import AnisoError, TrainingDivergedWarning
 from .models import (
     Dataset,
     forward,
@@ -200,12 +202,17 @@ def membership_experiment(dataset: Dataset, target_index: int, runs: int, scheme
     models_b, logs_b = train_stacked(template, [ds_without] * runs, seeds, **kwargs)
     losses_with = np.array([loss_on_example(m, target_x, target_y) for m in models_a])
     losses_without = np.array([loss_on_example(m, target_x, target_y) for m in models_b])
-    return MembershipReport(
+    report = MembershipReport(
         losses_with=losses_with,
         losses_without=losses_without,
         mean_gap=float(abs(losses_with.mean() - losses_without.mean())),
         worst_loss=_worst_finite_loss(logs_a + logs_b),
     )
+    values = [*losses_with, *losses_without, report.mean_gap, report.worst_loss]
+    if not np.all(np.isfinite(values)):
+        raise AnisoError("a target loss, the mean gap or the worst loss is not finite",
+                         operation="membership_experiment")
+    return report
 
 
 def write_membership_csv(report: MembershipReport, path) -> None:

@@ -31,7 +31,6 @@ import numpy as np
 from . import __version__
 from .audit import (
     AuditConfig,
-    audit_report_to_dict,
     estimate_delta,
     membership_experiment,
     membership_report_to_dict,

@@ -1,11 +1,13 @@
 """Small softmax classifiers for empirical privacy experiments.
 
 One hidden layer, cross-entropy loss, hand-rolled backprop (verified against
-finite differences in the test suite). Training is plain minibatch gradient
-descent with optional injected Gaussian noise whose magnitude follows the
-current gradient, either per layer or per parameter. All randomness comes
-from tagged counter-based streams, so a seed pins initialization, batch
-selection, and noise draws; two trainings that share a seed share all three.
+finite differences in the test suite). The flat parameters hold the layer
+blocks [W1; b1] (m+1, h) and [W2; b2] (h+1, k), and the inputs and hidden
+activations carry a ones column, so a layer is one matmul each way; the max
+and exp-sum over classes are left-to-right folds of the class columns.
+Training is minibatch gradient descent with optional Gaussian noise scaled by
+the current gradient, per layer or per parameter. Tagged counter-based
+streams pin initialization, batch selection and noise draws to the seed.
 
 `train_stacked` trains R runs as one (R, P) parameter array; each run draws
 batches and noise from its own streams, in blocks of 32 iterations, so its
@@ -17,6 +19,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, replace
+from functools import reduce
 
 import numpy as np
 
@@ -98,17 +101,6 @@ def layer_slices(layer_sizes: tuple[int, int, int]) -> list[slice]:
     return [slice(0, first), slice(first, first + (h + 1) * k)]
 
 
-def _unpack(layer_sizes, params):
-    """Views of (W1, b1, W2, b2) in a parameter vector or stack (..., P)."""
-    m, h, k = layer_sizes
-    i = 0
-    w1 = params[..., i : i + m * h].reshape(*params.shape[:-1], m, h); i += m * h
-    b1 = params[..., i : i + h]; i += h
-    w2 = params[..., i : i + h * k].reshape(*params.shape[:-1], h, k); i += h * k
-    b2 = params[..., i : i + k]
-    return w1, b1, w2, b2
-
-
 def init_model(n_features: int, hidden: int, classes: int, seed: int,
                activation: str = "relu") -> MlpModel:
     """Weights uniform on +-1/sqrt(fan_in), biases zero, from the seed's
@@ -121,70 +113,84 @@ def init_model(n_features: int, hidden: int, classes: int, seed: int,
     return MlpModel((m, h, k), params, activation, seed)
 
 
-def _forward(layer_sizes, activation, params, x):
-    """For params (..., P) on inputs (..., n, m): W2, the hidden activations
-    a1 and their derivatives d1, and the logits less their max."""
-    w1, b1, w2, b2 = _unpack(layer_sizes, params)
-    z1 = x @ w1 + b1[..., None, :]
+def _ones_column(features):
+    """Float features (..., m) with a trailing column of ones, (..., m+1)."""
+    x = np.atleast_2d(np.asarray(features, dtype=float))
+    return np.concatenate([x, np.ones((*x.shape[:-1], 1))], axis=-1)
+
+
+def _fold(ufunc, z):
+    """ufunc.reduce over the last axis as a left-to-right fold of its columns."""
+    return reduce(ufunc, (z[..., c] for c in range(z.shape[-1])))
+
+
+def _forward(layer_sizes, activation, params, x1):
+    """For params (R, P) on inputs x1 (R, n, m+1) whose last column is ones:
+    the block [W2; b2] (R, h+1, k), the hidden activations a1 (R, n, h+1)
+    with their own ones column, and the logits less their max."""
+    (m, h, k), (first, second) = layer_sizes, layer_slices(layer_sizes)
+    a1 = np.ones((*x1.shape[:2], h + 1))
+    np.matmul(x1, params[:, first].reshape(-1, m + 1, h), out=a1[..., :h])
     if activation == "relu":
-        a1, d1 = np.maximum(z1, 0.0), (z1 > 0.0).astype(float)
+        np.maximum(a1, 0.0, out=a1)  # keeps the ones column
     else:
-        a1 = np.tanh(z1)
-        d1 = 1.0 - a1**2
-    z2 = a1 @ w2 + b2[..., None, :]
-    return w2, a1, d1, z2 - z2.max(axis=-1, keepdims=True)
+        np.tanh(a1, out=a1)
+        a1[..., h] = 1.0
+    w2 = params[:, second].reshape(-1, h + 1, k)
+    z2 = a1 @ w2
+    z2 -= _fold(np.maximum, z2)[..., None]
+    return w2, a1, z2
 
 
 def forward(model: MlpModel, features: np.ndarray) -> np.ndarray:
     """Class probabilities, shape (n, classes)."""
-    x = np.atleast_2d(np.asarray(features, dtype=float))
-    e = np.exp(_forward(model.layer_sizes, model.activation, model.params, x)[-1])
+    x1 = _ones_column(features)[None]
+    e = np.exp(_forward(model.layer_sizes, model.activation, model.params[None], x1)[-1][0])
     return e / e.sum(axis=1, keepdims=True)
 
 
-def _loss_and_grad(layer_sizes, activation, params, x, y):
+def _loss_and_grad(layer_sizes, activation, params, x1, y):
     """Per run of a stack: mean cross-entropy of params[r] (R, P) on its own
-    rows x[r] (R, n, m) with labels y[r] (R, n), and the gradient (R, P)."""
+    rows x1[r] (R, n, m+1, last column ones) with labels y[r] (R, n), and the
+    gradient (R, P)."""
+    (m, h, k), (first, second) = layer_sizes, layer_slices(layer_sizes)
     runs, n = y.shape
-    w2, a1, d1, shift = _forward(layer_sizes, activation, params, x)
-    logz = np.log(np.exp(shift).sum(axis=2))
-    run, row = np.arange(runs)[:, None], np.arange(n)
-    loss = np.mean(logz - shift[run, row, y], axis=1)
+    w2, a1, shift = _forward(layer_sizes, activation, params, x1)
+    logz = np.log(_fold(np.add, np.exp(shift)))
+    at = np.arange(0, shift.size, k) + y.ravel()  # flat positions of the label logits
+    loss = np.mean(logz - shift.take(at).reshape(runs, n), axis=1)
     dz2 = np.exp(shift - logz[..., None])
-    dz2[run, row, y] -= 1.0
+    dz2.reshape(-1)[at] -= 1.0
     dz2 /= n
-    dw2 = a1.swapaxes(1, 2) @ dz2
-    db2 = dz2.sum(axis=1)
-    dz1 = (dz2 @ w2.swapaxes(1, 2)) * d1
-    dw1 = x.swapaxes(1, 2) @ dz1
-    db1 = dz1.sum(axis=1)
-    grad = np.concatenate([dw1.reshape(runs, -1), db1, dw2.reshape(runs, -1), db2], axis=1)
+    grad = np.empty((runs, second.stop))
+    np.matmul(a1.swapaxes(1, 2), dz2, out=grad[:, second].reshape(runs, h + 1, k))
+    dz1 = dz2 @ w2.swapaxes(1, 2)  # the ones column's last entry goes unused
+    dz1 *= a1 > 0.0 if activation == "relu" else 1.0 - a1**2  # relu', tanh' from a1
+    np.matmul(x1.swapaxes(1, 2), dz1[..., :h], out=grad[:, first].reshape(runs, m + 1, h))
     return loss, grad
 
 
 def loss_and_grad(model: MlpModel, features: np.ndarray, labels: np.ndarray):
     """Mean cross-entropy over the rows and its gradient in the flat params."""
-    x = np.atleast_2d(np.asarray(features, dtype=float))
     y = np.asarray(labels).ravel()
     loss, grad = _loss_and_grad(model.layer_sizes, model.activation,
-                                model.params[None], x[None], y[None])
+                                model.params[None], _ones_column(features)[None], y[None])
     return float(loss[0]), grad[0]
 
 
 def per_example_grads(model: MlpModel, features: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """Row l is the gradient of example l's own cross-entropy (no averaging),
     so the rows sum to the gradient of the sum-structured loss."""
-    x = np.atleast_2d(np.asarray(features, dtype=float))
+    x1 = _ones_column(features)[:, None]
     y = np.asarray(labels).ravel()
     # one single-record run per example, all on the same parameters
-    params = np.broadcast_to(model.params, (x.shape[0], model.n_params))
-    return _loss_and_grad(model.layer_sizes, model.activation, params, x[:, None], y[:, None])[1]
+    params = np.broadcast_to(model.params, (x1.shape[0], model.n_params))
+    return _loss_and_grad(model.layer_sizes, model.activation, params, x1, y[:, None])[1]
 
 
 def loss_on_example(model: MlpModel, features_row: np.ndarray, label: int) -> float:
     """Cross-entropy of a single record."""
-    loss, _ = loss_and_grad(model, np.atleast_2d(features_row), np.asarray([label]))
-    return loss
+    return loss_and_grad(model, features_row, [label])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -199,9 +205,7 @@ NO_NOISE = NoNoise()
 
 
 @dataclass(frozen=True)
-class IsotropicPerLayer:
-    """Per-layer variance sigma2 * max|grad in layer| this iteration."""
-
+class _GradientScaled:
     sigma2: float
 
     def __post_init__(self):
@@ -210,14 +214,13 @@ class IsotropicPerLayer:
 
 
 @dataclass(frozen=True)
-class AnisotropicPerParam:
+class IsotropicPerLayer(_GradientScaled):
+    """Per-layer variance sigma2 * max|grad in layer| this iteration."""
+
+
+@dataclass(frozen=True)
+class AnisotropicPerParam(_GradientScaled):
     """Per-parameter variance sigma2 * |grad_i| this iteration."""
-
-    sigma2: float
-
-    def __post_init__(self):
-        if self.sigma2 < 0.0:
-            raise ValueError(f"sigma2 must be nonnegative, got {self.sigma2}")
 
 
 def noise_std(scheme, grad: np.ndarray, slices: list[slice]) -> np.ndarray:
@@ -243,7 +246,6 @@ def noise_std(scheme, grad: np.ndarray, slices: list[slice]) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class TrainLog:
     losses: np.ndarray
-    layer_max_grad: np.ndarray
     diverged: bool
 
 
@@ -292,15 +294,16 @@ def train_stacked(model: MlpModel, datasets, seeds, scheme=NO_NOISE, *, lr: floa
     sizes, activation = model.layer_sizes, model.activation
     slices = layer_slices(sizes)
     runs = len(seeds)
-    features = np.stack([ds.features for ds in datasets])
+    features = _ones_column(np.stack([ds.features for ds in datasets]))
     labels = np.stack([ds.labels for ds in datasets])
+    flat_x = features.reshape(runs * n, -1)  # the rows of all runs, for the batch gather
+    data = features, labels  # full-data stack of the live runs, for noise_on="full"
     params = np.stack([init_model(*sizes, s, activation).params for s in seeds])
     batch_rngs = [tagged_stream(s, _BATCH_TAG) for s in seeds]
     noise_rngs = [tagged_stream(s, _NOISE_TAG) for s in seeds]
     noisy = not isinstance(scheme, NoNoise)
 
     losses = np.empty((runs, iters))
-    layer_max = np.empty((runs, iters, len(slices)))
     steps = np.full(runs, iters)
     diverged = np.zeros(runs, dtype=bool)
     final = np.empty_like(params)
@@ -309,21 +312,23 @@ def train_stacked(model: MlpModel, datasets, seeds, scheme=NO_NOISE, *, lr: floa
         j = it % _STREAM_BLOCK
         if j == 0:
             k = min(_STREAM_BLOCK, iters - it)
-            idx = np.stack([batch_rngs[r].integers(0, n, size=(k, batch)) for r in live])
+            # batch indices as rows of the flat (runs * n) data
+            picks = np.stack([batch_rngs[r].integers(0, n, size=(k, batch)) for r in live])
+            picks += (live * n)[:, None, None]
             if noisy:
                 noise = np.empty((live.size, k, params.shape[1]))
                 for row, r in zip(noise, live):
                     noise_rngs[r].standard_normal(out=row)
-        at = live[:, None], idx[:, j]
-        loss, grad = _loss_and_grad(sizes, activation, params, features[at], labels[at])
+        at = picks[:, j]
+        loss, grad = _loss_and_grad(sizes, activation, params, flat_x.take(at, axis=0),
+                                    labels.take(at))
         losses[live, it] = loss
-        for li, sl in enumerate(slices):
-            layer_max[live, it, li] = np.abs(grad[:, sl]).max(axis=1, initial=0.0)
         ok = np.isfinite(loss) & np.all(np.isfinite(grad), axis=1)
         if not ok.all():
             gone = live[~ok]
             steps[gone], diverged[gone], final[gone] = it + 1, True, params[~ok]
-            live, params, grad, idx = live[ok], params[ok], grad[ok], idx[ok]
+            live, params, grad, picks = live[ok], params[ok], grad[ok], picks[ok]
+            data = features[live], labels[live]
             if noisy:
                 noise = noise[ok]
             if not live.size:
@@ -332,13 +337,12 @@ def train_stacked(model: MlpModel, datasets, seeds, scheme=NO_NOISE, *, lr: floa
             params = params - lr * grad
             continue
         scale = grad if noise_on == "step" else _loss_and_grad(
-            sizes, activation, params, features[live], labels[live])[1]
+            sizes, activation, params, *data)[1]
         params = params - lr * grad + noise_std(scheme, scale, slices) * noise[:, j]
     final[live] = params
 
     models = [MlpModel(sizes, final[r], activation, seeds[r]) for r in range(runs)]
-    logs = [TrainLog(losses[r, : steps[r]], layer_max[r, : steps[r]], bool(diverged[r]))
-            for r in range(runs)]
+    logs = [TrainLog(losses[r, : steps[r]], bool(diverged[r])) for r in range(runs)]
     return models, logs
 
 

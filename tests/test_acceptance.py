@@ -38,7 +38,6 @@ from anisopriv.privacy import (
 from anisopriv.sde import ConstantSpd, QuadraticDrift, SimConfig, simulate
 from anisopriv.tradeoff import (
     GradientGap,
-    kl_term,
     optimal_diag_cov,
     quadratic_tradeoff,
 )

@@ -18,10 +18,11 @@ from anisopriv.audit import (
     write_audit_json,
     write_membership_csv,
 )
-from anisopriv.errors import TrainingDivergedWarning
+from anisopriv.errors import AnisoError, TrainingDivergedWarning
 from anisopriv.models import (
     NO_NOISE,
     AnisotropicPerParam,
+    IsotropicPerLayer,
     forward,
     init_model,
     synth_blobs,
@@ -233,3 +234,8 @@ def test_membership_validation(small_blobs):
         membership_experiment(
             small_blobs, 0, 0, NO_NOISE, lr=0.5, iters=5, batch=8, hidden=4, seed=0,
         )
+    # noise this large leaves non-finite parameters, so the target losses are nan
+    with np.errstate(all="ignore"), pytest.raises(AnisoError) as exc:
+        membership_experiment(small_blobs, 0, 2, IsotropicPerLayer(1e300), lr=0.5, iters=5,
+                              batch=8, hidden=4, seed=0)
+    assert exc.value.operation == "membership_experiment"

@@ -514,7 +514,7 @@ def outcome(capsys, cmd, cfg):
 
 
 # Kinds whose successful runs write only finite numbers.
-FINITE_OUTPUT_KINDS = {"kl-bound", "quad-tradeoff"}
+FINITE_OUTPUT_KINDS = {"kl-bound", "quad-tradeoff", "membership"}
 NON_FINITE = re.compile(r"\b(?:inf|infinity|nan)\b", re.IGNORECASE)
 
 

@@ -9,6 +9,9 @@ from anisopriv.errors import BatchLargerThanDataset, IndexOutOfRange
 from anisopriv.models import (
     _BATCH_TAG,
     _NOISE_TAG,
+    _fold,
+    _loss_and_grad,
+    _ones_column,
     NO_NOISE,
     AnisotropicPerParam,
     Dataset,
@@ -78,6 +81,77 @@ def test_gradient_against_finite_differences(blobs, activation):
     np.testing.assert_allclose(grad, fd_gradient(model, x, y), atol=1e-7)
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 7, 10])
+def test_column_folds_match_numpy_reductions(k):
+    rng = np.random.default_rng(k)
+    z = rng.standard_normal((4, 9, k)) * 10.0 ** rng.integers(-8, 9, size=(4, 9, k))
+    z[0, 0, 0] = np.inf
+    z[1, 2, -1] = -np.inf
+    z[2, 3, k // 2] = np.nan
+    z[3, 4, 0], z[3, 4, -1] = np.inf, -np.inf
+    with np.errstate(invalid="ignore"):
+        top, fold, sums = _fold(np.maximum, z), _fold(np.add, z), np.add.reduce(z, axis=-1)
+    assert np.array_equal(top, np.maximum.reduce(z, axis=-1), equal_nan=True)
+    if k < 8:
+        # numpy adds fewer than 8 terms left to right
+        assert np.array_equal(fold, sums, equal_nan=True)
+    else:
+        # from 8 terms on numpy adds in 8 partial sums: equal up to rounding
+        finite = np.isfinite(sums)
+        assert np.array_equal(fold[~finite], sums[~finite], equal_nan=True)
+        bound = k * 2.0**-52 * np.abs(z[finite]).sum(axis=-1)
+        assert np.all(np.abs(fold[finite] - sums[finite]) <= bound)
+
+
+def unfused_loss_and_grad(layer_sizes, activation, params, x, y):
+    """The stacked loss and gradient with separate bias terms: bias adds in the
+    forward pass, bias gradients as row sums, and one concatenate."""
+    m, h, k = layer_sizes
+    runs, n = y.shape
+    w1 = params[:, : m * h].reshape(runs, m, h)
+    b1 = params[:, m * h : (m + 1) * h]
+    w2 = params[:, (m + 1) * h : (m + 1) * h + h * k].reshape(runs, h, k)
+    b2 = params[:, (m + 1) * h + h * k :]
+    z1 = x @ w1 + b1[:, None, :]
+    if activation == "relu":
+        a1, d1 = np.maximum(z1, 0.0), (z1 > 0.0).astype(float)
+    else:
+        a1 = np.tanh(z1)
+        d1 = 1.0 - a1**2
+    z2 = a1 @ w2 + b2[:, None, :]
+    shift = z2 - z2.max(axis=-1, keepdims=True)
+    logz = np.log(np.exp(shift).sum(axis=2))
+    run, row = np.arange(runs)[:, None], np.arange(n)
+    loss = np.mean(logz - shift[run, row, y], axis=1)
+    dz2 = np.exp(shift - logz[..., None])
+    dz2[run, row, y] -= 1.0
+    dz2 /= n
+    dw2 = a1.swapaxes(1, 2) @ dz2
+    dz1 = (dz2 @ w2.swapaxes(1, 2)) * d1
+    dw1 = x.swapaxes(1, 2) @ dz1
+    grad = np.concatenate([dw1.reshape(runs, -1), dz1.sum(axis=1),
+                           dw2.reshape(runs, -1), dz2.sum(axis=1)], axis=1)
+    return loss, grad
+
+
+@pytest.mark.parametrize("runs", [1, 5])
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+def test_bias_folded_step_matches_unfused_formulas(blobs, activation, runs):
+    # folding the biases into the matmuls only reorders sums of at most
+    # n = 24 terms; 1e-13 relative to the largest entry is ~450 ulp
+    sizes = (3, 7, 3)
+    rng = np.random.default_rng(runs)
+    params = np.stack([init_model(*sizes, s, activation).params for s in range(runs)])
+    params += 0.3 * rng.standard_normal(params.shape)  # nonzero biases
+    rows = rng.integers(0, blobs.size, size=(runs, 24))
+    x, y = blobs.features[rows], blobs.labels[rows]
+    loss, grad = _loss_and_grad(sizes, activation, params, _ones_column(x), y)
+    want_loss, want_grad = unfused_loss_and_grad(sizes, activation, params, x, y)
+    np.testing.assert_allclose(loss, want_loss, rtol=1e-13, atol=0.0)
+    for g, want in zip(grad, want_grad):
+        np.testing.assert_allclose(g, want, rtol=0.0, atol=1e-13 * np.abs(want).max())
+
+
 def test_per_example_rows_sum_to_batch_gradient(blobs):
     model = init_model(3, 5, 3, 3, "tanh")
     x, y = blobs.features[:9], blobs.labels[:9]
@@ -134,7 +208,6 @@ def test_train_is_deterministic(blobs):
     m2, log2 = train(model, blobs, AnisotropicPerParam(0.05), **kwargs)
     assert np.array_equal(m1.params, m2.params)
     assert np.array_equal(log1.losses, log2.losses)
-    assert np.array_equal(log1.layer_max_grad, log2.layer_max_grad)
 
 
 def test_zero_variance_scheme_matches_plain_descent(blobs):
@@ -161,7 +234,6 @@ def test_divergence_truncates_log(blobs):
         _, log = train(model, blobs, NO_NOISE, lr=1e8, iters=60, batch=20, seed=1)
     assert log.diverged
     assert len(log.losses) < 60
-    assert log.layer_max_grad.shape[0] == len(log.losses)
 
 
 def test_training_learns_separable_blobs(blobs):
@@ -295,21 +367,19 @@ def test_model_json_roundtrip(tmp_path):
 
 def reference_train(model, dataset, scheme, *, lr, iters, batch, seed, noise_on="step"):
     """One run, one step at a time: a loss_and_grad call and one draw from each
-    of the run's tagged streams per step. Returns (params, losses, layer_max,
-    diverged)."""
+    of the run's tagged streams per step. Returns (params, losses, diverged)."""
     params = init_model(*model.layer_sizes, seed, model.activation).params
     slices = layer_slices(model.layer_sizes)
     batch_rng = tagged_stream(seed, _BATCH_TAG)
     noise_rng = tagged_stream(seed, _NOISE_TAG)
-    losses, layer_max = [], []
+    losses = []
     for _ in range(iters):
         work = MlpModel(model.layer_sizes, params, model.activation)
         idx = batch_rng.integers(0, dataset.size, size=batch)
         loss, grad = loss_and_grad(work, dataset.features[idx], dataset.labels[idx])
         losses.append(loss)
-        layer_max.append([np.abs(grad[sl]).max(initial=0.0) for sl in slices])
         if not (np.isfinite(loss) and np.all(np.isfinite(grad))):
-            return params, np.array(losses), np.array(layer_max), True
+            return params, np.array(losses), True
         if scheme is NO_NOISE:
             params = params - lr * grad
             continue
@@ -319,15 +389,14 @@ def reference_train(model, dataset, scheme, *, lr, iters, batch, seed, noise_on=
             scale = grad
         noise = noise_rng.standard_normal(params.shape[0])
         params = params - lr * grad + noise_std(scheme, scale, slices) * noise
-    return params, np.array(losses), np.array(layer_max), False
+    return params, np.array(losses), False
 
 
 def assert_matches_reference(model, log, ref):
-    params, losses, layer_max, diverged = ref
+    params, losses, diverged = ref
     assert np.array_equal(model.params, params)
     # a diverged run logs its non-finite last step
     assert np.array_equal(log.losses, losses, equal_nan=True)
-    assert np.array_equal(log.layer_max_grad, layer_max, equal_nan=True)
     assert log.diverged == diverged
 
 
@@ -359,26 +428,28 @@ def test_stacked_training_matches_per_run_reference(blobs, activation, scheme, n
 
 def test_stacked_training_diverged_row_leaves_the_stack(blobs):
     # features 1e5 times larger blow up at lr 30 within the first stream block;
-    # the blobs themselves train on for all 45 iterations
+    # the blobs themselves train on for all 45 iterations, under either noise
+    # scale, so the full-data stack is cut with the diverged row
     model = init_model(3, 6, 3, 0, "relu")
     huge = Dataset(blobs.features * 1e5, blobs.labels)
     datasets, seeds = [blobs, huge, blobs], [4, 3, 5]
-    kwargs = dict(lr=30.0, iters=45, batch=16)
     scheme = AnisotropicPerParam(0.05)
-    with np.errstate(over="ignore", invalid="ignore"):
-        models, logs = train_stacked(model, datasets, seeds, scheme, **kwargs)
-        refs = [reference_train(model, ds, scheme, seed=s, **kwargs)
-                for ds, s in zip(datasets, seeds)]
-    assert logs[1].diverged and 1 < len(logs[1].losses) < 32
-    assert not np.isfinite(logs[1].losses[-1])
-    assert np.all(np.isfinite(models[1].params))  # frozen before the bad step
-    for r in (0, 2):
-        assert not logs[r].diverged and len(logs[r].losses) == 45
-        alone, alone_log = train(model, datasets[r], scheme, seed=seeds[r], **kwargs)
-        assert np.array_equal(models[r].params, alone.params)
-        assert np.array_equal(logs[r].losses, alone_log.losses)
-    for m, log, ref in zip(models, logs, refs):
-        assert_matches_reference(m, log, ref)
+    for noise_on in ("step", "full"):
+        kwargs = dict(lr=30.0, iters=45, batch=16, noise_on=noise_on)
+        with np.errstate(over="ignore", invalid="ignore"):
+            models, logs = train_stacked(model, datasets, seeds, scheme, **kwargs)
+            refs = [reference_train(model, ds, scheme, seed=s, **kwargs)
+                    for ds, s in zip(datasets, seeds)]
+        assert logs[1].diverged and 1 < len(logs[1].losses) < 32
+        assert not np.isfinite(logs[1].losses[-1])
+        assert np.all(np.isfinite(models[1].params))  # frozen before the bad step
+        for r in (0, 2):
+            assert not logs[r].diverged and len(logs[r].losses) == 45
+            alone, alone_log = train(model, datasets[r], scheme, seed=seeds[r], **kwargs)
+            assert np.array_equal(models[r].params, alone.params)
+            assert np.array_equal(logs[r].losses, alone_log.losses)
+        for m, log, ref in zip(models, logs, refs):
+            assert_matches_reference(m, log, ref)
 
 
 @pytest.mark.parametrize("noise_on", ["step", "full"])
