@@ -56,7 +56,6 @@ from .bounds import (
 )
 from .privacy import (
     ConcentrationParams,
-    PrivacyBudget,
     concentration_tail,
     delta_from_eps,
     eps_from_delta,
@@ -116,7 +115,7 @@ __all__ = [
     "RegularityParams", "TimeVaryingScore", "convergence_bound",
     "klbound_closed", "klbound_stationary", "lsi_constant", "lsi_rate",
     "mc_kl_bound", "phi", "write_bound_csv", "xi_bound",
-    "ConcentrationParams", "PrivacyBudget", "concentration_tail",
+    "ConcentrationParams", "concentration_tail",
     "delta_from_eps", "eps_from_delta", "membership_advantage",
     "GradientGap", "TradeoffPoint", "grid_surface", "kl_term",
     "optimal_diag_cov", "quadratic_tradeoff",

@@ -135,6 +135,9 @@ def estimate_delta(cfg: AuditConfig) -> AuditReport:
         pa = forward(model_a, ds.features)[sel, ds.labels]
         pb = forward(model_b, ds.features)[sel, ds.labels]
         counts[t1] += int((clamped_log_ratios(pa, pb) > cfg.epsilon).sum())
+    if excluded == len(rounds):
+        raise AnisoError(f"all {excluded} training pairs diverged; no comparison was made",
+                         operation="estimate_delta")
     deltas = [count / (cfg.inner_rounds * ds.size) for count in counts]
     return AuditReport(
         delta=float(max(deltas)),
@@ -200,8 +203,9 @@ def membership_experiment(dataset: Dataset, target_index: int, runs: int, scheme
     kwargs = dict(scheme=scheme, lr=lr, iters=iters, batch=batch, noise_on=noise_on)
     models_a, logs_a = train_stacked(template, [ds] * runs, seeds, **kwargs)
     models_b, logs_b = train_stacked(template, [ds_without] * runs, seeds, **kwargs)
-    losses_with = np.array([loss_on_example(m, target_x, target_y) for m in models_a])
-    losses_without = np.array([loss_on_example(m, target_x, target_y) for m in models_b])
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite losses raise below
+        losses_with = np.array([loss_on_example(m, target_x, target_y) for m in models_a])
+        losses_without = np.array([loss_on_example(m, target_x, target_y) for m in models_b])
     report = MembershipReport(
         losses_with=losses_with,
         losses_without=losses_without,

@@ -29,7 +29,7 @@ PIVOT_FLOOR = 1e-14
 
 # ---------------------------------------------------------------------------
 # checks on (..., d, d) stacks; the matrix types below apply them to what they
-# hold, and sde applies them to one covariance per path
+# hold
 
 
 def _symmetrized(m: np.ndarray) -> np.ndarray:
@@ -57,35 +57,19 @@ def _check_semidefinite(m: np.ndarray) -> None:
         )
 
 
-def _cholesky_rows(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Lower Cholesky factors of a (P, d, d) stack of symmetric matrices, and the
-    (P,) mask of matrices that are positive definite: the factorization succeeds
-    and every pivot exceeds PIVOT_FLOOR. Factors outside the mask are not usable."""
-    try:
-        low = np.linalg.cholesky(m)
-    except np.linalg.LinAlgError:
-        # numpy fails the whole stack on one failed matrix: factor one at a time
-        low = np.full_like(m, np.nan)
-        for p, mp in enumerate(m):
-            try:
-                low[p] = np.linalg.cholesky(mp)
-            except np.linalg.LinAlgError:
-                pass
-    piv = np.diagonal(low, axis1=-2, axis2=-1) ** 2
-    return low, np.all(piv > PIVOT_FLOOR, axis=-1)
-
-
 def _checked_cholesky(m: np.ndarray) -> np.ndarray:
     """Lower Cholesky factors of a (P, d, d) stack; raises NotPositiveDefinite
     if any matrix has a failed factorization or a pivot <= PIVOT_FLOOR."""
-    low, ok = _cholesky_rows(m)
-    if not np.all(ok):
-        piv = np.diagonal(low[~ok], axis1=-2, axis2=-1) ** 2
-        if np.isnan(piv).any():
-            msg = "Cholesky factorization failed: matrix is not positive definite"
-        else:
-            msg = f"Cholesky pivot {piv.min():.3e} <= {PIVOT_FLOOR:g}"
-        raise NotPositiveDefinite(msg, operation="cholesky")
+    try:
+        low = np.linalg.cholesky(m)
+    except np.linalg.LinAlgError:
+        raise NotPositiveDefinite(
+            "Cholesky factorization failed: matrix is not positive definite", operation="cholesky"
+        ) from None
+    piv = np.diagonal(low, axis1=-2, axis2=-1) ** 2
+    if not np.all(piv > PIVOT_FLOOR):
+        raise NotPositiveDefinite(f"Cholesky pivot {piv.min():.3e} <= {PIVOT_FLOOR:g}",
+                                  operation="cholesky")
     return low
 
 
@@ -115,10 +99,6 @@ class SymMatrix:
     @property
     def dim(self) -> int:
         return self.entries.shape[-1]
-
-    @classmethod
-    def diagonal(cls, diag) -> "SymMatrix":
-        return cls(np.diag(np.asarray(diag, dtype=float)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,10 +134,6 @@ class SpdMatrix(SymMatrix):
     @classmethod
     def identity(cls, dim: int) -> "SpdMatrix":
         return cls(np.eye(dim))
-
-    @classmethod
-    def diagonal(cls, diag, *, allow_semidefinite: bool = False) -> "SpdMatrix":
-        return cls(np.diag(np.asarray(diag, dtype=float)), allow_semidefinite)
 
 
 def log_det(m: SpdMatrix) -> float | np.ndarray:

@@ -271,7 +271,10 @@ def train_stacked(model: MlpModel, datasets, seeds, scheme=NO_NOISE, *, lr: floa
     """`train` of run r on (datasets[r], seeds[r]) for all runs at once; all
     datasets must have the same number of rows. Returns a list of models and
     one of logs, each equal to what `train` gives for that run alone. A run
-    that diverges leaves the stack at that step; the others carry on."""
+    that diverges leaves the stack at that step; the others carry on. The
+    loop runs with numpy's overflow and invalid-value warnings off: a
+    non-finite loss or gradient is how divergence is detected, and the logs
+    report it."""
     if len(datasets) != len(seeds) or not seeds:
         raise ValueError("need one seed per dataset and at least one run")
     rows = {ds.size for ds in datasets}
@@ -308,37 +311,38 @@ def train_stacked(model: MlpModel, datasets, seeds, scheme=NO_NOISE, *, lr: floa
     diverged = np.zeros(runs, dtype=bool)
     final = np.empty_like(params)
     live = np.arange(runs)  # runs still training; row i of the stack is run live[i]
-    for it in range(iters):
-        j = it % _STREAM_BLOCK
-        if j == 0:
-            k = min(_STREAM_BLOCK, iters - it)
-            # batch indices as rows of the flat (runs * n) data
-            picks = np.stack([batch_rngs[r].integers(0, n, size=(k, batch)) for r in live])
-            picks += (live * n)[:, None, None]
-            if noisy:
-                noise = np.empty((live.size, k, params.shape[1]))
-                for row, r in zip(noise, live):
-                    noise_rngs[r].standard_normal(out=row)
-        at = picks[:, j]
-        loss, grad = _loss_and_grad(sizes, activation, params, flat_x.take(at, axis=0),
-                                    labels.take(at))
-        losses[live, it] = loss
-        ok = np.isfinite(loss) & np.all(np.isfinite(grad), axis=1)
-        if not ok.all():
-            gone = live[~ok]
-            steps[gone], diverged[gone], final[gone] = it + 1, True, params[~ok]
-            live, params, grad, picks = live[ok], params[ok], grad[ok], picks[ok]
-            data = features[live], labels[live]
-            if noisy:
-                noise = noise[ok]
-            if not live.size:
-                break
-        if not noisy:
-            params = params - lr * grad
-            continue
-        scale = grad if noise_on == "step" else _loss_and_grad(
-            sizes, activation, params, *data)[1]
-        params = params - lr * grad + noise_std(scheme, scale, slices) * noise[:, j]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for it in range(iters):
+            j = it % _STREAM_BLOCK
+            if j == 0:
+                k = min(_STREAM_BLOCK, iters - it)
+                # batch indices as rows of the flat (runs * n) data
+                picks = np.stack([batch_rngs[r].integers(0, n, size=(k, batch)) for r in live])
+                picks += (live * n)[:, None, None]
+                if noisy:
+                    noise = np.empty((live.size, k, params.shape[1]))
+                    for row, r in zip(noise, live):
+                        noise_rngs[r].standard_normal(out=row)
+            at = picks[:, j]
+            loss, grad = _loss_and_grad(sizes, activation, params, flat_x.take(at, axis=0),
+                                        labels.take(at))
+            losses[live, it] = loss
+            ok = np.isfinite(loss) & np.all(np.isfinite(grad), axis=1)
+            if not ok.all():
+                gone = live[~ok]
+                steps[gone], diverged[gone], final[gone] = it + 1, True, params[~ok]
+                live, params, grad, picks = live[ok], params[ok], grad[ok], picks[ok]
+                data = features[live], labels[live]
+                if noisy:
+                    noise = noise[ok]
+                if not live.size:
+                    break
+            if not noisy:
+                params = params - lr * grad
+                continue
+            scale = grad if noise_on == "step" else _loss_and_grad(
+                sizes, activation, params, *data)[1]
+            params = params - lr * grad + noise_std(scheme, scale, slices) * noise[:, j]
     final[live] = params
 
     models = [MlpModel(sizes, final[r], activation, seeds[r]) for r in range(runs)]

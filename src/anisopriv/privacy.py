@@ -7,18 +7,6 @@ from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
-class PrivacyBudget:
-    epsilon: float
-    delta: float
-
-    def __post_init__(self):
-        if not (self.epsilon > 0.0):
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
-        if not (0.0 < self.delta < 1.0):
-            raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
-
-
-@dataclass(frozen=True)
 class ConcentrationParams:
     """Log-Sobolev constant of the stopped law, Lipschitz constant of the
     distinguishing statistic, and the KL divergence between the paired laws."""

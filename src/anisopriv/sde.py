@@ -27,8 +27,7 @@ from typing import Any, Callable
 import numpy as np
 
 from .errors import BatchLargerThanDataset, CovarianceEvaluationFailed, NotPositiveDefinite
-from .linalg import (SpdMatrix, SymMatrix, _check_semidefinite, _checked_cholesky,
-                     _cholesky_rows, _symmetrized)
+from .linalg import PIVOT_FLOOR, SpdMatrix, SymMatrix
 from .rng import step_normals
 
 _FD_STEP = 1e-6
@@ -86,7 +85,10 @@ class DatasetGradientDrift:
         x = np.asarray(x, dtype=float)
         if x.ndim == 1:
             return -np.asarray(self.grad_fn(x, self.dataset), dtype=float)
-        return -np.stack([np.asarray(self.grad_fn(row, self.dataset), dtype=float) for row in x])
+        out = np.empty(x.shape)
+        for p, row in enumerate(x):
+            out[p] = self.grad_fn(row, self.dataset)
+        return -out
 
 
 # ---------------------------------------------------------------------------
@@ -101,12 +103,6 @@ def _finite_or_fail(arr: np.ndarray, what: str) -> np.ndarray:
     return arr
 
 
-def _eigh_root(m: np.ndarray) -> np.ndarray:
-    """Symmetric square roots of a stack of PSD matrices (negative roundoff clamped)."""
-    w, q = np.linalg.eigh(m)
-    return (q * np.sqrt(np.maximum(w, 0.0))[..., None, :]) @ q.swapaxes(-1, -2)
-
-
 @dataclass(frozen=True, eq=False)
 class ConstantSpd:
     """State-independent covariance. PSD-relaxed matrices (e.g. exactly zero)
@@ -119,7 +115,8 @@ class ConstantSpd:
         try:
             return self.matrix.chol_lower
         except NotPositiveDefinite:
-            return _eigh_root(self.matrix.entries)
+            w, q = _eig_clamped(self.matrix.entries, 0.0)
+            return _rebuilt(np.sqrt(w), q)
 
     def apply_sqrt(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
         return z @ self._sqrt.T
@@ -184,11 +181,12 @@ class MinibatchSgd:
     grad_fn maps one state vector to the (N, dim) stack of per-example
     gradients of a sum-structured loss. It is called once per state row, so
     once per path and step in a simulation. The raw sampling covariance is
-    not PSD in general; it is projected (eigenvalue clamp at psd_floor)
-    before taking the square root. All rows go through one stacked pass: a
-    batched eigh projection, one PSD check and a batched Cholesky. Only rows
-    whose Cholesky fails or has a pivot at or below linalg.PIVOT_FLOOR take
-    the symmetric square root from eigh instead.
+    not PSD in general; it is projected by clamping its eigenvalues at
+    psd_floor. One batched eigh per call, q diag(w) q.T with w clamped,
+    serves every use: matrices rebuilds the projection, apply_sqrt applies
+    its symmetric square root q diag(sqrt w) q.T, and whiten the inverse of
+    that root, which requires every clamped eigenvalue above
+    linalg.PIVOT_FLOOR.
     """
 
     grad_fn: Callable[[np.ndarray], np.ndarray]
@@ -196,26 +194,34 @@ class MinibatchSgd:
     replacement: bool = True
     psd_floor: float = 1e-10
 
+    def _eig(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Clamped eigenvalues (paths, dim) and eigenvectors (paths, dim, dim) of
+        the sampling covariance at each row of x."""
+        grads = [self.grad_fn(row) for row in np.atleast_2d(np.asarray(x, dtype=float))]
+        n_examples, dim = np.shape(grads[0])
+        g = np.empty((len(grads), n_examples, dim + 1))
+        g[..., -1] = 1.0
+        for p, gp in enumerate(grads):
+            g[p, :, :-1] = gp
+        raw = _sampling_covariance(g, self.batch, self.replacement)
+        # a non-finite gradient makes its row's covariance non-finite too
+        return _eig_clamped(_finite_or_fail(raw, "per-example gradients"), self.psd_floor)
+
     def matrices(self, x: np.ndarray) -> np.ndarray:
         """Projected covariances (paths, dim, dim) at the rows of x. A projection
         that degenerates to zero (psd_floor = 0) gives a zero noise increment."""
-        g = np.stack([np.asarray(self.grad_fn(row), dtype=float) for row in x])
-        _finite_or_fail(g, "per-example gradients")
-        raw = _symmetrized(_sampling_covariance(g, g.sum(axis=-2), self.batch, self.replacement))
-        proj = _symmetrized(_clamped(raw, self.psd_floor))
-        _check_semidefinite(proj)
-        return proj
+        return _rebuilt(*self._eig(x))
 
     def apply_sqrt(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
-        m = self.matrices(np.atleast_2d(np.asarray(x, dtype=float)))
-        root, ok = _cholesky_rows(m)
-        if not np.all(ok):
-            root[~ok] = _eigh_root(m[~ok])
-        return (root @ np.atleast_2d(z)[..., None])[..., 0]
+        w, q = self._eig(x)
+        return _eigenbasis_scaled(q, np.sqrt(w), z)
 
     def whiten(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-        low = _checked_cholesky(self.matrices(np.atleast_2d(np.asarray(x, dtype=float))))
-        return np.linalg.solve(low, np.atleast_2d(v)[..., None])[..., 0]
+        w, q = self._eig(x)
+        if not np.all(w > PIVOT_FLOOR):
+            raise NotPositiveDefinite(
+                f"clamped eigenvalue {w.min():.3e} <= {PIVOT_FLOOR:g}", operation="whiten")
+        return _eigenbasis_scaled(q, 1.0 / np.sqrt(w), v)
 
     def divergence(self, x: np.ndarray) -> np.ndarray:
         """(div S)_i = sum_j dS_ij/dx_j per row, by forward differences."""
@@ -236,9 +242,9 @@ class MinibatchSgd:
 # minibatch covariance and PSD repair; the private helpers act on stacks
 
 
-def _sampling_covariance(g: np.ndarray, full: np.ndarray, batch: int,
-                         replacement: bool) -> np.ndarray:
-    """alpha (g.T g - full full.T), symmetrized, for g (..., N, d), full (..., d)."""
+def _sampling_covariance(g: np.ndarray, batch: int, replacement: bool) -> np.ndarray:
+    """alpha (sum_l g_l g_l.T - full full.T), symmetrized, for g (..., N, d + 1):
+    per-example gradients and a ones column, whose Gram matrix holds both."""
     n_examples = g.shape[-2]
     if batch < 1:
         raise ValueError(f"batch must be >= 1, got {batch}")
@@ -247,17 +253,30 @@ def _sampling_covariance(g: np.ndarray, full: np.ndarray, batch: int,
             f"batch {batch} exceeds dataset size {n_examples}", operation="minibatch_covariance"
         )
     alpha = n_examples**2 / batch * (1.0 - (1.0 if replacement else batch) / n_examples)
-    raw = alpha * (np.swapaxes(g, -1, -2) @ g - full[..., :, None] * full[..., None, :])
+    gram = np.swapaxes(g, -1, -2) @ g
+    full = gram[..., :-1, -1]
+    raw = alpha * (gram[..., :-1, :-1] - full[..., :, None] * full[..., None, :])
     return (raw + np.swapaxes(raw, -1, -2)) / 2.0
 
 
-def _clamped(m: np.ndarray, floor: float) -> np.ndarray:
-    """Symmetric matrices of the stack with eigenvalues clamped at floor."""
+def _eig_clamped(m: np.ndarray, floor: float) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues clamped at floor, and eigenvectors, of a symmetric stack."""
     if floor < 0.0:
         raise ValueError(f"floor must be nonnegative, got {floor}")
     w, q = np.linalg.eigh(m)
-    out = (q * np.maximum(w, floor)[..., None, :]) @ np.swapaxes(q, -1, -2)
+    return np.maximum(w, floor), q
+
+
+def _rebuilt(w: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """q diag(w) q.T for every matrix of the stack, symmetrized."""
+    out = (q * w[..., None, :]) @ np.swapaxes(q, -1, -2)
     return (out + np.swapaxes(out, -1, -2)) / 2.0
+
+
+def _eigenbasis_scaled(q: np.ndarray, s: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Rows q_p diag(s_p) q_p.T v_p, with the matrix never formed."""
+    qt_v = (np.swapaxes(q, -1, -2) @ np.atleast_2d(v)[..., None])[..., 0]
+    return (q @ (s * qt_v)[..., None])[..., 0]
 
 
 def minibatch_covariance(per_example_grads: np.ndarray, full_grad: np.ndarray,
@@ -267,10 +286,11 @@ def minibatch_covariance(per_example_grads: np.ndarray, full_grad: np.ndarray,
     For N examples and batch size n the scale factor is
     (N^2/n)(1 - 1/N) with replacement and (N^2/n)(1 - n/N) without, applied
     to sum_l g_l g_l.T - g g.T. The result need not be PSD; see psd_project.
+    g is the column sum of per_example_grads, which full_grad must equal.
     """
     g = np.atleast_2d(np.asarray(per_example_grads, dtype=float))
     full = np.asarray(full_grad, dtype=float).ravel()
-    raw = _sampling_covariance(g, full, batch, replacement)
+    raw = _sampling_covariance(np.column_stack([g, np.ones(len(g))]), batch, replacement)
     colsum = g.sum(axis=0)
     tol = 1e-9 * max(1.0, float(np.abs(colsum).max(initial=0.0)))
     if np.abs(colsum - full).max(initial=0.0) > tol:
@@ -280,7 +300,7 @@ def minibatch_covariance(per_example_grads: np.ndarray, full_grad: np.ndarray,
 
 def psd_project(m: SymMatrix, floor: float = 0.0) -> SpdMatrix:
     """Nearest (Frobenius) PSD matrix with eigenvalues clamped at floor."""
-    return SpdMatrix(_clamped(m.entries, floor), allow_semidefinite=True)
+    return SpdMatrix(_rebuilt(*_eig_clamped(m.entries, floor)), allow_semidefinite=True)
 
 
 # ---------------------------------------------------------------------------

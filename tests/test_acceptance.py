@@ -140,7 +140,7 @@ def test_optimal_allocation_matches_oracle():
 def test_kl_anisotropy_grows_with_conditioning():
     def corner_ratio(cond):
         design = np.diag([1.0, math.sqrt(cond)])
-        base = SpdMatrix.diagonal([1.0, 1.0])
+        base = SpdMatrix(np.diag([1.0, 1.0]))
         g = 0.1
         pa = QuadraticProblem(design, [0.0, 0.0], base, [0.0, 0.0])
         pb = QuadraticProblem(design, [g, math.sqrt(cond) * g], base, [0.0, 0.0])

@@ -60,8 +60,8 @@ def test_phi_equal_covariances_is_drift_gap():
 
 def test_phi_requires_score_for_unequal_covariances():
     drift = QuadraticDrift(np.array([[1.0]]), np.array([0.0]))
-    cov_a = ConstantSpd(SpdMatrix.diagonal([1.0]))
-    cov_b = ConstantSpd(SpdMatrix.diagonal([2.0]))
+    cov_a = ConstantSpd(SpdMatrix(np.diag([1.0])))
+    cov_b = ConstantSpd(SpdMatrix(np.diag([2.0])))
     with pytest.raises(ScoreRequired):
         phi(np.array([[1.0]]), drift, drift, cov_a, cov_b)
 
@@ -70,8 +70,8 @@ def test_phi_score_term_hand_value():
     # same drift, covariances diag(1) vs diag(2), score s(x) = -x:
     # phi = (cov_b - cov_a) s(x) - (drift_b - drift_a) = -x
     drift = QuadraticDrift(np.array([[1.0]]), np.array([0.0]))
-    cov_a = ConstantSpd(SpdMatrix.diagonal([1.0]))
-    cov_b = ConstantSpd(SpdMatrix.diagonal([2.0]))
+    cov_a = ConstantSpd(SpdMatrix(np.diag([1.0])))
+    cov_b = ConstantSpd(SpdMatrix(np.diag([2.0])))
     score = CallableScore(lambda x: -x)
     x = np.array([[2.0], [-1.0]])
     out = phi(x, drift, drift, cov_a, cov_b, score)
@@ -118,7 +118,7 @@ def test_phi_unequal_covariances_match_per_row_reference(pair):
 
 
 def test_phi_gaussian_score_matches_formula():
-    state = GaussianState(np.array([1.0, 0.0]), SpdMatrix.diagonal([2.0, 0.5]), 1.0)
+    state = GaussianState(np.array([1.0, 0.0]), SpdMatrix(np.diag([2.0, 0.5])), 1.0)
     score = GaussianScore(state)
     x = np.array([[2.0, 1.0]])
     want = -np.linalg.solve(state.cov.entries, (x[0] - state.mean))
@@ -143,7 +143,7 @@ def test_phi_preserves_single_point_shape():
 def test_mc_bound_matches_loop_oracle():
     drift_a = QuadraticDrift(np.array([[1.0, 0.0], [0.0, 2.0]]), np.array([0.0, 0.0]))
     drift_b = QuadraticDrift(np.array([[1.0, 0.0], [0.0, 2.0]]), np.array([0.2, -0.1]))
-    cov = ConstantSpd(SpdMatrix.diagonal([1.0, 4.0]))
+    cov = ConstantSpd(SpdMatrix(np.diag([1.0, 4.0])))
     cfg = SimConfig(step=0.25, horizon=1.0, paths=3, seed=17)
     curve = mc_kl_bound(drift_a, drift_b, cov, cov, np.array([1.0, -1.0]), cfg)
     # mc_kl_bound stores no states; simulate gives the same ensemble for the seed
@@ -199,8 +199,8 @@ def test_mc_bound_single_path_has_zero_stderr():
 def test_time_varying_score_resolved_per_time():
     # score switches sign at t = 0.5; the weight must follow it
     drift = QuadraticDrift(np.array([[1.0]]), np.array([0.0]))
-    cov_a = ConstantSpd(SpdMatrix.diagonal([1.0]))
-    cov_b = ConstantSpd(SpdMatrix.diagonal([2.0]))
+    cov_a = ConstantSpd(SpdMatrix(np.diag([1.0])))
+    cov_b = ConstantSpd(SpdMatrix(np.diag([2.0])))
 
     resolved = []
 
@@ -276,8 +276,8 @@ def test_mc_bound_equals_stored_ensemble_bound(paths, stride, case):
 
 def test_mc_bound_without_score_for_unequal_covariances_raises_and_stops_threads():
     drift = QuadraticDrift(np.array([[1.0]]), np.array([0.0]))
-    cov_a = ConstantSpd(SpdMatrix.diagonal([1.0]))
-    cov_b = ConstantSpd(SpdMatrix.diagonal([2.0]))
+    cov_a = ConstantSpd(SpdMatrix(np.diag([1.0])))
+    cov_b = ConstantSpd(SpdMatrix(np.diag([2.0])))
     cfg = SimConfig(step=0.1, horizon=1.0, paths=4, seed=1)
     before = threading.active_count()
     with pytest.raises(ScoreRequired) as exc:
@@ -288,8 +288,8 @@ def test_mc_bound_without_score_for_unequal_covariances_raises_and_stops_threads
 
 def test_mc_bound_propagates_the_score_error_and_stops_threads():
     drift = QuadraticDrift(np.array([[1.0]]), np.array([0.0]))
-    cov_a = ConstantSpd(SpdMatrix.diagonal([1.0]))
-    cov_b = ConstantSpd(SpdMatrix.diagonal([2.0]))
+    cov_a = ConstantSpd(SpdMatrix(np.diag([1.0])))
+    cov_b = ConstantSpd(SpdMatrix(np.diag([2.0])))
     boom = RuntimeError("score failed")
     seen = []
 

@@ -14,7 +14,7 @@ import anisopriv
 import anisopriv.sde
 from anisopriv import __version__
 from anisopriv.cli import main
-from anisopriv.errors import AnisoError
+from anisopriv.errors import AnisoError, TrainingDivergedWarning
 
 
 def write_config(path, doc):
@@ -458,6 +458,28 @@ def test_bad_csv_dataset_rejected_by_validate(tmp_path, capsys, text):
         assert code == 1
         assert error_paths(doc) == ["experiment.dataset.csv"]
     assert not (tmp_path / "out").exists()
+
+
+def test_dp_audit_all_trainings_diverged_is_numerical_failure(tmp_path, capsys):
+    # every training pair diverges, so no comparison is made and no delta is measured
+    doc = shipped_doc("dp-audit", activation="relu", iters=20,
+                      scheme={"kind": "anisotropic-param", "sigma2": 1e300})
+    cfg = write_config(tmp_path / "cfg.json", doc)
+    with pytest.warns(TrainingDivergedWarning):
+        code, report = run_cli(capsys, "run", cfg)
+    assert code == 2
+    assert report["operation"] == "estimate_delta"
+    assert not (tmp_path / "out" / "audit_report.json").exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_diverged_membership_fails_without_numpy_warnings(tmp_path, capsys):
+    # the trainings overflow; divergence is reported through the exit code
+    # alone, not also through numpy's overflow and invalid-value warnings
+    doc = shipped_doc("membership", scheme={"kind": "isotropic-layer", "sigma2": 1e300})
+    code, report = run_cli(capsys, "run", write_config(tmp_path / "cfg.json", doc))
+    assert code == 2
+    assert report["operation"] == "membership_experiment"
 
 
 def test_privacy_translate_huge_eps_runs(tmp_path, capsys):

@@ -122,7 +122,7 @@ def test_error_to_opt_long_time_reaches_stationary_value():
 
 
 def test_initial_covariance_propagates():
-    v0 = SpdMatrix.diagonal([0.25])
+    v0 = SpdMatrix(np.diag([0.25]))
     p = QuadraticProblem(
         np.array([[1.0]]), np.array([0.0]), SpdMatrix(np.array([[1.0]])),
         np.array([1.0]), v0,
@@ -147,7 +147,7 @@ def test_invariant_state_satisfies_lyapunov_equation():
 def test_invariant_closed_form_half_inverse():
     # gram = design^T design = diag(1, 4)
     p = QuadraticProblem(
-        np.diag([1.0, 2.0]), np.zeros(2), SpdMatrix.diagonal([1.0, 1.0]),
+        np.diag([1.0, 2.0]), np.zeros(2), SpdMatrix(np.diag([1.0, 1.0])),
         np.zeros(2),
     )
     inv = invariant_state(p)

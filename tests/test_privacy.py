@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from anisopriv.privacy import (
     ConcentrationParams,
-    PrivacyBudget,
     concentration_tail,
     delta_from_eps,
     eps_from_delta,
@@ -66,16 +65,6 @@ def test_delta_monotone_in_eps():
     cp = ConcentrationParams(lsi_const=2.0, lip=1.0, kl=0.1)
     vals = [delta_from_eps(e, cp) for e in (0.05, 0.1, 0.5, 1.0, 3.0)]
     assert all(a >= b for a, b in zip(vals, vals[1:]))
-
-
-def test_privacy_budget_validation():
-    PrivacyBudget(1.0, 0.01)
-    with pytest.raises(ValueError):
-        PrivacyBudget(0.0, 0.01)
-    with pytest.raises(ValueError):
-        PrivacyBudget(1.0, 0.0)
-    with pytest.raises(ValueError):
-        PrivacyBudget(1.0, 1.0)
 
 
 def test_concentration_params_validation():

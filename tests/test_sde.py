@@ -83,7 +83,7 @@ def test_record_stride_subsamples_same_trajectory():
 def test_deterministic_ode_limit():
     # noise-free quadratic drift contracts toward the target solve
     drift = QuadraticDrift(np.array([[1.0]]), np.array([0.0]))
-    cov = ConstantSpd(SpdMatrix.diagonal([1e-30], allow_semidefinite=True))
+    cov = ConstantSpd(SpdMatrix(np.diag([1e-30]), allow_semidefinite=True))
     cfg = SimConfig(step=1e-3, horizon=1.0, paths=1, seed=0)
     ens = simulate(drift, cov, np.array([1.0]), cfg)
     assert ens.states[0, -1, 0] == pytest.approx(math.exp(-1.0), rel=1e-3)
@@ -204,7 +204,7 @@ def test_minibatch_sgd_covariance_spec():
 
 
 # ---------------------------------------------------------------------------
-# MinibatchSgd factors every path's covariance in one stacked pass; the
+# MinibatchSgd takes every path's covariance from one batched eigh; the
 # reference below does one path at a time with the public 2-D functions.
 
 FEATURES = np.random.default_rng(21).standard_normal((6, 3))
@@ -224,42 +224,68 @@ def projected_least_squares_cov(x):
     return psd_project(minibatch_covariance(g, g.sum(axis=0), 2, True), 1e-10).entries
 
 
-def reference_root(cov, x):
-    """(root, fell_back): the Cholesky factor of the projected covariance at
-    x, or its eigh square root when a pivot is at or below 1e-14."""
+def reference_noise(cov, x, z):
+    """The symmetric square root of the projected covariance at x, applied to
+    z in its eigenbasis: q (sqrt(max(w, floor)) * (q.T z))."""
     g = np.asarray(cov.grad_fn(x), dtype=float)
     raw = minibatch_covariance(g, g.sum(axis=0), cov.batch, cov.replacement)
-    m = psd_project(raw, cov.psd_floor).entries
-    try:
-        low = np.linalg.cholesky(m)
-        if np.all(np.diag(low) ** 2 > 1e-14):
-            return low, False
-    except np.linalg.LinAlgError:
-        pass
-    w, q = np.linalg.eigh(m)
-    return (q * np.sqrt(np.maximum(w, 0.0))) @ q.T, True
+    w, q = np.linalg.eigh(raw.entries)
+    return q @ (np.sqrt(np.maximum(w, cov.psd_floor)) * (q.T @ z))
+
+
+def rank_deficient_grads(x):
+    # centred gradients give a PSD raw covariance, full rank in general; the
+    # state's first coordinate scales gradient columns 1 and 2, so rows with
+    # x0 = 0 have a rank-one covariance
+    g = least_squares_grads(x) * np.array([1.0, x[0], x[0]])
+    return g - g.mean(axis=0)
+
+
+RANK_DEFICIENT_ROWS = np.array([[1.0, 0.5, -0.2], [0.0, 0.3, 0.1], [-2.0, 1.0, 0.4],
+                                [0.0, -1.0, 2.0], [0.7, 0.0, 0.0]])
 
 
 def test_minibatch_sgd_batched_matches_per_path_reference():
-    # centred gradients give a PSD raw covariance, full rank in general; the
-    # state's first coordinate scales gradient columns 1 and 2, so rows with
-    # x0 = 0 have a rank-one covariance and take the eigh fallback
-    def grad_fn(x):
-        g = least_squares_grads(x) * np.array([1.0, x[0], x[0]])
-        return g - g.mean(axis=0)
-
-    cov = MinibatchSgd(grad_fn, batch=2, replacement=False, psd_floor=0.0)
-    x = np.array([[1.0, 0.5, -0.2], [0.0, 0.3, 0.1], [-2.0, 1.0, 0.4],
-                  [0.0, -1.0, 2.0], [0.7, 0.0, 0.0]])
+    cov = MinibatchSgd(rank_deficient_grads, batch=2, replacement=False, psd_floor=0.0)
+    x = RANK_DEFICIENT_ROWS
     z = step_normals(4, 0, x.shape)
-    refs = [reference_root(cov, row) for row in x]
-    assert [fell_back for _, fell_back in refs] == [False, True, False, True, False]
-    want = np.stack([root @ zp for (root, _), zp in zip(refs, z)])
+    want = np.stack([reference_noise(cov, row, zp) for row, zp in zip(x, z)])
     assert np.array_equal(cov.apply_sqrt(x, z), want)
     for row in x:
-        g = grad_fn(row)
+        g = rank_deficient_grads(row)
         m = psd_project(minibatch_covariance(g, g.sum(axis=0), 2, False), 0.0).entries
         assert np.array_equal(cov.matrices(row[None])[0], m)
+
+
+@pytest.mark.parametrize("n_examples, dim", [(6, 1), (40, 16), (513, 4)])
+def test_minibatch_sgd_matrices_equal_projected_covariance(n_examples, dim):
+    # shapes at which the ones column of the Gram matrix and g.sum(axis=0) can
+    # round differently: both functions take the full gradient from the former
+    feats = np.random.default_rng(dim).standard_normal((n_examples, dim))
+
+    def grad_fn(x):
+        return feats * (feats @ x - 1.0)[:, None]
+
+    cov = MinibatchSgd(grad_fn, batch=3)
+    x = np.random.default_rng(n_examples).standard_normal((4, dim))
+    for row, m in zip(x, cov.matrices(x)):
+        g = grad_fn(row)
+        want = psd_project(minibatch_covariance(g, g.sum(axis=0), 3, True), 1e-10)
+        assert np.array_equal(m, want.entries)
+
+
+@pytest.mark.parametrize("psd_floor", [0.0, 1e-10])
+def test_minibatch_sgd_root_squares_to_matrices(psd_floor):
+    # R R.T equals the projected covariance, rank-deficient rows included;
+    # column i of R is the root applied to the unit vector e_i
+    cov = MinibatchSgd(rank_deficient_grads, batch=2, replacement=False, psd_floor=psd_floor)
+    x = RANK_DEFICIENT_ROWS
+    paths, d = x.shape
+    cols = cov.apply_sqrt(np.repeat(x, d, axis=0), np.tile(np.eye(d), (paths, 1)))
+    root = cols.reshape(paths, d, d).swapaxes(1, 2)
+    m = cov.matrices(x)
+    gap = np.abs(root @ root.swapaxes(1, 2) - m).max(axis=(1, 2))
+    assert np.all(gap <= 1e-12 * np.abs(m).max(axis=(1, 2)))
 
 
 def test_minibatch_sgd_zero_projection_gives_zero_increment():
@@ -310,6 +336,16 @@ def test_minibatch_sgd_whiten_inverts_apply_sqrt():
     x = np.random.default_rng(5).standard_normal((7, 3))
     z = step_normals(5, 1, x.shape)
     assert np.allclose(cov.whiten(x, cov.apply_sqrt(x, z)), z, rtol=1e-10, atol=1e-10)
+    assert np.allclose(cov.apply_sqrt(x, cov.whiten(x, z)), z, rtol=1e-10, atol=1e-10)
+
+
+def test_minibatch_sgd_whiten_rejects_singular_rows():
+    cov = MinibatchSgd(rank_deficient_grads, batch=2, replacement=False, psd_floor=0.0)
+    x = RANK_DEFICIENT_ROWS
+    with pytest.raises(NotPositiveDefinite):
+        cov.whiten(x, np.ones_like(x))
+    full_rank = x[x[:, 0] != 0.0]
+    assert np.all(np.isfinite(cov.whiten(full_rank, np.ones_like(full_rank))))
 
 
 def test_minibatch_sgd_divergence_rows_match_single_rows():
@@ -338,9 +374,30 @@ def test_paired_minibatch_sgd_matches_per_path_euler_loop():
         for k in range(10):
             z = step_normals(17, k, (20, 3))
             for p in range(20):
-                noise = reference_root(cov, x[p])[0] @ z[p]
+                noise = reference_noise(cov, x[p], z[p])
                 x[p] = x[p] + h * -full_grad(x[p], features) + np.sqrt(h) * noise
             assert np.array_equal(ens.states[:, k + 1, :], x)
+
+
+def test_paired_minibatch_sgd_calls_grad_fn_once_per_row():
+    calls = {"a": 0, "b": 0, "noise": 0}
+
+    def counted(key, fn):
+        def wrapped(*args):
+            calls[key] += 1
+            return fn(*args)
+        return wrapped
+
+    def full_grad(x, features):
+        return (features * ((features @ x - TARGETS) / 6.0)[:, None]).sum(axis=0)
+
+    cov = MinibatchSgd(counted("noise", least_squares_grads), batch=3)
+    cfg = SimConfig(step=0.01, horizon=0.05, paths=7, seed=3)
+    paired_simulate(DatasetGradientDrift(counted("a", full_grad), FEATURES),
+                    DatasetGradientDrift(counted("b", full_grad), -FEATURES),
+                    cov, np.array([0.2, -0.1, 0.4]), cfg)
+    # P rows per arm per step, for each drift and for the noise of both arms
+    assert calls == {"a": 7 * 5, "b": 7 * 5, "noise": 2 * 7 * 5}
 
 
 # ---------------------------------------------------------------------------

@@ -197,13 +197,13 @@ def test_quadratic_tradeoff_error_column(adjacent_pair):
     p, q = adjacent_pair
     t = 1.5
     rows = quadratic_tradeoff(p, q, t, (0.5, 1.5), (0.5, 1.5), 2)
-    swapped = replace(p, noise_cov=SpdMatrix.diagonal([0.25, 2.25]))
+    swapped = replace(p, noise_cov=SpdMatrix(np.diag([0.25, 2.25])))
     assert rows[1, 3] == pytest.approx(error_to_opt(swapped, t), rel=1e-14)
 
 
 def test_quadratic_tradeoff_validation(adjacent_pair):
     p, q = adjacent_pair
-    mismatched = replace(q, noise_cov=SpdMatrix.diagonal([2.0, 2.0]))
+    mismatched = replace(q, noise_cov=SpdMatrix(np.diag([2.0, 2.0])))
     with pytest.raises(ValueError):
         quadratic_tradeoff(p, mismatched, 1.0, (0.5, 1.5), (0.5, 1.5), 2)
     with pytest.raises(ValueError):
