@@ -78,15 +78,11 @@ from .models import (
     NO_NOISE,
     NoNoise,
     TrainLog,
-    gradient_drift,
     init_model,
-    load_model,
     make_adjacent,
     read_dataset_csv,
-    save_model,
     synth_blobs,
     train,
-    write_dataset_csv,
 )
 from .audit import (
     AuditConfig,
@@ -121,9 +117,8 @@ __all__ = [
     "optimal_diag_cov", "quadratic_tradeoff",
     "write_grid_csv",
     "AnisotropicPerParam", "Dataset", "IsotropicPerLayer", "MlpModel",
-    "NO_NOISE", "NoNoise", "TrainLog", "gradient_drift", "init_model",
-    "load_model", "make_adjacent", "read_dataset_csv", "save_model",
-    "synth_blobs", "train", "write_dataset_csv",
+    "NO_NOISE", "NoNoise", "TrainLog", "init_model", "make_adjacent",
+    "read_dataset_csv", "synth_blobs", "train",
     "AuditConfig", "AuditReport", "MembershipReport", "clamped_log_ratios",
     "estimate_delta", "membership_experiment", "write_audit_json",
     "write_membership_csv",

@@ -41,5 +41,5 @@ class IndexOutOfRange(AnisoError, IndexError):
     """A record index does not address the dataset."""
 
 
-class TrainingDivergedWarning(RuntimeWarning):
+class TrainingDivergedWarning(UserWarning):
     """A training run produced non-finite loss and was excluded."""

@@ -17,15 +17,13 @@ result does not depend on the other runs. `train` is the one-run case.
 from __future__ import annotations
 
 import csv
-import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
 
 from .errors import BatchLargerThanDataset, IndexOutOfRange
 from .rng import tagged_stream
-from .sde import DatasetGradientDrift
 
 _INIT_TAG, _BATCH_TAG, _NOISE_TAG = 1, 2, 3
 _STREAM_BLOCK = 32  # iterations of batch indices and noise drawn per stream at once
@@ -399,26 +397,8 @@ def synth_blobs(classes: int, per_class: int, dim: int, separation: float,
     return Dataset(feats, labels.astype(np.int64), f"blobs{classes}x{per_class}")
 
 
-def gradient_drift(model: MlpModel, dataset: Dataset) -> DatasetGradientDrift:
-    """Full-dataset gradient-flow drift in parameter space for this model."""
-
-    def grad_fn(x: np.ndarray, ds: Dataset) -> np.ndarray:
-        return loss_and_grad(replace(model, params=x), ds.features, ds.labels)[1]
-
-    return DatasetGradientDrift(grad_fn, dataset)
-
-
 # ---------------------------------------------------------------------------
-# persistence
-
-
-def write_dataset_csv(dataset: Dataset, path) -> None:
-    """Columns f0..f{m-1},label; features at 17 significant digits."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow([*[f"f{i}" for i in range(dataset.n_features)], "label"])
-        for row, lab in zip(dataset.features, dataset.labels):
-            w.writerow([*[f"{v:.17g}" for v in row], int(lab)])
+# dataset files
 
 
 def read_dataset_csv(path) -> Dataset:
@@ -439,23 +419,3 @@ def read_dataset_csv(path) -> Dataset:
     if not labels:
         raise ValueError("dataset has no records")
     return Dataset(np.asarray(feats), np.asarray(labels, dtype=np.int64))
-
-
-def save_model(model: MlpModel, path) -> None:
-    doc = {
-        "layer_sizes": list(model.layer_sizes),
-        "activation": model.activation,
-        "params": [float(v) for v in model.params],
-        "seed": int(model.seed),
-    }
-    with open(path, "w") as fh:
-        json.dump(doc, fh)
-
-
-def load_model(path) -> MlpModel:
-    with open(path) as fh:
-        doc = json.load(fh)
-    return MlpModel(
-        tuple(doc["layer_sizes"]), np.asarray(doc["params"], dtype=float),
-        doc["activation"], int(doc["seed"]),
-    )

@@ -6,12 +6,14 @@ by (seed, step), drawn row-major over (path, coordinate), so results do not
 depend on execution order and paired ensembles can share noise exactly.
 
 One Euler loop serves every consumer of an ensemble. It draws the normals of
-the next few steps on one helper thread while the main thread integrates, and
-applies the update to blocks of at most 2048 rows. Both leave every output
-bit-identical: a step's normals depend on (seed, step) alone, and each row's
-update on its own row. At each recorded time the loop hands the states to a
-callback: simulate and paired_simulate store them, and bounds.mc_kl_bound adds
-up its integrand on the same row blocks without storing any trajectory.
+the next few steps on one helper thread while the main thread integrates; when
+the step it needs next is still being drawn, the main thread draws the
+farthest step whose draw has not started, rather than wait. It applies the
+update to blocks of at most 2048 rows. Neither changes an output bit: a step's
+normals depend on (seed, step) alone, and each row's update on its own row.
+At each recorded time the loop hands the states to a callback: simulate and
+paired_simulate store them, and bounds.mc_kl_bound adds up its integrand on
+the same row blocks without storing any trajectory.
 
 Every drift, covariance and score specification takes the states as a
 (paths, dim) row stack, which is what the simulators and the bounds pass.
@@ -26,7 +28,8 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .errors import BatchLargerThanDataset, CovarianceEvaluationFailed, NotPositiveDefinite
+from .errors import (AnisoError, BatchLargerThanDataset, CovarianceEvaluationFailed,
+                     NotPositiveDefinite)
 from .linalg import PIVOT_FLOOR, SpdMatrix, SymMatrix
 from .rng import step_normals
 
@@ -56,11 +59,18 @@ class QuadraticDrift:
     def dim(self) -> int:
         return self.design.shape[1]
 
+    @cached_property
+    def _gram(self) -> np.ndarray:
+        return self.design.T @ self.design
+
+    @cached_property
+    def _pull(self) -> np.ndarray:
+        return self.design.T @ self.target
+
     def evaluate(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            return -self.design.T @ (self.design @ x - self.target)
-        return -(x @ self.design.T - self.target) @ self.design
+        """design.T target - x design.T design, for one state or a row stack:
+        one (rows, dim) by (dim, dim) product, whatever the number of records."""
+        return self._pull - np.asarray(x, dtype=float) @ self._gram
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,10 +131,15 @@ class ConstantSpd:
     def apply_sqrt(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
         return z @ self._sqrt.T
 
+    @cached_property
+    def _inv_sqrt_t(self) -> np.ndarray:
+        """Transposed inverse of the Cholesky factor; raises NotPositiveDefinite
+        for a semidefinite matrix, and is then not cached."""
+        return np.linalg.inv(self.matrix.chol_lower).T
+
     def whiten(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Rows of sqrt_cov^{-1} v; requires strict positive definiteness."""
-        l = self.matrix.chol_lower
-        return np.linalg.solve(l, np.atleast_2d(v).T).T
+        return np.atleast_2d(v) @ self._inv_sqrt_t
 
     def matrices(self, x: np.ndarray) -> np.ndarray:
         """The matrix once per row of x, (paths, dim, dim), as a read-only view."""
@@ -377,13 +392,14 @@ class TrajectoryEnsemble:
 # products to gemv, whose last bits differ from gemm's.
 _BLOCK_ROWS = 2048
 
-# Steps whose normals are drawn ahead of the update. A step's draws take longer
-# than its update, and a record's callback (the KL integrand) adds about one
-# more update's work, during which the helper thread must not run out of steps
-# to draw. On 2 cores, mc_kl_bound at d = 8, 10^4 paths, 200 steps and record
-# stride 10 took 0.18 s with 3 steps ahead, 0.19 s with 2 and 0.21 s with 1,
-# and no less with 4 or 6. Each step ahead holds one (paths, dim) block.
-_LOOKAHEAD = 3
+# Steps whose normals are drawn ahead of the update, by the helper thread or by
+# the main thread when it would otherwise wait. A step's draw takes longer than
+# its update, so both threads draw. On 2 cores, mc_kl_bound at d = 8, 10^4
+# paths, 200 steps and record stride 10 took 0.31 s with 4 steps ahead, 0.33 s
+# with 3, 0.38-0.43 s with 2 and 0.50 s with 1, and no less with 6; with 4, the
+# main thread drew 54 to 69 of the 200 steps in six runs. Each step ahead holds
+# one (paths, dim) block.
+_LOOKAHEAD = 4
 
 
 def _row_blocks(paths: int) -> list[slice]:
@@ -408,7 +424,7 @@ def _euler(drifts, cov, x0, cfg: SimConfig, on_record) -> None:
     integration and propagates unchanged.
     """
     from collections import deque
-    from concurrent.futures import ThreadPoolExecutor
+    from concurrent.futures import Future, ThreadPoolExecutor
 
     x0 = np.asarray(x0, dtype=float).ravel()
     xs = [np.tile(x0, (cfg.paths, 1)) for _ in drifts]
@@ -417,12 +433,26 @@ def _euler(drifts, cov, x0, cfg: SimConfig, on_record) -> None:
     blocks = _row_blocks(cfg.paths)
     n, shape = cfg.n_steps, (cfg.paths, x0.shape[0])
     with ThreadPoolExecutor(max_workers=1) as pool:
-        # A step's normals depend on (seed, step) alone, so drawing them on the
-        # helper thread while earlier steps are integrated changes no output.
+        # A step's normals depend on (seed, step) alone, so drawing them on
+        # either thread, in any order, changes no output.
         pending = deque(pool.submit(step_normals, cfg.seed, k, shape)
                         for k in range(min(_LOOKAHEAD, n)))
+
+        def steal(k: int) -> bool:
+            """Draw here the farthest step of the window, steps k.., whose
+            draw has not started; cancel() fails once it has, so each step is
+            drawn exactly once."""
+            for i in range(len(pending) - 1, -1, -1):
+                if pending[i].cancel():
+                    pending[i] = Future()
+                    pending[i].set_result(step_normals(cfg.seed, k + i, shape))
+                    return True
+            return False
+
         on_record(0, xs)
         for k in range(n):
+            while not pending[0].done() and steal(k):
+                pass
             z = pending.popleft().result()
             if k + _LOOKAHEAD < n:
                 pending.append(pool.submit(step_normals, cfg.seed, k + _LOOKAHEAD, shape))
@@ -446,11 +476,14 @@ def _recorded(drifts, cov, x0, cfg: SimConfig) -> list[TrajectoryEnsemble]:
             rec[:, j, :] = x
 
     _euler(drifts, cov, x0, cfg, store)
+    if not all(np.isfinite(rec).all() for rec in recs):
+        raise AnisoError("the ensemble has states that are not finite", operation="euler")
     return [TrajectoryEnsemble(times, rec, cfg.seed) for rec in recs]
 
 
 def simulate(drift, cov, x0, cfg: SimConfig) -> TrajectoryEnsemble:
-    """Euler-Maruyama ensemble of cfg.paths trajectories from the shared x0."""
+    """Euler-Maruyama ensemble of cfg.paths trajectories from the shared x0.
+    Raises AnisoError (operation euler) when a recorded state is not finite."""
     return _recorded((drift,), cov, x0, cfg)[0]
 
 
@@ -459,7 +492,8 @@ def paired_simulate(drift_a, drift_b, cov, x0,
     """Two ensembles driven by the same Gaussian increments per (path, step).
 
     Equal drifts therefore give bit-identical ensembles, and the pathwise
-    difference between the arms is the data-difference signal alone.
+    difference between the arms is the data-difference signal alone. Raises
+    AnisoError (operation euler) when a recorded state of either is not finite.
     """
     ens_a, ens_b = _recorded((drift_a, drift_b), cov, x0, cfg)
     return ens_a, ens_b

@@ -35,7 +35,8 @@ from anisopriv.linalg import SpdMatrix
 from anisopriv.ou import GaussianState
 from anisopriv.sde import (ConstantSpd, DiagonalOfState, MinibatchSgd, QuadraticDrift, SimConfig,
                            simulate)
-from test_sde import least_squares_grads, projected_least_squares_cov
+from test_sde import (assert_each_step_drawn_once_on_both_threads, least_squares_grads,
+                      projected_least_squares_cov, stealing_draws)
 
 
 def all_ones_params(gap=0.0):
@@ -272,6 +273,23 @@ def test_mc_bound_equals_stored_ensemble_bound(paths, stride, case):
     assert np.array_equal(curve.times, times)
     assert np.array_equal(curve.bounds, bounds)
     assert np.array_equal(curve.stderr, stderr)
+
+
+@pytest.mark.parametrize("paths", [1, 2049, 5000])
+def test_mc_bound_equals_stored_ensemble_bound_when_the_main_thread_draws(monkeypatch, paths):
+    drift_a, drift_b, cov_a, cov_b, score = unequal_case()
+    x0 = np.array([0.5, -0.5, 1.0])
+    cfg = SimConfig(step=0.01, horizon=0.2, paths=paths, seed=31, record_stride=4)
+    times, bounds, stderr = stored_ensemble_bound(drift_a, drift_b, cov_a, cov_b, x0, cfg,
+                                                  score)
+    threads = threading.active_count()
+    log = stealing_draws(monkeypatch)
+    curve = mc_kl_bound(drift_a, drift_b, cov_a, cov_b, x0, cfg, score)
+    assert np.array_equal(curve.times, times)
+    assert np.array_equal(curve.bounds, bounds)
+    assert np.array_equal(curve.stderr, stderr)
+    assert_each_step_drawn_once_on_both_threads(log, cfg.n_steps)
+    assert threading.active_count() == threads
 
 
 def test_mc_bound_without_score_for_unequal_covariances_raises_and_stops_threads():

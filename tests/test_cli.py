@@ -243,6 +243,17 @@ def test_run_simulate_writes_ensemble(tmp_path, capsys):
     assert len(lines) == 1 + 3 * 5
 
 
+def test_run_simulate_non_finite_states_is_numerical_failure(tmp_path, capsys):
+    # design 1e200 passes validate, but the drift's Gram matrix overflows
+    doc = shipped_doc("simulate", design=[[1e200, 0.0], [0.0, 1.5]], paths=4)
+    cfg = write_config(tmp_path / "cfg.json", doc)
+    assert run_cli(capsys, "validate", cfg)[0] == 0
+    code, report = run_cli(capsys, "run", cfg)
+    assert code == 2
+    assert report["operation"] == "euler"
+    assert not (tmp_path / "out" / "ensemble.csv").exists()
+
+
 def quad_tradeoff_doc(**over):
     exp = {
         "kind": "quad-tradeoff",
@@ -472,6 +483,23 @@ def test_dp_audit_all_trainings_diverged_is_numerical_failure(tmp_path, capsys):
     assert not (tmp_path / "out" / "audit_report.json").exists()
 
 
+def test_all_diverged_dp_audit_reports_under_runtime_warnings_as_errors(tmp_path):
+    # the per-round exclusion warning is a UserWarning, so a caller who turns
+    # numpy's RuntimeWarnings into errors still gets the exit-2 report
+    doc = shipped_doc("dp-audit", activation="relu", iters=20,
+                      scheme={"kind": "anisotropic-param", "sigma2": 1e300})
+    cfg = write_config(tmp_path / "cfg.json", doc)
+    src = str(Path(anisopriv.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "anisopriv.cli",
+                           "run", cfg], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert json.loads(proc.stdout)["operation"] == "estimate_delta"
+    assert "TrainingDivergedWarning" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_diverged_membership_fails_without_numpy_warnings(tmp_path, capsys):
     # the trainings overflow; divergence is reported through the exit code
@@ -536,7 +564,7 @@ def outcome(capsys, cmd, cfg):
 
 
 # Kinds whose successful runs write only finite numbers.
-FINITE_OUTPUT_KINDS = {"kl-bound", "quad-tradeoff", "membership"}
+FINITE_OUTPUT_KINDS = {"simulate", "kl-bound", "quad-tradeoff", "membership"}
 NON_FINITE = re.compile(r"\b(?:inf|infinity|nan)\b", re.IGNORECASE)
 
 

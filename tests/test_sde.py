@@ -3,7 +3,10 @@ covariance formula."""
 
 import csv
 import math
+import sys
 import threading
+import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -11,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 import anisopriv.sde
 from anisopriv.errors import (
+    AnisoError,
     BatchLargerThanDataset,
     CovarianceEvaluationFailed,
     NotPositiveDefinite,
@@ -323,6 +327,40 @@ def test_minibatch_sgd_rejects_nonfinite_gradients_on_one_path():
         cov.whiten(x, np.ones_like(x))
 
 
+def test_quadratic_drift_gram_form_matches_residual_form():
+    rng = np.random.default_rng(12)
+    for n_records, dim, rows in [(12, 8, 2048), (3, 5, 7), (1, 4, 2), (6, 1, 3)]:
+        design = rng.standard_normal((n_records, dim))
+        target = rng.standard_normal(n_records)
+        drift = QuadraticDrift(design, target)
+        x = rng.standard_normal((rows, dim))
+        want = -(x @ design.T - target) @ design
+        scale = np.abs(x).max() * np.abs(design).max() ** 2 * n_records * dim
+        np.testing.assert_allclose(drift.evaluate(x), want, rtol=1e-13, atol=1e-15 * scale)
+        np.testing.assert_allclose(drift.evaluate(x[0]), want[0], rtol=1e-13,
+                                   atol=1e-15 * scale)
+        assert drift.evaluate(x[0]).shape == (dim,)
+
+
+def test_constant_spd_whiten_matches_triangular_solve():
+    a = np.random.default_rng(7).standard_normal((5, 5))
+    cov = ConstantSpd(SpdMatrix(a @ a.T + 0.1 * np.eye(5)))
+    l = cov.matrix.chol_lower
+    v = step_normals(7, 0, (300, 5))
+    np.testing.assert_allclose(cov.whiten(v, v), np.linalg.solve(l, v.T).T,
+                               rtol=1e-11, atol=1e-12)
+    assert cov.whiten(v[0], v[0]).shape == (1, 5)
+
+
+def test_semidefinite_constant_spd_whiten_raises_every_time():
+    cov = ConstantSpd(SpdMatrix(np.diag([1.0, 0.0]), allow_semidefinite=True))
+    x = np.zeros((3, 2))
+    assert np.array_equal(cov.apply_sqrt(x, np.ones((3, 2))), [[1.0, 0.0]] * 3)
+    for _ in range(2):
+        with pytest.raises(NotPositiveDefinite):
+            cov.whiten(x, np.ones((3, 2)))
+
+
 def test_constant_spd_whiten_inverts_apply_sqrt():
     a = np.random.default_rng(4).standard_normal((4, 4))
     cov = ConstantSpd(SpdMatrix(a @ a.T + 0.1 * np.eye(4)))
@@ -402,10 +440,11 @@ def test_paired_minibatch_sgd_calls_grad_fn_once_per_row():
 
 # ---------------------------------------------------------------------------
 # The simulators draw each step's normals on a helper thread while the
-# previous step is integrated, and update at most 2048 rows at a time. The
-# reference draws each step in turn and updates the whole ensemble at once.
-# Above 2048 paths the ensemble takes several blocks, which no shipped config
-# reaches, so only these tests cover them.
+# previous step is integrated; when the next step's draw is still running, the
+# main thread draws a later step of the window itself. They update at most
+# 2048 rows at a time. The reference draws each step in turn and updates the
+# whole ensemble at once. Above 2048 paths the ensemble takes several blocks,
+# which no shipped config reaches, so only these tests cover them.
 
 
 def unblocked_euler(drifts, cov, x0, cfg):
@@ -433,16 +472,58 @@ def assert_simulators_match_reference(drift_a, drift_b, cov, x0, cfg):
     assert threading.active_count() == threads
 
 
-@pytest.mark.parametrize("paths", [1, 2, 3, 2049, 4097, 5000])
-def test_simulators_match_unblocked_reference(paths):
+def stealing_draws(monkeypatch, fail=None):
+    """Make the helper thread's draws slow, so that the main thread must draw
+    steps itself. Returns the log of (step, drawn on the main thread); a main
+    thread draw raises fail, when given. The main thread starts drawing only
+    once the helper holds a draw, so both threads draw on every run."""
+    log = []
+    helper_busy = threading.Event()
+
+    def draw(seed, step, shape):
+        on_main = threading.current_thread() is threading.main_thread()
+        if on_main:
+            helper_busy.wait(5.0)
+            if fail is not None:
+                raise fail
+        else:
+            helper_busy.set()
+            time.sleep(0.005)
+        log.append((step, on_main))
+        return step_normals(seed, step, shape)
+
+    monkeypatch.setattr(anisopriv.sde, "step_normals", draw)
+    return log
+
+
+def assert_each_step_drawn_once_on_both_threads(log, n_steps, runs=1):
+    assert Counter(step for step, _ in log) == {k: runs for k in range(n_steps)}
+    assert {on_main for _, on_main in log} == {True, False}
+
+
+def linear_case(paths):
+    """Two quadratic drifts, a full covariance, x0 and a 6-step config."""
     rng = np.random.default_rng(paths)
     design, target = rng.standard_normal((4, 3)), rng.standard_normal(4)
     a = rng.standard_normal((3, 3))
     cov = ConstantSpd(SpdMatrix(a @ a.T + 0.1 * np.eye(3)))
     cfg = SimConfig(step=0.05, horizon=0.3, paths=paths, seed=23, record_stride=2)
-    assert_simulators_match_reference(QuadraticDrift(design, target),
-                                      QuadraticDrift(design, target + 0.1), cov,
-                                      np.array([0.5, -1.0, 2.0]), cfg)
+    return (QuadraticDrift(design, target), QuadraticDrift(design, target + 0.1), cov,
+            np.array([0.5, -1.0, 2.0]), cfg)
+
+
+@pytest.mark.parametrize("paths", [1, 2, 3, 2049, 4097, 5000])
+def test_simulators_match_unblocked_reference(paths):
+    assert_simulators_match_reference(*linear_case(paths))
+
+
+@pytest.mark.parametrize("paths", [1, 2049, 5000])
+def test_simulators_match_reference_when_the_main_thread_draws(monkeypatch, paths):
+    log = stealing_draws(monkeypatch)
+    case = linear_case(paths)
+    assert_simulators_match_reference(*case)
+    # simulate, then paired_simulate
+    assert_each_step_drawn_once_on_both_threads(log, case[-1].n_steps, runs=2)
 
 
 @pytest.mark.parametrize("paths", [3, 2049])
@@ -454,6 +535,54 @@ def test_minibatch_sgd_simulators_match_unblocked_reference(paths):
     assert_simulators_match_reference(QuadraticDrift(FEATURES, TARGETS),
                                       QuadraticDrift(features_b, TARGETS), cov,
                                       np.array([0.2, -0.1, 0.4]), cfg)
+
+
+def test_each_step_drawn_once_under_fast_thread_switching(monkeypatch):
+    # thread switches between nearly every bytecode give the two threads every
+    # chance to draw one step twice or none
+    drawn = []
+
+    def draw(seed, step, shape):
+        drawn.append(step)
+        return step_normals(seed, step, shape)
+
+    monkeypatch.setattr(anisopriv.sde, "step_normals", draw)
+    drift, _, cov, x0, _ = linear_case(3000)
+    cfg = SimConfig(step=0.01, horizon=1.0, paths=3000, seed=41, record_stride=10)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        ens = simulate(drift, cov, x0, cfg)
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(drawn) == list(range(cfg.n_steps))
+    assert np.array_equal(ens.states, unblocked_euler((drift,), cov, x0, cfg)[0])
+
+
+def test_failed_draw_on_the_main_thread_propagates(monkeypatch):
+    threads = threading.active_count()
+    failed = MemoryError("draw failed on the main thread")
+    stealing_draws(monkeypatch, fail=failed)
+    cfg = SimConfig(step=0.1, horizon=1.0, paths=5, seed=2)
+    with pytest.raises(MemoryError) as info:
+        simulate(QuadraticDrift(np.eye(2), np.zeros(2)), ConstantSpd(SpdMatrix.identity(2)),
+                 np.zeros(2), cfg)
+    assert info.value is failed
+    assert threading.active_count() == threads
+
+
+def test_simulators_reject_non_finite_states():
+    # the drift's Gram matrix overflows, so the first step is already inf or nan
+    drift = QuadraticDrift(np.array([[1e200]]), np.array([0.0]))
+    cov = ConstantSpd(SpdMatrix.identity(1))
+    cfg = SimConfig(step=0.1, horizon=0.5, paths=3, seed=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for run in (lambda: simulate(drift, cov, np.array([1.0]), cfg),
+                    lambda: paired_simulate(QuadraticDrift(np.eye(1), np.zeros(1)), drift,
+                                            cov, np.array([1.0]), cfg)):
+            with pytest.raises(AnisoError) as info:
+                run()
+            assert info.value.operation == "euler"
 
 
 def test_simulator_errors_propagate_and_stop_the_helper_thread(monkeypatch):
@@ -479,7 +608,7 @@ def test_simulator_errors_propagate_and_stop_the_helper_thread(monkeypatch):
         paired_simulate(drift, drift, negative, np.zeros(2), cfg)
     assert threading.active_count() == threads
 
-    # a failed draw on the helper thread reaches the caller unchanged
+    # a failed draw reaches the caller unchanged, whichever thread drew it
     failed = MemoryError("draw failed at step 4")
 
     def draw(seed, step, shape):
