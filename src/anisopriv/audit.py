@@ -6,9 +6,12 @@ batch selection, and noise draws) and counts training points whose predicted
 class-probability log-ratio between the two models exceeds epsilon. The
 membership experiment instead tracks the loss on one target record with and
 without that record in the training set, and raises `AnisoError` rather than
-report a target loss or gap that is not finite. Both train all runs of one
-arm in a single `train_stacked` call, so nearly all their time is the
-stacked training step of `models` (one matmul per layer each way).
+report a target loss or gap that is not finite. Both train the runs of both
+arms in a single `train_stacked` call, so each seed's batches and noise are
+drawn once for the pair, and then score every model in one stacked pass
+(label probabilities on the dataset, or the target record's loss). Nearly all
+their time is the stacked training step of `models` (one matmul per layer
+each way).
 """
 
 from __future__ import annotations
@@ -23,9 +26,12 @@ import numpy as np
 from .errors import AnisoError, TrainingDivergedWarning
 from .models import (
     Dataset,
-    forward,
+    _forward,
+    _loss_and_grad,
+    _ones_column,
+    _run_blocks,
+    forward,  # noqa: F401  (audit.forward is a traced site of perfbench)
     init_model,
-    loss_on_example,
     make_adjacent,
     train,  # noqa: F401  (audit.train is a traced site of perfbench)
     train_stacked,
@@ -117,34 +123,42 @@ def estimate_delta(cfg: AuditConfig) -> AuditReport:
     others = [_adjacent_pair(ds, cfg.adjacency, adj_rng) for _ in range(cfg.outer_rounds)]
     rounds = [(t1, t2) for t1 in range(cfg.outer_rounds) for t2 in range(cfg.inner_rounds)]
     seeds = [derive_seed(cfg.seed, t1, t2) for t1, t2 in rounds]
-    kwargs = dict(scheme=cfg.scheme, lr=cfg.lr, iters=cfg.iters, batch=cfg.batch,
-                  noise_on=cfg.noise_on)
-    models_a, logs_a = train_stacked(template, [ds] * len(rounds), seeds, **kwargs)
-    models_b, logs_b = train_stacked(template, [others[t1] for t1, _ in rounds], seeds,
-                                     **kwargs)
-    sel = np.arange(ds.size)
-    counts = [0] * cfg.outer_rounds
-    excluded = 0
-    for (t1, t2), model_a, log_a, model_b, log_b in zip(rounds, models_a, logs_a,
-                                                        models_b, logs_b):
-        if log_a.diverged or log_b.diverged:
-            excluded += 1
+    # both arms in one stack: run i trains on D, run runs + i on D'
+    runs = len(rounds)
+    models, logs = train_stacked(template, [ds] * runs + [others[t1] for t1, _ in rounds],
+                                 seeds + seeds, cfg.scheme, lr=cfg.lr, iters=cfg.iters,
+                                 batch=cfg.batch, noise_on=cfg.noise_on)
+    kept = []
+    for i, (t1, t2) in enumerate(rounds):
+        if logs[i].diverged or logs[runs + i].diverged:
             warnings.warn(f"outer {t1} inner {t2}: training diverged, round excluded",
                           TrainingDivergedWarning)
-            continue
-        pa = forward(model_a, ds.features)[sel, ds.labels]
-        pb = forward(model_b, ds.features)[sel, ds.labels]
-        counts[t1] += int((clamped_log_ratios(pa, pb) > cfg.epsilon).sum())
-    if excluded == len(rounds):
+        else:
+            kept.append(i)
+    excluded = runs - len(kept)
+    if not kept:
         raise AnisoError(f"all {excluded} training pairs diverged; no comparison was made",
                          operation="estimate_delta")
+    # label probabilities on D of the kept pairs' models, arm D's first
+    keep = np.array(kept)
+    params = np.stack([m.params for m in models])[np.concatenate([keep, runs + keep])]
+    x1, probs = _ones_column(ds.features), np.empty((len(params), ds.size))
+    for b in _run_blocks(len(params), ds.size):
+        shift = _forward(template.layer_sizes, cfg.activation, params[b],
+                         np.broadcast_to(x1, (b.stop - b.start, *x1.shape)))[-1]
+        e = np.exp(shift)
+        probs[b] = (e / e.sum(axis=-1, keepdims=True))[:, np.arange(ds.size), ds.labels]
+    over = clamped_log_ratios(probs[: len(kept)], probs[len(kept):]) > cfg.epsilon
+    counts = [0] * cfg.outer_rounds
+    for i, row in zip(kept, over):
+        counts[rounds[i][0]] += int(row.sum())
     deltas = [count / (cfg.inner_rounds * ds.size) for count in counts]
     return AuditReport(
         delta=float(max(deltas)),
         delta_per_outer=tuple(deltas),
         counts_per_outer=tuple(counts),
         total_comparisons=cfg.outer_rounds * cfg.inner_rounds * ds.size,
-        worst_loss=_worst_finite_loss(logs_a + logs_b),
+        worst_loss=_worst_finite_loss(logs),
         excluded_rounds=excluded,
     )
 
@@ -200,17 +214,21 @@ def membership_experiment(dataset: Dataset, target_index: int, runs: int, scheme
     target_y = int(ds.labels[target_index])
     template = init_model(ds.n_features, hidden, ds.n_classes, 0, activation)
     seeds = [derive_seed(seed, r) for r in range(runs)]
-    kwargs = dict(scheme=scheme, lr=lr, iters=iters, batch=batch, noise_on=noise_on)
-    models_a, logs_a = train_stacked(template, [ds] * runs, seeds, **kwargs)
-    models_b, logs_b = train_stacked(template, [ds_without] * runs, seeds, **kwargs)
+    # both arms in one stack: run r trains on D, run runs + r on D'
+    models, logs = train_stacked(template, [ds] * runs + [ds_without] * runs, seeds + seeds,
+                                 scheme, lr=lr, iters=iters, batch=batch, noise_on=noise_on)
+    params = np.stack([m.params for m in models])
+    x1 = _ones_column(target_x)
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite losses raise below
-        losses_with = np.array([loss_on_example(m, target_x, target_y) for m in models_a])
-        losses_without = np.array([loss_on_example(m, target_x, target_y) for m in models_b])
+        losses = _loss_and_grad(template.layer_sizes, activation, params,
+                                np.broadcast_to(x1, (2 * runs, *x1.shape)),
+                                np.full((2 * runs, 1), target_y))[0]
+    losses_with, losses_without = losses[:runs], losses[runs:]
     report = MembershipReport(
         losses_with=losses_with,
         losses_without=losses_without,
         mean_gap=float(abs(losses_with.mean() - losses_without.mean())),
-        worst_loss=_worst_finite_loss(logs_a + logs_b),
+        worst_loss=_worst_finite_loss(logs),
     )
     values = [*losses_with, *losses_without, report.mean_gap, report.worst_loss]
     if not np.all(np.isfinite(values)):

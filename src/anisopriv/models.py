@@ -9,9 +9,11 @@ Training is minibatch gradient descent with optional Gaussian noise scaled by
 the current gradient, per layer or per parameter. Tagged counter-based
 streams pin initialization, batch selection and noise draws to the seed.
 
-`train_stacked` trains R runs as one (R, P) parameter array; each run draws
-batches and noise from its own streams, in blocks of 32 iterations, so its
-result does not depend on the other runs. `train` is the one-run case.
+`train_stacked` trains R runs, on datasets of any row counts, as one (R, P)
+parameter array. Runs that share a seed share its init, noise and (at equal
+row count) batch streams, and each stream is drawn once, in blocks of 32
+iterations, so a run's result does not depend on the other runs. `train` is
+the one-run case.
 """
 
 from __future__ import annotations
@@ -27,6 +29,13 @@ from .rng import tagged_stream
 
 _INIT_TAG, _BATCH_TAG, _NOISE_TAG = 1, 2, 3
 _STREAM_BLOCK = 32  # iterations of batch indices and noise drawn per stream at once
+# Rows (runs times rows per run) per block of runs in one stacked pass; a
+# larger stack is split into near-equal blocks. On 2 cores, an estimate_delta
+# of 50 runs of 200-row batches (hidden 10) took 1.6-1.8 s in blocks of at
+# most 2048 rows and 2.5-4 s as one block, which page-faulted about 600 times
+# per step as its arrays were mapped and unmapped; 64 runs of 32-row batches
+# (hidden 16) were slower in 3 blocks than in one.
+_BLOCK_ROWS = 2048
 
 
 @dataclass(frozen=True, eq=False)
@@ -264,26 +273,40 @@ def train(model: MlpModel, dataset: Dataset, scheme=NO_NOISE, *, lr: float,
     return models[0], logs[0]
 
 
+def _index_by(keys):
+    """Each key's position among the distinct keys (in order of first
+    appearance), as an array, and the distinct keys."""
+    ids = {}
+    at = np.array([ids.setdefault(key, len(ids)) for key in keys])
+    return at, list(ids)
+
+
+def _run_blocks(runs: int, rows: int) -> list[slice]:
+    """Near-equal blocks of a stack of runs with `rows` rows each; a block has
+    at most _BLOCK_ROWS rows, or one run."""
+    n_blocks = -(-runs // max(1, _BLOCK_ROWS // rows))
+    return [slice(i * runs // n_blocks, (i + 1) * runs // n_blocks) for i in range(n_blocks)]
+
+
 def train_stacked(model: MlpModel, datasets, seeds, scheme=NO_NOISE, *, lr: float,
                   iters: int, batch: int, noise_on: str = "step"):
-    """`train` of run r on (datasets[r], seeds[r]) for all runs at once; all
-    datasets must have the same number of rows. Returns a list of models and
-    one of logs, each equal to what `train` gives for that run alone. A run
-    that diverges leaves the stack at that step; the others carry on. The
-    loop runs with numpy's overflow and invalid-value warnings off: a
-    non-finite loss or gradient is how divergence is detected, and the logs
-    report it."""
+    """`train` of run r on (datasets[r], seeds[r]) for all runs at once; the
+    datasets may differ in row count. Returns a list of models and one of
+    logs, each equal to what `train` gives for that run alone. Runs with the
+    same seed share one init and one noise stream, and runs with the same
+    seed and row count share one batch stream: each stream is drawn once, in
+    blocks of 32 iterations, while any of its runs is live. A run that
+    diverges leaves the stack at that step; the others carry on. The loop
+    runs with numpy's overflow and invalid-value warnings off: a non-finite
+    loss or gradient is how divergence is detected, and the logs report it."""
     if len(datasets) != len(seeds) or not seeds:
         raise ValueError("need one seed per dataset and at least one run")
-    rows = {ds.size for ds in datasets}
-    if len(rows) > 1:
-        raise ValueError(f"datasets must have equal row counts, got {sorted(rows)}")
-    n = rows.pop()
+    rows = np.array([ds.size for ds in datasets])
     if batch < 1:
         raise ValueError(f"batch must be >= 1, got {batch}")
-    if batch > n:
+    if batch > rows.min():
         raise BatchLargerThanDataset(
-            f"batch {batch} exceeds dataset size {n}", operation="train"
+            f"batch {batch} exceeds dataset size {rows.min()}", operation="train"
         )
     if not (lr > 0.0):
         raise ValueError(f"lr must be positive, got {lr}")
@@ -295,52 +318,75 @@ def train_stacked(model: MlpModel, datasets, seeds, scheme=NO_NOISE, *, lr: floa
     sizes, activation = model.layer_sizes, model.activation
     slices = layer_slices(sizes)
     runs = len(seeds)
-    features = _ones_column(np.stack([ds.features for ds in datasets]))
-    labels = np.stack([ds.labels for ds in datasets])
-    flat_x = features.reshape(runs * n, -1)  # the rows of all runs, for the batch gather
-    data = features, labels  # full-data stack of the live runs, for noise_on="full"
-    params = np.stack([init_model(*sizes, s, activation).params for s in seeds])
-    batch_rngs = [tagged_stream(s, _BATCH_TAG) for s in seeds]
-    noise_rngs = [tagged_stream(s, _NOISE_TAG) for s in seeds]
+    # the rows of every distinct dataset (by identity), one after another;
+    # run r's rows start at offset[r]
+    data_of, distinct = _index_by(datasets)
+    flat_x = _ones_column(np.concatenate([ds.features for ds in distinct]))
+    flat_y = np.concatenate([ds.labels for ds in distinct])
+    offset = np.cumsum([0] + [ds.size for ds in distinct])[data_of]
+    seed_of, seed_keys = _index_by(seeds)
+    batch_of, batch_keys = _index_by(zip(seeds, rows.tolist()))
+    params = np.stack([init_model(*sizes, s, activation).params for s in seed_keys])[seed_of]
+    batch_rngs = [tagged_stream(s, _BATCH_TAG) for s, _ in batch_keys]
+    picks = np.empty((len(batch_keys), _STREAM_BLOCK, batch), dtype=np.int64)
     noisy = not isinstance(scheme, NoNoise)
+    if noisy:
+        noise_rngs = [tagged_stream(s, _NOISE_TAG) for s in seed_keys]
+        noise = np.empty((len(seed_keys), _STREAM_BLOCK, params.shape[1]))
+
+    def full_data(live):
+        """Per row count among the live runs: their rows of the stack and
+        their full data, for noise_on="full"."""
+        groups = []
+        for n in np.unique(rows[live]):
+            group = np.flatnonzero(rows[live] == n)
+            for block in _run_blocks(group.size, n):
+                at = group[block]
+                idx = offset[live[at], None] + np.arange(n)
+                groups.append((at, flat_x[idx], flat_y[idx]))
+        return groups
 
     losses = np.empty((runs, iters))
     steps = np.full(runs, iters)
     diverged = np.zeros(runs, dtype=bool)
     final = np.empty_like(params)
     live = np.arange(runs)  # runs still training; row i of the stack is run live[i]
+    full_scale = noisy and noise_on == "full"
+    full = full_data(live) if full_scale else []
     with np.errstate(over="ignore", invalid="ignore"):
         for it in range(iters):
             j = it % _STREAM_BLOCK
             if j == 0:
                 k = min(_STREAM_BLOCK, iters - it)
-                # batch indices as rows of the flat (runs * n) data
-                picks = np.stack([batch_rngs[r].integers(0, n, size=(k, batch)) for r in live])
-                picks += (live * n)[:, None, None]
+                for u in np.unique(batch_of[live]):
+                    picks[u, :k] = batch_rngs[u].integers(0, batch_keys[u][1], size=(k, batch))
                 if noisy:
-                    noise = np.empty((live.size, k, params.shape[1]))
-                    for row, r in zip(noise, live):
-                        noise_rngs[r].standard_normal(out=row)
-            at = picks[:, j]
-            loss, grad = _loss_and_grad(sizes, activation, params, flat_x.take(at, axis=0),
-                                        labels.take(at))
+                    for u in np.unique(seed_of[live]):
+                        noise_rngs[u].standard_normal(out=noise[u, :k])
+            at = picks[batch_of[live], j] + offset[live, None]  # rows of flat_x
+            loss, grad = np.empty(live.size), np.empty_like(params)
+            for b in _run_blocks(live.size, batch):
+                loss[b], grad[b] = _loss_and_grad(sizes, activation, params[b],
+                                                  flat_x.take(at[b], axis=0), flat_y.take(at[b]))
             losses[live, it] = loss
             ok = np.isfinite(loss) & np.all(np.isfinite(grad), axis=1)
             if not ok.all():
                 gone = live[~ok]
                 steps[gone], diverged[gone], final[gone] = it + 1, True, params[~ok]
-                live, params, grad, picks = live[ok], params[ok], grad[ok], picks[ok]
-                data = features[live], labels[live]
-                if noisy:
-                    noise = noise[ok]
+                live, params, grad = live[ok], params[ok], grad[ok]
                 if not live.size:
                     break
+                if full_scale:
+                    full = full_data(live)
             if not noisy:
                 params = params - lr * grad
                 continue
-            scale = grad if noise_on == "step" else _loss_and_grad(
-                sizes, activation, params, *data)[1]
-            params = params - lr * grad + noise_std(scheme, scale, slices) * noise[:, j]
+            scale = grad
+            if full_scale:
+                scale = np.empty_like(grad)
+                for rows_at, x, y in full:
+                    scale[rows_at] = _loss_and_grad(sizes, activation, params[rows_at], x, y)[1]
+            params = params - lr * grad + noise_std(scheme, scale, slices) * noise[seed_of[live], j]
     final[live] = params
 
     models = [MlpModel(sizes, final[r], activation, seeds[r]) for r in range(runs)]

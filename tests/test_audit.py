@@ -3,10 +3,12 @@
 import csv
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from anisopriv import models
 from anisopriv.audit import (
     AuditConfig,
     _adjacent_pair,
@@ -20,11 +22,16 @@ from anisopriv.audit import (
 )
 from anisopriv.errors import AnisoError, TrainingDivergedWarning
 from anisopriv.models import (
+    _BATCH_TAG,
+    _INIT_TAG,
+    _NOISE_TAG,
     NO_NOISE,
     AnisotropicPerParam,
     IsotropicPerLayer,
     forward,
     init_model,
+    loss_on_example,
+    make_adjacent,
     synth_blobs,
     train,
 )
@@ -133,6 +140,37 @@ def test_estimate_delta_remove_full_matches_per_run_training(small_blobs):
     assert report.excluded_rounds == 0
 
 
+@pytest.mark.parametrize("adjacency, batch_streams", [("replace", 1), ("remove", 2)])
+def test_estimate_delta_opens_each_seed_stream_once(small_blobs, monkeypatch, adjacency,
+                                                    batch_streams):
+    # both arms of a round train with one seed: one init and one noise stream
+    # per round, and one batch stream per round and row count
+    opened = Counter()
+    real = models.tagged_stream
+
+    def counting(seed, tag):
+        opened[tag] += 1
+        return real(seed, tag)
+
+    monkeypatch.setattr(models, "tagged_stream", counting)
+    cfg = small_config(small_blobs, adjacency=adjacency)
+    estimate_delta(cfg)
+    rounds = cfg.outer_rounds * cfg.inner_rounds
+    assert opened[_NOISE_TAG] == rounds
+    assert opened[_BATCH_TAG] == batch_streams * rounds
+    assert opened[_INIT_TAG] == rounds + 1  # and the template's
+
+
+def test_estimate_delta_same_report_in_run_blocks(small_blobs, monkeypatch):
+    # at 20 rows a block holds two runs of an 8-row batch, and one run of a
+    # full-data pass or of the final probabilities
+    cfg = small_config(small_blobs, adjacency="remove", noise_on="full", epsilon=0.01)
+    whole = audit_report_to_dict(estimate_delta(cfg))
+    monkeypatch.setattr("anisopriv.models._BLOCK_ROWS", 20)
+    assert audit_report_to_dict(estimate_delta(cfg)) == whole
+    assert sum(whole["counts_per_outer"]) > 0
+
+
 def test_divergent_rounds_are_excluded(small_blobs):
     cfg = small_config(
         small_blobs, scheme=NO_NOISE, lr=1e8, iters=40,
@@ -195,6 +233,19 @@ def test_membership_null_control_has_zero_gap(small_blobs):
     )
     assert np.array_equal(report.losses_with, report.losses_without)
     assert report.mean_gap == 0.0
+
+
+def test_membership_losses_match_per_run_training(small_blobs):
+    scheme, kwargs = AnisotropicPerParam(0.5), dict(lr=0.5, iters=30, batch=7)
+    report = membership_experiment(small_blobs, 3, 2, scheme, hidden=4, seed=9, **kwargs)
+    template = init_model(2, 4, 2, 0)
+    x, y = small_blobs.features[3], int(small_blobs.labels[3])
+    arms = ((small_blobs, report.losses_with),
+            (make_adjacent(small_blobs, 3, "remove"), report.losses_without))
+    for ds, losses in arms:
+        for r, got in enumerate(losses):
+            model, _ = train(template, ds, scheme, seed=derive_seed(9, r), **kwargs)
+            assert got == loss_on_example(model, x, y)
 
 
 def test_membership_arms_differ_without_control(small_blobs):

@@ -442,12 +442,58 @@ def test_stacked_training_all_rows_diverge(blobs, noise_on):
         assert_matches_reference(m, log, ref)
 
 
+@pytest.mark.parametrize("block", [2048, 20], ids=["one-block", "blocks"])
+@pytest.mark.parametrize("noise_on", ["step", "full"])
+def test_stacked_training_unequal_rows_and_repeated_seeds(blobs, monkeypatch, noise_on,
+                                                          block):
+    # seed 21 trains on three row counts and twice on the same data; seed 22
+    # on two datasets of equal row count, which share one batch stream. At
+    # 20 rows per block every block holds one run
+    monkeypatch.setattr("anisopriv.models._BLOCK_ROWS", block)
+    model = init_model(3, 6, 3, 0, "tanh")
+    smaller = make_adjacent(blobs, 5, "remove")
+    smallest = make_adjacent(smaller, 9, "remove")
+    datasets = [blobs, smaller, smallest, blobs, smaller, *neighbours(smaller, 1)]
+    seeds = [21, 21, 21, 21, 22, 22]
+    scheme = IsotropicPerLayer(0.05)
+    kwargs = dict(lr=0.3, iters=45, batch=16, noise_on=noise_on)
+    models, logs = train_stacked(model, datasets, seeds, scheme, **kwargs)
+    for ds, seed, m, log in zip(datasets, seeds, models, logs):
+        assert m.seed == seed
+        assert_matches_reference(m, log, reference_train(model, ds, scheme, seed=seed,
+                                                         **kwargs))
+    assert np.array_equal(models[0].params, models[3].params)
+    assert not np.array_equal(models[4].params, models[5].params)
+
+
+@pytest.mark.parametrize("noise_on", ["step", "full"])
+def test_stacked_training_twin_trains_on_after_the_other_diverges(blobs, noise_on):
+    # three twins of seed 4 share one noise stream; the huge one diverges in
+    # the first stream block and shares its batch stream with the blobs twin,
+    # which keeps drawing it for all 45 iterations
+    model = init_model(3, 6, 3, 0, "relu")
+    huge = Dataset(blobs.features * 1e5, blobs.labels)
+    datasets = [blobs, huge, make_adjacent(blobs, 0, "remove")]
+    scheme = AnisotropicPerParam(0.05)
+    kwargs = dict(lr=30.0, iters=45, batch=16, noise_on=noise_on)
+    with np.errstate(over="ignore", invalid="ignore"):
+        models, logs = train_stacked(model, datasets, [4, 4, 4], scheme, **kwargs)
+        refs = [reference_train(model, ds, scheme, seed=4, **kwargs) for ds in datasets]
+    assert logs[1].diverged and 1 < len(logs[1].losses) < 32
+    for r in (0, 2):
+        assert not logs[r].diverged and len(logs[r].losses) == 45
+    for m, log, ref in zip(models, logs, refs):
+        assert_matches_reference(m, log, ref)
+
+
 def test_stacked_training_validation(blobs):
     model = init_model(3, 6, 3, 0)
     smaller = make_adjacent(blobs, 0, "remove")
     kwargs = dict(lr=0.1, iters=5, batch=4)
-    with pytest.raises(ValueError, match="equal row counts"):
-        train_stacked(model, [blobs, smaller], [1, 2], NO_NOISE, **kwargs)
+    with pytest.raises(BatchLargerThanDataset, match=f"dataset size {smaller.size}"):
+        # the smallest dataset of the stack bounds the batch
+        train_stacked(model, [blobs, smaller], [1, 2], NO_NOISE, lr=0.1, iters=5,
+                      batch=blobs.size)
     with pytest.raises(ValueError):
         train_stacked(model, [blobs, blobs], [1], NO_NOISE, **kwargs)
     with pytest.raises(ValueError):

@@ -35,3 +35,16 @@ def test_bound_curves_script_writes_a_dominating_bound(tmp_path, capsys):
     # equal diffusions and designs: the mismatch is the constant target gap 0.1
     assert np.allclose(bound[:, 1], 0.005 * bound[:, 0], rtol=1e-12)
     assert np.all(bound[:, 1] >= kl[:, 1])
+
+
+def test_audit_sweep_script_null_control_is_exactly_zero(capsys):
+    # at epsilon 1e-300 any rounding difference between the twins of the
+    # control would count; the replace arm shows the threshold does count
+    script = load_script("audit_sweep")
+    argv = ["--rounds", "2", "--iters", "20", "--per-class", "10", "--sigma2", "1e-2",
+            "--epsilon", "1e-300"]
+    assert script.run(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("control (identical pair): delta=0.0 [")
+    sigma2, delta = lines[2].split()[:2]
+    assert float(sigma2) == 1e-2 and float(delta) > 0.0
