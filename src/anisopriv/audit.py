@@ -7,11 +7,11 @@ class-probability log-ratio between the two models exceeds epsilon. The
 membership experiment instead tracks the loss on one target record with and
 without that record in the training set, and raises `AnisoError` rather than
 report a target loss or gap that is not finite. Both train the runs of both
-arms in a single `train_stacked` call, so each seed's batches and noise are
-drawn once for the pair, and then score every model in one stacked pass
-(label probabilities on the dataset, or the target record's loss). Nearly all
-their time is the stacked training step of `models` (one matmul per layer
-each way).
+arms in a single `models.train` call, so each seed's batches and noise are
+drawn once for the pair, and then score every model with one stacked
+`models.forward` (label probabilities on the dataset) or `models.loss_and_grad`
+(the target record's loss) call. Nearly all their time is the stacked training
+step of `models` (one matmul per layer each way).
 """
 
 from __future__ import annotations
@@ -24,18 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AnisoError, TrainingDivergedWarning
-from .models import (
-    Dataset,
-    _forward,
-    _loss_and_grad,
-    _ones_column,
-    _run_blocks,
-    forward,  # noqa: F401  (audit.forward is a traced site of perfbench)
-    init_model,
-    make_adjacent,
-    train,  # noqa: F401  (audit.train is a traced site of perfbench)
-    train_stacked,
-)
+from .models import Dataset, forward, init_model, loss_and_grad, make_adjacent, train
 from .rng import derive_seed, tagged_stream
 
 PROB_FLOOR = 1e-12
@@ -81,7 +70,7 @@ class AuditConfig:
 @dataclass(frozen=True, eq=False)
 class AuditReport:
     delta: float
-    delta_per_outer: tuple[float, ...]
+    delta_per_outer: tuple[float | None, ...]
     counts_per_outer: tuple[int, ...]
     total_comparisons: int
     worst_loss: float
@@ -116,7 +105,11 @@ def _worst_finite_loss(logs) -> float:
 
 
 def estimate_delta(cfg: AuditConfig) -> AuditReport:
-    """Empirical delta at cfg.epsilon, maximized over outer-round pairs."""
+    """Empirical delta at cfg.epsilon, maximized over outer-round pairs.
+
+    A pair with a diverged training is excluded. An outer round's delta is its
+    count over the comparisons its kept pairs made, and is None when all its
+    pairs diverged; such a round is left out of the maximum."""
     ds = cfg.dataset
     template = init_model(ds.n_features, cfg.hidden, ds.n_classes, 0, cfg.activation)
     adj_rng = tagged_stream(cfg.seed, _ADJ_TAG)
@@ -125,9 +118,9 @@ def estimate_delta(cfg: AuditConfig) -> AuditReport:
     seeds = [derive_seed(cfg.seed, t1, t2) for t1, t2 in rounds]
     # both arms in one stack: run i trains on D, run runs + i on D'
     runs = len(rounds)
-    models, logs = train_stacked(template, [ds] * runs + [others[t1] for t1, _ in rounds],
-                                 seeds + seeds, cfg.scheme, lr=cfg.lr, iters=cfg.iters,
-                                 batch=cfg.batch, noise_on=cfg.noise_on)
+    models, logs = train(template, [ds] * runs + [others[t1] for t1, _ in rounds],
+                         seeds + seeds, cfg.scheme, lr=cfg.lr, iters=cfg.iters,
+                         batch=cfg.batch, noise_on=cfg.noise_on)
     kept = []
     for i, (t1, t2) in enumerate(rounds):
         if logs[i].diverged or logs[runs + i].diverged:
@@ -140,24 +133,19 @@ def estimate_delta(cfg: AuditConfig) -> AuditReport:
         raise AnisoError(f"all {excluded} training pairs diverged; no comparison was made",
                          operation="estimate_delta")
     # label probabilities on D of the kept pairs' models, arm D's first
-    keep = np.array(kept)
-    params = np.stack([m.params for m in models])[np.concatenate([keep, runs + keep])]
-    x1, probs = _ones_column(ds.features), np.empty((len(params), ds.size))
-    for b in _run_blocks(len(params), ds.size):
-        shift = _forward(template.layer_sizes, cfg.activation, params[b],
-                         np.broadcast_to(x1, (b.stop - b.start, *x1.shape)))[-1]
-        e = np.exp(shift)
-        probs[b] = (e / e.sum(axis=-1, keepdims=True))[:, np.arange(ds.size), ds.labels]
+    scored = [models[i] for i in kept] + [models[runs + i] for i in kept]
+    probs = forward(scored, ds.features)[:, np.arange(ds.size), ds.labels]
     over = clamped_log_ratios(probs[: len(kept)], probs[len(kept):]) > cfg.epsilon
-    counts = [0] * cfg.outer_rounds
+    counts, pairs = [0] * cfg.outer_rounds, [0] * cfg.outer_rounds
     for i, row in zip(kept, over):
         counts[rounds[i][0]] += int(row.sum())
-    deltas = [count / (cfg.inner_rounds * ds.size) for count in counts]
+        pairs[rounds[i][0]] += 1
+    deltas = [count / (n * ds.size) if n else None for count, n in zip(counts, pairs)]
     return AuditReport(
-        delta=float(max(deltas)),
+        delta=float(max(d for d in deltas if d is not None)),
         delta_per_outer=tuple(deltas),
         counts_per_outer=tuple(counts),
-        total_comparisons=cfg.outer_rounds * cfg.inner_rounds * ds.size,
+        total_comparisons=len(kept) * ds.size,
         worst_loss=_worst_finite_loss(logs),
         excluded_rounds=excluded,
     )
@@ -215,14 +203,10 @@ def membership_experiment(dataset: Dataset, target_index: int, runs: int, scheme
     template = init_model(ds.n_features, hidden, ds.n_classes, 0, activation)
     seeds = [derive_seed(seed, r) for r in range(runs)]
     # both arms in one stack: run r trains on D, run runs + r on D'
-    models, logs = train_stacked(template, [ds] * runs + [ds_without] * runs, seeds + seeds,
-                                 scheme, lr=lr, iters=iters, batch=batch, noise_on=noise_on)
-    params = np.stack([m.params for m in models])
-    x1 = _ones_column(target_x)
+    models, logs = train(template, [ds] * runs + [ds_without] * runs, seeds + seeds, scheme,
+                         lr=lr, iters=iters, batch=batch, noise_on=noise_on)
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite losses raise below
-        losses = _loss_and_grad(template.layer_sizes, activation, params,
-                                np.broadcast_to(x1, (2 * runs, *x1.shape)),
-                                np.full((2 * runs, 1), target_y))[0]
+        losses = loss_and_grad(models, target_x, [target_y])[0]
     losses_with, losses_without = losses[:runs], losses[runs:]
     report = MembershipReport(
         losses_with=losses_with,

@@ -9,11 +9,12 @@ Training is minibatch gradient descent with optional Gaussian noise scaled by
 the current gradient, per layer or per parameter. Tagged counter-based
 streams pin initialization, batch selection and noise draws to the seed.
 
-`train_stacked` trains R runs, on datasets of any row counts, as one (R, P)
-parameter array. Runs that share a seed share its init, noise and (at equal
-row count) batch streams, and each stream is drawn once, in blocks of 32
-iterations, so a run's result does not depend on the other runs. `train` is
-the one-run case.
+`train` trains R runs, on datasets of any row counts, as one (R, P) parameter
+array. Runs that share a seed share its init, noise and (at equal row count)
+batch streams, and each stream is drawn once, in blocks of 32 iterations, so a
+run's result does not depend on the other runs. `forward` and `loss_and_grad`
+score a list of R models of one architecture on shared rows, the same way in
+blocks of runs; a single model is the list of one.
 """
 
 from __future__ import annotations
@@ -149,13 +150,6 @@ def _forward(layer_sizes, activation, params, x1):
     return w2, a1, z2
 
 
-def forward(model: MlpModel, features: np.ndarray) -> np.ndarray:
-    """Class probabilities, shape (n, classes)."""
-    x1 = _ones_column(features)[None]
-    e = np.exp(_forward(model.layer_sizes, model.activation, model.params[None], x1)[-1][0])
-    return e / e.sum(axis=1, keepdims=True)
-
-
 def _loss_and_grad(layer_sizes, activation, params, x1, y):
     """Per run of a stack: mean cross-entropy of params[r] (R, P) on its own
     rows x1[r] (R, n, m+1, last column ones) with labels y[r] (R, n), and the
@@ -177,12 +171,40 @@ def _loss_and_grad(layer_sizes, activation, params, x1, y):
     return loss, grad
 
 
-def loss_and_grad(model: MlpModel, features: np.ndarray, labels: np.ndarray):
-    """Mean cross-entropy over the rows and its gradient in the flat params."""
+def _run_blocks(runs: int, rows: int) -> list[slice]:
+    """Near-equal blocks of a stack of runs with `rows` rows each; a block has
+    at most _BLOCK_ROWS rows, or one run."""
+    n_blocks = -(-runs // max(1, _BLOCK_ROWS // rows))
+    return [slice(i * runs // n_blocks, (i + 1) * runs // n_blocks) for i in range(n_blocks)]
+
+
+def _blocks(models, features):
+    """The kernel arguments (layer_sizes, activation, params, x1) of each block
+    of runs of R models of one architecture on the shared rows features (n, m);
+    ValueError if the architectures differ."""
+    sizes, activation = models[0].layer_sizes, models[0].activation
+    if any(m.layer_sizes != sizes or m.activation != activation for m in models):
+        raise ValueError("models must share layer_sizes and activation")
+    params, x1 = np.stack([m.params for m in models]), _ones_column(features)
+    return [(sizes, activation, params[b], np.broadcast_to(x1, (b.stop - b.start, *x1.shape)))
+            for b in _run_blocks(len(models), x1.shape[0])]
+
+
+def forward(models, features: np.ndarray) -> np.ndarray:
+    """Class probabilities (R, n, classes) of R models of one architecture on
+    the shared rows features (n, m), computed in blocks of runs."""
+    e = np.concatenate([np.exp(_forward(*args)[-1]) for args in _blocks(models, features)])
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def loss_and_grad(models, features: np.ndarray, labels: np.ndarray):
+    """Mean cross-entropy (R,) of R models of one architecture on the shared
+    rows features (n, m) with labels (n,), and its gradients (R, P) in the
+    flat params, computed in blocks of runs."""
     y = np.asarray(labels).ravel()
-    loss, grad = _loss_and_grad(model.layer_sizes, model.activation,
-                                model.params[None], _ones_column(features)[None], y[None])
-    return float(loss[0]), grad[0]
+    loss, grad = zip(*(_loss_and_grad(*args, np.broadcast_to(y, (len(args[2]), y.size)))
+                       for args in _blocks(models, features)))
+    return np.concatenate(loss), np.concatenate(grad)
 
 
 def per_example_grads(model: MlpModel, features: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -193,11 +215,6 @@ def per_example_grads(model: MlpModel, features: np.ndarray, labels: np.ndarray)
     # one single-record run per example, all on the same parameters
     params = np.broadcast_to(model.params, (x1.shape[0], model.n_params))
     return _loss_and_grad(model.layer_sizes, model.activation, params, x1, y[:, None])[1]
-
-
-def loss_on_example(model: MlpModel, features_row: np.ndarray, label: int) -> float:
-    """Cross-entropy of a single record."""
-    return loss_and_grad(model, features_row, [label])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -256,23 +273,6 @@ class TrainLog:
     diverged: bool
 
 
-def train(model: MlpModel, dataset: Dataset, scheme=NO_NOISE, *, lr: float,
-          iters: int, batch: int, seed: int, noise_on: str = "step"):
-    """Minibatch gradient descent with injected noise.
-
-    Parameters are re-initialized from the seed's init stream (the input
-    model fixes only the architecture), so two calls with equal seeds are
-    bit-identical end to end. noise_on selects the gradient whose magnitude
-    sets the noise scale: "step" uses the minibatch gradient just computed,
-    "full" recomputes the full-dataset gradient for the scale (updates always
-    use the minibatch gradient). A non-finite loss or gradient stops training
-    and flags the log as diverged; the parameters are those before that step.
-    """
-    models, logs = train_stacked(model, [dataset], [seed], scheme, lr=lr, iters=iters,
-                                 batch=batch, noise_on=noise_on)
-    return models[0], logs[0]
-
-
 def _index_by(keys):
     """Each key's position among the distinct keys (in order of first
     appearance), as an array, and the distinct keys."""
@@ -281,24 +281,25 @@ def _index_by(keys):
     return at, list(ids)
 
 
-def _run_blocks(runs: int, rows: int) -> list[slice]:
-    """Near-equal blocks of a stack of runs with `rows` rows each; a block has
-    at most _BLOCK_ROWS rows, or one run."""
-    n_blocks = -(-runs // max(1, _BLOCK_ROWS // rows))
-    return [slice(i * runs // n_blocks, (i + 1) * runs // n_blocks) for i in range(n_blocks)]
+def train(model: MlpModel, datasets, seeds, scheme=NO_NOISE, *, lr: float, iters: int,
+          batch: int, noise_on: str = "step"):
+    """Minibatch gradient descent with injected noise, of run r on
+    (datasets[r], seeds[r]) for all runs at once; the datasets may differ in
+    row count. Returns a list of models and one of logs.
 
-
-def train_stacked(model: MlpModel, datasets, seeds, scheme=NO_NOISE, *, lr: float,
-                  iters: int, batch: int, noise_on: str = "step"):
-    """`train` of run r on (datasets[r], seeds[r]) for all runs at once; the
-    datasets may differ in row count. Returns a list of models and one of
-    logs, each equal to what `train` gives for that run alone. Runs with the
-    same seed share one init and one noise stream, and runs with the same
-    seed and row count share one batch stream: each stream is drawn once, in
-    blocks of 32 iterations, while any of its runs is live. A run that
-    diverges leaves the stack at that step; the others carry on. The loop
-    runs with numpy's overflow and invalid-value warnings off: a non-finite
-    loss or gradient is how divergence is detected, and the logs report it."""
+    Parameters are re-initialized from each seed's init stream (the input
+    model fixes only the architecture), so a run's result depends only on its
+    dataset and seed, bit for bit. noise_on selects the gradient whose
+    magnitude sets the noise scale: "step" uses the minibatch gradient just
+    computed, "full" recomputes the full-dataset gradient for the scale
+    (updates always use the minibatch gradient). Runs with the same seed share
+    one init and one noise stream, and those with the same seed and row count
+    one batch stream, each drawn once, in blocks of 32 iterations, while any
+    of its runs is live. A non-finite loss or gradient stops a run and flags
+    its log as diverged; its parameters are those before that step, and the
+    other runs carry on. The loop runs with numpy's overflow and invalid-value
+    warnings off, since a non-finite loss or gradient is how divergence is
+    detected."""
     if len(datasets) != len(seeds) or not seeds:
         raise ValueError("need one seed per dataset and at least one run")
     rows = np.array([ds.size for ds in datasets])

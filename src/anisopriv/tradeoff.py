@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DegenerateGap, NonPositiveVariance
+from .errors import AnisoError, DegenerateGap, NonPositiveVariance
 from .linalg import SpdMatrix
 from .ou import QuadraticProblem, error_to_opt, exact_state, gaussian_kl
 
@@ -68,7 +68,8 @@ def optimal_diag_cov(gap: GradientGap, zeta: float) -> TradeoffPoint:
     """Trace-constrained minimizer of kl_term.
 
     Zero-gap coordinates receive the floor 1e-8 * zeta and the remaining
-    budget is split proportionally to the gaps.
+    budget is split proportionally to the gaps. Raises AnisoError (operation
+    "optimal_diag_cov") if the optimum value is not finite.
     """
     if not (zeta > 0.0 and math.isfinite(zeta)):
         raise ValueError(f"zeta must be positive and finite, got {zeta}")
@@ -83,6 +84,9 @@ def optimal_diag_cov(gap: GradientGap, zeta: float) -> TradeoffPoint:
     budget = zeta - floor * int(zero.sum())
     v[~zero] = budget * s[~zero] / total
     point = TradeoffPoint(v, kl_term(gap, v), float(v.sum()))
+    if not math.isfinite(point.kl_term):
+        raise AnisoError(f"kl_term at the optimum is not finite ({point.kl_term:g})",
+                         operation="optimal_diag_cov")
     assert abs(point.accuracy_loss - zeta) <= 1e-12 * max(1.0, zeta)
     return point
 
@@ -102,12 +106,17 @@ def _grid(x_range: tuple[float, float], y_range: tuple[float, float], resolution
 def grid_surface(gap: GradientGap, x_range: tuple[float, float],
                  y_range: tuple[float, float], resolution: int) -> np.ndarray:
     """kl_term surface over a square-root grid: rows (x, y, kl_term, trace)
-    with diag_sigma = (x^2, y^2), row-major in (x, y)."""
+    with diag_sigma = (x^2, y^2), row-major in (x, y). Raises AnisoError
+    (operation "grid_surface") if a kl_term or trace is not finite."""
     if gap.dim != 2:
         raise ValueError("grid_surface requires a 2-dimensional gap")
     x, y = _grid(x_range, y_range, resolution, "grid_surface")
     v = np.stack([x * x, y * y], axis=-1)
-    return np.column_stack([x, y, kl_term(gap, v), v[:, 0] + v[:, 1]])
+    rows = np.column_stack([x, y, kl_term(gap, v), v[:, 0] + v[:, 1]])
+    if not np.isfinite(rows).all():
+        raise AnisoError(f"kl_term or trace is not finite (max {rows[:, 2:].max():g})",
+                         operation="grid_surface")
+    return rows
 
 
 def quadratic_tradeoff(p: QuadraticProblem, p_other: QuadraticProblem, t: float,

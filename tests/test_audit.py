@@ -30,7 +30,7 @@ from anisopriv.models import (
     IsotropicPerLayer,
     forward,
     init_model,
-    loss_on_example,
+    loss_and_grad,
     make_adjacent,
     synth_blobs,
     train,
@@ -122,14 +122,14 @@ def test_estimate_delta_remove_full_matches_per_run_training(small_blobs):
         other = _adjacent_pair(ds, "remove", adj_rng)
         count = 0
         for t2 in range(cfg.inner_rounds):
-            kwargs = dict(lr=cfg.lr, iters=cfg.iters, batch=cfg.batch,
-                          seed=derive_seed(cfg.seed, t1, t2), noise_on="full")
-            model_a, log_a = train(template, ds, cfg.scheme, **kwargs)
-            model_b, log_b = train(template, other, cfg.scheme, **kwargs)
+            seeds = [derive_seed(cfg.seed, t1, t2)]
+            kwargs = dict(lr=cfg.lr, iters=cfg.iters, batch=cfg.batch, noise_on="full")
+            [model_a], [log_a] = train(template, [ds], seeds, cfg.scheme, **kwargs)
+            [model_b], [log_b] = train(template, [other], seeds, cfg.scheme, **kwargs)
             assert not (log_a.diverged or log_b.diverged)
             worst = max(worst, log_a.losses.max(), log_b.losses.max())
-            pa = forward(model_a, ds.features)[np.arange(ds.size), ds.labels]
-            pb = forward(model_b, ds.features)[np.arange(ds.size), ds.labels]
+            pa = forward([model_a], ds.features)[0, np.arange(ds.size), ds.labels]
+            pb = forward([model_b], ds.features)[0, np.arange(ds.size), ds.labels]
             count += int((clamped_log_ratios(pa, pb) > cfg.epsilon).sum())
         counts.append(count)
     assert sum(counts) > 0
@@ -180,6 +180,10 @@ def test_divergent_rounds_are_excluded(small_blobs):
         with pytest.warns(TrainingDivergedWarning):
             report = estimate_delta(cfg)
     assert 1 <= report.excluded_rounds <= 4
+    # outer round 1 kept no pair: it has no delta, and no comparison counts
+    assert report.delta_per_outer[1] is None
+    assert report.total_comparisons == 32
+    assert audit_report_to_dict(report)["delta_per_outer"][1] is None
 
 
 def test_adjacent_pair_modes(small_blobs):
@@ -244,8 +248,8 @@ def test_membership_losses_match_per_run_training(small_blobs):
             (make_adjacent(small_blobs, 3, "remove"), report.losses_without))
     for ds, losses in arms:
         for r, got in enumerate(losses):
-            model, _ = train(template, ds, scheme, seed=derive_seed(9, r), **kwargs)
-            assert got == loss_on_example(model, x, y)
+            [model], _ = train(template, [ds], [derive_seed(9, r)], scheme, **kwargs)
+            assert got == loss_and_grad([model], x, [y])[0][0]
 
 
 def test_membership_arms_differ_without_control(small_blobs):

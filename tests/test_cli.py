@@ -564,7 +564,8 @@ def outcome(capsys, cmd, cfg):
 
 
 # Kinds whose successful runs write only finite numbers.
-FINITE_OUTPUT_KINDS = {"simulate", "kl-bound", "quad-tradeoff", "membership"}
+FINITE_OUTPUT_KINDS = {"simulate", "kl-bound", "quad-tradeoff", "membership", "grid-surface",
+                       "optimize-cov"}
 NON_FINITE = re.compile(r"\b(?:inf|infinity|nan)\b", re.IGNORECASE)
 
 

@@ -21,14 +21,12 @@ from anisopriv.models import (
     init_model,
     layer_slices,
     loss_and_grad,
-    loss_on_example,
     make_adjacent,
     noise_std,
     per_example_grads,
     read_dataset_csv,
     synth_blobs,
     train,
-    train_stacked,
 )
 from anisopriv.rng import tagged_stream
 
@@ -45,9 +43,9 @@ def fd_gradient(model, x, y, h=1e-6):
     for i in range(base.shape[0]):
         bump = np.zeros_like(base)
         bump[i] = h
-        up, _ = loss_and_grad(MlpModel(model.layer_sizes, base + bump, model.activation), x, y)
-        dn, _ = loss_and_grad(MlpModel(model.layer_sizes, base - bump, model.activation), x, y)
-        g[i] = (up - dn) / (2.0 * h)
+        up, _ = loss_and_grad([MlpModel(model.layer_sizes, base + bump, model.activation)], x, y)
+        dn, _ = loss_and_grad([MlpModel(model.layer_sizes, base - bump, model.activation)], x, y)
+        g[i] = (up[0] - dn[0]) / (2.0 * h)
     return g
 
 
@@ -55,15 +53,15 @@ def test_zero_weights_uniform_loss():
     k = 4
     model = MlpModel((2, 3, k), np.zeros((2 + 1) * 3 + (3 + 1) * k))
     x = np.array([[0.5, -1.0], [2.0, 0.0]])
-    probs = forward(model, x)
+    probs = forward([model], x)
     np.testing.assert_allclose(probs, 0.25, rtol=1e-15)
-    loss, _ = loss_and_grad(model, x, np.array([0, 3]))
-    assert loss == pytest.approx(math.log(k), rel=1e-15)
+    loss, _ = loss_and_grad([model], x, np.array([0, 3]))
+    assert loss[0] == pytest.approx(math.log(k), rel=1e-15)
 
 
 def test_forward_rows_are_distributions(blobs):
     model = init_model(3, 6, 3, 2)
-    probs = forward(model, blobs.features)
+    probs = forward([model], blobs.features)[0]
     assert probs.shape == (blobs.size, 3)
     assert np.all(probs >= 0.0)
     np.testing.assert_allclose(probs.sum(axis=1), 1.0, rtol=1e-12)
@@ -73,8 +71,8 @@ def test_forward_rows_are_distributions(blobs):
 def test_gradient_against_finite_differences(blobs, activation):
     model = init_model(3, 5, 3, 7, activation)
     x, y = blobs.features[:12], blobs.labels[:12]
-    _, grad = loss_and_grad(model, x, y)
-    np.testing.assert_allclose(grad, fd_gradient(model, x, y), atol=1e-7)
+    _, grad = loss_and_grad([model], x, y)
+    np.testing.assert_allclose(grad[0], fd_gradient(model, x, y), atol=1e-7)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 7, 10])
@@ -152,18 +150,41 @@ def test_per_example_rows_sum_to_batch_gradient(blobs):
     model = init_model(3, 5, 3, 3, "tanh")
     x, y = blobs.features[:9], blobs.labels[:9]
     rows = per_example_grads(model, x, y)
-    _, grad = loss_and_grad(model, x, y)
+    _, grad = loss_and_grad([model], x, y)
     assert rows.shape == (9, model.n_params)
-    np.testing.assert_allclose(rows.sum(axis=0), 9.0 * grad, rtol=1e-12, atol=1e-14)
+    np.testing.assert_allclose(rows.sum(axis=0), 9.0 * grad[0], rtol=1e-12, atol=1e-14)
     # each row is the gradient of its own record
-    _, g0 = loss_and_grad(model, x[:1], y[:1])
-    np.testing.assert_allclose(rows[0], g0, rtol=1e-12, atol=1e-14)
+    _, g0 = loss_and_grad([model], x[:1], y[:1])
+    np.testing.assert_allclose(rows[0], g0[0], rtol=1e-12, atol=1e-14)
 
 
-def test_loss_on_example_matches_batch_of_one(blobs):
-    model = init_model(3, 5, 3, 3)
-    want, _ = loss_and_grad(model, blobs.features[:1], blobs.labels[:1])
-    assert loss_on_example(model, blobs.features[0], int(blobs.labels[0])) == want
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+def test_stacked_scoring_rows_match_single_models(blobs, monkeypatch, activation):
+    # at 100 rows a block holds 2 runs of these 40 rows, so 5 runs split into 3
+    # blocks; the last model has nonzero biases
+    models = [init_model(3, 6, 3, s, activation) for s in range(4)]
+    models.append(MlpModel(models[0].layer_sizes, models[0].params + 0.3, activation))
+    x, y = blobs.features[::3], blobs.labels[::3]
+    whole = forward(models, x), loss_and_grad(models, x, y)
+    monkeypatch.setattr("anisopriv.models._BLOCK_ROWS", 100)
+    probs, (loss, grad) = forward(models, x), loss_and_grad(models, x, y)
+    assert probs.shape == (5, x.shape[0], 3) and grad.shape == (5, models[0].n_params)
+    for got, want in zip((probs, loss, grad), (whole[0], *whole[1])):
+        assert np.array_equal(got, want)
+    for r, m in enumerate(models):
+        assert np.array_equal(probs[r], forward([m], x)[0])
+        one_loss, one_grad = loss_and_grad([m], x, y)
+        assert loss[r] == one_loss[0] and np.array_equal(grad[r], one_grad[0])
+
+
+def test_stacked_scoring_rejects_mixed_architectures(blobs):
+    x, y = blobs.features[:4], blobs.labels[:4]
+    relu = init_model(3, 6, 3, 0, "relu")
+    for other in (init_model(3, 5, 3, 0, "relu"), init_model(3, 6, 3, 0, "tanh")):
+        with pytest.raises(ValueError, match="share layer_sizes"):
+            forward([relu, other], x)
+        with pytest.raises(ValueError, match="share layer_sizes"):
+            loss_and_grad([relu, other], x, y)
 
 
 def test_init_model_layout():
@@ -199,19 +220,19 @@ def test_noise_std_per_scheme():
 
 def test_train_is_deterministic(blobs):
     model = init_model(3, 6, 3, 0)
-    kwargs = dict(lr=0.3, iters=40, batch=16, seed=21)
-    m1, log1 = train(model, blobs, AnisotropicPerParam(0.05), **kwargs)
-    m2, log2 = train(model, blobs, AnisotropicPerParam(0.05), **kwargs)
+    kwargs = dict(lr=0.3, iters=40, batch=16)
+    [m1], [log1] = train(model, [blobs], [21], AnisotropicPerParam(0.05), **kwargs)
+    [m2], [log2] = train(model, [blobs], [21], AnisotropicPerParam(0.05), **kwargs)
     assert np.array_equal(m1.params, m2.params)
     assert np.array_equal(log1.losses, log2.losses)
 
 
 def test_zero_variance_scheme_matches_plain_descent(blobs):
     model = init_model(3, 6, 3, 0)
-    kwargs = dict(lr=0.3, iters=40, batch=16, seed=21)
-    plain, _ = train(model, blobs, NO_NOISE, **kwargs)
-    zero_aniso, _ = train(model, blobs, AnisotropicPerParam(0.0), **kwargs)
-    zero_iso, _ = train(model, blobs, IsotropicPerLayer(0.0), **kwargs)
+    kwargs = dict(lr=0.3, iters=40, batch=16)
+    [plain], _ = train(model, [blobs], [21], NO_NOISE, **kwargs)
+    [zero_aniso], _ = train(model, [blobs], [21], AnisotropicPerParam(0.0), **kwargs)
+    [zero_iso], _ = train(model, [blobs], [21], IsotropicPerLayer(0.0), **kwargs)
     assert np.array_equal(plain.params, zero_aniso.params)
     assert np.array_equal(plain.params, zero_iso.params)
 
@@ -219,22 +240,22 @@ def test_zero_variance_scheme_matches_plain_descent(blobs):
 def test_train_reinitializes_from_seed(blobs):
     arch = init_model(3, 6, 3, 0)
     scrambled = MlpModel(arch.layer_sizes, arch.params + 5.0, arch.activation)
-    a, _ = train(arch, blobs, NO_NOISE, lr=0.3, iters=10, batch=16, seed=4)
-    b, _ = train(scrambled, blobs, NO_NOISE, lr=0.3, iters=10, batch=16, seed=4)
+    [a], _ = train(arch, [blobs], [4], NO_NOISE, lr=0.3, iters=10, batch=16)
+    [b], _ = train(scrambled, [blobs], [4], NO_NOISE, lr=0.3, iters=10, batch=16)
     assert np.array_equal(a.params, b.params)
 
 
 def test_divergence_truncates_log(blobs):
     model = init_model(3, 8, 3, 0, "relu")
     with np.errstate(over="ignore", invalid="ignore"):
-        _, log = train(model, blobs, NO_NOISE, lr=1e8, iters=60, batch=20, seed=1)
+        _, [log] = train(model, [blobs], [1], NO_NOISE, lr=1e8, iters=60, batch=20)
     assert log.diverged
     assert len(log.losses) < 60
 
 
 def test_training_learns_separable_blobs(blobs):
     model = init_model(3, 8, 3, 0, "relu")
-    _, log = train(model, blobs, NO_NOISE, lr=0.2, iters=300, batch=60, seed=2)
+    _, [log] = train(model, [blobs], [2], NO_NOISE, lr=0.2, iters=300, batch=60)
     assert not log.diverged
     assert log.losses[0] > 1.0  # starts near ln 3
     assert log.losses[-10:].mean() < 0.3
@@ -243,16 +264,16 @@ def test_training_learns_separable_blobs(blobs):
 def test_train_validation(blobs):
     model = init_model(3, 6, 3, 0)
     with pytest.raises(BatchLargerThanDataset) as exc:
-        train(model, blobs, NO_NOISE, lr=0.1, iters=5, batch=blobs.size + 1, seed=0)
+        train(model, [blobs], [0], NO_NOISE, lr=0.1, iters=5, batch=blobs.size + 1)
     assert exc.value.operation == "train"
     with pytest.raises(ValueError):
-        train(model, blobs, NO_NOISE, lr=0.0, iters=5, batch=4, seed=0)
+        train(model, [blobs], [0], NO_NOISE, lr=0.0, iters=5, batch=4)
     with pytest.raises(ValueError):
-        train(model, blobs, NO_NOISE, lr=0.1, iters=0, batch=4, seed=0)
+        train(model, [blobs], [0], NO_NOISE, lr=0.1, iters=0, batch=4)
     with pytest.raises(ValueError):
-        train(model, blobs, NO_NOISE, lr=0.1, iters=5, batch=0, seed=0)
+        train(model, [blobs], [0], NO_NOISE, lr=0.1, iters=5, batch=0)
     with pytest.raises(ValueError):
-        train(model, blobs, NO_NOISE, lr=0.1, iters=5, batch=4, seed=0, noise_on="both")
+        train(model, [blobs], [0], NO_NOISE, lr=0.1, iters=5, batch=4, noise_on="both")
 
 
 def test_make_adjacent_remove(blobs):
@@ -352,7 +373,7 @@ def reference_train(model, dataset, scheme, *, lr, iters, batch, seed, noise_on=
     for _ in range(iters):
         work = MlpModel(model.layer_sizes, params, model.activation)
         idx = batch_rng.integers(0, dataset.size, size=batch)
-        loss, grad = loss_and_grad(work, dataset.features[idx], dataset.labels[idx])
+        (loss,), (grad,) = loss_and_grad([work], dataset.features[idx], dataset.labels[idx])
         losses.append(loss)
         if not (np.isfinite(loss) and np.all(np.isfinite(grad))):
             return params, np.array(losses), True
@@ -360,7 +381,7 @@ def reference_train(model, dataset, scheme, *, lr, iters, batch, seed, noise_on=
             params = params - lr * grad
             continue
         if noise_on == "full":
-            _, scale = loss_and_grad(work, dataset.features, dataset.labels)
+            _, (scale,) = loss_and_grad([work], dataset.features, dataset.labels)
         else:
             scale = grad
         noise = noise_rng.standard_normal(params.shape[0])
@@ -392,7 +413,7 @@ def test_stacked_training_matches_per_run_reference(blobs, activation, scheme, n
     model = init_model(3, 6, 3, 0, activation)
     datasets, seeds = neighbours(blobs, 3), [21, 22, 23]
     kwargs = dict(lr=0.3, iters=45, batch=16, noise_on=noise_on)
-    models, logs = train_stacked(model, datasets, seeds, scheme, **kwargs)
+    models, logs = train(model, datasets, seeds, scheme, **kwargs)
     assert len(models) == len(logs) == 3
     for ds, seed, m, log in zip(datasets, seeds, models, logs):
         assert m.seed == seed
@@ -413,7 +434,7 @@ def test_stacked_training_diverged_row_leaves_the_stack(blobs):
     for noise_on in ("step", "full"):
         kwargs = dict(lr=30.0, iters=45, batch=16, noise_on=noise_on)
         with np.errstate(over="ignore", invalid="ignore"):
-            models, logs = train_stacked(model, datasets, seeds, scheme, **kwargs)
+            models, logs = train(model, datasets, seeds, scheme, **kwargs)
             refs = [reference_train(model, ds, scheme, seed=s, **kwargs)
                     for ds, s in zip(datasets, seeds)]
         assert logs[1].diverged and 1 < len(logs[1].losses) < 32
@@ -421,7 +442,7 @@ def test_stacked_training_diverged_row_leaves_the_stack(blobs):
         assert np.all(np.isfinite(models[1].params))  # frozen before the bad step
         for r in (0, 2):
             assert not logs[r].diverged and len(logs[r].losses) == 45
-            alone, alone_log = train(model, datasets[r], scheme, seed=seeds[r], **kwargs)
+            [alone], [alone_log] = train(model, [datasets[r]], [seeds[r]], scheme, **kwargs)
             assert np.array_equal(models[r].params, alone.params)
             assert np.array_equal(logs[r].losses, alone_log.losses)
         for m, log, ref in zip(models, logs, refs):
@@ -435,7 +456,7 @@ def test_stacked_training_all_rows_diverge(blobs, noise_on):
     kwargs = dict(lr=30.0, iters=45, batch=16, noise_on=noise_on)
     scheme = AnisotropicPerParam(0.05)
     with np.errstate(over="ignore", invalid="ignore"):
-        models, logs = train_stacked(model, [huge, huge], [3, 6], scheme, **kwargs)
+        models, logs = train(model, [huge, huge], [3, 6], scheme, **kwargs)
         refs = [reference_train(model, huge, scheme, seed=s, **kwargs) for s in (3, 6)]
     assert all(log.diverged for log in logs)
     for m, log, ref in zip(models, logs, refs):
@@ -457,7 +478,7 @@ def test_stacked_training_unequal_rows_and_repeated_seeds(blobs, monkeypatch, no
     seeds = [21, 21, 21, 21, 22, 22]
     scheme = IsotropicPerLayer(0.05)
     kwargs = dict(lr=0.3, iters=45, batch=16, noise_on=noise_on)
-    models, logs = train_stacked(model, datasets, seeds, scheme, **kwargs)
+    models, logs = train(model, datasets, seeds, scheme, **kwargs)
     for ds, seed, m, log in zip(datasets, seeds, models, logs):
         assert m.seed == seed
         assert_matches_reference(m, log, reference_train(model, ds, scheme, seed=seed,
@@ -477,7 +498,7 @@ def test_stacked_training_twin_trains_on_after_the_other_diverges(blobs, noise_o
     scheme = AnisotropicPerParam(0.05)
     kwargs = dict(lr=30.0, iters=45, batch=16, noise_on=noise_on)
     with np.errstate(over="ignore", invalid="ignore"):
-        models, logs = train_stacked(model, datasets, [4, 4, 4], scheme, **kwargs)
+        models, logs = train(model, datasets, [4, 4, 4], scheme, **kwargs)
         refs = [reference_train(model, ds, scheme, seed=4, **kwargs) for ds in datasets]
     assert logs[1].diverged and 1 < len(logs[1].losses) < 32
     for r in (0, 2):
@@ -492,12 +513,10 @@ def test_stacked_training_validation(blobs):
     kwargs = dict(lr=0.1, iters=5, batch=4)
     with pytest.raises(BatchLargerThanDataset, match=f"dataset size {smaller.size}"):
         # the smallest dataset of the stack bounds the batch
-        train_stacked(model, [blobs, smaller], [1, 2], NO_NOISE, lr=0.1, iters=5,
-                      batch=blobs.size)
+        train(model, [blobs, smaller], [1, 2], NO_NOISE, lr=0.1, iters=5, batch=blobs.size)
     with pytest.raises(ValueError):
-        train_stacked(model, [blobs, blobs], [1], NO_NOISE, **kwargs)
+        train(model, [blobs, blobs], [1], NO_NOISE, **kwargs)
     with pytest.raises(ValueError):
-        train_stacked(model, [], [], NO_NOISE, **kwargs)
+        train(model, [], [], NO_NOISE, **kwargs)
     with pytest.raises(BatchLargerThanDataset):
-        train_stacked(model, [smaller, smaller], [1, 2], NO_NOISE, lr=0.1, iters=5,
-                      batch=blobs.size)
+        train(model, [smaller, smaller], [1, 2], NO_NOISE, lr=0.1, iters=5, batch=blobs.size)

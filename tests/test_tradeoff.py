@@ -96,6 +96,10 @@ def test_all_zero_gap_rejected():
         optimal_diag_cov(GradientGap([0.0, 0.0]), zeta=1.0)
     with pytest.raises(ValueError):
         optimal_diag_cov(GradientGap([1.0]), zeta=0.0)
+    # s^2 overflows, so the optimum value would be inf
+    with np.errstate(over="ignore"), pytest.raises(AnisoError) as exc:
+        optimal_diag_cov(GradientGap([1e300, 1.0]), zeta=1.0)
+    assert exc.value.operation == "optimal_diag_cov"
 
 
 def test_projected_gradient_matches_closed_form():
@@ -169,6 +173,11 @@ def test_grid_surface_validation():
         grid_surface(gap, (1.0, 2.0), (1.0, 2.0), 1)
     with pytest.raises(NonPositiveVariance):
         grid_surface(gap, (0.0, 2.0), (1.0, 2.0), 2)
+    # an overflowing kl_term (gap^2) or trace (x^2) would be written as inf
+    for gaps, x_range in (([1e300, 1.0], (1.0, 2.0)), ([1.0, 1.0], (1.0, 1e300))):
+        with np.errstate(over="ignore"), pytest.raises(AnisoError) as exc:
+            grid_surface(GradientGap(gaps), x_range, (1.0, 2.0), 2)
+        assert exc.value.operation == "grid_surface"
 
 
 @pytest.fixture
