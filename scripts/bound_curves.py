@@ -1,27 +1,20 @@
 #!/usr/bin/env python3
 """Monte-Carlo KL bound vs exact Gaussian KL for an adjacent quadratic pair.
 
-Writes bound_curve.csv and exact_kl.csv and prints the closed-form bound
+Runs the kl-bound experiment, which writes bound_curve.csv and exact_kl.csv
+(with its config and manifest) into --out, and prints the closed-form bound
 values for the matching regularity parameters.
 """
 
 import argparse
-import csv
+import json
 import pathlib
 import sys
 
 import numpy as np
 
-from anisopriv.bounds import (
-    RegularityParams,
-    klbound_closed,
-    klbound_stationary,
-    mc_kl_bound,
-    write_bound_csv,
-)
-from anisopriv.linalg import SpdMatrix
-from anisopriv.ou import QuadraticProblem, exact_state, gaussian_kl
-from anisopriv.sde import ConstantSpd, QuadraticDrift, SimConfig
+from anisopriv.bounds import RegularityParams, klbound_closed, klbound_stationary
+from anisopriv.cli import main
 
 
 def parse_args(argv):
@@ -37,33 +30,20 @@ def parse_args(argv):
 def run(argv=None) -> int:
     args = parse_args(argv)
     args.out.mkdir(parents=True, exist_ok=True)
-
-    design = np.array([[1.0]])
-    sigma = SpdMatrix([[1.0]])
-    drift_a = QuadraticDrift(design, np.array([0.0]))
-    drift_b = QuadraticDrift(design, np.array([args.target_gap]))
-    prob_a = QuadraticProblem(design, [0.0], sigma, [0.0])
-    prob_b = QuadraticProblem(design, [args.target_gap], sigma, [0.0])
-    cov = ConstantSpd(sigma)
-
-    cfg = SimConfig(0.01, args.horizon, args.paths, args.seed, record_stride=10)
-    curve = mc_kl_bound(drift_a, drift_b, cov, cov, [0.0], cfg)
-    write_bound_csv(curve, args.out / "bound_curve.csv")
-
-    with open(args.out / "exact_kl.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["time", "kl"])
-        for t in curve.times:
-            kl = 0.0 if t == 0.0 else gaussian_kl(
-                exact_state(prob_a, float(t)), exact_state(prob_b, float(t))
-            )
-            w.writerow([f"{t:.17g}", f"{kl:.17g}"])
-
-    final_kl = gaussian_kl(
-        exact_state(prob_a, args.horizon), exact_state(prob_b, args.horizon)
-    )
-    print(f"bound({args.horizon}) = {curve.bounds[-1]:.6g} "
-          f">= exact kl {final_kl:.6g}")
+    cfg = args.out / "kl-bound.json"
+    cfg.write_text(json.dumps({
+        "seed": args.seed,
+        "output_dir": ".",
+        "experiment": {
+            "kind": "kl-bound", "design": [[1.0]], "target": [0.0],
+            "target_prime": [args.target_gap], "sigma_diag": [1.0], "x0": [0.0],
+            "step": 0.01, "horizon": args.horizon, "paths": args.paths,
+            "record_stride": 10,
+        },
+    }, indent=2))
+    code = main(["run", str(cfg)])
+    if code:
+        return code
 
     params = RegularityParams(
         kappa=1.0, grad_lip=1.0, kappa_prime=1.0, grad_lip_prime=1.0,

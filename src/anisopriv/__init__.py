@@ -35,7 +35,6 @@ from .sde import (
     paired_simulate,
     psd_project,
     simulate,
-    write_ensemble_csv,
 )
 from .bounds import (
     ABSENT_SCORE,
@@ -51,7 +50,6 @@ from .bounds import (
     lsi_rate,
     mc_kl_bound,
     phi,
-    write_bound_csv,
     xi_bound,
 )
 from .privacy import (
@@ -68,7 +66,6 @@ from .tradeoff import (
     kl_term,
     optimal_diag_cov,
     quadratic_tradeoff,
-    write_grid_csv,
 )
 from .models import (
     AnisotropicPerParam,
@@ -91,8 +88,6 @@ from .audit import (
     clamped_log_ratios,
     estimate_delta,
     membership_experiment,
-    write_audit_json,
-    write_membership_csv,
 )
 
 __all__ = [
@@ -106,20 +101,17 @@ __all__ = [
     "CallableDrift", "ConstantSpd", "DatasetGradientDrift", "DiagonalOfState",
     "MinibatchSgd", "QuadraticDrift", "SimConfig", "TrajectoryEnsemble",
     "minibatch_covariance", "paired_simulate", "psd_project", "simulate",
-    "write_ensemble_csv",
     "ABSENT_SCORE", "BoundCurve", "CallableScore", "GaussianScore",
     "RegularityParams", "TimeVaryingScore", "convergence_bound",
     "klbound_closed", "klbound_stationary", "lsi_constant", "lsi_rate",
-    "mc_kl_bound", "phi", "write_bound_csv", "xi_bound",
+    "mc_kl_bound", "phi", "xi_bound",
     "ConcentrationParams", "concentration_tail",
     "delta_from_eps", "eps_from_delta", "membership_advantage",
     "GradientGap", "TradeoffPoint", "grid_surface", "kl_term",
     "optimal_diag_cov", "quadratic_tradeoff",
-    "write_grid_csv",
     "AnisotropicPerParam", "Dataset", "IsotropicPerLayer", "MlpModel",
     "NO_NOISE", "NoNoise", "TrainLog", "init_model", "make_adjacent",
     "read_dataset_csv", "synth_blobs", "train",
     "AuditConfig", "AuditReport", "MembershipReport", "clamped_log_ratios",
-    "estimate_delta", "membership_experiment", "write_audit_json",
-    "write_membership_csv",
+    "estimate_delta", "membership_experiment",
 ]

@@ -16,8 +16,6 @@ step of `models` (one matmul per layer each way).
 
 from __future__ import annotations
 
-import csv
-import json
 import warnings
 from dataclasses import dataclass
 
@@ -151,24 +149,6 @@ def estimate_delta(cfg: AuditConfig) -> AuditReport:
     )
 
 
-def audit_report_to_dict(report: AuditReport) -> dict:
-    """JSON fields of the report; the run manifest's timestamp block has the
-    run time, so reruns write identical bytes."""
-    return {
-        "delta": report.delta,
-        "delta_per_outer": list(report.delta_per_outer),
-        "counts_per_outer": list(report.counts_per_outer),
-        "total_comparisons": report.total_comparisons,
-        "worst_loss": report.worst_loss,
-        "excluded_rounds": report.excluded_rounds,
-    }
-
-
-def write_audit_json(report: AuditReport, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(audit_report_to_dict(report), fh, indent=2)
-
-
 # ---------------------------------------------------------------------------
 # membership experiment
 
@@ -219,25 +199,3 @@ def membership_experiment(dataset: Dataset, target_index: int, runs: int, scheme
         raise AnisoError("a target loss, the mean gap or the worst loss is not finite",
                          operation="membership_experiment")
     return report
-
-
-def write_membership_csv(report: MembershipReport, path) -> None:
-    """Loss histogram rows (run, arm, loss_on_target), arm in {D, Dprime}."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["run", "arm", "loss_on_target"])
-        for r, v in enumerate(report.losses_with):
-            w.writerow([r, "D", f"{v:.17g}"])
-        for r, v in enumerate(report.losses_without):
-            w.writerow([r, "Dprime", f"{v:.17g}"])
-
-
-def membership_report_to_dict(report: MembershipReport) -> dict:
-    """JSON fields of the report."""
-    return {
-        "mean_gap": report.mean_gap,
-        "worst_loss": report.worst_loss,
-        "mean_loss_with": float(report.losses_with.mean()),
-        "mean_loss_without": float(report.losses_without.mean()),
-        "runs": int(report.losses_with.shape[0]),
-    }

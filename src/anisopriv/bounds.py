@@ -20,7 +20,6 @@ Two ingredients:
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -178,15 +177,6 @@ def mc_kl_bound(drift_a, drift_b, cov_a, cov_b, x0, cfg: SimConfig,
         raise AnisoError("the KL bound or its standard error is not finite",
                          operation="mc_kl_bound")
     return BoundCurve(times, bounds, stderr)
-
-
-def write_bound_csv(curve: BoundCurve, path) -> None:
-    """Columns time,bound at 17 significant digits."""
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["time", "bound"])
-        for t, b in zip(curve.times, curve.bounds):
-            wr.writerow([f"{t:.17g}", f"{b:.17g}"])
 
 
 # ---------------------------------------------------------------------------

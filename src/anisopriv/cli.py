@@ -11,12 +11,18 @@ experiment's files plus a manifest.json recording the semantic-config hash,
 seed, and versions; reruns of an identical config are byte-identical except
 the manifest's "timestamp" object. Exit codes: 0 success, 1 invalid config,
 2 numerical failure (the error JSON names the offending operation).
+
+This module owns the output format: every file goes through _write_csv
+(floats at 17 significant digits) or _write_json (indent 2). Neither writes a
+number that is not finite; instead it writes nothing and raises AnisoError
+with operation "write", so the run exits 2 and no manifest is written.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -29,14 +35,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__
-from .audit import (
-    AuditConfig,
-    estimate_delta,
-    membership_experiment,
-    membership_report_to_dict,
-    write_audit_json,
-    write_membership_csv,
-)
+from .audit import AuditConfig, estimate_delta, membership_experiment
 from .bounds import (
     GaussianScore,
     RegularityParams,
@@ -46,7 +45,6 @@ from .bounds import (
     lsi_constant,
     lsi_rate,
     mc_kl_bound,
-    write_bound_csv,
 )
 from .errors import AnisoError
 from .linalg import SpdMatrix, SymMatrix
@@ -58,14 +56,8 @@ from .models import (
     synth_blobs,
 )
 from .ou import QuadraticProblem, _check_full_rank, exact_state, gaussian_kl
-from .sde import ConstantSpd, QuadraticDrift, SimConfig, simulate, write_ensemble_csv
-from .tradeoff import (
-    GradientGap,
-    grid_surface,
-    optimal_diag_cov,
-    quadratic_tradeoff,
-    write_grid_csv,
-)
+from .sde import ConstantSpd, QuadraticDrift, SimConfig, simulate
+from .tradeoff import GradientGap, grid_surface, optimal_diag_cov, quadratic_tradeoff
 from .privacy import (
     ConcentrationParams,
     delta_from_eps,
@@ -74,6 +66,66 @@ from .privacy import (
 )
 
 SCHEMA_VERSION = 1
+
+
+# ---------------------------------------------------------------------------
+# output files: every run writes through _write_csv and _write_json
+
+
+def _not_written(path, detail):
+    return AnisoError(f"{os.path.basename(path)} was not written: {detail}",
+                      operation="write")
+
+
+def _csv_cell(v, path):
+    if isinstance(v, (int, str)):
+        return v
+    v = float(v)
+    if not math.isfinite(v):
+        raise _not_written(path, f"it would hold {v}, which is not finite")
+    return f"{v:.17g}"
+
+
+def _write_csv(path, header, rows) -> None:
+    """header, then rows: floats at 17 significant digits, which round-trip
+    through float(); ints and strings as they are. Raises AnisoError
+    (operation write), and writes nothing, when a number is not finite."""
+    body = [[_csv_cell(v, path) for v in row] for row in rows]
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(body)
+
+
+def _json_text(doc) -> str:
+    """doc as JSON with indent 2; ValueError when a number in it is not finite."""
+    return json.dumps(doc, indent=2, allow_nan=False)
+
+
+def _write_json(path, doc) -> None:
+    """doc as JSON with indent 2. Raises AnisoError (operation write), and
+    writes nothing, when a number in doc is not finite."""
+    try:
+        text = _json_text(doc)
+    except ValueError as exc:
+        raise _not_written(path, str(exc)) from None
+    with open(path, "w") as fh:
+        fh.write(text)
+
+
+# The three writers perfbench's tracer wraps by name; the path comes second.
+
+
+def write_bound_csv(curve, path) -> None:
+    _write_csv(path, ["time", "bound"], zip(curve.times, curve.bounds))
+
+
+def write_grid_csv(rows, path, *, header) -> None:
+    _write_csv(path, header, rows)
+
+
+def write_audit_json(report, path) -> None:
+    _write_json(path, dataclasses.asdict(report))
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +439,10 @@ def _simulate(p, errs, base_dir, seed):
     def run(outdir):
         cov = ConstantSpd(SpdMatrix(sigma))
         ens = simulate(QuadraticDrift(design, target), cov, x0, cfg)
-        write_ensemble_csv(ens, os.path.join(outdir, "ensemble.csv"))
+        _write_csv(os.path.join(outdir, "ensemble.csv"),
+                   ["path", "time", *[f"x{i}" for i in range(ens.dim)]],
+                   ([p, t, *ens.states[p, j]] for p in range(ens.paths)
+                    for j, t in enumerate(ens.times)))
 
     return ["trajectory ensemble (ensemble.csv)"], run
 
@@ -410,8 +465,7 @@ def _ou_exact(p, errs, base_dir, seed):
             "cov": [[float(v) for v in row] for row in state.cov.entries],
             "time": "inf" if math.isinf(state.time) else state.time,
         }
-        with open(os.path.join(outdir, "gaussian_state.json"), "w") as fh:
-            json.dump(doc, fh, indent=2)
+        _write_json(os.path.join(outdir, "gaussian_state.json"), doc)
 
     return ["time-t Gaussian mean", "time-t Gaussian covariance (closed form)",
             "gaussian_state.json"], run
@@ -429,43 +483,36 @@ def _kl_bound(p, errs, base_dir, seed):
         _err(errs, "experiment.sigma_prime", f"must be {dim}x{dim}")
     elif sigma_p is not None:
         sigma_p = _symmetric(sigma_p, "experiment.sigma_prime", errs)
+    unequal = sigma_p is not None and not np.array_equal(sigma_p, sigma)
     cfg = _sim_config(p, errs, seed)
 
     def run(outdir):
         cov_a = ConstantSpd(SpdMatrix(sigma))
-        cov_b = cov_a
-        if sigma_p is not None and not np.array_equal(sigma_p, sigma):
-            cov_b = ConstantSpd(SpdMatrix(sigma_p))
+        cov_b = ConstantSpd(SpdMatrix(sigma_p)) if unequal else cov_a
         prob_a = QuadraticProblem(design, target, cov_a.matrix, x0)
         prob_b = QuadraticProblem(design_p, target_p, cov_b.matrix, x0)
         drift_a = QuadraticDrift(design, target)
         drift_b = QuadraticDrift(design_p, target_p)
-        if cov_b is cov_a:
-            curve = mc_kl_bound(drift_a, drift_b, cov_a, cov_a, x0, cfg)
-        else:
+        if unequal:
             score = TimeVaryingScore(
                 lambda t: GaussianScore(exact_state(prob_b, max(t, cfg.step))))
             curve = mc_kl_bound(drift_a, drift_b, cov_a, cov_b, x0, cfg, score)
+        else:
+            curve = mc_kl_bound(drift_a, drift_b, cov_a, cov_a, x0, cfg)
         write_bound_csv(curve, os.path.join(outdir, "bound_curve.csv"))
-        with open(os.path.join(outdir, "exact_kl.csv"), "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["time", "kl"])
-            for t in curve.times:
-                if t == 0.0:
-                    w.writerow(["0", "0"])
-                    continue
-                kl = gaussian_kl(exact_state(prob_a, float(t)), exact_state(prob_b, float(t)))
-                w.writerow([f"{t:.17g}", f"{kl:.17g}"])
+        kls = [gaussian_kl(exact_state(prob_a, float(t)), exact_state(prob_b, float(t)))
+               if t > 0.0 else 0.0 for t in curve.times]
+        _write_csv(os.path.join(outdir, "exact_kl.csv"), ["time", "kl"], zip(curve.times, kls))
 
     return ["Monte-Carlo KL bound curve (bound_curve.csv)",
             "exact Gaussian KL curve (exact_kl.csv)",
-            "score-corrected mismatch (unequal diffusions)" if sigma_p is not None
+            "score-corrected mismatch (unequal diffusions)" if unequal
             else "drift-gap mismatch (shared diffusion)"], run
 
 
-def _closed_bounds_json(rp, times):
-    """closed_bounds.json's text. Raises ArithmeticError or ValueError when a
-    closed form overflows, divides by zero or is not finite."""
+def _closed_bounds_doc(rp, times):
+    """closed_bounds.json's document. Raises ArithmeticError or ValueError when
+    a closed form overflows, divides by zero or is not finite."""
     rho = lsi_rate(rp.sigma, rp.kappa)
     doc = {
         "klbound": klbound_closed(rp),
@@ -476,7 +523,8 @@ def _closed_bounds_json(rp, times):
             "curve": [[float(t), lsi_constant(float(t), rho, rp.lsi0)] for t in times],
         },
     }
-    return json.dumps(doc, indent=2, allow_nan=False)
+    _json_text(doc)  # raises the ValueError when a value is not finite
+    return doc
 
 
 def _closed_bounds(p, errs, base_dir, seed):
@@ -496,12 +544,12 @@ def _closed_bounds(p, errs, base_dir, seed):
             _err(errs, f"experiment.{kappa}", f"cannot exceed {lip}")
     times = _vector(p, "times", "experiment", errs, required=False,
                     default=[0.0, 1.0, 10.0, 100.0], nonneg=True)
-    text = None
+    doc = None
     if len(errs) == n_errs:
         with np.errstate(over="ignore"):
             try:
                 rp = RegularityParams(**scalars, xstar=xs, xstar_prime=xsp)
-                text = _closed_bounds_json(rp, times)
+                doc = _closed_bounds_doc(rp, times)
             except (ArithmeticError, ValueError) as exc:
                 # blame the value farthest from 1 in scale, the likeliest cause
                 scale = {k: abs(math.log(v)) for k, v in scalars.items()}
@@ -511,8 +559,7 @@ def _closed_bounds(p, errs, base_dir, seed):
                      f"these values, and this is the most extreme one ({exc})")
 
     def run(outdir):
-        with open(os.path.join(outdir, "closed_bounds.json"), "w") as fh:
-            fh.write(text)
+        _write_json(os.path.join(outdir, "closed_bounds.json"), doc)
 
     return ["time-uniform KL bound", "time-uniform KL bound (stationary-start variant)",
             "stationary KL bound", "log-Sobolev constant curve"], run
@@ -527,13 +574,10 @@ def _optimize_cov(p, errs, base_dir, seed):
 
     def run(outdir):
         gap = GradientGap(gaps)
-        with open(os.path.join(outdir, "optimal_cov.csv"), "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["zeta", *[f"sigma{i}" for i in range(gap.dim)], "kl_term"])
-            for z in zetas:
-                pt = optimal_diag_cov(gap, float(z))
-                w.writerow([f"{z:.17g}", *[f"{v:.17g}" for v in pt.diag_sigma],
-                            f"{pt.kl_term:.17g}"])
+        points = [optimal_diag_cov(gap, float(z)) for z in zetas]
+        _write_csv(os.path.join(outdir, "optimal_cov.csv"),
+                   ["zeta", *[f"sigma{i}" for i in range(gap.dim)], "kl_term"],
+                   ([z, *pt.diag_sigma, pt.kl_term] for z, pt in zip(zetas, points)))
 
     return ["optimal diagonal covariance per zeta", "kl_term at each optimum",
             "optimal_cov.csv"], run
@@ -627,9 +671,16 @@ def _membership(p, errs, base_dir, seed):
     def run(outdir):
         report = membership_experiment(dataset, target, runs, scheme, seed=seed,
                                        null_control=null_control, **train)
-        write_membership_csv(report, os.path.join(outdir, "membership_hist.csv"))
-        with open(os.path.join(outdir, "membership_report.json"), "w") as fh:
-            json.dump(membership_report_to_dict(report), fh, indent=2)
+        arms = (("D", report.losses_with), ("Dprime", report.losses_without))
+        _write_csv(os.path.join(outdir, "membership_hist.csv"), ["run", "arm", "loss_on_target"],
+                   ([r, arm, v] for arm, losses in arms for r, v in enumerate(losses)))
+        _write_json(os.path.join(outdir, "membership_report.json"), {
+            "mean_gap": report.mean_gap,
+            "worst_loss": report.worst_loss,
+            "mean_loss_with": float(report.losses_with.mean()),
+            "mean_loss_without": float(report.losses_without.mean()),
+            "runs": runs,
+        })
 
     return ["per-run target losses, both arms (membership_hist.csv)",
             "mean loss gap", "worst training loss", "membership_report.json"], run
@@ -654,8 +705,7 @@ def _privacy_translate(p, errs, base_dir, seed):
             "delta_from_eps": [[float(e), delta_from_eps(float(e), cp)] for e in eps],
             "eps_from_delta": [[float(d), eps_from_delta(float(d), cp)] for d in delta or ()],
         }
-        with open(os.path.join(outdir, "privacy.json"), "w") as fh:
-            json.dump(doc, fh, indent=2)
+        _write_json(os.path.join(outdir, "privacy.json"), doc)
 
     return ["membership advantage from KL", "delta at each eps", "eps at each delta",
             "privacy.json"], run
@@ -784,8 +834,7 @@ def _cmd_run(path) -> int:
             "wall_clock_seconds": time.perf_counter() - started,
         },
     }
-    with open(os.path.join(cfg.output_dir, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2)
+    _write_json(os.path.join(cfg.output_dir, "manifest.json"), manifest)
     _emit({"ok": True, "output_dir": cfg.output_dir, "experiment": cfg.kind,
            "config_hash": cfg.config_hash})
     return 0

@@ -21,7 +21,6 @@ Every drift, covariance and score specification takes the states as a
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Callable
@@ -497,21 +496,3 @@ def paired_simulate(drift_a, drift_b, cov, x0,
     """
     ens_a, ens_b = _recorded((drift_a, drift_b), cov, x0, cfg)
     return ens_a, ens_b
-
-
-# ---------------------------------------------------------------------------
-# export
-
-
-def write_ensemble_csv(ensemble: TrajectoryEnsemble, path) -> None:
-    """Rows (path, time, x0..x{dim-1}), floats at 17 significant digits."""
-    d = ensemble.dim
-    header = ["path", "time", *[f"x{i}" for i in range(d)]]
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for p in range(ensemble.paths):
-            for j, t in enumerate(ensemble.times):
-                w.writerow(
-                    [p, f"{t:.17g}", *[f"{v:.17g}" for v in ensemble.states[p, j, :]]]
-                )

@@ -9,7 +9,6 @@ the closed-form solution v_i = zeta * s_i / sum_j s_j, with optimum value
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, replace
 
@@ -139,12 +138,3 @@ def quadratic_tradeoff(p: QuadraticProblem, p_other: QuadraticProblem, t: float,
     pb = replace(p_other, noise_cov=cov)
     kl = gaussian_kl(exact_state(pa, t), exact_state(pb, t))
     return np.column_stack([x, y, kl, error_to_opt(pa, t)])
-
-
-def write_grid_csv(rows: np.ndarray, path, *, header: tuple[str, str, str, str]) -> None:
-    """Four-column grid CSV at 17 significant digits."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(list(header))
-        for r in rows:
-            w.writerow([f"{v:.17g}" for v in r])

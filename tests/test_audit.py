@@ -1,7 +1,6 @@
 """Empirical delta estimator and membership experiment."""
 
-import csv
-import json
+import dataclasses
 import math
 from collections import Counter
 
@@ -12,13 +11,9 @@ from anisopriv import models
 from anisopriv.audit import (
     AuditConfig,
     _adjacent_pair,
-    audit_report_to_dict,
     clamped_log_ratios,
     estimate_delta,
     membership_experiment,
-    membership_report_to_dict,
-    write_audit_json,
-    write_membership_csv,
 )
 from anisopriv.errors import AnisoError, TrainingDivergedWarning
 from anisopriv.models import (
@@ -165,9 +160,9 @@ def test_estimate_delta_same_report_in_run_blocks(small_blobs, monkeypatch):
     # at 20 rows a block holds two runs of an 8-row batch, and one run of a
     # full-data pass or of the final probabilities
     cfg = small_config(small_blobs, adjacency="remove", noise_on="full", epsilon=0.01)
-    whole = audit_report_to_dict(estimate_delta(cfg))
+    whole = dataclasses.asdict(estimate_delta(cfg))
     monkeypatch.setattr("anisopriv.models._BLOCK_ROWS", 20)
-    assert audit_report_to_dict(estimate_delta(cfg)) == whole
+    assert dataclasses.asdict(estimate_delta(cfg)) == whole
     assert sum(whole["counts_per_outer"]) > 0
 
 
@@ -183,7 +178,6 @@ def test_divergent_rounds_are_excluded(small_blobs):
     # outer round 1 kept no pair: it has no delta, and no comparison counts
     assert report.delta_per_outer[1] is None
     assert report.total_comparisons == 32
-    assert audit_report_to_dict(report)["delta_per_outer"][1] is None
 
 
 def test_adjacent_pair_modes(small_blobs):
@@ -219,17 +213,6 @@ def test_audit_config_validation(small_blobs):
         small_config(small_blobs, hidden=0)
 
 
-def test_audit_json_roundtrip(tmp_path, small_blobs):
-    report = estimate_delta(small_config(small_blobs, outer_rounds=1, inner_rounds=1))
-    path = tmp_path / "audit.json"
-    write_audit_json(report, path)
-    with open(path) as fh:
-        doc = json.load(fh)
-    assert doc == audit_report_to_dict(report)
-    assert doc["total_comparisons"] == small_blobs.size
-    assert math.isfinite(doc["worst_loss"])
-
-
 def test_membership_null_control_has_zero_gap(small_blobs):
     report = membership_experiment(
         small_blobs, 0, 3, AnisotropicPerParam(0.5),
@@ -261,27 +244,6 @@ def test_membership_arms_differ_without_control(small_blobs):
     assert report.mean_gap >= 0.0
     assert np.all(np.isfinite(report.losses_with))
     assert np.all(np.isfinite(report.losses_without))
-
-
-def test_membership_csv_layout(tmp_path, small_blobs):
-    report = membership_experiment(
-        small_blobs, 2, 4, NO_NOISE,
-        lr=0.5, iters=20, batch=8, hidden=4, seed=1,
-    )
-    path = tmp_path / "hist.csv"
-    write_membership_csv(report, path)
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["run", "arm", "loss_on_target"]
-    body = rows[1:]
-    assert len(body) == 8
-    assert [r[1] for r in body] == ["D"] * 4 + ["Dprime"] * 4
-    got_with = np.array([float(r[2]) for r in body[:4]])
-    assert np.array_equal(got_with, report.losses_with)
-
-    doc = membership_report_to_dict(report)
-    assert doc["runs"] == 4
-    assert doc["mean_gap"] == report.mean_gap
 
 
 def test_membership_validation(small_blobs):

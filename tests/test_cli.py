@@ -1,19 +1,24 @@
 """Config-driven CLI: validation paths, run outputs, reproducibility."""
 
+import ast
 import copy
+import csv
 import json
+import math
 import os
 import re
+import struct
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import anisopriv
 import anisopriv.sde
 from anisopriv import __version__
-from anisopriv.cli import main
+from anisopriv.cli import _write_csv, _write_json, main
 from anisopriv.errors import AnisoError, TrainingDivergedWarning
 
 
@@ -274,6 +279,22 @@ def kl_bound_doc(**over):
     }
     exp.update(over)
     return {"seed": 1, "output_dir": "out", "experiment": exp}
+
+
+def test_kl_bound_sigma_prime_equal_to_sigma_is_the_shared_diffusion(tmp_path, capsys):
+    # validate describes the path run takes: a sigma_prime equal to sigma is
+    # the shared diffusion, with the same bound as no sigma_prime at all
+    outputs = []
+    for name, over in (("plain", {}), ("equal", {"sigma_prime": [[1.0, 0.0], [0.0, 1.0]]})):
+        doc = kl_bound_doc(**over)
+        doc["output_dir"] = name
+        cfg = write_config(tmp_path / f"{name}.json", doc)
+        code, report = run_cli(capsys, "validate", cfg)
+        assert code == 0
+        assert report["derived"][-1] == "drift-gap mismatch (shared diffusion)"
+        assert run_cli(capsys, "run", cfg)[0] == 0
+        outputs.append((tmp_path / name / "bound_curve.csv").read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 def test_quad_tradeoff_base_config_runs(tmp_path, capsys):
@@ -563,9 +584,6 @@ def outcome(capsys, cmd, cfg):
         return None, repr(exc)
 
 
-# Kinds whose successful runs write only finite numbers.
-FINITE_OUTPUT_KINDS = {"simulate", "kl-bound", "quad-tradeoff", "membership", "grid-surface",
-                       "optimize-cov"}
 NON_FINITE = re.compile(r"\b(?:inf|infinity|nan)\b", re.IGNORECASE)
 
 
@@ -581,7 +599,7 @@ def contract_breaches(tmp_path, capsys, doc, mutants):
     rejected by run with the same errors; one that passes validate fails run
     only as a numerical failure named after the failing operation. A value
     validate let through that makes main raise is a breach, and so is a
-    successful run of a FINITE_OUTPUT_KINDS kind that writes inf or nan."""
+    successful run that writes inf or nan."""
     bad = []
     for i, (where, key, value) in enumerate(mutants):
         mutant = copy.deepcopy(doc)
@@ -601,7 +619,7 @@ def contract_breaches(tmp_path, capsys, doc, mutants):
         else:
             ok = code_v == 0 and (code_r == 0 or (
                 code_r == 2 and report_r["operation"] != doc["experiment"]["kind"]))
-            if ok and code_r == 0 and doc["experiment"]["kind"] in FINITE_OUTPUT_KINDS:
+            if ok and code_r == 0:
                 ok = not non_finite_outputs(report_r["output_dir"])
         if not ok:
             change = "dropped" if value is DROP else json.dumps(value)
@@ -665,3 +683,48 @@ def test_runtime_does_not_import_scipy(tmp_path):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "out" / "kl-bound" / "exact_kl.csv").exists()
+
+
+def test_writers_round_trip_floats_and_refuse_non_finite(tmp_path, capsys, monkeypatch):
+    values = [0.1 + 0.2, 1e-300, -0.0, 5e-324, np.float64(1.7976931348623157e308)]
+    path = tmp_path / "a.csv"
+    _write_csv(path, ["i", "name", "x"], [[i, f"r{i}", v] for i, v in enumerate(values)])
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["i", "name", "x"]
+    for i, (row, v) in enumerate(zip(rows[1:], values, strict=True)):
+        assert row[:2] == [str(i), f"r{i}"]
+        assert struct.pack("<d", float(row[2])) == struct.pack("<d", v)  # bit for bit
+
+    for write, name, bad in ((_write_csv, "b.csv", [["x"], [[1.0], [math.inf]]]),
+                             (_write_json, "c.json", [{"x": [1.0, {"y": math.nan}]}])):
+        with pytest.raises(AnisoError) as exc:
+            write(tmp_path / name, *bad)
+        assert exc.value.operation == "write"
+        assert name in str(exc.value)
+        assert not (tmp_path / name).exists()
+
+    # in a run, a value that is not finite is exit 2, without the file or a manifest
+    monkeypatch.setattr(anisopriv.cli, "membership_advantage", lambda kl: math.nan)
+    cfg = write_config(tmp_path / "cfg.json", shipped_doc("privacy-translate"))
+    code, report = run_cli(capsys, "run", cfg)
+    assert code == 2 and report["operation"] == "write"
+    assert list((tmp_path / "out").iterdir()) == []
+
+
+def test_only_cli_and_models_import_csv_or_json():
+    # the output format is decided in cli alone; models reads dataset CSVs
+    package = Path(anisopriv.__file__).resolve().parent
+    importers = set()
+    for module in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(module.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            if any(name.split(".")[0] in ("csv", "json") for name in names):
+                importers.add(module.name)
+    assert importers <= {"cli.py", "models.py"}
+    assert "cli.py" in importers

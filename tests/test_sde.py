@@ -1,7 +1,6 @@
 """Ensemble simulator: stream discipline, stepping, and the minibatch
 covariance formula."""
 
-import csv
 import math
 import sys
 import threading
@@ -33,7 +32,6 @@ from anisopriv.sde import (
     paired_simulate,
     psd_project,
     simulate,
-    write_ensemble_csv,
 )
 
 
@@ -621,20 +619,3 @@ def test_simulator_errors_propagate_and_stop_the_helper_thread(monkeypatch):
         simulate(drift, identity, np.zeros(2), cfg)
     assert info.value is failed
     assert threading.active_count() == threads
-
-
-def test_write_ensemble_csv_roundtrip(tmp_path):
-    cfg = SimConfig(step=0.5, horizon=1.0, paths=2, seed=1)
-    drift = QuadraticDrift(np.array([[1.0]]), np.array([0.0]))
-    ens = simulate(drift, ConstantSpd(SpdMatrix.identity(1)), np.array([1.0]), cfg)
-    out = tmp_path / "ens.csv"
-    write_ensemble_csv(ens, out)
-    with open(out, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["path", "time", "x0"]
-    assert len(rows) == 1 + 2 * 3
-    # 17 significant digits survive the round trip exactly
-    for row in rows[1:]:
-        path, t, x = int(row[0]), float(row[1]), float(row[2])
-        k = round(t / 0.5)
-        assert x == ens.states[path, k, 0]

@@ -1,6 +1,5 @@
 """Noise-allocation trade-off: closed-form optimum vs numerical oracle."""
 
-import csv
 import math
 from dataclasses import replace
 
@@ -19,7 +18,6 @@ from anisopriv.tradeoff import (
     kl_term,
     optimal_diag_cov,
     quadratic_tradeoff,
-    write_grid_csv,
 )
 from test_ou import reference_error, reference_kl, reference_law
 
@@ -262,15 +260,3 @@ def test_quadratic_tradeoff_overflowing_error_raises():
     with pytest.raises(AnisoError) as exc:
         quadratic_tradeoff(p, q, 100.0, (0.3, 8.9e153), (0.3, 8.9e153), 2)
     assert exc.value.operation == "error_to_opt"
-
-
-def test_write_grid_csv_roundtrip(tmp_path):
-    rows = grid_surface(GradientGap([1.0, 2.0]), (1.0, 2.0), (1.0, 2.0), 2)
-    path = tmp_path / "grid.csv"
-    write_grid_csv(rows, path, header=("x", "y", "kl_term", "trace"))
-    with open(path, newline="") as fh:
-        rdr = csv.reader(fh)
-        header = next(rdr)
-        back = np.array([[float(v) for v in row] for row in rdr])
-    assert header == ["x", "y", "kl_term", "trace"]
-    np.testing.assert_array_equal(back, rows)
