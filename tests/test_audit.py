@@ -1,6 +1,8 @@
 """Empirical delta estimator and membership experiment."""
 
+import csv
 import dataclasses
+import json
 import math
 from collections import Counter
 
@@ -15,6 +17,7 @@ from anisopriv.audit import (
     estimate_delta,
     membership_experiment,
 )
+from anisopriv.cli import main, write_audit_json
 from anisopriv.errors import AnisoError, TrainingDivergedWarning
 from anisopriv.models import (
     _BATCH_TAG,
@@ -213,6 +216,18 @@ def test_audit_config_validation(small_blobs):
         small_config(small_blobs, hidden=0)
 
 
+def test_audit_json_roundtrip(tmp_path, small_blobs):
+    report = estimate_delta(small_config(small_blobs, outer_rounds=1, inner_rounds=1))
+    path = tmp_path / "audit.json"
+    write_audit_json(report, path)
+    with open(path) as fh:
+        doc = json.load(fh)
+    want = dataclasses.asdict(report)
+    assert doc == {k: list(v) if isinstance(v, tuple) else v for k, v in want.items()}
+    assert doc["total_comparisons"] == small_blobs.size
+    assert math.isfinite(doc["worst_loss"])
+
+
 def test_membership_null_control_has_zero_gap(small_blobs):
     report = membership_experiment(
         small_blobs, 0, 3, AnisotropicPerParam(0.5),
@@ -244,6 +259,42 @@ def test_membership_arms_differ_without_control(small_blobs):
     assert report.mean_gap >= 0.0
     assert np.all(np.isfinite(report.losses_with))
     assert np.all(np.isfinite(report.losses_without))
+
+
+def test_membership_csv_layout(tmp_path, capsys, small_blobs):
+    report = membership_experiment(
+        small_blobs, 2, 4, NO_NOISE,
+        lr=0.5, iters=20, batch=8, hidden=4, seed=1,
+    )
+    # the same experiment through the CLI, which writes both output files
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "seed": 1,
+        "output_dir": "out",
+        "experiment": {
+            "kind": "membership", "target_index": 2, "runs": 4,
+            "scheme": {"kind": "none"},
+            "dataset": {"synth": {"classes": 2, "per_class": 8, "dim": 2,
+                                  "separation": 2.0, "seed": 3}},
+            "lr": 0.5, "iters": 20, "batch": 8, "hidden": 4,
+        },
+    }))
+    assert main(["run", str(cfg)]) == 0
+    capsys.readouterr()
+    with open(tmp_path / "out" / "membership_hist.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["run", "arm", "loss_on_target"]
+    body = rows[1:]
+    assert len(body) == 8
+    assert [r[1] for r in body] == ["D"] * 4 + ["Dprime"] * 4
+    got_with = np.array([float(r[2]) for r in body[:4]])
+    assert np.array_equal(got_with, report.losses_with)
+    got_without = np.array([float(r[2]) for r in body[4:]])
+    assert np.array_equal(got_without, report.losses_without)
+
+    doc = json.loads((tmp_path / "out" / "membership_report.json").read_text())
+    assert doc["runs"] == 4
+    assert doc["mean_gap"] == report.mean_gap
 
 
 def test_membership_validation(small_blobs):

@@ -1,5 +1,6 @@
 """Noise-allocation trade-off: closed-form optimum vs numerical oracle."""
 
+import csv
 import math
 from dataclasses import replace
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from anisopriv.cli import write_grid_csv
 from anisopriv.errors import AnisoError, DegenerateGap, NonPositiveVariance, NotPositiveDefinite
 from anisopriv.linalg import SpdMatrix
 from anisopriv.ou import QuadraticProblem, error_to_opt
@@ -260,3 +262,15 @@ def test_quadratic_tradeoff_overflowing_error_raises():
     with pytest.raises(AnisoError) as exc:
         quadratic_tradeoff(p, q, 100.0, (0.3, 8.9e153), (0.3, 8.9e153), 2)
     assert exc.value.operation == "error_to_opt"
+
+
+def test_write_grid_csv_roundtrip(tmp_path):
+    rows = grid_surface(GradientGap([1.0, 2.0]), (1.0, 2.0), (1.0, 2.0), 2)
+    path = tmp_path / "grid.csv"
+    write_grid_csv(rows, path, header=("x", "y", "kl_term", "trace"))
+    with open(path, newline="") as fh:
+        rdr = csv.reader(fh)
+        header = next(rdr)
+        back = np.array([[float(v) for v in row] for row in rdr])
+    assert header == ["x", "y", "kl_term", "trace"]
+    np.testing.assert_array_equal(back, rows)
