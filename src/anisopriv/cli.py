@@ -12,6 +12,10 @@ seed, and versions; reruns of an identical config are byte-identical except
 the manifest's "timestamp" object. Exit codes: 0 success, 1 invalid config,
 2 numerical failure (the error JSON names the offending operation).
 
+Each kind's parser builds every library object its run(outdir) closure uses,
+so a constructor's ValueError (a noise covariance that is not positive
+definite, say) is exit 1 at the field's path; the closure only computes and writes.
+
 This module owns the output format: every file goes through _write_csv
 (floats at 17 significant digits) or _write_json (indent 2). Neither writes a
 number that is not finite; instead it writes nothing and raises AnisoError
@@ -23,6 +27,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -37,6 +42,7 @@ import numpy as np
 from . import __version__
 from .audit import AuditConfig, estimate_delta, membership_experiment
 from .bounds import (
+    ABSENT_SCORE,
     GaussianScore,
     RegularityParams,
     TimeVaryingScore,
@@ -47,7 +53,7 @@ from .bounds import (
     mc_kl_bound,
 )
 from .errors import AnisoError
-from .linalg import SpdMatrix, SymMatrix
+from .linalg import SpdMatrix
 from .models import (
     AnisotropicPerParam,
     IsotropicPerLayer,
@@ -55,7 +61,7 @@ from .models import (
     read_dataset_csv,
     synth_blobs,
 )
-from .ou import QuadraticProblem, _check_full_rank, exact_state, gaussian_kl
+from .ou import QuadraticProblem, exact_state, gaussian_kl
 from .sde import ConstantSpd, QuadraticDrift, SimConfig, simulate
 from .tradeoff import GradientGap, grid_surface, optimal_diag_cov, quadratic_tradeoff
 from .privacy import (
@@ -134,6 +140,20 @@ def write_audit_json(report, path) -> None:
 
 def _err(errs, path, message):
     errs.append({"path": path, "message": message})
+
+
+def _built(errs, path, make, *args, **kw):
+    """make(*args, **kw), or None after recording its ValueError at path (once:
+    a defaulted design_prime repeats the design's error). None, without a call,
+    when an argument is None, as its error is recorded already."""
+    if any(a is None for a in (*args, *kw.values())):
+        return None
+    try:
+        return make(*args, **kw)
+    except ValueError as exc:
+        if {"path": path, "message": str(exc)} not in errs:
+            _err(errs, path, str(exc))
+        return None
 
 
 def _reject_unknown(obj, allowed, path, errs):
@@ -256,7 +276,7 @@ def _time_value(obj, key, path, errs):
 
 
 def _cov_matrix(p, errs, dim):
-    """Either `sigma` (full matrix) or `sigma_diag` (positive diagonal)."""
+    """The SpdMatrix of `sigma` (full matrix) or `sigma_diag` (positive diagonal)."""
     has_full, has_diag = p.get("sigma") is not None, p.get("sigma_diag") is not None
     if has_full and has_diag:
         _err(errs, "experiment.sigma", "give either sigma or sigma_diag, not both")
@@ -266,31 +286,20 @@ def _cov_matrix(p, errs, dim):
         return None
     if has_diag:
         d = _vector(p, "sigma_diag", "experiment", errs, length=dim, positive=True)
-        return None if d is None else np.diag(d)
+        return _built(errs, "experiment.sigma_diag", SpdMatrix, None if d is None else np.diag(d))
     m = _matrix(p, "sigma", "experiment", errs)
-    if m is None:
-        return None
-    if m.shape[0] != m.shape[1] or (dim is not None and m.shape[0] != dim):
+    if m is not None and (m.shape[0] != m.shape[1] or (dim is not None and m.shape[0] != dim)):
         _err(errs, "experiment.sigma", "must be square" + (f" with dimension {dim}" if dim else ""))
         return None
-    return _symmetric(m, "experiment.sigma", errs)
+    return _built(errs, "experiment.sigma", SpdMatrix, m)
 
 
-def _symmetric(m, path, errs):
-    """The square matrix m, or None after recording that it is not symmetric."""
-    try:
-        SymMatrix(m)
-    except ValueError as exc:
-        _err(errs, path, str(exc))
-        return None
-    return m
-
-
-def _problems(p, errs, *, primed, dim=None, full_rank=True):
-    """x0 and the (design, target) arrays of a quadratic problem and, when
-    primed, of its partner, whose design_prime defaults to design. Each design
-    needs one row per target entry, one column per x0 entry and, with
-    full_rank, a positive definite Gram matrix; dim fixes the length of x0."""
+def _problems(p, errs, *, primed, dim=None):
+    """x0 and (design path, design, target) of a quadratic problem and, when
+    primed, of its partner, whose design_prime (path and all) defaults to
+    design. Each design needs one row per target entry and one column per x0
+    entry, and dim fixes the length of x0; where a rule fails, design is None.
+    Building a QuadraticProblem at the design path checks its rank."""
     design = _matrix(p, "design", "experiment", errs)
     pairs = [("design", design, "target", _vector(p, "target", "experiment", errs))]
     if primed:
@@ -300,20 +309,17 @@ def _problems(p, errs, *, primed, dim=None, full_rank=True):
                       "target_prime", _vector(p, "target_prime", "experiment", errs)))
     x0 = _vector(p, "x0", "experiment", errs, length=dim)
     cols = dim if x0 is None else x0.shape[0]
+    bad = set()
     for b_key, b, y_key, y in pairs:
         if b is not None and y is not None and y.shape[0] != b.shape[0]:
             _err(errs, f"experiment.{y_key}", f"length must match {b_key} rows")
+            bad.add(y_key)
     for b_key, b in {b_key: b for b_key, b, _, _ in pairs}.items():
-        if b is None:
-            continue
-        if cols is not None and b.shape[1] != cols:
+        if b is not None and cols is not None and b.shape[1] != cols:
             _err(errs, f"experiment.{b_key}", f"must have {cols} columns")
-        elif full_rank:
-            try:
-                _check_full_rank(b)
-            except ValueError as exc:
-                _err(errs, f"experiment.{b_key}", str(exc))
-    return x0, [(b, y) for _, b, _, y in pairs]
+            bad.add(b_key)
+    return x0, [(f"experiment.{b_key}", None if bad & {b_key, y_key} else b, y)
+                for b_key, b, y_key, y in pairs]
 
 
 def _sim_config(p, errs, seed):
@@ -322,12 +328,7 @@ def _sim_config(p, errs, seed):
     paths = _integer(p, "paths", "experiment", errs, minimum=1)
     stride = _integer(p, "record_stride", "experiment", errs, required=False,
                       default=1, minimum=1)
-    if None in (step, horizon, paths, stride):
-        return None
-    try:
-        return SimConfig(step, horizon, paths, seed, stride)
-    except ValueError as exc:
-        _err(errs, "experiment.step", str(exc))
+    return _built(errs, "experiment.step", SimConfig, step, horizon, paths, seed, stride)
 
 
 # ---------------------------------------------------------------------------
@@ -374,11 +375,7 @@ def _check_dataset(p, path, errs, base_dir):
         if not os.path.isfile(full):
             _err(errs, f"{path}.dataset.csv", f"file not found: {rel}")
             return None
-        try:
-            return read_dataset_csv(full)
-        except ValueError as exc:
-            _err(errs, f"{path}.dataset.csv", str(exc))
-            return None
+        return _built(errs, f"{path}.dataset.csv", read_dataset_csv, full)
     sub = ds["synth"]
     spath = f"{path}.dataset.synth"
     if not isinstance(sub, dict):
@@ -390,12 +387,7 @@ def _check_dataset(p, path, errs, base_dir):
     dim = _integer(sub, "dim", spath, errs, minimum=1)
     separation = _number(sub, "separation", spath, errs, nonneg=True)
     seed = _integer(sub, "seed", spath, errs, minimum=0)
-    if None in (classes, per_class, dim, separation, seed):
-        return None
-    if dim < classes:
-        _err(errs, f"{spath}.dim", "must be >= classes")
-        return None
-    return synth_blobs(classes, per_class, dim, separation, seed)
+    return _built(errs, f"{spath}.dim", synth_blobs, classes, per_class, dim, separation, seed)
 
 
 def _check_training(p, errs, base_dir, drops_record=False):
@@ -432,13 +424,14 @@ _TRAIN_KEYS = {"lr", "iters", "batch", "hidden", "activation", "noise_on", "sche
 def _simulate(p, errs, base_dir, seed):
     _reject_unknown(p, {"kind", "design", "target", "sigma", "sigma_diag", "x0",
                         "step", "horizon", "paths", "record_stride"}, "experiment", errs)
-    x0, [(design, target)] = _problems(p, errs, primed=False, full_rank=False)
+    x0, [(path, design, target)] = _problems(p, errs, primed=False)
     sigma = _cov_matrix(p, errs, None if x0 is None else x0.shape[0])
     cfg = _sim_config(p, errs, seed)
+    cov = _built(errs, "experiment.sigma", ConstantSpd, sigma)
+    drift = _built(errs, path, QuadraticDrift, design, target)
 
     def run(outdir):
-        cov = ConstantSpd(SpdMatrix(sigma))
-        ens = simulate(QuadraticDrift(design, target), cov, x0, cfg)
+        ens = simulate(drift, cov, x0, cfg)
         _write_csv(os.path.join(outdir, "ensemble.csv"),
                    ["path", "time", *[f"x{i}" for i in range(ens.dim)]],
                    ([p, t, *ens.states[p, j]] for p in range(ens.paths)
@@ -450,16 +443,19 @@ def _simulate(p, errs, base_dir, seed):
 def _ou_exact(p, errs, base_dir, seed):
     _reject_unknown(p, {"kind", "design", "target", "sigma", "sigma_diag", "x0",
                         "v0_diag", "time"}, "experiment", errs)
-    x0, [(design, target)] = _problems(p, errs, primed=False)
+    x0, [(path, design, target)] = _problems(p, errs, primed=False)
     dim = None if x0 is None else x0.shape[0]
     sigma = _cov_matrix(p, errs, dim)
     v0_diag = _vector(p, "v0_diag", "experiment", errs, required=False, length=dim,
                       nonneg=True)
+    v0 = None if v0_diag is None else _built(errs, "experiment.v0_diag", SpdMatrix,
+                                             np.diag(v0_diag), allow_semidefinite=True)
     t = _time_value(p, "time", "experiment", errs)
+    problem = _built(errs, path, functools.partial(QuadraticProblem, v0=v0),
+                     design, target, sigma, x0)
 
     def run(outdir):
-        v0 = None if v0_diag is None else SpdMatrix(np.diag(v0_diag), allow_semidefinite=True)
-        state = exact_state(QuadraticProblem(design, target, SpdMatrix(sigma), x0, v0), t)
+        state = exact_state(problem, t)
         doc = {
             "mean": [float(v) for v in state.mean],
             "cov": [[float(v) for v in row] for row in state.cov.entries],
@@ -475,30 +471,28 @@ def _kl_bound(p, errs, base_dir, seed):
     _reject_unknown(p, {"kind", "design", "target", "design_prime", "target_prime",
                         "sigma", "sigma_diag", "sigma_prime", "x0", "step", "horizon",
                         "paths", "record_stride"}, "experiment", errs)
-    x0, [(design, target), (design_p, target_p)] = _problems(p, errs, primed=True)
+    x0, pairs = _problems(p, errs, primed=True)
     dim = None if x0 is None else x0.shape[0]
     sigma = _cov_matrix(p, errs, dim)
     sigma_p = _matrix(p, "sigma_prime", "experiment", errs, required=False)
     if sigma_p is not None and dim is not None and sigma_p.shape != (dim, dim):
         _err(errs, "experiment.sigma_prime", f"must be {dim}x{dim}")
-    elif sigma_p is not None:
-        sigma_p = _symmetric(sigma_p, "experiment.sigma_prime", errs)
-    unequal = sigma_p is not None and not np.array_equal(sigma_p, sigma)
+        sigma_p = None
+    sigma_p = _built(errs, "experiment.sigma_prime", SpdMatrix, sigma_p)
+    unequal = None not in (sigma, sigma_p) and not np.array_equal(sigma_p.entries, sigma.entries)
+    sigma_b = sigma_p if unequal else sigma
     cfg = _sim_config(p, errs, seed)
+    cov_a = _built(errs, "experiment.sigma", ConstantSpd, sigma)
+    cov_b = _built(errs, "experiment.sigma_prime", ConstantSpd, sigma_b) if unequal else cov_a
+    prob_a, prob_b = (_built(errs, path, QuadraticProblem, design, target, s, x0)
+                      for (path, design, target), s in zip(pairs, (sigma, sigma_b)))
+    drift_a, drift_b = (_built(errs, path, QuadraticDrift, design, target)
+                        for path, design, target in pairs)
+    score = (TimeVaryingScore(lambda t: GaussianScore(exact_state(prob_b, max(t, cfg.step))))
+             if unequal else ABSENT_SCORE)
 
     def run(outdir):
-        cov_a = ConstantSpd(SpdMatrix(sigma))
-        cov_b = ConstantSpd(SpdMatrix(sigma_p)) if unequal else cov_a
-        prob_a = QuadraticProblem(design, target, cov_a.matrix, x0)
-        prob_b = QuadraticProblem(design_p, target_p, cov_b.matrix, x0)
-        drift_a = QuadraticDrift(design, target)
-        drift_b = QuadraticDrift(design_p, target_p)
-        if unequal:
-            score = TimeVaryingScore(
-                lambda t: GaussianScore(exact_state(prob_b, max(t, cfg.step))))
-            curve = mc_kl_bound(drift_a, drift_b, cov_a, cov_b, x0, cfg, score)
-        else:
-            curve = mc_kl_bound(drift_a, drift_b, cov_a, cov_a, x0, cfg)
+        curve = mc_kl_bound(drift_a, drift_b, cov_a, cov_b, x0, cfg, score)
         write_bound_csv(curve, os.path.join(outdir, "bound_curve.csv"))
         kls = [gaussian_kl(exact_state(prob_a, float(t)), exact_state(prob_b, float(t)))
                if t > 0.0 else 0.0 for t in curve.times]
@@ -546,17 +540,16 @@ def _closed_bounds(p, errs, base_dir, seed):
                     default=[0.0, 1.0, 10.0, 100.0], nonneg=True)
     doc = None
     if len(errs) == n_errs:
-        with np.errstate(over="ignore"):
-            try:
-                rp = RegularityParams(**scalars, xstar=xs, xstar_prime=xsp)
-                doc = _closed_bounds_doc(rp, times)
-            except (ArithmeticError, ValueError) as exc:
-                # blame the value farthest from 1 in scale, the likeliest cause
-                scale = {k: abs(math.log(v)) for k, v in scalars.items()}
-                scale["xstar_prime"] = math.log(max(1.0, np.abs(xsp - xs).max(initial=0.0)))
-                key = max(scale, key=scale.get)
-                _err(errs, f"experiment.{key}", "the closed-form bounds are not finite at "
-                     f"these values, and this is the most extreme one ({exc})")
+        try:
+            rp = RegularityParams(**scalars, xstar=xs, xstar_prime=xsp)
+            doc = _closed_bounds_doc(rp, times)
+        except (ArithmeticError, ValueError) as exc:
+            # blame the value farthest from 1 in scale, the likeliest cause
+            scale = {k: abs(math.log(v)) for k, v in scalars.items()}
+            scale["xstar_prime"] = math.log(max(1.0, np.abs(xsp - xs).max(initial=0.0)))
+            key = max(scale, key=scale.get)
+            _err(errs, f"experiment.{key}", "the closed-form bounds are not finite at "
+                 f"these values, and this is the most extreme one ({exc})")
 
     def run(outdir):
         _write_json(os.path.join(outdir, "closed_bounds.json"), doc)
@@ -571,9 +564,9 @@ def _optimize_cov(p, errs, base_dir, seed):
     zetas = _vector(p, "zetas", "experiment", errs, positive=True)
     if gaps is not None and not any(g > 0 for g in gaps):
         _err(errs, "experiment.gaps", "at least one entry must be positive")
+    gap = _built(errs, "experiment.gaps", GradientGap, gaps)
 
     def run(outdir):
-        gap = GradientGap(gaps)
         points = [optimal_diag_cov(gap, float(z)) for z in zetas]
         _write_csv(os.path.join(outdir, "optimal_cov.csv"),
                    ["zeta", *[f"sigma{i}" for i in range(gap.dim)], "kl_term"],
@@ -603,9 +596,10 @@ def _grid_surface(p, errs, base_dir, seed):
     resolution = _integer(p, "resolution", "experiment", errs, minimum=2)
     if gaps is not None and not any(g > 0 for g in gaps):
         _err(errs, "experiment.gaps", "at least one entry must be positive")
+    gap = _built(errs, "experiment.gaps", GradientGap, gaps)
 
     def run(outdir):
-        rows = grid_surface(GradientGap(gaps), x_range, y_range, resolution)
+        rows = grid_surface(gap, x_range, y_range, resolution)
         write_grid_csv(rows, os.path.join(outdir, "grid.csv"),
                        header=("x", "y", "kl_term", "trace"))
 
@@ -616,18 +610,18 @@ def _quad_tradeoff(p, errs, base_dir, seed):
     _reject_unknown(p, {"kind", "design", "target", "design_prime", "target_prime",
                         "x0", "time", "x_range", "y_range", "resolution"},
                     "experiment", errs)
-    x0, [(design, target), (design_p, target_p)] = _problems(p, errs, primed=True, dim=2)
+    x0, pairs = _problems(p, errs, primed=True, dim=2)
     t = _time_value(p, "time", "experiment", errs)
     if t == 0.0:
         _err(errs, "experiment.time", 'must be positive or "inf"')
     x_range = _range_pair(p, "x_range", errs)
     y_range = _range_pair(p, "y_range", errs)
     resolution = _integer(p, "resolution", "experiment", errs, minimum=2)
+    placeholder = SpdMatrix.identity(2)  # quadratic_tradeoff sets the noise per grid point
+    pa, pb = (_built(errs, path, QuadraticProblem, design, target, placeholder, x0)
+              for path, design, target in pairs)
 
     def run(outdir):
-        placeholder = SpdMatrix.identity(2)
-        pa = QuadraticProblem(design, target, placeholder, x0)
-        pb = QuadraticProblem(design_p, target_p, placeholder, x0)
         rows = quadratic_tradeoff(pa, pb, t, x_range, y_range, resolution)
         write_grid_csv(rows, os.path.join(outdir, "tradeoff.csv"),
                        header=("x", "y", "exact_kl", "error"))
@@ -646,11 +640,11 @@ def _dp_audit(p, errs, base_dir, seed):
                         default="replace", choices={"replace", "remove", "null"})
     scheme, dataset, train = _check_training(p, errs, base_dir,
                                              drops_record=adjacency == "remove")
+    cfg = _built(errs, "experiment", AuditConfig, epsilon=epsilon, outer_rounds=outer,
+                 inner_rounds=inner, scheme=scheme, dataset=dataset, adjacency=adjacency,
+                 seed=seed, **train)
 
     def run(outdir):
-        cfg = AuditConfig(epsilon=epsilon, outer_rounds=outer, inner_rounds=inner,
-                          scheme=scheme, dataset=dataset, adjacency=adjacency, seed=seed,
-                          **train)
         write_audit_json(estimate_delta(cfg), os.path.join(outdir, "audit_report.json"))
 
     return ["empirical delta (max over outer rounds)", "per-outer-round deltas",
@@ -697,9 +691,9 @@ def _privacy_translate(p, errs, base_dir, seed):
     if delta is not None and not (
             isinstance(delta, list) and delta and all(_finite(x) and 0 < x < 1 for x in delta)):
         _err(errs, "experiment.delta", "must be a list of numbers in (0, 1)")
+    cp = _built(errs, "experiment", ConcentrationParams, lsi_const=lsi_const, lip=lip, kl=kl)
 
     def run(outdir):
-        cp = ConcentrationParams(lsi_const=lsi_const, lip=lip, kl=kl)
         doc = {
             "membership_advantage": membership_advantage(kl),
             "delta_from_eps": [[float(e), delta_from_eps(float(e), cp)] for e in eps],
@@ -856,9 +850,10 @@ def main(argv=None) -> int:
     if args.command == "version":
         print(__version__)
         return 0
-    if args.command == "validate":
-        return _cmd_validate(args.config)
-    return _cmd_run(args.config)
+    with np.errstate(all="ignore"):  # the writers refuse non-finite values; warnings add noise
+        if args.command == "validate":
+            return _cmd_validate(args.config)
+        return _cmd_run(args.config)
 
 
 if __name__ == "__main__":

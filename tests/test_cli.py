@@ -3,6 +3,7 @@
 import ast
 import copy
 import csv
+import functools
 import json
 import math
 import os
@@ -20,6 +21,9 @@ import anisopriv.sde
 from anisopriv import __version__
 from anisopriv.cli import _write_csv, _write_json, main
 from anisopriv.errors import AnisoError, TrainingDivergedWarning
+
+# main runs under np.errstate, so no CLI run in this file may emit a numpy warning
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def write_config(path, doc):
@@ -52,6 +56,17 @@ def run_cli(capsys, *argv):
 
 def error_paths(doc):
     return [e["path"] for e in doc["errors"]]
+
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "scripts" / "configs"
+
+
+def shipped_doc(name, **over):
+    path = CONFIG_DIR / f"{name}.json"
+    doc = json.loads(path.read_text())
+    doc["output_dir"] = "out"
+    doc["experiment"].update(over)
+    return doc
 
 
 def test_version(capsys):
@@ -200,21 +215,6 @@ def test_config_hash_ignores_output_dir(tmp_path, capsys):
     _, dc = run_cli(capsys, "validate", c)
     assert da["config_hash"] == db["config_hash"]
     assert da["config_hash"] != dc["config_hash"]
-
-
-def test_run_non_spd_sigma_is_numerical_failure(tmp_path, capsys):
-    doc = {
-        "experiment": {
-            "kind": "ou-exact",
-            "design": [[1.0, 0.0], [0.0, 1.0]], "target": [0.0, 0.0],
-            "sigma": [[1.0, 2.0], [2.0, 1.0]], "x0": [0.0, 0.0], "time": 1.0,
-        }
-    }
-    cfg = write_config(tmp_path / "cfg.json", doc)
-    code, out = run_cli(capsys, "run", cfg)
-    assert code == 2
-    assert out["ok"] is False
-    assert out["operation"] == "cholesky"
 
 
 def test_run_resolves_paths_against_config_dir(tmp_path, capsys, monkeypatch):
@@ -370,7 +370,19 @@ def test_singular_design_rejected_by_validate(tmp_path, capsys, make_doc, key):
     (kl_bound_doc, {"sigma_prime": [[1.0, 0.2], [0.3, 1.0]]}, "experiment.sigma_prime"),
     # 1e300 squared overflows, so the Gram matrix is not finite
     (ou_exact_doc, {"design": [[1e300, 0.0], [0.0, 1.0]]}, "experiment.design"),
-], ids=["asymmetric-sigma", "asymmetric-sigma-prime", "overflowing-gram"])
+    # a noise covariance must be positive definite: eigenvalues 3 and -1
+    (functools.partial(shipped_doc, "simulate"), {"sigma": [[1.0, 2.0], [2.0, 1.0]]},
+     "experiment.sigma"),
+    (ou_exact_doc, {"sigma": [[1.0, 2.0], [2.0, 1.0]]}, "experiment.sigma"),
+    (kl_bound_doc, {"sigma_diag": None, "sigma": [[1.0, 2.0], [2.0, 1.0]]}, "experiment.sigma"),
+    (functools.partial(shipped_doc, "kl-bound"), {"sigma_prime": [[0.0]]},
+     "experiment.sigma_prime"),
+    # its Cholesky pivot is below the 1e-14 floor
+    (functools.partial(shipped_doc, "kl-bound"), {"sigma_diag": [1e-300]},
+     "experiment.sigma_diag"),
+], ids=["asymmetric-sigma", "asymmetric-sigma-prime", "overflowing-gram",
+        "indefinite-sigma-simulate", "indefinite-sigma-ou-exact", "indefinite-sigma-kl-bound",
+        "semidefinite-sigma-prime", "tiny-sigma-diag"])
 def test_bad_matrix_values_rejected_by_validate(tmp_path, capsys, make_doc, over, path):
     cfg = write_config(tmp_path / "cfg.json", make_doc(**over))
     for cmd in ("validate", "run"):
@@ -414,17 +426,6 @@ def test_run_exits_2_only_for_library_errors(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(anisopriv.cli, "exact_state", bug)
     with pytest.raises(ValueError, match="a bug"):
         main(["run", cfg])
-
-
-CONFIG_DIR = Path(__file__).resolve().parent.parent / "scripts" / "configs"
-
-
-def shipped_doc(name, **over):
-    path = CONFIG_DIR / f"{name}.json"
-    doc = json.loads(path.read_text())
-    doc["output_dir"] = "out"
-    doc["experiment"].update(over)
-    return doc
 
 
 @pytest.mark.parametrize("name, over, ok_over", [
@@ -521,7 +522,6 @@ def test_all_diverged_dp_audit_reports_under_runtime_warnings_as_errors(tmp_path
     assert "Traceback" not in proc.stderr
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_diverged_membership_fails_without_numpy_warnings(tmp_path, capsys):
     # the trainings overflow; divergence is reported through the exit code
     # alone, not also through numpy's overflow and invalid-value warnings
@@ -593,13 +593,19 @@ def non_finite_outputs(out_dir):
                   if f.name != "manifest.json" and NON_FINITE.search(f.read_text()))
 
 
+# Noise-covariance keys: validate builds their matrices, positive definiteness
+# and all, so a mutant of one that passes validate has nothing left to fail.
+COVARIANCE_KEYS = {"sigma", "sigma_diag", "sigma_prime", "v0_diag"}
+
+
 def contract_breaches(tmp_path, capsys, doc, mutants):
     """The mutants of doc that break the exit-code contract, as (field, change,
     validate code, run code, run report). A config that validate rejects is
     rejected by run with the same errors; one that passes validate fails run
-    only as a numerical failure named after the failing operation. A value
-    validate let through that makes main raise is a breach, and so is a
-    successful run that writes inf or nan."""
+    only as a numerical failure named after the failing operation, and not at
+    all when the mutant changed a noise covariance. A value validate let
+    through that makes main raise is a breach, and so is a successful run that
+    writes inf or nan."""
     bad = []
     for i, (where, key, value) in enumerate(mutants):
         mutant = copy.deepcopy(doc)
@@ -618,7 +624,8 @@ def contract_breaches(tmp_path, capsys, doc, mutants):
             ok = code_r == 1 and report_r["errors"] == report_v["errors"]
         else:
             ok = code_v == 0 and (code_r == 0 or (
-                code_r == 2 and report_r["operation"] != doc["experiment"]["kind"]))
+                code_r == 2 and report_r["operation"] != doc["experiment"]["kind"]
+                and not COVARIANCE_KEYS & {*where, key}))
             if ok and code_r == 0:
                 ok = not non_finite_outputs(report_r["output_dir"])
         if not ok:
@@ -650,6 +657,29 @@ def test_numeric_mutations_of_shipped_configs_fail_validate_or_run_cleanly(tmp_p
     # zeroed, negated and extreme values: validate rejects what would overflow
     doc = shrunk_shipped_doc(name)
     assert contract_breaches(tmp_path, capsys, doc, numeric_mutations(doc)) == []
+
+
+# The library constructors that cli imports.
+CONSTRUCTORS = ["SpdMatrix", "ConstantSpd", "QuadraticProblem", "QuadraticDrift", "SimConfig",
+                "GradientGap", "AuditConfig", "ConcentrationParams", "RegularityParams",
+                "synth_blobs", "read_dataset_csv"]
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_run_builds_no_library_object(tmp_path, capsys, monkeypatch, name):
+    # the parse builds every object the run uses, so no rule is checked twice
+    # and a config that passes validate cannot fail run on its inputs
+    cfg = anisopriv.cli._load(write_config(tmp_path / "cfg.json", shrunk_shipped_doc(name)))
+    assert cfg is not None, capsys.readouterr().out
+
+    def constructor(*args, **kw):
+        raise AssertionError("run built a library object")
+
+    for ctor in CONSTRUCTORS:
+        monkeypatch.setattr(anisopriv.cli, ctor, constructor)
+    os.makedirs(cfg.output_dir)
+    cfg.run(cfg.output_dir)
+    assert os.listdir(cfg.output_dir)
 
 
 # Imports the package and runs each config, then fails if scipy was loaded.
