@@ -37,12 +37,10 @@ from .sde import (
     simulate,
 )
 from .bounds import (
-    ABSENT_SCORE,
     BoundCurve,
     CallableScore,
     GaussianScore,
     RegularityParams,
-    TimeVaryingScore,
     convergence_bound,
     klbound_closed,
     klbound_stationary,
@@ -101,8 +99,8 @@ __all__ = [
     "CallableDrift", "ConstantSpd", "DatasetGradientDrift", "DiagonalOfState",
     "MinibatchSgd", "QuadraticDrift", "SimConfig", "TrajectoryEnsemble",
     "minibatch_covariance", "paired_simulate", "psd_project", "simulate",
-    "ABSENT_SCORE", "BoundCurve", "CallableScore", "GaussianScore",
-    "RegularityParams", "TimeVaryingScore", "convergence_bound",
+    "BoundCurve", "CallableScore", "GaussianScore",
+    "RegularityParams", "convergence_bound",
     "klbound_closed", "klbound_stationary", "lsi_constant", "lsi_rate",
     "mc_kl_bound", "phi", "xi_bound",
     "ConcentrationParams", "concentration_tail",

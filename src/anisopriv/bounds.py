@@ -59,23 +59,6 @@ class CallableScore:
         return np.asarray(self.fn(np.atleast_2d(np.asarray(x, dtype=float))), dtype=float)
 
 
-class AbsentScore:
-    """Placeholder meaning "no score available"; valid only when the two
-    covariance specifications are identical."""
-
-
-ABSENT_SCORE = AbsentScore()
-
-
-@dataclass(frozen=True, eq=False)
-class TimeVaryingScore:
-    """Family t -> ScoreSpec. mc_kl_bound resolves it once per recorded time,
-    at the left endpoints of the time grid, and evaluates the resolved score
-    on every row block of that record."""
-
-    at_time: Callable[[float], object]
-
-
 # ---------------------------------------------------------------------------
 # mismatch field
 
@@ -88,14 +71,12 @@ def _covs_equal(cov_a, cov_b) -> bool:
     return False
 
 
-def phi(x, drift_a, drift_b, cov_a, cov_b, score=ABSENT_SCORE) -> np.ndarray:
+def phi(x, drift_a, drift_b, cov_a, cov_b, score=None) -> np.ndarray:
     """Mismatch field between (drift_a, cov_a) and (drift_b, cov_b) at x.
 
     With identical covariance specifications this is drift_a(x) - drift_b(x);
-    otherwise the score of the second process's law is required.
+    otherwise score, the second process's law's score spec, is required.
     """
-    if isinstance(score, TimeVaryingScore):
-        raise ValueError("resolve a TimeVaryingScore at a concrete time first")
     x_arr = np.asarray(x, dtype=float)
     single = x_arr.ndim == 1
     rows = np.atleast_2d(x_arr)
@@ -104,7 +85,7 @@ def phi(x, drift_a, drift_b, cov_a, cov_b, score=ABSENT_SCORE) -> np.ndarray:
         out = drift_a.evaluate(rows) - drift_b.evaluate(rows)
         return out[0] if single else out
 
-    if isinstance(score, AbsentScore):
+    if score is None:
         raise ScoreRequired(
             "covariances differ; a score for the second process is required",
             operation="phi",
@@ -139,7 +120,7 @@ class BoundCurve:
 
 
 def mc_kl_bound(drift_a, drift_b, cov_a, cov_b, x0, cfg: SimConfig,
-                score=ABSENT_SCORE) -> BoundCurve:
+                score_at=None) -> BoundCurve:
     """Estimate t -> (1/2) int_0^t E ||S_a^{-1/2} mismatch||^2 ds on cfg's
     recorded times, along the first process's law.
 
@@ -147,8 +128,11 @@ def mc_kl_bound(drift_a, drift_b, cov_a, cov_b, x0, cfg: SimConfig,
     cfg, the ensemble simulate would return, and averages over its paths in
     space with a left-endpoint Riemann sum in time. The integrand is taken at
     each recorded state while the simulation runs, one row block at a time, so
-    no trajectory is stored. Raises AnisoError (operation mc_kl_bound) when a
-    bound or its standard error is not finite.
+    no trajectory is stored. The drifts are drift specs; an ou.QuadraticProblem
+    is one. score_at is None when the diffusions are shared; otherwise
+    score_at(t) returns the score spec of the second process's time-t law, and
+    is called once per left endpoint t of the grid. Raises AnisoError
+    (operation mc_kl_bound) when a bound or its standard error is not finite.
     """
     times = _record_times(cfg)
     n_rec = times.shape[0]
@@ -158,10 +142,10 @@ def mc_kl_bound(drift_a, drift_b, cov_a, cov_b, x0, cfg: SimConfig,
     def integrand(j, states):
         if j == n_rec - 1:  # left endpoints only
             return
-        sc = score.at_time(float(times[j])) if isinstance(score, TimeVaryingScore) else score
+        score = None if score_at is None else score_at(float(times[j]))
         x = states[0]
         for s in blocks:
-            white = cov_a.whiten(x[s], phi(x[s], drift_a, drift_b, cov_a, cov_b, sc))
+            white = cov_a.whiten(x[s], phi(x[s], drift_a, drift_b, cov_a, cov_b, score))
             w[s, j] = np.sum(white * white, axis=1)
 
     _euler((drift_a,), cov_a, x0, cfg, integrand)

@@ -42,10 +42,8 @@ import numpy as np
 from . import __version__
 from .audit import AuditConfig, estimate_delta, membership_experiment
 from .bounds import (
-    ABSENT_SCORE,
     GaussianScore,
     RegularityParams,
-    TimeVaryingScore,
     klbound_closed,
     klbound_stationary,
     lsi_constant,
@@ -328,7 +326,10 @@ def _sim_config(p, errs, seed):
     paths = _integer(p, "paths", "experiment", errs, minimum=1)
     stride = _integer(p, "record_stride", "experiment", errs, required=False,
                       default=1, minimum=1)
-    return _built(errs, "experiment.step", SimConfig, step, horizon, paths, seed, stride)
+    # the stride goes in second, so that its rule's error lands on its own field
+    cfg = _built(errs, "experiment.horizon", SimConfig, step, horizon, paths, seed)
+    return _built(errs, "experiment.record_stride", dataclasses.replace, cfg,
+                  record_stride=stride)
 
 
 # ---------------------------------------------------------------------------
@@ -486,13 +487,11 @@ def _kl_bound(p, errs, base_dir, seed):
     cov_b = _built(errs, "experiment.sigma_prime", ConstantSpd, sigma_b) if unequal else cov_a
     prob_a, prob_b = (_built(errs, path, QuadraticProblem, design, target, s, x0)
                       for (path, design, target), s in zip(pairs, (sigma, sigma_b)))
-    drift_a, drift_b = (_built(errs, path, QuadraticDrift, design, target)
-                        for path, design, target in pairs)
-    score = (TimeVaryingScore(lambda t: GaussianScore(exact_state(prob_b, max(t, cfg.step))))
-             if unequal else ABSENT_SCORE)
+    score_at = ((lambda t: GaussianScore(exact_state(prob_b, max(t, cfg.step))))
+                if unequal else None)
 
     def run(outdir):
-        curve = mc_kl_bound(drift_a, drift_b, cov_a, cov_b, x0, cfg, score)
+        curve = mc_kl_bound(prob_a, prob_b, cov_a, cov_b, x0, cfg, score_at)
         write_bound_csv(curve, os.path.join(outdir, "bound_curve.csv"))
         kls = [gaussian_kl(exact_state(prob_a, float(t)), exact_state(prob_b, float(t)))
                if t > 0.0 else 0.0 for t in curve.times]

@@ -15,6 +15,11 @@ closed form for every S, commuting with G or not. With S~ = Q.T S Q,
 using expm1 for small (w_i + w_j) t. At t = inf this is the stationary
 covariance S~_ij / (w_i + w_j), the solution of G V + V G = S.
 
+A QuadraticProblem is an sde.QuadraticDrift that adds the noise covariance
+and the initial law, so the same object is the drift a simulation or
+bounds.mc_kl_bound evaluates and the law whose exact state this module
+computes.
+
 S may be one (d, d) matrix or a (G, d, d) stack, for G processes that share
 the drift. The eigenbasis, mean and optimum are computed once per problem, and
 the covariances, KL divergences and errors of a stack come out with the
@@ -31,70 +36,50 @@ import numpy as np
 
 from .errors import AnisoError
 from .linalg import SpdMatrix, log_det
+from .sde import QuadraticDrift
 
 _MIN_GRAM_EIG = 1e-12
 
 
-def _check_full_rank(design: np.ndarray) -> None:
-    """Raise ValueError unless design.T @ design is finite and strictly positive
-    definite."""
-    gram = design.T @ design
-    if not np.isfinite(gram).all():
-        raise ValueError("design.T @ design overflows")
-    if np.linalg.eigvalsh(gram).min() <= _MIN_GRAM_EIG:
-        raise ValueError("design.T @ design must be strictly positive definite")
-
-
 @dataclass(frozen=True, eq=False)
-class QuadraticProblem:
-    """Least-squares drift -design.T @ (design @ x - target) plus constant noise;
-    noise_cov may hold a (G, d, d) stack of noise covariances."""
+class QuadraticProblem(QuadraticDrift):
+    """Least-squares drift -design.T @ (design @ x - target) plus constant noise
+    from x0 (and initial covariance v0); noise_cov may hold a (G, d, d) stack of
+    noise covariances. The Gram matrix must be finite and strictly positive
+    definite."""
 
-    design: np.ndarray
-    target: np.ndarray
     noise_cov: SpdMatrix
     x0: np.ndarray
     v0: SpdMatrix | None = None
 
     def __post_init__(self):
-        b = np.atleast_2d(np.asarray(self.design, dtype=float))
-        t = np.asarray(self.target, dtype=float).ravel()
+        super().__post_init__()
         x0 = np.asarray(self.x0, dtype=float).ravel()
-        if b.shape[0] != t.shape[0]:
-            raise ValueError(f"target length {t.shape[0]} does not match design rows {b.shape[0]}")
-        if b.shape[1] != x0.shape[0]:
-            raise ValueError(f"x0 length {x0.shape[0]} does not match design columns {b.shape[1]}")
-        if self.noise_cov.dim != b.shape[1]:
+        if self.dim != x0.shape[0]:
+            raise ValueError(f"x0 length {x0.shape[0]} does not match design columns {self.dim}")
+        if self.noise_cov.dim != self.dim:
             raise ValueError("noise covariance dimension does not match the design")
-        if self.v0 is not None and self.v0.dim != b.shape[1]:
+        if self.v0 is not None and self.v0.dim != self.dim:
             raise ValueError("initial covariance dimension does not match the design")
-        object.__setattr__(self, "design", b)
-        object.__setattr__(self, "target", t)
         object.__setattr__(self, "x0", x0)
-        _check_full_rank(b)
-
-    @property
-    def dim(self) -> int:
-        return self.design.shape[1]
-
-    @cached_property
-    def gram(self) -> np.ndarray:
-        g = self.design.T @ self.design
-        g = (g + g.T) / 2.0
-        g.flags.writeable = False
-        return g
+        self._eig  # noqa: B018  - eager rank check
 
     @cached_property
     def _eig(self) -> tuple[np.ndarray, np.ndarray]:
+        """Gram eigenpairs (w, q); raises ValueError unless the Gram matrix is
+        finite and strictly positive definite."""
+        if not np.isfinite(self.gram).all():
+            raise ValueError("design.T @ design overflows")
         w, q = np.linalg.eigh(self.gram)
+        if w.min() <= _MIN_GRAM_EIG:
+            raise ValueError("design.T @ design must be strictly positive definite")
         return w, q
 
     @cached_property
     def optimum(self) -> np.ndarray:
         """argmin of the objective: gram^{-1} design.T target."""
         w, q = self._eig
-        rhs = self.design.T @ self.target
-        return q @ ((q.T @ rhs) / w)
+        return q @ ((q.T @ self._pull) / w)
 
     def _expm_gram(self, scale: float) -> np.ndarray:
         w, q = self._eig

@@ -37,13 +37,9 @@ def concentration_tail(r: float, lsi_const: float, lip: float) -> float:
         raise ValueError(f"r must be positive, got {r}")
     if not (lsi_const > 0.0 and lip > 0.0):
         raise ValueError("lsi_const and lip must be positive")
-    try:
-        return math.exp(-(r**2) / (lsi_const * lip**2))
-    except (OverflowError, ZeroDivisionError):
-        # a square overflowed (r or lip above ~1.34e154) or the denominator
-        # underflowed to 0: square the ratio, whose overflow gives the limit 0.0
-        s = r / lip
-        return math.exp(-(s * s) / lsi_const)
+    # squaring the ratio cannot raise: an overflow gives the limit 0.0
+    s = r / lip
+    return math.exp(-(s * s) / lsi_const)
 
 
 def delta_from_eps(eps: float, cp: ConcentrationParams) -> float:

@@ -50,7 +50,7 @@ class QuadraticDrift:
         d = np.atleast_2d(np.asarray(self.design, dtype=float))
         t = np.asarray(self.target, dtype=float).ravel()
         if d.shape[0] != t.shape[0]:
-            raise ValueError("target length does not match design rows")
+            raise ValueError(f"target length {t.shape[0]} does not match design rows {d.shape[0]}")
         object.__setattr__(self, "design", d)
         object.__setattr__(self, "target", t)
 
@@ -59,8 +59,12 @@ class QuadraticDrift:
         return self.design.shape[1]
 
     @cached_property
-    def _gram(self) -> np.ndarray:
-        return self.design.T @ self.design
+    def gram(self) -> np.ndarray:
+        """design.T @ design, symmetrized and read-only."""
+        g = self.design.T @ self.design
+        g = g / 2.0 + g.T / 2.0
+        g.flags.writeable = False
+        return g
 
     @cached_property
     def _pull(self) -> np.ndarray:
@@ -69,7 +73,7 @@ class QuadraticDrift:
     def evaluate(self, x: np.ndarray) -> np.ndarray:
         """design.T target - x design.T design, for one state or a row stack:
         one (rows, dim) by (dim, dim) product, whatever the number of records."""
-        return self._pull - np.asarray(x, dtype=float) @ self._gram
+        return self._pull - np.asarray(x, dtype=float) @ self.gram
 
 
 @dataclass(frozen=True, eq=False)

@@ -75,11 +75,11 @@ def test_em_ou_matches_analytic_moments():
 
 def test_mc_bound_dominates_exact_kl():
     started = time.perf_counter()
-    drift_b = QuadraticDrift(np.array([[1.0]]), np.array([0.1]))
+    # the bound and the exact KL come from the same two problems
     prob_a = QuadraticProblem([[1.0]], [0.0], SpdMatrix([[1.0]]), [0.0])
     prob_b = QuadraticProblem([[1.0]], [0.1], SpdMatrix([[1.0]]), [0.0])
     cfg = SimConfig(0.01, 2.0, 10**4, seed=3, record_stride=10)
-    curve = mc_kl_bound(UNIT_DRIFT, drift_b, UNIT_COV, UNIT_COV, [0.0], cfg)
+    curve = mc_kl_bound(prob_a, prob_b, UNIT_COV, UNIT_COV, [0.0], cfg)
     margins = []
     for k, t in enumerate(curve.times):
         if t == 0.0:

@@ -16,11 +16,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from anisopriv.bounds import (
-    ABSENT_SCORE,
     CallableScore,
     GaussianScore,
     RegularityParams,
-    TimeVaryingScore,
     convergence_bound,
     klbound_closed,
     klbound_stationary,
@@ -32,7 +30,7 @@ from anisopriv.bounds import (
 )
 from anisopriv.errors import AnisoError, ScoreRequired
 from anisopriv.linalg import SpdMatrix
-from anisopriv.ou import GaussianState
+from anisopriv.ou import GaussianState, QuadraticProblem
 from anisopriv.sde import (ConstantSpd, DiagonalOfState, MinibatchSgd, QuadraticDrift, SimConfig,
                            simulate)
 from test_sde import (assert_each_step_drawn_once_on_both_threads, least_squares_grads,
@@ -211,8 +209,7 @@ def test_time_varying_score_resolved_per_time():
         return CallableScore(lambda x: sign * np.ones_like(x))
 
     cfg = SimConfig(step=0.25, horizon=1.0, paths=2, seed=6)
-    curve = mc_kl_bound(drift, drift, cov_a, cov_b, np.array([0.0]), cfg,
-                        TimeVaryingScore(at_time))
+    curve = mc_kl_bound(drift, drift, cov_a, cov_b, np.array([0.0]), cfg, at_time)
     # once per left endpoint, never at the horizon
     assert resolved == list(curve.times[:-1])
     # phi = (2-1)*score = +-1, whitened norm^2 = 1 under cov_a at every point,
@@ -220,16 +217,16 @@ def test_time_varying_score_resolved_per_time():
     assert np.allclose(curve.bounds, 0.125 * np.arange(5), rtol=1e-12)
 
 
-def stored_ensemble_bound(drift_a, drift_b, cov_a, cov_b, x0, cfg, score=ABSENT_SCORE):
+def stored_ensemble_bound(drift_a, drift_b, cov_a, cov_b, x0, cfg, score_at=None):
     """Reference: simulate and store the ensemble, then take the integrand one
     record at a time over all paths and sum it in time."""
     ens = simulate(drift_a, cov_a, x0, cfg)
     times = ens.times
     w = np.zeros((ens.paths, times.shape[0]))
     for j in range(times.shape[0] - 1):
-        sc = score.at_time(float(times[j])) if isinstance(score, TimeVaryingScore) else score
+        score = None if score_at is None else score_at(float(times[j]))
         x = ens.states[:, j, :]
-        white = cov_a.whiten(x, phi(x, drift_a, drift_b, cov_a, cov_b, sc))
+        white = cov_a.whiten(x, phi(x, drift_a, drift_b, cov_a, cov_b, score))
         w[:, j] = np.sum(white * white, axis=1)
     per_path = np.zeros_like(w)
     per_path[:, 1:] = 0.5 * np.cumsum(w[:, :-1] * np.diff(times), axis=1)
@@ -245,7 +242,7 @@ SIGMA3 = np.array([[1.0, 0.3, 0.1], [0.3, 0.8, 0.0], [0.1, 0.0, 0.6]])
 def shared_case():
     cov = ConstantSpd(SpdMatrix(SIGMA3))
     return (QuadraticDrift(DESIGN3, [0.0, 0.1, -0.2, 0.3]),
-            QuadraticDrift(DESIGN3, [0.2, 0.1, -0.2, 0.0]), cov, cov, ABSENT_SCORE)
+            QuadraticDrift(DESIGN3, [0.2, 0.1, -0.2, 0.0]), cov, cov, None)
 
 
 def unequal_case():
@@ -256,7 +253,7 @@ def unequal_case():
 
     drift = QuadraticDrift(DESIGN3, [0.0, 0.1, -0.2, 0.3])
     return (drift, drift, ConstantSpd(SpdMatrix(SIGMA3)),
-            ConstantSpd(SpdMatrix(np.diag([0.9, 1.1, 0.7]))), TimeVaryingScore(at_time))
+            ConstantSpd(SpdMatrix(np.diag([0.9, 1.1, 0.7]))), at_time)
 
 
 @pytest.mark.parametrize("case", [shared_case, unequal_case])
@@ -264,27 +261,44 @@ def unequal_case():
 @pytest.mark.parametrize("paths", [1, 2, 3, 2049, 4097, 5000])
 def test_mc_bound_equals_stored_ensemble_bound(paths, stride, case):
     # 2049 and more paths span several row blocks, which must stitch exactly
-    drift_a, drift_b, cov_a, cov_b, score = case()
+    drift_a, drift_b, cov_a, cov_b, score_at = case()
     x0 = np.array([0.5, -0.5, 1.0])
     cfg = SimConfig(step=0.01, horizon=0.2, paths=paths, seed=23, record_stride=stride)
-    curve = mc_kl_bound(drift_a, drift_b, cov_a, cov_b, x0, cfg, score)
+    curve = mc_kl_bound(drift_a, drift_b, cov_a, cov_b, x0, cfg, score_at)
     times, bounds, stderr = stored_ensemble_bound(drift_a, drift_b, cov_a, cov_b, x0, cfg,
-                                                  score)
+                                                  score_at)
     assert np.array_equal(curve.times, times)
     assert np.array_equal(curve.bounds, bounds)
     assert np.array_equal(curve.stderr, stderr)
 
 
+@pytest.mark.parametrize("case", [shared_case, unequal_case])
+@pytest.mark.parametrize("stride", [1, 10])
+def test_mc_bound_of_the_problems_equals_that_of_their_drifts(stride, case):
+    # a QuadraticProblem is its own drift: the bound it gives is bit for bit
+    # the one its design and target give as a QuadraticDrift
+    drift_a, drift_b, cov_a, cov_b, score_at = case()
+    x0 = np.array([0.5, -0.5, 1.0])
+    prob_a, prob_b = (QuadraticProblem(d.design, d.target, c.matrix, x0)
+                      for d, c in ((drift_a, cov_a), (drift_b, cov_b)))
+    cfg = SimConfig(step=0.01, horizon=0.2, paths=2049, seed=23, record_stride=stride)
+    want = mc_kl_bound(drift_a, drift_b, cov_a, cov_b, x0, cfg, score_at)
+    got = mc_kl_bound(prob_a, prob_b, cov_a, cov_b, x0, cfg, score_at)
+    assert np.array_equal(got.times, want.times)
+    assert np.array_equal(got.bounds, want.bounds)
+    assert np.array_equal(got.stderr, want.stderr)
+
+
 @pytest.mark.parametrize("paths", [1, 2049, 5000])
 def test_mc_bound_equals_stored_ensemble_bound_when_the_main_thread_draws(monkeypatch, paths):
-    drift_a, drift_b, cov_a, cov_b, score = unequal_case()
+    drift_a, drift_b, cov_a, cov_b, score_at = unequal_case()
     x0 = np.array([0.5, -0.5, 1.0])
     cfg = SimConfig(step=0.01, horizon=0.2, paths=paths, seed=31, record_stride=4)
     times, bounds, stderr = stored_ensemble_bound(drift_a, drift_b, cov_a, cov_b, x0, cfg,
-                                                  score)
+                                                  score_at)
     threads = threading.active_count()
     log = stealing_draws(monkeypatch)
-    curve = mc_kl_bound(drift_a, drift_b, cov_a, cov_b, x0, cfg, score)
+    curve = mc_kl_bound(drift_a, drift_b, cov_a, cov_b, x0, cfg, score_at)
     assert np.array_equal(curve.times, times)
     assert np.array_equal(curve.bounds, bounds)
     assert np.array_equal(curve.stderr, stderr)
@@ -317,11 +331,11 @@ def test_mc_bound_propagates_the_score_error_and_stops_threads():
             raise boom
         return -x
 
-    score = TimeVaryingScore(lambda t: CallableScore(lambda x: fn(x, t)))
     cfg = SimConfig(step=0.1, horizon=1.0, paths=4, seed=1)
     before = threading.active_count()
     with pytest.raises(RuntimeError) as exc:
-        mc_kl_bound(drift, drift, cov_a, cov_b, np.array([0.0]), cfg, score)
+        mc_kl_bound(drift, drift, cov_a, cov_b, np.array([0.0]), cfg,
+                    lambda t: CallableScore(lambda x: fn(x, t)))
     assert exc.value is boom
     assert seen == pytest.approx([0.0, 0.1, 0.2, 0.3, 0.4])
     assert threading.active_count() == before

@@ -392,6 +392,37 @@ def test_bad_matrix_values_rejected_by_validate(tmp_path, capsys, make_doc, over
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("name, over", [
+    ("ou-exact", {"sigma": [[1.7e308, 0.0], [0.0, 0.5]]}),
+    ("simulate", {"sigma": [[1.7e308, 0.0], [0.0, 0.5]]}),
+    ("kl-bound", {"sigma_diag": [1.7e308]}),
+], ids=["ou-exact", "simulate", "kl-bound"])
+def test_huge_finite_covariance_runs(tmp_path, capsys, name, over):
+    # the covariance is finite, so symmetrizing it must not overflow to inf
+    doc = shrunk_shipped_doc(name)
+    doc["experiment"].update(over)
+    cfg = write_config(tmp_path / "cfg.json", doc)
+    assert run_cli(capsys, "validate", cfg)[0] == 0
+    code, report = run_cli(capsys, "run", cfg)
+    assert code == 0, report
+    assert non_finite_outputs(tmp_path / "out") == []
+
+
+@pytest.mark.parametrize("over, path, message", [
+    ({"record_stride": 3}, "experiment.record_stride",
+     "step count must be divisible by record_stride"),
+    ({"horizon": 0.05}, "experiment.horizon", "horizon must be at least one step"),
+    ({"horizon": 1.05}, "experiment.horizon", "horizon must be an integer multiple of step"),
+], ids=["stride", "short-horizon", "fractional-horizon"])
+def test_sim_config_errors_land_on_their_field(tmp_path, capsys, over, path, message):
+    doc = shipped_doc("simulate", step=0.1, horizon=1.0, record_stride=1, paths=4)
+    doc["experiment"].update(over)
+    cfg = write_config(tmp_path / "cfg.json", doc)
+    code, report = run_cli(capsys, "validate", cfg)
+    assert code == 1
+    assert report["errors"] == [{"path": path, "message": message}]
+
+
 def test_run_overflow_is_numerical_failure(tmp_path, capsys):
     # x = 1e300 passes validate, but the grid's noise variance x^2 overflows
     cfg = write_config(tmp_path / "cfg.json", quad_tradeoff_doc(x_range=[0.5, 1e300]))

@@ -35,6 +35,15 @@ def test_sym_matrix_rejects_nonsquare_and_nonfinite():
         SymMatrix(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
 
+def test_huge_finite_entries_stay_finite():
+    # (m + m.T) / 2 would overflow past 8.99e307; the stored entries must not
+    big = np.array([[1.7e308, -1.7e308], [-1.7e308, 1.7e308]])
+    assert np.array_equal(SymMatrix(big).entries, big)
+    spd = SpdMatrix([[1.7e308]])
+    assert np.isfinite(spd.entries).all()
+    assert spd.entries[0, 0] == 1.7e308
+
+
 def test_entries_read_only():
     s = SymMatrix(np.eye(2))
     with pytest.raises(ValueError):

@@ -14,6 +14,7 @@ import pytest
 
 from anisopriv.errors import AnisoError
 from anisopriv.linalg import SpdMatrix
+from anisopriv.sde import QuadraticDrift
 from anisopriv.ou import (
     GaussianState,
     QuadraticProblem,
@@ -260,6 +261,19 @@ def test_error_to_opt_riemann_oracle():
 def test_gaussian_state_validates_time():
     with pytest.raises(ValueError):
         GaussianState(np.zeros(1), SpdMatrix(np.eye(1)), -1.0)
+
+
+def test_problem_is_its_own_quadratic_drift():
+    rng = np.random.default_rng(17)
+    design, target = rng.standard_normal((5, 3)), rng.standard_normal(5)
+    p = QuadraticProblem(design, target, SpdMatrix(np.eye(3)), np.zeros(3))
+    assert isinstance(p, QuadraticDrift)
+    drift = QuadraticDrift(design, target)
+    for rows in (1, 7, 2049):
+        x = rng.standard_normal((rows, 3))
+        assert np.array_equal(p.evaluate(x), drift.evaluate(x))
+    assert np.array_equal(p.gram, drift.gram)
+    assert not p.gram.flags.writeable
 
 
 def test_problem_rejects_singular_design():
