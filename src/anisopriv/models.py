@@ -15,13 +15,21 @@ batch streams, and each stream is drawn once, in blocks of 32 iterations, so a
 run's result does not depend on the other runs. `forward` and `loss_and_grad`
 score a list of R models of one architecture on shared rows, the same way in
 blocks of runs; a single model is the list of one.
+
+On Linux (os.fork, os.sched_getaffinity), a large `train` call splits its
+runs by seed over the usable CPUs: the calling process trains one part and a
+forked child each other part, kept off the caller's CPU, since the step's
+many small numpy calls would run one at a time on threads. The results are
+the same bit for bit; see `train` for when the stack is split.
 """
 
 from __future__ import annotations
 
 import csv
+import os
+import pickle
 from dataclasses import dataclass
-from functools import reduce
+from functools import partial, reduce
 
 import numpy as np
 
@@ -37,6 +45,12 @@ _STREAM_BLOCK = 32  # iterations of batch indices and noise drawn per stream at 
 # per step as its arrays were mapped and unmapped; 64 runs of 32-row batches
 # (hidden 16) were slower in 3 blocks than in one.
 _BLOCK_ROWS = 2048
+# Multiply-adds (iters x runs x batch x parameters) from which train splits
+# its runs over CPUs. On 2 cores a fork, pipe and wait cycle took about 3 ms,
+# and two parts were slower than one stack below about 1e7 (hidden 16 and 10,
+# batch 32 and 200) and faster in every measured call from 1.3e7 on (0.6 to
+# 0.9 of the one-stack time).
+_SPLIT_WORK = 15_000_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -299,7 +313,23 @@ def train(model: MlpModel, datasets, seeds, scheme=NO_NOISE, *, lr: float, iters
     its log as diverged; its parameters are those before that step, and the
     other runs carry on. The loop runs with numpy's overflow and invalid-value
     warnings off, since a non-finite loss or gradient is how divergence is
-    detected."""
+    detected.
+
+    On Linux, a call of at least 1.5e7 multiply-adds (iters x runs x batch x
+    parameters) splits its runs, whole seed groups at a time, into one part
+    per usable CPU (os.sched_getaffinity), at most one per seed, since the
+    step is many small numpy calls that threads would run one at a time. This
+    process trains the first part and forks (os.fork) one child process per
+    other part; each child trains its part with the same loop and pipes back
+    its result, or its exception, which is raised here. A child keeps off the
+    CPU this process was on at the fork: otherwise the scheduler often left
+    both on one CPU for the whole call, slower than one stack. Every child has
+    been reaped when train returns or raises. On Python 3.12 and later,
+    os.fork warns (DeprecationWarning) in a process with other threads, such
+    as BLAS threads; the split goes ahead, and the child calls only numpy
+    before it exits with os._exit (this case has not been run). Without
+    os.fork or os.sched_getaffinity, on one CPU, for one seed or below the
+    break-even, the stack trains in this process."""
     if len(datasets) != len(seeds) or not seeds:
         raise ValueError("need one seed per dataset and at least one run")
     rows = np.array([ds.size for ds in datasets])
@@ -316,9 +346,139 @@ def train(model: MlpModel, datasets, seeds, scheme=NO_NOISE, *, lr: float, iters
     if noise_on not in ("step", "full"):
         raise ValueError(f"noise_on must be 'step' or 'full', got {noise_on!r}")
 
-    sizes, activation = model.layer_sizes, model.activation
+    sizes, activation, runs = model.layer_sizes, model.activation, len(seeds)
+
+    def part(at):
+        return _train_stack(sizes, activation, [datasets[r] for r in at],
+                            [seeds[r] for r in at], scheme, lr, iters, batch, noise_on)
+
+    cpus = _usable_cpus()
+    small = iters * runs * batch * model.n_params < _SPLIT_WORK
+    parts = [range(runs)] if small else _seed_parts(seeds, len(cpus))
+    if len(parts) == 1:
+        final, losses, steps, diverged = part(range(runs))
+    else:
+        final = np.empty((runs, model.n_params))
+        losses = np.empty((runs, iters))
+        steps, diverged = np.empty(runs, dtype=int), np.empty(runs, dtype=bool)
+        for at, result in zip(parts, _in_processes(cpus, [partial(part, at) for at in parts])):
+            final[at], losses[at], steps[at], diverged[at] = result
+
+    models = [MlpModel(sizes, final[r], activation, seeds[r]) for r in range(runs)]
+    logs = [TrainLog(losses[r, : steps[r]], bool(diverged[r])) for r in range(runs)]
+    return models, logs
+
+
+def _usable_cpus() -> set[int]:
+    """The CPUs this process may run on; one where os.fork or
+    os.sched_getaffinity is missing, so that train does not split."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return {0}
+    return os.sched_getaffinity(0)
+
+
+def _current_cpu() -> int | None:
+    """The CPU this process last ran on (field 39 of /proc/self/stat), or
+    None where that is not readable."""
+    try:
+        with open("/proc/self/stat") as fh:
+            return int(fh.read().rpartition(")")[2].split()[36])
+    except (OSError, ValueError, IndexError):
+        return None
+
+
+def _seed_parts(seeds, k: int) -> list[np.ndarray]:
+    """Run indices of at most k parts of near-equal run count, in run order
+    within each part; the runs of one seed are never split across parts."""
+    seed_of, keys = _index_by(seeds)
+    k = min(k, len(keys))
+    group_runs = np.bincount(seed_of)
+    # a seed group goes to the part where the middle of its runs falls
+    middle = np.cumsum(group_runs) - group_runs / 2.0
+    part_of = (middle * k / len(seeds)).astype(int)[seed_of]
+    return [at for at in (np.flatnonzero(part_of == p) for p in range(k)) if at.size]
+
+
+def _in_processes(cpus: set[int], jobs) -> list:
+    """Results of the calls jobs[0](), ..., jobs[-1](): the first runs here,
+    each other one in a forked child that sends back its result or its
+    exception through a pipe, pickled, and is kept off the CPU this process
+    is on. Raises the first failed job's exception, after every child has
+    been reaped; children still running then are killed."""
+    cpu = _current_cpu()
+    others = cpus - {cpu}
+    results = [None] * len(jobs)
+    pending = []  # (pid, read end, job index)
+    try:
+        for i, job in enumerate(jobs[1:], 1):
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except BaseException:
+                os.close(r)
+                os.close(w)
+                raise
+            if pid == 0:
+                _child(w, others, job)
+            os.close(w)
+            pending.append((pid, open(r, "rb"), i))
+        results[0] = jobs[0]()
+        while pending:
+            pid, reader, i = pending[0]
+            with reader:
+                data = reader.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del pending[0]
+            if code != 0:
+                raise RuntimeError(f"training process {pid} ended with exit code {code}")
+            ok, results[i] = pickle.loads(data)
+            if not ok:
+                raise results[i]
+    finally:
+        if pending:  # a job failed; signal is imported here, as it adds 1 ms to import time
+            import signal
+        for pid, reader, _ in pending:
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            reader.close()
+            os.waitpid(pid, 0)
+    return results
+
+
+def _child(w: int, cpus: set[int], job):
+    """Body of a forked child of _in_processes: run job on the given CPUs
+    and write (True, result) or (False, exception) to the pipe's write end
+    w, pickled; never returns."""
+    code = 1
+    try:
+        try:
+            os.sched_setaffinity(0, cpus)
+        except OSError:  # no such CPU: stay where the fork put us
+            pass
+        try:
+            outcome = (True, job())
+        except BaseException as exc:
+            outcome = (False, exc)
+        try:
+            data = pickle.dumps(outcome, pickle.HIGHEST_PROTOCOL)
+        except Exception:  # an exception that does not pickle
+            exc = outcome[1]
+            data = pickle.dumps((False, RuntimeError(f"{type(exc).__name__}: {exc}")))
+        with open(w, "wb") as fh:
+            fh.write(data)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _train_stack(sizes, activation, datasets, seeds, scheme, lr, iters, batch, noise_on):
+    """train's loop on one stack of runs: their final parameters (R, P),
+    losses (R, iters), step counts (R,) and diverged flags (R,)."""
     slices = layer_slices(sizes)
     runs = len(seeds)
+    rows = np.array([ds.size for ds in datasets])
     # the rows of every distinct dataset (by identity), one after another;
     # run r's rows start at offset[r]
     data_of, distinct = _index_by(datasets)
@@ -389,10 +549,7 @@ def train(model: MlpModel, datasets, seeds, scheme=NO_NOISE, *, lr: float, iters
                     scale[rows_at] = _loss_and_grad(sizes, activation, params[rows_at], x, y)[1]
             params = params - lr * grad + noise_std(scheme, scale, slices) * noise[seed_of[live], j]
     final[live] = params
-
-    models = [MlpModel(sizes, final[r], activation, seeds[r]) for r in range(runs)]
-    logs = [TrainLog(losses[r, : steps[r]], bool(diverged[r])) for r in range(runs)]
-    return models, logs
+    return final, losses, steps, diverged
 
 
 # ---------------------------------------------------------------------------

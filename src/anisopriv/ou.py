@@ -134,7 +134,7 @@ def exact_state(p: QuadraticProblem, t: float) -> GaussianState:
     cov = q @ (s_rot * (-np.expm1(-rate * t) / rate)) @ q.T
     if p.v0 is not None:
         cov = cov + e @ p.v0.entries @ e
-    cov = (cov + cov.swapaxes(-1, -2)) / 2.0
+    cov = cov / 2.0 + cov.swapaxes(-1, -2) / 2.0
     return GaussianState(mean, SpdMatrix(cov, allow_semidefinite=True), float(t))
 
 
@@ -143,7 +143,7 @@ def invariant_state(p: QuadraticProblem) -> GaussianState:
     Lyapunov identity gram @ V + V @ gram = noise_cov."""
     w, q, s_rot = _rotated_noise(p)
     cov = q @ (s_rot / np.add.outer(w, w)) @ q.T
-    cov = (cov + cov.swapaxes(-1, -2)) / 2.0
+    cov = cov / 2.0 + cov.swapaxes(-1, -2) / 2.0
     return GaussianState(p.optimum.copy(), SpdMatrix(cov), math.inf)
 
 

@@ -408,6 +408,21 @@ def test_huge_finite_covariance_runs(tmp_path, capsys, name, over):
     assert non_finite_outputs(tmp_path / "out") == []
 
 
+@pytest.mark.parametrize("t", ["inf", 30.0])
+def test_ou_exact_law_near_the_largest_float_runs(tmp_path, capsys, t):
+    # the law's variance, 1.7e308 / 1.62 at stationarity, is finite, so
+    # symmetrizing the law's covariance must not overflow it to inf
+    cfg = write_config(tmp_path / "cfg.json", ou_exact_doc(
+        design=[[0.9]], target=[0.5], sigma=[[1.7e308]], x0=[0.0], time=t))
+    assert run_cli(capsys, "validate", cfg)[0] == 0
+    code, report = run_cli(capsys, "run", cfg)
+    assert code == 0, report
+    # the file's one non-number is the time "inf"
+    state = json.loads((tmp_path / "out" / "gaussian_state.json").read_text())
+    assert np.isfinite(state["mean"]).all()
+    assert 1e307 < np.asarray(state["cov"]).item() < math.inf
+
+
 @pytest.mark.parametrize("over, path, message", [
     ({"record_stride": 3}, "experiment.record_stride",
      "step count must be divisible by record_stride"),

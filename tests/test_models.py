@@ -1,17 +1,21 @@
 """Classifier forward/backward checks and noisy-training semantics."""
 
 import math
+import os
+import time
 
 import numpy as np
 import pytest
 
-from anisopriv.errors import BatchLargerThanDataset, IndexOutOfRange
+from anisopriv import models as models_module
+from anisopriv.errors import AnisoError, BatchLargerThanDataset, IndexOutOfRange
 from anisopriv.models import (
     _BATCH_TAG,
     _NOISE_TAG,
     _fold,
     _loss_and_grad,
     _ones_column,
+    _seed_parts,
     NO_NOISE,
     AnisotropicPerParam,
     Dataset,
@@ -520,3 +524,107 @@ def test_stacked_training_validation(blobs):
         train(model, [], [], NO_NOISE, **kwargs)
     with pytest.raises(BatchLargerThanDataset):
         train(model, [smaller, smaller], [1, 2], NO_NOISE, lr=0.1, iters=5, batch=blobs.size)
+
+
+# ---------------------------------------------------------------------------
+# the stack split over forked processes
+
+
+def split_over(monkeypatch, cpus):
+    """Make train split every call over `cpus` usable CPUs."""
+    monkeypatch.setattr(models_module, "_usable_cpus", lambda: set(range(cpus)))
+    monkeypatch.setattr(models_module, "_SPLIT_WORK", 0)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("seeds, k", [
+    ([1, 2] * 32, 2), ([1, 2, 3] * 2, 3), ([7] * 5, 3), ([4, 4, 4, 5, 6, 6, 7], 2),
+    ([9, 8, 9, 7, 8, 9], 4), (list(range(13)), 3), ([1, 2], 1),
+])
+def test_seed_parts_keep_each_seed_whole(seeds, k):
+    parts = _seed_parts(seeds, k)
+    assert 1 <= len(parts) <= min(k, len(set(seeds)))
+    assert sorted(np.concatenate(parts).tolist()) == list(range(len(seeds)))
+    for at in parts:
+        assert np.all(np.diff(at) > 0)
+        mine = {seeds[r] for r in at}
+        assert all(seeds[r] not in mine for other in parts if other is not at for r in other)
+    # near-equal: parts differ by less than the largest seed group in runs
+    counts = [at.size for at in parts]
+    assert max(counts) - min(counts) <= max(seeds.count(s) for s in seeds)
+
+
+@pytest.mark.parametrize("noise_on", ["step", "full"])
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_split_training_matches_one_stack(blobs, monkeypatch, cpus, noise_on):
+    # seeds 4 and 5 train twice (on D and a neighbour), seed 3 diverges on
+    # the huge features; every split gives the one-stack result bit for bit
+    model = init_model(3, 6, 3, 0, "relu")
+    huge = Dataset(blobs.features * 1e5, blobs.labels)
+    datasets = [blobs, huge, blobs, *neighbours(blobs, 2), blobs]
+    seeds = [4, 3, 5, 4, 5, 6]
+    kwargs = dict(lr=30.0, iters=45, batch=16, noise_on=noise_on)
+    scheme = AnisotropicPerParam(0.05)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ref_models, ref_logs = train(model, datasets, seeds, scheme, **kwargs)
+        split_over(monkeypatch, cpus)
+        models, logs = train(model, datasets, seeds, scheme, **kwargs)
+    assert_no_child_left()
+    assert ref_logs[1].diverged and [log.diverged for log in logs] == [log.diverged
+                                                                        for log in ref_logs]
+    for m, ref in zip(models, ref_models):
+        assert m.seed == ref.seed and np.array_equal(m.params, ref.params)
+    for log, ref in zip(logs, ref_logs):
+        assert np.array_equal(log.losses, ref.losses, equal_nan=True)
+
+
+class Unpicklable(Exception):
+    def __reduce__(self):
+        raise TypeError("cannot pickle this exception")
+
+
+@pytest.mark.parametrize("error, caught, message", [
+    (FloatingPointError("step failed in a child"), FloatingPointError,
+     "step failed in a child"),
+    (AnisoError("child step", operation="child_op"), AnisoError, "child step"),
+    (Unpicklable("kept as text"), RuntimeError, "Unpicklable: kept as text"),
+], ids=["builtin", "library", "unpicklable"])
+def test_child_exception_reaches_the_caller(blobs, monkeypatch, error, caught, message):
+    parent, real = os.getpid(), models_module._loss_and_grad
+
+    def fails_in_child(*args):
+        if os.getpid() != parent:
+            raise error
+        return real(*args)
+
+    monkeypatch.setattr(models_module, "_loss_and_grad", fails_in_child)
+    split_over(monkeypatch, 2)
+    model = init_model(3, 6, 3, 0)
+    with pytest.raises(caught, match=message) as info:
+        train(model, [blobs] * 4, [1, 2, 1, 2], NO_NOISE, lr=0.1, iters=5, batch=8)
+    assert getattr(info.value, "operation", None) == getattr(error, "operation", None)
+    assert_no_child_left()
+
+
+def test_parent_exception_kills_and_reaps_the_children(blobs, monkeypatch):
+    # each child's 10**6 steps would take over a minute; the caller's own
+    # failure at its first step ends them
+    parent, real = os.getpid(), models_module._loss_and_grad
+
+    def fails_in_parent(*args):
+        if os.getpid() == parent:
+            raise KeyError("parent step")
+        return real(*args)
+
+    monkeypatch.setattr(models_module, "_loss_and_grad", fails_in_parent)
+    split_over(monkeypatch, 3)
+    model = init_model(3, 6, 3, 0)
+    started = time.perf_counter()
+    with pytest.raises(KeyError, match="parent step"):
+        train(model, [blobs] * 3, [1, 2, 3], NO_NOISE, lr=1e-3, iters=10**6, batch=8)
+    assert time.perf_counter() - started < 20.0
+    assert_no_child_left()
