@@ -12,6 +12,11 @@ seed, and versions; reruns of an identical config are byte-identical except
 the manifest's "timestamp" object. Exit codes: 0 success, 1 invalid config,
 2 numerical failure (the error JSON names the offending operation).
 
+Each JSON object of a config is read through one _Reader, whose typed getters
+check and convert its values. A parser's reads are its schema: a key that no
+getter names is an "unknown key" error, a key set to null counts as absent,
+and both seeds ($.seed, dataset.synth.seed) follow one rule.
+
 Each kind's parser builds every library object its run(outdir) closure uses,
 so a constructor's ValueError (a noise covariance that is not positive
 definite, say) is exit 1 at the field's path; the closure only computes and writes.
@@ -133,31 +138,11 @@ def write_audit_json(report, path) -> None:
 
 
 # ---------------------------------------------------------------------------
-# schema helpers: every checker appends {"path", "message"} dicts to errs
+# schema: a _Reader per JSON object; every error is a {"path", "message"} dict
 
 
 def _err(errs, path, message):
     errs.append({"path": path, "message": message})
-
-
-def _built(errs, path, make, *args, **kw):
-    """make(*args, **kw), or None after recording its ValueError at path (once:
-    a defaulted design_prime repeats the design's error). None, without a call,
-    when an argument is None, as its error is recorded already."""
-    if any(a is None for a in (*args, *kw.values())):
-        return None
-    try:
-        return make(*args, **kw)
-    except ValueError as exc:
-        if {"path": path, "message": str(exc)} not in errs:
-            _err(errs, path, str(exc))
-        return None
-
-
-def _reject_unknown(obj, allowed, path, errs):
-    for key in obj:
-        if key not in allowed:
-            _err(errs, f"{path}.{key}", "unknown key")
 
 
 def _finite(x):
@@ -165,251 +150,303 @@ def _finite(x):
     return isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
 
 
-def _get(obj, key, path, errs, *, required=True, default=None):
-    """obj[key]; a key set to null counts as missing."""
-    if obj.get(key) is None:
-        if required:
-            _err(errs, f"{path}.{key}", "missing required field")
-        return default
-    return obj[key]
+class _Reader:
+    """One JSON object of a config, at path, read through typed getters that
+    check and convert a value, or record its error at path.key in errs and
+    return the default. A getter's reads are the object's schema: every key a
+    getter names is known, and read() makes each key that none named an
+    "unknown key" error. A key set to null counts as absent."""
+
+    def __init__(self, obj, path, errs):
+        self.obj, self.path, self.errs = obj, path, errs
+        self.named = set()
+
+    def read(self, parse, *args):
+        """parse(self, *args), then one "unknown key" error per key no getter
+        named, inserted where this object's errors begin, so they come first."""
+        start = len(self.errs)
+        out = parse(self, *args)
+        self.errs[start:start] = [{"path": self._at(k), "message": "unknown key"}
+                                  for k in self.obj if k not in self.named]
+        return out
+
+    def _at(self, key):
+        return self.path if key is None else f"{self.path}.{key}"
+
+    def err(self, key, message):
+        _err(self.errs, self._at(key), message)
+
+    def has(self, key):
+        """Whether key is present and not null."""
+        return self.get(key, required=False) is not None
+
+    def get(self, key, *, required=True, default=None):
+        """The raw value at key, or default when it is absent."""
+        self.named.add(key)
+        v = self.obj.get(key)
+        if v is None:
+            if required:
+                self.err(key, "missing required field")
+            return default
+        return v
+
+    def built(self, key, make, /, *args, **kw):
+        """make(*args, **kw), or None after recording its ValueError at key
+        (the object itself when key is None), once: a defaulted design_prime
+        repeats the design's error. None, without a call, when an argument is
+        None, as its error is recorded already."""
+        if any(a is None for a in (*args, *kw.values())):
+            return None
+        try:
+            return make(*args, **kw)
+        except ValueError as exc:
+            if {"path": self._at(key), "message": str(exc)} not in self.errs:
+                self.err(key, str(exc))
+            return None
+
+    def object(self, key, parse, *args):
+        """The object at key read with parse (see read), or None after an error.
+        Its path is path.key, or the key alone under the document ($)."""
+        v = self.get(key)
+        if v is None:
+            return None
+        path = key if self.path == "$" else self._at(key)
+        if not isinstance(v, dict):
+            _err(self.errs, path, "must be an object")
+            return None
+        return _Reader(v, path, self.errs).read(parse, *args)
+
+    def seed(self, key, *, required=True, default=None):
+        v = self.get(key, required=required)
+        if v is None:
+            return default
+        if isinstance(v, bool) or not isinstance(v, int) or not 0 <= v < 2**64:
+            self.err(key, "must be an unsigned 64-bit integer")
+            return default
+        return v
+
+    def number(self, key, *, positive=False, nonneg=False):
+        v = self.get(key)
+        if v is None:
+            return None
+        if not _finite(v):
+            self.err(key, "must be a finite number")
+            return None
+        if positive and not v > 0:
+            self.err(key, "must be positive")
+            return None
+        if nonneg and v < 0:
+            self.err(key, "must be nonnegative")
+            return None
+        return float(v)
+
+    def integer(self, key, *, required=True, default=None, minimum=None):
+        v = self.get(key, required=required)
+        if v is None:
+            return default
+        if isinstance(v, bool) or not isinstance(v, int):
+            self.err(key, "must be an integer")
+            return default
+        if minimum is not None and v < minimum:
+            self.err(key, f"must be >= {minimum}")
+            return default
+        return v
+
+    def string(self, key, *, required=True, default=None, choices=None):
+        v = self.get(key, required=required)
+        if v is None:
+            return default
+        if not isinstance(v, str):
+            self.err(key, "must be a string")
+            return default
+        if choices is not None and v not in choices:
+            self.err(key, f"must be one of {sorted(choices)}")
+            return default
+        return v
+
+    def boolean(self, key, *, default=False):
+        v = self.get(key, required=False)
+        if v is None:
+            return default
+        if not isinstance(v, bool):
+            self.err(key, "must be a boolean")
+            return default
+        return v
+
+    def vector(self, key, *, required=True, default=None, length=None, positive=False,
+               nonneg=False):
+        v = self.get(key, required=required)
+        if v is None:
+            return default
+        if not (isinstance(v, list) and v and all(_finite(x) for x in v)):
+            self.err(key, "must be a nonempty list of finite numbers")
+            return None
+        if length is not None and len(v) != length:
+            self.err(key, f"must have length {length}")
+            return None
+        if positive and any(x <= 0 for x in v):
+            self.err(key, "entries must be positive")
+            return None
+        if nonneg and any(x < 0 for x in v):
+            self.err(key, "entries must be nonnegative")
+            return None
+        return np.asarray(v, dtype=float)
+
+    def matrix(self, key, *, required=True):
+        v = self.get(key, required=required)
+        if v is None:
+            return None
+        ok = (
+            isinstance(v, list) and v and all(isinstance(r, list) and r for r in v)
+            and len({len(r) for r in v}) == 1
+            and all(_finite(x) for r in v for x in r)
+        )
+        if not ok:
+            self.err(key, "must be a rectangular matrix of finite numbers")
+            return None
+        return np.asarray(v, dtype=float)
+
+    def time(self, key):
+        v = self.get(key)
+        if v is None:
+            return None
+        if v == "inf":
+            return math.inf
+        if not _finite(v) or v < 0:
+            self.err(key, 'must be a nonnegative number or "inf"')
+            return None
+        return float(v)
+
+    def range_pair(self, key):
+        v = self.get(key)
+        if v is None:
+            return None
+        if not (isinstance(v, list) and len(v) == 2 and all(_finite(x) for x in v)
+                and 0 < v[0] < v[1]):
+            self.err(key, "must be [lo, hi] with 0 < lo < hi")
+            return None
+        return (float(v[0]), float(v[1]))
 
 
-def _number(obj, key, path, errs, *, positive=False, nonneg=False):
-    v = _get(obj, key, path, errs)
-    if v is None:
-        return None
-    if not _finite(v):
-        _err(errs, f"{path}.{key}", "must be a finite number")
-        return None
-    if positive and not v > 0:
-        _err(errs, f"{path}.{key}", "must be positive")
-        return None
-    if nonneg and v < 0:
-        _err(errs, f"{path}.{key}", "must be nonnegative")
-        return None
-    return float(v)
-
-
-def _integer(obj, key, path, errs, *, required=True, default=None, minimum=None):
-    v = _get(obj, key, path, errs, required=required, default=None)
-    if v is None:
-        return default
-    if isinstance(v, bool) or not isinstance(v, int):
-        _err(errs, f"{path}.{key}", "must be an integer")
-        return default
-    if minimum is not None and v < minimum:
-        _err(errs, f"{path}.{key}", f"must be >= {minimum}")
-        return default
-    return v
-
-
-def _string(obj, key, path, errs, *, required=True, default=None, choices=None):
-    v = _get(obj, key, path, errs, required=required, default=None)
-    if v is None:
-        return default
-    if not isinstance(v, str):
-        _err(errs, f"{path}.{key}", "must be a string")
-        return default
-    if choices is not None and v not in choices:
-        _err(errs, f"{path}.{key}", f"must be one of {sorted(choices)}")
-        return default
-    return v
-
-
-def _boolean(obj, key, path, errs, *, default=False):
-    v = _get(obj, key, path, errs, required=False, default=None)
-    if v is None:
-        return default
-    if not isinstance(v, bool):
-        _err(errs, f"{path}.{key}", "must be a boolean")
-        return default
-    return v
-
-
-def _vector(obj, key, path, errs, *, required=True, default=None, length=None,
-            positive=False, nonneg=False):
-    v = _get(obj, key, path, errs, required=required, default=None)
-    if v is None:
-        return default
-    if not (isinstance(v, list) and v and all(_finite(x) for x in v)):
-        _err(errs, f"{path}.{key}", "must be a nonempty list of finite numbers")
-        return None
-    if length is not None and len(v) != length:
-        _err(errs, f"{path}.{key}", f"must have length {length}")
-        return None
-    if positive and any(x <= 0 for x in v):
-        _err(errs, f"{path}.{key}", "entries must be positive")
-        return None
-    if nonneg and any(x < 0 for x in v):
-        _err(errs, f"{path}.{key}", "entries must be nonnegative")
-        return None
-    return np.asarray(v, dtype=float)
-
-
-def _matrix(obj, key, path, errs, *, required=True):
-    v = _get(obj, key, path, errs, required=required, default=None)
-    if v is None:
-        return None
-    ok = (
-        isinstance(v, list) and v and all(isinstance(r, list) and r for r in v)
-        and len({len(r) for r in v}) == 1
-        and all(_finite(x) for r in v for x in r)
-    )
-    if not ok:
-        _err(errs, f"{path}.{key}", "must be a rectangular matrix of finite numbers")
-        return None
-    return np.asarray(v, dtype=float)
-
-
-def _time_value(obj, key, path, errs):
-    v = _get(obj, key, path, errs)
-    if v is None:
-        return None
-    if v == "inf":
-        return math.inf
-    if not _finite(v) or v < 0:
-        _err(errs, f"{path}.{key}", 'must be a nonnegative number or "inf"')
-        return None
-    return float(v)
-
-
-def _cov_matrix(p, errs, dim):
+def _cov_matrix(p, dim):
     """The SpdMatrix of `sigma` (full matrix) or `sigma_diag` (positive diagonal)."""
-    has_full, has_diag = p.get("sigma") is not None, p.get("sigma_diag") is not None
+    has_full, has_diag = p.has("sigma"), p.has("sigma_diag")
     if has_full and has_diag:
-        _err(errs, "experiment.sigma", "give either sigma or sigma_diag, not both")
+        p.err("sigma", "give either sigma or sigma_diag, not both")
         return None
     if not has_full and not has_diag:
-        _err(errs, "experiment.sigma", "missing: provide sigma or sigma_diag")
+        p.err("sigma", "missing: provide sigma or sigma_diag")
         return None
     if has_diag:
-        d = _vector(p, "sigma_diag", "experiment", errs, length=dim, positive=True)
-        return _built(errs, "experiment.sigma_diag", SpdMatrix, None if d is None else np.diag(d))
-    m = _matrix(p, "sigma", "experiment", errs)
+        d = p.vector("sigma_diag", length=dim, positive=True)
+        return p.built("sigma_diag", SpdMatrix, None if d is None else np.diag(d))
+    m = p.matrix("sigma")
     if m is not None and (m.shape[0] != m.shape[1] or (dim is not None and m.shape[0] != dim)):
-        _err(errs, "experiment.sigma", "must be square" + (f" with dimension {dim}" if dim else ""))
+        p.err("sigma", "must be square" + (f" with dimension {dim}" if dim else ""))
         return None
-    return _built(errs, "experiment.sigma", SpdMatrix, m)
+    return p.built("sigma", SpdMatrix, m)
 
 
-def _problems(p, errs, *, primed, dim=None):
-    """x0 and (design path, design, target) of a quadratic problem and, when
-    primed, of its partner, whose design_prime (path and all) defaults to
+def _problems(p, *, primed, dim=None):
+    """x0 and (design key, design, target) of a quadratic problem and, when
+    primed, of its partner, whose design_prime (key and all) defaults to
     design. Each design needs one row per target entry and one column per x0
     entry, and dim fixes the length of x0; where a rule fails, design is None.
-    Building a QuadraticProblem at the design path checks its rank."""
-    design = _matrix(p, "design", "experiment", errs)
-    pairs = [("design", design, "target", _vector(p, "target", "experiment", errs))]
+    Building a QuadraticProblem at the design key checks its rank."""
+    design = p.matrix("design")
+    pairs = [("design", design, "target", p.vector("target"))]
     if primed:
-        design_p = _matrix(p, "design_prime", "experiment", errs, required=False)
-        given = p.get("design_prime") is not None
+        design_p = p.matrix("design_prime", required=False)
+        given = p.has("design_prime")
         pairs.append(("design_prime" if given else "design", design_p if given else design,
-                      "target_prime", _vector(p, "target_prime", "experiment", errs)))
-    x0 = _vector(p, "x0", "experiment", errs, length=dim)
+                      "target_prime", p.vector("target_prime")))
+    x0 = p.vector("x0", length=dim)
     cols = dim if x0 is None else x0.shape[0]
     bad = set()
     for b_key, b, y_key, y in pairs:
         if b is not None and y is not None and y.shape[0] != b.shape[0]:
-            _err(errs, f"experiment.{y_key}", f"length must match {b_key} rows")
+            p.err(y_key, f"length must match {b_key} rows")
             bad.add(y_key)
     for b_key, b in {b_key: b for b_key, b, _, _ in pairs}.items():
         if b is not None and cols is not None and b.shape[1] != cols:
-            _err(errs, f"experiment.{b_key}", f"must have {cols} columns")
+            p.err(b_key, f"must have {cols} columns")
             bad.add(b_key)
-    return x0, [(f"experiment.{b_key}", None if bad & {b_key, y_key} else b, y)
+    return x0, [(b_key, None if bad & {b_key, y_key} else b, y)
                 for b_key, b, y_key, y in pairs]
 
 
-def _sim_config(p, errs, seed):
-    step = _number(p, "step", "experiment", errs, positive=True)
-    horizon = _number(p, "horizon", "experiment", errs, positive=True)
-    paths = _integer(p, "paths", "experiment", errs, minimum=1)
-    stride = _integer(p, "record_stride", "experiment", errs, required=False,
-                      default=1, minimum=1)
+def _sim_config(p, seed):
+    step = p.number("step", positive=True)
+    horizon = p.number("horizon", positive=True)
+    paths = p.integer("paths", minimum=1)
+    stride = p.integer("record_stride", required=False, default=1, minimum=1)
     # the stride goes in second, so that its rule's error lands on its own field
-    cfg = _built(errs, "experiment.horizon", SimConfig, step, horizon, paths, seed)
-    return _built(errs, "experiment.record_stride", dataclasses.replace, cfg,
-                  record_stride=stride)
+    cfg = p.built("horizon", SimConfig, step, horizon, paths, seed)
+    return p.built("record_stride", dataclasses.replace, cfg, record_stride=stride)
 
 
 # ---------------------------------------------------------------------------
 # dataset and noise-scheme sub-schemas (dp-audit, membership)
 
 
-def _check_scheme(p, path, errs):
-    sch = _get(p, "scheme", path, errs)
-    if sch is None:
-        return None
-    if not isinstance(sch, dict):
-        _err(errs, f"{path}.scheme", "must be an object")
-        return None
-    _reject_unknown(sch, {"kind", "sigma2"}, f"{path}.scheme", errs)
-    kind = _string(sch, "kind", f"{path}.scheme", errs,
-                   choices={"none", "isotropic-layer", "anisotropic-param"})
+def _scheme(sch):
+    kind = sch.string("kind", choices={"none", "isotropic-layer", "anisotropic-param"})
     if kind == "none":
-        if "sigma2" in sch:
-            _err(errs, f"{path}.scheme.sigma2", 'not allowed when kind is "none"')
+        if sch.has("sigma2"):
+            sch.err("sigma2", 'not allowed when kind is "none"')
         return NO_NOISE
-    sigma2 = _number(sch, "sigma2", f"{path}.scheme", errs, nonneg=True)
+    sigma2 = sch.number("sigma2", nonneg=True)
     if kind is None or sigma2 is None:
         return None
     return IsotropicPerLayer(sigma2) if kind == "isotropic-layer" else AnisotropicPerParam(sigma2)
 
 
-def _check_dataset(p, path, errs, base_dir):
+def _dataset(ds, base_dir):
     """The Dataset, read from a CSV file or drawn by synth_blobs."""
-    ds = _get(p, "dataset", path, errs)
-    if ds is None:
+    has_csv = ds.has("csv")
+    if has_csv == ds.has("synth"):
+        ds.err(None, "provide exactly one of csv or synth")
         return None
-    if not isinstance(ds, dict):
-        _err(errs, f"{path}.dataset", "must be an object")
+    if not has_csv:
+        return ds.object("synth", _synth)
+    rel = ds.string("csv")
+    if rel is None:
         return None
-    _reject_unknown(ds, {"csv", "synth"}, f"{path}.dataset", errs)
-    if ("csv" in ds) == ("synth" in ds):
-        _err(errs, f"{path}.dataset", "provide exactly one of csv or synth")
+    full = os.path.join(base_dir, rel)
+    if not os.path.isfile(full):
+        ds.err("csv", f"file not found: {rel}")
         return None
-    if "csv" in ds:
-        rel = _string(ds, "csv", f"{path}.dataset", errs)
-        if rel is None:
-            return None
-        full = os.path.join(base_dir, rel)
-        if not os.path.isfile(full):
-            _err(errs, f"{path}.dataset.csv", f"file not found: {rel}")
-            return None
-        return _built(errs, f"{path}.dataset.csv", read_dataset_csv, full)
-    sub = ds["synth"]
-    spath = f"{path}.dataset.synth"
-    if not isinstance(sub, dict):
-        _err(errs, spath, "must be an object")
-        return None
-    _reject_unknown(sub, {"classes", "per_class", "dim", "separation", "seed"}, spath, errs)
-    classes = _integer(sub, "classes", spath, errs, minimum=2)
-    per_class = _integer(sub, "per_class", spath, errs, minimum=1)
-    dim = _integer(sub, "dim", spath, errs, minimum=1)
-    separation = _number(sub, "separation", spath, errs, nonneg=True)
-    seed = _integer(sub, "seed", spath, errs, minimum=0)
-    return _built(errs, f"{spath}.dim", synth_blobs, classes, per_class, dim, separation, seed)
+    return ds.built("csv", read_dataset_csv, full)
 
 
-def _check_training(p, errs, base_dir, drops_record=False):
+def _synth(sub):
+    classes = sub.integer("classes", minimum=2)
+    per_class = sub.integer("per_class", minimum=1)
+    dim = sub.integer("dim", minimum=1)
+    separation = sub.number("separation", nonneg=True)
+    seed = sub.seed("seed")
+    return sub.built("dim", synth_blobs, classes, per_class, dim, separation, seed)
+
+
+def _check_training(p, base_dir, drops_record=False):
     """Noise scheme, dataset and training keywords of dp-audit and membership.
     drops_record: one arm trains on the dataset less one record."""
-    scheme = _check_scheme(p, "experiment", errs)
-    dataset = _check_dataset(p, "experiment", errs, base_dir)
+    scheme = p.object("scheme", _scheme)
+    dataset = p.object("dataset", _dataset, base_dir)
     train = {
-        "lr": _number(p, "lr", "experiment", errs, positive=True),
-        "iters": _integer(p, "iters", "experiment", errs, minimum=1),
-        "batch": _integer(p, "batch", "experiment", errs, minimum=1),
-        "hidden": _integer(p, "hidden", "experiment", errs, minimum=1),
-        "activation": _string(p, "activation", "experiment", errs, required=False,
-                              default="relu", choices={"relu", "tanh"}),
-        "noise_on": _string(p, "noise_on", "experiment", errs, required=False,
-                            default="step", choices={"step", "full"}),
+        "lr": p.number("lr", positive=True),
+        "iters": p.integer("iters", minimum=1),
+        "batch": p.integer("batch", minimum=1),
+        "hidden": p.integer("hidden", minimum=1),
+        "activation": p.string("activation", required=False, default="relu",
+                               choices={"relu", "tanh"}),
+        "noise_on": p.string("noise_on", required=False, default="step",
+                             choices={"step", "full"}),
     }
     batch = train["batch"]
     if batch is not None and dataset is not None and batch > dataset.size - drops_record:
-        _err(errs, "experiment.batch", f"exceeds dataset size {dataset.size}"
-             + (" less the dropped record" if drops_record else ""))
+        p.err("batch", f"exceeds dataset size {dataset.size}"
+              + (" less the dropped record" if drops_record else ""))
     return scheme, dataset, train
 
 
@@ -418,18 +455,12 @@ def _check_training(p, errs, base_dir, drops_record=False):
 # the derived-quantity names and run(outdir), called only if errs stays empty
 
 
-_TRAIN_KEYS = {"lr", "iters", "batch", "hidden", "activation", "noise_on", "scheme",
-               "dataset"}
-
-
-def _simulate(p, errs, base_dir, seed):
-    _reject_unknown(p, {"kind", "design", "target", "sigma", "sigma_diag", "x0",
-                        "step", "horizon", "paths", "record_stride"}, "experiment", errs)
-    x0, [(path, design, target)] = _problems(p, errs, primed=False)
-    sigma = _cov_matrix(p, errs, None if x0 is None else x0.shape[0])
-    cfg = _sim_config(p, errs, seed)
-    cov = _built(errs, "experiment.sigma", ConstantSpd, sigma)
-    drift = _built(errs, path, QuadraticDrift, design, target)
+def _simulate(p, base_dir, seed):
+    x0, [(key, design, target)] = _problems(p, primed=False)
+    sigma = _cov_matrix(p, None if x0 is None else x0.shape[0])
+    cfg = _sim_config(p, seed)
+    cov = p.built("sigma", ConstantSpd, sigma)
+    drift = p.built(key, QuadraticDrift, design, target)
 
     def run(outdir):
         ens = simulate(drift, cov, x0, cfg)
@@ -441,19 +472,15 @@ def _simulate(p, errs, base_dir, seed):
     return ["trajectory ensemble (ensemble.csv)"], run
 
 
-def _ou_exact(p, errs, base_dir, seed):
-    _reject_unknown(p, {"kind", "design", "target", "sigma", "sigma_diag", "x0",
-                        "v0_diag", "time"}, "experiment", errs)
-    x0, [(path, design, target)] = _problems(p, errs, primed=False)
+def _ou_exact(p, base_dir, seed):
+    x0, [(key, design, target)] = _problems(p, primed=False)
     dim = None if x0 is None else x0.shape[0]
-    sigma = _cov_matrix(p, errs, dim)
-    v0_diag = _vector(p, "v0_diag", "experiment", errs, required=False, length=dim,
-                      nonneg=True)
-    v0 = None if v0_diag is None else _built(errs, "experiment.v0_diag", SpdMatrix,
-                                             np.diag(v0_diag), allow_semidefinite=True)
-    t = _time_value(p, "time", "experiment", errs)
-    problem = _built(errs, path, functools.partial(QuadraticProblem, v0=v0),
-                     design, target, sigma, x0)
+    sigma = _cov_matrix(p, dim)
+    v0_diag = p.vector("v0_diag", required=False, length=dim, nonneg=True)
+    v0 = None if v0_diag is None else p.built("v0_diag", SpdMatrix, np.diag(v0_diag),
+                                              allow_semidefinite=True)
+    t = p.time("time")
+    problem = p.built(key, functools.partial(QuadraticProblem, v0=v0), design, target, sigma, x0)
 
     def run(outdir):
         state = exact_state(problem, t)
@@ -468,25 +495,22 @@ def _ou_exact(p, errs, base_dir, seed):
             "gaussian_state.json"], run
 
 
-def _kl_bound(p, errs, base_dir, seed):
-    _reject_unknown(p, {"kind", "design", "target", "design_prime", "target_prime",
-                        "sigma", "sigma_diag", "sigma_prime", "x0", "step", "horizon",
-                        "paths", "record_stride"}, "experiment", errs)
-    x0, pairs = _problems(p, errs, primed=True)
+def _kl_bound(p, base_dir, seed):
+    x0, pairs = _problems(p, primed=True)
     dim = None if x0 is None else x0.shape[0]
-    sigma = _cov_matrix(p, errs, dim)
-    sigma_p = _matrix(p, "sigma_prime", "experiment", errs, required=False)
+    sigma = _cov_matrix(p, dim)
+    sigma_p = p.matrix("sigma_prime", required=False)
     if sigma_p is not None and dim is not None and sigma_p.shape != (dim, dim):
-        _err(errs, "experiment.sigma_prime", f"must be {dim}x{dim}")
+        p.err("sigma_prime", f"must be {dim}x{dim}")
         sigma_p = None
-    sigma_p = _built(errs, "experiment.sigma_prime", SpdMatrix, sigma_p)
+    sigma_p = p.built("sigma_prime", SpdMatrix, sigma_p)
     unequal = None not in (sigma, sigma_p) and not np.array_equal(sigma_p.entries, sigma.entries)
     sigma_b = sigma_p if unequal else sigma
-    cfg = _sim_config(p, errs, seed)
-    cov_a = _built(errs, "experiment.sigma", ConstantSpd, sigma)
-    cov_b = _built(errs, "experiment.sigma_prime", ConstantSpd, sigma_b) if unequal else cov_a
-    prob_a, prob_b = (_built(errs, path, QuadraticProblem, design, target, s, x0)
-                      for (path, design, target), s in zip(pairs, (sigma, sigma_b)))
+    cfg = _sim_config(p, seed)
+    cov_a = p.built("sigma", ConstantSpd, sigma)
+    cov_b = p.built("sigma_prime", ConstantSpd, sigma_b) if unequal else cov_a
+    prob_a, prob_b = (p.built(key, QuadraticProblem, design, target, s, x0)
+                      for (key, design, target), s in zip(pairs, (sigma, sigma_b)))
     score_at = ((lambda t: GaussianScore(exact_state(prob_b, max(t, cfg.step))))
                 if unequal else None)
 
@@ -520,25 +544,21 @@ def _closed_bounds_doc(rp, times):
     return doc
 
 
-def _closed_bounds(p, errs, base_dir, seed):
-    n_errs = len(errs)
-    _reject_unknown(p, {"kind", "kappa", "grad_lip", "kappa_prime", "grad_lip_prime",
-                        "sigma", "sigma_prime", "lsi0", "xstar", "xstar_prime",
-                        "times"}, "experiment", errs)
-    scalars = {key: _number(p, key, "experiment", errs, positive=True)
+def _closed_bounds(p, base_dir, seed):
+    n_errs = len(p.errs)
+    scalars = {key: p.number(key, positive=True)
                for key in ("kappa", "grad_lip", "kappa_prime", "grad_lip_prime",
                            "sigma", "sigma_prime", "lsi0")}
-    xs = _vector(p, "xstar", "experiment", errs)
-    xsp = _vector(p, "xstar_prime", "experiment", errs)
+    xs = p.vector("xstar")
+    xsp = p.vector("xstar_prime")
     if xs is not None and xsp is not None and xs.shape != xsp.shape:
-        _err(errs, "experiment.xstar_prime", "length must match xstar")
+        p.err("xstar_prime", "length must match xstar")
     for kappa, lip in (("kappa", "grad_lip"), ("kappa_prime", "grad_lip_prime")):
         if None not in (scalars[kappa], scalars[lip]) and scalars[kappa] > scalars[lip]:
-            _err(errs, f"experiment.{kappa}", f"cannot exceed {lip}")
-    times = _vector(p, "times", "experiment", errs, required=False,
-                    default=[0.0, 1.0, 10.0, 100.0], nonneg=True)
+            p.err(kappa, f"cannot exceed {lip}")
+    times = p.vector("times", required=False, default=[0.0, 1.0, 10.0, 100.0], nonneg=True)
     doc = None
-    if len(errs) == n_errs:
+    if len(p.errs) == n_errs:
         try:
             rp = RegularityParams(**scalars, xstar=xs, xstar_prime=xsp)
             doc = _closed_bounds_doc(rp, times)
@@ -547,8 +567,8 @@ def _closed_bounds(p, errs, base_dir, seed):
             scale = {k: abs(math.log(v)) for k, v in scalars.items()}
             scale["xstar_prime"] = math.log(max(1.0, np.abs(xsp - xs).max(initial=0.0)))
             key = max(scale, key=scale.get)
-            _err(errs, f"experiment.{key}", "the closed-form bounds are not finite at "
-                 f"these values, and this is the most extreme one ({exc})")
+            p.err(key, "the closed-form bounds are not finite at these values, and this "
+                  f"is the most extreme one ({exc})")
 
     def run(outdir):
         _write_json(os.path.join(outdir, "closed_bounds.json"), doc)
@@ -557,13 +577,12 @@ def _closed_bounds(p, errs, base_dir, seed):
             "stationary KL bound", "log-Sobolev constant curve"], run
 
 
-def _optimize_cov(p, errs, base_dir, seed):
-    _reject_unknown(p, {"kind", "gaps", "zetas"}, "experiment", errs)
-    gaps = _vector(p, "gaps", "experiment", errs, nonneg=True)
-    zetas = _vector(p, "zetas", "experiment", errs, positive=True)
+def _optimize_cov(p, base_dir, seed):
+    gaps = p.vector("gaps", nonneg=True)
+    zetas = p.vector("zetas", positive=True)
     if gaps is not None and not any(g > 0 for g in gaps):
-        _err(errs, "experiment.gaps", "at least one entry must be positive")
-    gap = _built(errs, "experiment.gaps", GradientGap, gaps)
+        p.err("gaps", "at least one entry must be positive")
+    gap = p.built("gaps", GradientGap, gaps)
 
     def run(outdir):
         points = [optimal_diag_cov(gap, float(z)) for z in zetas]
@@ -575,27 +594,14 @@ def _optimize_cov(p, errs, base_dir, seed):
             "optimal_cov.csv"], run
 
 
-def _range_pair(p, key, errs):
-    v = _get(p, key, "experiment", errs)
-    if v is None:
-        return None
-    if not (isinstance(v, list) and len(v) == 2 and all(_finite(x) for x in v)
-            and 0 < v[0] < v[1]):
-        _err(errs, f"experiment.{key}", "must be [lo, hi] with 0 < lo < hi")
-        return None
-    return (float(v[0]), float(v[1]))
-
-
-def _grid_surface(p, errs, base_dir, seed):
-    _reject_unknown(p, {"kind", "gaps", "x_range", "y_range", "resolution"},
-                    "experiment", errs)
-    gaps = _vector(p, "gaps", "experiment", errs, length=2, nonneg=True)
-    x_range = _range_pair(p, "x_range", errs)
-    y_range = _range_pair(p, "y_range", errs)
-    resolution = _integer(p, "resolution", "experiment", errs, minimum=2)
+def _grid_surface(p, base_dir, seed):
+    gaps = p.vector("gaps", length=2, nonneg=True)
+    x_range = p.range_pair("x_range")
+    y_range = p.range_pair("y_range")
+    resolution = p.integer("resolution", minimum=2)
     if gaps is not None and not any(g > 0 for g in gaps):
-        _err(errs, "experiment.gaps", "at least one entry must be positive")
-    gap = _built(errs, "experiment.gaps", GradientGap, gaps)
+        p.err("gaps", "at least one entry must be positive")
+    gap = p.built("gaps", GradientGap, gaps)
 
     def run(outdir):
         rows = grid_surface(gap, x_range, y_range, resolution)
@@ -605,20 +611,17 @@ def _grid_surface(p, errs, base_dir, seed):
     return ["kl_term surface over the noise grid", "trace surface", "grid.csv"], run
 
 
-def _quad_tradeoff(p, errs, base_dir, seed):
-    _reject_unknown(p, {"kind", "design", "target", "design_prime", "target_prime",
-                        "x0", "time", "x_range", "y_range", "resolution"},
-                    "experiment", errs)
-    x0, pairs = _problems(p, errs, primed=True, dim=2)
-    t = _time_value(p, "time", "experiment", errs)
+def _quad_tradeoff(p, base_dir, seed):
+    x0, pairs = _problems(p, primed=True, dim=2)
+    t = p.time("time")
     if t == 0.0:
-        _err(errs, "experiment.time", 'must be positive or "inf"')
-    x_range = _range_pair(p, "x_range", errs)
-    y_range = _range_pair(p, "y_range", errs)
-    resolution = _integer(p, "resolution", "experiment", errs, minimum=2)
+        p.err("time", 'must be positive or "inf"')
+    x_range = p.range_pair("x_range")
+    y_range = p.range_pair("y_range")
+    resolution = p.integer("resolution", minimum=2)
     placeholder = SpdMatrix.identity(2)  # quadratic_tradeoff sets the noise per grid point
-    pa, pb = (_built(errs, path, QuadraticProblem, design, target, placeholder, x0)
-              for path, design, target in pairs)
+    pa, pb = (p.built(key, QuadraticProblem, design, target, placeholder, x0)
+              for key, design, target in pairs)
 
     def run(outdir):
         rows = quadratic_tradeoff(pa, pb, t, x_range, y_range, resolution)
@@ -629,19 +632,15 @@ def _quad_tradeoff(p, errs, base_dir, seed):
             "tradeoff.csv"], run
 
 
-def _dp_audit(p, errs, base_dir, seed):
-    _reject_unknown(p, {"kind", "epsilon", "outer_rounds", "inner_rounds",
-                        "adjacency", *_TRAIN_KEYS}, "experiment", errs)
-    epsilon = _number(p, "epsilon", "experiment", errs, positive=True)
-    outer = _integer(p, "outer_rounds", "experiment", errs, minimum=1)
-    inner = _integer(p, "inner_rounds", "experiment", errs, minimum=1)
-    adjacency = _string(p, "adjacency", "experiment", errs, required=False,
-                        default="replace", choices={"replace", "remove", "null"})
-    scheme, dataset, train = _check_training(p, errs, base_dir,
-                                             drops_record=adjacency == "remove")
-    cfg = _built(errs, "experiment", AuditConfig, epsilon=epsilon, outer_rounds=outer,
-                 inner_rounds=inner, scheme=scheme, dataset=dataset, adjacency=adjacency,
-                 seed=seed, **train)
+def _dp_audit(p, base_dir, seed):
+    epsilon = p.number("epsilon", positive=True)
+    outer = p.integer("outer_rounds", minimum=1)
+    inner = p.integer("inner_rounds", minimum=1)
+    adjacency = p.string("adjacency", required=False, default="replace",
+                         choices={"replace", "remove", "null"})
+    scheme, dataset, train = _check_training(p, base_dir, drops_record=adjacency == "remove")
+    cfg = p.built(None, AuditConfig, epsilon=epsilon, outer_rounds=outer, inner_rounds=inner,
+                  scheme=scheme, dataset=dataset, adjacency=adjacency, seed=seed, **train)
 
     def run(outdir):
         write_audit_json(estimate_delta(cfg), os.path.join(outdir, "audit_report.json"))
@@ -650,16 +649,13 @@ def _dp_audit(p, errs, base_dir, seed):
             "worst training loss", "audit_report.json"], run
 
 
-def _membership(p, errs, base_dir, seed):
-    _reject_unknown(p, {"kind", "target_index", "runs", "null_control", *_TRAIN_KEYS},
-                    "experiment", errs)
-    target = _integer(p, "target_index", "experiment", errs, minimum=0)
-    runs = _integer(p, "runs", "experiment", errs, minimum=1)
-    null_control = _boolean(p, "null_control", "experiment", errs)
-    scheme, dataset, train = _check_training(p, errs, base_dir,
-                                             drops_record=not null_control)
+def _membership(p, base_dir, seed):
+    target = p.integer("target_index", minimum=0)
+    runs = p.integer("runs", minimum=1)
+    null_control = p.boolean("null_control")
+    scheme, dataset, train = _check_training(p, base_dir, drops_record=not null_control)
     if target is not None and dataset is not None and target >= dataset.size:
-        _err(errs, "experiment.target_index", f"outside dataset of size {dataset.size}")
+        p.err("target_index", f"outside dataset of size {dataset.size}")
 
     def run(outdir):
         report = membership_experiment(dataset, target, runs, scheme, seed=seed,
@@ -679,18 +675,16 @@ def _membership(p, errs, base_dir, seed):
             "mean loss gap", "worst training loss", "membership_report.json"], run
 
 
-def _privacy_translate(p, errs, base_dir, seed):
-    _reject_unknown(p, {"kind", "kl", "lsi_const", "lip", "eps", "delta"},
-                    "experiment", errs)
-    kl = _number(p, "kl", "experiment", errs, nonneg=True)
-    lsi_const = _number(p, "lsi_const", "experiment", errs, positive=True)
-    lip = _number(p, "lip", "experiment", errs, positive=True)
-    eps = _vector(p, "eps", "experiment", errs, required=False, default=[], positive=True)
-    delta = _get(p, "delta", "experiment", errs, required=False)
+def _privacy_translate(p, base_dir, seed):
+    kl = p.number("kl", nonneg=True)
+    lsi_const = p.number("lsi_const", positive=True)
+    lip = p.number("lip", positive=True)
+    eps = p.vector("eps", required=False, default=[], positive=True)
+    delta = p.get("delta", required=False)
     if delta is not None and not (
             isinstance(delta, list) and delta and all(_finite(x) and 0 < x < 1 for x in delta)):
-        _err(errs, "experiment.delta", "must be a list of numbers in (0, 1)")
-    cp = _built(errs, "experiment", ConcentrationParams, lsi_const=lsi_const, lip=lip, kl=kl)
+        p.err("delta", "must be a list of numbers in (0, 1)")
+    cp = p.built(None, ConcentrationParams, lsi_const=lsi_const, lip=lip, kl=kl)
 
     def run(outdir):
         doc = {
@@ -732,30 +726,31 @@ def _validate_document(doc, base_dir, errs):
     if not isinstance(doc, dict):
         _err(errs, "", "config must be a JSON object")
         return None
-    _reject_unknown(doc, {"schema_version", "seed", "output_dir", "experiment"}, "$", errs)
-    sv = _get(doc, "schema_version", "$", errs, required=False, default=SCHEMA_VERSION)
+    return _Reader(doc, "$", errs).read(_document, base_dir)
+
+
+def _document(top, base_dir):
+    sv = top.get("schema_version", required=False, default=SCHEMA_VERSION)
     if sv != SCHEMA_VERSION:
-        _err(errs, "$.schema_version", f"unsupported schema version {sv!r}")
-    seed = _get(doc, "seed", "$", errs, required=False, default=0)
-    if isinstance(seed, bool) or not isinstance(seed, int) or not (0 <= seed < 2**64):
-        _err(errs, "$.seed", "must be an unsigned 64-bit integer")
-        seed = 0  # a stand-in, so that the experiment's own checks still run
-    out = _get(doc, "output_dir", "$", errs, required=False, default="out")
+        top.err("schema_version", f"unsupported schema version {sv!r}")
+    # a bad seed's stand-in is 0, so that the experiment's own checks still run
+    seed = top.seed("seed", required=False, default=0)
+    out = top.get("output_dir", required=False, default="out")
     if isinstance(out, str) and out:
         out = os.path.join(base_dir, out)
     else:
-        _err(errs, "$.output_dir", "must be a nonempty string")
-    exp = _get(doc, "experiment", "$", errs)
-    if exp is None:
-        return None
-    if not isinstance(exp, dict):
-        _err(errs, "experiment", "must be an object")
-        return None
-    kind = _string(exp, "kind", "experiment", errs, choices=set(_PARSERS))
+        top.err("output_dir", "must be a nonempty string")
+    return top.object("experiment", _experiment, base_dir, seed, out)
+
+
+def _experiment(p, base_dir, seed, out):
+    """The _Config, or None when the kind is not known; its other keys then
+    count as named, since no parser's reads say which are known."""
+    kind = p.string("kind", choices=set(_PARSERS))
     if kind is None:
+        p.named.update(p.obj)
         return None
-    derived, run = _PARSERS[kind](exp, errs, base_dir, seed)
-    return _Config(kind, seed, out, _config_hash(seed, exp), derived, run)
+    return _Config(kind, seed, out, _config_hash(seed, p.obj), *_PARSERS[kind](p, base_dir, seed))
 
 
 def _config_hash(seed, exp) -> str:

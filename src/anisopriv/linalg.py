@@ -32,17 +32,23 @@ PIVOT_FLOOR = 1e-14
 # hold
 
 
+def _sym_part(m: np.ndarray) -> np.ndarray:
+    """(m + m.T) / 2 for every matrix of the stack, formed as m / 2 + m.T / 2,
+    which cannot overflow a finite matrix and is the same bits for normal
+    entries."""
+    return m / 2.0 + m.swapaxes(-1, -2) / 2.0
+
+
 def _symmetrized(m: np.ndarray) -> np.ndarray:
-    """(m + m.T) / 2 for every matrix of the stack, after checking that each is
-    finite and symmetric to SYMMETRY_RTOL; raises ValueError otherwise. Formed
-    as m / 2 + m.T / 2, which cannot overflow a finite matrix."""
+    """The symmetric part of every matrix of the stack, after checking that each
+    is finite and symmetric to SYMMETRY_RTOL; raises ValueError otherwise."""
     if not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite")
     mt = m.swapaxes(-1, -2)
     gap = np.abs(m - mt)
     if (gap > SYMMETRY_RTOL * np.maximum(1.0, np.abs(m))).any():
         raise ValueError(f"matrix is not symmetric (worst asymmetry {gap.max():.3e})")
-    return m / 2.0 + mt / 2.0
+    return _sym_part(m)
 
 
 def _check_semidefinite(m: np.ndarray) -> None:

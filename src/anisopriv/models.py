@@ -59,7 +59,6 @@ class Dataset:
 
     features: np.ndarray
     labels: np.ndarray
-    name: str = ""
 
     def __post_init__(self):
         x = np.atleast_2d(np.asarray(self.features, dtype=float))
@@ -219,16 +218,6 @@ def loss_and_grad(models, features: np.ndarray, labels: np.ndarray):
     loss, grad = zip(*(_loss_and_grad(*args, np.broadcast_to(y, (len(args[2]), y.size)))
                        for args in _blocks(models, features)))
     return np.concatenate(loss), np.concatenate(grad)
-
-
-def per_example_grads(model: MlpModel, features: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Row l is the gradient of example l's own cross-entropy (no averaging),
-    so the rows sum to the gradient of the sum-structured loss."""
-    x1 = _ones_column(features)[:, None]
-    y = np.asarray(labels).ravel()
-    # one single-record run per example, all on the same parameters
-    params = np.broadcast_to(model.params, (x1.shape[0], model.n_params))
-    return _loss_and_grad(model.layer_sizes, model.activation, params, x1, y[:, None])[1]
 
 
 # ---------------------------------------------------------------------------
@@ -565,7 +554,7 @@ def make_adjacent(dataset: Dataset, index: int, mode: str = "remove", *,
         )
     if mode == "remove":
         keep = np.arange(dataset.size) != index
-        return Dataset(dataset.features[keep], dataset.labels[keep], dataset.name)
+        return Dataset(dataset.features[keep], dataset.labels[keep])
     if mode == "replace":
         if new_features is None or new_label is None:
             raise ValueError("replace mode needs new_features and new_label")
@@ -573,7 +562,7 @@ def make_adjacent(dataset: Dataset, index: int, mode: str = "remove", *,
         labels = dataset.labels.copy()
         feats[index] = np.asarray(new_features, dtype=float).ravel()
         labels[index] = int(new_label)
-        return Dataset(feats, labels, dataset.name)
+        return Dataset(feats, labels)
     raise ValueError(f"unknown adjacency mode {mode!r}")
 
 
@@ -598,7 +587,7 @@ def synth_blobs(classes: int, per_class: int, dim: int, separation: float,
     scale = separation / np.sqrt(2.0)
     for k in range(classes):
         feats[labels == k, k] += scale
-    return Dataset(feats, labels.astype(np.int64), f"blobs{classes}x{per_class}")
+    return Dataset(feats, labels.astype(np.int64))
 
 
 # ---------------------------------------------------------------------------

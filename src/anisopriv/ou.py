@@ -35,7 +35,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import AnisoError
-from .linalg import SpdMatrix, log_det
+from .linalg import SpdMatrix, _sym_part, log_det
 from .sde import QuadraticDrift
 
 _MIN_GRAM_EIG = 1e-12
@@ -134,16 +134,14 @@ def exact_state(p: QuadraticProblem, t: float) -> GaussianState:
     cov = q @ (s_rot * (-np.expm1(-rate * t) / rate)) @ q.T
     if p.v0 is not None:
         cov = cov + e @ p.v0.entries @ e
-    cov = cov / 2.0 + cov.swapaxes(-1, -2) / 2.0
-    return GaussianState(mean, SpdMatrix(cov, allow_semidefinite=True), float(t))
+    return GaussianState(mean, SpdMatrix(_sym_part(cov), allow_semidefinite=True), float(t))
 
 
 def invariant_state(p: QuadraticProblem) -> GaussianState:
     """Stationary Gaussian law: mean at the optimum, covariance from the
     Lyapunov identity gram @ V + V @ gram = noise_cov."""
     w, q, s_rot = _rotated_noise(p)
-    cov = q @ (s_rot / np.add.outer(w, w)) @ q.T
-    cov = cov / 2.0 + cov.swapaxes(-1, -2) / 2.0
+    cov = _sym_part(q @ (s_rot / np.add.outer(w, w)) @ q.T)
     return GaussianState(p.optimum.copy(), SpdMatrix(cov), math.inf)
 
 

@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import (AnisoError, BatchLargerThanDataset, CovarianceEvaluationFailed,
                      NotPositiveDefinite)
-from .linalg import PIVOT_FLOOR, SpdMatrix, SymMatrix
+from .linalg import PIVOT_FLOOR, SpdMatrix, SymMatrix, _sym_part
 from .rng import step_normals
 
 _FD_STEP = 1e-6
@@ -61,8 +61,7 @@ class QuadraticDrift:
     @cached_property
     def gram(self) -> np.ndarray:
         """design.T @ design, symmetrized and read-only."""
-        g = self.design.T @ self.design
-        g = g / 2.0 + g.T / 2.0
+        g = _sym_part(self.design.T @ self.design)
         g.flags.writeable = False
         return g
 
@@ -274,7 +273,7 @@ def _sampling_covariance(g: np.ndarray, batch: int, replacement: bool) -> np.nda
     gram = np.swapaxes(g, -1, -2) @ g
     full = gram[..., :-1, -1]
     raw = alpha * (gram[..., :-1, :-1] - full[..., :, None] * full[..., None, :])
-    return (raw + np.swapaxes(raw, -1, -2)) / 2.0
+    return _sym_part(raw)
 
 
 def _eig_clamped(m: np.ndarray, floor: float) -> tuple[np.ndarray, np.ndarray]:
@@ -287,8 +286,7 @@ def _eig_clamped(m: np.ndarray, floor: float) -> tuple[np.ndarray, np.ndarray]:
 
 def _rebuilt(w: np.ndarray, q: np.ndarray) -> np.ndarray:
     """q diag(w) q.T for every matrix of the stack, symmetrized."""
-    out = (q * w[..., None, :]) @ np.swapaxes(q, -1, -2)
-    return (out + np.swapaxes(out, -1, -2)) / 2.0
+    return _sym_part((q * w[..., None, :]) @ np.swapaxes(q, -1, -2))
 
 
 def _eigenbasis_scaled(q: np.ndarray, s: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -85,20 +85,44 @@ def test_validate_ok(tmp_path, capsys):
     assert doc["derived"] and all(isinstance(d, str) for d in doc["derived"])
 
 
-def test_validate_unknown_top_level_key(tmp_path, capsys):
-    cfg = write_config(tmp_path / "cfg.json", closed_bounds_doc(bogus=1))
-    code, doc = run_cli(capsys, "validate", cfg)
-    assert code == 1
-    assert "$.bogus" in error_paths(doc)
+def set_at(doc, where, key, value):
+    obj = doc
+    for k in where:
+        obj = obj[k]
+    obj[key] = value
+    return doc
 
 
-def test_validate_unknown_experiment_key(tmp_path, capsys):
-    base = closed_bounds_doc()
-    base["experiment"]["bogus_key"] = 1
-    cfg = write_config(tmp_path / "cfg.json", base)
-    code, doc = run_cli(capsys, "validate", cfg)
+@pytest.mark.parametrize("where, key, value, path, message", [
+    ((), "output_dir", "", "$.output_dir", "must be a nonempty string"),
+    (("experiment",), "epsilon", -1, "experiment.epsilon", "must be positive"),
+    (("experiment", "scheme"), "sigma2", -1, "experiment.scheme.sigma2", "must be nonnegative"),
+    (("experiment", "dataset"), "csv", "data.csv", "experiment.dataset",
+     "provide exactly one of csv or synth"),
+    (("experiment", "dataset", "synth"), "separation", -1, "experiment.dataset.synth.separation",
+     "must be nonnegative"),
+], ids=["$", "experiment", "scheme", "dataset", "synth"])
+def test_validate_unknown_key_at_each_level(tmp_path, capsys, where, key, value, path, message):
+    # the unknown key comes last in its object, and its error first
+    doc = set_at(shipped_doc("dp-audit"), where, key, value)
+    set_at(doc, where, "bogus", 1)
+    code, report = run_cli(capsys, "validate", write_config(tmp_path / "cfg.json", doc))
     assert code == 1
-    assert "experiment.bogus_key" in error_paths(doc)
+    assert report["errors"] == [
+        {"path": ".".join(where or ("$",)) + ".bogus", "message": "unknown key"},
+        {"path": path, "message": message},
+    ]
+
+
+@pytest.mark.parametrize("where", [
+    ("experiment",), ("experiment", "scheme"), ("experiment", "dataset"),
+    ("experiment", "dataset", "synth"),
+], ids=["experiment", "scheme", "dataset", "synth"])
+def test_validate_non_object(tmp_path, capsys, where):
+    doc = set_at(shipped_doc("dp-audit"), where[:-1], where[-1], [1])
+    code, report = run_cli(capsys, "validate", write_config(tmp_path / "cfg.json", doc))
+    assert code == 1
+    assert report["errors"] == [{"path": ".".join(where), "message": "must be an object"}]
 
 
 def test_validate_missing_required_field(tmp_path, capsys):
@@ -113,10 +137,16 @@ def test_validate_missing_required_field(tmp_path, capsys):
 
 @pytest.mark.parametrize("seed", [-1, 2**64, True, "7"])
 def test_validate_bad_seed(tmp_path, capsys, seed):
-    cfg = write_config(tmp_path / "cfg.json", closed_bounds_doc(seed=seed))
-    code, doc = run_cli(capsys, "validate", cfg)
+    # the config's seed and the synthetic dataset's follow one rule
+    doc = shipped_doc("dp-audit")
+    doc["seed"] = seed
+    doc["experiment"]["dataset"]["synth"]["seed"] = seed
+    code, report = run_cli(capsys, "validate", write_config(tmp_path / "cfg.json", doc))
     assert code == 1
-    assert "$.seed" in error_paths(doc)
+    assert report["errors"] == [
+        {"path": path, "message": "must be an unsigned 64-bit integer"}
+        for path in ("$.seed", "experiment.dataset.synth.seed")
+    ]
 
 
 def test_validate_unknown_kind(tmp_path, capsys):
@@ -539,6 +569,22 @@ def test_bad_csv_dataset_rejected_by_validate(tmp_path, capsys, text):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("where, key", [
+    (("experiment", "dataset"), "csv"),
+    (("experiment", "dataset"), "synth"),
+    (("experiment", "scheme"), "sigma2"),
+], ids=["synth-and-null-csv", "csv-and-null-synth", "none-and-null-sigma2"])
+def test_null_key_in_nested_object_counts_as_absent(tmp_path, capsys, where, key):
+    # null is absent: not a second dataset source, nor a sigma2 beside kind "none"
+    (tmp_path / "data.csv").write_text(DATA_CSV)
+    doc = csv_audit_doc() if key == "synth" else shipped_doc("dp-audit")
+    if key == "sigma2":
+        doc["experiment"]["scheme"]["kind"] = "none"
+    set_at(doc, where, key, None)
+    code, report = run_cli(capsys, "validate", write_config(tmp_path / "cfg.json", doc))
+    assert code == 0, report
+
+
 def test_dp_audit_all_trainings_diverged_is_numerical_failure(tmp_path, capsys):
     # every training pair diverges, so no comparison is made and no delta is measured
     doc = shipped_doc("dp-audit", activation="relu", iters=20,
@@ -609,14 +655,16 @@ def mutations(obj, where=()):
 
 
 def numeric_mutations(obj, where=()):
-    """(where, key, value) for every numeric leaf of obj other than seeds and the
-    schema version, set in turn to zero times itself, its negation, +-1e300,
-    1e154 and 1e-154."""
+    """(where, key, value) for every numeric leaf of obj other than the schema
+    version, set in turn to zero times itself, its negation, +-1e300, 1e154 and
+    1e-154; a seed, which sizes no work, is set to 2**64, -1 and true instead."""
     for key, v in obj.items() if isinstance(obj, dict) else enumerate(obj):
         if isinstance(v, (dict, list)):
             yield from numeric_mutations(v, where + (key,))
-        elif (isinstance(v, (int, float)) and not isinstance(v, bool)
-              and key not in ("seed", "schema_version")):
+        elif key == "seed":
+            for value in (2**64, -1, True):
+                yield where, key, value
+        elif isinstance(v, (int, float)) and not isinstance(v, bool) and key != "schema_version":
             for value in (v * 0, -v, 1e300, -1e300, 1e154, 1e-154):
                 yield where, key, value
 

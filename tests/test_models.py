@@ -27,7 +27,6 @@ from anisopriv.models import (
     loss_and_grad,
     make_adjacent,
     noise_std,
-    per_example_grads,
     read_dataset_csv,
     synth_blobs,
     train,
@@ -148,18 +147,6 @@ def test_bias_folded_step_matches_unfused_formulas(blobs, activation, runs):
     np.testing.assert_allclose(loss, want_loss, rtol=1e-13, atol=0.0)
     for g, want in zip(grad, want_grad):
         np.testing.assert_allclose(g, want, rtol=0.0, atol=1e-13 * np.abs(want).max())
-
-
-def test_per_example_rows_sum_to_batch_gradient(blobs):
-    model = init_model(3, 5, 3, 3, "tanh")
-    x, y = blobs.features[:9], blobs.labels[:9]
-    rows = per_example_grads(model, x, y)
-    _, grad = loss_and_grad([model], x, y)
-    assert rows.shape == (9, model.n_params)
-    np.testing.assert_allclose(rows.sum(axis=0), 9.0 * grad[0], rtol=1e-12, atol=1e-14)
-    # each row is the gradient of its own record
-    _, g0 = loss_and_grad([model], x[:1], y[:1])
-    np.testing.assert_allclose(rows[0], g0[0], rtol=1e-12, atol=1e-14)
 
 
 @pytest.mark.parametrize("activation", ["relu", "tanh"])

@@ -300,6 +300,17 @@ def test_minibatch_sgd_zero_projection_gives_zero_increment():
     assert np.array_equal(cov.apply_sqrt(x, z)[1], np.zeros(3))
 
 
+def test_minibatch_sgd_covariance_near_the_largest_float_stays_finite():
+    # gradients +-6e153 give the finite covariance 2 * 2 * 3.6e307 = 1.44e308;
+    # symmetrizing it, or rebuilding it from its eigenpairs, must not overflow
+    cov = MinibatchSgd(lambda x: np.array([[6e153], [-6e153]]), batch=1)
+    m = cov.matrices(np.zeros((1, 1)))
+    assert m.shape == (1, 1, 1) and m[0, 0, 0] == pytest.approx(1.44e308, rel=1e-12)
+    # the eigenvalue 1.5e308 alone, rebuilt
+    assert np.array_equal(anisopriv.sde._rebuilt(np.array([[1.5e308]]), np.array([[[1.0]]])),
+                          [[[1.5e308]]])
+
+
 def test_matrices_rows_match_one_row_calls():
     # every covariance spec gives one (dim, dim) matrix per row of a row stack
     a = np.random.default_rng(9).standard_normal((3, 3))
