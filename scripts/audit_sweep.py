@@ -34,7 +34,7 @@ def run(argv=None) -> int:
     shared = dict(
         epsilon=args.epsilon, outer_rounds=args.rounds, inner_rounds=args.rounds,
         lr=args.lr, iters=args.iters, batch=blobs.size, hidden=args.hidden,
-        dataset=blobs, activation="tanh", noise_on="step", seed=args.seed,
+        dataset=blobs, activation="tanh", seed=args.seed,
     )
 
     t0 = time.perf_counter()

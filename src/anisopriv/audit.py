@@ -40,6 +40,11 @@ def clamped_log_ratios(p: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class AuditConfig:
+    """Settings of estimate_delta. Each outer round draws a neighbour of
+    dataset by adjacency; each inner round trains a model with hidden units
+    on both datasets under scheme, whose noise each step scales by the
+    minibatch gradient that step descends along (see models.train)."""
+
     epsilon: float
     outer_rounds: int
     inner_rounds: int
@@ -51,7 +56,6 @@ class AuditConfig:
     dataset: Dataset
     adjacency: str = "replace"
     activation: str = "relu"
-    noise_on: str = "step"
     seed: int = 0
 
     def __post_init__(self):
@@ -118,7 +122,7 @@ def estimate_delta(cfg: AuditConfig) -> AuditReport:
     runs = len(rounds)
     models, logs = train(template, [ds] * runs + [others[t1] for t1, _ in rounds],
                          seeds + seeds, cfg.scheme, lr=cfg.lr, iters=cfg.iters,
-                         batch=cfg.batch, noise_on=cfg.noise_on)
+                         batch=cfg.batch)
     kept = []
     for i, (t1, t2) in enumerate(rounds):
         if logs[i].diverged or logs[runs + i].diverged:
@@ -167,9 +171,10 @@ class MembershipReport:
 def membership_experiment(dataset: Dataset, target_index: int, runs: int, scheme,
                           *, lr: float, iters: int, batch: int, hidden: int,
                           seed: int, activation: str = "relu",
-                          noise_on: str = "step",
                           null_control: bool = False) -> MembershipReport:
-    """Paired trainings with and without the target record.
+    """Paired trainings with and without the target record. A noisy step
+    scales its noise by the minibatch gradient it descends along, as in
+    models.train.
 
     null_control trains both arms on the full dataset (the D = D' check:
     identical losses, zero gap).
@@ -184,7 +189,7 @@ def membership_experiment(dataset: Dataset, target_index: int, runs: int, scheme
     seeds = [derive_seed(seed, r) for r in range(runs)]
     # both arms in one stack: run r trains on D, run runs + r on D'
     models, logs = train(template, [ds] * runs + [ds_without] * runs, seeds + seeds, scheme,
-                         lr=lr, iters=iters, batch=batch, noise_on=noise_on)
+                         lr=lr, iters=iters, batch=batch)
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite losses raise below
         losses = loss_and_grad(models, target_x, [target_y])[0]
     losses_with, losses_without = losses[:runs], losses[runs:]

@@ -45,7 +45,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__
-from .audit import AuditConfig, estimate_delta, membership_experiment
+from .audit import ADJACENCY_MODES, AuditConfig, estimate_delta, membership_experiment
 from .bounds import (
     GaussianScore,
     RegularityParams,
@@ -58,6 +58,7 @@ from .bounds import (
 from .errors import AnisoError
 from .linalg import SpdMatrix
 from .models import (
+    _ACTIVATIONS,
     AnisotropicPerParam,
     IsotropicPerLayer,
     NO_NOISE,
@@ -205,12 +206,14 @@ class _Reader:
             return None
 
     def object(self, key, parse, *args):
-        """The object at key read with parse (see read), or None after an error.
-        Its path is path.key, or the key alone under the document ($)."""
-        v = self.get(key)
-        if v is None:
-            return None
+        """The required object at key read with parse (see read), or None after
+        an error. Its path, which its own errors also use, is path.key, or the
+        key alone under the document ($)."""
         path = key if self.path == "$" else self._at(key)
+        v = self.get(key, required=False)
+        if v is None:
+            _err(self.errs, path, "missing required field")
+            return None
         if not isinstance(v, dict):
             _err(self.errs, path, "must be an object")
             return None
@@ -439,9 +442,7 @@ def _check_training(p, base_dir, drops_record=False):
         "batch": p.integer("batch", minimum=1),
         "hidden": p.integer("hidden", minimum=1),
         "activation": p.string("activation", required=False, default="relu",
-                               choices={"relu", "tanh"}),
-        "noise_on": p.string("noise_on", required=False, default="step",
-                             choices={"step", "full"}),
+                               choices=_ACTIVATIONS),
     }
     batch = train["batch"]
     if batch is not None and dataset is not None and batch > dataset.size - drops_record:
@@ -637,7 +638,7 @@ def _dp_audit(p, base_dir, seed):
     outer = p.integer("outer_rounds", minimum=1)
     inner = p.integer("inner_rounds", minimum=1)
     adjacency = p.string("adjacency", required=False, default="replace",
-                         choices={"replace", "remove", "null"})
+                         choices=ADJACENCY_MODES)
     scheme, dataset, train = _check_training(p, base_dir, drops_record=adjacency == "remove")
     cfg = p.built(None, AuditConfig, epsilon=epsilon, outer_rounds=outer, inner_rounds=inner,
                   scheme=scheme, dataset=dataset, adjacency=adjacency, seed=seed, **train)

@@ -5,9 +5,10 @@ finite differences in the test suite). The flat parameters hold the layer
 blocks [W1; b1] (m+1, h) and [W2; b2] (h+1, k), and the inputs and hidden
 activations carry a ones column, so a layer is one matmul each way; the max
 and exp-sum over classes are left-to-right folds of the class columns.
-Training is minibatch gradient descent with optional Gaussian noise scaled by
-the current gradient, per layer or per parameter. Tagged counter-based
-streams pin initialization, batch selection and noise draws to the seed.
+Training is minibatch gradient descent with optional Gaussian noise whose
+scale is the magnitude of the minibatch gradient the step descends along, per
+layer or per parameter. Tagged counter-based streams pin initialization, batch
+selection and noise draws to the seed.
 
 `train` trains R runs, on datasets of any row counts, as one (R, P) parameter
 array. Runs that share a seed share its init, noise and (at equal row count)
@@ -51,6 +52,7 @@ _BLOCK_ROWS = 2048
 # batch 32 and 200) and faster in every measured call from 1.3e7 on (0.6 to
 # 0.9 of the one-stack time).
 _SPLIT_WORK = 15_000_000
+_ACTIVATIONS = ("relu", "tanh")
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,7 +107,7 @@ class MlpModel:
         p = np.asarray(self.params, dtype=float).ravel()
         if p.shape[0] != expected:
             raise ValueError(f"params length {p.shape[0]} != expected {expected}")
-        if self.activation not in ("relu", "tanh"):
+        if self.activation not in _ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
         object.__setattr__(self, "params", p)
         object.__setattr__(self, "layer_sizes", tuple(int(v) for v in self.layer_sizes))
@@ -285,20 +287,19 @@ def _index_by(keys):
 
 
 def train(model: MlpModel, datasets, seeds, scheme=NO_NOISE, *, lr: float, iters: int,
-          batch: int, noise_on: str = "step"):
+          batch: int):
     """Minibatch gradient descent with injected noise, of run r on
     (datasets[r], seeds[r]) for all runs at once; the datasets may differ in
     row count. Returns a list of models and one of logs.
 
     Parameters are re-initialized from each seed's init stream (the input
     model fixes only the architecture), so a run's result depends only on its
-    dataset and seed, bit for bit. noise_on selects the gradient whose
-    magnitude sets the noise scale: "step" uses the minibatch gradient just
-    computed, "full" recomputes the full-dataset gradient for the scale
-    (updates always use the minibatch gradient). Runs with the same seed share
-    one init and one noise stream, and those with the same seed and row count
-    one batch stream, each drawn once, in blocks of 32 iterations, while any
-    of its runs is live. A non-finite loss or gradient stops a run and flags
+    dataset and seed, bit for bit. A noisy step scales its noise by the
+    magnitude of the minibatch gradient it has just computed and descends
+    along (see noise_std). Runs with the same seed share one init and one
+    noise stream, and those with the same seed and row count one batch
+    stream, each drawn once, in blocks of 32 iterations, while any of its
+    runs is live. A non-finite loss or gradient stops a run and flags
     its log as diverged; its parameters are those before that step, and the
     other runs carry on. The loop runs with numpy's overflow and invalid-value
     warnings off, since a non-finite loss or gradient is how divergence is
@@ -332,14 +333,12 @@ def train(model: MlpModel, datasets, seeds, scheme=NO_NOISE, *, lr: float, iters
         raise ValueError(f"lr must be positive, got {lr}")
     if iters < 1:
         raise ValueError(f"iters must be >= 1, got {iters}")
-    if noise_on not in ("step", "full"):
-        raise ValueError(f"noise_on must be 'step' or 'full', got {noise_on!r}")
 
     sizes, activation, runs = model.layer_sizes, model.activation, len(seeds)
 
     def part(at):
         return _train_stack(sizes, activation, [datasets[r] for r in at],
-                            [seeds[r] for r in at], scheme, lr, iters, batch, noise_on)
+                            [seeds[r] for r in at], scheme, lr, iters, batch)
 
     cpus = _usable_cpus()
     small = iters * runs * batch * model.n_params < _SPLIT_WORK
@@ -462,12 +461,11 @@ def _child(w: int, cpus: set[int], job):
         os._exit(code)
 
 
-def _train_stack(sizes, activation, datasets, seeds, scheme, lr, iters, batch, noise_on):
+def _train_stack(sizes, activation, datasets, seeds, scheme, lr, iters, batch):
     """train's loop on one stack of runs: their final parameters (R, P),
     losses (R, iters), step counts (R,) and diverged flags (R,)."""
     slices = layer_slices(sizes)
     runs = len(seeds)
-    rows = np.array([ds.size for ds in datasets])
     # the rows of every distinct dataset (by identity), one after another;
     # run r's rows start at offset[r]
     data_of, distinct = _index_by(datasets)
@@ -475,7 +473,7 @@ def _train_stack(sizes, activation, datasets, seeds, scheme, lr, iters, batch, n
     flat_y = np.concatenate([ds.labels for ds in distinct])
     offset = np.cumsum([0] + [ds.size for ds in distinct])[data_of]
     seed_of, seed_keys = _index_by(seeds)
-    batch_of, batch_keys = _index_by(zip(seeds, rows.tolist()))
+    batch_of, batch_keys = _index_by((s, ds.size) for s, ds in zip(seeds, datasets))
     params = np.stack([init_model(*sizes, s, activation).params for s in seed_keys])[seed_of]
     batch_rngs = [tagged_stream(s, _BATCH_TAG) for s, _ in batch_keys]
     picks = np.empty((len(batch_keys), _STREAM_BLOCK, batch), dtype=np.int64)
@@ -484,25 +482,11 @@ def _train_stack(sizes, activation, datasets, seeds, scheme, lr, iters, batch, n
         noise_rngs = [tagged_stream(s, _NOISE_TAG) for s in seed_keys]
         noise = np.empty((len(seed_keys), _STREAM_BLOCK, params.shape[1]))
 
-    def full_data(live):
-        """Per row count among the live runs: their rows of the stack and
-        their full data, for noise_on="full"."""
-        groups = []
-        for n in np.unique(rows[live]):
-            group = np.flatnonzero(rows[live] == n)
-            for block in _run_blocks(group.size, n):
-                at = group[block]
-                idx = offset[live[at], None] + np.arange(n)
-                groups.append((at, flat_x[idx], flat_y[idx]))
-        return groups
-
     losses = np.empty((runs, iters))
     steps = np.full(runs, iters)
     diverged = np.zeros(runs, dtype=bool)
     final = np.empty_like(params)
     live = np.arange(runs)  # runs still training; row i of the stack is run live[i]
-    full_scale = noisy and noise_on == "full"
-    full = full_data(live) if full_scale else []
     with np.errstate(over="ignore", invalid="ignore"):
         for it in range(iters):
             j = it % _STREAM_BLOCK
@@ -526,17 +510,9 @@ def _train_stack(sizes, activation, datasets, seeds, scheme, lr, iters, batch, n
                 live, params, grad = live[ok], params[ok], grad[ok]
                 if not live.size:
                     break
-                if full_scale:
-                    full = full_data(live)
-            if not noisy:
-                params = params - lr * grad
-                continue
-            scale = grad
-            if full_scale:
-                scale = np.empty_like(grad)
-                for rows_at, x, y in full:
-                    scale[rows_at] = _loss_and_grad(sizes, activation, params[rows_at], x, y)[1]
-            params = params - lr * grad + noise_std(scheme, scale, slices) * noise[seed_of[live], j]
+            params = params - lr * grad
+            if noisy:
+                params += noise_std(scheme, grad, slices) * noise[seed_of[live], j]
     final[live] = params
     return final, losses, steps, diverged
 
@@ -609,6 +585,8 @@ def read_dataset_csv(path) -> Dataset:
                 raise ValueError(f"line {r.line_num} has {len(row)} fields, expected {len(header)}")
             feats.append([float(v) for v in row[:-1]])
             labels.append(int(row[-1]))
+            if not -2**63 <= labels[-1] < 2**63:
+                raise ValueError(f"line {r.line_num} has label {row[-1]}, outside the int64 range")
     if not labels:
         raise ValueError("dataset has no records")
     return Dataset(np.asarray(feats), np.asarray(labels, dtype=np.int64))

@@ -212,7 +212,7 @@ def test_audit_delta_control_and_noise_sweep():
     shared = dict(
         epsilon=0.1, outer_rounds=5, inner_rounds=5,
         lr=1.5, iters=1000, batch=200, hidden=10,
-        dataset=blobs, activation="tanh", noise_on="step", seed=7,
+        dataset=blobs, activation="tanh", seed=7,
     )
     control = estimate_delta(
         AuditConfig(scheme=AnisotropicPerParam(0.01), adjacency="null", **shared)

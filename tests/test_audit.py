@@ -105,11 +105,10 @@ def test_delta_nonincreasing_in_epsilon(small_blobs):
     assert reports[0].delta > 0.0
 
 
-def test_estimate_delta_remove_full_matches_per_run_training(small_blobs):
-    # neither remove adjacency nor the full-gradient noise scale is in a
-    # shipped config; 40 iterations cross a stream block boundary
-    cfg = small_config(small_blobs, adjacency="remove", noise_on="full", iters=40,
-                       batch=7, epsilon=0.05)
+def test_estimate_delta_remove_matches_per_run_training(small_blobs):
+    # remove adjacency is in no shipped config, and its arms differ in row
+    # count; 40 iterations cross a stream block boundary
+    cfg = small_config(small_blobs, adjacency="remove", iters=40, batch=7, epsilon=0.05)
     report = estimate_delta(cfg)
 
     ds = cfg.dataset
@@ -121,7 +120,7 @@ def test_estimate_delta_remove_full_matches_per_run_training(small_blobs):
         count = 0
         for t2 in range(cfg.inner_rounds):
             seeds = [derive_seed(cfg.seed, t1, t2)]
-            kwargs = dict(lr=cfg.lr, iters=cfg.iters, batch=cfg.batch, noise_on="full")
+            kwargs = dict(lr=cfg.lr, iters=cfg.iters, batch=cfg.batch)
             [model_a], [log_a] = train(template, [ds], seeds, cfg.scheme, **kwargs)
             [model_b], [log_b] = train(template, [other], seeds, cfg.scheme, **kwargs)
             assert not (log_a.diverged or log_b.diverged)
@@ -162,9 +161,10 @@ def test_estimate_delta_opens_each_seed_stream_once(small_blobs, monkeypatch, ad
 
 
 def test_estimate_delta_same_report_in_run_blocks(small_blobs, monkeypatch):
-    # at 20 rows a block holds two runs of an 8-row batch, and one run of a
-    # full-data pass or of the final probabilities
-    cfg = small_config(small_blobs, adjacency="remove", noise_on="full", epsilon=0.01)
+    # at 20 rows a block holds two runs of an 8-row batch, so the training
+    # step of the 12 runs takes 6 blocks, and one run of the final
+    # probabilities on the 16 rows
+    cfg = small_config(small_blobs, adjacency="remove", epsilon=0.01)
     whole = dataclasses.asdict(estimate_delta(cfg))
     monkeypatch.setattr("anisopriv.models._BLOCK_ROWS", 20)
     assert dataclasses.asdict(estimate_delta(cfg)) == whole

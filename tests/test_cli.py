@@ -125,6 +125,30 @@ def test_validate_non_object(tmp_path, capsys, where):
     assert report["errors"] == [{"path": ".".join(where), "message": "must be an object"}]
 
 
+@pytest.mark.parametrize("value, message", [
+    (..., "missing required field"), (None, "missing required field"),
+    ("dp-audit", "must be an object"),
+], ids=["missing", "null", "non-object"])
+def test_validate_experiment_errors_at_one_path(tmp_path, capsys, value, message):
+    # like every nested object, experiment reports at the path its keys hang from
+    doc = shipped_doc("dp-audit")
+    if value is ...:
+        del doc["experiment"]
+    else:
+        doc["experiment"] = value
+    code, report = run_cli(capsys, "validate", write_config(tmp_path / "cfg.json", doc))
+    assert code == 1
+    assert report["errors"] == [{"path": "experiment", "message": message}]
+
+
+def test_validate_rejects_noise_on(tmp_path, capsys):
+    # noisy training always scales its noise by the minibatch gradient
+    doc = shipped_doc("dp-audit", noise_on="step")
+    code, report = run_cli(capsys, "validate", write_config(tmp_path / "cfg.json", doc))
+    assert code == 1
+    assert report["errors"] == [{"path": "experiment.noise_on", "message": "unknown key"}]
+
+
 def test_validate_missing_required_field(tmp_path, capsys):
     doc = {"experiment": {"kind": "privacy-translate", "lsi_const": 1.0, "lip": 1.0}}
     cfg = write_config(tmp_path / "cfg.json", doc)
@@ -171,7 +195,7 @@ def test_validate_invalid_json(tmp_path, capsys):
     assert "invalid JSON" in doc["errors"][0]["message"]
 
 
-def test_thread_env_lands_in_manifest(tmp_path, capsys, monkeypatch):
+def test_aniso_threads_env_is_ignored_and_not_recorded(tmp_path, capsys, monkeypatch):
     # ANISO_THREADS is not read any more: it neither fails nor is recorded
     monkeypatch.setenv("ANISO_THREADS", "2")
     cfg = write_config(tmp_path / "cfg.json", closed_bounds_doc())
@@ -558,7 +582,10 @@ def test_dp_audit_reads_csv_dataset(tmp_path, capsys):
     DATA_CSV.replace(",1\n", ",1.5\n", 1),
     DATA_CSV + "0.5,1\n",
     "f0,f1,label\n",
-], ids=["bad-header", "non-integer-label", "ragged-row", "header-only"])
+    DATA_CSV.replace(",1\n", ",9223372036854775808\n", 1),
+    DATA_CSV.replace(",1\n", ",99999999999999999999\n", 1),
+], ids=["bad-header", "non-integer-label", "ragged-row", "header-only", "label-2e63",
+        "label-1e20"])
 def test_bad_csv_dataset_rejected_by_validate(tmp_path, capsys, text):
     (tmp_path / "data.csv").write_text(text)
     cfg = write_config(tmp_path / "cfg.json", csv_audit_doc())

@@ -263,8 +263,6 @@ def test_train_validation(blobs):
         train(model, [blobs], [0], NO_NOISE, lr=0.1, iters=0, batch=4)
     with pytest.raises(ValueError):
         train(model, [blobs], [0], NO_NOISE, lr=0.1, iters=5, batch=0)
-    with pytest.raises(ValueError):
-        train(model, [blobs], [0], NO_NOISE, lr=0.1, iters=5, batch=4, noise_on="both")
 
 
 def test_make_adjacent_remove(blobs):
@@ -353,7 +351,7 @@ def test_dataset_csv_rejects_foreign_header(tmp_path):
         read_dataset_csv(path)
 
 
-def reference_train(model, dataset, scheme, *, lr, iters, batch, seed, noise_on="step"):
+def reference_train(model, dataset, scheme, *, lr, iters, batch, seed):
     """One run, one step at a time: a loss_and_grad call and one draw from each
     of the run's tagged streams per step. Returns (params, losses, diverged)."""
     params = init_model(*model.layer_sizes, seed, model.activation).params
@@ -371,12 +369,8 @@ def reference_train(model, dataset, scheme, *, lr, iters, batch, seed, noise_on=
         if scheme is NO_NOISE:
             params = params - lr * grad
             continue
-        if noise_on == "full":
-            _, (scale,) = loss_and_grad([work], dataset.features, dataset.labels)
-        else:
-            scale = grad
         noise = noise_rng.standard_normal(params.shape[0])
-        params = params - lr * grad + noise_std(scheme, scale, slices) * noise
+        params = params - lr * grad + noise_std(scheme, grad, slices) * noise
     return params, np.array(losses), False
 
 
@@ -394,16 +388,15 @@ def neighbours(ds, count):
                           new_label=ds.labels[j + 1]) for j in range(count)]
 
 
-@pytest.mark.parametrize("noise_on", ["step", "full"])
 @pytest.mark.parametrize("scheme", [NO_NOISE, IsotropicPerLayer(0.05),
                                     AnisotropicPerParam(0.05)],
                          ids=["none", "isotropic-layer", "anisotropic-param"])
 @pytest.mark.parametrize("activation", ["relu", "tanh"])
-def test_stacked_training_matches_per_run_reference(blobs, activation, scheme, noise_on):
+def test_stacked_training_matches_per_run_reference(blobs, activation, scheme):
     # 45 iterations cross the 32-iteration boundary of the stream blocks
     model = init_model(3, 6, 3, 0, activation)
     datasets, seeds = neighbours(blobs, 3), [21, 22, 23]
-    kwargs = dict(lr=0.3, iters=45, batch=16, noise_on=noise_on)
+    kwargs = dict(lr=0.3, iters=45, batch=16)
     models, logs = train(model, datasets, seeds, scheme, **kwargs)
     assert len(models) == len(logs) == 3
     for ds, seed, m, log in zip(datasets, seeds, models, logs):
@@ -416,35 +409,32 @@ def test_stacked_training_matches_per_run_reference(blobs, activation, scheme, n
 
 def test_stacked_training_diverged_row_leaves_the_stack(blobs):
     # features 1e5 times larger blow up at lr 30 within the first stream block;
-    # the blobs themselves train on for all 45 iterations, under either noise
-    # scale, so the full-data stack is cut with the diverged row
+    # the blobs themselves train on for all 45 iterations
     model = init_model(3, 6, 3, 0, "relu")
     huge = Dataset(blobs.features * 1e5, blobs.labels)
     datasets, seeds = [blobs, huge, blobs], [4, 3, 5]
     scheme = AnisotropicPerParam(0.05)
-    for noise_on in ("step", "full"):
-        kwargs = dict(lr=30.0, iters=45, batch=16, noise_on=noise_on)
-        with np.errstate(over="ignore", invalid="ignore"):
-            models, logs = train(model, datasets, seeds, scheme, **kwargs)
-            refs = [reference_train(model, ds, scheme, seed=s, **kwargs)
-                    for ds, s in zip(datasets, seeds)]
-        assert logs[1].diverged and 1 < len(logs[1].losses) < 32
-        assert not np.isfinite(logs[1].losses[-1])
-        assert np.all(np.isfinite(models[1].params))  # frozen before the bad step
-        for r in (0, 2):
-            assert not logs[r].diverged and len(logs[r].losses) == 45
-            [alone], [alone_log] = train(model, [datasets[r]], [seeds[r]], scheme, **kwargs)
-            assert np.array_equal(models[r].params, alone.params)
-            assert np.array_equal(logs[r].losses, alone_log.losses)
-        for m, log, ref in zip(models, logs, refs):
-            assert_matches_reference(m, log, ref)
+    kwargs = dict(lr=30.0, iters=45, batch=16)
+    with np.errstate(over="ignore", invalid="ignore"):
+        models, logs = train(model, datasets, seeds, scheme, **kwargs)
+        refs = [reference_train(model, ds, scheme, seed=s, **kwargs)
+                for ds, s in zip(datasets, seeds)]
+    assert logs[1].diverged and 1 < len(logs[1].losses) < 32
+    assert not np.isfinite(logs[1].losses[-1])
+    assert np.all(np.isfinite(models[1].params))  # frozen before the bad step
+    for r in (0, 2):
+        assert not logs[r].diverged and len(logs[r].losses) == 45
+        [alone], [alone_log] = train(model, [datasets[r]], [seeds[r]], scheme, **kwargs)
+        assert np.array_equal(models[r].params, alone.params)
+        assert np.array_equal(logs[r].losses, alone_log.losses)
+    for m, log, ref in zip(models, logs, refs):
+        assert_matches_reference(m, log, ref)
 
 
-@pytest.mark.parametrize("noise_on", ["step", "full"])
-def test_stacked_training_all_rows_diverge(blobs, noise_on):
+def test_stacked_training_all_rows_diverge(blobs):
     model = init_model(3, 6, 3, 0, "relu")
     huge = Dataset(blobs.features * 1e5, blobs.labels)
-    kwargs = dict(lr=30.0, iters=45, batch=16, noise_on=noise_on)
+    kwargs = dict(lr=30.0, iters=45, batch=16)
     scheme = AnisotropicPerParam(0.05)
     with np.errstate(over="ignore", invalid="ignore"):
         models, logs = train(model, [huge, huge], [3, 6], scheme, **kwargs)
@@ -455,9 +445,7 @@ def test_stacked_training_all_rows_diverge(blobs, noise_on):
 
 
 @pytest.mark.parametrize("block", [2048, 20], ids=["one-block", "blocks"])
-@pytest.mark.parametrize("noise_on", ["step", "full"])
-def test_stacked_training_unequal_rows_and_repeated_seeds(blobs, monkeypatch, noise_on,
-                                                          block):
+def test_stacked_training_unequal_rows_and_repeated_seeds(blobs, monkeypatch, block):
     # seed 21 trains on three row counts and twice on the same data; seed 22
     # on two datasets of equal row count, which share one batch stream. At
     # 20 rows per block every block holds one run
@@ -468,7 +456,7 @@ def test_stacked_training_unequal_rows_and_repeated_seeds(blobs, monkeypatch, no
     datasets = [blobs, smaller, smallest, blobs, smaller, *neighbours(smaller, 1)]
     seeds = [21, 21, 21, 21, 22, 22]
     scheme = IsotropicPerLayer(0.05)
-    kwargs = dict(lr=0.3, iters=45, batch=16, noise_on=noise_on)
+    kwargs = dict(lr=0.3, iters=45, batch=16)
     models, logs = train(model, datasets, seeds, scheme, **kwargs)
     for ds, seed, m, log in zip(datasets, seeds, models, logs):
         assert m.seed == seed
@@ -478,8 +466,7 @@ def test_stacked_training_unequal_rows_and_repeated_seeds(blobs, monkeypatch, no
     assert not np.array_equal(models[4].params, models[5].params)
 
 
-@pytest.mark.parametrize("noise_on", ["step", "full"])
-def test_stacked_training_twin_trains_on_after_the_other_diverges(blobs, noise_on):
+def test_stacked_training_twin_trains_on_after_the_other_diverges(blobs):
     # three twins of seed 4 share one noise stream; the huge one diverges in
     # the first stream block and shares its batch stream with the blobs twin,
     # which keeps drawing it for all 45 iterations
@@ -487,7 +474,7 @@ def test_stacked_training_twin_trains_on_after_the_other_diverges(blobs, noise_o
     huge = Dataset(blobs.features * 1e5, blobs.labels)
     datasets = [blobs, huge, make_adjacent(blobs, 0, "remove")]
     scheme = AnisotropicPerParam(0.05)
-    kwargs = dict(lr=30.0, iters=45, batch=16, noise_on=noise_on)
+    kwargs = dict(lr=30.0, iters=45, batch=16)
     with np.errstate(over="ignore", invalid="ignore"):
         models, logs = train(model, datasets, [4, 4, 4], scheme, **kwargs)
         refs = [reference_train(model, ds, scheme, seed=4, **kwargs) for ds in datasets]
@@ -545,16 +532,15 @@ def test_seed_parts_keep_each_seed_whole(seeds, k):
     assert max(counts) - min(counts) <= max(seeds.count(s) for s in seeds)
 
 
-@pytest.mark.parametrize("noise_on", ["step", "full"])
 @pytest.mark.parametrize("cpus", [1, 2, 3])
-def test_split_training_matches_one_stack(blobs, monkeypatch, cpus, noise_on):
+def test_split_training_matches_one_stack(blobs, monkeypatch, cpus):
     # seeds 4 and 5 train twice (on D and a neighbour), seed 3 diverges on
     # the huge features; every split gives the one-stack result bit for bit
     model = init_model(3, 6, 3, 0, "relu")
     huge = Dataset(blobs.features * 1e5, blobs.labels)
     datasets = [blobs, huge, blobs, *neighbours(blobs, 2), blobs]
     seeds = [4, 3, 5, 4, 5, 6]
-    kwargs = dict(lr=30.0, iters=45, batch=16, noise_on=noise_on)
+    kwargs = dict(lr=30.0, iters=45, batch=16)
     scheme = AnisotropicPerParam(0.05)
     with np.errstate(over="ignore", invalid="ignore"):
         ref_models, ref_logs = train(model, datasets, seeds, scheme, **kwargs)
