@@ -17,11 +17,11 @@ step of `models` (one matmul per layer each way).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import AnisoError, TrainingDivergedWarning
+from .errors import AnisoError, TrainingDivergedWarning, check_fields
 from .models import Dataset, forward, init_model, loss_and_grad, make_adjacent, train
 from .rng import derive_seed, tagged_stream
 
@@ -59,14 +59,13 @@ class AuditConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not (self.epsilon > 0.0):
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
-        if self.outer_rounds < 1 or self.inner_rounds < 1:
-            raise ValueError("outer_rounds and inner_rounds must be >= 1")
+        failed = {name: "must be >= 1" for name in ("outer_rounds", "inner_rounds", "hidden")
+                  if getattr(self, name) < 1}
+        if not self.epsilon > 0.0:
+            failed["epsilon"] = "must be positive"
         if self.adjacency not in ADJACENCY_MODES:
-            raise ValueError(f"adjacency must be one of {ADJACENCY_MODES}")
-        if self.hidden < 1:
-            raise ValueError(f"hidden must be >= 1, got {self.hidden}")
+            failed["adjacency"] = f"must be one of {sorted(ADJACENCY_MODES)}"
+        check_fields([f.name for f in fields(self)], failed)
 
 
 @dataclass(frozen=True, eq=False)

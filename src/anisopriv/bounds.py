@@ -21,12 +21,12 @@ Two ingredients:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
 
-from .errors import AnisoError, ScoreRequired
+from .errors import AnisoError, ScoreRequired, check_fields
 from .ou import GaussianState
 from .sde import ConstantSpd, SimConfig, _euler, _record_times, _row_blocks
 
@@ -188,22 +188,23 @@ class RegularityParams:
     xstar_prime: np.ndarray
 
     def __post_init__(self):
+        failed = {}
         for name in ("kappa", "grad_lip", "kappa_prime", "grad_lip_prime",
                      "sigma", "sigma_prime", "lsi0"):
             v = float(getattr(self, name))
-            if not (v > 0.0 and math.isfinite(v)):
-                raise ValueError(f"{name} must be positive and finite, got {v}")
+            if not 0.0 < v < math.inf:
+                failed[name] = "must be positive" if not v > 0.0 else "must be finite"
             object.__setattr__(self, name, v)
-        if self.kappa > self.grad_lip:
-            raise ValueError("kappa cannot exceed grad_lip")
-        if self.kappa_prime > self.grad_lip_prime:
-            raise ValueError("kappa_prime cannot exceed grad_lip_prime")
+        for kappa, lip in (("kappa", "grad_lip"), ("kappa_prime", "grad_lip_prime")):
+            if not failed.keys() & {kappa, lip} and getattr(self, kappa) > getattr(self, lip):
+                failed[kappa] = f"cannot exceed {lip}"
         a = np.asarray(self.xstar, dtype=float).ravel()
         b = np.asarray(self.xstar_prime, dtype=float).ravel()
         if a.shape != b.shape:
-            raise ValueError("xstar and xstar_prime must share length")
+            failed["xstar_prime"] = "length must match xstar"
         object.__setattr__(self, "xstar", a)
         object.__setattr__(self, "xstar_prime", b)
+        check_fields([f.name for f in fields(self)], failed)
 
     @property
     def opt_gap_sq(self) -> float:

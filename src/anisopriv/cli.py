@@ -13,13 +13,18 @@ the manifest's "timestamp" object. Exit codes: 0 success, 1 invalid config,
 2 numerical failure (the error JSON names the offending operation).
 
 Each JSON object of a config is read through one _Reader, whose typed getters
-check and convert its values. A parser's reads are its schema: a key that no
-getter names is an "unknown key" error, a key set to null counts as absent,
-and both seeds ($.seed, dataset.synth.seed) follow one rule.
+check JSON types, finite numbers and int64 counts. A parser's reads are its
+schema: a key that no getter names is an "unknown key" error, a key set to null
+counts as absent, and both seeds ($.seed, dataset.synth.seed) follow one rule.
 
 Each kind's parser builds every library object its run(outdir) closure uses,
-so a constructor's ValueError (a noise covariance that is not positive
-definite, say) is exit 1 at the field's path; the closure only computes and writes.
+and those objects state the value rules: a constructor's FieldErrors is one
+exit-1 entry per failing field, at path.field; any other ValueError (a noise
+covariance that is not positive definite, say) is one at the key it was built
+from. An object is not built, nor its value rules checked, while one of its
+fields fails its type read. kl-bound refuses a sigma_prime other than sigma:
+its laws start at the point x0, so the second has no score at time 0. The
+closure only computes and writes.
 
 This module owns the output format: every file goes through _write_csv
 (floats at 17 significant digits) or _write_json (indent 2). Neither writes a
@@ -45,9 +50,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__
-from .audit import ADJACENCY_MODES, AuditConfig, estimate_delta, membership_experiment
+from .audit import AuditConfig, estimate_delta, membership_experiment
 from .bounds import (
-    GaussianScore,
     RegularityParams,
     klbound_closed,
     klbound_stationary,
@@ -55,7 +59,7 @@ from .bounds import (
     lsi_rate,
     mc_kl_bound,
 )
-from .errors import AnisoError
+from .errors import AnisoError, FieldErrors
 from .linalg import SpdMatrix
 from .models import (
     _ACTIVATIONS,
@@ -192,18 +196,20 @@ class _Reader:
         return v
 
     def built(self, key, make, /, *args, **kw):
-        """make(*args, **kw), or None after recording its ValueError at key
-        (the object itself when key is None), once: a defaulted design_prime
-        repeats the design's error. None, without a call, when an argument is
-        None, as its error is recorded already."""
+        """make(*args, **kw), or None after recording each (field, message) of
+        its FieldErrors at path.field, or its other ValueError at key (the
+        object itself when key is None), once: a defaulted design_prime repeats
+        the design's error. None, without a call, when an argument is None."""
         if any(a is None for a in (*args, *kw.values())):
             return None
         try:
             return make(*args, **kw)
         except ValueError as exc:
-            if {"path": self._at(key), "message": str(exc)} not in self.errs:
-                self.err(key, str(exc))
-            return None
+            failed = exc.fields if isinstance(exc, FieldErrors) else [(key, str(exc))]
+        for field, message in failed:
+            if {"path": self._at(field), "message": message} not in self.errs:
+                self.err(field, message)
+        return None
 
     def object(self, key, parse, *args):
         """The required object at key read with parse (see read), or None after
@@ -228,7 +234,7 @@ class _Reader:
             return default
         return v
 
-    def number(self, key, *, positive=False, nonneg=False):
+    def number(self, key, *, positive=False):
         v = self.get(key)
         if v is None:
             return None
@@ -238,9 +244,6 @@ class _Reader:
         if positive and not v > 0:
             self.err(key, "must be positive")
             return None
-        if nonneg and v < 0:
-            self.err(key, "must be nonnegative")
-            return None
         return float(v)
 
     def integer(self, key, *, required=True, default=None, minimum=None):
@@ -249,6 +252,9 @@ class _Reader:
             return default
         if isinstance(v, bool) or not isinstance(v, int):
             self.err(key, "must be an integer")
+            return default
+        if not -2**63 <= v < 2**63:
+            self.err(key, "must be a signed 64-bit integer")
             return default
         if minimum is not None and v < minimum:
             self.err(key, f"must be >= {minimum}")
@@ -379,13 +385,8 @@ def _problems(p, *, primed, dim=None):
 
 
 def _sim_config(p, seed):
-    step = p.number("step", positive=True)
-    horizon = p.number("horizon", positive=True)
-    paths = p.integer("paths", minimum=1)
-    stride = p.integer("record_stride", required=False, default=1, minimum=1)
-    # the stride goes in second, so that its rule's error lands on its own field
-    cfg = p.built("horizon", SimConfig, step, horizon, paths, seed)
-    return p.built("record_stride", dataclasses.replace, cfg, record_stride=stride)
+    return p.built(None, SimConfig, p.number("step"), p.number("horizon"), p.integer("paths"),
+                   seed, record_stride=p.integer("record_stride", required=False, default=1))
 
 
 # ---------------------------------------------------------------------------
@@ -398,10 +399,9 @@ def _scheme(sch):
         if sch.has("sigma2"):
             sch.err("sigma2", 'not allowed when kind is "none"')
         return NO_NOISE
-    sigma2 = sch.number("sigma2", nonneg=True)
-    if kind is None or sigma2 is None:
-        return None
-    return IsotropicPerLayer(sigma2) if kind == "isotropic-layer" else AnisotropicPerParam(sigma2)
+    sigma2 = sch.number("sigma2")
+    make = IsotropicPerLayer if kind == "isotropic-layer" else AnisotropicPerParam
+    return None if kind is None else sch.built(None, make, sigma2)
 
 
 def _dataset(ds, base_dir):
@@ -423,12 +423,8 @@ def _dataset(ds, base_dir):
 
 
 def _synth(sub):
-    classes = sub.integer("classes", minimum=2)
-    per_class = sub.integer("per_class", minimum=1)
-    dim = sub.integer("dim", minimum=1)
-    separation = sub.number("separation", nonneg=True)
-    seed = sub.seed("seed")
-    return sub.built("dim", synth_blobs, classes, per_class, dim, separation, seed)
+    return sub.built(None, synth_blobs, sub.integer("classes"), sub.integer("per_class"),
+                     sub.integer("dim"), sub.number("separation"), sub.seed("seed"))
 
 
 def _check_training(p, base_dir, drops_record=False):
@@ -500,23 +496,17 @@ def _kl_bound(p, base_dir, seed):
     x0, pairs = _problems(p, primed=True)
     dim = None if x0 is None else x0.shape[0]
     sigma = _cov_matrix(p, dim)
-    sigma_p = p.matrix("sigma_prime", required=False)
-    if sigma_p is not None and dim is not None and sigma_p.shape != (dim, dim):
-        p.err("sigma_prime", f"must be {dim}x{dim}")
-        sigma_p = None
-    sigma_p = p.built("sigma_prime", SpdMatrix, sigma_p)
-    unequal = None not in (sigma, sigma_p) and not np.array_equal(sigma_p.entries, sigma.entries)
-    sigma_b = sigma_p if unequal else sigma
+    sigma_p = p.built("sigma_prime", SpdMatrix, p.matrix("sigma_prime", required=False))
+    if None not in (sigma, sigma_p) and not np.array_equal(sigma_p.entries, sigma.entries):
+        p.err("sigma_prime", "must equal sigma: unequal diffusions need the second law's "
+              "score from time 0, and a law started at the point x0 has none")
     cfg = _sim_config(p, seed)
-    cov_a = p.built("sigma", ConstantSpd, sigma)
-    cov_b = p.built("sigma_prime", ConstantSpd, sigma_b) if unequal else cov_a
-    prob_a, prob_b = (p.built(key, QuadraticProblem, design, target, s, x0)
-                      for (key, design, target), s in zip(pairs, (sigma, sigma_b)))
-    score_at = ((lambda t: GaussianScore(exact_state(prob_b, max(t, cfg.step))))
-                if unequal else None)
+    cov = p.built("sigma", ConstantSpd, sigma)
+    prob_a, prob_b = (p.built(key, QuadraticProblem, design, target, sigma, x0)
+                      for key, design, target in pairs)
 
     def run(outdir):
-        curve = mc_kl_bound(prob_a, prob_b, cov_a, cov_b, x0, cfg, score_at)
+        curve = mc_kl_bound(prob_a, prob_b, cov, cov, x0, cfg)
         write_bound_csv(curve, os.path.join(outdir, "bound_curve.csv"))
         kls = [gaussian_kl(exact_state(prob_a, float(t)), exact_state(prob_b, float(t)))
                if t > 0.0 else 0.0 for t in curve.times]
@@ -524,8 +514,7 @@ def _kl_bound(p, base_dir, seed):
 
     return ["Monte-Carlo KL bound curve (bound_curve.csv)",
             "exact Gaussian KL curve (exact_kl.csv)",
-            "score-corrected mismatch (unequal diffusions)" if unequal
-            else "drift-gap mismatch (shared diffusion)"], run
+            "drift-gap mismatch (shared diffusion)"], run
 
 
 def _closed_bounds_doc(rp, times):
@@ -546,22 +535,15 @@ def _closed_bounds_doc(rp, times):
 
 
 def _closed_bounds(p, base_dir, seed):
-    n_errs = len(p.errs)
-    scalars = {key: p.number(key, positive=True)
-               for key in ("kappa", "grad_lip", "kappa_prime", "grad_lip_prime",
-                           "sigma", "sigma_prime", "lsi0")}
+    scalars = {key: p.number(key) for key in ("kappa", "grad_lip", "kappa_prime",
+                                              "grad_lip_prime", "sigma", "sigma_prime", "lsi0")}
     xs = p.vector("xstar")
     xsp = p.vector("xstar_prime")
-    if xs is not None and xsp is not None and xs.shape != xsp.shape:
-        p.err("xstar_prime", "length must match xstar")
-    for kappa, lip in (("kappa", "grad_lip"), ("kappa_prime", "grad_lip_prime")):
-        if None not in (scalars[kappa], scalars[lip]) and scalars[kappa] > scalars[lip]:
-            p.err(kappa, f"cannot exceed {lip}")
+    rp = p.built(None, RegularityParams, **scalars, xstar=xs, xstar_prime=xsp)
     times = p.vector("times", required=False, default=[0.0, 1.0, 10.0, 100.0], nonneg=True)
     doc = None
-    if len(p.errs) == n_errs:
+    if rp is not None and times is not None:
         try:
-            rp = RegularityParams(**scalars, xstar=xs, xstar_prime=xsp)
             doc = _closed_bounds_doc(rp, times)
         except (ArithmeticError, ValueError) as exc:
             # blame the value farthest from 1 in scale, the likeliest cause
@@ -634,11 +616,10 @@ def _quad_tradeoff(p, base_dir, seed):
 
 
 def _dp_audit(p, base_dir, seed):
-    epsilon = p.number("epsilon", positive=True)
-    outer = p.integer("outer_rounds", minimum=1)
-    inner = p.integer("inner_rounds", minimum=1)
-    adjacency = p.string("adjacency", required=False, default="replace",
-                         choices=ADJACENCY_MODES)
+    epsilon = p.number("epsilon")
+    outer = p.integer("outer_rounds")
+    inner = p.integer("inner_rounds")
+    adjacency = p.string("adjacency", required=False, default="replace")
     scheme, dataset, train = _check_training(p, base_dir, drops_record=adjacency == "remove")
     cfg = p.built(None, AuditConfig, epsilon=epsilon, outer_rounds=outer, inner_rounds=inner,
                   scheme=scheme, dataset=dataset, adjacency=adjacency, seed=seed, **train)
@@ -677,9 +658,9 @@ def _membership(p, base_dir, seed):
 
 
 def _privacy_translate(p, base_dir, seed):
-    kl = p.number("kl", nonneg=True)
-    lsi_const = p.number("lsi_const", positive=True)
-    lip = p.number("lip", positive=True)
+    kl = p.number("kl")
+    lsi_const = p.number("lsi_const")
+    lip = p.number("lip")
     eps = p.vector("eps", required=False, default=[], positive=True)
     delta = p.get("delta", required=False)
     if delta is not None and not (

@@ -13,6 +13,21 @@ class AnisoError(Exception):
         self.operation = operation or type(self).__name__
 
 
+class FieldErrors(AnisoError, ValueError):
+    """Field values that break their object's rules; ``fields`` holds one
+    (field, message) pair per failing field, in the object's field order."""
+
+    def __init__(self, fields):
+        self.fields = tuple(fields)
+        super().__init__("; ".join(f"{name}: {message}" for name, message in self.fields))
+
+
+def check_fields(order, failed: dict) -> None:
+    """Raise FieldErrors over failed, a {field: message} dict, in the order of order."""
+    if failed:
+        raise FieldErrors([(name, failed[name]) for name in order if name in failed])
+
+
 class NotPositiveDefinite(AnisoError, ValueError):
     """A matrix required to be symmetric positive definite is not."""
 

@@ -34,7 +34,7 @@ from functools import partial, reduce
 
 import numpy as np
 
-from .errors import BatchLargerThanDataset, IndexOutOfRange
+from .errors import BatchLargerThanDataset, FieldErrors, IndexOutOfRange, check_fields
 from .rng import tagged_stream
 
 _INIT_TAG, _BATCH_TAG, _NOISE_TAG = 1, 2, 3
@@ -239,7 +239,7 @@ class _GradientScaled:
 
     def __post_init__(self):
         if self.sigma2 < 0.0:
-            raise ValueError(f"sigma2 must be nonnegative, got {self.sigma2}")
+            raise FieldErrors([("sigma2", "must be nonnegative")])
 
 
 @dataclass(frozen=True)
@@ -549,14 +549,15 @@ def synth_blobs(classes: int, per_class: int, dim: int, separation: float,
     Class k's mean is (separation/sqrt(2)) e_k, so every pair of means is
     exactly `separation` apart; requires dim >= classes.
     """
+    failed = {name: "must be >= 1" for name, v in (("per_class", per_class), ("dim", dim))
+              if v < 1}
     if classes < 2:
-        raise ValueError(f"need at least 2 classes, got {classes}")
-    if dim < classes:
-        raise ValueError(f"dim must be >= classes for equidistant means, got {dim} < {classes}")
-    if per_class < 1:
-        raise ValueError(f"per_class must be >= 1, got {per_class}")
+        failed["classes"] = "must be >= 2"
+    elif "dim" not in failed and dim < classes:
+        failed["dim"] = f"dim must be >= classes for equidistant means, got {dim} < {classes}"
     if separation < 0.0:
-        raise ValueError(f"separation must be nonnegative, got {separation}")
+        failed["separation"] = "must be nonnegative"
+    check_fields(("classes", "per_class", "dim", "separation"), failed)
     rng = tagged_stream(seed, 4)
     feats = rng.standard_normal((classes * per_class, dim))
     labels = np.repeat(np.arange(classes), per_class)

@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .errors import check_fields
+
 
 @dataclass(frozen=True)
 class ConcentrationParams:
@@ -16,12 +18,11 @@ class ConcentrationParams:
     kl: float = 0.0
 
     def __post_init__(self):
-        if not (self.lsi_const > 0.0):
-            raise ValueError(f"lsi_const must be positive, got {self.lsi_const}")
-        if not (self.lip > 0.0):
-            raise ValueError(f"lip must be positive, got {self.lip}")
+        failed = {name: "must be positive" for name in ("lsi_const", "lip")
+                  if not getattr(self, name) > 0.0}
         if self.kl < 0.0:
-            raise ValueError(f"kl must be nonnegative, got {self.kl}")
+            failed["kl"] = "must be nonnegative"
+        check_fields(("lsi_const", "lip", "kl"), failed)
 
 
 def membership_advantage(kl: float) -> float:

@@ -21,14 +21,14 @@ Every drift, covariance and score specification takes the states as a
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Any, Callable
 
 import numpy as np
 
 from .errors import (AnisoError, BatchLargerThanDataset, CovarianceEvaluationFailed,
-                     NotPositiveDefinite)
+                     NotPositiveDefinite, check_fields)
 from .linalg import PIVOT_FLOOR, SpdMatrix, SymMatrix, _sym_part
 from .rng import step_normals
 
@@ -151,6 +151,22 @@ class ConstantSpd:
         return np.zeros_like(np.atleast_2d(x), dtype=float)
 
 
+def _fd_divergence(matrices, x: np.ndarray) -> np.ndarray:
+    """(div S)_i = sum_j dS_ij/dx_j per row of x, by forward differences of the
+    covariances matrices(rows) gives at x and at its dim coordinate shifts."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    paths, d = x.shape
+    steps = _FD_STEP * np.maximum(1.0, np.abs(x))
+    shifted = np.repeat(x[:, None, :], d, axis=1)
+    shifted[:, np.arange(d), np.arange(d)] += steps
+    m = matrices(np.concatenate([x, shifted.reshape(paths * d, d)]))
+    base, moved = m[:paths], m[paths:].reshape(paths, d, d, d)
+    out = np.zeros((paths, d))
+    for j in range(d):
+        out += (moved[:, j, :, j] - base[:, :, j]) / steps[:, j, None]
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class DiagonalOfState:
     """Diagonal covariance diag(fn(x)); fn maps a (paths, dim) row stack of
@@ -179,16 +195,7 @@ class DiagonalOfState:
         return d[:, :, None] * np.eye(d.shape[1])
 
     def divergence(self, x: np.ndarray) -> np.ndarray:
-        # diagonal case: component i is d Sigma_ii / d x_i, forward difference
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        base = self.diag_at(x)
-        out = np.empty_like(base)
-        for i in range(x.shape[1]):
-            step = _FD_STEP * np.maximum(1.0, np.abs(x[:, i]))
-            xp = x.copy()
-            xp[:, i] += step
-            out[:, i] = (self.diag_at(xp)[:, i] - base[:, i]) / step
-        return out
+        return _fd_divergence(self.matrices, x)
 
 
 @dataclass(frozen=True, eq=False)
@@ -241,18 +248,7 @@ class MinibatchSgd:
         return _eigenbasis_scaled(q, 1.0 / np.sqrt(w), v)
 
     def divergence(self, x: np.ndarray) -> np.ndarray:
-        """(div S)_i = sum_j dS_ij/dx_j per row, by forward differences."""
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        paths, d = x.shape
-        steps = _FD_STEP * np.maximum(1.0, np.abs(x))
-        shifted = np.repeat(x[:, None, :], d, axis=1)
-        shifted[:, np.arange(d), np.arange(d)] += steps
-        m = self.matrices(np.concatenate([x, shifted.reshape(paths * d, d)]))
-        base, moved = m[:paths], m[paths:].reshape(paths, d, d, d)
-        out = np.zeros((paths, d))
-        for j in range(d):
-            out += (moved[:, j, :, j] - base[:, :, j]) / steps[:, j, None]
-        return out
+        return _fd_divergence(self.matrices, x)
 
 
 # ---------------------------------------------------------------------------
@@ -336,22 +332,24 @@ class SimConfig:
     record_stride: int = 1
 
     def __post_init__(self):
-        if not (self.step > 0.0 and np.isfinite(self.step)):
-            raise ValueError(f"step must be positive and finite, got {self.step}")
-        if not (self.horizon >= self.step):
-            raise ValueError("horizon must be at least one step")
-        if self.paths < 1:
-            raise ValueError(f"paths must be >= 1, got {self.paths}")
-        if not (0 <= int(self.seed) < 2**64):
-            raise ValueError("seed must fit in an unsigned 64-bit integer")
-        if self.record_stride < 1:
-            raise ValueError(f"record_stride must be >= 1, got {self.record_stride}")
-        ratio = self.horizon / self.step
-        n = round(ratio)
-        if abs(ratio - n) > 1e-9 * max(1.0, ratio):
-            raise ValueError("horizon must be an integer multiple of step")
-        if n % self.record_stride != 0:
-            raise ValueError("step count must be divisible by record_stride")
+        failed = {name: "must be positive" for name in ("step", "horizon")
+                  if not getattr(self, name) > 0.0}
+        failed |= {name: "must be >= 1" for name in ("paths", "record_stride")
+                   if getattr(self, name) < 1}
+        if not 0 <= int(self.seed) < 2**64:
+            failed["seed"] = "must be an unsigned 64-bit integer"
+        # an infinite step fails below, as at least one step or as no step count
+        if not failed.keys() & {"step", "horizon"}:
+            ratio = self.horizon / self.step
+            if not self.horizon >= self.step:
+                failed["horizon"] = "horizon must be at least one step"
+            elif not ratio < 2.0**63:
+                failed["horizon"] = "the step count horizon/step must be below 2**63"
+            elif abs(ratio - round(ratio)) > 1e-9 * ratio:
+                failed["horizon"] = "horizon must be an integer multiple of step"
+            elif "record_stride" not in failed and round(ratio) % self.record_stride != 0:
+                failed["record_stride"] = "step count must be divisible by record_stride"
+        check_fields([f.name for f in fields(self)], failed)
 
     @property
     def n_steps(self) -> int:

@@ -82,6 +82,8 @@ def optimal_diag_cov(gap: GradientGap, zeta: float) -> TradeoffPoint:
     v[zero] = floor
     budget = zeta - floor * int(zero.sum())
     v[~zero] = budget * s[~zero] / total
+    if not np.all(np.isfinite(v)):  # budget * s overflowed; the shares s / total cannot
+        v[~zero] = budget * (s[~zero] / total)
     point = TradeoffPoint(v, kl_term(gap, v), float(v.sum()))
     if not math.isfinite(point.kl_term):
         raise AnisoError(f"kl_term at the optimum is not finite ({point.kl_term:g})",

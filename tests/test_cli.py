@@ -1,9 +1,11 @@
 """Config-driven CLI: validation paths, run outputs, reproducibility."""
 
 import ast
+import contextlib
 import copy
 import csv
 import functools
+import io
 import json
 import math
 import os
@@ -11,10 +13,12 @@ import re
 import struct
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import anisopriv
 import anisopriv.sde
@@ -482,7 +486,14 @@ def test_ou_exact_law_near_the_largest_float_runs(tmp_path, capsys, t):
      "step count must be divisible by record_stride"),
     ({"horizon": 0.05}, "experiment.horizon", "horizon must be at least one step"),
     ({"horizon": 1.05}, "experiment.horizon", "horizon must be an integer multiple of step"),
-], ids=["stride", "short-horizon", "fractional-horizon"])
+    # horizon/step is inf, which has no integer step count
+    ({"horizon": 1e308, "step": 0.01}, "experiment.horizon",
+     "the step count horizon/step must be below 2**63"),
+    # 1e301 steps, recorded at every one of them
+    ({"horizon": 1e300}, "experiment.horizon", "the step count horizon/step must be below 2**63"),
+    ({"paths": 2**64}, "experiment.paths", "must be a signed 64-bit integer"),
+], ids=["stride", "short-horizon", "fractional-horizon", "infinite-step-count",
+        "huge-step-count", "paths-2e64"])
 def test_sim_config_errors_land_on_their_field(tmp_path, capsys, over, path, message):
     doc = shipped_doc("simulate", step=0.1, horizon=1.0, record_stride=1, paths=4)
     doc["experiment"].update(over)
@@ -490,6 +501,117 @@ def test_sim_config_errors_land_on_their_field(tmp_path, capsys, over, path, mes
     code, report = run_cli(capsys, "validate", cfg)
     assert code == 1
     assert report["errors"] == [{"path": path, "message": message}]
+
+
+# Each value rule that a built object states, broken alone in a shipped config:
+# (kind, key under experiment, bad value, error path, message).
+BUILT_OBJECT_RULES = [
+    *[("closed-bounds", key, 0.0, f"experiment.{key}", "must be positive")
+      for key in ("kappa", "grad_lip", "kappa_prime", "grad_lip_prime", "sigma", "sigma_prime",
+                  "lsi0")],
+    ("closed-bounds", "kappa", 2.0, "experiment.kappa", "cannot exceed grad_lip"),
+    ("closed-bounds", "kappa_prime", 2.0, "experiment.kappa_prime",
+     "cannot exceed grad_lip_prime"),
+    ("closed-bounds", "xstar_prime", [1.0, 2.0], "experiment.xstar_prime",
+     "length must match xstar"),
+    ("simulate", "step", 0.0, "experiment.step", "must be positive"),
+    ("kl-bound", "horizon", -1.0, "experiment.horizon", "must be positive"),
+    ("simulate", "paths", 0, "experiment.paths", "must be >= 1"),
+    ("kl-bound", "record_stride", 0, "experiment.record_stride", "must be >= 1"),
+    ("dp-audit", "epsilon", -0.1, "experiment.epsilon", "must be positive"),
+    ("dp-audit", "outer_rounds", 0, "experiment.outer_rounds", "must be >= 1"),
+    ("dp-audit", "inner_rounds", -1, "experiment.inner_rounds", "must be >= 1"),
+    ("dp-audit", "adjacency", "swap", "experiment.adjacency",
+     "must be one of ['null', 'remove', 'replace']"),
+    ("dp-audit", "scheme.sigma2", -1.0, "experiment.scheme.sigma2", "must be nonnegative"),
+    ("membership", "dataset.synth.classes", 1, "experiment.dataset.synth.classes",
+     "must be >= 2"),
+    ("dp-audit", "dataset.synth.per_class", 0, "experiment.dataset.synth.per_class",
+     "must be >= 1"),
+    ("dp-audit", "dataset.synth.dim", 0, "experiment.dataset.synth.dim", "must be >= 1"),
+    ("membership", "dataset.synth.separation", -3.0, "experiment.dataset.synth.separation",
+     "must be nonnegative"),
+    ("privacy-translate", "kl", -0.1, "experiment.kl", "must be nonnegative"),
+    ("privacy-translate", "lsi_const", 0.0, "experiment.lsi_const", "must be positive"),
+    ("privacy-translate", "lip", -1.0, "experiment.lip", "must be positive"),
+]
+
+
+def with_experiment_values(name, values):
+    """The shrunk shipped config name with each dotted key under experiment set."""
+    doc = shrunk_shipped_doc(name)
+    for key, value in values.items():
+        *where, last = key.split(".")
+        set_at(doc, ("experiment", *where), last, value)
+    return doc
+
+
+@pytest.mark.parametrize("kind, key, value, path, message", BUILT_OBJECT_RULES,
+                         ids=[f"{kind}-{key}-{value}" for kind, key, value, _, _ in
+                              BUILT_OBJECT_RULES])
+def test_value_rule_of_a_built_object_lands_on_its_field(tmp_path, capsys, kind, key, value,
+                                                         path, message):
+    cfg = write_config(tmp_path / "cfg.json", with_experiment_values(kind, {key: value}))
+    for cmd in ("validate", "run"):
+        code, report = run_cli(capsys, cmd, cfg)
+        assert code == 1
+        assert report["errors"] == [{"path": path, "message": message}]
+    assert not (tmp_path / "out").exists()
+
+
+def test_two_value_faults_of_one_object_are_both_reported(tmp_path, capsys):
+    doc = with_experiment_values("dp-audit", {"epsilon": -1, "outer_rounds": 0})
+    code, report = run_cli(capsys, "validate", write_config(tmp_path / "cfg.json", doc))
+    assert code == 1
+    assert report["errors"] == [
+        {"path": "experiment.epsilon", "message": "must be positive"},
+        {"path": "experiment.outer_rounds", "message": "must be >= 1"},
+    ]
+
+
+def test_value_rules_wait_for_the_type_reads_of_their_object(tmp_path, capsys):
+    # AuditConfig is not built while one of its fields fails its type read, so
+    # epsilon's own rule is not checked, nor reported, until outer_rounds reads
+    doc = with_experiment_values("dp-audit", {"epsilon": -1, "outer_rounds": "2"})
+    code, report = run_cli(capsys, "validate", write_config(tmp_path / "cfg.json", doc))
+    assert code == 1
+    assert report["errors"] == [
+        {"path": "experiment.outer_rounds", "message": "must be an integer"}]
+
+
+def test_kl_bound_refuses_unequal_diffusions(tmp_path, capsys):
+    # both laws start at the point x0, where the second law has no score; with
+    # its score taken one step late, 4000 paths gave a "bound" of 0.00086 at
+    # t = 0.1, below the exact KL of 0.0219
+    doc = kl_bound_doc(design=[[1.0, 0.3], [0.0, 1.5]], sigma_diag=None,
+                       sigma=[[1.0, 0.0], [0.0, 0.5]], sigma_prime=[[0.8, 0.0], [0.0, 0.6]])
+    cfg = write_config(tmp_path / "cfg.json", doc)
+    for cmd in ("validate", "run"):
+        code, report = run_cli(capsys, cmd, cfg)
+        assert code == 1
+        [error] = report["errors"]
+        assert error["path"] == "experiment.sigma_prime"
+        assert error["message"].startswith("must equal sigma: ")
+        assert "x0" in error["message"]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("value", [2**63, 2**64, -2**63 - 1])
+def test_integer_reads_reject_values_outside_int64(tmp_path, capsys, value):
+    # a count is an int64 wherever it goes; 2**63 - 1 and -2**63 are its ends
+    cfg = write_config(tmp_path / "cfg.json", shipped_doc("dp-audit", hidden=value))
+    for cmd in ("validate", "run"):
+        code, report = run_cli(capsys, cmd, cfg)
+        assert code == 1
+        assert report["errors"] == [
+            {"path": "experiment.hidden", "message": "must be a signed 64-bit integer"}]
+    assert not (tmp_path / "out").exists()
+    # the ends of the range pass the read and meet the field's own rule
+    top = write_config(tmp_path / "top.json", shipped_doc("dp-audit", hidden=2**63 - 1))
+    assert run_cli(capsys, "validate", top)[0] == 0
+    bottom = write_config(tmp_path / "bottom.json", shipped_doc("dp-audit", hidden=-2**63))
+    assert run_cli(capsys, "validate", bottom)[1]["errors"] == [
+        {"path": "experiment.hidden", "message": "must be >= 1"}]
 
 
 def test_run_overflow_is_numerical_failure(tmp_path, capsys):
@@ -650,6 +772,13 @@ def test_diverged_membership_fails_without_numpy_warnings(tmp_path, capsys):
     assert report["operation"] == "membership_experiment"
 
 
+def test_optimize_cov_zeta_near_the_largest_float_runs(tmp_path, capsys):
+    # the budget times a gap overflows, but the allocation itself is finite
+    cfg = write_config(tmp_path / "cfg.json", shipped_doc("optimize-cov", zetas=[1e308]))
+    assert run_cli(capsys, "run", cfg)[0] == 0
+    assert non_finite_outputs(tmp_path / "out") == []
+
+
 def test_privacy_translate_huge_eps_runs(tmp_path, capsys):
     # (eps - kl)**2 overflows a float; delta takes its limit 0
     cfg = write_config(tmp_path / "cfg.json", shipped_doc("privacy-translate", eps=[1e308]))
@@ -684,7 +813,8 @@ def mutations(obj, where=()):
 def numeric_mutations(obj, where=()):
     """(where, key, value) for every numeric leaf of obj other than the schema
     version, set in turn to zero times itself, its negation, +-1e300, 1e154 and
-    1e-154; a seed, which sizes no work, is set to 2**64, -1 and true instead."""
+    1e-154, and an integer leaf also to 2**64; a seed, which sizes no work, is
+    set to 2**64, -1 and true instead."""
     for key, v in obj.items() if isinstance(obj, dict) else enumerate(obj):
         if isinstance(v, (dict, list)):
             yield from numeric_mutations(v, where + (key,))
@@ -694,6 +824,8 @@ def numeric_mutations(obj, where=()):
         elif isinstance(v, (int, float)) and not isinstance(v, bool) and key != "schema_version":
             for value in (v * 0, -v, 1e300, -1e300, 1e154, 1e-154):
                 yield where, key, value
+            if isinstance(v, int):
+                yield where, key, 2**64
 
 
 def outcome(capsys, cmd, cfg):
@@ -780,6 +912,64 @@ def test_numeric_mutations_of_shipped_configs_fail_validate_or_run_cleanly(tmp_p
     assert contract_breaches(tmp_path, capsys, doc, numeric_mutations(doc)) == []
 
 
+# What the structural fuzzer puts in place of a node: every JSON type, the
+# ends of the int64 and float ranges, the time string "inf" and nested lists.
+FUZZ_VALUES = [None, True, -1, 0, 2**64, 1e308, -1e308, "x", "inf", [], {}, [[1.0]],
+               [[1.0], [2.0, 3.0]]]
+
+
+def nodes(obj, where=()):
+    """(container path, key or index) of every node under obj."""
+    for key, v in obj.items() if isinstance(obj, dict) else enumerate(obj):
+        yield where, key
+        if isinstance(v, (dict, list)):
+            yield from nodes(v, where + (key,))
+
+
+def container(doc, where):
+    for k in where:
+        doc = doc[k]
+    return doc
+
+
+def cli_report(cmd, cfg):
+    """(exit code, report): main's stdout must be exactly one JSON document."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main([cmd, cfg])
+    return code, json.loads(out.getvalue())
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+@settings(max_examples=60, deadline=2000, derandomize=True, database=None)
+@given(data=st.data())
+def test_structural_fuzz_of_shipped_configs_keeps_the_exit_code_contract(name, data):
+    # one to three edits: replace a node, delete a key or add an unknown one.
+    # The 600 fixed examples add about 4 s to tier-1 on 2 cores.
+    doc = shrunk_shipped_doc(name)
+    values = st.sampled_from(FUZZ_VALUES).map(copy.deepcopy)
+    for _ in range(data.draw(st.sampled_from([1, 1, 2, 3]), label="edits")):
+        located = list(nodes(doc))
+        keyed = [(w, k) for w, k in located if isinstance(container(doc, w), dict)]
+        edit = data.draw(st.sampled_from(["replace", "replace", "delete", "add"]))
+        if edit == "add":
+            objs = [()] + [w + (k,) for w, k in located if isinstance(container(doc, w)[k], dict)]
+            where = data.draw(st.sampled_from(objs), label="object")
+            container(doc, where)["fuzz_key"] = data.draw(values)
+        elif edit == "delete":
+            where, key = data.draw(st.sampled_from(keyed), label="deleted")
+            del container(doc, where)[key]
+        else:
+            where, key = data.draw(st.sampled_from(located), label="replaced")
+            container(doc, where)[key] = data.draw(values)
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = write_config(Path(tmp) / "cfg.json", doc)
+        code, _ = cli_report("validate", cfg)
+        assert code in (0, 1)
+        if code == 0:
+            assert cli_report("run", cfg)[0] in (0, 2)
+
+
 # The library constructors that cli imports.
 CONSTRUCTORS = ["SpdMatrix", "ConstantSpd", "QuadraticProblem", "QuadraticDrift", "SimConfig",
                 "GradientGap", "AuditConfig", "ConcentrationParams", "RegularityParams",
@@ -816,10 +1006,10 @@ assert "scipy" not in sys.modules, "scipy was imported"
 def test_runtime_does_not_import_scipy(tmp_path):
     # numpy is the only runtime dependency; scipy is a test oracle. A fresh
     # interpreter runs the configs whose analytic paths use Cholesky solves:
-    # whitening, the Gaussian score (unequal diffusions) and the Gaussian KL.
+    # whitening and the Gaussian KL.
     cfgs = []
     for name, over in [
-        ("kl-bound", {"paths": 4, "horizon": 0.2, "sigma_prime": [[0.8]]}),
+        ("kl-bound", {"paths": 4, "horizon": 0.2}),
         ("quad-tradeoff", {"resolution": 2}),
         ("ou-exact", {}),
         ("closed-bounds", {}),

@@ -405,6 +405,41 @@ def test_minibatch_sgd_divergence_rows_match_single_rows():
     assert np.array_equal(cov.divergence(x), single)
 
 
+def per_coordinate_diagonal_divergence(cov, x):
+    """The loop DiagonalOfState.divergence once ran: component i is the
+    forward difference of Sigma_ii along x_i alone."""
+    base = cov.diag_at(x)
+    out = np.empty_like(base)
+    for i in range(x.shape[1]):
+        step = 1e-6 * np.maximum(1.0, np.abs(x[:, i]))
+        xp = x.copy()
+        xp[:, i] += step
+        out[:, i] = (cov.diag_at(xp)[:, i] - base[:, i]) / step
+    return out
+
+
+def test_diagonal_divergence_matches_the_per_coordinate_loop():
+    # the shared matrix forward difference adds only exact zeros off the diagonal
+    cov = DiagonalOfState(lambda x: np.exp(0.3 * x) + x * x)
+    x = np.random.default_rng(8).standard_normal((5, 3)) * [1.0, 30.0, 1e-3]
+    assert np.array_equal(cov.divergence(x), per_coordinate_diagonal_divergence(cov, x))
+
+
+def outer_plus_identity(x):
+    """S(x) = x x^T + I per row, whose divergence is (dim + 1) x."""
+    return x[:, :, None] * x[:, None, :] + np.eye(x.shape[1])
+
+
+@pytest.mark.parametrize("divergence, exact", [
+    (DiagonalOfState(lambda x: x * x + 0.5).divergence, lambda x: 2.0 * x),
+    (lambda x: anisopriv.sde._fd_divergence(outer_plus_identity, x), lambda x: 4.0 * x),
+], ids=["diagonal", "outer-product"])
+def test_divergence_matches_the_analytic_derivative(divergence, exact):
+    # a forward difference with step 1e-6 max(1, |x_j|) is off by about that step
+    x = np.random.default_rng(9).standard_normal((6, 3)) * [1.0, 5.0, 0.1]
+    np.testing.assert_allclose(divergence(x), exact(x), rtol=1e-5, atol=1e-5)
+
+
 def test_paired_minibatch_sgd_matches_per_path_euler_loop():
     features_b = FEATURES.copy()
     features_b[2] = [0.5, -1.0, 2.0]

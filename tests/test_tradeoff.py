@@ -91,6 +91,15 @@ def test_optimal_zero_gap_floor():
     assert point.accuracy_loss == pytest.approx(1.0, rel=1e-12)
 
 
+def test_optimal_allocation_near_the_largest_float_stays_finite():
+    # budget * gap overflows at zeta 1e308 though every share of it is finite
+    with np.errstate(over="ignore"):
+        point = optimal_diag_cov(GradientGap([10.0, 1.0, 0.0]), zeta=1e308)
+    assert np.all(np.isfinite(point.diag_sigma))
+    assert point.diag_sigma[0] == pytest.approx(10.0 * point.diag_sigma[1], rel=1e-12)
+    assert point.accuracy_loss == pytest.approx(1e308, rel=1e-12)
+
+
 def test_all_zero_gap_rejected():
     with pytest.raises(DegenerateGap):
         optimal_diag_cov(GradientGap([0.0, 0.0]), zeta=1.0)
