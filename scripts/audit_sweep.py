@@ -11,7 +11,7 @@ import sys
 import time
 
 from anisopriv.audit import AuditConfig, estimate_delta
-from anisopriv.models import AnisotropicPerParam, synth_blobs
+from anisopriv.models import AnisotropicPerParam, Training, synth_blobs
 
 
 def parse_args(argv):
@@ -33,8 +33,8 @@ def run(argv=None) -> int:
     blobs = synth_blobs(2, args.per_class, 2, args.separation, seed=20)
     shared = dict(
         epsilon=args.epsilon, outer_rounds=args.rounds, inner_rounds=args.rounds,
-        lr=args.lr, iters=args.iters, batch=blobs.size, hidden=args.hidden,
-        dataset=blobs, activation="tanh", seed=args.seed,
+        training=Training(args.lr, args.iters, blobs.size, args.hidden, "tanh"),
+        dataset=blobs, seed=args.seed,
     )
 
     t0 = time.perf_counter()

@@ -73,6 +73,7 @@ from .models import (
     NO_NOISE,
     NoNoise,
     TrainLog,
+    Training,
     init_model,
     make_adjacent,
     read_dataset_csv,
@@ -82,6 +83,7 @@ from .models import (
 from .audit import (
     AuditConfig,
     AuditReport,
+    MembershipConfig,
     MembershipReport,
     clamped_log_ratios,
     estimate_delta,
@@ -108,8 +110,9 @@ __all__ = [
     "GradientGap", "TradeoffPoint", "grid_surface", "kl_term",
     "optimal_diag_cov", "quadratic_tradeoff",
     "AnisotropicPerParam", "Dataset", "IsotropicPerLayer", "MlpModel",
-    "NO_NOISE", "NoNoise", "TrainLog", "init_model", "make_adjacent",
+    "NO_NOISE", "NoNoise", "TrainLog", "Training", "init_model", "make_adjacent",
     "read_dataset_csv", "synth_blobs", "train",
-    "AuditConfig", "AuditReport", "MembershipReport", "clamped_log_ratios",
+    "AuditConfig", "AuditReport", "MembershipConfig", "MembershipReport",
+    "clamped_log_ratios",
     "estimate_delta", "membership_experiment",
 ]

@@ -1,9 +1,13 @@
 """Empirical differential-privacy estimation for the noisy trainers.
 
-The delta estimator resamples an adjacent dataset pair per outer round, then
-trains the pair repeatedly with shared seeds (identical initialization,
-batch selection, and noise draws) and counts training points whose predicted
-class-probability log-ratio between the two models exceeds epsilon. The
+AuditConfig and MembershipConfig hold an experiment's settings, the shared
+models.Training among them, and state the rules that tie it to the dataset:
+the batch must fit the smaller arm, and a replace neighbour needs a second
+record to copy. The delta estimator resamples an adjacent dataset pair per
+outer round, then trains the pair repeatedly with shared seeds (identical
+initialization, batch selection, and noise draws) and counts training points
+whose predicted class-probability log-ratio between the two models exceeds
+epsilon. The
 membership experiment instead tracks the loss on one target record with and
 without that record in the training set, and raises `AnisoError` rather than
 report a target loss or gap that is not finite. Both train the runs of both
@@ -22,7 +26,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import AnisoError, TrainingDivergedWarning, check_fields
-from .models import Dataset, forward, init_model, loss_and_grad, make_adjacent, train
+from .models import Dataset, Training, forward, loss_and_grad, make_adjacent, train
 from .rng import derive_seed, tagged_stream
 
 PROB_FLOOR = 1e-12
@@ -38,34 +42,44 @@ def clamped_log_ratios(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.log(p) - np.log(q)
 
 
+def _check_config(cfg, failed: dict, *, drops_record: bool) -> None:
+    """Raise FieldErrors over failed, a {field: message} dict of cfg's own
+    rules, and the batch rule: cfg.training's batch may not exceed the row
+    count of cfg.dataset, less one when an arm drops a record. The batch
+    error takes the place of the training field in cfg's field order."""
+    size = cfg.dataset.size
+    if cfg.training.batch > size - drops_record:
+        failed["batch"] = (f"exceeds dataset size {size}"
+                           + (" less the dropped record" if drops_record else ""))
+    check_fields(["batch" if f.name == "training" else f.name for f in fields(cfg)], failed)
+
+
 @dataclass(frozen=True, eq=False)
 class AuditConfig:
     """Settings of estimate_delta. Each outer round draws a neighbour of
-    dataset by adjacency; each inner round trains a model with hidden units
-    on both datasets under scheme, whose noise each step scales by the
+    dataset by adjacency; each inner round trains a model on both datasets
+    with training under scheme, whose noise each step scales by the
     minibatch gradient that step descends along (see models.train)."""
 
     epsilon: float
     outer_rounds: int
     inner_rounds: int
     scheme: object
-    lr: float
-    iters: int
-    batch: int
-    hidden: int
+    training: Training
     dataset: Dataset
     adjacency: str = "replace"
-    activation: str = "relu"
     seed: int = 0
 
     def __post_init__(self):
-        failed = {name: "must be >= 1" for name in ("outer_rounds", "inner_rounds", "hidden")
+        failed = {name: "must be >= 1" for name in ("outer_rounds", "inner_rounds")
                   if getattr(self, name) < 1}
         if not self.epsilon > 0.0:
             failed["epsilon"] = "must be positive"
         if self.adjacency not in ADJACENCY_MODES:
             failed["adjacency"] = f"must be one of {sorted(ADJACENCY_MODES)}"
-        check_fields([f.name for f in fields(self)], failed)
+        elif self.adjacency == "replace" and self.dataset.size < 2:
+            failed["adjacency"] = "replace needs a dataset of at least 2 records"
+        _check_config(self, failed, drops_record=self.adjacency == "remove")
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,16 +126,14 @@ def estimate_delta(cfg: AuditConfig) -> AuditReport:
     count over the comparisons its kept pairs made, and is None when all its
     pairs diverged; such a round is left out of the maximum."""
     ds = cfg.dataset
-    template = init_model(ds.n_features, cfg.hidden, ds.n_classes, 0, cfg.activation)
     adj_rng = tagged_stream(cfg.seed, _ADJ_TAG)
     others = [_adjacent_pair(ds, cfg.adjacency, adj_rng) for _ in range(cfg.outer_rounds)]
     rounds = [(t1, t2) for t1 in range(cfg.outer_rounds) for t2 in range(cfg.inner_rounds)]
     seeds = [derive_seed(cfg.seed, t1, t2) for t1, t2 in rounds]
     # both arms in one stack: run i trains on D, run runs + i on D'
     runs = len(rounds)
-    models, logs = train(template, [ds] * runs + [others[t1] for t1, _ in rounds],
-                         seeds + seeds, cfg.scheme, lr=cfg.lr, iters=cfg.iters,
-                         batch=cfg.batch)
+    models, logs = train([ds] * runs + [others[t1] for t1, _ in rounds], seeds + seeds,
+                         cfg.scheme, cfg.training)
     kept = []
     for i, (t1, t2) in enumerate(rounds):
         if logs[i].diverged or logs[runs + i].diverged:
@@ -157,6 +169,31 @@ def estimate_delta(cfg: AuditConfig) -> AuditReport:
 
 
 @dataclass(frozen=True, eq=False)
+class MembershipConfig:
+    """Settings of membership_experiment: runs paired trainings on dataset
+    with and without the record at target_index (both on all of dataset
+    under null_control), with training under scheme."""
+
+    dataset: Dataset
+    target_index: int
+    runs: int
+    scheme: object
+    training: Training
+    null_control: bool = False
+    seed: int = 0
+
+    def __post_init__(self):
+        failed = {}
+        if self.target_index < 0:
+            failed["target_index"] = "must be >= 0"
+        elif self.target_index >= self.dataset.size:
+            failed["target_index"] = f"outside dataset of size {self.dataset.size}"
+        if self.runs < 1:
+            failed["runs"] = "must be >= 1"
+        _check_config(self, failed, drops_record=not self.null_control)
+
+
+@dataclass(frozen=True, eq=False)
 class MembershipReport:
     """Per-run loss on the target record with (arm D) and without (arm
     Dprime) the record in the training set."""
@@ -167,10 +204,7 @@ class MembershipReport:
     worst_loss: float
 
 
-def membership_experiment(dataset: Dataset, target_index: int, runs: int, scheme,
-                          *, lr: float, iters: int, batch: int, hidden: int,
-                          seed: int, activation: str = "relu",
-                          null_control: bool = False) -> MembershipReport:
+def membership_experiment(cfg: MembershipConfig) -> MembershipReport:
     """Paired trainings with and without the target record. A noisy step
     scales its noise by the minibatch gradient it descends along, as in
     models.train.
@@ -178,17 +212,14 @@ def membership_experiment(dataset: Dataset, target_index: int, runs: int, scheme
     null_control trains both arms on the full dataset (the D = D' check:
     identical losses, zero gap).
     """
-    if runs < 1:
-        raise ValueError(f"runs must be >= 1, got {runs}")
-    ds = dataset
-    ds_without = ds if null_control else make_adjacent(ds, target_index, "remove")
-    target_x = ds.features[target_index]
-    target_y = int(ds.labels[target_index])
-    template = init_model(ds.n_features, hidden, ds.n_classes, 0, activation)
-    seeds = [derive_seed(seed, r) for r in range(runs)]
+    ds, runs = cfg.dataset, cfg.runs
+    ds_without = ds if cfg.null_control else make_adjacent(ds, cfg.target_index, "remove")
+    target_x = ds.features[cfg.target_index]
+    target_y = int(ds.labels[cfg.target_index])
+    seeds = [derive_seed(cfg.seed, r) for r in range(runs)]
     # both arms in one stack: run r trains on D, run runs + r on D'
-    models, logs = train(template, [ds] * runs + [ds_without] * runs, seeds + seeds, scheme,
-                         lr=lr, iters=iters, batch=batch)
+    models, logs = train([ds] * runs + [ds_without] * runs, seeds + seeds, cfg.scheme,
+                         cfg.training)
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite losses raise below
         losses = loss_and_grad(models, target_x, [target_y])[0]
     losses_with, losses_without = losses[:runs], losses[runs:]

@@ -18,13 +18,15 @@ schema: a key that no getter names is an "unknown key" error, a key set to null
 counts as absent, and both seeds ($.seed, dataset.synth.seed) follow one rule.
 
 Each kind's parser builds every library object its run(outdir) closure uses,
-and those objects state the value rules: a constructor's FieldErrors is one
-exit-1 entry per failing field, at path.field; any other ValueError (a noise
-covariance that is not positive definite, say) is one at the key it was built
-from. An object is not built, nor its value rules checked, while one of its
-fields fails its type read. kl-bound refuses a sigma_prime other than sigma:
-its laws start at the point x0, so the second has no score at time 0. The
-closure only computes and writes.
+and those objects state the value rules (dp-audit and membership, for one,
+build a models.Training and an AuditConfig or MembershipConfig): a
+constructor's FieldErrors is one exit-1 entry per failing field, at
+path.field; any other ValueError (a noise covariance that is not positive
+definite, say) is one at the key it was built from. An object is not built,
+nor its value rules checked, while one of its fields fails its type read.
+kl-bound refuses a sigma_prime other than sigma: its laws start at the point
+x0, so the second has no score at time 0. The closure only computes and
+writes.
 
 This module owns the output format: every file goes through _write_csv
 (floats at 17 significant digits) or _write_json (indent 2). Neither writes a
@@ -50,7 +52,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__
-from .audit import AuditConfig, estimate_delta, membership_experiment
+from .audit import AuditConfig, MembershipConfig, estimate_delta, membership_experiment
 from .bounds import (
     RegularityParams,
     klbound_closed,
@@ -62,10 +64,10 @@ from .bounds import (
 from .errors import AnisoError, FieldErrors
 from .linalg import SpdMatrix
 from .models import (
-    _ACTIVATIONS,
     AnisotropicPerParam,
     IsotropicPerLayer,
     NO_NOISE,
+    Training,
     read_dataset_csv,
     synth_blobs,
 )
@@ -158,9 +160,10 @@ def _finite(x):
 class _Reader:
     """One JSON object of a config, at path, read through typed getters that
     check and convert a value, or record its error at path.key in errs and
-    return the default. A getter's reads are the object's schema: every key a
-    getter names is known, and read() makes each key that none named an
-    "unknown key" error. A key set to null counts as absent."""
+    return the default; string and boolean return None instead, so that no
+    object is built from a failed read. A getter's reads are the object's
+    schema: every key a getter names is known, and read() makes each key that
+    none named an "unknown key" error. A key set to null counts as absent."""
 
     def __init__(self, obj, path, errs):
         self.obj, self.path, self.errs = obj, path, errs
@@ -234,15 +237,12 @@ class _Reader:
             return default
         return v
 
-    def number(self, key, *, positive=False):
+    def number(self, key):
         v = self.get(key)
         if v is None:
             return None
         if not _finite(v):
             self.err(key, "must be a finite number")
-            return None
-        if positive and not v > 0:
-            self.err(key, "must be positive")
             return None
         return float(v)
 
@@ -267,10 +267,10 @@ class _Reader:
             return default
         if not isinstance(v, str):
             self.err(key, "must be a string")
-            return default
+            return None
         if choices is not None and v not in choices:
             self.err(key, f"must be one of {sorted(choices)}")
-            return default
+            return None
         return v
 
     def boolean(self, key, *, default=False):
@@ -279,7 +279,7 @@ class _Reader:
             return default
         if not isinstance(v, bool):
             self.err(key, "must be a boolean")
-            return default
+            return None
         return v
 
     def vector(self, key, *, required=True, default=None, length=None, positive=False,
@@ -427,24 +427,13 @@ def _synth(sub):
                      sub.integer("dim"), sub.number("separation"), sub.seed("seed"))
 
 
-def _check_training(p, base_dir, drops_record=False):
-    """Noise scheme, dataset and training keywords of dp-audit and membership.
-    drops_record: one arm trains on the dataset less one record."""
+def _check_training(p, base_dir):
+    """Noise scheme, dataset and Training of dp-audit and membership."""
     scheme = p.object("scheme", _scheme)
     dataset = p.object("dataset", _dataset, base_dir)
-    train = {
-        "lr": p.number("lr", positive=True),
-        "iters": p.integer("iters", minimum=1),
-        "batch": p.integer("batch", minimum=1),
-        "hidden": p.integer("hidden", minimum=1),
-        "activation": p.string("activation", required=False, default="relu",
-                               choices=_ACTIVATIONS),
-    }
-    batch = train["batch"]
-    if batch is not None and dataset is not None and batch > dataset.size - drops_record:
-        p.err("batch", f"exceeds dataset size {dataset.size}"
-              + (" less the dropped record" if drops_record else ""))
-    return scheme, dataset, train
+    training = p.built(None, Training, p.number("lr"), p.integer("iters"), p.integer("batch"),
+                       p.integer("hidden"), p.string("activation", required=False, default="relu"))
+    return scheme, dataset, training
 
 
 # ---------------------------------------------------------------------------
@@ -620,9 +609,9 @@ def _dp_audit(p, base_dir, seed):
     outer = p.integer("outer_rounds")
     inner = p.integer("inner_rounds")
     adjacency = p.string("adjacency", required=False, default="replace")
-    scheme, dataset, train = _check_training(p, base_dir, drops_record=adjacency == "remove")
-    cfg = p.built(None, AuditConfig, epsilon=epsilon, outer_rounds=outer, inner_rounds=inner,
-                  scheme=scheme, dataset=dataset, adjacency=adjacency, seed=seed, **train)
+    scheme, dataset, training = _check_training(p, base_dir)
+    cfg = p.built(None, AuditConfig, epsilon, outer, inner, scheme, training, dataset,
+                  adjacency, seed)
 
     def run(outdir):
         write_audit_json(estimate_delta(cfg), os.path.join(outdir, "audit_report.json"))
@@ -632,16 +621,15 @@ def _dp_audit(p, base_dir, seed):
 
 
 def _membership(p, base_dir, seed):
-    target = p.integer("target_index", minimum=0)
-    runs = p.integer("runs", minimum=1)
+    target = p.integer("target_index")
+    runs = p.integer("runs")
     null_control = p.boolean("null_control")
-    scheme, dataset, train = _check_training(p, base_dir, drops_record=not null_control)
-    if target is not None and dataset is not None and target >= dataset.size:
-        p.err("target_index", f"outside dataset of size {dataset.size}")
+    scheme, dataset, training = _check_training(p, base_dir)
+    cfg = p.built(None, MembershipConfig, dataset, target, runs, scheme, training, null_control,
+                  seed)
 
     def run(outdir):
-        report = membership_experiment(dataset, target, runs, scheme, seed=seed,
-                                       null_control=null_control, **train)
+        report = membership_experiment(cfg)
         arms = (("D", report.losses_with), ("Dprime", report.losses_without))
         _write_csv(os.path.join(outdir, "membership_hist.csv"), ["run", "arm", "loss_on_target"],
                    ([r, arm, v] for arm, losses in arms for r, v in enumerate(losses)))
@@ -650,7 +638,7 @@ def _membership(p, base_dir, seed):
             "worst_loss": report.worst_loss,
             "mean_loss_with": float(report.losses_with.mean()),
             "mean_loss_without": float(report.losses_without.mean()),
-            "runs": runs,
+            "runs": cfg.runs,
         })
 
     return ["per-run target losses, both arms (membership_hist.csv)",

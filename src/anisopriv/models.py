@@ -8,14 +8,17 @@ and exp-sum over classes are left-to-right folds of the class columns.
 Training is minibatch gradient descent with optional Gaussian noise whose
 scale is the magnitude of the minibatch gradient the step descends along, per
 layer or per parameter. Tagged counter-based streams pin initialization, batch
-selection and noise draws to the seed.
+selection and noise draws to the seed. A `Training` holds the settings that
+every run of a call shares (step size, iterations, batch, hidden width,
+activation) and states their rules once; the noise scheme is passed beside it.
 
 `train` trains R runs, on datasets of any row counts, as one (R, P) parameter
-array. Runs that share a seed share its init, noise and (at equal row count)
-batch streams, and each stream is drawn once, in blocks of 32 iterations, so a
-run's result does not depend on the other runs. `forward` and `loss_and_grad`
-score a list of R models of one architecture on shared rows, the same way in
-blocks of runs; a single model is the list of one.
+array, with layer sizes derived from the datasets and the Training. Runs that
+share a seed share its init, noise and (at equal row count) batch streams,
+and each stream is drawn once, in blocks of 32 iterations, so a run's result
+does not depend on the other runs. `forward` and `loss_and_grad` score a list
+of R models of one architecture on shared rows, the same way in blocks of
+runs; a single model is the list of one.
 
 On Linux (os.fork, os.sched_getaffinity), a large `train` call splits its
 runs by seed over the usable CPUs: the calling process trains one part and a
@@ -29,7 +32,7 @@ from __future__ import annotations
 import csv
 import os
 import pickle
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import partial, reduce
 
 import numpy as np
@@ -90,6 +93,27 @@ class Dataset:
     @property
     def n_classes(self) -> int:
         return int(self.labels.max()) + 1
+
+
+@dataclass(frozen=True)
+class Training:
+    """Settings shared by every run of a train call: step size lr, iters
+    steps, batch rows per step, hidden units and the hidden activation."""
+
+    lr: float
+    iters: int
+    batch: int
+    hidden: int
+    activation: str = "relu"
+
+    def __post_init__(self):
+        failed = {name: "must be >= 1" for name in ("iters", "batch", "hidden")
+                  if getattr(self, name) < 1}
+        if not self.lr > 0.0:
+            failed["lr"] = "must be positive"
+        if self.activation not in _ACTIVATIONS:
+            failed["activation"] = f"must be one of {sorted(_ACTIVATIONS)}"
+        check_fields([f.name for f in fields(self)], failed)
 
 
 @dataclass(frozen=True, eq=False)
@@ -286,24 +310,24 @@ def _index_by(keys):
     return at, list(ids)
 
 
-def train(model: MlpModel, datasets, seeds, scheme=NO_NOISE, *, lr: float, iters: int,
-          batch: int):
+def train(datasets, seeds, scheme, training: Training):
     """Minibatch gradient descent with injected noise, of run r on
     (datasets[r], seeds[r]) for all runs at once; the datasets may differ in
     row count. Returns a list of models and one of logs.
 
-    Parameters are re-initialized from each seed's init stream (the input
-    model fixes only the architecture), so a run's result depends only on its
-    dataset and seed, bit for bit. A noisy step scales its noise by the
-    magnitude of the minibatch gradient it has just computed and descends
-    along (see noise_std). Runs with the same seed share one init and one
-    noise stream, and those with the same seed and row count one batch
-    stream, each drawn once, in blocks of 32 iterations, while any of its
-    runs is live. A non-finite loss or gradient stops a run and flags
-    its log as diverged; its parameters are those before that step, and the
-    other runs carry on. The loop runs with numpy's overflow and invalid-value
-    warnings off, since a non-finite loss or gradient is how divergence is
-    detected.
+    Every model has the layer sizes (features, training.hidden, classes): the
+    datasets must share their feature count, and the class count is the
+    largest label of any of them plus one. Parameters are initialized from
+    each seed's init stream, so a run's result depends only on its dataset
+    and seed, bit for bit. A noisy step scales its noise by the magnitude of
+    the minibatch gradient it has just computed and descends along (see
+    noise_std). Runs with the same seed share one init and one noise stream,
+    and those with the same seed and row count one batch stream, each drawn
+    once, in blocks of 32 iterations, while any of its runs is live. A
+    non-finite loss or gradient stops a run and flags its log as diverged;
+    its parameters are those before that step, and the other runs carry on.
+    The loop runs with numpy's overflow and invalid-value warnings off, since
+    a non-finite loss or gradient is how divergence is detected.
 
     On Linux, a call of at least 1.5e7 multiply-adds (iters x runs x batch x
     parameters) splits its runs, whole seed groups at a time, into one part
@@ -322,37 +346,34 @@ def train(model: MlpModel, datasets, seeds, scheme=NO_NOISE, *, lr: float, iters
     break-even, the stack trains in this process."""
     if len(datasets) != len(seeds) or not seeds:
         raise ValueError("need one seed per dataset and at least one run")
-    rows = np.array([ds.size for ds in datasets])
-    if batch < 1:
-        raise ValueError(f"batch must be >= 1, got {batch}")
-    if batch > rows.min():
+    widths = {ds.n_features for ds in datasets}
+    if len(widths) > 1:
+        raise ValueError(f"datasets must share their feature count, got {sorted(widths)}")
+    smallest = min(ds.size for ds in datasets)
+    if training.batch > smallest:
         raise BatchLargerThanDataset(
-            f"batch {batch} exceeds dataset size {rows.min()}", operation="train"
+            f"batch {training.batch} exceeds dataset size {smallest}", operation="train"
         )
-    if not (lr > 0.0):
-        raise ValueError(f"lr must be positive, got {lr}")
-    if iters < 1:
-        raise ValueError(f"iters must be >= 1, got {iters}")
-
-    sizes, activation, runs = model.layer_sizes, model.activation, len(seeds)
+    sizes = (widths.pop(), training.hidden, max(ds.n_classes for ds in datasets))
+    runs, iters, n_params = len(seeds), training.iters, layer_slices(sizes)[1].stop
 
     def part(at):
-        return _train_stack(sizes, activation, [datasets[r] for r in at],
-                            [seeds[r] for r in at], scheme, lr, iters, batch)
+        return _train_stack(sizes, training, [datasets[r] for r in at],
+                            [seeds[r] for r in at], scheme)
 
     cpus = _usable_cpus()
-    small = iters * runs * batch * model.n_params < _SPLIT_WORK
+    small = iters * runs * training.batch * n_params < _SPLIT_WORK
     parts = [range(runs)] if small else _seed_parts(seeds, len(cpus))
     if len(parts) == 1:
         final, losses, steps, diverged = part(range(runs))
     else:
-        final = np.empty((runs, model.n_params))
+        final = np.empty((runs, n_params))
         losses = np.empty((runs, iters))
         steps, diverged = np.empty(runs, dtype=int), np.empty(runs, dtype=bool)
         for at, result in zip(parts, _in_processes(cpus, [partial(part, at) for at in parts])):
             final[at], losses[at], steps[at], diverged[at] = result
 
-    models = [MlpModel(sizes, final[r], activation, seeds[r]) for r in range(runs)]
+    models = [MlpModel(sizes, final[r], training.activation, seeds[r]) for r in range(runs)]
     logs = [TrainLog(losses[r, : steps[r]], bool(diverged[r])) for r in range(runs)]
     return models, logs
 
@@ -461,9 +482,10 @@ def _child(w: int, cpus: set[int], job):
         os._exit(code)
 
 
-def _train_stack(sizes, activation, datasets, seeds, scheme, lr, iters, batch):
+def _train_stack(sizes, training, datasets, seeds, scheme):
     """train's loop on one stack of runs: their final parameters (R, P),
     losses (R, iters), step counts (R,) and diverged flags (R,)."""
+    lr, iters, batch, activation = training.lr, training.iters, training.batch, training.activation
     slices = layer_slices(sizes)
     runs = len(seeds)
     # the rows of every distinct dataset (by identity), one after another;
@@ -571,15 +593,26 @@ def synth_blobs(classes: int, per_class: int, dim: int, separation: float,
 # dataset files
 
 
+def _csv_rows(reader):
+    """reader's rows; a csv.Error (a field over the csv module's size limit,
+    say) is raised as a ValueError that names the line."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise ValueError(f"line {reader.line_num}: {exc}") from None
+
+
 def read_dataset_csv(path) -> Dataset:
-    """Records under the header f0,...,f{m-1},label; blank lines are skipped."""
-    with open(path, newline="") as fh:
+    """Records under the header f0,...,f{m-1},label in a UTF-8 file; blank
+    lines are skipped."""
+    with open(path, newline="", encoding="utf-8") as fh:
         r = csv.reader(fh)
-        header = next(r, [])
+        rows = _csv_rows(r)
+        header = next(rows, [])
         if header[-1:] != ["label"] or any(h != f"f{i}" for i, h in enumerate(header[:-1])):
             raise ValueError(f"unexpected dataset header {header}")
         feats, labels = [], []
-        for row in r:
+        for row in rows:
             if not row:
                 continue
             if len(row) != len(header):

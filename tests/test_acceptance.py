@@ -25,6 +25,7 @@ from anisopriv.linalg import SpdMatrix
 from anisopriv.models import (
     AnisotropicPerParam,
     MlpModel,
+    Training,
     loss_and_grad,
     synth_blobs,
 )
@@ -211,8 +212,8 @@ def test_audit_delta_control_and_noise_sweep():
     blobs = synth_blobs(2, 100, 2, 3.5, seed=20)
     shared = dict(
         epsilon=0.1, outer_rounds=5, inner_rounds=5,
-        lr=1.5, iters=1000, batch=200, hidden=10,
-        dataset=blobs, activation="tanh", seed=7,
+        training=Training(lr=1.5, iters=1000, batch=200, hidden=10, activation="tanh"),
+        dataset=blobs, seed=7,
     )
     control = estimate_delta(
         AuditConfig(scheme=AnisotropicPerParam(0.01), adjacency="null", **shared)

@@ -12,22 +12,24 @@ import pytest
 from anisopriv import models
 from anisopriv.audit import (
     AuditConfig,
+    MembershipConfig,
     _adjacent_pair,
     clamped_log_ratios,
     estimate_delta,
     membership_experiment,
 )
 from anisopriv.cli import main, write_audit_json
-from anisopriv.errors import AnisoError, TrainingDivergedWarning
+from anisopriv.errors import AnisoError, FieldErrors, TrainingDivergedWarning
 from anisopriv.models import (
     _BATCH_TAG,
     _INIT_TAG,
     _NOISE_TAG,
     NO_NOISE,
     AnisotropicPerParam,
+    Dataset,
     IsotropicPerLayer,
+    Training,
     forward,
-    init_model,
     loss_and_grad,
     make_adjacent,
     synth_blobs,
@@ -41,21 +43,27 @@ def small_blobs():
     return synth_blobs(2, 8, 2, 2.0, seed=3)
 
 
-def small_config(ds, **overrides):
+def small_training(**overrides):
+    return Training(**{**dict(lr=0.5, iters=30, batch=8, hidden=4), **overrides})
+
+
+def small_config(ds, training=None, **overrides):
     base = dict(
         epsilon=0.1,
         outer_rounds=2,
         inner_rounds=3,
         scheme=AnisotropicPerParam(0.5),
-        lr=0.5,
-        iters=30,
-        batch=8,
-        hidden=4,
+        training=training or small_training(),
         dataset=ds,
         seed=17,
     )
     base.update(overrides)
     return AuditConfig(**base)
+
+
+def small_membership(ds, target_index, runs, scheme, training=None, **overrides):
+    return MembershipConfig(ds, target_index, runs, scheme, training or small_training(),
+                            **{"seed": 9, **overrides})
 
 
 def test_clamped_log_ratios_hand_values():
@@ -108,11 +116,11 @@ def test_delta_nonincreasing_in_epsilon(small_blobs):
 def test_estimate_delta_remove_matches_per_run_training(small_blobs):
     # remove adjacency is in no shipped config, and its arms differ in row
     # count; 40 iterations cross a stream block boundary
-    cfg = small_config(small_blobs, adjacency="remove", iters=40, batch=7, epsilon=0.05)
+    cfg = small_config(small_blobs, small_training(iters=40, batch=7), adjacency="remove",
+                       epsilon=0.05)
     report = estimate_delta(cfg)
 
     ds = cfg.dataset
-    template = init_model(ds.n_features, cfg.hidden, ds.n_classes, 0, cfg.activation)
     adj_rng = tagged_stream(cfg.seed, 5)
     counts, worst = [], -np.inf
     for t1 in range(cfg.outer_rounds):
@@ -120,9 +128,8 @@ def test_estimate_delta_remove_matches_per_run_training(small_blobs):
         count = 0
         for t2 in range(cfg.inner_rounds):
             seeds = [derive_seed(cfg.seed, t1, t2)]
-            kwargs = dict(lr=cfg.lr, iters=cfg.iters, batch=cfg.batch)
-            [model_a], [log_a] = train(template, [ds], seeds, cfg.scheme, **kwargs)
-            [model_b], [log_b] = train(template, [other], seeds, cfg.scheme, **kwargs)
+            [model_a], [log_a] = train([ds], seeds, cfg.scheme, cfg.training)
+            [model_b], [log_b] = train([other], seeds, cfg.scheme, cfg.training)
             assert not (log_a.diverged or log_b.diverged)
             worst = max(worst, log_a.losses.max(), log_b.losses.max())
             pa = forward([model_a], ds.features)[0, np.arange(ds.size), ds.labels]
@@ -157,7 +164,7 @@ def test_estimate_delta_opens_each_seed_stream_once(small_blobs, monkeypatch, ad
     rounds = cfg.outer_rounds * cfg.inner_rounds
     assert opened[_NOISE_TAG] == rounds
     assert opened[_BATCH_TAG] == batch_streams * rounds
-    assert opened[_INIT_TAG] == rounds + 1  # and the template's
+    assert opened[_INIT_TAG] == rounds
 
 
 def test_estimate_delta_same_report_in_run_blocks(small_blobs, monkeypatch):
@@ -173,8 +180,8 @@ def test_estimate_delta_same_report_in_run_blocks(small_blobs, monkeypatch):
 
 def test_divergent_rounds_are_excluded(small_blobs):
     cfg = small_config(
-        small_blobs, scheme=NO_NOISE, lr=1e8, iters=40,
-        outer_rounds=2, inner_rounds=2, activation="relu",
+        small_blobs, small_training(lr=1e8, iters=40, activation="relu"), scheme=NO_NOISE,
+        outer_rounds=2, inner_rounds=2,
     )
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.warns(TrainingDivergedWarning):
@@ -206,16 +213,28 @@ def test_adjacent_pair_modes(small_blobs):
 
 
 def test_audit_config_validation(small_blobs):
-    with pytest.raises(ValueError):
-        small_config(small_blobs, epsilon=0.0)
-    with pytest.raises(ValueError):
-        small_config(small_blobs, outer_rounds=0)
-    with pytest.raises(ValueError):
-        small_config(small_blobs, inner_rounds=0)
-    with pytest.raises(ValueError):
-        small_config(small_blobs, adjacency="swap")
-    with pytest.raises(ValueError):
-        small_config(small_blobs, hidden=0)
+    # each failing rule at its field, in field order; batch takes training's
+    # place. A replace neighbour copies a second record over the drawn one
+    one = Dataset(small_blobs.features[:1], small_blobs.labels[:1])
+    for over, fields in [
+        ({"epsilon": 0.0}, [("epsilon", "must be positive")]),
+        ({"outer_rounds": 0}, [("outer_rounds", "must be >= 1")]),
+        ({"inner_rounds": 0}, [("inner_rounds", "must be >= 1")]),
+        ({"adjacency": "swap"}, [("adjacency", "must be one of ['null', 'remove', 'replace']")]),
+        ({"training": small_training(batch=17)}, [("batch", "exceeds dataset size 16")]),
+        ({"training": small_training(batch=16), "adjacency": "remove"},
+         [("batch", "exceeds dataset size 16 less the dropped record")]),
+        ({"epsilon": -1.0, "training": small_training(batch=17), "adjacency": "swap"},
+         [("epsilon", "must be positive"), ("batch", "exceeds dataset size 16"),
+          ("adjacency", "must be one of ['null', 'remove', 'replace']")]),
+        ({"dataset": one, "training": small_training(batch=1)},
+         [("adjacency", "replace needs a dataset of at least 2 records")]),
+    ]:
+        with pytest.raises(FieldErrors) as exc:
+            small_config(small_blobs, **over)
+        assert list(exc.value.fields) == fields
+    # a full-size batch fits when both arms keep every record
+    small_config(small_blobs, small_training(batch=16))
 
 
 def test_audit_json_roundtrip(tmp_path, small_blobs):
@@ -232,31 +251,25 @@ def test_audit_json_roundtrip(tmp_path, small_blobs):
 
 def test_membership_null_control_has_zero_gap(small_blobs):
     report = membership_experiment(
-        small_blobs, 0, 3, AnisotropicPerParam(0.5),
-        lr=0.5, iters=30, batch=8, hidden=4, seed=9, null_control=True,
-    )
+        small_membership(small_blobs, 0, 3, AnisotropicPerParam(0.5), null_control=True))
     assert np.array_equal(report.losses_with, report.losses_without)
     assert report.mean_gap == 0.0
 
 
 def test_membership_losses_match_per_run_training(small_blobs):
-    scheme, kwargs = AnisotropicPerParam(0.5), dict(lr=0.5, iters=30, batch=7)
-    report = membership_experiment(small_blobs, 3, 2, scheme, hidden=4, seed=9, **kwargs)
-    template = init_model(2, 4, 2, 0)
+    scheme, training = AnisotropicPerParam(0.5), small_training(batch=7)
+    report = membership_experiment(small_membership(small_blobs, 3, 2, scheme, training))
     x, y = small_blobs.features[3], int(small_blobs.labels[3])
     arms = ((small_blobs, report.losses_with),
             (make_adjacent(small_blobs, 3, "remove"), report.losses_without))
     for ds, losses in arms:
         for r, got in enumerate(losses):
-            [model], _ = train(template, [ds], [derive_seed(9, r)], scheme, **kwargs)
+            [model], _ = train([ds], [derive_seed(9, r)], scheme, training)
             assert got == loss_and_grad([model], x, [y])[0][0]
 
 
 def test_membership_arms_differ_without_control(small_blobs):
-    report = membership_experiment(
-        small_blobs, 0, 3, AnisotropicPerParam(0.5),
-        lr=0.5, iters=30, batch=8, hidden=4, seed=9,
-    )
+    report = membership_experiment(small_membership(small_blobs, 0, 3, AnisotropicPerParam(0.5)))
     assert not np.array_equal(report.losses_with, report.losses_without)
     assert report.mean_gap >= 0.0
     assert np.all(np.isfinite(report.losses_with))
@@ -265,9 +278,7 @@ def test_membership_arms_differ_without_control(small_blobs):
 
 def test_membership_csv_layout(tmp_path, capsys, small_blobs):
     report = membership_experiment(
-        small_blobs, 2, 4, NO_NOISE,
-        lr=0.5, iters=20, batch=8, hidden=4, seed=1,
-    )
+        small_membership(small_blobs, 2, 4, NO_NOISE, small_training(iters=20), seed=1))
     # the same experiment through the CLI, which writes both output files
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
@@ -300,12 +311,26 @@ def test_membership_csv_layout(tmp_path, capsys, small_blobs):
 
 
 def test_membership_validation(small_blobs):
-    with pytest.raises(ValueError):
-        membership_experiment(
-            small_blobs, 0, 0, NO_NOISE, lr=0.5, iters=5, batch=8, hidden=4, seed=0,
-        )
+    # each failing rule at its field, in field order; batch takes training's place
+    for args, over, fields in [
+        ((0, 0), {}, [("runs", "must be >= 1")]),
+        ((-1, 2), {}, [("target_index", "must be >= 0")]),
+        ((16, 2), {}, [("target_index", "outside dataset of size 16")]),
+        ((0, 2), {"training": small_training(batch=16)},
+         [("batch", "exceeds dataset size 16 less the dropped record")]),
+        ((0, 2), {"training": small_training(batch=17), "null_control": True},
+         [("batch", "exceeds dataset size 16")]),
+        ((16, 0), {"training": small_training(batch=16)},
+         [("target_index", "outside dataset of size 16"), ("runs", "must be >= 1"),
+          ("batch", "exceeds dataset size 16 less the dropped record")]),
+    ]:
+        with pytest.raises(FieldErrors) as exc:
+            small_membership(small_blobs, *args, NO_NOISE, **over)
+        assert list(exc.value.fields) == fields
+    # the null control keeps every record in both arms, so a full-size batch fits
+    small_membership(small_blobs, 15, 1, NO_NOISE, small_training(batch=16), null_control=True)
     # noise this large leaves non-finite parameters, so the target losses are nan
+    cfg = small_membership(small_blobs, 0, 2, IsotropicPerLayer(1e300), small_training(iters=5))
     with np.errstate(all="ignore"), pytest.raises(AnisoError) as exc:
-        membership_experiment(small_blobs, 0, 2, IsotropicPerLayer(1e300), lr=0.5, iters=5,
-                              batch=8, hidden=4, seed=0)
+        membership_experiment(cfg)
     assert exc.value.operation == "membership_experiment"

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from anisopriv import models as models_module
-from anisopriv.errors import AnisoError, BatchLargerThanDataset, IndexOutOfRange
+from anisopriv.errors import AnisoError, BatchLargerThanDataset, FieldErrors, IndexOutOfRange
 from anisopriv.models import (
     _BATCH_TAG,
     _NOISE_TAG,
@@ -21,6 +21,7 @@ from anisopriv.models import (
     Dataset,
     IsotropicPerLayer,
     MlpModel,
+    Training,
     forward,
     init_model,
     layer_slices,
@@ -210,59 +211,72 @@ def test_noise_std_per_scheme():
 
 
 def test_train_is_deterministic(blobs):
-    model = init_model(3, 6, 3, 0)
-    kwargs = dict(lr=0.3, iters=40, batch=16)
-    [m1], [log1] = train(model, [blobs], [21], AnisotropicPerParam(0.05), **kwargs)
-    [m2], [log2] = train(model, [blobs], [21], AnisotropicPerParam(0.05), **kwargs)
+    training = Training(lr=0.3, iters=40, batch=16, hidden=6)
+    [m1], [log1] = train([blobs], [21], AnisotropicPerParam(0.05), training)
+    [m2], [log2] = train([blobs], [21], AnisotropicPerParam(0.05), training)
     assert np.array_equal(m1.params, m2.params)
     assert np.array_equal(log1.losses, log2.losses)
 
 
 def test_zero_variance_scheme_matches_plain_descent(blobs):
-    model = init_model(3, 6, 3, 0)
-    kwargs = dict(lr=0.3, iters=40, batch=16)
-    [plain], _ = train(model, [blobs], [21], NO_NOISE, **kwargs)
-    [zero_aniso], _ = train(model, [blobs], [21], AnisotropicPerParam(0.0), **kwargs)
-    [zero_iso], _ = train(model, [blobs], [21], IsotropicPerLayer(0.0), **kwargs)
+    training = Training(lr=0.3, iters=40, batch=16, hidden=6)
+    [plain], _ = train([blobs], [21], NO_NOISE, training)
+    [zero_aniso], _ = train([blobs], [21], AnisotropicPerParam(0.0), training)
+    [zero_iso], _ = train([blobs], [21], IsotropicPerLayer(0.0), training)
     assert np.array_equal(plain.params, zero_aniso.params)
     assert np.array_equal(plain.params, zero_iso.params)
 
 
-def test_train_reinitializes_from_seed(blobs):
-    arch = init_model(3, 6, 3, 0)
-    scrambled = MlpModel(arch.layer_sizes, arch.params + 5.0, arch.activation)
-    [a], _ = train(arch, [blobs], [4], NO_NOISE, lr=0.3, iters=10, batch=16)
-    [b], _ = train(scrambled, [blobs], [4], NO_NOISE, lr=0.3, iters=10, batch=16)
-    assert np.array_equal(a.params, b.params)
+def test_train_derives_layer_sizes_from_data_and_training(blobs):
+    # the class count is the largest label over all datasets plus one, so a
+    # dataset that lacks the top class still trains the full output layer
+    low = Dataset(blobs.features[blobs.labels < 2], blobs.labels[blobs.labels < 2])
+    training = Training(lr=0.3, iters=3, batch=4, hidden=5, activation="tanh")
+    models, _ = train([low, blobs], [1, 2], NO_NOISE, training)
+    for m in models:
+        assert m.layer_sizes == (3, 5, 3) and m.activation == "tanh"
+        assert m.n_params == (3 + 1) * 5 + (5 + 1) * 3
+    [alone], _ = train([low], [1], NO_NOISE, training)
+    assert alone.layer_sizes == (3, 5, 2)
 
 
 def test_divergence_truncates_log(blobs):
-    model = init_model(3, 8, 3, 0, "relu")
+    training = Training(lr=1e8, iters=60, batch=20, hidden=8, activation="relu")
     with np.errstate(over="ignore", invalid="ignore"):
-        _, [log] = train(model, [blobs], [1], NO_NOISE, lr=1e8, iters=60, batch=20)
+        _, [log] = train([blobs], [1], NO_NOISE, training)
     assert log.diverged
     assert len(log.losses) < 60
 
 
 def test_training_learns_separable_blobs(blobs):
-    model = init_model(3, 8, 3, 0, "relu")
-    _, [log] = train(model, [blobs], [2], NO_NOISE, lr=0.2, iters=300, batch=60)
+    training = Training(lr=0.2, iters=300, batch=60, hidden=8, activation="relu")
+    _, [log] = train([blobs], [2], NO_NOISE, training)
     assert not log.diverged
     assert log.losses[0] > 1.0  # starts near ln 3
     assert log.losses[-10:].mean() < 0.3
 
 
 def test_train_validation(blobs):
-    model = init_model(3, 6, 3, 0)
     with pytest.raises(BatchLargerThanDataset) as exc:
-        train(model, [blobs], [0], NO_NOISE, lr=0.1, iters=5, batch=blobs.size + 1)
+        train([blobs], [0], NO_NOISE, Training(lr=0.1, iters=5, batch=blobs.size + 1, hidden=6))
     assert exc.value.operation == "train"
-    with pytest.raises(ValueError):
-        train(model, [blobs], [0], NO_NOISE, lr=0.0, iters=5, batch=4)
-    with pytest.raises(ValueError):
-        train(model, [blobs], [0], NO_NOISE, lr=0.1, iters=0, batch=4)
-    with pytest.raises(ValueError):
-        train(model, [blobs], [0], NO_NOISE, lr=0.1, iters=5, batch=0)
+
+
+@pytest.mark.parametrize("over, fields", [
+    ({"lr": 0.0}, [("lr", "must be positive")]),
+    ({"lr": math.nan}, [("lr", "must be positive")]),
+    ({"iters": 0}, [("iters", "must be >= 1")]),
+    ({"batch": 0}, [("batch", "must be >= 1")]),
+    ({"hidden": 0}, [("hidden", "must be >= 1")]),
+    ({"activation": "sigmoid"}, [("activation", "must be one of ['relu', 'tanh']")]),
+    ({"lr": -1.0, "hidden": 0, "activation": "elu"},
+     [("lr", "must be positive"), ("hidden", "must be >= 1"),
+      ("activation", "must be one of ['relu', 'tanh']")]),
+], ids=["lr-0", "lr-nan", "iters", "batch", "hidden", "activation", "three-in-field-order"])
+def test_training_rules(over, fields):
+    with pytest.raises(FieldErrors) as exc:
+        Training(**{**dict(lr=0.1, iters=5, batch=4, hidden=6), **over})
+    assert list(exc.value.fields) == fields
 
 
 def test_make_adjacent_remove(blobs):
@@ -351,17 +365,19 @@ def test_dataset_csv_rejects_foreign_header(tmp_path):
         read_dataset_csv(path)
 
 
-def reference_train(model, dataset, scheme, *, lr, iters, batch, seed):
+def reference_train(training, dataset, scheme, seed):
     """One run, one step at a time: a loss_and_grad call and one draw from each
     of the run's tagged streams per step. Returns (params, losses, diverged)."""
-    params = init_model(*model.layer_sizes, seed, model.activation).params
-    slices = layer_slices(model.layer_sizes)
+    sizes = (dataset.n_features, training.hidden, dataset.n_classes)
+    activation = training.activation
+    params = init_model(*sizes, seed, activation).params
+    slices = layer_slices(sizes)
     batch_rng = tagged_stream(seed, _BATCH_TAG)
     noise_rng = tagged_stream(seed, _NOISE_TAG)
-    losses = []
-    for _ in range(iters):
-        work = MlpModel(model.layer_sizes, params, model.activation)
-        idx = batch_rng.integers(0, dataset.size, size=batch)
+    lr, losses = training.lr, []
+    for _ in range(training.iters):
+        work = MlpModel(sizes, params, activation)
+        idx = batch_rng.integers(0, dataset.size, size=training.batch)
         (loss,), (grad,) = loss_and_grad([work], dataset.features[idx], dataset.labels[idx])
         losses.append(loss)
         if not (np.isfinite(loss) and np.all(np.isfinite(grad))):
@@ -394,15 +410,13 @@ def neighbours(ds, count):
 @pytest.mark.parametrize("activation", ["relu", "tanh"])
 def test_stacked_training_matches_per_run_reference(blobs, activation, scheme):
     # 45 iterations cross the 32-iteration boundary of the stream blocks
-    model = init_model(3, 6, 3, 0, activation)
     datasets, seeds = neighbours(blobs, 3), [21, 22, 23]
-    kwargs = dict(lr=0.3, iters=45, batch=16)
-    models, logs = train(model, datasets, seeds, scheme, **kwargs)
+    training = Training(lr=0.3, iters=45, batch=16, hidden=6, activation=activation)
+    models, logs = train(datasets, seeds, scheme, training)
     assert len(models) == len(logs) == 3
     for ds, seed, m, log in zip(datasets, seeds, models, logs):
         assert m.seed == seed
-        assert_matches_reference(m, log, reference_train(model, ds, scheme, seed=seed,
-                                                         **kwargs))
+        assert_matches_reference(m, log, reference_train(training, ds, scheme, seed))
     # no two runs share a stream
     assert not np.array_equal(models[0].params, models[1].params)
 
@@ -410,21 +424,19 @@ def test_stacked_training_matches_per_run_reference(blobs, activation, scheme):
 def test_stacked_training_diverged_row_leaves_the_stack(blobs):
     # features 1e5 times larger blow up at lr 30 within the first stream block;
     # the blobs themselves train on for all 45 iterations
-    model = init_model(3, 6, 3, 0, "relu")
     huge = Dataset(blobs.features * 1e5, blobs.labels)
     datasets, seeds = [blobs, huge, blobs], [4, 3, 5]
     scheme = AnisotropicPerParam(0.05)
-    kwargs = dict(lr=30.0, iters=45, batch=16)
+    training = Training(lr=30.0, iters=45, batch=16, hidden=6, activation="relu")
     with np.errstate(over="ignore", invalid="ignore"):
-        models, logs = train(model, datasets, seeds, scheme, **kwargs)
-        refs = [reference_train(model, ds, scheme, seed=s, **kwargs)
-                for ds, s in zip(datasets, seeds)]
+        models, logs = train(datasets, seeds, scheme, training)
+        refs = [reference_train(training, ds, scheme, s) for ds, s in zip(datasets, seeds)]
     assert logs[1].diverged and 1 < len(logs[1].losses) < 32
     assert not np.isfinite(logs[1].losses[-1])
     assert np.all(np.isfinite(models[1].params))  # frozen before the bad step
     for r in (0, 2):
         assert not logs[r].diverged and len(logs[r].losses) == 45
-        [alone], [alone_log] = train(model, [datasets[r]], [seeds[r]], scheme, **kwargs)
+        [alone], [alone_log] = train([datasets[r]], [seeds[r]], scheme, training)
         assert np.array_equal(models[r].params, alone.params)
         assert np.array_equal(logs[r].losses, alone_log.losses)
     for m, log, ref in zip(models, logs, refs):
@@ -432,13 +444,12 @@ def test_stacked_training_diverged_row_leaves_the_stack(blobs):
 
 
 def test_stacked_training_all_rows_diverge(blobs):
-    model = init_model(3, 6, 3, 0, "relu")
     huge = Dataset(blobs.features * 1e5, blobs.labels)
-    kwargs = dict(lr=30.0, iters=45, batch=16)
+    training = Training(lr=30.0, iters=45, batch=16, hidden=6, activation="relu")
     scheme = AnisotropicPerParam(0.05)
     with np.errstate(over="ignore", invalid="ignore"):
-        models, logs = train(model, [huge, huge], [3, 6], scheme, **kwargs)
-        refs = [reference_train(model, huge, scheme, seed=s, **kwargs) for s in (3, 6)]
+        models, logs = train([huge, huge], [3, 6], scheme, training)
+        refs = [reference_train(training, huge, scheme, s) for s in (3, 6)]
     assert all(log.diverged for log in logs)
     for m, log, ref in zip(models, logs, refs):
         assert_matches_reference(m, log, ref)
@@ -450,18 +461,16 @@ def test_stacked_training_unequal_rows_and_repeated_seeds(blobs, monkeypatch, bl
     # on two datasets of equal row count, which share one batch stream. At
     # 20 rows per block every block holds one run
     monkeypatch.setattr("anisopriv.models._BLOCK_ROWS", block)
-    model = init_model(3, 6, 3, 0, "tanh")
     smaller = make_adjacent(blobs, 5, "remove")
     smallest = make_adjacent(smaller, 9, "remove")
     datasets = [blobs, smaller, smallest, blobs, smaller, *neighbours(smaller, 1)]
     seeds = [21, 21, 21, 21, 22, 22]
     scheme = IsotropicPerLayer(0.05)
-    kwargs = dict(lr=0.3, iters=45, batch=16)
-    models, logs = train(model, datasets, seeds, scheme, **kwargs)
+    training = Training(lr=0.3, iters=45, batch=16, hidden=6, activation="tanh")
+    models, logs = train(datasets, seeds, scheme, training)
     for ds, seed, m, log in zip(datasets, seeds, models, logs):
         assert m.seed == seed
-        assert_matches_reference(m, log, reference_train(model, ds, scheme, seed=seed,
-                                                         **kwargs))
+        assert_matches_reference(m, log, reference_train(training, ds, scheme, seed))
     assert np.array_equal(models[0].params, models[3].params)
     assert not np.array_equal(models[4].params, models[5].params)
 
@@ -470,14 +479,13 @@ def test_stacked_training_twin_trains_on_after_the_other_diverges(blobs):
     # three twins of seed 4 share one noise stream; the huge one diverges in
     # the first stream block and shares its batch stream with the blobs twin,
     # which keeps drawing it for all 45 iterations
-    model = init_model(3, 6, 3, 0, "relu")
     huge = Dataset(blobs.features * 1e5, blobs.labels)
     datasets = [blobs, huge, make_adjacent(blobs, 0, "remove")]
     scheme = AnisotropicPerParam(0.05)
-    kwargs = dict(lr=30.0, iters=45, batch=16)
+    training = Training(lr=30.0, iters=45, batch=16, hidden=6, activation="relu")
     with np.errstate(over="ignore", invalid="ignore"):
-        models, logs = train(model, datasets, [4, 4, 4], scheme, **kwargs)
-        refs = [reference_train(model, ds, scheme, seed=4, **kwargs) for ds in datasets]
+        models, logs = train(datasets, [4, 4, 4], scheme, training)
+        refs = [reference_train(training, ds, scheme, 4) for ds in datasets]
     assert logs[1].diverged and 1 < len(logs[1].losses) < 32
     for r in (0, 2):
         assert not logs[r].diverged and len(logs[r].losses) == 45
@@ -486,18 +494,21 @@ def test_stacked_training_twin_trains_on_after_the_other_diverges(blobs):
 
 
 def test_stacked_training_validation(blobs):
-    model = init_model(3, 6, 3, 0)
     smaller = make_adjacent(blobs, 0, "remove")
-    kwargs = dict(lr=0.1, iters=5, batch=4)
+    training = Training(lr=0.1, iters=5, batch=4, hidden=6)
+    full_batch = Training(lr=0.1, iters=5, batch=blobs.size, hidden=6)
     with pytest.raises(BatchLargerThanDataset, match=f"dataset size {smaller.size}"):
         # the smallest dataset of the stack bounds the batch
-        train(model, [blobs, smaller], [1, 2], NO_NOISE, lr=0.1, iters=5, batch=blobs.size)
+        train([blobs, smaller], [1, 2], NO_NOISE, full_batch)
     with pytest.raises(ValueError):
-        train(model, [blobs, blobs], [1], NO_NOISE, **kwargs)
+        train([blobs, blobs], [1], NO_NOISE, training)
     with pytest.raises(ValueError):
-        train(model, [], [], NO_NOISE, **kwargs)
+        train([], [], NO_NOISE, training)
+    narrow = Dataset(blobs.features[:, :2], blobs.labels)
+    with pytest.raises(ValueError, match=r"share their feature count, got \[2, 3\]"):
+        train([blobs, narrow], [1, 2], NO_NOISE, training)
     with pytest.raises(BatchLargerThanDataset):
-        train(model, [smaller, smaller], [1, 2], NO_NOISE, lr=0.1, iters=5, batch=blobs.size)
+        train([smaller, smaller], [1, 2], NO_NOISE, full_batch)
 
 
 # ---------------------------------------------------------------------------
@@ -536,16 +547,15 @@ def test_seed_parts_keep_each_seed_whole(seeds, k):
 def test_split_training_matches_one_stack(blobs, monkeypatch, cpus):
     # seeds 4 and 5 train twice (on D and a neighbour), seed 3 diverges on
     # the huge features; every split gives the one-stack result bit for bit
-    model = init_model(3, 6, 3, 0, "relu")
     huge = Dataset(blobs.features * 1e5, blobs.labels)
     datasets = [blobs, huge, blobs, *neighbours(blobs, 2), blobs]
     seeds = [4, 3, 5, 4, 5, 6]
-    kwargs = dict(lr=30.0, iters=45, batch=16)
+    training = Training(lr=30.0, iters=45, batch=16, hidden=6, activation="relu")
     scheme = AnisotropicPerParam(0.05)
     with np.errstate(over="ignore", invalid="ignore"):
-        ref_models, ref_logs = train(model, datasets, seeds, scheme, **kwargs)
+        ref_models, ref_logs = train(datasets, seeds, scheme, training)
         split_over(monkeypatch, cpus)
-        models, logs = train(model, datasets, seeds, scheme, **kwargs)
+        models, logs = train(datasets, seeds, scheme, training)
     assert_no_child_left()
     assert ref_logs[1].diverged and [log.diverged for log in logs] == [log.diverged
                                                                         for log in ref_logs]
@@ -576,9 +586,9 @@ def test_child_exception_reaches_the_caller(blobs, monkeypatch, error, caught, m
 
     monkeypatch.setattr(models_module, "_loss_and_grad", fails_in_child)
     split_over(monkeypatch, 2)
-    model = init_model(3, 6, 3, 0)
+    training = Training(lr=0.1, iters=5, batch=8, hidden=6)
     with pytest.raises(caught, match=message) as info:
-        train(model, [blobs] * 4, [1, 2, 1, 2], NO_NOISE, lr=0.1, iters=5, batch=8)
+        train([blobs] * 4, [1, 2, 1, 2], NO_NOISE, training)
     assert getattr(info.value, "operation", None) == getattr(error, "operation", None)
     assert_no_child_left()
 
@@ -595,9 +605,9 @@ def test_parent_exception_kills_and_reaps_the_children(blobs, monkeypatch):
 
     monkeypatch.setattr(models_module, "_loss_and_grad", fails_in_parent)
     split_over(monkeypatch, 3)
-    model = init_model(3, 6, 3, 0)
+    training = Training(lr=1e-3, iters=10**6, batch=8, hidden=6)
     started = time.perf_counter()
     with pytest.raises(KeyError, match="parent step"):
-        train(model, [blobs] * 3, [1, 2, 3], NO_NOISE, lr=1e-3, iters=10**6, batch=8)
+        train([blobs] * 3, [1, 2, 3], NO_NOISE, training)
     assert time.perf_counter() - started < 20.0
     assert_no_child_left()
