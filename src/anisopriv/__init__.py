@@ -13,7 +13,6 @@ from .errors import (
     AnisoError,
     BatchLargerThanDataset,
     CovarianceEvaluationFailed,
-    DegenerateGap,
     IndexOutOfRange,
     NonPositiveVariance,
     NotPositiveDefinite,
@@ -59,6 +58,7 @@ from .privacy import (
 )
 from .tradeoff import (
     GradientGap,
+    NoiseGrid,
     TradeoffPoint,
     grid_surface,
     kl_term,
@@ -93,7 +93,7 @@ from .audit import (
 __all__ = [
     "__version__",
     "AnisoError", "BatchLargerThanDataset", "CovarianceEvaluationFailed",
-    "DegenerateGap", "IndexOutOfRange", "NonPositiveVariance",
+    "IndexOutOfRange", "NonPositiveVariance",
     "NotPositiveDefinite", "ScoreRequired", "TrainingDivergedWarning",
     "SpdMatrix", "SymMatrix",
     "GaussianState", "QuadraticProblem", "error_to_opt", "exact_state",
@@ -107,7 +107,7 @@ __all__ = [
     "mc_kl_bound", "phi", "xi_bound",
     "ConcentrationParams", "concentration_tail",
     "delta_from_eps", "eps_from_delta", "membership_advantage",
-    "GradientGap", "TradeoffPoint", "grid_surface", "kl_term",
+    "GradientGap", "NoiseGrid", "TradeoffPoint", "grid_surface", "kl_term",
     "optimal_diag_cov", "quadratic_tradeoff",
     "AnisotropicPerParam", "Dataset", "IsotropicPerLayer", "MlpModel",
     "NO_NOISE", "NoNoise", "TrainLog", "Training", "init_model", "make_adjacent",

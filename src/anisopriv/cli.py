@@ -19,7 +19,9 @@ counts as absent, and both seeds ($.seed, dataset.synth.seed) follow one rule.
 
 Each kind's parser builds every library object its run(outdir) closure uses,
 and those objects state the value rules (dp-audit and membership, for one,
-build a models.Training and an AuditConfig or MembershipConfig): a
+build a models.Training and an AuditConfig or MembershipConfig; grid-surface
+and quad-tradeoff build a tradeoff.NoiseGrid, and quad-tradeoff also its
+covariance stack, which both QuadraticProblems carry): a
 constructor's FieldErrors is one exit-1 entry per failing field, at
 path.field; any other ValueError (a noise covariance that is not positive
 definite, say) is one at the key it was built from. An object is not built,
@@ -73,7 +75,7 @@ from .models import (
 )
 from .ou import QuadraticProblem, exact_state, gaussian_kl
 from .sde import ConstantSpd, QuadraticDrift, SimConfig, simulate
-from .tradeoff import GradientGap, grid_surface, optimal_diag_cov, quadratic_tradeoff
+from .tradeoff import GradientGap, NoiseGrid, grid_surface, optimal_diag_cov, quadratic_tradeoff
 from .privacy import (
     ConcentrationParams,
     delta_from_eps,
@@ -160,8 +162,8 @@ def _finite(x):
 class _Reader:
     """One JSON object of a config, at path, read through typed getters that
     check and convert a value, or record its error at path.key in errs and
-    return the default; string and boolean return None instead, so that no
-    object is built from a failed read. A getter's reads are the object's
+    return None, so that no object is built from a failed read (seed returns
+    its default instead; see _document). A getter's reads are the object's
     schema: every key a getter names is known, and read() makes each key that
     none named an "unknown key" error. A key set to null counts as absent."""
 
@@ -246,19 +248,16 @@ class _Reader:
             return None
         return float(v)
 
-    def integer(self, key, *, required=True, default=None, minimum=None):
+    def integer(self, key, *, required=True, default=None):
         v = self.get(key, required=required)
         if v is None:
             return default
         if isinstance(v, bool) or not isinstance(v, int):
             self.err(key, "must be an integer")
-            return default
+            return None
         if not -2**63 <= v < 2**63:
             self.err(key, "must be a signed 64-bit integer")
-            return default
-        if minimum is not None and v < minimum:
-            self.err(key, f"must be >= {minimum}")
-            return default
+            return None
         return v
 
     def string(self, key, *, required=True, default=None, choices=None):
@@ -325,16 +324,6 @@ class _Reader:
             self.err(key, 'must be a nonnegative number or "inf"')
             return None
         return float(v)
-
-    def range_pair(self, key):
-        v = self.get(key)
-        if v is None:
-            return None
-        if not (isinstance(v, list) and len(v) == 2 and all(_finite(x) for x in v)
-                and 0 < v[0] < v[1]):
-            self.err(key, "must be [lo, hi] with 0 < lo < hi")
-            return None
-        return (float(v[0]), float(v[1]))
 
 
 def _cov_matrix(p, dim):
@@ -550,11 +539,8 @@ def _closed_bounds(p, base_dir, seed):
 
 
 def _optimize_cov(p, base_dir, seed):
-    gaps = p.vector("gaps", nonneg=True)
+    gap = p.built("gaps", GradientGap, p.vector("gaps"))
     zetas = p.vector("zetas", positive=True)
-    if gaps is not None and not any(g > 0 for g in gaps):
-        p.err("gaps", "at least one entry must be positive")
-    gap = p.built("gaps", GradientGap, gaps)
 
     def run(outdir):
         points = [optimal_diag_cov(gap, float(z)) for z in zetas]
@@ -567,16 +553,12 @@ def _optimize_cov(p, base_dir, seed):
 
 
 def _grid_surface(p, base_dir, seed):
-    gaps = p.vector("gaps", length=2, nonneg=True)
-    x_range = p.range_pair("x_range")
-    y_range = p.range_pair("y_range")
-    resolution = p.integer("resolution", minimum=2)
-    if gaps is not None and not any(g > 0 for g in gaps):
-        p.err("gaps", "at least one entry must be positive")
-    gap = p.built("gaps", GradientGap, gaps)
+    gap = p.built("gaps", GradientGap, p.vector("gaps", length=2))
+    grid = p.built(None, NoiseGrid, p.vector("x_range"), p.vector("y_range"),
+                   p.integer("resolution"))
 
     def run(outdir):
-        rows = grid_surface(gap, x_range, y_range, resolution)
+        rows = grid_surface(gap, grid)
         write_grid_csv(rows, os.path.join(outdir, "grid.csv"),
                        header=("x", "y", "kl_term", "trace"))
 
@@ -588,15 +570,14 @@ def _quad_tradeoff(p, base_dir, seed):
     t = p.time("time")
     if t == 0.0:
         p.err("time", 'must be positive or "inf"')
-    x_range = p.range_pair("x_range")
-    y_range = p.range_pair("y_range")
-    resolution = p.integer("resolution", minimum=2)
-    placeholder = SpdMatrix.identity(2)  # quadratic_tradeoff sets the noise per grid point
-    pa, pb = (p.built(key, QuadraticProblem, design, target, placeholder, x0)
+    grid = p.built(None, NoiseGrid, p.vector("x_range"), p.vector("y_range"),
+                   p.integer("resolution"))
+    cov = p.built(None, getattr, grid, "covariances")
+    pa, pb = (p.built(key, QuadraticProblem, design, target, cov, x0)
               for key, design, target in pairs)
 
     def run(outdir):
-        rows = quadratic_tradeoff(pa, pb, t, x_range, y_range, resolution)
+        rows = quadratic_tradeoff(pa, pb, t, grid)
         write_grid_csv(rows, os.path.join(outdir, "tradeoff.csv"),
                        header=("x", "y", "exact_kl", "error"))
 

@@ -48,10 +48,6 @@ class NonPositiveVariance(AnisoError, ValueError):
     """A variance that must be strictly positive is zero or negative."""
 
 
-class DegenerateGap(AnisoError, ValueError):
-    """All gradient-gap entries are zero; nothing to allocate noise against."""
-
-
 class IndexOutOfRange(AnisoError, IndexError):
     """A record index does not address the dataset."""
 

@@ -4,17 +4,18 @@ For a per-coordinate gradient gap s and a diagonal noise covariance with
 variances v, the privacy-relevant term is sum_i s_i^2 / v_i and the accuracy
 cost is the trace sum_i v_i. Minimizing the former at fixed trace zeta has
 the closed-form solution v_i = zeta * s_i / sum_j s_j, with optimum value
-(sum_i s_i)^2 / zeta.
+(sum_i s_i)^2 / zeta. GradientGap and NoiseGrid raise errors.FieldErrors.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
-from .errors import AnisoError, DegenerateGap, NonPositiveVariance
+from .errors import AnisoError, FieldErrors, NonPositiveVariance, check_fields
 from .linalg import SpdMatrix
 from .ou import QuadraticProblem, error_to_opt, exact_state, gaussian_kl
 
@@ -25,16 +26,18 @@ ZERO_GAP_FLOOR = 1e-8
 @dataclass(frozen=True, eq=False)
 class GradientGap:
     """Per-coordinate magnitude of the gradient difference between two
-    adjacent losses; entries are nonnegative."""
+    adjacent losses; entries are nonnegative and at least one is positive."""
 
     gaps: np.ndarray
 
     def __post_init__(self):
         g = np.asarray(self.gaps, dtype=float).ravel()
-        if g.size == 0:
-            raise ValueError("gap vector must be nonempty")
-        if not np.all(np.isfinite(g)) or np.any(g < 0.0):
-            raise ValueError("gap entries must be finite and nonnegative")
+        if not np.all(np.isfinite(g)):
+            raise ValueError("gap entries must be finite")
+        if np.any(g < 0.0):
+            raise FieldErrors([("gaps", "entries must be nonnegative")])
+        if not np.any(g > 0.0):
+            raise FieldErrors([("gaps", "at least one entry must be positive")])
         g.flags.writeable = False
         object.__setattr__(self, "gaps", g)
 
@@ -74,8 +77,6 @@ def optimal_diag_cov(gap: GradientGap, zeta: float) -> TradeoffPoint:
         raise ValueError(f"zeta must be positive and finite, got {zeta}")
     s = gap.gaps
     total = float(s.sum())
-    if total == 0.0:
-        raise DegenerateGap("all gap entries are zero", operation="optimal_diag_cov")
     zero = s == 0.0
     floor = ZERO_GAP_FLOOR * zeta
     v = np.empty_like(s)
@@ -92,26 +93,55 @@ def optimal_diag_cov(gap: GradientGap, zeta: float) -> TradeoffPoint:
     return point
 
 
-def _grid(x_range: tuple[float, float], y_range: tuple[float, float], resolution: int,
-          operation: str) -> tuple[np.ndarray, np.ndarray]:
-    """(x, y) coordinates of the resolution x resolution grid, row-major in (x, y)."""
-    if resolution < 2:
-        raise ValueError(f"resolution must be >= 2, got {resolution}")
-    xs = np.linspace(x_range[0], x_range[1], resolution)
-    ys = np.linspace(y_range[0], y_range[1], resolution)
-    if xs[0] <= 0.0 or ys[0] <= 0.0:
-        raise NonPositiveVariance("grid ranges must be strictly positive", operation=operation)
-    return np.repeat(xs, resolution), np.tile(ys, resolution)
+@dataclass(frozen=True, eq=False)
+class NoiseGrid:
+    """The resolution x resolution grid of noise scales (x, y), x over x_range
+    and y over y_range, each [lo, hi] with 0 < lo < hi; x and y list the points
+    row-major in (x, y), and the noise covariance at (x, y) is diag(x^2, y^2)."""
+
+    x_range: tuple[float, float]
+    y_range: tuple[float, float]
+    resolution: int
+
+    def __post_init__(self):
+        failed = {}
+        for name in ("x_range", "y_range"):
+            r = np.asarray(getattr(self, name), dtype=float)
+            if not (r.shape == (2,) and 0.0 < r[0] < r[1]):
+                failed[name] = "must be [lo, hi] with 0 < lo < hi"
+        if self.resolution < 2:
+            failed["resolution"] = "must be >= 2"
+        check_fields([f.name for f in fields(self)], failed)
+
+    @cached_property
+    def x(self) -> np.ndarray:
+        return np.repeat(np.linspace(*self.x_range, self.resolution), self.resolution)
+
+    @cached_property
+    def y(self) -> np.ndarray:
+        return np.tile(np.linspace(*self.y_range, self.resolution), self.resolution)
+
+    @cached_property
+    def covariances(self) -> SpdMatrix:
+        """(G, 2, 2) stack of diag(x^2, y^2). A diagonal matrix's Cholesky pivots
+        are its variances, so each axis's is checked as a (G, 1, 1) SpdMatrix
+        first; raises FieldErrors with SpdMatrix's message at each range refused."""
+        v = np.stack([self.x * self.x, self.y * self.y], axis=-1)
+        failed = {}
+        for name, axis in zip(("x_range", "y_range"), v.T):
+            try:
+                SpdMatrix(axis[:, None, None])
+            except ValueError as exc:
+                failed[name] = str(exc)
+        check_fields(("x_range", "y_range"), failed)
+        return SpdMatrix(v[:, :, None] * np.eye(2))
 
 
-def grid_surface(gap: GradientGap, x_range: tuple[float, float],
-                 y_range: tuple[float, float], resolution: int) -> np.ndarray:
-    """kl_term surface over a square-root grid: rows (x, y, kl_term, trace)
-    with diag_sigma = (x^2, y^2), row-major in (x, y). Raises AnisoError
+def grid_surface(gap: GradientGap, grid: NoiseGrid) -> np.ndarray:
+    """kl_term surface over the grid: rows (x, y, kl_term, trace) with
+    diag_sigma = (x^2, y^2), row-major in (x, y). Raises AnisoError
     (operation "grid_surface") if a kl_term or trace is not finite."""
-    if gap.dim != 2:
-        raise ValueError("grid_surface requires a 2-dimensional gap")
-    x, y = _grid(x_range, y_range, resolution, "grid_surface")
+    x, y = grid.x, grid.y
     v = np.stack([x * x, y * y], axis=-1)
     rows = np.column_stack([x, y, kl_term(gap, v), v[:, 0] + v[:, 1]])
     if not np.isfinite(rows).all():
@@ -121,22 +151,13 @@ def grid_surface(gap: GradientGap, x_range: tuple[float, float],
 
 
 def quadratic_tradeoff(p: QuadraticProblem, p_other: QuadraticProblem, t: float,
-                       x_range: tuple[float, float], y_range: tuple[float, float],
-                       resolution: int) -> np.ndarray:
+                       grid: NoiseGrid) -> np.ndarray:
     """Exact KL and accumulated-noise error over a noise grid for an adjacent
-    quadratic pair: rows (x, y, exact_kl, error) with the shared noise
-    covariance set to diag(x^2, y^2) at every grid point. The whole grid is one
-    noise stack, so each arm's law is evaluated once."""
-    if p.dim != 2 or p_other.dim != 2:
-        raise ValueError("quadratic_tradeoff requires 2-dimensional problems")
-    if not np.array_equal(p.noise_cov.entries, p_other.noise_cov.entries):
-        raise ValueError("the problem pair must share its noise covariance")
-    x, y = _grid(x_range, y_range, resolution, "quadratic_tradeoff")
-    noise = np.zeros((x.size, 2, 2))
-    noise[:, 0, 0] = x * x
-    noise[:, 1, 1] = y * y
-    cov = SpdMatrix(noise)
-    pa = replace(p, noise_cov=cov)
-    pb = replace(p_other, noise_cov=cov)
-    kl = gaussian_kl(exact_state(pa, t), exact_state(pb, t))
-    return np.column_stack([x, y, kl, error_to_opt(pa, t)])
+    quadratic pair: rows (x, y, exact_kl, error), row-major in (x, y). Both
+    problems must carry grid.covariances as their noise covariance, so each
+    arm's law is evaluated once, over the whole grid."""
+    cov = grid.covariances
+    if p.noise_cov is not cov or p_other.noise_cov is not cov:
+        raise ValueError("both problems must carry grid.covariances as their noise_cov")
+    kl = gaussian_kl(exact_state(p, t), exact_state(p_other, t))
+    return np.column_stack([grid.x, grid.y, kl, error_to_opt(p, t)])

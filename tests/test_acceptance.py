@@ -39,6 +39,7 @@ from anisopriv.privacy import (
 from anisopriv.sde import ConstantSpd, QuadraticDrift, SimConfig, simulate
 from anisopriv.tradeoff import (
     GradientGap,
+    NoiseGrid,
     optimal_diag_cov,
     quadratic_tradeoff,
 )
@@ -141,12 +142,12 @@ def test_optimal_allocation_matches_oracle():
 def test_kl_anisotropy_grows_with_conditioning():
     def corner_ratio(cond):
         design = np.diag([1.0, math.sqrt(cond)])
-        base = SpdMatrix(np.diag([1.0, 1.0]))
         g = 0.1
-        pa = QuadraticProblem(design, [0.0, 0.0], base, [0.0, 0.0])
-        pb = QuadraticProblem(design, [g, math.sqrt(cond) * g], base, [0.0, 0.0])
         lo, hi = math.sqrt(0.1), math.sqrt(0.9)
-        rows = quadratic_tradeoff(pa, pb, 100.0, (lo, hi), (lo, hi), 2)
+        grid = NoiseGrid((lo, hi), (lo, hi), 2)
+        pa = QuadraticProblem(design, [0.0, 0.0], grid.covariances, [0.0, 0.0])
+        pb = QuadraticProblem(design, [g, math.sqrt(cond) * g], grid.covariances, [0.0, 0.0])
+        rows = quadratic_tradeoff(pa, pb, 100.0, grid)
         # equal-trace corners: most noise on the soft axis vs on the stiff one
         return rows[2, 2] / rows[1, 2]
 

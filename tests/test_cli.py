@@ -546,6 +546,15 @@ BUILT_OBJECT_RULES = [
     # the shipped membership dataset has 80 records
     ("membership", "target_index", 80, "experiment.target_index",
      "outside dataset of size 80"),
+    *[(kind, key, value, f"experiment.{key}", "must be [lo, hi] with 0 < lo < hi")
+      for kind in ("grid-surface", "quad-tradeoff")
+      for key, value in (("x_range", [2.0, 1.0]), ("y_range", [0.0, 1.0]))],
+    ("grid-surface", "resolution", 1, "experiment.resolution", "must be >= 2"),
+    ("quad-tradeoff", "resolution", 1, "experiment.resolution", "must be >= 2"),
+    ("optimize-cov", "gaps", [0.0, 0.0, 0.0], "experiment.gaps",
+     "at least one entry must be positive"),
+    ("grid-surface", "gaps", [0.0, 0.0], "experiment.gaps", "at least one entry must be positive"),
+    ("optimize-cov", "gaps", [-1.0, 1.0, 0.0], "experiment.gaps", "entries must be nonnegative"),
 ]
 
 
@@ -584,8 +593,11 @@ def test_two_value_faults_of_one_object_are_both_reported(tmp_path, capsys):
 def test_value_rules_wait_for_the_type_reads_of_their_object(tmp_path, capsys):
     # AuditConfig is not built while one of its fields fails its type read, so
     # epsilon's own rule is not checked, nor reported, until outer_rounds reads;
-    # an optional string or boolean that fails its read stands in for no value
+    # an optional integer, string or boolean that fails its read stands in for
+    # no value, not for its default
     for kind, values, path, message in [
+        ("simulate", {"step": 0, "record_stride": 1e300}, "record_stride",
+         "must be an integer"),
         ("dp-audit", {"epsilon": -1, "outer_rounds": "2"}, "outer_rounds", "must be an integer"),
         ("dp-audit", {"epsilon": -1, "adjacency": 5}, "adjacency", "must be a string"),
         ("dp-audit", {"lr": 0, "activation": 5}, "activation", "must be a string"),
@@ -633,12 +645,30 @@ def test_integer_reads_reject_values_outside_int64(tmp_path, capsys, value):
 
 
 def test_run_overflow_is_numerical_failure(tmp_path, capsys):
-    # x = 1e300 passes validate, but the grid's noise variance x^2 overflows
-    cfg = write_config(tmp_path / "cfg.json", quad_tradeoff_doc(x_range=[0.5, 1e300]))
+    # every noise variance (up to 7.9e307) and every entry of the law is finite,
+    # but the error sums two terms near 1.6e308 at the largest grid point
+    doc = quad_tradeoff_doc(design=[[0.7071, 0.0], [0.0, 0.7071]], target_prime=[0.1, 0.3],
+                            time=100.0, x_range=[0.3, 8.9e153], y_range=[0.3, 8.9e153])
+    cfg = write_config(tmp_path / "cfg.json", doc)
     assert run_cli(capsys, "validate", cfg)[0] == 0
-    code, doc = run_cli(capsys, "run", cfg)
+    code, report = run_cli(capsys, "run", cfg)
     assert code == 2
-    assert doc["operation"] == "SpdMatrix"
+    assert report["operation"] == "error_to_opt"
+
+
+@pytest.mark.parametrize("x_range, message", [
+    ([0.5, 1e300], "matrix entries must be finite"),  # x^2 overflows
+    ([1e-8, 1.0], "Cholesky pivot 1.000e-16 <= 1e-14"),
+], ids=["overflowing", "below-pivot-floor"])
+def test_quad_tradeoff_grid_covariance_rejected_by_validate(tmp_path, capsys, x_range, message):
+    # the parse builds the grid's noise covariance stack, so it is held to the
+    # covariance contract: positive definite, every Cholesky pivot above 1e-14
+    cfg = write_config(tmp_path / "cfg.json", quad_tradeoff_doc(x_range=x_range))
+    for cmd in ("validate", "run"):
+        code, report = run_cli(capsys, cmd, cfg)
+        assert code == 1
+        assert report["errors"] == [{"path": "experiment.x_range", "message": message}]
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_exits_2_only_for_library_errors(tmp_path, capsys, monkeypatch):
@@ -885,7 +915,10 @@ def non_finite_outputs(out_dir):
 
 # Noise-covariance keys: validate builds their matrices, positive definiteness
 # and all, so a mutant of one that passes validate has nothing left to fail.
+# quad-tradeoff's grid ranges count too, since its parse builds the grid's
+# covariance stack; grid-surface's do not, since its trace can overflow.
 COVARIANCE_KEYS = {"sigma", "sigma_diag", "sigma_prime", "v0_diag"}
+GRID_COVARIANCE_KEYS = {"quad-tradeoff": {"x_range", "y_range"}}
 
 
 def contract_breaches(tmp_path, capsys, doc, mutants):
@@ -896,6 +929,8 @@ def contract_breaches(tmp_path, capsys, doc, mutants):
     all when the mutant changed a noise covariance. A value validate let
     through that makes main raise is a breach, and so is a successful run that
     writes inf or nan."""
+    kind = doc["experiment"]["kind"]
+    covariance_keys = COVARIANCE_KEYS | GRID_COVARIANCE_KEYS.get(kind, set())
     bad = []
     for i, (where, key, value) in enumerate(mutants):
         mutant = copy.deepcopy(doc)
@@ -914,8 +949,8 @@ def contract_breaches(tmp_path, capsys, doc, mutants):
             ok = code_r == 1 and report_r["errors"] == report_v["errors"]
         else:
             ok = code_v == 0 and (code_r == 0 or (
-                code_r == 2 and report_r["operation"] != doc["experiment"]["kind"]
-                and not COVARIANCE_KEYS & {*where, key}))
+                code_r == 2 and report_r["operation"] != kind
+                and not covariance_keys & {*where, key}))
             if ok and code_r == 0:
                 ok = not non_finite_outputs(report_r["output_dir"])
         if not ok:
@@ -1079,22 +1114,34 @@ def test_csv_dataset_fuzz_keeps_the_exit_code_contract(name, data):
 
 # The library constructors that cli imports.
 CONSTRUCTORS = ["SpdMatrix", "ConstantSpd", "QuadraticProblem", "QuadraticDrift", "SimConfig",
-                "GradientGap", "AuditConfig", "MembershipConfig", "Training",
+                "GradientGap", "NoiseGrid", "AuditConfig", "MembershipConfig", "Training",
                 "ConcentrationParams", "RegularityParams", "synth_blobs", "read_dataset_csv"]
+# The input classes that check themselves in __post_init__, which runs however
+# they are built: by name from any module, or by dataclasses.replace.
+CHECKED_INPUTS = ["QuadraticProblem", "QuadraticDrift", "SimConfig", "GradientGap", "NoiseGrid",
+                  "AuditConfig", "MembershipConfig", "Training", "ConcentrationParams",
+                  "RegularityParams"]
 
 
 @pytest.mark.parametrize("name", SHIPPED)
 def test_run_builds_no_library_object(tmp_path, capsys, monkeypatch, name):
     # the parse builds every object the run uses, so no rule is checked twice
-    # and a config that passes validate cannot fail run on its inputs
+    # and a config that passes validate cannot fail run on its inputs. SpdMatrix
+    # is refused at its cli name only, since exact_state builds the law's
+    # covariance as a result; ConstantSpd has no __post_init__, so only its cli
+    # name can catch it.
     cfg = anisopriv.cli._load(write_config(tmp_path / "cfg.json", shrunk_shipped_doc(name)))
     assert cfg is not None, capsys.readouterr().out
 
-    def constructor(*args, **kw):
-        raise AssertionError("run built a library object")
+    def refuse(what):
+        def built(*args, **kw):
+            raise AssertionError(f"run built {what}")
+        return built
 
     for ctor in CONSTRUCTORS:
-        monkeypatch.setattr(anisopriv.cli, ctor, constructor)
+        monkeypatch.setattr(anisopriv.cli, ctor, refuse(ctor))
+    for cls in CHECKED_INPUTS:
+        monkeypatch.setattr(getattr(anisopriv, cls), "__post_init__", refuse(cls))
     os.makedirs(cfg.output_dir)
     cfg.run(cfg.output_dir)
     assert os.listdir(cfg.output_dir)

@@ -10,12 +10,13 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from anisopriv.cli import write_grid_csv
-from anisopriv.errors import AnisoError, DegenerateGap, NonPositiveVariance, NotPositiveDefinite
+from anisopriv.errors import AnisoError, FieldErrors, NonPositiveVariance
 from anisopriv.linalg import SpdMatrix
 from anisopriv.ou import QuadraticProblem, error_to_opt
 from anisopriv.tradeoff import (
     ZERO_GAP_FLOOR,
     GradientGap,
+    NoiseGrid,
     grid_surface,
     kl_term,
     optimal_diag_cov,
@@ -65,8 +66,9 @@ def test_kl_term_rejects_bad_variances():
 def test_gap_validation():
     with pytest.raises(ValueError):
         GradientGap([])
-    with pytest.raises(ValueError):
+    with pytest.raises(FieldErrors) as exc:
         GradientGap([1.0, -0.5])
+    assert exc.value.fields == (("gaps", "entries must be nonnegative"),)
     with pytest.raises(ValueError):
         GradientGap([np.nan, 1.0])
 
@@ -101,8 +103,9 @@ def test_optimal_allocation_near_the_largest_float_stays_finite():
 
 
 def test_all_zero_gap_rejected():
-    with pytest.raises(DegenerateGap):
-        optimal_diag_cov(GradientGap([0.0, 0.0]), zeta=1.0)
+    with pytest.raises(FieldErrors) as exc:
+        GradientGap([0.0, 0.0])
+    assert exc.value.fields == (("gaps", "at least one entry must be positive"),)
     with pytest.raises(ValueError):
         optimal_diag_cov(GradientGap([1.0]), zeta=0.0)
     # s^2 overflows, so the optimum value would be inf
@@ -143,8 +146,38 @@ def test_optimal_properties(gaps, zeta):
     assert point.kl_term <= iso * (1.0 + 1e-12)
 
 
+def test_noise_grid_rules():
+    bad_range = "must be [lo, hi] with 0 < lo < hi"
+    for bad in ((2.0, 1.0), (0.0, 1.0), (-0.5, 1.5), (1.0, 1.0), (1.0, 2.0, 3.0), (1.0,)):
+        with pytest.raises(FieldErrors) as exc:
+            NoiseGrid((1.0, 2.0), bad, 2)
+        assert exc.value.fields == (("y_range", bad_range),)
+    # every failing field, in field order
+    with pytest.raises(FieldErrors) as exc:
+        NoiseGrid((0.0, 2.0), (1.0, 2.0), 1)
+    assert exc.value.fields == (("x_range", bad_range), ("resolution", "must be >= 2"))
+
+
+def test_noise_grid_covariances_are_one_checked_stack():
+    grid = NoiseGrid((0.5, 1.5), (0.7, 2.0), 3)
+    cov = grid.covariances
+    assert cov is grid.covariances
+    assert cov.entries.shape == (9, 2, 2)
+    want = np.zeros((9, 2, 2))
+    want[:, 0, 0], want[:, 1, 1] = grid.x**2, grid.y**2
+    assert np.array_equal(cov.entries, want)
+    # a variance at or below the pivot floor is reported at its axis, and both
+    # axes when both fail
+    with pytest.raises(FieldErrors) as exc:
+        NoiseGrid((0.5, 1.5), (1e-8, 1.0), 2).covariances
+    assert exc.value.fields == (("y_range", "Cholesky pivot 1.000e-16 <= 1e-14"),)
+    with pytest.raises(FieldErrors) as exc:
+        NoiseGrid((1e-8, 1.0), (1e-9, 1.0), 2).covariances
+    assert [name for name, _ in exc.value.fields] == ["x_range", "y_range"]
+
+
 def test_grid_surface_frozen_corners():
-    rows = grid_surface(GradientGap([10.0, 10.0]), (3.0, 4.0), (3.0, 4.0), 2)
+    rows = grid_surface(GradientGap([10.0, 10.0]), NoiseGrid((3.0, 4.0), (3.0, 4.0), 2))
     assert rows.shape == (4, 4)
     # row-major in (x, y): (3,3), (3,4), (4,3), (4,4)
     np.testing.assert_allclose(rows[:, 0], [3.0, 3.0, 4.0, 4.0])
@@ -157,7 +190,7 @@ def test_grid_surface_frozen_corners():
 
 def test_grid_surface_symmetry_and_monotonicity():
     res = 5
-    rows = grid_surface(GradientGap([1.0, 1.0]), (1.0, 3.0), (1.0, 3.0), res)
+    rows = grid_surface(GradientGap([1.0, 1.0]), NoiseGrid((1.0, 3.0), (1.0, 3.0), res))
     kl = rows[:, 2].reshape(res, res)
     np.testing.assert_allclose(kl, kl.T, rtol=1e-14)
     # more noise in either coordinate can only shrink the term
@@ -168,25 +201,26 @@ def test_grid_surface_symmetry_and_monotonicity():
 def test_grid_surface_matches_per_point_loop():
     gap = GradientGap([0.7, 2.3])
     res = 9
-    rows = grid_surface(gap, (0.3, 1.9), (1.1, 4.0), res)
+    rows = grid_surface(gap, NoiseGrid((0.3, 1.9), (1.1, 4.0), res))
     want = [(x, y, kl_term(gap, [x * x, y * y]), x * x + y * y)
             for x in np.linspace(0.3, 1.9, res) for y in np.linspace(1.1, 4.0, res)]
     assert np.array_equal(rows, np.array(want))
 
 
 def test_grid_surface_validation():
-    gap = GradientGap([1.0, 1.0])
+    # kl_term refuses a gap whose length is not the grid's 2
     with pytest.raises(ValueError):
-        grid_surface(GradientGap([1.0]), (1.0, 2.0), (1.0, 2.0), 2)
-    with pytest.raises(ValueError):
-        grid_surface(gap, (1.0, 2.0), (1.0, 2.0), 1)
-    with pytest.raises(NonPositiveVariance):
-        grid_surface(gap, (0.0, 2.0), (1.0, 2.0), 2)
+        grid_surface(GradientGap([1.0]), NoiseGrid((1.0, 2.0), (1.0, 2.0), 2))
     # an overflowing kl_term (gap^2) or trace (x^2) would be written as inf
     for gaps, x_range in (([1e300, 1.0], (1.0, 2.0)), ([1.0, 1.0], (1.0, 1e300))):
         with np.errstate(over="ignore"), pytest.raises(AnisoError) as exc:
-            grid_surface(GradientGap(gaps), x_range, (1.0, 2.0), 2)
+            grid_surface(GradientGap(gaps), NoiseGrid(x_range, (1.0, 2.0), 2))
         assert exc.value.operation == "grid_surface"
+
+
+def on_grid(grid, *problems):
+    """The problems with the grid's covariance stack as their noise."""
+    return [replace(p, noise_cov=grid.covariances) for p in problems]
 
 
 @pytest.fixture
@@ -198,36 +232,38 @@ def adjacent_pair():
 
 
 def test_quadratic_tradeoff_identical_problems(adjacent_pair):
-    p, _ = adjacent_pair
-    rows = quadratic_tradeoff(p, p, 2.0, (0.5, 1.5), (0.5, 1.5), 2)
+    grid = NoiseGrid((0.5, 1.5), (0.5, 1.5), 2)
+    [p] = on_grid(grid, adjacent_pair[0])
+    rows = quadratic_tradeoff(p, p, 2.0, grid)
     np.testing.assert_allclose(rows[:, 2], 0.0, atol=1e-12)
 
 
 def test_quadratic_tradeoff_stationary_by_large_t(adjacent_pair):
-    p, q = adjacent_pair
+    grid = NoiseGrid((0.5, 1.5), (0.5, 1.5), 3)
+    p, q = on_grid(grid, *adjacent_pair)
     # gram = I, so both laws are within e^{-40} of stationary at t=40
-    a = quadratic_tradeoff(p, q, 40.0, (0.5, 1.5), (0.5, 1.5), 3)
-    b = quadratic_tradeoff(p, q, 80.0, (0.5, 1.5), (0.5, 1.5), 3)
+    a = quadratic_tradeoff(p, q, 40.0, grid)
+    b = quadratic_tradeoff(p, q, 80.0, grid)
     np.testing.assert_allclose(a[:, 2], b[:, 2], rtol=1e-12, atol=1e-15)
 
 
 def test_quadratic_tradeoff_error_column(adjacent_pair):
-    p, q = adjacent_pair
+    grid = NoiseGrid((0.5, 1.5), (0.5, 1.5), 2)
+    p, q = on_grid(grid, *adjacent_pair)
     t = 1.5
-    rows = quadratic_tradeoff(p, q, t, (0.5, 1.5), (0.5, 1.5), 2)
+    rows = quadratic_tradeoff(p, q, t, grid)
     swapped = replace(p, noise_cov=SpdMatrix(np.diag([0.25, 2.25])))
     assert rows[1, 3] == pytest.approx(error_to_opt(swapped, t), rel=1e-14)
 
 
 def test_quadratic_tradeoff_validation(adjacent_pair):
-    p, q = adjacent_pair
-    mismatched = replace(q, noise_cov=SpdMatrix(np.diag([2.0, 2.0])))
-    with pytest.raises(ValueError):
-        quadratic_tradeoff(p, mismatched, 1.0, (0.5, 1.5), (0.5, 1.5), 2)
-    with pytest.raises(ValueError):
-        quadratic_tradeoff(p, q, 1.0, (0.5, 1.5), (0.5, 1.5), 1)
-    with pytest.raises(NonPositiveVariance):
-        quadratic_tradeoff(p, q, 1.0, (-0.5, 1.5), (0.5, 1.5), 2)
+    # both problems must carry this grid's covariance stack
+    grid = NoiseGrid((0.5, 1.5), (0.5, 1.5), 2)
+    p, q = on_grid(grid, *adjacent_pair)
+    [other] = on_grid(NoiseGrid((0.5, 1.5), (0.5, 1.5), 2), q)
+    for pair in ((p, other), (other, p), adjacent_pair):
+        with pytest.raises(ValueError):
+            quadratic_tradeoff(*pair, 1.0, grid)
 
 
 @pytest.mark.parametrize("t", [0.3, 10.0, math.inf])
@@ -237,11 +273,11 @@ def test_quadratic_tradeoff_matches_per_point_loop(t):
     design = np.array([[1.0, 0.4], [0.0, 2.0], [0.3, -0.5]])
     design_b = design + 0.05 * rng.standard_normal(design.shape)
     x0 = rng.standard_normal(2)
-    placeholder = SpdMatrix.identity(2)
-    p = QuadraticProblem(design, rng.standard_normal(3), placeholder, x0)
-    q = QuadraticProblem(design_b, rng.standard_normal(3), placeholder, x0)
     x_range, y_range, res = (0.2, 1.7), (0.5, 2.4), 12
-    rows = quadratic_tradeoff(p, q, t, x_range, y_range, res)
+    grid = NoiseGrid(x_range, y_range, res)
+    p = QuadraticProblem(design, rng.standard_normal(3), grid.covariances, x0)
+    q = QuadraticProblem(design_b, rng.standard_normal(3), grid.covariances, x0)
+    rows = quadratic_tradeoff(p, q, t, grid)
     want = []
     for x in np.linspace(*x_range, res):
         for y in np.linspace(*y_range, res):
@@ -253,28 +289,29 @@ def test_quadratic_tradeoff_matches_per_point_loop(t):
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
-def test_quadratic_tradeoff_overflowing_variance_is_not_positive_definite(adjacent_pair):
-    p, q = adjacent_pair
-    # only the last x squares past the largest float
-    with pytest.raises(NotPositiveDefinite) as exc:
-        quadratic_tradeoff(p, q, 1.0, (0.5, 1.5e154), (0.5, 1.5), 3)
-    assert exc.value.operation == "SpdMatrix"
+def test_quadratic_tradeoff_overflowing_variance_is_not_positive_definite():
+    # only the last x squares past the largest float; SpdMatrix refuses it, and
+    # the grid names the axis
+    grid = NoiseGrid((0.5, 1.5e154), (0.5, 1.5), 3)
+    with pytest.raises(FieldErrors) as exc:
+        grid.covariances
+    assert exc.value.fields == (("x_range", "matrix entries must be finite"),)
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_quadratic_tradeoff_overflowing_error_raises():
     # every entry of the law stays finite, but the error sums two terms near
     # 1.6e308 at the largest grid point
-    cov = SpdMatrix.identity(2)
-    p = QuadraticProblem(0.7071 * np.eye(2), [0.0, 0.0], cov, [0.0, 0.0])
-    q = QuadraticProblem(0.7071 * np.eye(2), [0.1, 0.3], cov, [0.0, 0.0])
+    grid = NoiseGrid((0.3, 8.9e153), (0.3, 8.9e153), 2)
+    p = QuadraticProblem(0.7071 * np.eye(2), [0.0, 0.0], grid.covariances, [0.0, 0.0])
+    q = QuadraticProblem(0.7071 * np.eye(2), [0.1, 0.3], grid.covariances, [0.0, 0.0])
     with pytest.raises(AnisoError) as exc:
-        quadratic_tradeoff(p, q, 100.0, (0.3, 8.9e153), (0.3, 8.9e153), 2)
+        quadratic_tradeoff(p, q, 100.0, grid)
     assert exc.value.operation == "error_to_opt"
 
 
 def test_write_grid_csv_roundtrip(tmp_path):
-    rows = grid_surface(GradientGap([1.0, 2.0]), (1.0, 2.0), (1.0, 2.0), 2)
+    rows = grid_surface(GradientGap([1.0, 2.0]), NoiseGrid((1.0, 2.0), (1.0, 2.0), 2))
     path = tmp_path / "grid.csv"
     write_grid_csv(rows, path, header=("x", "y", "kl_term", "trace"))
     with open(path, newline="") as fh:
