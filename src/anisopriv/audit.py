@@ -6,22 +6,22 @@ the batch must fit the smaller arm, and a replace neighbour needs a second
 record to copy. The delta estimator resamples an adjacent dataset pair per
 outer round, then trains the pair repeatedly with shared seeds (identical
 initialization, batch selection, and noise draws) and counts training points
-whose predicted class-probability log-ratio between the two models exceeds
-epsilon. The
-membership experiment instead tracks the loss on one target record with and
-without that record in the training set, and raises `AnisoError` rather than
-report a target loss or gap that is not finite. Both train the runs of both
-arms in a single `models.train` call, so each seed's batches and noise are
-drawn once for the pair, and then score every model with one stacked
-`models.forward` (label probabilities on the dataset) or `models.loss_and_grad`
-(the target record's loss) call. Nearly all their time is the stacked training
-step of `models` (one matmul per layer each way).
+whose predicted class-probability log-ratio between the two runs exceeds
+epsilon. The membership experiment instead tracks the loss on one target
+record with and without that record in the training set, and raises
+`AnisoError` rather than report a target loss or gap that is not finite. Both
+train the runs of both arms in a single `models.train` call, so each seed's
+batches and noise are drawn once for the pair, into one stacked `MlpModel`,
+and then score its runs with one `models.forward` (label probabilities on the
+dataset, of the kept pairs' runs) or `models.loss_and_grad` (the target
+record's loss) call. Nearly all their time is the stacked training step of
+`models` (one matmul per layer each way).
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -132,8 +132,8 @@ def estimate_delta(cfg: AuditConfig) -> AuditReport:
     seeds = [derive_seed(cfg.seed, t1, t2) for t1, t2 in rounds]
     # both arms in one stack: run i trains on D, run runs + i on D'
     runs = len(rounds)
-    models, logs = train([ds] * runs + [others[t1] for t1, _ in rounds], seeds + seeds,
-                         cfg.scheme, cfg.training)
+    model, logs = train([ds] * runs + [others[t1] for t1, _ in rounds], seeds + seeds,
+                        cfg.scheme, cfg.training)
     kept = []
     for i, (t1, t2) in enumerate(rounds):
         if logs[i].diverged or logs[runs + i].diverged:
@@ -145,8 +145,8 @@ def estimate_delta(cfg: AuditConfig) -> AuditReport:
     if not kept:
         raise AnisoError(f"all {excluded} training pairs diverged; no comparison was made",
                          operation="estimate_delta")
-    # label probabilities on D of the kept pairs' models, arm D's first
-    scored = [models[i] for i in kept] + [models[runs + i] for i in kept]
+    # label probabilities on D of the kept pairs' runs, arm D's first
+    scored = replace(model, params=model.params[kept + [runs + i for i in kept]])
     probs = forward(scored, ds.features)[:, np.arange(ds.size), ds.labels]
     over = clamped_log_ratios(probs[: len(kept)], probs[len(kept):]) > cfg.epsilon
     counts, pairs = [0] * cfg.outer_rounds, [0] * cfg.outer_rounds
@@ -218,10 +218,10 @@ def membership_experiment(cfg: MembershipConfig) -> MembershipReport:
     target_y = int(ds.labels[cfg.target_index])
     seeds = [derive_seed(cfg.seed, r) for r in range(runs)]
     # both arms in one stack: run r trains on D, run runs + r on D'
-    models, logs = train([ds] * runs + [ds_without] * runs, seeds + seeds, cfg.scheme,
-                         cfg.training)
+    model, logs = train([ds] * runs + [ds_without] * runs, seeds + seeds, cfg.scheme,
+                        cfg.training)
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite losses raise below
-        losses = loss_and_grad(models, target_x, [target_y])[0]
+        losses = loss_and_grad(model, target_x, [target_y])[0]
     losses_with, losses_without = losses[:runs], losses[runs:]
     report = MembershipReport(
         losses_with=losses_with,

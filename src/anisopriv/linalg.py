@@ -138,10 +138,6 @@ class SpdMatrix(SymMatrix):
         out.flags.writeable = False
         return out
 
-    @classmethod
-    def identity(cls, dim: int) -> "SpdMatrix":
-        return cls(np.eye(dim))
-
 
 def log_det(m: SpdMatrix) -> float | np.ndarray:
     """log det m, computed as 2 * sum(log diag(L)); a (G,) array for a stack."""

@@ -12,13 +12,13 @@ selection and noise draws to the seed. A `Training` holds the settings that
 every run of a call shares (step size, iterations, batch, hidden width,
 activation) and states their rules once; the noise scheme is passed beside it.
 
-`train` trains R runs, on datasets of any row counts, as one (R, P) parameter
-array, with layer sizes derived from the datasets and the Training. Runs that
-share a seed share its init, noise and (at equal row count) batch streams,
-and each stream is drawn once, in blocks of 32 iterations, so a run's result
-does not depend on the other runs. `forward` and `loss_and_grad` score a list
-of R models of one architecture on shared rows, the same way in blocks of
-runs; a single model is the list of one.
+`train` trains R runs, on datasets of any row counts, into one `MlpModel`, a
+stack whose params are one (R, P) array, with layer sizes derived from the
+datasets and the Training. Runs that share a seed share its init, noise and
+(at equal row count) batch streams, each drawn once, in blocks of 32
+iterations, so a run's result does not depend on the other runs. `forward`
+and `loss_and_grad` score the runs of a model on shared rows, the same way in
+blocks of runs; a single model is the stack of one.
 
 On Linux (os.fork, os.sched_getaffinity), a large `train` call splits its
 runs by seed over the usable CPUs: the calling process trains one part and a
@@ -118,19 +118,18 @@ class Training:
 
 @dataclass(frozen=True, eq=False)
 class MlpModel:
-    """One-hidden-layer classifier; params holds (W1, b1, W2, b2) flattened."""
+    """R one-hidden-layer classifiers; params (R, P) holds each run's flat params."""
 
     layer_sizes: tuple[int, int, int]
     params: np.ndarray
     activation: str = "relu"
-    seed: int = 0
 
     def __post_init__(self):
         m, h, k = self.layer_sizes
         expected = (m + 1) * h + (h + 1) * k
-        p = np.asarray(self.params, dtype=float).ravel()
-        if p.shape[0] != expected:
-            raise ValueError(f"params length {p.shape[0]} != expected {expected}")
+        p = np.asarray(self.params, dtype=float)
+        if p.ndim != 2 or p.shape[0] < 1 or p.shape[1] != expected:
+            raise ValueError(f"params shape {p.shape} != expected (runs >= 1, {expected})")
         if self.activation not in _ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
         object.__setattr__(self, "params", p)
@@ -138,7 +137,7 @@ class MlpModel:
 
     @property
     def n_params(self) -> int:
-        return self.params.shape[0]
+        return self.params.shape[1]
 
 
 def layer_slices(layer_sizes: tuple[int, int, int]) -> list[slice]:
@@ -150,14 +149,19 @@ def layer_slices(layer_sizes: tuple[int, int, int]) -> list[slice]:
 
 def init_model(n_features: int, hidden: int, classes: int, seed: int,
                activation: str = "relu") -> MlpModel:
-    """Weights uniform on +-1/sqrt(fan_in), biases zero, from the seed's
-    init stream."""
+    """The stack of one run, initialized by _init_params."""
+    sizes = (n_features, hidden, classes)
+    return MlpModel(sizes, _init_params(sizes, seed)[None], activation)
+
+
+def _init_params(layer_sizes, seed: int) -> np.ndarray:
+    """Flat params (P,): weights uniform on +-1/sqrt(fan_in), biases zero,
+    from the seed's init stream."""
     rng = tagged_stream(seed, _INIT_TAG)
-    m, h, k = n_features, hidden, classes
+    m, h, k = layer_sizes
     w1 = rng.uniform(-1.0, 1.0, size=(m, h)) / np.sqrt(m)
     w2 = rng.uniform(-1.0, 1.0, size=(h, k)) / np.sqrt(h)
-    params = np.concatenate([w1.ravel(), np.zeros(h), w2.ravel(), np.zeros(k)])
-    return MlpModel((m, h, k), params, activation, seed)
+    return np.concatenate([w1.ravel(), np.zeros(h), w2.ravel(), np.zeros(k)])
 
 
 def _ones_column(features):
@@ -217,32 +221,29 @@ def _run_blocks(runs: int, rows: int) -> list[slice]:
     return [slice(i * runs // n_blocks, (i + 1) * runs // n_blocks) for i in range(n_blocks)]
 
 
-def _blocks(models, features):
+def _blocks(model: MlpModel, features):
     """The kernel arguments (layer_sizes, activation, params, x1) of each block
-    of runs of R models of one architecture on the shared rows features (n, m);
-    ValueError if the architectures differ."""
-    sizes, activation = models[0].layer_sizes, models[0].activation
-    if any(m.layer_sizes != sizes or m.activation != activation for m in models):
-        raise ValueError("models must share layer_sizes and activation")
-    params, x1 = np.stack([m.params for m in models]), _ones_column(features)
-    return [(sizes, activation, params[b], np.broadcast_to(x1, (b.stop - b.start, *x1.shape)))
-            for b in _run_blocks(len(models), x1.shape[0])]
+    of the model's runs on the shared rows features (n, m)."""
+    x1 = _ones_column(features)
+    return [(model.layer_sizes, model.activation, model.params[b],
+             np.broadcast_to(x1, (b.stop - b.start, *x1.shape)))
+            for b in _run_blocks(len(model.params), x1.shape[0])]
 
 
-def forward(models, features: np.ndarray) -> np.ndarray:
-    """Class probabilities (R, n, classes) of R models of one architecture on
-    the shared rows features (n, m), computed in blocks of runs."""
-    e = np.concatenate([np.exp(_forward(*args)[-1]) for args in _blocks(models, features)])
+def forward(model: MlpModel, features: np.ndarray) -> np.ndarray:
+    """Class probabilities (R, n, classes) of the model's R runs on the shared
+    rows features (n, m), computed in blocks of runs."""
+    e = np.concatenate([np.exp(_forward(*args)[-1]) for args in _blocks(model, features)])
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def loss_and_grad(models, features: np.ndarray, labels: np.ndarray):
-    """Mean cross-entropy (R,) of R models of one architecture on the shared
-    rows features (n, m) with labels (n,), and its gradients (R, P) in the
-    flat params, computed in blocks of runs."""
+def loss_and_grad(model: MlpModel, features: np.ndarray, labels: np.ndarray):
+    """Mean cross-entropy (R,) of the model's R runs on the shared rows
+    features (n, m) with labels (n,), and its gradients (R, P) in the flat
+    params, computed in blocks of runs."""
     y = np.asarray(labels).ravel()
     loss, grad = zip(*(_loss_and_grad(*args, np.broadcast_to(y, (len(args[2]), y.size)))
-                       for args in _blocks(models, features)))
+                       for args in _blocks(model, features)))
     return np.concatenate(loss), np.concatenate(grad)
 
 
@@ -313,9 +314,9 @@ def _index_by(keys):
 def train(datasets, seeds, scheme, training: Training):
     """Minibatch gradient descent with injected noise, of run r on
     (datasets[r], seeds[r]) for all runs at once; the datasets may differ in
-    row count. Returns a list of models and one of logs.
+    row count. Returns one model, the stack of all runs in order, and their logs.
 
-    Every model has the layer sizes (features, training.hidden, classes): the
+    The model has the layer sizes (features, training.hidden, classes): the
     datasets must share their feature count, and the class count is the
     largest label of any of them plus one. Parameters are initialized from
     each seed's init stream, so a run's result depends only on its dataset
@@ -373,9 +374,8 @@ def train(datasets, seeds, scheme, training: Training):
         for at, result in zip(parts, _in_processes(cpus, [partial(part, at) for at in parts])):
             final[at], losses[at], steps[at], diverged[at] = result
 
-    models = [MlpModel(sizes, final[r], training.activation, seeds[r]) for r in range(runs)]
     logs = [TrainLog(losses[r, : steps[r]], bool(diverged[r])) for r in range(runs)]
-    return models, logs
+    return MlpModel(sizes, final, training.activation), logs
 
 
 def _usable_cpus() -> set[int]:
@@ -496,7 +496,7 @@ def _train_stack(sizes, training, datasets, seeds, scheme):
     offset = np.cumsum([0] + [ds.size for ds in distinct])[data_of]
     seed_of, seed_keys = _index_by(seeds)
     batch_of, batch_keys = _index_by((s, ds.size) for s, ds in zip(seeds, datasets))
-    params = np.stack([init_model(*sizes, s, activation).params for s in seed_keys])[seed_of]
+    params = np.stack([_init_params(sizes, s) for s in seed_keys])[seed_of]
     batch_rngs = [tagged_stream(s, _BATCH_TAG) for s, _ in batch_keys]
     picks = np.empty((len(batch_keys), _STREAM_BLOCK, batch), dtype=np.int64)
     noisy = not isinstance(scheme, NoNoise)
@@ -617,8 +617,11 @@ def read_dataset_csv(path) -> Dataset:
                 continue
             if len(row) != len(header):
                 raise ValueError(f"line {r.line_num} has {len(row)} fields, expected {len(header)}")
-            feats.append([float(v) for v in row[:-1]])
-            labels.append(int(row[-1]))
+            try:
+                feats.append([float(v) for v in row[:-1]])
+                labels.append(int(row[-1]))
+            except ValueError as exc:
+                raise ValueError(f"line {r.line_num}: {exc}") from None
             if not -2**63 <= labels[-1] < 2**63:
                 raise ValueError(f"line {r.line_num} has label {row[-1]}, outside the int64 range")
     if not labels:

@@ -88,15 +88,14 @@ class CallableDrift:
 
 @dataclass(frozen=True, eq=False)
 class DatasetGradientDrift:
-    """Gradient-flow drift -grad_fn(x, dataset) for a loss over a dataset."""
+    """Gradient-flow drift -grad_fn(x, dataset) for a loss over a dataset,
+    evaluated row by row on a (paths, dim) row stack of states."""
 
     grad_fn: Callable[[np.ndarray, Any], np.ndarray]
     dataset: Any
 
     def evaluate(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            return -np.asarray(self.grad_fn(x, self.dataset), dtype=float)
         out = np.empty(x.shape)
         for p, row in enumerate(x):
             out[p] = self.grad_fn(row, self.dataset)

@@ -249,17 +249,17 @@ def test_backprop_matches_finite_differences():
         act = ("relu", "tanh")[rng.integers(2)]
         n = int(rng.integers(1, 6))
         n_params = (m + 1) * h + (h + 1) * k
-        model = MlpModel((m, h, k), 0.7 * rng.normal(0, 1, n_params), act)
+        model = MlpModel((m, h, k), 0.7 * rng.normal(0, 1, (1, n_params)), act)
         x = rng.normal(0, 1, (n, m))
         y = rng.integers(0, k, n)
-        _, (grad,) = loss_and_grad([model], x, y)
+        _, (grad,) = loss_and_grad(model, x, y)
         fd = np.empty(n_params)
         eps = 1e-6
         for i in range(n_params):
             bump = np.zeros(n_params)
             bump[i] = eps
-            up, _ = loss_and_grad([MlpModel(model.layer_sizes, model.params + bump, act)], x, y)
-            dn, _ = loss_and_grad([MlpModel(model.layer_sizes, model.params - bump, act)], x, y)
+            up, _ = loss_and_grad(MlpModel(model.layer_sizes, model.params + bump, act), x, y)
+            dn, _ = loss_and_grad(MlpModel(model.layer_sizes, model.params - bump, act), x, y)
             fd[i] = (up[0] - dn[0]) / (2.0 * eps)
         rel = np.linalg.norm(grad - fd) / max(np.linalg.norm(fd), 1e-12)
         worst = max(worst, rel)

@@ -128,12 +128,12 @@ def test_estimate_delta_remove_matches_per_run_training(small_blobs):
         count = 0
         for t2 in range(cfg.inner_rounds):
             seeds = [derive_seed(cfg.seed, t1, t2)]
-            [model_a], [log_a] = train([ds], seeds, cfg.scheme, cfg.training)
-            [model_b], [log_b] = train([other], seeds, cfg.scheme, cfg.training)
+            model_a, [log_a] = train([ds], seeds, cfg.scheme, cfg.training)
+            model_b, [log_b] = train([other], seeds, cfg.scheme, cfg.training)
             assert not (log_a.diverged or log_b.diverged)
             worst = max(worst, log_a.losses.max(), log_b.losses.max())
-            pa = forward([model_a], ds.features)[0, np.arange(ds.size), ds.labels]
-            pb = forward([model_b], ds.features)[0, np.arange(ds.size), ds.labels]
+            pa = forward(model_a, ds.features)[0, np.arange(ds.size), ds.labels]
+            pb = forward(model_b, ds.features)[0, np.arange(ds.size), ds.labels]
             count += int((clamped_log_ratios(pa, pb) > cfg.epsilon).sum())
         counts.append(count)
     assert sum(counts) > 0
@@ -264,8 +264,8 @@ def test_membership_losses_match_per_run_training(small_blobs):
             (make_adjacent(small_blobs, 3, "remove"), report.losses_without))
     for ds, losses in arms:
         for r, got in enumerate(losses):
-            [model], _ = train([ds], [derive_seed(9, r)], scheme, training)
-            assert got == loss_and_grad([model], x, [y])[0][0]
+            model, _ = train([ds], [derive_seed(9, r)], scheme, training)
+            assert got == loss_and_grad(model, x, [y])[0][0]
 
 
 def test_membership_arms_differ_without_control(small_blobs):

@@ -49,7 +49,7 @@ def all_ones_params(gap=0.0):
 def test_phi_equal_covariances_is_drift_gap():
     drift_a = QuadraticDrift(np.array([[1.0]]), np.array([0.0]))
     drift_b = QuadraticDrift(np.array([[1.0]]), np.array([0.1]))
-    cov = ConstantSpd(SpdMatrix.identity(1))
+    cov = ConstantSpd(SpdMatrix(np.eye(1)))
     x = np.array([[0.7], [-0.2]])
     out = phi(x, drift_a, drift_b, cov, cov)
     want = drift_a.evaluate(x) - drift_b.evaluate(x)
@@ -134,7 +134,7 @@ def test_phi_gaussian_score_matches_formula():
 def test_phi_preserves_single_point_shape():
     drift_a = QuadraticDrift(np.array([[1.0]]), np.array([0.0]))
     drift_b = QuadraticDrift(np.array([[1.0]]), np.array([0.5]))
-    cov = ConstantSpd(SpdMatrix.identity(1))
+    cov = ConstantSpd(SpdMatrix(np.eye(1)))
     out = phi(np.array([0.3]), drift_a, drift_b, cov, cov)
     assert out.shape == (1,)
 
@@ -169,7 +169,7 @@ def test_mc_bound_constant_mismatch_linear_in_time():
     # bound is exactly 0.005 t with zero spread
     drift_a = QuadraticDrift(np.array([[1.0]]), np.array([0.0]))
     drift_b = QuadraticDrift(np.array([[1.0]]), np.array([0.1]))
-    cov = ConstantSpd(SpdMatrix.identity(1))
+    cov = ConstantSpd(SpdMatrix(np.eye(1)))
     cfg = SimConfig(step=0.01, horizon=1.0, paths=8, seed=2, record_stride=25)
     curve = mc_kl_bound(drift_a, drift_b, cov, cov, np.array([1.0]), cfg)
     assert np.allclose(curve.bounds, 0.005 * curve.times, rtol=1e-12)
@@ -179,7 +179,7 @@ def test_mc_bound_constant_mismatch_linear_in_time():
 def test_mc_bound_starts_at_zero_and_is_nondecreasing():
     drift_a = QuadraticDrift(np.array([[1.0]]), np.array([0.0]))
     drift_b = QuadraticDrift(np.array([[0.5]]), np.array([0.3]))
-    cov = ConstantSpd(SpdMatrix.identity(1))
+    cov = ConstantSpd(SpdMatrix(np.eye(1)))
     cfg = SimConfig(step=0.05, horizon=2.0, paths=16, seed=4)
     curve = mc_kl_bound(drift_a, drift_b, cov, cov, np.array([0.0]), cfg)
     assert curve.bounds[0] == 0.0
@@ -188,7 +188,7 @@ def test_mc_bound_starts_at_zero_and_is_nondecreasing():
 
 def test_mc_bound_single_path_has_zero_stderr():
     drift = QuadraticDrift(np.array([[1.0]]), np.array([0.0]))
-    cov = ConstantSpd(SpdMatrix.identity(1))
+    cov = ConstantSpd(SpdMatrix(np.eye(1)))
     cfg = SimConfig(step=0.1, horizon=0.5, paths=1, seed=0)
     curve = mc_kl_bound(drift, QuadraticDrift(np.array([[1.0]]), np.array([1.0])),
                         cov, cov, np.array([1.0]), cfg)
@@ -345,7 +345,7 @@ def test_mc_bound_rejects_a_non_finite_bound():
     # a mismatch of 1e160 squares past the float range
     drift_a = QuadraticDrift(np.array([[1.0]]), np.array([0.0]))
     drift_b = QuadraticDrift(np.array([[1.0]]), np.array([1e160]))
-    cov = ConstantSpd(SpdMatrix.identity(1))
+    cov = ConstantSpd(SpdMatrix(np.eye(1)))
     cfg = SimConfig(step=0.1, horizon=0.5, paths=3, seed=0)
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(AnisoError) as exc:
         mc_kl_bound(drift_a, drift_b, cov, cov, np.array([0.0]), cfg)

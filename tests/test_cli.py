@@ -26,9 +26,6 @@ from anisopriv import __version__
 from anisopriv.cli import _write_csv, _write_json, main
 from anisopriv.errors import AnisoError, TrainingDivergedWarning
 
-# main runs under np.errstate, so no CLI run in this file may emit a numpy warning
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 def write_config(path, doc):
     path.write_text(json.dumps(doc))
@@ -747,24 +744,27 @@ def test_dp_audit_reads_csv_dataset(tmp_path, capsys):
     assert plain == (tmp_path / "blank-line" / "out" / "audit_report.json").read_bytes()
 
 
-@pytest.mark.parametrize("text", [
-    DATA_CSV.replace("f0,f1,label", "x,y,label"),
-    DATA_CSV.replace(",1\n", ",1.5\n", 1),
-    DATA_CSV + "0.5,1\n",
-    "f0,f1,label\n",
-    DATA_CSV.replace(",1\n", ",9223372036854775808\n", 1),
-    DATA_CSV.replace(",1\n", ",99999999999999999999\n", 1),
+@pytest.mark.parametrize("text, message", [
+    (DATA_CSV.replace("f0,f1,label", "x,y,label"), "unexpected dataset header"),
+    (DATA_CSV.replace(",1\n", ",1.5\n", 1), "line 6: invalid literal for int()"),
+    (DATA_CSV.replace(",1\n", ",1.0\n", 1), "line 6: invalid literal for int()"),
+    (DATA_CSV.replace("0.1,", "abc,", 1), "line 2: could not convert string to float"),
+    (DATA_CSV + "0.5,1\n", "line 10 has 2 fields"),
+    ("f0,f1,label\n", "dataset has no records"),
+    (DATA_CSV.replace(",1\n", ",9223372036854775808\n", 1), "line 6 has label"),
+    (DATA_CSV.replace(",1\n", ",99999999999999999999\n", 1), "line 6 has label"),
     # the csv module refuses a field over 131072 characters
-    DATA_CSV.replace("0.1,", "0." + "1" * 200_000 + ",", 1),
-], ids=["bad-header", "non-integer-label", "ragged-row", "header-only", "label-2e63",
-        "label-1e20", "field-200k"])
-def test_bad_csv_dataset_rejected_by_validate(tmp_path, capsys, text):
+    (DATA_CSV.replace("0.1,", "0." + "1" * 200_000 + ",", 1), "line 2: field larger"),
+], ids=["bad-header", "non-integer-label", "float-label", "non-numeric-feature",
+        "ragged-row", "header-only", "label-2e63", "label-1e20", "field-200k"])
+def test_bad_csv_dataset_rejected_by_validate(tmp_path, capsys, text, message):
     (tmp_path / "data.csv").write_text(text)
     cfg = write_config(tmp_path / "cfg.json", csv_audit_doc())
     for cmd in ("validate", "run"):
         code, doc = run_cli(capsys, cmd, cfg)
         assert code == 1
         assert error_paths(doc) == ["experiment.dataset.csv"]
+        assert doc["errors"][0]["message"].startswith(message), doc
     assert not (tmp_path / "out").exists()
 
 

@@ -109,5 +109,5 @@ def test_log_det_diagonal_exact():
 
 
 def test_identity_constructor():
-    m = SpdMatrix.identity(3)
+    m = SpdMatrix(np.eye(3))
     assert np.array_equal(m.entries, np.eye(3))

@@ -3,6 +3,7 @@
 import math
 import os
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -41,31 +42,32 @@ def blobs():
 
 
 def fd_gradient(model, x, y, h=1e-6):
-    """Central finite differences in the flat parameter vector."""
-    base = model.params
+    """Central finite differences in the flat parameter vector of a one-run
+    model."""
+    base = model.params[0]
     g = np.empty_like(base)
     for i in range(base.shape[0]):
         bump = np.zeros_like(base)
         bump[i] = h
-        up, _ = loss_and_grad([MlpModel(model.layer_sizes, base + bump, model.activation)], x, y)
-        dn, _ = loss_and_grad([MlpModel(model.layer_sizes, base - bump, model.activation)], x, y)
+        up, _ = loss_and_grad(replace(model, params=(base + bump)[None]), x, y)
+        dn, _ = loss_and_grad(replace(model, params=(base - bump)[None]), x, y)
         g[i] = (up[0] - dn[0]) / (2.0 * h)
     return g
 
 
 def test_zero_weights_uniform_loss():
     k = 4
-    model = MlpModel((2, 3, k), np.zeros((2 + 1) * 3 + (3 + 1) * k))
+    model = MlpModel((2, 3, k), np.zeros((1, (2 + 1) * 3 + (3 + 1) * k)))
     x = np.array([[0.5, -1.0], [2.0, 0.0]])
-    probs = forward([model], x)
+    probs = forward(model, x)
     np.testing.assert_allclose(probs, 0.25, rtol=1e-15)
-    loss, _ = loss_and_grad([model], x, np.array([0, 3]))
+    loss, _ = loss_and_grad(model, x, np.array([0, 3]))
     assert loss[0] == pytest.approx(math.log(k), rel=1e-15)
 
 
 def test_forward_rows_are_distributions(blobs):
     model = init_model(3, 6, 3, 2)
-    probs = forward([model], blobs.features)[0]
+    probs = forward(model, blobs.features)[0]
     assert probs.shape == (blobs.size, 3)
     assert np.all(probs >= 0.0)
     np.testing.assert_allclose(probs.sum(axis=1), 1.0, rtol=1e-12)
@@ -75,7 +77,7 @@ def test_forward_rows_are_distributions(blobs):
 def test_gradient_against_finite_differences(blobs, activation):
     model = init_model(3, 5, 3, 7, activation)
     x, y = blobs.features[:12], blobs.labels[:12]
-    _, grad = loss_and_grad([model], x, y)
+    _, grad = loss_and_grad(model, x, y)
     np.testing.assert_allclose(grad[0], fd_gradient(model, x, y), atol=1e-7)
 
 
@@ -139,7 +141,7 @@ def test_bias_folded_step_matches_unfused_formulas(blobs, activation, runs):
     # n = 24 terms; 1e-13 relative to the largest entry is ~450 ulp
     sizes = (3, 7, 3)
     rng = np.random.default_rng(runs)
-    params = np.stack([init_model(*sizes, s, activation).params for s in range(runs)])
+    params = np.concatenate([init_model(*sizes, s, activation).params for s in range(runs)])
     params += 0.3 * rng.standard_normal(params.shape)  # nonzero biases
     rows = rng.integers(0, blobs.size, size=(runs, 24))
     x, y = blobs.features[rows], blobs.labels[rows]
@@ -153,41 +155,45 @@ def test_bias_folded_step_matches_unfused_formulas(blobs, activation, runs):
 @pytest.mark.parametrize("activation", ["relu", "tanh"])
 def test_stacked_scoring_rows_match_single_models(blobs, monkeypatch, activation):
     # at 100 rows a block holds 2 runs of these 40 rows, so 5 runs split into 3
-    # blocks; the last model has nonzero biases
-    models = [init_model(3, 6, 3, s, activation) for s in range(4)]
-    models.append(MlpModel(models[0].layer_sizes, models[0].params + 0.3, activation))
+    # blocks; the last run has nonzero biases
+    params = np.concatenate([init_model(3, 6, 3, s, activation).params for s in range(4)])
+    model = MlpModel((3, 6, 3), np.concatenate([params, params[:1] + 0.3]), activation)
     x, y = blobs.features[::3], blobs.labels[::3]
-    whole = forward(models, x), loss_and_grad(models, x, y)
+    whole = forward(model, x), loss_and_grad(model, x, y)
     monkeypatch.setattr("anisopriv.models._BLOCK_ROWS", 100)
-    probs, (loss, grad) = forward(models, x), loss_and_grad(models, x, y)
-    assert probs.shape == (5, x.shape[0], 3) and grad.shape == (5, models[0].n_params)
+    probs, (loss, grad) = forward(model, x), loss_and_grad(model, x, y)
+    assert probs.shape == (5, x.shape[0], 3) and grad.shape == (5, model.n_params)
     for got, want in zip((probs, loss, grad), (whole[0], *whole[1])):
         assert np.array_equal(got, want)
-    for r, m in enumerate(models):
-        assert np.array_equal(probs[r], forward([m], x)[0])
-        one_loss, one_grad = loss_and_grad([m], x, y)
+    for r in range(5):
+        one = replace(model, params=model.params[r:r + 1])
+        assert np.array_equal(probs[r], forward(one, x)[0])
+        one_loss, one_grad = loss_and_grad(one, x, y)
         assert loss[r] == one_loss[0] and np.array_equal(grad[r], one_grad[0])
+    # runs picked by index, out of order and with a repeat, score as in the stack
+    at = [4, 1, 3, 1]
+    some = replace(model, params=model.params[at])
+    some_loss, some_grad = loss_and_grad(some, x, y)
+    assert np.array_equal(forward(some, x), probs[at])
+    assert np.array_equal(some_loss, loss[at]) and np.array_equal(some_grad, grad[at])
 
 
-def test_stacked_scoring_rejects_mixed_architectures(blobs):
-    x, y = blobs.features[:4], blobs.labels[:4]
-    relu = init_model(3, 6, 3, 0, "relu")
-    for other in (init_model(3, 5, 3, 0, "relu"), init_model(3, 6, 3, 0, "tanh")):
-        with pytest.raises(ValueError, match="share layer_sizes"):
-            forward([relu, other], x)
-        with pytest.raises(ValueError, match="share layer_sizes"):
-            loss_and_grad([relu, other], x, y)
+@pytest.mark.parametrize("shape", [(51,), (1, 1, 51), (2, 50), (0, 51)],
+                         ids=["rank-1", "rank-3", "width", "no-runs"])
+def test_model_rejects_params_of_the_wrong_shape(shape):
+    with pytest.raises(ValueError, match=r"params shape .* expected \(runs >= 1, 51\)"):
+        MlpModel((4, 6, 3), np.zeros(shape))
 
 
 def test_init_model_layout():
     model = init_model(4, 6, 3, 9)
     sl1, sl2 = layer_slices(model.layer_sizes)
     assert sl1 == slice(0, 30) and sl2 == slice(30, 30 + 21)
-    assert model.n_params == 51
-    w1 = model.params[: 4 * 6]
+    assert model.params.shape == (1, 51) and model.n_params == 51
+    w1 = model.params[0, : 4 * 6]
     assert np.abs(w1).max() <= 1.0 / 2.0  # +-1/sqrt(4)
-    assert np.array_equal(model.params[24:30], np.zeros(6))  # b1
-    assert np.array_equal(model.params[48:], np.zeros(3))  # b2
+    assert np.array_equal(model.params[0, 24:30], np.zeros(6))  # b1
+    assert np.array_equal(model.params[0, 48:], np.zeros(3))  # b2
     again = init_model(4, 6, 3, 9)
     assert np.array_equal(model.params, again.params)
     other = init_model(4, 6, 3, 10)
@@ -212,17 +218,17 @@ def test_noise_std_per_scheme():
 
 def test_train_is_deterministic(blobs):
     training = Training(lr=0.3, iters=40, batch=16, hidden=6)
-    [m1], [log1] = train([blobs], [21], AnisotropicPerParam(0.05), training)
-    [m2], [log2] = train([blobs], [21], AnisotropicPerParam(0.05), training)
+    m1, [log1] = train([blobs], [21], AnisotropicPerParam(0.05), training)
+    m2, [log2] = train([blobs], [21], AnisotropicPerParam(0.05), training)
     assert np.array_equal(m1.params, m2.params)
     assert np.array_equal(log1.losses, log2.losses)
 
 
 def test_zero_variance_scheme_matches_plain_descent(blobs):
     training = Training(lr=0.3, iters=40, batch=16, hidden=6)
-    [plain], _ = train([blobs], [21], NO_NOISE, training)
-    [zero_aniso], _ = train([blobs], [21], AnisotropicPerParam(0.0), training)
-    [zero_iso], _ = train([blobs], [21], IsotropicPerLayer(0.0), training)
+    plain, _ = train([blobs], [21], NO_NOISE, training)
+    zero_aniso, _ = train([blobs], [21], AnisotropicPerParam(0.0), training)
+    zero_iso, _ = train([blobs], [21], IsotropicPerLayer(0.0), training)
     assert np.array_equal(plain.params, zero_aniso.params)
     assert np.array_equal(plain.params, zero_iso.params)
 
@@ -232,11 +238,10 @@ def test_train_derives_layer_sizes_from_data_and_training(blobs):
     # dataset that lacks the top class still trains the full output layer
     low = Dataset(blobs.features[blobs.labels < 2], blobs.labels[blobs.labels < 2])
     training = Training(lr=0.3, iters=3, batch=4, hidden=5, activation="tanh")
-    models, _ = train([low, blobs], [1, 2], NO_NOISE, training)
-    for m in models:
-        assert m.layer_sizes == (3, 5, 3) and m.activation == "tanh"
-        assert m.n_params == (3 + 1) * 5 + (5 + 1) * 3
-    [alone], _ = train([low], [1], NO_NOISE, training)
+    model, _ = train([low, blobs], [1, 2], NO_NOISE, training)
+    assert model.layer_sizes == (3, 5, 3) and model.activation == "tanh"
+    assert model.params.shape == (2, (3 + 1) * 5 + (5 + 1) * 3)
+    alone, _ = train([low], [1], NO_NOISE, training)
     assert alone.layer_sizes == (3, 5, 2)
 
 
@@ -370,15 +375,15 @@ def reference_train(training, dataset, scheme, seed):
     of the run's tagged streams per step. Returns (params, losses, diverged)."""
     sizes = (dataset.n_features, training.hidden, dataset.n_classes)
     activation = training.activation
-    params = init_model(*sizes, seed, activation).params
+    params = init_model(*sizes, seed, activation).params[0]
     slices = layer_slices(sizes)
     batch_rng = tagged_stream(seed, _BATCH_TAG)
     noise_rng = tagged_stream(seed, _NOISE_TAG)
     lr, losses = training.lr, []
     for _ in range(training.iters):
-        work = MlpModel(sizes, params, activation)
+        work = MlpModel(sizes, params[None], activation)
         idx = batch_rng.integers(0, dataset.size, size=training.batch)
-        (loss,), (grad,) = loss_and_grad([work], dataset.features[idx], dataset.labels[idx])
+        (loss,), (grad,) = loss_and_grad(work, dataset.features[idx], dataset.labels[idx])
         losses.append(loss)
         if not (np.isfinite(loss) and np.all(np.isfinite(grad))):
             return params, np.array(losses), True
@@ -390,9 +395,9 @@ def reference_train(training, dataset, scheme, seed):
     return params, np.array(losses), False
 
 
-def assert_matches_reference(model, log, ref):
+def assert_matches_reference(run_params, log, ref):
     params, losses, diverged = ref
-    assert np.array_equal(model.params, params)
+    assert np.array_equal(run_params, params)
     # a diverged run logs its non-finite last step
     assert np.array_equal(log.losses, losses, equal_nan=True)
     assert log.diverged == diverged
@@ -412,13 +417,12 @@ def test_stacked_training_matches_per_run_reference(blobs, activation, scheme):
     # 45 iterations cross the 32-iteration boundary of the stream blocks
     datasets, seeds = neighbours(blobs, 3), [21, 22, 23]
     training = Training(lr=0.3, iters=45, batch=16, hidden=6, activation=activation)
-    models, logs = train(datasets, seeds, scheme, training)
-    assert len(models) == len(logs) == 3
-    for ds, seed, m, log in zip(datasets, seeds, models, logs):
-        assert m.seed == seed
-        assert_matches_reference(m, log, reference_train(training, ds, scheme, seed))
+    model, logs = train(datasets, seeds, scheme, training)
+    assert len(model.params) == len(logs) == 3
+    for ds, seed, p, log in zip(datasets, seeds, model.params, logs):
+        assert_matches_reference(p, log, reference_train(training, ds, scheme, seed))
     # no two runs share a stream
-    assert not np.array_equal(models[0].params, models[1].params)
+    assert not np.array_equal(model.params[0], model.params[1])
 
 
 def test_stacked_training_diverged_row_leaves_the_stack(blobs):
@@ -429,18 +433,18 @@ def test_stacked_training_diverged_row_leaves_the_stack(blobs):
     scheme = AnisotropicPerParam(0.05)
     training = Training(lr=30.0, iters=45, batch=16, hidden=6, activation="relu")
     with np.errstate(over="ignore", invalid="ignore"):
-        models, logs = train(datasets, seeds, scheme, training)
+        model, logs = train(datasets, seeds, scheme, training)
         refs = [reference_train(training, ds, scheme, s) for ds, s in zip(datasets, seeds)]
     assert logs[1].diverged and 1 < len(logs[1].losses) < 32
     assert not np.isfinite(logs[1].losses[-1])
-    assert np.all(np.isfinite(models[1].params))  # frozen before the bad step
+    assert np.all(np.isfinite(model.params[1]))  # frozen before the bad step
     for r in (0, 2):
         assert not logs[r].diverged and len(logs[r].losses) == 45
-        [alone], [alone_log] = train([datasets[r]], [seeds[r]], scheme, training)
-        assert np.array_equal(models[r].params, alone.params)
+        alone, [alone_log] = train([datasets[r]], [seeds[r]], scheme, training)
+        assert np.array_equal(model.params[r], alone.params[0])
         assert np.array_equal(logs[r].losses, alone_log.losses)
-    for m, log, ref in zip(models, logs, refs):
-        assert_matches_reference(m, log, ref)
+    for p, log, ref in zip(model.params, logs, refs):
+        assert_matches_reference(p, log, ref)
 
 
 def test_stacked_training_all_rows_diverge(blobs):
@@ -448,11 +452,11 @@ def test_stacked_training_all_rows_diverge(blobs):
     training = Training(lr=30.0, iters=45, batch=16, hidden=6, activation="relu")
     scheme = AnisotropicPerParam(0.05)
     with np.errstate(over="ignore", invalid="ignore"):
-        models, logs = train([huge, huge], [3, 6], scheme, training)
+        model, logs = train([huge, huge], [3, 6], scheme, training)
         refs = [reference_train(training, huge, scheme, s) for s in (3, 6)]
     assert all(log.diverged for log in logs)
-    for m, log, ref in zip(models, logs, refs):
-        assert_matches_reference(m, log, ref)
+    for p, log, ref in zip(model.params, logs, refs):
+        assert_matches_reference(p, log, ref)
 
 
 @pytest.mark.parametrize("block", [2048, 20], ids=["one-block", "blocks"])
@@ -467,12 +471,11 @@ def test_stacked_training_unequal_rows_and_repeated_seeds(blobs, monkeypatch, bl
     seeds = [21, 21, 21, 21, 22, 22]
     scheme = IsotropicPerLayer(0.05)
     training = Training(lr=0.3, iters=45, batch=16, hidden=6, activation="tanh")
-    models, logs = train(datasets, seeds, scheme, training)
-    for ds, seed, m, log in zip(datasets, seeds, models, logs):
-        assert m.seed == seed
-        assert_matches_reference(m, log, reference_train(training, ds, scheme, seed))
-    assert np.array_equal(models[0].params, models[3].params)
-    assert not np.array_equal(models[4].params, models[5].params)
+    model, logs = train(datasets, seeds, scheme, training)
+    for ds, seed, p, log in zip(datasets, seeds, model.params, logs):
+        assert_matches_reference(p, log, reference_train(training, ds, scheme, seed))
+    assert np.array_equal(model.params[0], model.params[3])
+    assert not np.array_equal(model.params[4], model.params[5])
 
 
 def test_stacked_training_twin_trains_on_after_the_other_diverges(blobs):
@@ -484,13 +487,13 @@ def test_stacked_training_twin_trains_on_after_the_other_diverges(blobs):
     scheme = AnisotropicPerParam(0.05)
     training = Training(lr=30.0, iters=45, batch=16, hidden=6, activation="relu")
     with np.errstate(over="ignore", invalid="ignore"):
-        models, logs = train(datasets, [4, 4, 4], scheme, training)
+        model, logs = train(datasets, [4, 4, 4], scheme, training)
         refs = [reference_train(training, ds, scheme, 4) for ds in datasets]
     assert logs[1].diverged and 1 < len(logs[1].losses) < 32
     for r in (0, 2):
         assert not logs[r].diverged and len(logs[r].losses) == 45
-    for m, log, ref in zip(models, logs, refs):
-        assert_matches_reference(m, log, ref)
+    for p, log, ref in zip(model.params, logs, refs):
+        assert_matches_reference(p, log, ref)
 
 
 def test_stacked_training_validation(blobs):
@@ -553,14 +556,13 @@ def test_split_training_matches_one_stack(blobs, monkeypatch, cpus):
     training = Training(lr=30.0, iters=45, batch=16, hidden=6, activation="relu")
     scheme = AnisotropicPerParam(0.05)
     with np.errstate(over="ignore", invalid="ignore"):
-        ref_models, ref_logs = train(datasets, seeds, scheme, training)
+        ref_model, ref_logs = train(datasets, seeds, scheme, training)
         split_over(monkeypatch, cpus)
-        models, logs = train(datasets, seeds, scheme, training)
+        model, logs = train(datasets, seeds, scheme, training)
     assert_no_child_left()
     assert ref_logs[1].diverged and [log.diverged for log in logs] == [log.diverged
                                                                         for log in ref_logs]
-    for m, ref in zip(models, ref_models):
-        assert m.seed == ref.seed and np.array_equal(m.params, ref.params)
+    assert np.array_equal(model.params, ref_model.params)
     for log, ref in zip(logs, ref_logs):
         assert np.array_equal(log.losses, ref.losses, equal_nan=True)
 

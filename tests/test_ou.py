@@ -376,8 +376,8 @@ def test_noise_stack_at_time_zero_is_the_initial_law():
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_gaussian_kl_that_overflows_raises():
-    a = GaussianState(np.zeros(2), SpdMatrix.identity(2), 1.0)
-    b = GaussianState(np.array([0.0, 1e300]), SpdMatrix.identity(2), 1.0)
+    a = GaussianState(np.zeros(2), SpdMatrix(np.eye(2)), 1.0)
+    b = GaussianState(np.array([0.0, 1e300]), SpdMatrix(np.eye(2)), 1.0)
     with pytest.raises(AnisoError) as exc:
         gaussian_kl(a, b)
     assert exc.value.operation == "gaussian_kl"

@@ -54,7 +54,7 @@ def test_zero_drift_trajectory_is_cumulative_noise():
     # of exactly the per-step blocks, bit for bit
     cfg = SimConfig(step=0.25, horizon=1.0, paths=3, seed=99)
     drift = CallableDrift(lambda x: np.zeros_like(x))
-    cov = ConstantSpd(SpdMatrix.identity(2))
+    cov = ConstantSpd(SpdMatrix(np.eye(2)))
     ens = simulate(drift, cov, np.zeros(2), cfg)
     x = np.zeros((3, 2))
     h = math.sqrt(0.25)
@@ -66,7 +66,7 @@ def test_zero_drift_trajectory_is_cumulative_noise():
 def test_simulation_deterministic():
     cfg = SimConfig(step=0.1, horizon=2.0, paths=4, seed=5)
     drift = QuadraticDrift(np.array([[1.0]]), np.array([0.0]))
-    cov = ConstantSpd(SpdMatrix.identity(1))
+    cov = ConstantSpd(SpdMatrix(np.eye(1)))
     a = simulate(drift, cov, np.array([1.0]), cfg)
     b = simulate(drift, cov, np.array([1.0]), cfg)
     assert np.array_equal(a.states, b.states)
@@ -75,7 +75,7 @@ def test_simulation_deterministic():
 
 def test_record_stride_subsamples_same_trajectory():
     drift = QuadraticDrift(np.array([[1.0]]), np.array([0.5]))
-    cov = ConstantSpd(SpdMatrix.identity(1))
+    cov = ConstantSpd(SpdMatrix(np.eye(1)))
     full = simulate(drift, cov, np.array([0.0]),
                     SimConfig(step=0.1, horizon=1.0, paths=2, seed=3))
     strided = simulate(drift, cov, np.array([0.0]),
@@ -97,7 +97,7 @@ def test_deterministic_ode_limit():
 def test_paired_simulation_shares_increments():
     drift_a = QuadraticDrift(np.array([[1.0]]), np.array([0.0]))
     drift_b = QuadraticDrift(np.array([[1.0]]), np.array([0.1]))
-    cov = ConstantSpd(SpdMatrix.identity(1))
+    cov = ConstantSpd(SpdMatrix(np.eye(1)))
     cfg = SimConfig(step=0.1, horizon=1.0, paths=3, seed=8)
     ens_a, ens_b = paired_simulate(drift_a, drift_b, cov, np.array([1.0]), cfg)
     solo_a = simulate(drift_a, cov, np.array([1.0]), cfg)
@@ -612,7 +612,7 @@ def test_failed_draw_on_the_main_thread_propagates(monkeypatch):
     stealing_draws(monkeypatch, fail=failed)
     cfg = SimConfig(step=0.1, horizon=1.0, paths=5, seed=2)
     with pytest.raises(MemoryError) as info:
-        simulate(QuadraticDrift(np.eye(2), np.zeros(2)), ConstantSpd(SpdMatrix.identity(2)),
+        simulate(QuadraticDrift(np.eye(2), np.zeros(2)), ConstantSpd(SpdMatrix(np.eye(2))),
                  np.zeros(2), cfg)
     assert info.value is failed
     assert threading.active_count() == threads
@@ -621,7 +621,7 @@ def test_failed_draw_on_the_main_thread_propagates(monkeypatch):
 def test_simulators_reject_non_finite_states():
     # the drift's Gram matrix overflows, so the first step is already inf or nan
     drift = QuadraticDrift(np.array([[1e200]]), np.array([0.0]))
-    cov = ConstantSpd(SpdMatrix.identity(1))
+    cov = ConstantSpd(SpdMatrix(np.eye(1)))
     cfg = SimConfig(step=0.1, horizon=0.5, paths=3, seed=0)
     with np.errstate(over="ignore", invalid="ignore"):
         for run in (lambda: simulate(drift, cov, np.array([1.0]), cfg),
@@ -635,7 +635,7 @@ def test_simulators_reject_non_finite_states():
 def test_simulator_errors_propagate_and_stop_the_helper_thread(monkeypatch):
     threads = threading.active_count()
     cfg = SimConfig(step=0.1, horizon=1.0, paths=5, seed=2)
-    identity = ConstantSpd(SpdMatrix.identity(2))
+    identity = ConstantSpd(SpdMatrix(np.eye(2)))
     error = ZeroDivisionError("drift failed at step 3")
     steps = iter(range(10))
 
@@ -673,7 +673,7 @@ def test_simulator_errors_propagate_and_stop_the_helper_thread(monkeypatch):
 def test_write_ensemble_csv_roundtrip(tmp_path, capsys):
     cfg = SimConfig(step=0.5, horizon=1.0, paths=2, seed=1)
     drift = QuadraticDrift(np.array([[1.0]]), np.array([0.0]))
-    ens = simulate(drift, ConstantSpd(SpdMatrix.identity(1)), np.array([1.0]), cfg)
+    ens = simulate(drift, ConstantSpd(SpdMatrix(np.eye(1))), np.array([1.0]), cfg)
     # the same ensemble through the CLI, which writes ensemble.csv
     doc = {"seed": 1, "output_dir": "out", "experiment": {
         "kind": "simulate", "design": [[1.0]], "target": [0.0], "sigma_diag": [1.0],
