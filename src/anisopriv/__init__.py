@@ -74,7 +74,6 @@ from .models import (
     NoNoise,
     TrainLog,
     Training,
-    init_model,
     make_adjacent,
     read_dataset_csv,
     synth_blobs,
@@ -110,7 +109,7 @@ __all__ = [
     "GradientGap", "NoiseGrid", "TradeoffPoint", "grid_surface", "kl_term",
     "optimal_diag_cov", "quadratic_tradeoff",
     "AnisotropicPerParam", "Dataset", "IsotropicPerLayer", "MlpModel",
-    "NO_NOISE", "NoNoise", "TrainLog", "Training", "init_model", "make_adjacent",
+    "NO_NOISE", "NoNoise", "TrainLog", "Training", "make_adjacent",
     "read_dataset_csv", "synth_blobs", "train",
     "AuditConfig", "AuditReport", "MembershipConfig", "MembershipReport",
     "clamped_log_ratios",

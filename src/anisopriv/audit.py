@@ -58,8 +58,8 @@ def _check_config(cfg, failed: dict, *, drops_record: bool) -> None:
 class AuditConfig:
     """Settings of estimate_delta. Each outer round draws a neighbour of
     dataset by adjacency; each inner round trains a model on both datasets
-    with training under scheme, whose noise each step scales by the
-    minibatch gradient that step descends along (see models.train)."""
+    with training under scheme; a noisy scheme's variance method gives each
+    step's noise variances (see models.train)."""
 
     epsilon: float
     outer_rounds: int
@@ -205,9 +205,8 @@ class MembershipReport:
 
 
 def membership_experiment(cfg: MembershipConfig) -> MembershipReport:
-    """Paired trainings with and without the target record. A noisy step
-    scales its noise by the minibatch gradient it descends along, as in
-    models.train.
+    """Paired trainings with and without the target record, with the noise
+    of the scheme's variance method, as in models.train.
 
     null_control trains both arms on the full dataset (the D = D' check:
     identical losses, zero gap).

@@ -382,15 +382,17 @@ def _sim_config(p, seed):
 # dataset and noise-scheme sub-schemas (dp-audit, membership)
 
 
+_NOISY_SCHEMES = {"isotropic-layer": IsotropicPerLayer, "anisotropic-param": AnisotropicPerParam}
+
+
 def _scheme(sch):
-    kind = sch.string("kind", choices={"none", "isotropic-layer", "anisotropic-param"})
+    kind = sch.string("kind", choices={"none", *_NOISY_SCHEMES})
     if kind == "none":
         if sch.has("sigma2"):
             sch.err("sigma2", 'not allowed when kind is "none"')
         return NO_NOISE
     sigma2 = sch.number("sigma2")
-    make = IsotropicPerLayer if kind == "isotropic-layer" else AnisotropicPerParam
-    return None if kind is None else sch.built(None, make, sigma2)
+    return None if kind is None else sch.built(None, _NOISY_SCHEMES[kind], sigma2)
 
 
 def _dataset(ds, base_dir):

@@ -5,9 +5,9 @@ finite differences in the test suite). The flat parameters hold the layer
 blocks [W1; b1] (m+1, h) and [W2; b2] (h+1, k), and the inputs and hidden
 activations carry a ones column, so a layer is one matmul each way; the max
 and exp-sum over classes are left-to-right folds of the class columns.
-Training is minibatch gradient descent with optional Gaussian noise whose
-scale is the magnitude of the minibatch gradient the step descends along, per
-layer or per parameter. Tagged counter-based streams pin initialization, batch
+Training is minibatch gradient descent with optional Gaussian noise, whose
+variances a noisy scheme's `variance` gives from the minibatch gradients the
+step descends along. Tagged counter-based streams pin initialization, batch
 selection and noise draws to the seed. A `Training` holds the settings that
 every run of a call shares (step size, iterations, batch, hidden width,
 activation) and states their rules once; the noise scheme is passed beside it.
@@ -147,13 +147,6 @@ def layer_slices(layer_sizes: tuple[int, int, int]) -> list[slice]:
     return [slice(0, first), slice(first, first + (h + 1) * k)]
 
 
-def init_model(n_features: int, hidden: int, classes: int, seed: int,
-               activation: str = "relu") -> MlpModel:
-    """The stack of one run, initialized by _init_params."""
-    sizes = (n_features, hidden, classes)
-    return MlpModel(sizes, _init_params(sizes, seed)[None], activation)
-
-
 def _init_params(layer_sizes, seed: int) -> np.ndarray:
     """Flat params (P,): weights uniform on +-1/sqrt(fan_in), biases zero,
     from the seed's init stream."""
@@ -260,37 +253,37 @@ NO_NOISE = NoNoise()
 
 @dataclass(frozen=True)
 class _GradientScaled:
+    """Noise whose variance is sigma2 times a magnitude of the minibatch
+    gradient the step descends along; each subclass states which."""
+
     sigma2: float
 
     def __post_init__(self):
-        if self.sigma2 < 0.0:
-            raise FieldErrors([("sigma2", "must be nonnegative")])
+        if not 0.0 <= self.sigma2 < np.inf:
+            why = "must be nonnegative" if self.sigma2 < 0.0 else "must be finite"
+            raise FieldErrors([("sigma2", why)])
 
 
 @dataclass(frozen=True)
 class IsotropicPerLayer(_GradientScaled):
-    """Per-layer variance sigma2 * max|grad in layer| this iteration."""
+    """One noise variance per layer, from the layer's largest gradient entry."""
+
+    def variance(self, grad: np.ndarray, slices: list[slice]) -> np.ndarray:
+        """Variances (R, P) for the gradients (R, P): sigma2 * max|grad| over
+        each layer's slice of the last axis, per run."""
+        var = np.empty_like(grad)
+        for sl in slices:
+            var[:, sl] = self.sigma2 * np.abs(grad[:, sl]).max(axis=1, keepdims=True, initial=0.0)
+        return var
 
 
 @dataclass(frozen=True)
 class AnisotropicPerParam(_GradientScaled):
-    """Per-parameter variance sigma2 * |grad_i| this iteration."""
+    """One noise variance per parameter, from its gradient entry."""
 
-
-def noise_std(scheme, grad: np.ndarray, slices: list[slice]) -> np.ndarray:
-    """Per-parameter standard deviation of the injected noise, for a gradient
-    (P,) or a stack of them (R, P); slices index the last axis."""
-    if isinstance(scheme, NoNoise):
-        return np.zeros_like(grad)
-    if isinstance(scheme, IsotropicPerLayer):
-        std = np.empty_like(grad)
-        for sl in slices:
-            top = np.abs(grad[..., sl]).max(axis=-1, keepdims=True, initial=0.0)
-            std[..., sl] = np.sqrt(scheme.sigma2 * top)
-        return std
-    if isinstance(scheme, AnisotropicPerParam):
-        return np.sqrt(scheme.sigma2 * np.abs(grad))
-    raise TypeError(f"unknown noise scheme {type(scheme).__name__}")
+    def variance(self, grad: np.ndarray, slices: list[slice]) -> np.ndarray:
+        """Variances (R, P) for the gradients (R, P): sigma2 * |grad|."""
+        return self.sigma2 * np.abs(grad)
 
 
 # ---------------------------------------------------------------------------
@@ -320,15 +313,16 @@ def train(datasets, seeds, scheme, training: Training):
     datasets must share their feature count, and the class count is the
     largest label of any of them plus one. Parameters are initialized from
     each seed's init stream, so a run's result depends only on its dataset
-    and seed, bit for bit. A noisy step scales its noise by the magnitude of
-    the minibatch gradient it has just computed and descends along (see
-    noise_std). Runs with the same seed share one init and one noise stream,
-    and those with the same seed and row count one batch stream, each drawn
-    once, in blocks of 32 iterations, while any of its runs is live. A
-    non-finite loss or gradient stops a run and flags its log as diverged;
-    its parameters are those before that step, and the other runs carry on.
-    The loop runs with numpy's overflow and invalid-value warnings off, since
-    a non-finite loss or gradient is how divergence is detected.
+    and seed, bit for bit. A noisy step draws its noise with the variances
+    that scheme.variance gives for the minibatch gradients the step has just
+    computed and descends along. Runs with the same seed share one init and
+    one noise stream, and those with the same seed and row count one batch
+    stream, each drawn once, in blocks of 32 iterations, while any of its
+    runs is live. A non-finite loss or gradient stops a run and flags its
+    log as diverged; its parameters are those before that step, and the
+    other runs carry on. The loop runs with numpy's overflow and
+    invalid-value warnings off, since a non-finite loss or gradient is how
+    divergence is detected.
 
     On Linux, a call of at least 1.5e7 multiply-adds (iters x runs x batch x
     parameters) splits its runs, whole seed groups at a time, into one part
@@ -534,7 +528,7 @@ def _train_stack(sizes, training, datasets, seeds, scheme):
                     break
             params = params - lr * grad
             if noisy:
-                params += noise_std(scheme, grad, slices) * noise[seed_of[live], j]
+                params += np.sqrt(scheme.variance(grad, slices)) * noise[seed_of[live], j]
     final[live] = params
     return final, losses, steps, diverged
 
@@ -622,6 +616,8 @@ def read_dataset_csv(path) -> Dataset:
                 labels.append(int(row[-1]))
             except ValueError as exc:
                 raise ValueError(f"line {r.line_num}: {exc}") from None
+            if not np.all(np.isfinite(feats[-1])):
+                raise ValueError(f"line {r.line_num}: features must be finite")
             if not -2**63 <= labels[-1] < 2**63:
                 raise ValueError(f"line {r.line_num} has label {row[-1]}, outside the int64 range")
     if not labels:

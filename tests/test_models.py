@@ -14,6 +14,7 @@ from anisopriv.models import (
     _BATCH_TAG,
     _NOISE_TAG,
     _fold,
+    _init_params,
     _loss_and_grad,
     _ones_column,
     _seed_parts,
@@ -24,11 +25,9 @@ from anisopriv.models import (
     MlpModel,
     Training,
     forward,
-    init_model,
     layer_slices,
     loss_and_grad,
     make_adjacent,
-    noise_std,
     read_dataset_csv,
     synth_blobs,
     train,
@@ -66,7 +65,7 @@ def test_zero_weights_uniform_loss():
 
 
 def test_forward_rows_are_distributions(blobs):
-    model = init_model(3, 6, 3, 2)
+    model = MlpModel((3, 6, 3), _init_params((3, 6, 3), 2)[None])
     probs = forward(model, blobs.features)[0]
     assert probs.shape == (blobs.size, 3)
     assert np.all(probs >= 0.0)
@@ -75,7 +74,7 @@ def test_forward_rows_are_distributions(blobs):
 
 @pytest.mark.parametrize("activation", ["relu", "tanh"])
 def test_gradient_against_finite_differences(blobs, activation):
-    model = init_model(3, 5, 3, 7, activation)
+    model = MlpModel((3, 5, 3), _init_params((3, 5, 3), 7)[None], activation)
     x, y = blobs.features[:12], blobs.labels[:12]
     _, grad = loss_and_grad(model, x, y)
     np.testing.assert_allclose(grad[0], fd_gradient(model, x, y), atol=1e-7)
@@ -141,7 +140,7 @@ def test_bias_folded_step_matches_unfused_formulas(blobs, activation, runs):
     # n = 24 terms; 1e-13 relative to the largest entry is ~450 ulp
     sizes = (3, 7, 3)
     rng = np.random.default_rng(runs)
-    params = np.concatenate([init_model(*sizes, s, activation).params for s in range(runs)])
+    params = np.stack([_init_params(sizes, s) for s in range(runs)])
     params += 0.3 * rng.standard_normal(params.shape)  # nonzero biases
     rows = rng.integers(0, blobs.size, size=(runs, 24))
     x, y = blobs.features[rows], blobs.labels[rows]
@@ -156,7 +155,7 @@ def test_bias_folded_step_matches_unfused_formulas(blobs, activation, runs):
 def test_stacked_scoring_rows_match_single_models(blobs, monkeypatch, activation):
     # at 100 rows a block holds 2 runs of these 40 rows, so 5 runs split into 3
     # blocks; the last run has nonzero biases
-    params = np.concatenate([init_model(3, 6, 3, s, activation).params for s in range(4)])
+    params = np.stack([_init_params((3, 6, 3), s) for s in range(4)])
     model = MlpModel((3, 6, 3), np.concatenate([params, params[:1] + 0.3]), activation)
     x, y = blobs.features[::3], blobs.labels[::3]
     whole = forward(model, x), loss_and_grad(model, x, y)
@@ -185,35 +184,38 @@ def test_model_rejects_params_of_the_wrong_shape(shape):
         MlpModel((4, 6, 3), np.zeros(shape))
 
 
-def test_init_model_layout():
-    model = init_model(4, 6, 3, 9)
+def test_init_params_layout():
+    sizes = (4, 6, 3)
+    params = _init_params(sizes, 9)
+    model = MlpModel(sizes, params[None])
     sl1, sl2 = layer_slices(model.layer_sizes)
     assert sl1 == slice(0, 30) and sl2 == slice(30, 30 + 21)
     assert model.params.shape == (1, 51) and model.n_params == 51
-    w1 = model.params[0, : 4 * 6]
+    w1 = params[: 4 * 6]
     assert np.abs(w1).max() <= 1.0 / 2.0  # +-1/sqrt(4)
-    assert np.array_equal(model.params[0, 24:30], np.zeros(6))  # b1
-    assert np.array_equal(model.params[0, 48:], np.zeros(3))  # b2
-    again = init_model(4, 6, 3, 9)
-    assert np.array_equal(model.params, again.params)
-    other = init_model(4, 6, 3, 10)
-    assert not np.array_equal(model.params, other.params)
+    assert np.array_equal(params[24:30], np.zeros(6))  # b1
+    assert np.array_equal(params[48:], np.zeros(3))  # b2
+    assert np.array_equal(params, _init_params(sizes, 9))
+    assert not np.array_equal(params, _init_params(sizes, 10))
 
 
-def test_noise_std_per_scheme():
-    grad = np.array([3.0, -1.0, 0.0, 2.0])
+def test_variance_per_scheme():
+    # each run's layer max is its own: a max taken across the three runs
+    # would give 8 for every first-layer entry
+    grad = np.array([[3.0, -1.0, 0.0, 2.0],
+                     [0.5, 4.0, -6.0, 1.0],
+                     [0.0, 0.0, 1.0, -1.0]])
     slices = [slice(0, 2), slice(2, 4)]
-    assert np.array_equal(noise_std(NO_NOISE, grad, slices), np.zeros(4))
-    iso = noise_std(IsotropicPerLayer(2.0), grad, slices)
-    np.testing.assert_allclose(iso, [math.sqrt(6.0)] * 2 + [2.0] * 2, rtol=1e-15)
-    aniso = noise_std(AnisotropicPerParam(2.0), grad, slices)
-    np.testing.assert_allclose(aniso, [math.sqrt(6.0), math.sqrt(2.0), 0.0, 2.0], rtol=1e-15)
-    with pytest.raises(TypeError):
-        noise_std(object(), grad, slices)
-    with pytest.raises(ValueError):
-        IsotropicPerLayer(-1.0)
-    with pytest.raises(ValueError):
-        AnisotropicPerParam(-0.5)
+    iso = IsotropicPerLayer(2.0).variance(grad, slices)
+    assert np.array_equal(iso, [[6.0, 6.0, 4.0, 4.0], [8.0, 8.0, 12.0, 12.0], [0.0, 0.0, 2.0, 2.0]])
+    aniso = AnisotropicPerParam(2.0).variance(grad, slices)
+    assert np.array_equal(aniso, 2.0 * np.abs(grad))
+    for scheme in (IsotropicPerLayer, AnisotropicPerParam):
+        for sigma2, message in ((-0.5, "must be nonnegative"), (-math.inf, "must be nonnegative"),
+                                (math.inf, "must be finite"), (math.nan, "must be finite")):
+            with pytest.raises(FieldErrors) as err:
+                scheme(sigma2)
+            assert err.value.fields == (("sigma2", message),)
 
 
 def test_train_is_deterministic(blobs):
@@ -375,7 +377,7 @@ def reference_train(training, dataset, scheme, seed):
     of the run's tagged streams per step. Returns (params, losses, diverged)."""
     sizes = (dataset.n_features, training.hidden, dataset.n_classes)
     activation = training.activation
-    params = init_model(*sizes, seed, activation).params[0]
+    params = _init_params(sizes, seed)
     slices = layer_slices(sizes)
     batch_rng = tagged_stream(seed, _BATCH_TAG)
     noise_rng = tagged_stream(seed, _NOISE_TAG)
@@ -390,8 +392,13 @@ def reference_train(training, dataset, scheme, seed):
         if scheme is NO_NOISE:
             params = params - lr * grad
             continue
+        if isinstance(scheme, IsotropicPerLayer):  # sigma2 * max|grad| over each layer
+            var = np.concatenate([np.full(sl.stop - sl.start, scheme.sigma2 * np.abs(grad[sl]).max())
+                                  for sl in slices])
+        else:  # sigma2 * |grad| per parameter
+            var = scheme.sigma2 * np.abs(grad)
         noise = noise_rng.standard_normal(params.shape[0])
-        params = params - lr * grad + noise_std(scheme, grad, slices) * noise
+        params = params - lr * grad + np.sqrt(var) * noise
     return params, np.array(losses), False
 
 
