@@ -20,7 +20,7 @@ from .errors import (
     TrainingDivergedWarning,
 )
 from .linalg import SpdMatrix, SymMatrix
-from .ou import GaussianState, QuadraticProblem, error_to_opt, exact_state, gaussian_kl, invariant_state
+from .ou import GaussianState, QuadraticProblem, error_to_opt, exact_state, gaussian_kl
 from .sde import (
     CallableDrift,
     ConstantSpd,
@@ -96,7 +96,7 @@ __all__ = [
     "NotPositiveDefinite", "ScoreRequired", "TrainingDivergedWarning",
     "SpdMatrix", "SymMatrix",
     "GaussianState", "QuadraticProblem", "error_to_opt", "exact_state",
-    "gaussian_kl", "invariant_state",
+    "gaussian_kl",
     "CallableDrift", "ConstantSpd", "DatasetGradientDrift", "DiagonalOfState",
     "MinibatchSgd", "QuadraticDrift", "SimConfig", "TrajectoryEnsemble",
     "minibatch_covariance", "paired_simulate", "psd_project", "simulate",

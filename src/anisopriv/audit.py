@@ -27,10 +27,9 @@ import numpy as np
 
 from .errors import AnisoError, TrainingDivergedWarning, check_fields
 from .models import Dataset, Training, forward, loss_and_grad, make_adjacent, train
-from .rng import derive_seed, tagged_stream
+from .rng import ADJACENCY_TAG, derive_seed, tagged_stream
 
 PROB_FLOOR = 1e-12
-_ADJ_TAG = 5
 
 ADJACENCY_MODES = ("replace", "remove", "null")
 
@@ -126,7 +125,7 @@ def estimate_delta(cfg: AuditConfig) -> AuditReport:
     count over the comparisons its kept pairs made, and is None when all its
     pairs diverged; such a round is left out of the maximum."""
     ds = cfg.dataset
-    adj_rng = tagged_stream(cfg.seed, _ADJ_TAG)
+    adj_rng = tagged_stream(cfg.seed, ADJACENCY_TAG)
     others = [_adjacent_pair(ds, cfg.adjacency, adj_rng) for _ in range(cfg.outer_rounds)]
     rounds = [(t1, t2) for t1 in range(cfg.outer_rounds) for t2 in range(cfg.inner_rounds)]
     seeds = [derive_seed(cfg.seed, t1, t2) for t1, t2 in rounds]

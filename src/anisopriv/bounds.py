@@ -220,24 +220,29 @@ def lsi_constant(t: float, rho: float, c0: float) -> float:
     """(2/rho)(1 - e^{-rho t}) + c0 e^{-rho t}; monotone from c0 to 2/rho."""
     if not (rho > 0.0):
         raise ValueError(f"rho must be positive, got {rho}")
-    if not (c0 > 0.0):
-        raise ValueError(f"c0 must be positive, got {c0}")
+    if not (0.0 < c0 < math.inf):
+        raise ValueError(f"c0 must be positive and finite, got {c0}")
     if not (t >= 0.0):
         raise ValueError(f"t must be nonnegative, got {t}")
-    if math.isinf(t):
-        return 2.0 / rho
     decay = math.exp(-rho * t)
     return (2.0 / rho) * (1.0 - decay) + c0 * decay
+
+
+def _moment_brace(p: RegularityParams, m2l2: float, decay: float) -> float:
+    """2 (L^2 / m2l2 + 2)(sigma^2 / (2 kappa) + decay) + |xstar - xstar'|^2: the
+    gradient-moment brace, with decay the weight of the initial moment."""
+    return (2.0 * (p.grad_lip**2 / m2l2 + 2.0) * (p.sigma**2 / (2.0 * p.kappa) + decay)
+            + p.opt_gap_sq)
 
 
 def klbound_closed(p: RegularityParams, *, stationary_limit: bool = False) -> float:
     """Time-uniform KL bound for the strongly convex isotropic pair.
 
-    stationary_limit drops the +1 moment slack, the variant valid when the
+    Its brace is xi_bound's at coupling 1 and t = 0. stationary_limit drops
+    the +1 moment slack (the brace at t = math.inf), the variant valid when the
     first process starts at its stationary law.
     """
-    moment = p.sigma**2 / (2.0 * p.kappa) + (0.0 if stationary_limit else 1.0)
-    brace = 2.0 * (p.grad_lip**2 / p.grad_lip_prime**2 + 2.0) * moment + p.opt_gap_sq
+    brace = _moment_brace(p, p.grad_lip_prime**2, 0.0 if stationary_limit else 1.0)
     lead = 8.0 * p.grad_lip_prime**2 / p.sigma**2
     tail = (4.0 + p.lsi0 * p.sigma_prime**2 * p.kappa_prime) / (
         p.sigma**2 * p.sigma_prime**2 * p.kappa_prime
@@ -265,18 +270,15 @@ def xi_bound(t: float, p: RegularityParams, coupling: float) -> float:
         raise ValueError(f"coupling must be positive, got {coupling}")
     if not (t >= 0.0):
         raise ValueError(f"t must be nonnegative, got {t}")
-    decay = 0.0 if math.isinf(t) else math.exp(-2.0 * p.kappa * t)
     m2l2 = coupling**2 * p.grad_lip_prime**2
-    brace = (
-        2.0 * (p.grad_lip**2 / m2l2 + 2.0) * (p.sigma**2 / (2.0 * p.kappa) + decay)
-        + p.opt_gap_sq
-    )
-    return 2.0 * m2l2 * brace
+    return 2.0 * m2l2 * _moment_brace(p, m2l2, math.exp(-2.0 * p.kappa * t))
 
 
 def convergence_bound(t: float, kappa: float, trace_sigma: float, v0: float) -> float:
-    """Upper bound on (1/2) E ||x_t - xstar||^2 for a kappa-strongly convex
-    drift with constant noise of total variance trace_sigma."""
+    """Upper bound on (1/2) E ||x_t - xstar||^2 for dx = -grad f(x) dt + S^{1/2} dW
+    with f kappa-strongly convex, tr S = trace_sigma and
+    v0 = (1/2) E ||x_0 - xstar||^2. It is exact for f = (kappa/2) ||x - xstar||^2
+    and isotropic S; at t = math.inf it is the stationary trace_sigma / (4 kappa)."""
     if not (kappa > 0.0):
         raise ValueError(f"kappa must be positive, got {kappa}")
     if trace_sigma < 0.0:
@@ -285,5 +287,5 @@ def convergence_bound(t: float, kappa: float, trace_sigma: float, v0: float) -> 
         raise ValueError(f"v0 must be nonnegative, got {v0}")
     if not (t >= 0.0):
         raise ValueError(f"t must be nonnegative, got {t}")
-    decay = 0.0 if math.isinf(t) else math.exp(-2.0 * kappa * t)
+    decay = math.exp(-2.0 * kappa * t)
     return v0 * decay + trace_sigma / (4.0 * kappa) * (1.0 - decay)

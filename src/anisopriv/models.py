@@ -38,9 +38,8 @@ from functools import partial, reduce
 import numpy as np
 
 from .errors import BatchLargerThanDataset, FieldErrors, IndexOutOfRange, check_fields
-from .rng import tagged_stream
+from .rng import BATCH_TAG, INIT_TAG, NOISE_TAG, SYNTH_TAG, tagged_stream
 
-_INIT_TAG, _BATCH_TAG, _NOISE_TAG = 1, 2, 3
 _STREAM_BLOCK = 32  # iterations of batch indices and noise drawn per stream at once
 # Rows (runs times rows per run) per block of runs in one stacked pass; a
 # larger stack is split into near-equal blocks. On 2 cores, an estimate_delta
@@ -150,7 +149,7 @@ def layer_slices(layer_sizes: tuple[int, int, int]) -> list[slice]:
 def _init_params(layer_sizes, seed: int) -> np.ndarray:
     """Flat params (P,): weights uniform on +-1/sqrt(fan_in), biases zero,
     from the seed's init stream."""
-    rng = tagged_stream(seed, _INIT_TAG)
+    rng = tagged_stream(seed, INIT_TAG)
     m, h, k = layer_sizes
     w1 = rng.uniform(-1.0, 1.0, size=(m, h)) / np.sqrt(m)
     w2 = rng.uniform(-1.0, 1.0, size=(h, k)) / np.sqrt(h)
@@ -491,11 +490,11 @@ def _train_stack(sizes, training, datasets, seeds, scheme):
     seed_of, seed_keys = _index_by(seeds)
     batch_of, batch_keys = _index_by((s, ds.size) for s, ds in zip(seeds, datasets))
     params = np.stack([_init_params(sizes, s) for s in seed_keys])[seed_of]
-    batch_rngs = [tagged_stream(s, _BATCH_TAG) for s, _ in batch_keys]
+    batch_rngs = [tagged_stream(s, BATCH_TAG) for s, _ in batch_keys]
     picks = np.empty((len(batch_keys), _STREAM_BLOCK, batch), dtype=np.int64)
     noisy = not isinstance(scheme, NoNoise)
     if noisy:
-        noise_rngs = [tagged_stream(s, _NOISE_TAG) for s in seed_keys]
+        noise_rngs = [tagged_stream(s, NOISE_TAG) for s in seed_keys]
         noise = np.empty((len(seed_keys), _STREAM_BLOCK, params.shape[1]))
 
     losses = np.empty((runs, iters))
@@ -574,7 +573,7 @@ def synth_blobs(classes: int, per_class: int, dim: int, separation: float,
     if separation < 0.0:
         failed["separation"] = "must be nonnegative"
     check_fields(("classes", "per_class", "dim", "separation"), failed)
-    rng = tagged_stream(seed, 4)
+    rng = tagged_stream(seed, SYNTH_TAG)
     feats = rng.standard_normal((classes * per_class, dim))
     labels = np.repeat(np.arange(classes), per_class)
     scale = separation / np.sqrt(2.0)

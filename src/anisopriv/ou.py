@@ -12,8 +12,9 @@ closed form for every S, commuting with G or not. With S~ = Q.T S Q,
     cov(t) = Q [S~_ij (1 - exp(-(w_i + w_j) t)) / (w_i + w_j)] Q.T
              + exp(-G t) V0 exp(-G t)
 
-using expm1 for small (w_i + w_j) t. At t = inf this is the stationary
-covariance S~_ij / (w_i + w_j), the solution of G V + V G = S.
+using expm1 for small (w_i + w_j) t. At t = inf the same form is the stationary
+law: exp(-G t) = 0 puts the mean at the optimum, and the covariance is
+S~_ij / (w_i + w_j), the solution of G V + V G = S.
 
 A QuadraticProblem is an sde.QuadraticDrift that adds the noise covariance
 and the initial law, so the same object is the drift a simulation or
@@ -28,7 +29,6 @@ leading G axis; one matrix is the same computation without that axis.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -88,8 +88,8 @@ class QuadraticProblem(QuadraticDrift):
 
 @dataclass(frozen=True, eq=False)
 class GaussianState:
-    """Gaussian law snapshot; covariance may be PSD at time zero only. A (G, d, d)
-    covariance stack holds G laws that share the mean."""
+    """Gaussian law snapshot; the covariance may be only semidefinite, as at time
+    zero. A (G, d, d) covariance stack holds G laws that share the mean."""
 
     mean: np.ndarray
     cov: SpdMatrix
@@ -115,10 +115,8 @@ def _rotated_noise(p: QuadraticProblem) -> tuple[np.ndarray, np.ndarray, np.ndar
 
 
 def exact_state(p: QuadraticProblem, t: float) -> GaussianState:
-    """Gaussian law of the process at time t (math.inf delegates to the
-    stationary law)."""
-    if math.isinf(t):
-        return invariant_state(p)
+    """Gaussian law of the process at time t in [0, math.inf]; at math.inf it
+    is the stationary law."""
     if not (t >= 0.0):
         raise ValueError(f"time must be nonnegative, got {t}")
     if t == 0.0:
@@ -135,14 +133,6 @@ def exact_state(p: QuadraticProblem, t: float) -> GaussianState:
     if p.v0 is not None:
         cov = cov + e @ p.v0.entries @ e
     return GaussianState(mean, SpdMatrix(_sym_part(cov), allow_semidefinite=True), float(t))
-
-
-def invariant_state(p: QuadraticProblem) -> GaussianState:
-    """Stationary Gaussian law: mean at the optimum, covariance from the
-    Lyapunov identity gram @ V + V @ gram = noise_cov."""
-    w, q, s_rot = _rotated_noise(p)
-    cov = _sym_part(q @ (s_rot / np.add.outer(w, w)) @ q.T)
-    return GaussianState(p.optimum.copy(), SpdMatrix(cov), math.inf)
 
 
 def gaussian_kl(state: GaussianState, other: GaussianState) -> float | np.ndarray:

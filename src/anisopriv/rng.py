@@ -19,6 +19,11 @@ def step_normals(seed: int, step: int, shape: tuple[int, ...]) -> np.ndarray:
     return np.random.Generator(bitgen).standard_normal(shape)
 
 
+# The tagged_stream tag of each use, named here so that no two uses share one:
+# MLP init, minibatch indices, gradient noise, synth_blobs, audit adjacency.
+INIT_TAG, BATCH_TAG, NOISE_TAG, SYNTH_TAG, ADJACENCY_TAG = 1, 2, 3, 4, 5
+
+
 def tagged_stream(seed: int, tag: int) -> np.random.Generator:
     """Independent named stream: same seed + different tag never collide."""
     return np.random.Generator(np.random.Philox(key=(np.uint64(seed), np.uint64(tag))))

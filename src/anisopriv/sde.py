@@ -290,22 +290,17 @@ def _eigenbasis_scaled(q: np.ndarray, s: np.ndarray, v: np.ndarray) -> np.ndarra
     return (q @ (s * qt_v)[..., None])[..., 0]
 
 
-def minibatch_covariance(per_example_grads: np.ndarray, full_grad: np.ndarray,
-                         batch: int, replacement: bool) -> SymMatrix:
+def minibatch_covariance(per_example_grads: np.ndarray, batch: int,
+                         replacement: bool) -> SymMatrix:
     """Sampling covariance of the minibatch gradient of a sum-structured loss.
 
     For N examples and batch size n the scale factor is
     (N^2/n)(1 - 1/N) with replacement and (N^2/n)(1 - n/N) without, applied
-    to sum_l g_l g_l.T - g g.T. The result need not be PSD; see psd_project.
-    g is the column sum of per_example_grads, which full_grad must equal.
+    to sum_l g_l g_l.T - g g.T, where g is the column sum of
+    per_example_grads. The result need not be PSD; see psd_project.
     """
     g = np.atleast_2d(np.asarray(per_example_grads, dtype=float))
-    full = np.asarray(full_grad, dtype=float).ravel()
     raw = _sampling_covariance(np.column_stack([g, np.ones(len(g))]), batch, replacement)
-    colsum = g.sum(axis=0)
-    tol = 1e-9 * max(1.0, float(np.abs(colsum).max(initial=0.0)))
-    if np.abs(colsum - full).max(initial=0.0) > tol:
-        raise ValueError("full_grad must equal the column sum of per_example_grads")
     return SymMatrix(raw)
 
 

@@ -122,11 +122,16 @@ class NoiseGrid:
         return np.tile(np.linspace(*self.y_range, self.resolution), self.resolution)
 
     @cached_property
+    def variances(self) -> np.ndarray:
+        """(G, 2) rows (x^2, y^2), the diagonal of each point's noise covariance."""
+        return np.stack([self.x * self.x, self.y * self.y], axis=-1)
+
+    @cached_property
     def covariances(self) -> SpdMatrix:
         """(G, 2, 2) stack of diag(x^2, y^2). A diagonal matrix's Cholesky pivots
         are its variances, so each axis's is checked as a (G, 1, 1) SpdMatrix
         first; raises FieldErrors with SpdMatrix's message at each range refused."""
-        v = np.stack([self.x * self.x, self.y * self.y], axis=-1)
+        v = self.variances
         failed = {}
         for name, axis in zip(("x_range", "y_range"), v.T):
             try:
@@ -141,9 +146,8 @@ def grid_surface(gap: GradientGap, grid: NoiseGrid) -> np.ndarray:
     """kl_term surface over the grid: rows (x, y, kl_term, trace) with
     diag_sigma = (x^2, y^2), row-major in (x, y). Raises AnisoError
     (operation "grid_surface") if a kl_term or trace is not finite."""
-    x, y = grid.x, grid.y
-    v = np.stack([x * x, y * y], axis=-1)
-    rows = np.column_stack([x, y, kl_term(gap, v), v[:, 0] + v[:, 1]])
+    v = grid.variances
+    rows = np.column_stack([grid.x, grid.y, kl_term(gap, v), v[:, 0] + v[:, 1]])
     if not np.isfinite(rows).all():
         raise AnisoError(f"kl_term or trace is not finite (max {rows[:, 2:].max():g})",
                          operation="grid_surface")

@@ -21,9 +21,6 @@ from anisopriv.audit import (
 from anisopriv.cli import main, write_audit_json
 from anisopriv.errors import AnisoError, FieldErrors, TrainingDivergedWarning
 from anisopriv.models import (
-    _BATCH_TAG,
-    _INIT_TAG,
-    _NOISE_TAG,
     NO_NOISE,
     AnisotropicPerParam,
     Dataset,
@@ -35,7 +32,8 @@ from anisopriv.models import (
     synth_blobs,
     train,
 )
-from anisopriv.rng import derive_seed, tagged_stream
+from anisopriv.rng import (ADJACENCY_TAG, BATCH_TAG, INIT_TAG, NOISE_TAG, derive_seed,
+                           tagged_stream)
 
 
 @pytest.fixture
@@ -121,7 +119,7 @@ def test_estimate_delta_remove_matches_per_run_training(small_blobs):
     report = estimate_delta(cfg)
 
     ds = cfg.dataset
-    adj_rng = tagged_stream(cfg.seed, 5)
+    adj_rng = tagged_stream(cfg.seed, ADJACENCY_TAG)
     counts, worst = [], -np.inf
     for t1 in range(cfg.outer_rounds):
         other = _adjacent_pair(ds, "remove", adj_rng)
@@ -162,9 +160,9 @@ def test_estimate_delta_opens_each_seed_stream_once(small_blobs, monkeypatch, ad
     cfg = small_config(small_blobs, adjacency=adjacency)
     estimate_delta(cfg)
     rounds = cfg.outer_rounds * cfg.inner_rounds
-    assert opened[_NOISE_TAG] == rounds
-    assert opened[_BATCH_TAG] == batch_streams * rounds
-    assert opened[_INIT_TAG] == rounds
+    assert opened[NOISE_TAG] == rounds
+    assert opened[BATCH_TAG] == batch_streams * rounds
+    assert opened[INIT_TAG] == rounds
 
 
 def test_estimate_delta_same_report_in_run_blocks(small_blobs, monkeypatch):
@@ -194,7 +192,7 @@ def test_divergent_rounds_are_excluded(small_blobs):
 
 def test_adjacent_pair_modes(small_blobs):
     ds = small_blobs
-    rng = tagged_stream(0, 5)
+    rng = tagged_stream(0, ADJACENCY_TAG)
     removed = _adjacent_pair(ds, "remove", rng)
     assert removed.size == ds.size - 1
 

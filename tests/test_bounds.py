@@ -30,7 +30,7 @@ from anisopriv.bounds import (
 )
 from anisopriv.errors import AnisoError, ScoreRequired
 from anisopriv.linalg import SpdMatrix
-from anisopriv.ou import GaussianState, QuadraticProblem
+from anisopriv.ou import GaussianState, QuadraticProblem, exact_state
 from anisopriv.sde import (ConstantSpd, DiagonalOfState, MinibatchSgd, QuadraticDrift, SimConfig,
                            simulate)
 from test_sde import (assert_each_step_drawn_once_on_both_threads, least_squares_grads,
@@ -356,6 +356,9 @@ def test_lsi_constant_endpoints_and_monotonicity():
     assert lsi_constant(0.0, 0.5, 2.0) == 2.0
     assert lsi_constant(math.inf, 0.5, 2.0) == 4.0
     assert lsi_rate(1.0, 1.0) == 0.5
+    # c0 e^{-rho t} would be inf * 0 = nan at t = inf
+    with pytest.raises(ValueError, match="c0 must be positive and finite"):
+        lsi_constant(math.inf, 0.5, math.inf)
 
 
 @given(
@@ -432,6 +435,44 @@ def test_convergence_bound_endpoints():
     t = 0.7
     want = 3.0 * math.exp(-1.4) + 0.5 * (1 - math.exp(-1.4))
     assert convergence_bound(t, 1.0, 2.0, 3.0) == pytest.approx(want, rel=1e-14)
+
+
+def half_mean_square_error(p, t):
+    """(1/2) E ||x_t - xstar||^2 = (1/2)(|m_t - xstar|^2 + tr V_t) under p's exact
+    time-t law."""
+    st = exact_state(p, t)
+    return 0.5 * (float(np.sum((st.mean - p.optimum) ** 2)) + float(np.trace(st.cov.entries)))
+
+
+@pytest.mark.parametrize("isotropic", [True, False])
+def test_convergence_bound_against_exact_ou_law(isotropic):
+    # dx = -G (x - xstar) dt + S^{1/2} dW from a point x0. With G = kappa I and
+    # S = sigma^2 I the bound is the exact half mean-square error. With
+    # lambda_min(G) = kappa and any S it bounds it: no eigendirection of G
+    # contracts slower than kappa, or holds more stationary variance.
+    rng = np.random.default_rng(1301 + isotropic)
+    for _ in range(50):
+        d = int(rng.integers(1, 5))
+        kappa = float(np.exp(rng.uniform(math.log(0.1), math.log(10.0))))
+        if isotropic:
+            design = math.sqrt(kappa) * np.eye(d)
+            noise = SpdMatrix(rng.uniform(0.1, 3.0) * np.eye(d))
+        else:
+            q = np.linalg.qr(rng.standard_normal((d, d)))[0]
+            w = kappa * np.concatenate([[1.0], rng.uniform(1.0, 5.0, d - 1)])
+            design = (q * np.sqrt(w)) @ q.T
+            a = rng.standard_normal((d, d))
+            noise = SpdMatrix(a @ a.T + 0.1 * np.eye(d))
+        p = QuadraticProblem(design, rng.standard_normal(d), noise, rng.standard_normal(d))
+        kappa = float(np.linalg.eigvalsh(p.gram)[0])
+        v0 = 0.5 * float(np.sum((p.x0 - p.optimum) ** 2))
+        for t in (0.0, 0.1, 1.0, 10.0, math.inf):
+            bound = convergence_bound(t, kappa, float(np.trace(noise.entries)), v0)
+            truth = half_mean_square_error(p, t)
+            if isotropic:
+                assert bound == pytest.approx(truth, rel=1e-12), (d, kappa, t)
+            else:
+                assert bound >= truth * (1.0 - 1e-12), (d, kappa, t)
 
 
 def test_regularity_params_validation():

@@ -11,8 +11,6 @@ import pytest
 from anisopriv import models as models_module
 from anisopriv.errors import AnisoError, BatchLargerThanDataset, FieldErrors, IndexOutOfRange
 from anisopriv.models import (
-    _BATCH_TAG,
-    _NOISE_TAG,
     _fold,
     _init_params,
     _loss_and_grad,
@@ -32,7 +30,7 @@ from anisopriv.models import (
     synth_blobs,
     train,
 )
-from anisopriv.rng import tagged_stream
+from anisopriv.rng import BATCH_TAG, NOISE_TAG, tagged_stream
 
 
 @pytest.fixture
@@ -379,8 +377,8 @@ def reference_train(training, dataset, scheme, seed):
     activation = training.activation
     params = _init_params(sizes, seed)
     slices = layer_slices(sizes)
-    batch_rng = tagged_stream(seed, _BATCH_TAG)
-    noise_rng = tagged_stream(seed, _NOISE_TAG)
+    batch_rng = tagged_stream(seed, BATCH_TAG)
+    noise_rng = tagged_stream(seed, NOISE_TAG)
     lr, losses = training.lr, []
     for _ in range(training.iters):
         work = MlpModel(sizes, params[None], activation)

@@ -21,7 +21,6 @@ from anisopriv.ou import (
     error_to_opt,
     exact_state,
     gaussian_kl,
-    invariant_state,
 )
 
 
@@ -137,7 +136,7 @@ def test_initial_covariance_propagates():
 
 def test_invariant_state_satisfies_lyapunov_equation():
     p = noncommuting_problem()
-    inv = invariant_state(p)
+    inv = exact_state(p, math.inf)
     g = p.gram
     resid = g @ inv.cov.entries + inv.cov.entries @ g - p.noise_cov.entries
     assert np.linalg.norm(resid) <= 1e-12
@@ -151,18 +150,16 @@ def test_invariant_closed_form_half_inverse():
         np.diag([1.0, 2.0]), np.zeros(2), SpdMatrix(np.diag([1.0, 1.0])),
         np.zeros(2),
     )
-    inv = invariant_state(p)
+    inv = exact_state(p, math.inf)
     assert np.allclose(inv.cov.entries, np.diag([0.5, 0.125]), rtol=1e-14)
 
 
 def test_exact_state_converges_to_invariant():
     p = noncommuting_problem()
-    inv = invariant_state(p)
+    inv = exact_state(p, math.inf)
     late = exact_state(p, 40.0)
     assert np.allclose(late.cov.entries, inv.cov.entries, rtol=0, atol=1e-7)
     assert np.allclose(late.mean, inv.mean, rtol=0, atol=1e-12)
-    at_inf = exact_state(p, math.inf)
-    assert np.allclose(at_inf.cov.entries, inv.cov.entries, rtol=0, atol=0)
 
 
 def test_gaussian_kl_hand_value():
@@ -294,9 +291,6 @@ def reference_law(p, noise, t):
     w, q = np.linalg.eigh(p.gram)
     optimum = q @ ((q.T @ (p.design.T @ p.target)) / w)
     s_rot = q.T @ noise @ q
-    if math.isinf(t):
-        cov = q @ (s_rot / np.add.outer(w, w)) @ q.T
-        return optimum.copy(), (cov + cov.T) / 2.0
     e = (q * np.exp(-t * w)) @ q.T
     mean = (np.eye(p.dim) - e) @ optimum + e @ p.x0
     rate = np.add.outer(w, w)

@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from anisopriv import rng
 from anisopriv.rng import derive_seed, step_normals, tagged_stream
 
 
@@ -35,6 +36,12 @@ def test_tagged_stream_independent_per_tag():
     c = tagged_stream(5, 1).standard_normal(16)
     assert np.array_equal(a, c)
     assert not np.array_equal(a, b)
+
+
+def test_stream_tags_are_distinct():
+    tags = {name: tag for name, tag in vars(rng).items() if name.endswith("_TAG")}
+    assert len(tags) >= 5  # init, batch, noise, synth_blobs, adjacency
+    assert len(set(tags.values())) == len(tags)
 
 
 def test_derive_seed_deterministic_and_distinct():

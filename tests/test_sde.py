@@ -135,11 +135,11 @@ def test_diagonal_of_state_rejects_nonpositive():
 def test_minibatch_covariance_hand_values():
     # two scalar gradients (1, -1): alpha = 4 * (1 - 1/2) = 2, value 4
     peg = np.array([[1.0], [-1.0]])
-    got = minibatch_covariance(peg, np.array([0.0]), 1, True)
+    got = minibatch_covariance(peg, 1, True)
     assert got.entries[0, 0] == 4.0
     # aligned gradients (1, 1): raw value -4, psd floor to 0
     peg2 = np.array([[1.0], [1.0]])
-    raw = minibatch_covariance(peg2, np.array([2.0]), 1, True)
+    raw = minibatch_covariance(peg2, 1, True)
     assert raw.entries[0, 0] == -4.0
     floored = psd_project(raw)
     assert floored.entries[0, 0] == 0.0
@@ -148,16 +148,14 @@ def test_minibatch_covariance_hand_values():
 def test_minibatch_covariance_full_batch_without_replacement_is_zero():
     rng = np.random.default_rng(0)
     peg = rng.standard_normal((5, 3))
-    got = minibatch_covariance(peg, peg.sum(axis=0), 5, False)
+    got = minibatch_covariance(peg, 5, False)
     assert np.allclose(got.entries, 0.0, atol=1e-12)
 
 
 def test_minibatch_covariance_validates():
     peg = np.array([[1.0], [2.0]])
     with pytest.raises(BatchLargerThanDataset):
-        minibatch_covariance(peg, np.array([3.0]), 3, True)
-    with pytest.raises(ValueError):
-        minibatch_covariance(peg, np.array([0.0]), 1, True)  # wrong full_grad
+        minibatch_covariance(peg, 3, True)
 
 
 @given(st.integers(0, 2**32 - 1), st.booleans())
@@ -167,8 +165,8 @@ def test_minibatch_covariance_scaling_in_batch(seed, replacement):
     rng = np.random.default_rng(seed)
     peg = rng.standard_normal((6, 2))
     full = peg.sum(axis=0)
-    one = minibatch_covariance(peg, full, 1, replacement).entries
-    two = minibatch_covariance(peg, full, 2, replacement).entries
+    one = minibatch_covariance(peg, 1, replacement).entries
+    two = minibatch_covariance(peg, 2, replacement).entries
     base = peg.T @ peg - np.outer(full, full)
     if replacement:
         assert np.allclose(one, 2.0 * two, rtol=1e-12, atol=1e-12)
@@ -203,7 +201,7 @@ def test_minibatch_sgd_covariance_spec():
     mat = cov.matrices(np.array([[0.0]]))[0]
     peg = grad_fn(np.array([0.0]))
     want = psd_project(
-        minibatch_covariance(peg, peg.sum(axis=0), 1, True), floor=1e-10
+        minibatch_covariance(peg, 1, True), floor=1e-10
     )
     assert np.allclose(mat, want.entries, rtol=1e-12)
 
@@ -226,14 +224,14 @@ def projected_least_squares_cov(x):
     """Covariance of MinibatchSgd(least_squares_grads, batch=2) at the state x,
     from the public 2-D functions."""
     g = least_squares_grads(x)
-    return psd_project(minibatch_covariance(g, g.sum(axis=0), 2, True), 1e-10).entries
+    return psd_project(minibatch_covariance(g, 2, True), 1e-10).entries
 
 
 def reference_noise(cov, x, z):
     """The symmetric square root of the projected covariance at x, applied to
     z in its eigenbasis: q (sqrt(max(w, floor)) * (q.T z))."""
     g = np.asarray(cov.grad_fn(x), dtype=float)
-    raw = minibatch_covariance(g, g.sum(axis=0), cov.batch, cov.replacement)
+    raw = minibatch_covariance(g, cov.batch, cov.replacement)
     w, q = np.linalg.eigh(raw.entries)
     return q @ (np.sqrt(np.maximum(w, cov.psd_floor)) * (q.T @ z))
 
@@ -258,7 +256,7 @@ def test_minibatch_sgd_batched_matches_per_path_reference():
     assert np.array_equal(cov.apply_sqrt(x, z), want)
     for row in x:
         g = rank_deficient_grads(row)
-        m = psd_project(minibatch_covariance(g, g.sum(axis=0), 2, False), 0.0).entries
+        m = psd_project(minibatch_covariance(g, 2, False), 0.0).entries
         assert np.array_equal(cov.matrices(row[None])[0], m)
 
 
@@ -275,7 +273,7 @@ def test_minibatch_sgd_matrices_equal_projected_covariance(n_examples, dim):
     x = np.random.default_rng(n_examples).standard_normal((4, dim))
     for row, m in zip(x, cov.matrices(x)):
         g = grad_fn(row)
-        want = psd_project(minibatch_covariance(g, g.sum(axis=0), 3, True), 1e-10)
+        want = psd_project(minibatch_covariance(g, 3, True), 1e-10)
         assert np.array_equal(m, want.entries)
 
 
