@@ -148,7 +148,8 @@ def mc_kl_bound(drift_a, drift_b, cov_a, cov_b, x0, cfg: SimConfig,
             white = cov_a.whiten(x[s], phi(x[s], drift_a, drift_b, cov_a, cov_b, score))
             w[s, j] = np.sum(white * white, axis=1)
 
-    _euler((drift_a,), cov_a, x0, cfg, integrand)
+    _euler((drift_a,), cov_a, [np.tile(np.asarray(x0, dtype=float).ravel(), (cfg.paths, 1))],
+           cfg, integrand, range(cfg.n_steps))
     dt = np.diff(times)
     per_path = np.zeros((cfg.paths, n_rec))
     per_path[:, 1:] = 0.5 * np.cumsum(w[:, :-1] * dt, axis=1)

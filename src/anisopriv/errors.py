@@ -21,6 +21,11 @@ class FieldErrors(AnisoError, ValueError):
         self.fields = tuple(fields)
         super().__init__("; ".join(f"{name}: {message}" for name, message in self.fields))
 
+    def __reduce__(self):
+        # rebuilt from fields, not from the joined message in args, so that a
+        # forked child's error unpickles in its parent
+        return type(self), (self.fields,), self.__dict__
+
 
 def check_fields(order, failed: dict) -> None:
     """Raise FieldErrors over failed, a {field: message} dict, in the order of order."""

@@ -24,19 +24,19 @@ On Linux (os.fork, os.sched_getaffinity), a large `train` call splits its
 runs by seed over the usable CPUs: the calling process trains one part and a
 forked child each other part, kept off the caller's CPU, since the step's
 many small numpy calls would run one at a time on threads. The results are
-the same bit for bit; see `train` for when the stack is split.
+the same bit for bit; see `train` for when the stack is split. The fork, pipe
+and reaping are `_fork._in_processes`, which `sde.paired_simulate` shares.
 """
 
 from __future__ import annotations
 
 import csv
-import os
-import pickle
 from dataclasses import dataclass, fields
 from functools import partial, reduce
 
 import numpy as np
 
+from ._fork import _in_processes, _usable_cpus
 from .errors import BatchLargerThanDataset, FieldErrors, IndexOutOfRange, check_fields
 from .rng import BATCH_TAG, INIT_TAG, NOISE_TAG, SYNTH_TAG, tagged_stream
 
@@ -371,24 +371,6 @@ def train(datasets, seeds, scheme, training: Training):
     return MlpModel(sizes, final, training.activation), logs
 
 
-def _usable_cpus() -> set[int]:
-    """The CPUs this process may run on; one where os.fork or
-    os.sched_getaffinity is missing, so that train does not split."""
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
-        return {0}
-    return os.sched_getaffinity(0)
-
-
-def _current_cpu() -> int | None:
-    """The CPU this process last ran on (field 39 of /proc/self/stat), or
-    None where that is not readable."""
-    try:
-        with open("/proc/self/stat") as fh:
-            return int(fh.read().rpartition(")")[2].split()[36])
-    except (OSError, ValueError, IndexError):
-        return None
-
-
 def _seed_parts(seeds, k: int) -> list[np.ndarray]:
     """Run indices of at most k parts of near-equal run count, in run order
     within each part; the runs of one seed are never split across parts."""
@@ -399,80 +381,6 @@ def _seed_parts(seeds, k: int) -> list[np.ndarray]:
     middle = np.cumsum(group_runs) - group_runs / 2.0
     part_of = (middle * k / len(seeds)).astype(int)[seed_of]
     return [at for at in (np.flatnonzero(part_of == p) for p in range(k)) if at.size]
-
-
-def _in_processes(cpus: set[int], jobs) -> list:
-    """Results of the calls jobs[0](), ..., jobs[-1](): the first runs here,
-    each other one in a forked child that sends back its result or its
-    exception through a pipe, pickled, and is kept off the CPU this process
-    is on. Raises the first failed job's exception, after every child has
-    been reaped; children still running then are killed."""
-    cpu = _current_cpu()
-    others = cpus - {cpu}
-    results = [None] * len(jobs)
-    pending = []  # (pid, read end, job index)
-    try:
-        for i, job in enumerate(jobs[1:], 1):
-            r, w = os.pipe()
-            try:
-                pid = os.fork()
-            except BaseException:
-                os.close(r)
-                os.close(w)
-                raise
-            if pid == 0:
-                _child(w, others, job)
-            os.close(w)
-            pending.append((pid, open(r, "rb"), i))
-        results[0] = jobs[0]()
-        while pending:
-            pid, reader, i = pending[0]
-            with reader:
-                data = reader.read()
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            del pending[0]
-            if code != 0:
-                raise RuntimeError(f"training process {pid} ended with exit code {code}")
-            ok, results[i] = pickle.loads(data)
-            if not ok:
-                raise results[i]
-    finally:
-        if pending:  # a job failed; signal is imported here, as it adds 1 ms to import time
-            import signal
-        for pid, reader, _ in pending:
-            try:
-                os.kill(pid, signal.SIGKILL)
-            except ProcessLookupError:
-                pass
-            reader.close()
-            os.waitpid(pid, 0)
-    return results
-
-
-def _child(w: int, cpus: set[int], job):
-    """Body of a forked child of _in_processes: run job on the given CPUs
-    and write (True, result) or (False, exception) to the pipe's write end
-    w, pickled; never returns."""
-    code = 1
-    try:
-        try:
-            os.sched_setaffinity(0, cpus)
-        except OSError:  # no such CPU: stay where the fork put us
-            pass
-        try:
-            outcome = (True, job())
-        except BaseException as exc:
-            outcome = (False, exc)
-        try:
-            data = pickle.dumps(outcome, pickle.HIGHEST_PROTOCOL)
-        except Exception:  # an exception that does not pickle
-            exc = outcome[1]
-            data = pickle.dumps((False, RuntimeError(f"{type(exc).__name__}: {exc}")))
-        with open(w, "wb") as fh:
-            fh.write(data)
-        code = 0
-    finally:
-        os._exit(code)
 
 
 def _train_stack(sizes, training, datasets, seeds, scheme):

@@ -15,18 +15,29 @@ At each recorded time the loop hands the states to a callback: simulate and
 paired_simulate store them, and bounds.mc_kl_bound adds up its integrand on
 the same row blocks without storing any trajectory.
 
+paired_simulate integrates step 0 of both arms in this process and times it.
+When one arm's row updates cost more than the step's draw, by enough over the
+remaining steps to pay for a fork (see _split_pays), and two CPUs are usable,
+arm b's remaining steps run in a forked child (_fork._in_processes) while this
+process integrates arm a's: the work is the drift, covariance and grad_fn
+calls made row by row in Python, which threads would run one at a time. The
+ensembles are the same bit for bit, since each arm's update reads only its own
+rows and the (seed, step) normals, which each process draws for itself.
+
 Every drift, covariance and score specification takes the states as a
 (paths, dim) row stack, which is what the simulators and the bounds pass.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, fields
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Any, Callable
 
 import numpy as np
 
+from ._fork import _in_processes, _usable_cpus
 from .errors import (AnisoError, BatchLargerThanDataset, CovarianceEvaluationFailed,
                      NotPositiveDefinite, check_fields)
 from .linalg import PIVOT_FLOOR, SpdMatrix, SymMatrix, _sym_part
@@ -394,6 +405,16 @@ _BLOCK_ROWS = 2048
 # one (paths, dim) block.
 _LOOKAHEAD = 4
 
+# The cost of a split pair (see _split_pays): seconds to fork a child, wait
+# for it and read back a small result, and seconds per byte of result. On 2
+# cores, in a process of 39 MB peak RSS that had run the sgd-diffusion
+# benchmark workload, _in_processes with one child took a median 5.0 ms
+# (quartiles 4.7-5.9, 41 calls) when the child returned None, 6.2 ms for a
+# 0.2 MB array, 15.3 ms for 2 MB and 63.9 ms for 16 MB: 3.5 ns a byte
+# between 2 and 16 MB.
+_FORK_S = 5e-3
+_COLLECT_S_PER_BYTE = 3.5e-9
+
 
 def _row_blocks(paths: int) -> list[slice]:
     """The near-equal row blocks, of at most _BLOCK_ROWS rows, that the Euler
@@ -408,28 +429,40 @@ def _record_times(cfg: SimConfig) -> np.ndarray:
     return np.arange(cfg.n_steps // cfg.record_stride + 1) * (cfg.step * cfg.record_stride)
 
 
-def _euler(drifts, cov, x0, cfg: SimConfig, on_record) -> None:
-    """Integrate one ensemble per drift, all driven by the same increments.
+def _euler(drifts, cov, xs, cfg: SimConfig, on_record, steps: range):
+    """Integrate the given steps of one ensemble per drift, all driven by the
+    same increments, from the (paths, dim) states xs, one per drift.
 
     on_record(j, states) is called at the j-th recorded time with the list of
-    (paths, dim) states, one per drift. The arrays are overwritten by later
-    steps, so a callback that keeps them must copy. An error it raises ends the
-    integration and propagates unchanged.
+    (paths, dim) states, one per drift: at t = 0 when steps starts at 0, and
+    after every record_stride-th step. The arrays are overwritten by later
+    steps, so a callback that keeps them must copy. An error it raises ends
+    the integration and propagates unchanged. Returns the states after the
+    last step, the seconds each drift's row updates took, and the seconds the
+    draws of normals took, on either thread.
     """
     from collections import deque
     from concurrent.futures import Future, ThreadPoolExecutor
 
-    x0 = np.asarray(x0, dtype=float).ravel()
-    xs = [np.tile(x0, (cfg.paths, 1)) for _ in drifts]
     nxt = [np.empty_like(x) for x in xs]
     sqrt_h = np.sqrt(cfg.step)
     blocks = _row_blocks(cfg.paths)
-    n, shape = cfg.n_steps, (cfg.paths, x0.shape[0])
+    shape = xs[0].shape
+    update_s, draw_s = [0.0] * len(drifts), []
+
+    def draw(k: int) -> np.ndarray:
+        started = time.perf_counter()
+        z = step_normals(cfg.seed, k, shape)
+        draw_s.append(time.perf_counter() - started)
+        return z
+
     with ThreadPoolExecutor(max_workers=1) as pool:
         # A step's normals depend on (seed, step) alone, so drawing them on
-        # either thread, in any order, changes no output.
-        pending = deque(pool.submit(step_normals, cfg.seed, k, shape)
-                        for k in range(min(_LOOKAHEAD, n)))
+        # either thread, in any order, changes no output. A single step has
+        # nothing to overlap its draw with: the main thread draws it, and no
+        # helper thread starts.
+        ahead = pool.submit if len(steps) > 1 else lambda fn, k: Future()
+        pending = deque(ahead(draw, k) for k in steps[:_LOOKAHEAD])
 
         def steal(k: int) -> bool:
             """Draw here the farthest step of the window, steps k.., whose
@@ -438,39 +471,88 @@ def _euler(drifts, cov, x0, cfg: SimConfig, on_record) -> None:
             for i in range(len(pending) - 1, -1, -1):
                 if pending[i].cancel():
                     pending[i] = Future()
-                    pending[i].set_result(step_normals(cfg.seed, k + i, shape))
+                    pending[i].set_result(draw(k + i))
                     return True
             return False
 
-        on_record(0, xs)
-        for k in range(n):
+        if steps.start == 0:
+            on_record(0, xs)
+        for k in steps:
             while not pending[0].done() and steal(k):
                 pass
             z = pending.popleft().result()
-            if k + _LOOKAHEAD < n:
-                pending.append(pool.submit(step_normals, cfg.seed, k + _LOOKAHEAD, shape))
-            for s in blocks:
-                for drift, x, out in zip(drifts, xs, nxt):
+            if k + _LOOKAHEAD < steps.stop:
+                pending.append(ahead(draw, k + _LOOKAHEAD))
+            for i, (drift, x, out) in enumerate(zip(drifts, xs, nxt)):
+                started = time.perf_counter()
+                for s in blocks:
                     out[s] = (x[s] + cfg.step * drift.evaluate(x[s])
                               + sqrt_h * cov.apply_sqrt(x[s], z[s]))
+                update_s[i] += time.perf_counter() - started
             xs, nxt = nxt, xs
             if (k + 1) % cfg.record_stride == 0:
                 on_record((k + 1) // cfg.record_stride, xs)
+    return xs, update_s, sum(draw_s)
+
+
+def _split_pays(update_s: float, draw_s: float, steps_left: int, cpus: int,
+                result_bytes: int) -> bool:
+    """Whether the two arms of a pair integrate their remaining steps_left
+    steps faster in two processes, one arm each, given one arm's row-update
+    seconds and the draw seconds of one step, the usable CPUs, and the bytes
+    of an arm's recorded states that the child sends back.
+
+    In one process the helper thread draws while the main thread updates
+    both arms, so a step whose updates bound it takes about 2 update_s. Split,
+    each process draws every step itself and updates one arm, about
+    update_s + draw_s a step. The split saves steps_left (update_s - draw_s),
+    which must exceed the cost of forking the child and collecting its result.
+    """
+    saving = steps_left * (update_s - draw_s)
+    return cpus >= 2 and saving > _FORK_S + result_bytes * _COLLECT_S_PER_BYTE
+
+
+def _all_finite(rec: np.ndarray) -> np.ndarray:
+    if not np.isfinite(rec).all():
+        raise AnisoError("the ensemble has states that are not finite", operation="euler")
+    return rec
+
+
+def _arm(drift, cov, x, cfg: SimConfig, rec: np.ndarray, steps: range) -> np.ndarray:
+    """Integrate one arm of a pair over steps from its states x, recording
+    into rec; returns rec once every recorded state is finite."""
+
+    def store(j, states):
+        rec[:, j, :] = states[0]
+
+    _euler((drift,), cov, [x], cfg, store, steps)
+    return _all_finite(rec)
 
 
 def _recorded(drifts, cov, x0, cfg: SimConfig) -> list[TrajectoryEnsemble]:
-    """One ensemble per drift, all driven by the same increments; see simulate."""
+    """One ensemble per drift, all driven by the same increments; see
+    simulate and paired_simulate."""
     times = _record_times(cfg)
-    dim = np.asarray(x0, dtype=float).size
-    recs = [np.empty((cfg.paths, times.shape[0], dim)) for _ in drifts]
+    x0 = np.asarray(x0, dtype=float).ravel()
+    recs = [np.empty((cfg.paths, times.shape[0], x0.size)) for _ in drifts]
 
     def store(j, states):
         for rec, x in zip(recs, states):
             rec[:, j, :] = x
 
-    _euler(drifts, cov, x0, cfg, store)
-    if not all(np.isfinite(rec).all() for rec in recs):
-        raise AnisoError("the ensemble has states that are not finite", operation="euler")
+    # a pair integrates step 0 here, then splits its arms if that step's
+    # timings say a split pays
+    head = 1 if len(drifts) == 2 else cfg.n_steps
+    xs = [np.tile(x0, (cfg.paths, 1)) for _ in drifts]
+    xs, update_s, draw_s = _euler(drifts, cov, xs, cfg, store, range(head))
+    rest = range(head, cfg.n_steps)
+    cpus = _usable_cpus() if rest else set()
+    if _split_pays(min(update_s), draw_s, len(rest), len(cpus), recs[-1].nbytes):
+        recs = _in_processes(cpus, [partial(_arm, drift, cov, x, cfg, rec, rest)
+                                    for drift, x, rec in zip(drifts, xs, recs)])
+    else:
+        _euler(drifts, cov, xs, cfg, store, rest)
+        recs = [_all_finite(rec) for rec in recs]
     return [TrajectoryEnsemble(times, rec, cfg.seed) for rec in recs]
 
 
@@ -487,6 +569,21 @@ def paired_simulate(drift_a, drift_b, cov, x0,
     Equal drifts therefore give bit-identical ensembles, and the pathwise
     difference between the arms is the data-difference signal alone. Raises
     AnisoError (operation euler) when a recorded state of either is not finite.
+
+    Step 0 of both arms runs here. On Linux with two or more usable CPUs,
+    when one arm's row updates in that step took longer than its draw of
+    normals, and the difference over the remaining steps exceeds the measured
+    cost of a fork and of sending arm b's recorded states back, arm b's
+    remaining steps run in a forked child while this process integrates arm
+    a's; the ensembles are the same either way, bit for bit. Arm b's drift,
+    covariance and grad_fn calls then run in the child, so their side
+    effects on Python state (a call counter, say) do not reach the caller.
+    An error raised there reaches the caller with its type and message, after
+    the child has been reaped; when both arms fail, arm a's error is raised,
+    where one process raises whichever fails at the earlier step. On Python
+    3.12 and later, os.fork warns (DeprecationWarning) in a process with
+    other threads, such as BLAS threads; the split goes ahead (this case has
+    not been run), as in models.train.
     """
     ens_a, ens_b = _recorded((drift_a, drift_b), cov, x0, cfg)
     return ens_a, ens_b

@@ -4,6 +4,7 @@ covariance formula."""
 import csv
 import json
 import math
+import os
 import sys
 import threading
 import time
@@ -438,19 +439,25 @@ def test_divergence_matches_the_analytic_derivative(divergence, exact):
     np.testing.assert_allclose(divergence(x), exact(x), rtol=1e-5, atol=1e-5)
 
 
-def test_paired_minibatch_sgd_matches_per_path_euler_loop():
+def full_grad(x, features):
+    """The full-batch gradient of the least-squares loss on the given features."""
+    return (features * ((features @ x - TARGETS) / 6.0)[:, None]).sum(axis=0)
+
+
+def sgd_pair():
+    """Gradient-flow drifts on FEATURES and on a copy with record 2 replaced,
+    minibatch-SGD noise, x0 and a 10-step config of 20 paths."""
     features_b = FEATURES.copy()
     features_b[2] = [0.5, -1.0, 2.0]
+    return (DatasetGradientDrift(full_grad, FEATURES), DatasetGradientDrift(full_grad, features_b),
+            MinibatchSgd(least_squares_grads, batch=3), np.array([0.2, -0.1, 0.4]),
+            SimConfig(step=0.01, horizon=0.1, paths=20, seed=17))
 
-    def full_grad(x, features):
-        return (features * ((features @ x - TARGETS) / 6.0)[:, None]).sum(axis=0)
 
-    cov = MinibatchSgd(least_squares_grads, batch=3)
-    cfg = SimConfig(step=0.01, horizon=0.1, paths=20, seed=17)
-    x0 = np.array([0.2, -0.1, 0.4])
-    ens_a, ens_b = paired_simulate(DatasetGradientDrift(full_grad, FEATURES),
-                                   DatasetGradientDrift(full_grad, features_b),
-                                   cov, x0, cfg)
+def test_paired_minibatch_sgd_matches_per_path_euler_loop():
+    drift_a, drift_b, cov, x0, cfg = sgd_pair()
+    features_b = drift_b.dataset
+    ens_a, ens_b = paired_simulate(drift_a, drift_b, cov, x0, cfg)
     h = 0.01
     for features, ens in ((FEATURES, ens_a), (features_b, ens_b)):
         x = np.tile(x0, (20, 1))
@@ -470,9 +477,6 @@ def test_paired_minibatch_sgd_calls_grad_fn_once_per_row():
             calls[key] += 1
             return fn(*args)
         return wrapped
-
-    def full_grad(x, features):
-        return (features * ((features @ x - TARGETS) / 6.0)[:, None]).sum(axis=0)
 
     cov = MinibatchSgd(counted("noise", least_squares_grads), batch=3)
     cfg = SimConfig(step=0.01, horizon=0.05, paths=7, seed=3)
@@ -666,6 +670,118 @@ def test_simulator_errors_propagate_and_stop_the_helper_thread(monkeypatch):
         simulate(drift, identity, np.zeros(2), cfg)
     assert info.value is failed
     assert threading.active_count() == threads
+
+
+# ---------------------------------------------------------------------------
+# A pair integrates step 0 here, then, when that step's timings say it pays,
+# arm b's remaining steps in a forked child. The tests force the decision
+# both ways.
+
+
+def split_pairs(monkeypatch, split):
+    """Make paired_simulate split its arms (or not) whatever step 0 took;
+    returns the list that gets one entry per fork split."""
+    forks, real = [], anisopriv.sde._in_processes
+
+    def counted(cpus, jobs):
+        forks.append(len(jobs))
+        return real(cpus, jobs)
+
+    monkeypatch.setattr(anisopriv.sde, "_split_pays", lambda *args: split)
+    monkeypatch.setattr(anisopriv.sde, "_in_processes", counted)
+    return forks
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("split", [False, True], ids=["here", "split"])
+@pytest.mark.parametrize("case", [lambda: linear_case(3), lambda: linear_case(2049), sgd_pair],
+                         ids=["linear-3", "linear-2049", "minibatch-sgd"])
+def test_split_pair_matches_unblocked_reference(monkeypatch, case, split):
+    forks = split_pairs(monkeypatch, split)
+    threads = threading.active_count()
+    drift_a, drift_b, cov, x0, cfg = case()
+    want_a, want_b = unblocked_euler((drift_a, drift_b), cov, x0, cfg)
+    ens_a, ens_b = paired_simulate(drift_a, drift_b, cov, x0, cfg)
+    assert forks == ([2] if split else [])
+    assert np.array_equal(ens_a.states, want_a)
+    assert np.array_equal(ens_b.states, want_b)
+    assert threading.active_count() == threads
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("split", [False, True], ids=["here", "split"])
+def test_split_pair_errors_reach_the_caller(monkeypatch, split):
+    split_pairs(monkeypatch, split)
+    threads = threading.active_count()
+    cfg = SimConfig(step=0.1, horizon=0.5, paths=3, seed=0)
+    cov = ConstantSpd(SpdMatrix(np.eye(1)))
+    calm = QuadraticDrift(np.eye(1), np.zeros(1))
+    # arm b's Gram matrix overflows, so its states are inf or nan from step 0
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(AnisoError) as info:
+        paired_simulate(calm, QuadraticDrift(np.array([[1e200]]), np.array([0.0])), cov,
+                        np.array([1.0]), cfg)
+    assert (type(info.value), str(info.value), info.value.operation) == (
+        AnisoError, "the ensemble has states that are not finite", "euler")
+    # arm b's drift fails at step 1, which the child integrates in a split
+    calls = iter(range(10))
+
+    def fails_after_step_0(x):
+        if next(calls) >= 1:
+            raise ZeroDivisionError("drift failed after step 0")
+        return -x
+
+    with pytest.raises(ZeroDivisionError, match="^drift failed after step 0$") as info:
+        paired_simulate(calm, CallableDrift(fails_after_step_0), cov, np.array([1.0]), cfg)
+    assert type(info.value) is ZeroDivisionError
+    assert threading.active_count() == threads
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("split", [False, True], ids=["here", "split"])
+def test_split_pair_calls_grad_fn_once_per_row(monkeypatch, tmp_path, split):
+    # the child's memory is not the caller's, so each call appends a letter
+    # to a file that both processes write
+    split_pairs(monkeypatch, split)
+    log = os.open(tmp_path / "calls", os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+
+    def counted(key, fn):
+        def wrapped(*args):
+            os.write(log, key)
+            return fn(*args)
+        return wrapped
+
+    drift_a, drift_b, cov, x0, cfg = sgd_pair()
+    try:
+        paired_simulate(DatasetGradientDrift(counted(b"a", full_grad), drift_a.dataset),
+                        DatasetGradientDrift(counted(b"b", full_grad), drift_b.dataset),
+                        MinibatchSgd(counted(b"n", least_squares_grads), batch=3), x0, cfg)
+    finally:
+        os.close(log)
+    rows = cfg.paths * cfg.n_steps
+    assert Counter((tmp_path / "calls").read_text()) == {"a": rows, "b": rows, "n": 2 * rows}
+
+
+@pytest.mark.parametrize("update_s, draw_s, steps_left, cpus, result_bytes, split", [
+    # step-0 timings measured on 2 cores: QuadraticDrift and ConstantSpd at
+    # d = 8 with 10^4 paths, 200 steps and record stride 10, where the draw
+    # bounds the step
+    (0.0011, 0.0019, 199, 2, 13_440_000, False),
+    # the same pair at 10 paths and 10 steps
+    (1.6e-5, 6.0e-5, 9, 2, 7040, False),
+    # the sgd-diffusion benchmark workload: 100 paths, 50 steps, d = 5
+    (0.0033, 0.00014, 49, 2, 204_000, True),
+    (0.0033, 0.00014, 49, 1, 204_000, False),
+    # update-bound, but too few steps left to pay for the fork
+    (0.0033, 0.00014, 1, 2, 204_000, False),
+    # update-bound, but sending back the recorded states costs more
+    (0.002, 0.0001, 100, 2, 10**9, False),
+], ids=["draw-bound", "tiny", "sgd-diffusion", "one-cpu", "few-steps", "large-result"])
+def test_split_pays_table(update_s, draw_s, steps_left, cpus, result_bytes, split):
+    assert anisopriv.sde._split_pays(update_s, draw_s, steps_left, cpus, result_bytes) is split
 
 
 def test_write_ensemble_csv_roundtrip(tmp_path, capsys):
