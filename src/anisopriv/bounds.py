@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import AnisoError, ScoreRequired, check_fields
 from .ou import GaussianState
-from .sde import ConstantSpd, SimConfig, _euler, _record_times, _row_blocks
+from .sde import ConstantSpd, SimConfig, _euler, _record_times, _row_blocks, _start_rows
 
 # ---------------------------------------------------------------------------
 # score specifications
@@ -41,7 +41,6 @@ class GaussianScore:
     state: GaussianState
 
     def evaluate(self, x: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=float))
         l = self.state.cov.chol_lower
         # cov^{-1} = L^{-T} L^{-1}: one solve with L, then one with L.T
         y = np.linalg.solve(l, (x - self.state.mean).T)
@@ -56,7 +55,7 @@ class CallableScore:
     fn: Callable[[np.ndarray], np.ndarray]
 
     def evaluate(self, x: np.ndarray) -> np.ndarray:
-        return np.asarray(self.fn(np.atleast_2d(np.asarray(x, dtype=float))), dtype=float)
+        return np.asarray(self.fn(x), dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -72,18 +71,19 @@ def _covs_equal(cov_a, cov_b) -> bool:
 
 
 def phi(x, drift_a, drift_b, cov_a, cov_b, score=None) -> np.ndarray:
-    """Mismatch field between (drift_a, cov_a) and (drift_b, cov_b) at x.
+    """Mismatch field between (drift_a, cov_a) and (drift_b, cov_b) at the
+    (paths, dim) row stack x, one row per state; raises ValueError for any
+    other shape, a single point included.
 
     With identical covariance specifications this is drift_a(x) - drift_b(x);
     otherwise score, the second process's law's score spec, is required.
     """
-    x_arr = np.asarray(x, dtype=float)
-    single = x_arr.ndim == 1
-    rows = np.atleast_2d(x_arr)
+    rows = np.asarray(x, dtype=float)
+    if rows.ndim != 2:
+        raise ValueError(f"x must be a (paths, dim) row stack, got shape {rows.shape}")
 
     if _covs_equal(cov_a, cov_b):
-        out = drift_a.evaluate(rows) - drift_b.evaluate(rows)
-        return out[0] if single else out
+        return drift_a.evaluate(rows) - drift_b.evaluate(rows)
 
     if score is None:
         raise ScoreRequired(
@@ -98,8 +98,7 @@ def phi(x, drift_a, drift_b, cov_a, cov_b, score=None) -> np.ndarray:
         + cov_a.divergence(rows)
     )
     delta = cov_b.matrices(rows) - cov_a.matrices(rows)
-    out = (delta @ s[..., None])[..., 0] - h_gap
-    return out[0] if single else out
+    return (delta @ s[..., None])[..., 0] - h_gap
 
 
 # ---------------------------------------------------------------------------
@@ -148,8 +147,7 @@ def mc_kl_bound(drift_a, drift_b, cov_a, cov_b, x0, cfg: SimConfig,
             white = cov_a.whiten(x[s], phi(x[s], drift_a, drift_b, cov_a, cov_b, score))
             w[s, j] = np.sum(white * white, axis=1)
 
-    _euler((drift_a,), cov_a, [np.tile(np.asarray(x0, dtype=float).ravel(), (cfg.paths, 1))],
-           cfg, integrand, range(cfg.n_steps))
+    _euler((drift_a,), cov_a, [_start_rows(x0, cfg)], cfg, integrand, range(cfg.n_steps))
     dt = np.diff(times)
     per_path = np.zeros((cfg.paths, n_rec))
     per_path[:, 1:] = 0.5 * np.cumsum(w[:, :-1] * dt, axis=1)
@@ -266,7 +264,9 @@ def klbound_stationary(p: RegularityParams) -> float:
 
 def xi_bound(t: float, p: RegularityParams, coupling: float) -> float:
     """Second moment bound for ||grad_a - coupling * grad_b||^2 along the
-    first process; nonincreasing in t, finite limit at t = math.inf."""
+    first process dx = -grad f_a(x) dt + sigma dW, for a start with
+    E|x_0 - xstar|^2 <= 1, the moment that the e^{-2 kappa t} term carries;
+    nonincreasing in t, finite limit at t = math.inf."""
     if not (coupling > 0.0):
         raise ValueError(f"coupling must be positive, got {coupling}")
     if not (t >= 0.0):

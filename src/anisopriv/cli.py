@@ -75,7 +75,8 @@ from .models import (
 )
 from .ou import QuadraticProblem, exact_state, gaussian_kl
 from .sde import ConstantSpd, QuadraticDrift, SimConfig, simulate
-from .tradeoff import GradientGap, NoiseGrid, grid_surface, optimal_diag_cov, quadratic_tradeoff
+from .tradeoff import (GradientGap, NoiseGrid, _check_time, grid_surface, optimal_diag_cov,
+                       quadratic_tradeoff)
 from .privacy import (
     ConcentrationParams,
     delta_from_eps,
@@ -570,13 +571,12 @@ def _grid_surface(p, base_dir, seed):
 def _quad_tradeoff(p, base_dir, seed):
     x0, pairs = _problems(p, primed=True, dim=2)
     t = p.time("time")
-    if t == 0.0:
-        p.err("time", 'must be positive or "inf"')
     grid = p.built(None, NoiseGrid, p.vector("x_range"), p.vector("y_range"),
                    p.integer("resolution"))
     cov = p.built(None, getattr, grid, "covariances")
     pa, pb = (p.built(key, QuadraticProblem, design, target, cov, x0)
               for key, design, target in pairs)
+    p.built("time", _check_time, t, pa, pb, grid)
 
     def run(outdir):
         rows = quadratic_tradeoff(pa, pb, t, grid)

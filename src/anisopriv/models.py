@@ -358,14 +358,11 @@ def train(datasets, seeds, scheme, training: Training):
     cpus = _usable_cpus()
     small = iters * runs * training.batch * n_params < _SPLIT_WORK
     parts = [range(runs)] if small else _seed_parts(seeds, len(cpus))
-    if len(parts) == 1:
-        final, losses, steps, diverged = part(range(runs))
-    else:
-        final = np.empty((runs, n_params))
-        losses = np.empty((runs, iters))
-        steps, diverged = np.empty(runs, dtype=int), np.empty(runs, dtype=bool)
-        for at, result in zip(parts, _in_processes(cpus, [partial(part, at) for at in parts])):
-            final[at], losses[at], steps[at], diverged[at] = result
+    final = np.empty((runs, n_params))
+    losses = np.empty((runs, iters))
+    steps, diverged = np.empty(runs, dtype=int), np.empty(runs, dtype=bool)
+    for at, result in zip(parts, _in_processes(cpus, [partial(part, at) for at in parts])):
+        final[at], losses[at], steps[at], diverged[at] = result
 
     logs = [TrainLog(losses[r, : steps[r]], bool(diverged[r])) for r in range(runs)]
     return MlpModel(sizes, final, training.activation), logs

@@ -25,7 +25,10 @@ ensembles are the same bit for bit, since each arm's update reads only its own
 rows and the (seed, step) normals, which each process draws for itself.
 
 Every drift, covariance and score specification takes the states as a
-(paths, dim) row stack, which is what the simulators and the bounds pass.
+(paths, dim) row stack, which is what the simulators and the bounds pass, and
+returns a row stack. MinibatchSgd clamps the eigenvalues of its covariance at
+a fixed 1e-10, above the 1e-14 pivot floor that its whiten needs; there is no
+setting for it.
 """
 
 from __future__ import annotations
@@ -40,10 +43,11 @@ import numpy as np
 from ._fork import _in_processes, _usable_cpus
 from .errors import (AnisoError, BatchLargerThanDataset, CovarianceEvaluationFailed,
                      NotPositiveDefinite, check_fields)
-from .linalg import PIVOT_FLOOR, SpdMatrix, SymMatrix, _sym_part
+from .linalg import SpdMatrix, SymMatrix, _sym_part
 from .rng import step_normals
 
 _FD_STEP = 1e-6
+_PSD_FLOOR = 1e-10  # MinibatchSgd's eigenvalue clamp; above PIVOT_FLOOR, so whiten inverts
 
 
 # ---------------------------------------------------------------------------
@@ -81,8 +85,8 @@ class QuadraticDrift:
         return self.design.T @ self.target
 
     def evaluate(self, x: np.ndarray) -> np.ndarray:
-        """design.T target - x design.T design, for one state or a row stack:
-        one (rows, dim) by (dim, dim) product, whatever the number of records."""
+        """design.T target - x design.T design, for a row stack: one (rows, dim)
+        by (dim, dim) product, whatever the number of records."""
         return self._pull - np.asarray(x, dtype=float) @ self.gram
 
 
@@ -151,20 +155,19 @@ class ConstantSpd:
 
     def whiten(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Rows of sqrt_cov^{-1} v; requires strict positive definiteness."""
-        return np.atleast_2d(v) @ self._inv_sqrt_t
+        return v @ self._inv_sqrt_t
 
     def matrices(self, x: np.ndarray) -> np.ndarray:
         """The matrix once per row of x, (paths, dim, dim), as a read-only view."""
         return np.broadcast_to(self.matrix.entries, (len(x), *self.matrix.entries.shape))
 
     def divergence(self, x: np.ndarray) -> np.ndarray:
-        return np.zeros_like(np.atleast_2d(x), dtype=float)
+        return np.zeros_like(x, dtype=float)
 
 
 def _fd_divergence(matrices, x: np.ndarray) -> np.ndarray:
     """(div S)_i = sum_j dS_ij/dx_j per row of x, by forward differences of the
     covariances matrices(rows) gives at x and at its dim coordinate shifts."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
     paths, d = x.shape
     steps = _FD_STEP * np.maximum(1.0, np.abs(x))
     shifted = np.repeat(x[:, None, :], d, axis=1)
@@ -185,7 +188,7 @@ class DiagonalOfState:
     fn: Callable[[np.ndarray], np.ndarray]
 
     def diag_at(self, x: np.ndarray) -> np.ndarray:
-        d = np.asarray(self.fn(np.atleast_2d(np.asarray(x, dtype=float))), dtype=float)
+        d = np.asarray(self.fn(x), dtype=float)
         _finite_or_fail(d, "diagonal covariance")
         if np.any(d <= 0.0):
             raise CovarianceEvaluationFailed(
@@ -197,7 +200,7 @@ class DiagonalOfState:
         return np.sqrt(self.diag_at(x)) * z
 
     def whiten(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-        return np.atleast_2d(v) / np.sqrt(self.diag_at(x))
+        return v / np.sqrt(self.diag_at(x))
 
     def matrices(self, x: np.ndarray) -> np.ndarray:
         """diag(fn(x)) per row of x, (paths, dim, dim)."""
@@ -215,23 +218,22 @@ class MinibatchSgd:
     grad_fn maps one state vector to the (N, dim) stack of per-example
     gradients of a sum-structured loss. It is called once per state row, so
     once per path and step in a simulation. The raw sampling covariance is
-    not PSD in general; it is projected by clamping its eigenvalues at
-    psd_floor. One batched eigh per call, q diag(w) q.T with w clamped,
-    serves every use: matrices rebuilds the projection, apply_sqrt applies
-    its symmetric square root q diag(sqrt w) q.T, and whiten the inverse of
-    that root, which requires every clamped eigenvalue above
-    linalg.PIVOT_FLOOR.
+    not PSD in general; it is projected by clamping its eigenvalues at the
+    fixed 1e-10, which has no setting. One batched eigh per call,
+    q diag(w) q.T with w clamped, serves every use: matrices rebuilds the
+    projection, apply_sqrt applies its symmetric square root
+    q diag(sqrt w) q.T, and whiten the inverse of that root, which the floor
+    keeps above the 1e-14 pivot floor (linalg.PIVOT_FLOOR) that it needs.
     """
 
     grad_fn: Callable[[np.ndarray], np.ndarray]
     batch: int
     replacement: bool = True
-    psd_floor: float = 1e-10
 
     def _eig(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Clamped eigenvalues (paths, dim) and eigenvectors (paths, dim, dim) of
         the sampling covariance at each row of x."""
-        grads = [self.grad_fn(row) for row in np.atleast_2d(np.asarray(x, dtype=float))]
+        grads = [self.grad_fn(row) for row in x]
         n_examples, dim = np.shape(grads[0])
         g = np.empty((len(grads), n_examples, dim + 1))
         g[..., -1] = 1.0
@@ -239,11 +241,10 @@ class MinibatchSgd:
             g[p, :, :-1] = gp
         raw = _sampling_covariance(g, self.batch, self.replacement)
         # a non-finite gradient makes its row's covariance non-finite too
-        return _eig_clamped(_finite_or_fail(raw, "per-example gradients"), self.psd_floor)
+        return _eig_clamped(_finite_or_fail(raw, "per-example gradients"), _PSD_FLOOR)
 
     def matrices(self, x: np.ndarray) -> np.ndarray:
-        """Projected covariances (paths, dim, dim) at the rows of x. A projection
-        that degenerates to zero (psd_floor = 0) gives a zero noise increment."""
+        """Projected covariances (paths, dim, dim) at the rows of x."""
         return _rebuilt(*self._eig(x))
 
     def apply_sqrt(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -252,9 +253,6 @@ class MinibatchSgd:
 
     def whiten(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
         w, q = self._eig(x)
-        if not np.all(w > PIVOT_FLOOR):
-            raise NotPositiveDefinite(
-                f"clamped eigenvalue {w.min():.3e} <= {PIVOT_FLOOR:g}", operation="whiten")
         return _eigenbasis_scaled(q, 1.0 / np.sqrt(w), v)
 
     def divergence(self, x: np.ndarray) -> np.ndarray:
@@ -297,7 +295,7 @@ def _rebuilt(w: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 def _eigenbasis_scaled(q: np.ndarray, s: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Rows q_p diag(s_p) q_p.T v_p, with the matrix never formed."""
-    qt_v = (np.swapaxes(q, -1, -2) @ np.atleast_2d(v)[..., None])[..., 0]
+    qt_v = (np.swapaxes(q, -1, -2) @ v[..., None])[..., 0]
     return (q @ (s * qt_v)[..., None])[..., 0]
 
 
@@ -424,6 +422,11 @@ def _row_blocks(paths: int) -> list[slice]:
             for i in range(n_blocks)]
 
 
+def _start_rows(x0, cfg: SimConfig) -> np.ndarray:
+    """The (paths, dim) start states of an ensemble, each row x0."""
+    return np.tile(np.asarray(x0, dtype=float).ravel(), (cfg.paths, 1))
+
+
 def _record_times(cfg: SimConfig) -> np.ndarray:
     """The recorded grid: t = 0 and every record_stride-th step."""
     return np.arange(cfg.n_steps // cfg.record_stride + 1) * (cfg.step * cfg.record_stride)
@@ -519,8 +522,8 @@ def _all_finite(rec: np.ndarray) -> np.ndarray:
 
 
 def _arm(drift, cov, x, cfg: SimConfig, rec: np.ndarray, steps: range) -> np.ndarray:
-    """Integrate one arm of a pair over steps from its states x, recording
-    into rec; returns rec once every recorded state is finite."""
+    """Integrate one ensemble over steps from its states x, recording into
+    rec; returns rec once every recorded state is finite."""
 
     def store(j, states):
         rec[:, j, :] = states[0]
@@ -529,37 +532,13 @@ def _arm(drift, cov, x, cfg: SimConfig, rec: np.ndarray, steps: range) -> np.nda
     return _all_finite(rec)
 
 
-def _recorded(drifts, cov, x0, cfg: SimConfig) -> list[TrajectoryEnsemble]:
-    """One ensemble per drift, all driven by the same increments; see
-    simulate and paired_simulate."""
-    times = _record_times(cfg)
-    x0 = np.asarray(x0, dtype=float).ravel()
-    recs = [np.empty((cfg.paths, times.shape[0], x0.size)) for _ in drifts]
-
-    def store(j, states):
-        for rec, x in zip(recs, states):
-            rec[:, j, :] = x
-
-    # a pair integrates step 0 here, then splits its arms if that step's
-    # timings say a split pays
-    head = 1 if len(drifts) == 2 else cfg.n_steps
-    xs = [np.tile(x0, (cfg.paths, 1)) for _ in drifts]
-    xs, update_s, draw_s = _euler(drifts, cov, xs, cfg, store, range(head))
-    rest = range(head, cfg.n_steps)
-    cpus = _usable_cpus() if rest else set()
-    if _split_pays(min(update_s), draw_s, len(rest), len(cpus), recs[-1].nbytes):
-        recs = _in_processes(cpus, [partial(_arm, drift, cov, x, cfg, rec, rest)
-                                    for drift, x, rec in zip(drifts, xs, recs)])
-    else:
-        _euler(drifts, cov, xs, cfg, store, rest)
-        recs = [_all_finite(rec) for rec in recs]
-    return [TrajectoryEnsemble(times, rec, cfg.seed) for rec in recs]
-
-
 def simulate(drift, cov, x0, cfg: SimConfig) -> TrajectoryEnsemble:
     """Euler-Maruyama ensemble of cfg.paths trajectories from the shared x0.
     Raises AnisoError (operation euler) when a recorded state is not finite."""
-    return _recorded((drift,), cov, x0, cfg)[0]
+    times, x = _record_times(cfg), _start_rows(x0, cfg)
+    rec = np.empty((cfg.paths, times.shape[0], x.shape[1]))
+    return TrajectoryEnsemble(times, _arm(drift, cov, x, cfg, rec, range(cfg.n_steps)),
+                              cfg.seed)
 
 
 def paired_simulate(drift_a, drift_b, cov, x0,
@@ -585,5 +564,23 @@ def paired_simulate(drift_a, drift_b, cov, x0,
     other threads, such as BLAS threads; the split goes ahead (this case has
     not been run), as in models.train.
     """
-    ens_a, ens_b = _recorded((drift_a, drift_b), cov, x0, cfg)
+    drifts, times = (drift_a, drift_b), _record_times(cfg)
+    xs = [_start_rows(x0, cfg) for _ in drifts]
+    recs = [np.empty((cfg.paths, times.shape[0], x.shape[1])) for x in xs]
+
+    def store(j, states):
+        for rec, x in zip(recs, states):
+            rec[:, j, :] = x
+
+    # step 0 runs here; its timings say whether splitting the arms pays
+    xs, update_s, draw_s = _euler(drifts, cov, xs, cfg, store, range(1))
+    rest = range(1, cfg.n_steps)
+    cpus = _usable_cpus() if rest else set()
+    if _split_pays(min(update_s), draw_s, len(rest), len(cpus), recs[-1].nbytes):
+        recs = _in_processes(cpus, [partial(_arm, drift, cov, x, cfg, rec, rest)
+                                    for drift, x, rec in zip(drifts, xs, recs)])
+    else:
+        _euler(drifts, cov, xs, cfg, store, rest)
+        recs = [_all_finite(rec) for rec in recs]
+    ens_a, ens_b = (TrajectoryEnsemble(times, rec, cfg.seed) for rec in recs)
     return ens_a, ens_b

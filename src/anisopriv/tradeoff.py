@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import AnisoError, FieldErrors, NonPositiveVariance, check_fields
-from .linalg import SpdMatrix
+from .linalg import PIVOT_FLOOR, SpdMatrix
 from .ou import QuadraticProblem, error_to_opt, exact_state, gaussian_kl
 
 # Variance floor for zero-gap coordinates, as a fraction of the trace budget.
@@ -154,12 +154,33 @@ def grid_surface(gap: GradientGap, grid: NoiseGrid) -> np.ndarray:
     return rows
 
 
+def _check_time(t: float, p: QuadraticProblem, p_other: QuadraticProblem,
+                grid: NoiseGrid) -> None:
+    """Raise ValueError unless quadratic_tradeoff's time t exceeds the smallest
+    time at which every time-t covariance surely factors. Every Cholesky pivot
+    is at least lambda_min(V_t) >= v_min (1 - e^{-2 w_max t}) / (2 w_max), for
+    v_min the grid's smallest variance and w_max the largest Gram eigenvalue
+    of either problem, and must exceed linalg.PIVOT_FLOOR. The floor is only
+    sufficient: a grid whose v_min / (2 w_max) is at most PIVOT_FLOOR passes
+    at no time, though its laws may factor."""
+    w_max = float(max(p._eig[0][-1], p_other._eig[0][-1]))
+    ratio = 2.0 * w_max * PIVOT_FLOOR / float(grid.variances.min())
+    if not ratio < 1.0:
+        raise ValueError(f"no time passes: the floor v_min / (2 w_max) under every Cholesky "
+                         f"pivot of the laws is at most {PIVOT_FLOOR:g}")
+    smallest = -math.log1p(-ratio) / (2.0 * w_max)
+    if not t > smallest:
+        raise ValueError(f"must exceed {smallest!r}, where the floor v_min (1 - e^(-2 w_max t)) "
+                         f"/ (2 w_max) under every Cholesky pivot of the laws passes "
+                         f"{PIVOT_FLOOR:g}")
+
+
 def quadratic_tradeoff(p: QuadraticProblem, p_other: QuadraticProblem, t: float,
                        grid: NoiseGrid) -> np.ndarray:
     """Exact KL and accumulated-noise error over a noise grid for an adjacent
     quadratic pair: rows (x, y, exact_kl, error), row-major in (x, y). Both
     problems must carry grid.covariances as their noise covariance, so each
-    arm's law is evaluated once, over the whole grid."""
+    arm's law is evaluated once, over the whole grid; t must pass _check_time."""
     cov = grid.covariances
     if p.noise_cov is not cov or p_other.noise_cov is not cov:
         raise ValueError("both problems must carry grid.covariances as their noise_cov")

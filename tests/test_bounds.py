@@ -131,12 +131,15 @@ def test_phi_gaussian_score_matches_formula():
     assert np.allclose(GaussianScore(state).evaluate(x), want, rtol=1e-10, atol=1e-12)
 
 
-def test_phi_preserves_single_point_shape():
+def test_phi_refuses_a_single_point():
+    # a single point on the unequal-diffusion path would broadcast into wrong
+    # (dim, dim) stacks without any error
     drift_a = QuadraticDrift(np.array([[1.0]]), np.array([0.0]))
     drift_b = QuadraticDrift(np.array([[1.0]]), np.array([0.5]))
     cov = ConstantSpd(SpdMatrix(np.eye(1)))
-    out = phi(np.array([0.3]), drift_a, drift_b, cov, cov)
-    assert out.shape == (1,)
+    with pytest.raises(ValueError, match="row stack"):
+        phi(np.array([0.3]), drift_a, drift_b, cov, cov)
+    assert phi(np.array([[0.3]]), drift_a, drift_b, cov, cov).shape == (1, 1)
 
 
 def test_mc_bound_matches_loop_oracle():
@@ -426,6 +429,41 @@ def test_xi_bound_brace_consistent_with_stationary_bound():
     xi_brace = xi_bound(math.inf, p, 1.0) / (2.0 * p.grad_lip_prime**2)
     stat_brace = klbound_stationary(p) * (2.0 * p.kappa_prime * p.sigma_prime**6) / p.grad_lip_prime**2
     assert xi_brace == pytest.approx(stat_brace, rel=1e-12)
+
+
+def test_xi_bound_against_exact_ou_law():
+    # dx = -grad f_a dt + sigma dW from a point x0 within distance 1 of arm
+    # a's optimum, the hypothesis E|x0 - xstar|^2 <= 1 that xi_bound's e^{-2
+    # kappa t} term carries. grad f_a - c grad f_b = A x + c0 is affine, so its
+    # exact second moment under the time-t law N(m, V) is |A m + c0|^2 +
+    # tr(A V A.T). Starts 1 to 4 away do fall below the truth.
+    rng = np.random.default_rng(2911)
+    for _ in range(300):
+        d = int(rng.integers(1, 4))
+        sigma = float(np.exp(rng.uniform(math.log(0.3), math.log(30.0))))
+        coupling = float(rng.uniform(0.5, 2.0))
+        design_a, target_a = rng.standard_normal((d + 2, d)), rng.standard_normal(d + 2)
+        design_b, target_b = design_a.copy(), target_a.copy()
+        j = int(rng.integers(d + 2))
+        design_b[j], target_b[j] = rng.standard_normal(d), rng.standard_normal()
+        noise = SpdMatrix(sigma**2 * np.eye(d))
+        b = QuadraticProblem(design_b, target_b, noise, np.zeros(d))
+        optimum_a = QuadraticProblem(design_a, target_a, noise, np.zeros(d)).optimum
+        u = rng.standard_normal(d)
+        x0 = optimum_a + rng.uniform(0.0, 1.0) * u / np.linalg.norm(u)
+        a = QuadraticProblem(design_a, target_a, noise, x0)
+        w_a, w_b = np.linalg.eigvalsh(a.gram), np.linalg.eigvalsh(b.gram)
+        p = RegularityParams(
+            kappa=w_a[0], grad_lip=w_a[-1], kappa_prime=w_b[0], grad_lip_prime=w_b[-1],
+            sigma=sigma, sigma_prime=sigma, lsi0=1.0, xstar=a.optimum, xstar_prime=b.optimum,
+        )
+        mismatch = a.gram - coupling * b.gram
+        offset = coupling * design_b.T @ target_b - design_a.T @ target_a
+        for t in (0.0, 0.1, 1.0, 10.0, math.inf):
+            st = exact_state(a, t)
+            mean = mismatch @ st.mean + offset
+            truth = mean @ mean + np.trace(mismatch @ st.cov.entries @ mismatch.T)
+            assert xi_bound(t, p, coupling) >= truth, (d, sigma, coupling, t)
 
 
 def test_convergence_bound_endpoints():
