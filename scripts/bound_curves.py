@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
-"""Monte-Carlo KL bound vs exact Gaussian KL for an adjacent quadratic pair.
+"""KL bound vs exact Gaussian KL for an adjacent quadratic pair.
 
-Runs the kl-bound experiment, which writes bound_curve.csv and exact_kl.csv
-(with its config and manifest) into --out, and prints the closed-form bound
-values for the matching regularity parameters.
+Runs the kl-bound experiment, which writes bound_curve.csv (the bound, exact
+on the Euler grid, so it takes no path count or seed) and exact_kl.csv (with
+its config and manifest) into --out, and prints the closed-form bound values
+for the matching regularity parameters.
 """
 
 import argparse
@@ -21,8 +22,6 @@ def parse_args(argv):
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--target-gap", type=float, default=0.1)
     p.add_argument("--horizon", type=float, default=2.0)
-    p.add_argument("--paths", type=int, default=10000)
-    p.add_argument("--seed", type=int, default=3)
     p.add_argument("--out", type=pathlib.Path, default=pathlib.Path("out/bounds"))
     return p.parse_args(argv)
 
@@ -32,13 +31,11 @@ def run(argv=None) -> int:
     args.out.mkdir(parents=True, exist_ok=True)
     cfg = args.out / "kl-bound.json"
     cfg.write_text(json.dumps({
-        "seed": args.seed,
         "output_dir": ".",
         "experiment": {
             "kind": "kl-bound", "design": [[1.0]], "target": [0.0],
             "target_prime": [args.target_gap], "sigma_diag": [1.0], "x0": [0.0],
-            "step": 0.01, "horizon": args.horizon, "paths": args.paths,
-            "record_stride": 10,
+            "step": 0.01, "horizon": args.horizon, "record_stride": 10,
         },
     }, indent=2))
     code = main(["run", str(cfg)])

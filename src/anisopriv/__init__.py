@@ -20,7 +20,8 @@ from .errors import (
     TrainingDivergedWarning,
 )
 from .linalg import SpdMatrix, SymMatrix
-from .ou import GaussianState, QuadraticProblem, error_to_opt, exact_state, gaussian_kl
+from .ou import (GaussianState, QuadraticProblem, error_to_opt, euler_law, exact_state,
+                 gaussian_kl, mismatch_moment)
 from .sde import (
     CallableDrift,
     ConstantSpd,
@@ -41,6 +42,7 @@ from .bounds import (
     GaussianScore,
     RegularityParams,
     convergence_bound,
+    euler_kl_bound,
     klbound_closed,
     klbound_stationary,
     lsi_constant,
@@ -95,13 +97,13 @@ __all__ = [
     "IndexOutOfRange", "NonPositiveVariance",
     "NotPositiveDefinite", "ScoreRequired", "TrainingDivergedWarning",
     "SpdMatrix", "SymMatrix",
-    "GaussianState", "QuadraticProblem", "error_to_opt", "exact_state",
-    "gaussian_kl",
+    "GaussianState", "QuadraticProblem", "error_to_opt", "euler_law", "exact_state",
+    "gaussian_kl", "mismatch_moment",
     "CallableDrift", "ConstantSpd", "DatasetGradientDrift", "DiagonalOfState",
     "MinibatchSgd", "QuadraticDrift", "SimConfig", "TrajectoryEnsemble",
     "minibatch_covariance", "paired_simulate", "psd_project", "simulate",
     "BoundCurve", "CallableScore", "GaussianScore",
-    "RegularityParams", "convergence_bound",
+    "RegularityParams", "convergence_bound", "euler_kl_bound",
     "klbound_closed", "klbound_stationary", "lsi_constant", "lsi_rate",
     "mc_kl_bound", "phi", "xi_bound",
     "ConcentrationParams", "concentration_tail",

@@ -11,7 +11,10 @@ Two ingredients:
   integrated in time, upper-bounds KL(law_a(t) || law_b(t)). mc_kl_bound
   simulates the first process itself and adds up the integrand at each
   recorded state inside the Euler loop, so the ensemble it averages over is
-  the first process's by construction and is never stored.
+  the first process's by construction and is never stored. For two
+  QuadraticProblems with a shared noise covariance the chain is Gaussian and
+  the mismatch affine, and euler_kl_bound gives the exact expectation of that
+  estimate, with no paths.
 
 * Closed-form bounds for strongly convex losses with isotropic noise,
   driven by log-Sobolev constants, plus the gradient-moment and
@@ -27,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import AnisoError, ScoreRequired, check_fields
-from .ou import GaussianState
+from .ou import GaussianState, QuadraticProblem, euler_law, mismatch_moment
 from .sde import ConstantSpd, SimConfig, _euler, _record_times, _row_blocks, _start_rows
 
 # ---------------------------------------------------------------------------
@@ -160,6 +163,30 @@ def mc_kl_bound(drift_a, drift_b, cov_a, cov_b, x0, cfg: SimConfig,
         raise AnisoError("the KL bound or its standard error is not finite",
                          operation="mc_kl_bound")
     return BoundCurve(times, bounds, stderr)
+
+
+def euler_kl_bound(p_a: QuadraticProblem, p_b: QuadraticProblem, cfg: SimConfig) -> BoundCurve:
+    """The expectation of mc_kl_bound's curve for two QuadraticProblems that
+    share their noise matrix S, with no Monte Carlo error: on cfg's recorded
+    times t_k, (1/2) sum_{i<k} (t_{i+1} - t_i) E|S^{-1/2}(b_a - b_b)(X_i)|^2,
+    where X_i ~ ou.euler_law of p_a after the steps up to t_i and the moment
+    is ou.mismatch_moment. cfg.paths and cfg.seed play no part, and stderr is
+    zero. Raises ValueError when the noise matrices differ, and AnisoError
+    (operation euler_kl_bound) when a bound is not finite, as when the chain
+    diverges (step * w > 2 for a Gram eigenvalue w of p_a) long enough for its
+    moments to overflow."""
+    if not np.array_equal(p_a.noise_cov.entries, p_b.noise_cov.entries):
+        raise ValueError("the problems must share their noise covariance")
+    times = _record_times(cfg)
+    left = np.arange(times.shape[0] - 1) * cfg.record_stride
+    bounds = np.zeros(times.shape[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        moment = mismatch_moment(p_a, p_b, *euler_law(p_a, cfg.step, left))
+        bounds[1:] = 0.5 * np.cumsum(moment * np.diff(times))
+    if not np.all(np.isfinite(bounds)):
+        raise AnisoError("the KL bound on the Euler grid is not finite",
+                         operation="euler_kl_bound")
+    return BoundCurve(times, bounds, np.zeros(times.shape[0]))
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,10 @@ Relative paths (output_dir, dataset CSVs) resolve against the config file's
 directory, and no subcommand writes outside output_dir. `run` emits the
 experiment's files plus a manifest.json recording the semantic-config hash,
 seed, and versions; reruns of an identical config are byte-identical except
-the manifest's "timestamp" object. Exit codes: 0 success, 1 invalid config,
-2 numerical failure (the error JSON names the offending operation).
+the manifest's "timestamp" object, which holds the seconds spent reading,
+parsing and building the config (load_seconds) and running it
+(wall_clock_seconds). Exit codes: 0 success, 1 invalid config, 2 numerical
+failure (the error JSON names the offending operation).
 
 Each JSON object of a config is read through one _Reader, whose typed getters
 check JSON types, finite numbers and int64 counts. A parser's reads are its
@@ -26,8 +28,12 @@ constructor's FieldErrors is one exit-1 entry per failing field, at
 path.field; any other ValueError (a noise covariance that is not positive
 definite, say) is one at the key it was built from. An object is not built,
 nor its value rules checked, while one of its fields fails its type read.
-kl-bound refuses a sigma_prime other than sigma: its laws start at the point
-x0, so the second has no score at time 0. The closure only computes and
+A config whose run would hold an array of more than MAX_ELEMENTS elements is
+refused at the key of that array's largest factor. kl-bound refuses a
+sigma_prime other than sigma: its laws start at the point x0, so the second
+has no score at time 0. Its bound curve is bounds.euler_kl_bound, exact on
+the Euler grid, so it draws no normals; it reads paths, which sets no work,
+only to keep configs that give it valid. The closure only computes and
 writes.
 
 This module owns the output format: every file goes through _write_csv
@@ -57,11 +63,12 @@ from . import __version__
 from .audit import AuditConfig, MembershipConfig, estimate_delta, membership_experiment
 from .bounds import (
     RegularityParams,
+    euler_kl_bound,
     klbound_closed,
     klbound_stationary,
     lsi_constant,
     lsi_rate,
-    mc_kl_bound,
+    mc_kl_bound,  # noqa: F401  - called by no kind; perfbench's tracer wraps this name
 )
 from .errors import AnisoError, FieldErrors
 from .linalg import SpdMatrix
@@ -374,9 +381,30 @@ def _problems(p, *, primed, dim=None):
                 for b_key, b, y_key, y in pairs]
 
 
-def _sim_config(p, seed):
-    return p.built(None, SimConfig, p.number("step"), p.number("horizon"), p.integer("paths"),
-                   seed, record_stride=p.integer("record_stride", required=False, default=1))
+def _sim_config(p, seed, **paths):
+    """The SimConfig of step, horizon, paths (read with the keywords paths) and
+    record_stride."""
+    return p.built(None, SimConfig, p.number("step"), p.number("horizon"),
+                   p.integer("paths", **paths), seed,
+                   record_stride=p.integer("record_stride", required=False, default=1))
+
+
+# The most elements that one array of a run may hold: 2**27 float64 values, or
+# 1 GiB. validate refuses a config that asks for more, so that a count that
+# fits in int64 but not in memory is an invalid config and not a MemoryError
+# in run. The cap is fixed, so validate stays a function of the config alone.
+MAX_ELEMENTS = 2**27
+
+
+def _capped(p, what, elements, sizes):
+    """Whether elements, the size of the run's largest array (what), is within
+    MAX_ELEMENTS; if not, an error at the key of the largest of sizes
+    ({key: size})."""
+    if elements <= MAX_ELEMENTS:
+        return True
+    p.err(max(sizes, key=sizes.get), f"{what} would hold {elements} elements, "
+          f"above the {MAX_ELEMENTS} that one array of a run may hold")
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -428,6 +456,18 @@ def _check_training(p, base_dir):
     return scheme, dataset, training
 
 
+def _training_capped(p, runs, sizes, dataset, training):
+    """_capped for runs models trained as one stack: each holds its
+    (features + 1) hidden + (hidden + 1) classes parameters and, on the
+    dataset, records x (hidden + classes) activations and probabilities.
+    sizes ({key: size}) holds the keys that set runs."""
+    h, k = training.hidden, dataset.n_classes
+    per_run = (dataset.n_features + 1) * h + (h + 1) * k + dataset.size * (h + k)
+    return _capped(p, "the training stack (runs x (parameters + records x (hidden + classes)))",
+                   runs * per_run,
+                   {**sizes, "hidden": h, "dataset": max(dataset.size, dataset.n_features, k)})
+
+
 # ---------------------------------------------------------------------------
 # per-experiment parsers: each checks and converts its fields once and returns
 # the derived-quantity names and run(outdir), called only if errs stays empty
@@ -439,6 +479,9 @@ def _simulate(p, base_dir, seed):
     cfg = _sim_config(p, seed)
     cov = p.built("sigma", ConstantSpd, sigma)
     drift = p.built(key, QuadraticDrift, design, target)
+    if cfg is not None and x0 is not None:
+        _capped(p, "the ensemble (paths x records x dim)", cfg.paths * cfg.n_records * x0.shape[0],
+                {"paths": cfg.paths, "horizon": cfg.n_records, "x0": x0.shape[0]})
 
     def run(outdir):
         ens = simulate(drift, cov, x0, cfg)
@@ -481,20 +524,25 @@ def _kl_bound(p, base_dir, seed):
     if None not in (sigma, sigma_p) and not np.array_equal(sigma_p.entries, sigma.entries):
         p.err("sigma_prime", "must equal sigma: unequal diffusions need the second law's "
               "score from time 0, and a law started at the point x0 has none")
-    cfg = _sim_config(p, seed)
-    cov = p.built("sigma", ConstantSpd, sigma)
+    # the curve is exact on the Euler grid, so paths sizes no work; it keeps
+    # its rules, since configs written for the Monte Carlo bound still set it
+    ignored = ["paths ignored: the bound is exact on the Euler grid"] if p.has("paths") else []
+    cfg = _sim_config(p, seed, required=False, default=1)
     prob_a, prob_b = (p.built(key, QuadraticProblem, design, target, sigma, x0)
                       for key, design, target in pairs)
+    if None not in (cfg, dim):
+        _capped(p, "the chain's covariances (records x dim x dim)", cfg.n_records * dim * dim,
+                {"horizon": cfg.n_records, "x0": dim})
 
     def run(outdir):
-        curve = mc_kl_bound(prob_a, prob_b, cov, cov, x0, cfg)
+        curve = euler_kl_bound(prob_a, prob_b, cfg)
         write_bound_csv(curve, os.path.join(outdir, "bound_curve.csv"))
         kls = [gaussian_kl(exact_state(prob_a, float(t)), exact_state(prob_b, float(t)))
                if t > 0.0 else 0.0 for t in curve.times]
         _write_csv(os.path.join(outdir, "exact_kl.csv"), ["time", "kl"], zip(curve.times, kls))
 
-    return ["Monte-Carlo KL bound curve (bound_curve.csv)",
-            "exact Gaussian KL curve (exact_kl.csv)",
+    return ["KL bound curve, exact on the Euler grid (bound_curve.csv)",
+            "exact Gaussian KL curve (exact_kl.csv)", *ignored,
             "drift-gap mismatch (shared diffusion)"], run
 
 
@@ -555,10 +603,20 @@ def _optimize_cov(p, base_dir, seed):
             "optimal_cov.csv"], run
 
 
-def _grid_surface(p, base_dir, seed):
-    gap = p.built("gaps", GradientGap, p.vector("gaps", length=2))
+def _noise_grid(p):
+    """The NoiseGrid of x_range, y_range and resolution, whose G =
+    resolution**2 points, four values each (a 2 x 2 covariance or a surface
+    row), count against MAX_ELEMENTS."""
     grid = p.built(None, NoiseGrid, p.vector("x_range"), p.vector("y_range"),
                    p.integer("resolution"))
+    ok = grid is not None and _capped(p, "the noise grid (resolution**2 points x 4 values)",
+                                      4 * grid.resolution**2, {"resolution": grid.resolution})
+    return grid if ok else None
+
+
+def _grid_surface(p, base_dir, seed):
+    gap = p.built("gaps", GradientGap, p.vector("gaps", length=2))
+    grid = _noise_grid(p)
 
     def run(outdir):
         rows = grid_surface(gap, grid)
@@ -571,8 +629,7 @@ def _grid_surface(p, base_dir, seed):
 def _quad_tradeoff(p, base_dir, seed):
     x0, pairs = _problems(p, primed=True, dim=2)
     t = p.time("time")
-    grid = p.built(None, NoiseGrid, p.vector("x_range"), p.vector("y_range"),
-                   p.integer("resolution"))
+    grid = _noise_grid(p)
     cov = p.built(None, getattr, grid, "covariances")
     pa, pb = (p.built(key, QuadraticProblem, design, target, cov, x0)
               for key, design, target in pairs)
@@ -595,6 +652,9 @@ def _dp_audit(p, base_dir, seed):
     scheme, dataset, training = _check_training(p, base_dir)
     cfg = p.built(None, AuditConfig, epsilon, outer, inner, scheme, training, dataset,
                   adjacency, seed)
+    if cfg is not None:
+        _training_capped(p, 2 * outer * inner, {"outer_rounds": outer, "inner_rounds": inner},
+                         dataset, training)
 
     def run(outdir):
         write_audit_json(estimate_delta(cfg), os.path.join(outdir, "audit_report.json"))
@@ -610,6 +670,8 @@ def _membership(p, base_dir, seed):
     scheme, dataset, training = _check_training(p, base_dir)
     cfg = p.built(None, MembershipConfig, dataset, target, runs, scheme, training, null_control,
                   seed)
+    if cfg is not None:
+        _training_capped(p, 2 * runs, {"runs": runs}, dataset, training)
 
     def run(outdir):
         report = membership_experiment(cfg)
@@ -751,7 +813,9 @@ def _cmd_validate(path) -> int:
 
 
 def _cmd_run(path) -> int:
+    loading = time.perf_counter()
     cfg = _load(path)
+    loaded = time.perf_counter()
     if cfg is None:
         return 1
     os.makedirs(cfg.output_dir, exist_ok=True)
@@ -772,6 +836,7 @@ def _cmd_run(path) -> int:
         },
         "timestamp": {
             "utc": datetime.now(timezone.utc).isoformat(),
+            "load_seconds": loaded - loading,
             "wall_clock_seconds": time.perf_counter() - started,
         },
     }

@@ -25,6 +25,12 @@ S may be one (d, d) matrix or a (G, d, d) stack, for G processes that share
 the drift. The eigenbasis, mean and optimum are computed once per problem, and
 the covariances, KL divergences and errors of a stack come out with the
 leading G axis; one matrix is the same computation without that axis.
+
+The Euler-Maruyama chain of the same process is Gaussian too: euler_law gives
+its law after each of an array of step counts, from the same eigenbasis, and
+mismatch_moment the mean whitened squared drift gap of two problems under any
+such law, which bounds.euler_kl_bound sums into the KL bound on the chain's
+grid.
 """
 
 from __future__ import annotations
@@ -133,6 +139,62 @@ def exact_state(p: QuadraticProblem, t: float) -> GaussianState:
     if p.v0 is not None:
         cov = cov + e @ p.v0.entries @ e
     return GaussianState(mean, SpdMatrix(_sym_part(cov), allow_semidefinite=True), float(t))
+
+
+def _geometric_sums(r: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """sum_{l<n} r^l for each n of counts, a (T, *r.shape) stack, by binary
+    doubling over the bits of the largest n: S(2k) = S(k)(1 + r^k) and
+    S(k + 1) = 1 + r S(k). No step divides, so r = 1 needs no case of its own."""
+    total = np.zeros((counts.shape[0], *r.shape))
+    power = np.ones_like(total)
+    for bit in reversed(range(int(counts.max(initial=0)).bit_length())):
+        total = total * (1.0 + power)
+        power = power * power
+        odd = ((counts >> bit) & 1).astype(bool).reshape(-1, *(1,) * r.ndim)
+        total = np.where(odd, 1.0 + r * total, total)
+        power = np.where(odd, power * r, power)
+    return total
+
+
+def euler_law(p: QuadraticProblem, step: float, counts) -> tuple[np.ndarray, np.ndarray]:
+    """Means (T, d) and covariances (T, d, d) of the Euler-Maruyama chain
+    x' = x + step (pull - G x) + sqrt(step) S^{1/2} z started from p's initial
+    law, after each of the T step counts in counts; one noise matrix S.
+
+    The chain is Gaussian. In the Gram eigenbasis, with lam = 1 - step w, the
+    mean after n steps is x*~ + lam^n (x0~ - x*~) and the covariance
+    lam_i^n lam_j^n V0~_ij + step S~_ij sum_{l<n} (lam_i lam_j)^l, with every
+    geometric sum from one doubling pass (_geometric_sums), so
+    lam_i lam_j = 1 (step w = 2) is no special case. A chain with step w > 2
+    diverges; its moments grow until they overflow to inf or nan, which the
+    caller must check."""
+    counts = np.asarray(counts, dtype=np.int64)
+    w, q, s_rot = _rotated_noise(p)
+    lam = 1.0 - step * w
+    with np.errstate(over="ignore", invalid="ignore"):
+        lam_n = lam ** counts[:, None]
+        opt = q.T @ p.optimum
+        means = (opt + lam_n * (q.T @ p.x0 - opt)) @ q.T
+        # step * S~ first, so that a finite S near the float maximum stays finite
+        covs = (step * s_rot) * _geometric_sums(np.multiply.outer(lam, lam), counts)
+        if p.v0 is not None:
+            covs = covs + lam_n[:, :, None] * (q.T @ p.v0.entries @ q) * lam_n[:, None, :]
+        covs = q @ covs @ q.T
+    return means, covs
+
+
+def mismatch_moment(p_a: QuadraticProblem, p_b: QuadraticProblem, means, covs):
+    """E|L^{-1} (b_a - b_b)(X)|^2 for X ~ N(mean, cov), one value per law of
+    the (T, d) means and (T, d, d) covariances (or one law without the T
+    axis), where b = pull - G x is each problem's drift and L L.T = S is p_a's
+    noise matrix. The drift gap A x + c, with A = G_b - G_a and
+    c = pull_a - pull_b, is affine, so the moment is
+    |L^{-1}(A m + c)|^2 + tr(L^{-1} A P A.T L^{-T})."""
+    l = p_a.noise_cov.chol_lower
+    wa = np.linalg.solve(l, p_b.gram - p_a.gram)
+    gap = means @ wa.T + np.linalg.solve(l, p_a._pull - p_b._pull)
+    # tr(W P W.T) = sum_ij (W P)_ij W_ij
+    return np.sum(gap * gap, axis=-1) + np.sum((wa @ covs) * wa, axis=(-2, -1))
 
 
 def gaussian_kl(state: GaussianState, other: GaussianState) -> float | np.ndarray:

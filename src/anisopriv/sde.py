@@ -358,6 +358,11 @@ class SimConfig:
     def n_steps(self) -> int:
         return round(self.horizon / self.step)
 
+    @property
+    def n_records(self) -> int:
+        """The number of recorded times: t = 0 and every record_stride-th step."""
+        return self.n_steps // self.record_stride + 1
+
 
 @dataclass(frozen=True, eq=False)
 class TrajectoryEnsemble:
@@ -429,7 +434,7 @@ def _start_rows(x0, cfg: SimConfig) -> np.ndarray:
 
 def _record_times(cfg: SimConfig) -> np.ndarray:
     """The recorded grid: t = 0 and every record_stride-th step."""
-    return np.arange(cfg.n_steps // cfg.record_stride + 1) * (cfg.step * cfg.record_stride)
+    return np.arange(cfg.n_records) * (cfg.step * cfg.record_stride)
 
 
 def _euler(drifts, cov, xs, cfg: SimConfig, on_record, steps: range):

@@ -20,6 +20,7 @@ from anisopriv.bounds import (
     GaussianScore,
     RegularityParams,
     convergence_bound,
+    euler_kl_bound,
     klbound_closed,
     klbound_stationary,
     lsi_constant,
@@ -353,6 +354,105 @@ def test_mc_bound_rejects_a_non_finite_bound():
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(AnisoError) as exc:
         mc_kl_bound(drift_a, drift_b, cov, cov, np.array([0.0]), cfg)
     assert exc.value.operation == "mc_kl_bound"
+
+
+def euler_pair(seed, d, equal_designs, critical=False):
+    """Two QuadraticProblems that share S and x0, with targets differing in
+    the last record and, unless equal_designs, that record's design row too,
+    and a step below the stability limit 2 / w_max. critical makes arm a's
+    Gram matrix diag(1, ..., 1, 4) with step 0.5, so step * w = 2 and
+    lam_i lam_j = 1 for the last coordinate."""
+    rng = np.random.default_rng(seed)
+    design = np.diag([1.0] * (d - 1) + [2.0]) if critical else rng.standard_normal((d + 2, d))
+    design_b = design.copy()
+    if not equal_designs:
+        design_b[-1] = rng.standard_normal(d)
+    target = rng.standard_normal(design.shape[0])
+    target_b = target.copy()
+    target_b[-1] += rng.uniform(0.2, 1.0)
+    s = random_spd(rng, d)
+    x0 = rng.standard_normal(d)
+    pa, pb = (QuadraticProblem(b, y, s, x0)
+              for b, y in ((design, target), (design_b, target_b)))
+    step = 0.5 if critical else rng.uniform(0.1, 1.5) / np.linalg.eigvalsh(pa.gram).max()
+    return pa, pb, step
+
+
+def recursion_bound(pa, pb, cfg):
+    """The Euler-grid bound from the per-step moments m' = F m + h pull,
+    P' = F P F.T + h S, and E (Am + c)' S^-1 (Am + c) + tr(S^-1 A P A.T)."""
+    h, s = cfg.step, pa.noise_cov.entries
+    f = np.eye(pa.dim) - h * pa.gram
+    a, c = pb.gram - pa.gram, pa._pull - pb._pull
+    s_inv = np.linalg.inv(s)
+    m, p = pa.x0.copy(), np.zeros((pa.dim, pa.dim))
+    total, bounds = 0.0, [0.0]
+    for n in range(cfg.n_steps):
+        if n % cfg.record_stride == 0:
+            u = a @ m + c
+            total += 0.5 * h * cfg.record_stride * (u @ s_inv @ u + np.trace(s_inv @ a @ p @ a.T))
+            bounds.append(total)
+        m, p = f @ m + h * pa._pull, f @ p @ f.T + h * s
+    return np.array(bounds)
+
+
+@pytest.mark.parametrize("stride", [1, 3, 10])
+@pytest.mark.parametrize("equal_designs", [True, False])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_euler_bound_matches_per_step_moment_recursion(d, equal_designs, stride):
+    for seed in range(3):
+        pa, pb, step = euler_pair(100 * d + seed, d, equal_designs)
+        cfg = SimConfig(step, 30 * step, paths=1, seed=0, record_stride=stride)
+        curve = euler_kl_bound(pa, pb, cfg)
+        want = recursion_bound(pa, pb, cfg)
+        assert curve.bounds[0] == 0.0 and np.all(curve.stderr == 0.0)
+        assert np.allclose(curve.times, np.arange(30 // stride + 1) * step * stride)
+        assert np.allclose(curve.bounds, want, rtol=1e-10, atol=0.0)
+
+
+@pytest.mark.parametrize("stride", [1, 3, 10])
+def test_euler_bound_at_step_times_gram_eigenvalue_two(stride):
+    # lam = -1 on the last coordinate: lam_i lam_j = 1, where the closed
+    # geometric sum (1 - r**n) / (1 - r) divides by zero
+    for d in (1, 3):
+        pa, pb, step = euler_pair(7 + d, d, equal_designs=False, critical=True)
+        assert step * np.linalg.eigvalsh(pa.gram).max() == 2.0
+        cfg = SimConfig(step, 30 * step, paths=1, seed=0, record_stride=stride)
+        assert np.allclose(euler_kl_bound(pa, pb, cfg).bounds, recursion_bound(pa, pb, cfg),
+                           rtol=1e-10, atol=0.0)
+
+
+@pytest.mark.parametrize("stride", [1, 10])
+@pytest.mark.parametrize("equal_designs", [True, False])
+def test_mc_bound_within_four_standard_errors_of_the_euler_bound(equal_designs, stride):
+    # the exact curve is the expectation of the Monte Carlo one: the same
+    # left-endpoint sum over the same chain. At the first record every path
+    # sits at x0, so the two agree to rounding there.
+    pa, pb, step = euler_pair(5, 3, equal_designs)
+    cfg = SimConfig(step, 40 * step, paths=4000, seed=11, record_stride=stride)
+    cov = ConstantSpd(pa.noise_cov)
+    mc = mc_kl_bound(pa, pb, cov, cov, pa.x0, cfg)
+    exact = euler_kl_bound(pa, pb, cfg)
+    assert np.array_equal(mc.times, exact.times)
+    assert np.all(np.abs(mc.bounds - exact.bounds)
+                  <= 4.0 * mc.stderr + 1e-12 * exact.bounds)
+
+
+def test_euler_bound_of_a_diverging_chain_raises():
+    # step * w = 4: the chain's variance grows as 9**n and overflows
+    pa = QuadraticProblem([[2.0]], [0.0], SpdMatrix([[1.0]]), [0.0])
+    pb = QuadraticProblem([[1.0]], [0.1], SpdMatrix([[1.0]]), [0.0])
+    cfg = SimConfig(1.0, 400.0, paths=1, seed=0)
+    with pytest.raises(AnisoError) as exc:
+        euler_kl_bound(pa, pb, cfg)
+    assert exc.value.operation == "euler_kl_bound"
+
+
+def test_euler_bound_refuses_unequal_noise():
+    pa = QuadraticProblem([[1.0]], [0.0], SpdMatrix([[1.0]]), [0.0])
+    pb = QuadraticProblem([[1.0]], [0.1], SpdMatrix([[2.0]]), [0.0])
+    with pytest.raises(ValueError, match="share their noise"):
+        euler_kl_bound(pa, pb, SimConfig(0.1, 1.0, paths=1, seed=0))
 
 
 def test_lsi_constant_endpoints_and_monotonicity():

@@ -225,7 +225,8 @@ def test_run_closed_bounds(tmp_path, capsys):
     assert manifest["experiment"] == "closed-bounds"
     assert manifest["versions"]["anisopriv"] == __version__
     assert "threads" not in manifest
-    assert set(manifest["timestamp"]) == {"utc", "wall_clock_seconds"}
+    assert set(manifest["timestamp"]) == {"utc", "load_seconds", "wall_clock_seconds"}
+    assert all(manifest["timestamp"][k] >= 0.0 for k in ("load_seconds", "wall_clock_seconds"))
 
 
 @pytest.mark.parametrize("over, path", [
@@ -615,6 +616,80 @@ def test_value_rules_wait_for_the_type_reads_of_their_object(tmp_path, capsys):
         assert report["errors"] == [{"path": f"experiment.{path}", "message": message}]
 
 
+def test_kl_bound_curve_depends_on_neither_paths_nor_seed(tmp_path, capsys):
+    # the curve is exact on the Euler grid: paths keeps its rules and is
+    # named as ignored, and neither it nor the seed changes a byte
+    curves = []
+    for name, seed, paths in (("a", 1, 4), ("b", 2, None), ("c", 99, 10**6)):
+        doc = kl_bound_doc(design=[[1.0, 0.3], [0.0, 1.5]], paths=paths)
+        doc.update(seed=seed, output_dir=name)
+        cfg = write_config(tmp_path / f"{name}.json", doc)
+        code, report = run_cli(capsys, "validate", cfg)
+        assert code == 0
+        assert any(d.startswith("paths ignored") for d in report["derived"]) == (paths is not None)
+        assert run_cli(capsys, "run", cfg)[0] == 0
+        curves.append((tmp_path / name / "bound_curve.csv").read_bytes())
+    assert curves[0] == curves[1] == curves[2]
+    for paths, message in ((0, "must be >= 1"), (1.5, "must be an integer")):
+        cfg = write_config(tmp_path / "bad.json", kl_bound_doc(paths=paths))
+        assert run_cli(capsys, "validate", cfg)[1]["errors"] == [
+            {"path": "experiment.paths", "message": message}]
+
+
+def test_kl_bound_chain_that_overflows_is_numerical_failure(tmp_path, capsys):
+    # step * w = 4 > 2: the Euler chain's variance grows as 9**n and
+    # overflows within 400 steps, which validate cannot see
+    doc = kl_bound_doc(design=[[2.0]], target=[0.0], target_prime=[0.1], sigma_diag=[1.0],
+                       x0=[0.0], step=1.0, horizon=400.0, paths=None)
+    cfg = write_config(tmp_path / "cfg.json", doc)
+    assert run_cli(capsys, "validate", cfg)[0] == 0
+    code, report = run_cli(capsys, "run", cfg)
+    assert code == 2
+    assert report["operation"] == "euler_kl_bound"
+    assert not (tmp_path / "out" / "bound_curve.csv").exists()
+    assert not (tmp_path / "out" / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("name, over, path, what", [
+    ("simulate", {"paths": 2**40}, "experiment.paths", "the ensemble"),
+    ("simulate", {"step": 1e-12, "horizon": 1e2, "record_stride": 1, "paths": 4},
+     "experiment.horizon", "the ensemble"),
+    ("kl-bound", {"step": 0.01, "horizon": 1e13, "record_stride": 1}, "experiment.horizon",
+     "the chain's covariances"),
+    ("grid-surface", {"resolution": 2**20}, "experiment.resolution", "the noise grid"),
+    ("quad-tradeoff", {"resolution": 2**20}, "experiment.resolution", "the noise grid"),
+    ("dp-audit", {"outer_rounds": 2**40}, "experiment.outer_rounds", "the training stack"),
+    ("dp-audit", {"hidden": 2**40}, "experiment.hidden", "the training stack"),
+    ("membership", {"runs": 2**40}, "experiment.runs", "the training stack"),
+], ids=["simulate-paths", "simulate-records", "kl-bound-records", "grid-surface",
+        "quad-tradeoff", "dp-audit-rounds", "dp-audit-hidden", "membership-runs"])
+def test_work_above_the_element_cap_rejected_by_validate(tmp_path, capsys, name, over, path,
+                                                         what):
+    # each count fits in int64, but the array it asks for does not fit in
+    # memory; validate refuses it at the key of the largest factor
+    cfg = write_config(tmp_path / "cfg.json", shipped_doc(name, **over))
+    for cmd in ("validate", "run"):
+        code, report = run_cli(capsys, cmd, cfg)
+        assert code == 1
+        [error] = report["errors"]
+        assert error["path"] == path
+        assert error["message"].startswith(what)
+        assert f"above the {anisopriv.cli.MAX_ELEMENTS} " in error["message"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_element_cap_is_inclusive(tmp_path, capsys):
+    # one recorded step after t = 0 in 1-d: paths x 2 x 1 elements. validate
+    # only, since a run at the cap would hold a 1 GiB ensemble
+    doc = {"experiment": {"kind": "simulate", "design": [[1.0]], "target": [0.0],
+                          "sigma_diag": [1.0], "x0": [0.0], "step": 1.0, "horizon": 1.0}}
+    cap = anisopriv.cli.MAX_ELEMENTS
+    for paths, code in ((cap // 2, 0), (cap // 2 + 1, 1)):
+        doc["experiment"]["paths"] = paths
+        cfg = write_config(tmp_path / "cfg.json", doc)
+        assert run_cli(capsys, "validate", cfg)[0] == code
+
+
 def test_kl_bound_refuses_unequal_diffusions(tmp_path, capsys):
     # both laws start at the point x0, where the second law has no score; with
     # its score taken one step late, 4000 paths gave a "bound" of 0.00086 at
@@ -642,9 +717,12 @@ def test_integer_reads_reject_values_outside_int64(tmp_path, capsys, value):
         assert report["errors"] == [
             {"path": "experiment.hidden", "message": "must be a signed 64-bit integer"}]
     assert not (tmp_path / "out").exists()
-    # the ends of the range pass the read and meet the field's own rule
+    # the ends of the range pass the read and meet the field's own rule, or
+    # for the top end the cap on the training stack it asks for
     top = write_config(tmp_path / "top.json", shipped_doc("dp-audit", hidden=2**63 - 1))
-    assert run_cli(capsys, "validate", top)[0] == 0
+    [error] = run_cli(capsys, "validate", top)[1]["errors"]
+    assert error["path"] == "experiment.hidden"
+    assert error["message"].startswith("the training stack ")
     bottom = write_config(tmp_path / "bottom.json", shipped_doc("dp-audit", hidden=-2**63))
     assert run_cli(capsys, "validate", bottom)[1]["errors"] == [
         {"path": "experiment.hidden", "message": "must be >= 1"}]
@@ -778,6 +856,22 @@ def test_bad_csv_dataset_rejected_by_validate(tmp_path, capsys, text, message):
         assert code == 1
         assert error_paths(doc) == ["experiment.dataset.csv"]
         assert doc["errors"][0]["message"].startswith(message), doc
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("label", [2**62, 2**63 - 1])
+def test_csv_label_with_a_class_count_too_big_to_train_rejected_by_validate(tmp_path, capsys,
+                                                                            label):
+    # the label fits in int64, but the class count it sets sizes a parameter
+    # vector per run that no memory holds
+    (tmp_path / "data.csv").write_text(DATA_CSV.replace(",1\n", f",{label}\n", 1))
+    cfg = write_config(tmp_path / "cfg.json", csv_audit_doc())
+    for cmd in ("validate", "run"):
+        code, report = run_cli(capsys, cmd, cfg)
+        assert code == 1
+        [error] = report["errors"]
+        assert error["path"] == "experiment.dataset"
+        assert error["message"].startswith("the training stack")
     assert not (tmp_path / "out").exists()
 
 
@@ -1063,10 +1157,10 @@ CSV_CELLS = [b"1" * 200_000, b"\xff", b"\x00", b"9223372036854775808", b"nan", b
              b"-9223372036854775809", b"1" + b"0" * 20, b"9" * 5000, b"-inf", b"1e400", b"",
              b"1\x00", b"\xc3", b'"1\n2"', b'"0"', b'a"b', b"x", b"0", b"1", b"2", b"-1",
              b"0.5", b"-2.5e3", b"1e-320", b"007", b" 1", b"1_0"]
-# Feature cells also get the int64 ends. A label sets the class count, and a
-# label inside int64 too large for memory is the open defect of counts that
-# do not fit in memory, so labels do not get them.
-CSV_FEATURE_CELLS = CSV_CELLS + [b"9223372036854775807", b"-9223372036854775808"]
+# Cells inside the int64 range: its ends and 2**62. A huge label sets a class
+# count whose training stack passes the element cap, which validate refuses.
+CSV_INT64_CELLS = CSV_CELLS + [b"9223372036854775807", b"-9223372036854775808",
+                               b"4611686018427387904"]
 CSV_HEADERS = [b"f0,f1,label", b"f0,label", b"label", b"f0,f1", b"f1,f0,label", b"F0,f1,label",
                b"f0, f1,label", b"", b"f0,f1,label,f3", b'"f0",f1,label', b"\xef\xbb\xbff0,label",
                b"f0,f1,label\x00"]
@@ -1094,8 +1188,7 @@ def dataset_files(draw):
             row[:] = row[:-1] if draw(st.booleans()) else row + row[-1:]
         elif row:
             col = draw(st.integers(0, len(row) - 1))
-            label = col == len(row) - 1
-            row[col] = draw(st.sampled_from(CSV_CELLS if label else CSV_FEATURE_CELLS))
+            row[col] = draw(st.sampled_from(CSV_INT64_CELLS))
     end = draw(st.sampled_from([b"\n", b"\r\n"]))
     return end.join([header, *(b",".join(row) for row in rows)]) + draw(st.sampled_from([end, b""]))
 

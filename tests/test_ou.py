@@ -19,8 +19,10 @@ from anisopriv.ou import (
     GaussianState,
     QuadraticProblem,
     error_to_opt,
+    euler_law,
     exact_state,
     gaussian_kl,
+    mismatch_moment,
 )
 
 
@@ -114,6 +116,43 @@ def test_random_noncommuting_moments_match_rk4(t, with_v0):
     st = exact_state(p, t)
     assert np.allclose(st.mean, m, rtol=1e-12, atol=1e-14)
     assert np.allclose(st.cov.entries, v, rtol=0, atol=1e-12 * np.abs(v).max())
+
+
+@pytest.mark.parametrize("with_v0", [True, False])
+def test_euler_law_matches_per_step_recursion(with_v0):
+    # counts in any order, repeated and from 0, each the law after that many
+    # steps of m' = F m + h pull, P' = F P F.T + h S from (x0, v0)
+    p = random_noncommuting_problem(with_v0)
+    h = 0.9 / np.linalg.eigvalsh(p.gram).max()
+    counts = [17, 0, 3, 3, 1, 64]
+    means, covs = euler_law(p, h, counts)
+    assert means.shape == (6, 3) and covs.shape == (6, 3, 3)
+    f = np.eye(3) - h * p.gram
+    m, v = p.x0.copy(), p.v0.entries.copy() if with_v0 else np.zeros((3, 3))
+    laws = []
+    for _ in range(max(counts) + 1):
+        laws.append((m, v))
+        m, v = f @ m + h * p._pull, f @ v @ f.T + h * p.noise_cov.entries
+    for k, n in enumerate(counts):
+        assert np.allclose(means[k], laws[n][0], rtol=1e-12, atol=1e-13)
+        assert np.allclose(covs[k], laws[n][1], rtol=0, atol=1e-12 * np.abs(laws[n][1]).max()
+                           + (n == 0 and not with_v0))
+
+
+def test_mismatch_moment_matches_sampled_mean():
+    # an affine gap under one Gaussian law, against 2e5 draws of it
+    p = random_noncommuting_problem()
+    design = p.design.copy()
+    design[0] *= 1.7
+    q = QuadraticProblem(design, p.target + 0.3, p.noise_cov, p.x0)
+    state = exact_state(p, 0.4)
+    rng = np.random.default_rng(8)
+    x = rng.multivariate_normal(state.mean, state.cov.entries, size=200_000)
+    white = np.linalg.solve(p.noise_cov.chol_lower, (p.evaluate(x) - q.evaluate(x)).T)
+    sampled = np.sum(white * white, axis=0)
+    got = mismatch_moment(p, q, state.mean, state.cov.entries)
+    assert np.ndim(got) == 0
+    assert abs(got - sampled.mean()) <= 4.0 * sampled.std() / math.sqrt(sampled.size)
 
 
 def test_error_to_opt_long_time_reaches_stationary_value():

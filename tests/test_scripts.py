@@ -25,7 +25,7 @@ def read_columns(path):
 def test_bound_curves_script_writes_a_dominating_bound(tmp_path, capsys):
     out = tmp_path / "bounds"
     script = load_script("bound_curves")
-    assert script.run(["--paths", "20", "--horizon", "0.5", "--out", str(out)]) == 0
+    assert script.run(["--horizon", "0.5", "--out", str(out)]) == 0
     assert "wrote" in capsys.readouterr().out
     head_b, bound = read_columns(out / "bound_curve.csv")
     head_k, kl = read_columns(out / "exact_kl.csv")
