@@ -23,11 +23,12 @@ Each kind's parser builds every library object its run(outdir) closure uses,
 and those objects state the value rules (dp-audit and membership, for one,
 build a models.Training and an AuditConfig or MembershipConfig; grid-surface
 and quad-tradeoff build a tradeoff.NoiseGrid, and quad-tradeoff also its
-covariance stack, which both QuadraticProblems carry): a
-constructor's FieldErrors is one exit-1 entry per failing field, at
-path.field; any other ValueError (a noise covariance that is not positive
-definite, say) is one at the key it was built from. An object is not built,
-nor its value rules checked, while one of its fields fails its type read.
+covariance stack, which both QuadraticProblems carry, and their time-t laws
+over it, factored): a constructor's FieldErrors is one exit-1 entry per
+failing field, at path.field; any other ValueError (a noise covariance that
+is not positive definite, or a law that does not factor, say) is one at the
+key it was built from. An object is not built, nor its value rules checked,
+while one of its fields fails its type read.
 A config whose run would hold an array of more than MAX_ELEMENTS elements is
 refused at the key of that array's largest factor. kl-bound refuses a
 sigma_prime other than sigma: its laws start at the point x0, so the second
@@ -82,7 +83,7 @@ from .models import (
 )
 from .ou import QuadraticProblem, exact_state, gaussian_kl
 from .sde import ConstantSpd, QuadraticDrift, SimConfig, simulate
-from .tradeoff import (GradientGap, NoiseGrid, _check_time, grid_surface, optimal_diag_cov,
+from .tradeoff import (GradientGap, NoiseGrid, _checked_laws, grid_surface, optimal_diag_cov,
                        quadratic_tradeoff)
 from .privacy import (
     ConcentrationParams,
@@ -537,8 +538,10 @@ def _kl_bound(p, base_dir, seed):
     def run(outdir):
         curve = euler_kl_bound(prob_a, prob_b, cfg)
         write_bound_csv(curve, os.path.join(outdir, "bound_curve.csv"))
-        kls = [gaussian_kl(exact_state(prob_a, float(t)), exact_state(prob_b, float(t)))
-               if t > 0.0 else 0.0 for t in curve.times]
+        later = curve.times > 0.0  # both laws start at the point x0, with KL 0
+        kls = np.zeros_like(curve.times)
+        kls[later] = gaussian_kl(exact_state(prob_a, curve.times[later]),
+                                 exact_state(prob_b, curve.times[later]))
         _write_csv(os.path.join(outdir, "exact_kl.csv"), ["time", "kl"], zip(curve.times, kls))
 
     return ["KL bound curve, exact on the Euler grid (bound_curve.csv)",
@@ -633,10 +636,10 @@ def _quad_tradeoff(p, base_dir, seed):
     cov = p.built(None, getattr, grid, "covariances")
     pa, pb = (p.built(key, QuadraticProblem, design, target, cov, x0)
               for key, design, target in pairs)
-    p.built("time", _check_time, t, pa, pb, grid)
+    laws = p.built("time", _checked_laws, pa, pb, t, grid)
 
     def run(outdir):
-        rows = quadratic_tradeoff(pa, pb, t, grid)
+        rows = quadratic_tradeoff(pa, laws, grid)
         write_grid_csv(rows, os.path.join(outdir, "tradeoff.csv"),
                        header=("x", "y", "exact_kl", "error"))
 

@@ -9,8 +9,8 @@ Conventions
   entries are the symmetrized input (m + m.T)/2 and are read-only.
 * The checks work on (..., d, d) stacks, so a batch of matrices is checked
   in one call by the same rules as a single one. ``SpdMatrix`` holds one
-  (d, d) matrix or a (G, d, d) stack; a stack's Cholesky factors and
-  log-determinants come out with the leading G axis.
+  (d, d) matrix or a (..., d, d) stack; a stack's Cholesky factors and
+  log-determinants come out with its leading axes.
 """
 
 from __future__ import annotations
@@ -86,15 +86,15 @@ def _checked_cholesky(m: np.ndarray) -> np.ndarray:
 
 def _as_square(entries) -> np.ndarray:
     m = np.asarray(entries, dtype=float)
-    if m.ndim not in (2, 3) or m.shape[-2] != m.shape[-1]:
+    if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
         raise ValueError(f"expected a square matrix or a stack of them, got shape {m.shape}")
     return m
 
 
 @dataclass(frozen=True, eq=False)
 class SymMatrix:
-    """Symmetric (d, d) matrix or (G, d, d) stack; input is checked against the
-    symmetry tolerance, then stored symmetrized."""
+    """Symmetric (d, d) matrix or (..., d, d) stack; input is checked against
+    the symmetry tolerance, then stored symmetrized."""
 
     entries: np.ndarray
 
@@ -110,7 +110,7 @@ class SymMatrix:
 
 @dataclass(frozen=True, eq=False)
 class SpdMatrix(SymMatrix):
-    """Symmetric positive-definite matrix, or (G, d, d) stack of them, with a
+    """Symmetric positive-definite matrix, or (..., d, d) stack of them, with a
     cached Cholesky factor.
 
     ``allow_semidefinite=True`` relaxes the construction check to PSD
@@ -140,5 +140,5 @@ class SpdMatrix(SymMatrix):
 
 
 def log_det(m: SpdMatrix) -> float | np.ndarray:
-    """log det m, computed as 2 * sum(log diag(L)); a (G,) array for a stack."""
+    """log det m, computed as 2 * sum(log diag(L)); one per matrix of a stack."""
     return 2.0 * np.sum(np.log(np.diagonal(m.chol_lower, axis1=-2, axis2=-1)), axis=-1)

@@ -22,9 +22,10 @@ bounds.mc_kl_bound evaluates and the law whose exact state this module
 computes.
 
 S may be one (d, d) matrix or a (G, d, d) stack, for G processes that share
-the drift. The eigenbasis, mean and optimum are computed once per problem, and
-the covariances, KL divergences and errors of a stack come out with the
-leading G axis; one matrix is the same computation without that axis.
+the drift, and t one time or a (T,) array. One pass gives (T, d) means,
+(G, T, d, d) covariances and (G, T) KLs and errors: time sits next to the
+matrix axes, so each time's mean, shared by its G laws, broadcasts against
+them. One matrix or one time is the same computation without its axis.
 
 The Euler-Maruyama chain of the same process is Gaussian too: euler_law gives
 its law after each of an array of step counts, from the same eigenbasis, and
@@ -87,25 +88,22 @@ class QuadraticProblem(QuadraticDrift):
         w, q = self._eig
         return q @ ((q.T @ self._pull) / w)
 
-    def _expm_gram(self, scale: float) -> np.ndarray:
-        w, q = self._eig
-        return (q * np.exp(scale * w)) @ q.T
-
 
 @dataclass(frozen=True, eq=False)
 class GaussianState:
     """Gaussian law snapshot; the covariance may be only semidefinite, as at time
-    zero. A (G, d, d) covariance stack holds G laws that share the mean."""
+    zero. Over a (T,) time array the mean is (T, d), and a (G, T, d, d)
+    covariance stack holds G laws per time that share its mean."""
 
     mean: np.ndarray
     cov: SpdMatrix
-    time: float
+    time: float | np.ndarray
 
     def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=float).ravel()
-        if mean.shape[0] != self.cov.dim:
+        mean = np.asarray(self.mean, dtype=float)
+        if mean.shape[-1:] != (self.cov.dim,):
             raise ValueError("mean length does not match covariance dimension")
-        if not (self.time >= 0.0):
+        if not np.all(np.asarray(self.time) >= 0.0):
             raise ValueError(f"time must be nonnegative, got {self.time}")
         object.__setattr__(self, "mean", mean)
 
@@ -120,25 +118,28 @@ def _rotated_noise(p: QuadraticProblem) -> tuple[np.ndarray, np.ndarray, np.ndar
     return w, q, q.T @ p.noise_cov.entries @ q
 
 
-def exact_state(p: QuadraticProblem, t: float) -> GaussianState:
-    """Gaussian law of the process at time t in [0, math.inf]; at math.inf it
-    is the stationary law."""
-    if not (t >= 0.0):
+def exact_state(p: QuadraticProblem, t) -> GaussianState:
+    """Gaussian law of the process at each time of t, one time or a (T,) array
+    of them, in [0, math.inf]; at math.inf it is the stationary law. A time 0
+    gives the initial law, x0 and v0 (or zeros), exactly."""
+    ts = np.array(t, dtype=float)
+    if not np.all(ts >= 0.0):
         raise ValueError(f"time must be nonnegative, got {t}")
-    if t == 0.0:
-        v0 = p.v0.entries if p.v0 is not None else np.zeros((p.dim, p.dim))
-        v0 = np.broadcast_to(v0, p.noise_cov.entries.shape)
-        return GaussianState(p.x0.copy(), SpdMatrix(v0, allow_semidefinite=True), 0.0)
-
-    e = p._expm_gram(-t)
-    mean = (np.eye(p.dim) - e) @ p.optimum + e @ p.x0
-
+    tv = ts.reshape(-1, 1, 1)
     w, q, s_rot = _rotated_noise(p)
+    e = (q * np.exp(-tv * w)) @ q.T
+    mean = (np.eye(p.dim) - e) @ p.optimum + e @ p.x0
     rate = np.add.outer(w, w)
-    cov = q @ (s_rot * (-np.expm1(-rate * t) / rate)) @ q.T
+    cov = q @ (s_rot[..., None, :, :] * (-np.expm1(-rate * tv) / rate)) @ q.T
+    start = 0.0
     if p.v0 is not None:
         cov = cov + e @ p.v0.entries @ e
-    return GaussianState(mean, SpdMatrix(_sym_part(cov), allow_semidefinite=True), float(t))
+        start = p.v0.entries
+    # e is the identity only up to rounding at t = 0, so the start law is put there
+    zero = tv == 0.0
+    mean = np.where(zero[:, 0], p.x0, mean).reshape(*ts.shape, p.dim)
+    cov = np.where(zero, start, _sym_part(cov)).reshape(*s_rot.shape[:-2], *ts.shape, p.dim, p.dim)
+    return GaussianState(mean, SpdMatrix(cov, allow_semidefinite=True), ts[()])
 
 
 def _geometric_sums(r: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -199,8 +200,9 @@ def mismatch_moment(p_a: QuadraticProblem, p_b: QuadraticProblem, means, covs):
 
 def gaussian_kl(state: GaussianState, other: GaussianState) -> float | np.ndarray:
     """KL(state || other) between Gaussians; both covariances strictly SPD. For
-    covariance stacks, the (G,) KLs between matching laws. Raises AnisoError
-    (operation "gaussian_kl") if a KL is not finite."""
+    laws over times and covariance stacks, the (T,), (G,) or (G, T) KLs between
+    matching laws. Raises AnisoError (operation "gaussian_kl") if a KL is not
+    finite."""
     if state.dim != other.dim:
         raise ValueError("states must share dimension")
     d = state.dim
@@ -209,7 +211,7 @@ def gaussian_kl(state: GaussianState, other: GaussianState) -> float | np.ndarra
     # trace(Vq^{-1} Vp) = ||Lq^{-1} Lp||_F^2 and quad = ||Lq^{-1} dm||^2
     a = np.linalg.solve(lq, lp)
     tr = np.sum(a * a, axis=(-2, -1))
-    w = np.linalg.solve(lq, (other.mean - state.mean)[:, None])
+    w = np.linalg.solve(lq, (other.mean - state.mean)[..., None])
     # w.T @ w for each law, as a matmul so that it stays a BLAS dot product
     quad = (w.swapaxes(-1, -2) @ w)[..., 0, 0]
     logdet = log_det(other.cov) - log_det(state.cov)
@@ -220,18 +222,20 @@ def gaussian_kl(state: GaussianState, other: GaussianState) -> float | np.ndarra
     return np.maximum(0.0, kl)
 
 
-def error_to_opt(p: QuadraticProblem, t: float) -> float | np.ndarray:
+def error_to_opt(p: QuadraticProblem, t) -> float | np.ndarray:
     """Accumulated noise energy around the optimum:
     int_0^t ||exp(gram (u-t)) L||_F^2 du with L L.T = noise_cov, which is
     (1/2) sum_i (q.T S q)_ii (1 - exp(-2 w_i t)) / w_i; at t = math.inf this
-    is (1/2) tr(L.T gram^{-1} L). A (G,) array for a noise stack. Raises
-    AnisoError (operation "error_to_opt") if an error is not finite."""
-    if not (t > 0.0):
-        raise ValueError(f"time must be positive or math.inf, got {t}")
+    is (1/2) tr(L.T gram^{-1} L), and at t = 0 it is 0.0. Shaped as the KLs of
+    exact_state's laws at t. Raises AnisoError (operation "error_to_opt") if
+    an error is not finite."""
+    ts = np.asarray(t, dtype=float)
+    if not np.all(ts >= 0.0):
+        raise ValueError(f"time must be nonnegative, got {t}")
     w, _, s_rot = _rotated_noise(p)
-    s_diag = np.diagonal(s_rot, axis1=-2, axis2=-1)
-    err = 0.5 * np.sum(s_diag * -np.expm1(-2.0 * w * t) / w, axis=-1)
+    s_diag = np.diagonal(s_rot, axis1=-2, axis2=-1)[..., None, :]
+    err = 0.5 * np.sum(s_diag * -np.expm1(-2.0 * w * ts.reshape(-1, 1)) / w, axis=-1)
     if not np.isfinite(err).all():
         raise AnisoError(f"accumulated noise error is not finite (max {np.max(err):g})",
                          operation="error_to_opt")
-    return err
+    return err.reshape(s_rot.shape[:-2] + ts.shape)[()]

@@ -16,8 +16,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import AnisoError, FieldErrors, NonPositiveVariance, check_fields
-from .linalg import PIVOT_FLOOR, SpdMatrix
-from .ou import QuadraticProblem, error_to_opt, exact_state, gaussian_kl
+from .linalg import SpdMatrix
+from .ou import GaussianState, QuadraticProblem, error_to_opt, exact_state, gaussian_kl
 
 # Variance floor for zero-gap coordinates, as a fraction of the trace budget.
 ZERO_GAP_FLOOR = 1e-8
@@ -154,35 +154,26 @@ def grid_surface(gap: GradientGap, grid: NoiseGrid) -> np.ndarray:
     return rows
 
 
-def _check_time(t: float, p: QuadraticProblem, p_other: QuadraticProblem,
-                grid: NoiseGrid) -> None:
-    """Raise ValueError unless quadratic_tradeoff's time t exceeds the smallest
-    time at which every time-t covariance surely factors. Every Cholesky pivot
-    is at least lambda_min(V_t) >= v_min (1 - e^{-2 w_max t}) / (2 w_max), for
-    v_min the grid's smallest variance and w_max the largest Gram eigenvalue
-    of either problem, and must exceed linalg.PIVOT_FLOOR. The floor is only
-    sufficient: a grid whose v_min / (2 w_max) is at most PIVOT_FLOOR passes
-    at no time, though its laws may factor."""
-    w_max = float(max(p._eig[0][-1], p_other._eig[0][-1]))
-    ratio = 2.0 * w_max * PIVOT_FLOOR / float(grid.variances.min())
-    if not ratio < 1.0:
-        raise ValueError(f"no time passes: the floor v_min / (2 w_max) under every Cholesky "
-                         f"pivot of the laws is at most {PIVOT_FLOOR:g}")
-    smallest = -math.log1p(-ratio) / (2.0 * w_max)
-    if not t > smallest:
-        raise ValueError(f"must exceed {smallest!r}, where the floor v_min (1 - e^(-2 w_max t)) "
-                         f"/ (2 w_max) under every Cholesky pivot of the laws passes "
-                         f"{PIVOT_FLOOR:g}")
-
-
-def quadratic_tradeoff(p: QuadraticProblem, p_other: QuadraticProblem, t: float,
-                       grid: NoiseGrid) -> np.ndarray:
-    """Exact KL and accumulated-noise error over a noise grid for an adjacent
-    quadratic pair: rows (x, y, exact_kl, error), row-major in (x, y). Both
-    problems must carry grid.covariances as their noise covariance, so each
-    arm's law is evaluated once, over the whole grid; t must pass _check_time."""
+def _checked_laws(p: QuadraticProblem, p_other: QuadraticProblem, t: float,
+                  grid: NoiseGrid) -> tuple[GaussianState, GaussianState]:
+    """Both problems' time-t laws over the noise grid, their covariances
+    factored. Raises ValueError unless both problems carry grid.covariances as
+    their noise covariance, and NotPositiveDefinite where a law has a Cholesky
+    pivot at or below linalg.PIVOT_FLOOR, as it has at t = 0."""
     cov = grid.covariances
     if p.noise_cov is not cov or p_other.noise_cov is not cov:
         raise ValueError("both problems must carry grid.covariances as their noise_cov")
-    kl = gaussian_kl(exact_state(p, t), exact_state(p_other, t))
-    return np.column_stack([grid.x, grid.y, kl, error_to_opt(p, t)])
+    laws = exact_state(p, t), exact_state(p_other, t)
+    for law in laws:
+        law.cov.chol_lower  # noqa: B018  - eager factorization
+    return laws
+
+
+def quadratic_tradeoff(p: QuadraticProblem, laws: tuple[GaussianState, GaussianState],
+                       grid: NoiseGrid) -> np.ndarray:
+    """Exact KL and accumulated-noise error over a noise grid for an adjacent
+    quadratic pair: rows (x, y, exact_kl, error), row-major in (x, y). laws
+    are the pair's time-t laws, each evaluated once over the whole grid, as
+    _checked_laws(p, p_other, t, grid) returns them."""
+    kl = gaussian_kl(*laws)
+    return np.column_stack([grid.x, grid.y, kl, error_to_opt(p, laws[0].time)])

@@ -559,10 +559,12 @@ def test_xi_bound_against_exact_ou_law():
         )
         mismatch = a.gram - coupling * b.gram
         offset = coupling * design_b.T @ target_b - design_a.T @ target_a
-        for t in (0.0, 0.1, 1.0, 10.0, math.inf):
-            st = exact_state(a, t)
-            mean = mismatch @ st.mean + offset
-            truth = mean @ mean + np.trace(mismatch @ st.cov.entries @ mismatch.T)
+        times = [0.0, 0.1, 1.0, 10.0, math.inf]
+        st = exact_state(a, times)
+        mean = st.mean @ mismatch.T + offset
+        truths = (np.sum(mean * mean, axis=-1)
+                  + np.trace(mismatch @ st.cov.entries @ mismatch.T, axis1=-2, axis2=-1))
+        for t, truth in zip(times, truths):
             assert xi_bound(t, p, coupling) >= truth, (d, sigma, coupling, t)
 
 
@@ -577,9 +579,10 @@ def test_convergence_bound_endpoints():
 
 def half_mean_square_error(p, t):
     """(1/2) E ||x_t - xstar||^2 = (1/2)(|m_t - xstar|^2 + tr V_t) under p's exact
-    time-t law."""
+    law at each time of t."""
     st = exact_state(p, t)
-    return 0.5 * (float(np.sum((st.mean - p.optimum) ** 2)) + float(np.trace(st.cov.entries)))
+    return 0.5 * (np.sum((st.mean - p.optimum) ** 2, axis=-1)
+                  + np.trace(st.cov.entries, axis1=-2, axis2=-1))
 
 
 @pytest.mark.parametrize("isotropic", [True, False])
@@ -604,9 +607,9 @@ def test_convergence_bound_against_exact_ou_law(isotropic):
         p = QuadraticProblem(design, rng.standard_normal(d), noise, rng.standard_normal(d))
         kappa = float(np.linalg.eigvalsh(p.gram)[0])
         v0 = 0.5 * float(np.sum((p.x0 - p.optimum) ** 2))
-        for t in (0.0, 0.1, 1.0, 10.0, math.inf):
+        times = [0.0, 0.1, 1.0, 10.0, math.inf]
+        for t, truth in zip(times, half_mean_square_error(p, times)):
             bound = convergence_bound(t, kappa, float(np.trace(noise.entries)), v0)
-            truth = half_mean_square_error(p, t)
             if isotropic:
                 assert bound == pytest.approx(truth, rel=1e-12), (d, kappa, t)
             else:

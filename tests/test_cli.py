@@ -549,20 +549,24 @@ BUILT_OBJECT_RULES = [
       for key, value in (("x_range", [2.0, 1.0]), ("y_range", [0.0, 1.0]))],
     ("grid-surface", "resolution", 1, "experiment.resolution", "must be >= 2"),
     ("quad-tradeoff", "resolution", 1, "experiment.resolution", "must be >= 2"),
-    # time-t covariances whose Cholesky pivots can fall to the 1e-14 floor: a
-    # time 1e-154 passed validate and failed run with exit 2 (operation
-    # cholesky); the shipped design's largest Gram eigenvalue is 10
-    ("quad-tradeoff", "time", 1e-154, "experiment.time",
-     "must exceed 1.000000000001e-13, where the floor v_min (1 - e^(-2 w_max t)) / (2 w_max) "
-     "under every Cholesky pivot of the laws passes 1e-14"),
-    ("quad-tradeoff", "x_range", [2e-7, 0.9], "experiment.time",
-     "no time passes: the floor v_min / (2 w_max) under every Cholesky pivot of the laws is "
-     "at most 1e-14"),
+    # the parse factors both time-t laws, whose covariances are about S t at a
+    # small t, so a law below the pivot floor is refused at time, not in run
+    ("quad-tradeoff", "time", 1e-154, "experiment.time", "Cholesky pivot 1.000e-155 <= 1e-14"),
     ("optimize-cov", "gaps", [0.0, 0.0, 0.0], "experiment.gaps",
      "at least one entry must be positive"),
     ("grid-surface", "gaps", [0.0, 0.0], "experiment.gaps", "at least one entry must be positive"),
     ("optimize-cov", "gaps", [-1.0, 1.0, 0.0], "experiment.gaps", "entries must be nonnegative"),
 ]
+
+
+def test_quad_tradeoff_small_noise_runs_where_its_laws_factor(tmp_path, capsys):
+    # the smallest variance 4e-14 sits near the pivot floor, yet both laws
+    # factor at these times, so validate and run both pass
+    for i, t in enumerate([1.0, 100.0, "inf"]):
+        doc = with_experiment_values("quad-tradeoff", {"x_range": [2e-7, 0.9], "time": t})
+        cfg = write_config(tmp_path / f"cfg{i}.json", doc)
+        for cmd in ("validate", "run"):
+            assert run_cli(capsys, cmd, cfg)[0] == 0, t
 
 
 def with_experiment_values(name, values):

@@ -407,6 +407,44 @@ def test_noise_stack_at_time_zero_is_the_initial_law():
     assert np.array_equal(st.mean, pa.x0)
 
 
+TIME_GRID = np.array([0.0, 1e-3, 0.3, 10.0, math.inf])
+
+
+@pytest.mark.parametrize("stacked", [False, True])
+@pytest.mark.parametrize("with_v0", [False, True])
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+def test_time_grid_matches_per_time_calls(d, with_v0, stacked):
+    # one call over a time grid is the per-time calls stacked, bit for bit, with
+    # the time axis next to the matrix axes: (T, d) means, ([G,] T, d, d) laws
+    pa, pb = stacked_pair(d, with_v0)
+    if not stacked:
+        one = SpdMatrix(pa.noise_cov.entries[0])
+        pa, pb = replace(pa, noise_cov=one), replace(pb, noise_cov=one)
+    stack = pa.noise_cov.entries.shape[:-2]
+    sa, sb = exact_state(pa, TIME_GRID), exact_state(pb, TIME_GRID)
+    err = error_to_opt(pa, TIME_GRID)
+    # laws started at the point x0 have no covariance to factor at t = 0
+    kl_times = TIME_GRID if with_v0 else TIME_GRID[1:]
+    kl = gaussian_kl(exact_state(pa, kl_times), exact_state(pb, kl_times))
+    assert sa.mean.shape == (5, d) and sa.cov.entries.shape == (*stack, 5, d, d)
+    assert np.array_equal(sa.time, TIME_GRID)
+    assert err.shape == (*stack, 5) and kl.shape == (*stack, len(kl_times))
+    for i, t in enumerate(TIME_GRID):
+        for st, p in ((sa, pa), (sb, pb)):
+            one = exact_state(p, float(t))
+            assert np.array_equal(st.mean[i], one.mean)
+            assert np.array_equal(st.cov.entries[..., i, :, :], one.cov.entries)
+        assert np.array_equal(err[..., i], error_to_opt(pa, float(t)))
+    for i, t in enumerate(kl_times):
+        want = gaussian_kl(exact_state(pa, float(t)), exact_state(pb, float(t)))
+        assert np.array_equal(kl[..., i], want)
+    # t = 0 is the start law exactly, and no noise has accumulated
+    start = np.broadcast_to(pa.v0.entries if with_v0 else 0.0, (*stack, d, d))
+    assert np.array_equal(sa.mean[0], pa.x0)
+    assert np.array_equal(sa.cov.entries[..., 0, :, :], start)
+    assert np.all(err[..., 0] == 0.0)
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_gaussian_kl_that_overflows_raises():
     a = GaussianState(np.zeros(2), SpdMatrix(np.eye(2)), 1.0)

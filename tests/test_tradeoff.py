@@ -10,13 +10,14 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from anisopriv.cli import write_grid_csv
-from anisopriv.errors import AnisoError, FieldErrors, NonPositiveVariance
+from anisopriv.errors import AnisoError, FieldErrors, NonPositiveVariance, NotPositiveDefinite
 from anisopriv.linalg import SpdMatrix
 from anisopriv.ou import QuadraticProblem, error_to_opt
 from anisopriv.tradeoff import (
     ZERO_GAP_FLOOR,
     GradientGap,
     NoiseGrid,
+    _checked_laws,
     grid_surface,
     kl_term,
     optimal_diag_cov,
@@ -223,6 +224,11 @@ def on_grid(grid, *problems):
     return [replace(p, noise_cov=grid.covariances) for p in problems]
 
 
+def tradeoff_rows(p, q, t, grid):
+    """quadratic_tradeoff's rows from the pair's checked time-t laws."""
+    return quadratic_tradeoff(p, _checked_laws(p, q, t, grid), grid)
+
+
 @pytest.fixture
 def adjacent_pair():
     cov = SpdMatrix([[1.0, 0.0], [0.0, 1.0]])
@@ -234,7 +240,7 @@ def adjacent_pair():
 def test_quadratic_tradeoff_identical_problems(adjacent_pair):
     grid = NoiseGrid((0.5, 1.5), (0.5, 1.5), 2)
     [p] = on_grid(grid, adjacent_pair[0])
-    rows = quadratic_tradeoff(p, p, 2.0, grid)
+    rows = tradeoff_rows(p, p, 2.0, grid)
     np.testing.assert_allclose(rows[:, 2], 0.0, atol=1e-12)
 
 
@@ -242,8 +248,8 @@ def test_quadratic_tradeoff_stationary_by_large_t(adjacent_pair):
     grid = NoiseGrid((0.5, 1.5), (0.5, 1.5), 3)
     p, q = on_grid(grid, *adjacent_pair)
     # gram = I, so both laws are within e^{-40} of stationary at t=40
-    a = quadratic_tradeoff(p, q, 40.0, grid)
-    b = quadratic_tradeoff(p, q, 80.0, grid)
+    a = tradeoff_rows(p, q, 40.0, grid)
+    b = tradeoff_rows(p, q, 80.0, grid)
     np.testing.assert_allclose(a[:, 2], b[:, 2], rtol=1e-12, atol=1e-15)
 
 
@@ -251,7 +257,7 @@ def test_quadratic_tradeoff_error_column(adjacent_pair):
     grid = NoiseGrid((0.5, 1.5), (0.5, 1.5), 2)
     p, q = on_grid(grid, *adjacent_pair)
     t = 1.5
-    rows = quadratic_tradeoff(p, q, t, grid)
+    rows = tradeoff_rows(p, q, t, grid)
     swapped = replace(p, noise_cov=SpdMatrix(np.diag([0.25, 2.25])))
     assert rows[1, 3] == pytest.approx(error_to_opt(swapped, t), rel=1e-14)
 
@@ -263,7 +269,10 @@ def test_quadratic_tradeoff_validation(adjacent_pair):
     [other] = on_grid(NoiseGrid((0.5, 1.5), (0.5, 1.5), 2), q)
     for pair in ((p, other), (other, p), adjacent_pair):
         with pytest.raises(ValueError):
-            quadratic_tradeoff(*pair, 1.0, grid)
+            _checked_laws(*pair, 1.0, grid)
+    # and both laws must factor, which the point law at t = 0 does not
+    with pytest.raises(NotPositiveDefinite):
+        _checked_laws(p, q, 0.0, grid)
 
 
 @pytest.mark.parametrize("t", [0.3, 10.0, math.inf])
@@ -277,7 +286,7 @@ def test_quadratic_tradeoff_matches_per_point_loop(t):
     grid = NoiseGrid(x_range, y_range, res)
     p = QuadraticProblem(design, rng.standard_normal(3), grid.covariances, x0)
     q = QuadraticProblem(design_b, rng.standard_normal(3), grid.covariances, x0)
-    rows = quadratic_tradeoff(p, q, t, grid)
+    rows = tradeoff_rows(p, q, t, grid)
     want = []
     for x in np.linspace(*x_range, res):
         for y in np.linspace(*y_range, res):
@@ -306,7 +315,7 @@ def test_quadratic_tradeoff_overflowing_error_raises():
     p = QuadraticProblem(0.7071 * np.eye(2), [0.0, 0.0], grid.covariances, [0.0, 0.0])
     q = QuadraticProblem(0.7071 * np.eye(2), [0.1, 0.3], grid.covariances, [0.0, 0.0])
     with pytest.raises(AnisoError) as exc:
-        quadratic_tradeoff(p, q, 100.0, grid)
+        tradeoff_rows(p, q, 100.0, grid)
     assert exc.value.operation == "error_to_opt"
 
 
