@@ -38,8 +38,9 @@ only to keep configs that give it valid. The closure only computes and
 writes.
 
 This module owns the output format: every file goes through _write_csv
-(floats at 17 significant digits) or _write_json (indent 2). Neither writes a
-number that is not finite; instead it writes nothing and raises AnisoError
+(floats at 17 significant digits, streamed row by row through a temporary
+file that then replaces the target) or _write_json (indent 2). Neither writes
+a number that is not finite; instead it writes nothing and raises AnisoError
 with operation "write", so the run exits 2 and no manifest is written.
 """
 
@@ -115,13 +116,22 @@ def _csv_cell(v, path):
 
 def _write_csv(path, header, rows) -> None:
     """header, then rows: floats at 17 significant digits, which round-trip
-    through float(); ints and strings as they are. Raises AnisoError
-    (operation write), and writes nothing, when a number is not finite."""
-    body = [[_csv_cell(v, path) for v in row] for row in rows]
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows(body)
+    through float(); ints and strings as they are. The rows stream into a
+    temporary file beside path, which then replaces path, so no more than a
+    row is held formatted. Raises AnisoError (operation write), and writes
+    nothing, when a number is not finite."""
+    head, tail = os.path.split(path)
+    tmp = os.path.join(head, f".{tail}.tmp")
+    try:
+        with open(tmp, "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(header)
+            w.writerows([_csv_cell(v, path) for v in row] for row in rows)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def _json_text(doc) -> str:

@@ -5,15 +5,13 @@ with z_k standard normal. Increments come from a counter-based stream keyed
 by (seed, step), drawn row-major over (path, coordinate), so results do not
 depend on execution order and paired ensembles can share noise exactly.
 
-One Euler loop serves every consumer of an ensemble. It draws the normals of
-the next few steps on one helper thread while the main thread integrates; when
-the step it needs next is still being drawn, the main thread draws the
-farthest step whose draw has not started, rather than wait. It applies the
-update to blocks of at most 2048 rows. Neither changes an output bit: a step's
-normals depend on (seed, step) alone, and each row's update on its own row.
-At each recorded time the loop hands the states to a callback: simulate and
-paired_simulate store them, and bounds.mc_kl_bound adds up its integrand on
-the same row blocks without storing any trajectory.
+One Euler loop serves every consumer of an ensemble. It runs on the calling
+thread: it draws a step's normals just before it updates that step, and it
+applies the update to blocks of at most 2048 rows, which changes no output
+bit, since each row's update reads only its own row. At each recorded time
+the loop hands the states to a callback: simulate and paired_simulate store
+them, and bounds.mc_kl_bound adds up its integrand on the same row blocks
+without storing any trajectory.
 
 paired_simulate integrates step 0 of both arms in this process and times it.
 When one arm's row updates cost more than the step's draw, by enough over the
@@ -391,22 +389,13 @@ class TrajectoryEnsemble:
         return self.states.shape[2]
 
 
-# Rows per Euler update block. On 2 cores with OpenBLAS, a drift's (rows, 8) by
-# (8, 12) products cost a third as much per row at 2048 rows as at 4096 or 10^4,
-# and at 10^4 rows OpenBLAS runs them on both cores, where its idle worker spins
-# on the core that draws the next step's normals. Larger ensembles are split
-# into near-equal blocks, so no block has a single row: numpy sends 1-row
-# products to gemv, whose last bits differ from gemm's.
+# Rows per Euler update block. On 2 cores with OpenBLAS, mc_kl_bound at d = 8,
+# 10^4 paths, 200 steps and record stride 10 took a median 384 ms (quartiles
+# 377-400) in 2048-row blocks and 399 ms (385-420) as one block, over 15
+# alternating runs. Larger ensembles are split into near-equal blocks, so no
+# block has a single row: numpy sends 1-row products to gemv, whose last bits
+# differ from gemm's.
 _BLOCK_ROWS = 2048
-
-# Steps whose normals are drawn ahead of the update, by the helper thread or by
-# the main thread when it would otherwise wait. A step's draw takes longer than
-# its update, so both threads draw. On 2 cores, mc_kl_bound at d = 8, 10^4
-# paths, 200 steps and record stride 10 took 0.31 s with 4 steps ahead, 0.33 s
-# with 3, 0.38-0.43 s with 2 and 0.50 s with 1, and no less with 6; with 4, the
-# main thread drew 54 to 69 of the 200 steps in six runs. Each step ahead holds
-# one (paths, dim) block.
-_LOOKAHEAD = 4
 
 # The cost of a split pair (see _split_pays): seconds to fork a child, wait
 # for it and read back a small result, and seconds per byte of result. On 2
@@ -447,60 +436,28 @@ def _euler(drifts, cov, xs, cfg: SimConfig, on_record, steps: range):
     steps, so a callback that keeps them must copy. An error it raises ends
     the integration and propagates unchanged. Returns the states after the
     last step, the seconds each drift's row updates took, and the seconds the
-    draws of normals took, on either thread.
+    draws of normals took.
     """
-    from collections import deque
-    from concurrent.futures import Future, ThreadPoolExecutor
-
     nxt = [np.empty_like(x) for x in xs]
     sqrt_h = np.sqrt(cfg.step)
     blocks = _row_blocks(cfg.paths)
-    shape = xs[0].shape
-    update_s, draw_s = [0.0] * len(drifts), []
-
-    def draw(k: int) -> np.ndarray:
+    update_s, draw_s = [0.0] * len(drifts), 0.0
+    if steps.start == 0:
+        on_record(0, xs)
+    for k in steps:
         started = time.perf_counter()
-        z = step_normals(cfg.seed, k, shape)
-        draw_s.append(time.perf_counter() - started)
-        return z
-
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        # A step's normals depend on (seed, step) alone, so drawing them on
-        # either thread, in any order, changes no output. A single step has
-        # nothing to overlap its draw with: the main thread draws it, and no
-        # helper thread starts.
-        ahead = pool.submit if len(steps) > 1 else lambda fn, k: Future()
-        pending = deque(ahead(draw, k) for k in steps[:_LOOKAHEAD])
-
-        def steal(k: int) -> bool:
-            """Draw here the farthest step of the window, steps k.., whose
-            draw has not started; cancel() fails once it has, so each step is
-            drawn exactly once."""
-            for i in range(len(pending) - 1, -1, -1):
-                if pending[i].cancel():
-                    pending[i] = Future()
-                    pending[i].set_result(draw(k + i))
-                    return True
-            return False
-
-        if steps.start == 0:
-            on_record(0, xs)
-        for k in steps:
-            while not pending[0].done() and steal(k):
-                pass
-            z = pending.popleft().result()
-            if k + _LOOKAHEAD < steps.stop:
-                pending.append(ahead(draw, k + _LOOKAHEAD))
-            for i, (drift, x, out) in enumerate(zip(drifts, xs, nxt)):
-                started = time.perf_counter()
-                for s in blocks:
-                    out[s] = (x[s] + cfg.step * drift.evaluate(x[s])
-                              + sqrt_h * cov.apply_sqrt(x[s], z[s]))
-                update_s[i] += time.perf_counter() - started
-            xs, nxt = nxt, xs
-            if (k + 1) % cfg.record_stride == 0:
-                on_record((k + 1) // cfg.record_stride, xs)
-    return xs, update_s, sum(draw_s)
+        z = step_normals(cfg.seed, k, xs[0].shape)
+        draw_s += time.perf_counter() - started
+        for i, (drift, x, out) in enumerate(zip(drifts, xs, nxt)):
+            started = time.perf_counter()
+            for s in blocks:
+                out[s] = (x[s] + cfg.step * drift.evaluate(x[s])
+                          + sqrt_h * cov.apply_sqrt(x[s], z[s]))
+            update_s[i] += time.perf_counter() - started
+        xs, nxt = nxt, xs
+        if (k + 1) % cfg.record_stride == 0:
+            on_record((k + 1) // cfg.record_stride, xs)
+    return xs, update_s, draw_s
 
 
 def _split_pays(update_s: float, draw_s: float, steps_left: int, cpus: int,
@@ -510,11 +467,16 @@ def _split_pays(update_s: float, draw_s: float, steps_left: int, cpus: int,
     seconds and the draw seconds of one step, the usable CPUs, and the bytes
     of an arm's recorded states that the child sends back.
 
-    In one process the helper thread draws while the main thread updates
-    both arms, so a step whose updates bound it takes about 2 update_s. Split,
-    each process draws every step itself and updates one arm, about
-    update_s + draw_s a step. The split saves steps_left (update_s - draw_s),
-    which must exceed the cost of forking the child and collecting its result.
+    In one process a step costs one draw and the updates of both arms, about
+    draw_s + 2 update_s. Split, each process draws every step itself and
+    updates one arm, about draw_s + update_s, which would save steps_left
+    update_s. Measured on 2 cores, a draw-bound split saves less: at d = 8
+    with 10^4 paths and 200 steps (update_s 0.9 ms, draw_s 1.9 ms) both sides
+    took a median 0.52-0.53 s, where steps_left update_s predicts 0.17 s
+    saved. So the saving counted is steps_left (update_s - draw_s). At d = 8
+    it keeps 10 to 10^4 paths in one process, which was faster at 10 and 200
+    paths and within the spread at 2000 and 10^4. The saving must exceed the
+    cost of forking the child and collecting its result.
     """
     saving = steps_left * (update_s - draw_s)
     return cpus >= 2 and saving > _FORK_S + result_bytes * _COLLECT_S_PER_BYTE

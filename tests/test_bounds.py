@@ -9,7 +9,6 @@ are frozen from separate hand derivations of each factor.
 """
 
 import math
-import threading
 
 import numpy as np
 import pytest
@@ -34,8 +33,7 @@ from anisopriv.linalg import SpdMatrix
 from anisopriv.ou import GaussianState, QuadraticProblem, exact_state
 from anisopriv.sde import (ConstantSpd, DiagonalOfState, MinibatchSgd, QuadraticDrift, SimConfig,
                            simulate)
-from test_sde import (assert_each_step_drawn_once_on_both_threads, least_squares_grads,
-                      projected_least_squares_cov, stealing_draws)
+from test_sde import least_squares_grads, projected_least_squares_cov
 
 
 def all_ones_params(gap=0.0):
@@ -293,33 +291,14 @@ def test_mc_bound_of_the_problems_equals_that_of_their_drifts(stride, case):
     assert np.array_equal(got.stderr, want.stderr)
 
 
-@pytest.mark.parametrize("paths", [1, 2049, 5000])
-def test_mc_bound_equals_stored_ensemble_bound_when_the_main_thread_draws(monkeypatch, paths):
-    drift_a, drift_b, cov_a, cov_b, score_at = unequal_case()
-    x0 = np.array([0.5, -0.5, 1.0])
-    cfg = SimConfig(step=0.01, horizon=0.2, paths=paths, seed=31, record_stride=4)
-    times, bounds, stderr = stored_ensemble_bound(drift_a, drift_b, cov_a, cov_b, x0, cfg,
-                                                  score_at)
-    threads = threading.active_count()
-    log = stealing_draws(monkeypatch)
-    curve = mc_kl_bound(drift_a, drift_b, cov_a, cov_b, x0, cfg, score_at)
-    assert np.array_equal(curve.times, times)
-    assert np.array_equal(curve.bounds, bounds)
-    assert np.array_equal(curve.stderr, stderr)
-    assert_each_step_drawn_once_on_both_threads(log, cfg.n_steps)
-    assert threading.active_count() == threads
-
-
 def test_mc_bound_without_score_for_unequal_covariances_raises_and_stops_threads():
     drift = QuadraticDrift(np.array([[1.0]]), np.array([0.0]))
     cov_a = ConstantSpd(SpdMatrix(np.diag([1.0])))
     cov_b = ConstantSpd(SpdMatrix(np.diag([2.0])))
     cfg = SimConfig(step=0.1, horizon=1.0, paths=4, seed=1)
-    before = threading.active_count()
     with pytest.raises(ScoreRequired) as exc:
         mc_kl_bound(drift, drift, cov_a, cov_b, np.array([0.0]), cfg)
     assert exc.value.operation == "phi"
-    assert threading.active_count() == before
 
 
 def test_mc_bound_propagates_the_score_error_and_stops_threads():
@@ -336,13 +315,11 @@ def test_mc_bound_propagates_the_score_error_and_stops_threads():
         return -x
 
     cfg = SimConfig(step=0.1, horizon=1.0, paths=4, seed=1)
-    before = threading.active_count()
     with pytest.raises(RuntimeError) as exc:
         mc_kl_bound(drift, drift, cov_a, cov_b, np.array([0.0]), cfg,
                     lambda t: CallableScore(lambda x: fn(x, t)))
     assert exc.value is boom
     assert seen == pytest.approx([0.0, 0.1, 0.2, 0.3, 0.4])
-    assert threading.active_count() == before
 
 
 def test_mc_bound_rejects_a_non_finite_bound():

@@ -760,8 +760,8 @@ def test_quad_tradeoff_grid_covariance_rejected_by_validate(tmp_path, capsys, x_
 
 
 def test_run_exits_2_only_for_library_errors(tmp_path, capsys, monkeypatch):
-    # an AnisoError is a numerical failure, also when raised on the helper thread
-    # that draws the normals; any other exception is a bug and propagates
+    # an AnisoError is a numerical failure, also when raised by the draw of
+    # the normals; any other exception is a bug and propagates
     cfg = write_config(tmp_path / "cfg.json", ou_exact_doc())
     sim = write_config(tmp_path / "sim.json", {"output_dir": "out", "experiment": {
         "kind": "simulate", "design": [[1.0]], "target": [0.0], "sigma_diag": [1.0],
@@ -1308,6 +1308,13 @@ def test_writers_round_trip_floats_and_refuse_non_finite(tmp_path, capsys, monke
         assert exc.value.operation == "write"
         assert name in str(exc.value)
         assert not (tmp_path / name).exists()
+    # the rows stream into a temporary file, which a refusal removes, leaving
+    # an earlier file at the path as it was
+    before = path.read_bytes()
+    with pytest.raises(AnisoError):
+        _write_csv(path, ["x"], ([float(i) if i != 500 else math.nan] for i in range(1000)))
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["a.csv"]
 
     # in a run, a value that is not finite is exit 2, without the file or a manifest
     monkeypatch.setattr(anisopriv.cli, "membership_advantage", lambda kl: math.nan)

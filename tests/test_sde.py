@@ -5,16 +5,16 @@ import csv
 import json
 import math
 import os
-import sys
 import threading
-import time
 from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import anisopriv.bounds
 import anisopriv.sde
+from anisopriv.bounds import mc_kl_bound
 from anisopriv.cli import main
 from anisopriv.errors import (
     AnisoError,
@@ -470,12 +470,9 @@ def test_paired_minibatch_sgd_calls_grad_fn_once_per_row():
 
 
 # ---------------------------------------------------------------------------
-# The simulators draw each step's normals on a helper thread while the
-# previous step is integrated; when the next step's draw is still running, the
-# main thread draws a later step of the window itself. They update at most
-# 2048 rows at a time. The reference draws each step in turn and updates the
-# whole ensemble at once. Above 2048 paths the ensemble takes several blocks,
-# which no shipped config reaches, so only these tests cover them.
+# The simulators update at most 2048 rows at a time. The reference updates
+# the whole ensemble at once. Above 2048 paths the ensemble takes several
+# blocks, which no shipped config reaches, so only these tests cover them.
 
 
 def unblocked_euler(drifts, cov, x0, cfg):
@@ -494,42 +491,11 @@ def unblocked_euler(drifts, cov, x0, cfg):
 
 
 def assert_simulators_match_reference(drift_a, drift_b, cov, x0, cfg):
-    threads = threading.active_count()
     want_a, want_b = unblocked_euler((drift_a, drift_b), cov, x0, cfg)
     assert np.array_equal(simulate(drift_a, cov, x0, cfg).states, want_a)
     ens_a, ens_b = paired_simulate(drift_a, drift_b, cov, x0, cfg)
     assert np.array_equal(ens_a.states, want_a)
     assert np.array_equal(ens_b.states, want_b)
-    assert threading.active_count() == threads
-
-
-def stealing_draws(monkeypatch, fail=None):
-    """Make the helper thread's draws slow, so that the main thread must draw
-    steps itself. Returns the log of (step, drawn on the main thread); a main
-    thread draw raises fail, when given. The main thread starts drawing only
-    once the helper holds a draw, so both threads draw on every run."""
-    log = []
-    helper_busy = threading.Event()
-
-    def draw(seed, step, shape):
-        on_main = threading.current_thread() is threading.main_thread()
-        if on_main:
-            helper_busy.wait(5.0)
-            if fail is not None:
-                raise fail
-        else:
-            helper_busy.set()
-            time.sleep(0.005)
-        log.append((step, on_main))
-        return step_normals(seed, step, shape)
-
-    monkeypatch.setattr(anisopriv.sde, "step_normals", draw)
-    return log
-
-
-def assert_each_step_drawn_once_on_both_threads(log, n_steps, runs=1):
-    assert Counter(step for step, _ in log) == {k: runs for k in range(n_steps)}
-    assert {on_main for _, on_main in log} == {True, False}
 
 
 def linear_case(paths):
@@ -548,15 +514,6 @@ def test_simulators_match_unblocked_reference(paths):
     assert_simulators_match_reference(*linear_case(paths))
 
 
-@pytest.mark.parametrize("paths", [1, 2049, 5000])
-def test_simulators_match_reference_when_the_main_thread_draws(monkeypatch, paths):
-    log = stealing_draws(monkeypatch)
-    case = linear_case(paths)
-    assert_simulators_match_reference(*case)
-    # simulate, then paired_simulate
-    assert_each_step_drawn_once_on_both_threads(log, case[-1].n_steps, runs=2)
-
-
 @pytest.mark.parametrize("paths", [3, 2049])
 def test_minibatch_sgd_simulators_match_unblocked_reference(paths):
     features_b = FEATURES.copy()
@@ -566,40 +523,6 @@ def test_minibatch_sgd_simulators_match_unblocked_reference(paths):
     assert_simulators_match_reference(QuadraticDrift(FEATURES, TARGETS),
                                       QuadraticDrift(features_b, TARGETS), cov,
                                       np.array([0.2, -0.1, 0.4]), cfg)
-
-
-def test_each_step_drawn_once_under_fast_thread_switching(monkeypatch):
-    # thread switches between nearly every bytecode give the two threads every
-    # chance to draw one step twice or none
-    drawn = []
-
-    def draw(seed, step, shape):
-        drawn.append(step)
-        return step_normals(seed, step, shape)
-
-    monkeypatch.setattr(anisopriv.sde, "step_normals", draw)
-    drift, _, cov, x0, _ = linear_case(3000)
-    cfg = SimConfig(step=0.01, horizon=1.0, paths=3000, seed=41, record_stride=10)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        ens = simulate(drift, cov, x0, cfg)
-    finally:
-        sys.setswitchinterval(interval)
-    assert sorted(drawn) == list(range(cfg.n_steps))
-    assert np.array_equal(ens.states, unblocked_euler((drift,), cov, x0, cfg)[0])
-
-
-def test_failed_draw_on_the_main_thread_propagates(monkeypatch):
-    threads = threading.active_count()
-    failed = MemoryError("draw failed on the main thread")
-    stealing_draws(monkeypatch, fail=failed)
-    cfg = SimConfig(step=0.1, horizon=1.0, paths=5, seed=2)
-    with pytest.raises(MemoryError) as info:
-        simulate(QuadraticDrift(np.eye(2), np.zeros(2)), ConstantSpd(SpdMatrix(np.eye(2))),
-                 np.zeros(2), cfg)
-    assert info.value is failed
-    assert threading.active_count() == threads
 
 
 def test_simulators_reject_non_finite_states():
@@ -616,8 +539,7 @@ def test_simulators_reject_non_finite_states():
             assert info.value.operation == "euler"
 
 
-def test_simulator_errors_propagate_and_stop_the_helper_thread(monkeypatch):
-    threads = threading.active_count()
+def test_simulator_errors_propagate(monkeypatch):
     cfg = SimConfig(step=0.1, horizon=1.0, paths=5, seed=2)
     identity = ConstantSpd(SpdMatrix(np.eye(2)))
     error = ZeroDivisionError("drift failed at step 3")
@@ -631,15 +553,13 @@ def test_simulator_errors_propagate_and_stop_the_helper_thread(monkeypatch):
     with pytest.raises(ZeroDivisionError) as info:
         simulate(CallableDrift(drift_fn), identity, np.zeros(2), cfg)
     assert info.value is error
-    assert threading.active_count() == threads
 
     negative = DiagonalOfState(lambda x: -np.ones_like(x))
     drift = QuadraticDrift(np.eye(2), np.zeros(2))
     with pytest.raises(CovarianceEvaluationFailed, match="strictly positive"):
         paired_simulate(drift, drift, negative, np.zeros(2), cfg)
-    assert threading.active_count() == threads
 
-    # a failed draw reaches the caller unchanged, whichever thread drew it
+    # a failed draw reaches the caller unchanged
     failed = MemoryError("draw failed at step 4")
 
     def draw(seed, step, shape):
@@ -651,7 +571,6 @@ def test_simulator_errors_propagate_and_stop_the_helper_thread(monkeypatch):
     with pytest.raises(MemoryError) as info:
         simulate(drift, identity, np.zeros(2), cfg)
     assert info.value is failed
-    assert threading.active_count() == threads
 
 
 # ---------------------------------------------------------------------------
@@ -684,21 +603,18 @@ def assert_no_child_left():
                          ids=["linear-3", "linear-2049", "minibatch-sgd"])
 def test_split_pair_matches_unblocked_reference(monkeypatch, case, split):
     forks = split_pairs(monkeypatch, split)
-    threads = threading.active_count()
     drift_a, drift_b, cov, x0, cfg = case()
     want_a, want_b = unblocked_euler((drift_a, drift_b), cov, x0, cfg)
     ens_a, ens_b = paired_simulate(drift_a, drift_b, cov, x0, cfg)
     assert forks == ([2] if split else [])
     assert np.array_equal(ens_a.states, want_a)
     assert np.array_equal(ens_b.states, want_b)
-    assert threading.active_count() == threads
     assert_no_child_left()
 
 
 @pytest.mark.parametrize("split", [False, True], ids=["here", "split"])
 def test_split_pair_errors_reach_the_caller(monkeypatch, split):
     split_pairs(monkeypatch, split)
-    threads = threading.active_count()
     cfg = SimConfig(step=0.1, horizon=0.5, paths=3, seed=0)
     cov = ConstantSpd(SpdMatrix(np.eye(1)))
     calm = QuadraticDrift(np.eye(1), np.zeros(1))
@@ -719,8 +635,29 @@ def test_split_pair_errors_reach_the_caller(monkeypatch, split):
     with pytest.raises(ZeroDivisionError, match="^drift failed after step 0$") as info:
         paired_simulate(calm, CallableDrift(fails_after_step_0), cov, np.array([1.0]), cfg)
     assert type(info.value) is ZeroDivisionError
-    assert threading.active_count() == threads
     assert_no_child_left()
+
+
+def test_euler_loop_starts_no_thread(monkeypatch):
+    # every recorded state reaches its callback on the calling thread, with
+    # no other thread started: in simulate, in a pair integrated here, and in
+    # mc_kl_bound
+    split_pairs(monkeypatch, False)
+    before, seen, real = threading.active_count(), [], anisopriv.sde._euler
+
+    def counted_euler(drifts, cov, xs, cfg, on_record, steps):
+        def counted(j, states):
+            seen.append(threading.active_count())
+            on_record(j, states)
+        return real(drifts, cov, xs, cfg, counted, steps)
+
+    for module in (anisopriv.sde, anisopriv.bounds):
+        monkeypatch.setattr(module, "_euler", counted_euler)
+    drift_a, drift_b, cov, x0, cfg = linear_case(2049)
+    simulate(drift_a, cov, x0, cfg)
+    paired_simulate(drift_a, drift_b, cov, x0, cfg)
+    mc_kl_bound(drift_a, drift_b, cov, cov, x0, cfg)
+    assert seen == [before] * (3 * cfg.n_records)
 
 
 @pytest.mark.parametrize("split", [False, True], ids=["here", "split"])
