@@ -1,4 +1,5 @@
-"""Calls run in forked child processes, for the work that the global
+"""How stacked work is split: into near-equal row blocks (_row_blocks), and
+into calls run in forked child processes, for the work that the global
 interpreter lock would run one thread at a time: `models.train` splits its
 runs by seed with these helpers, and `sde.paired_simulate` its two arms.
 
@@ -14,6 +15,26 @@ from __future__ import annotations
 import io
 import os
 import pickle
+
+# Rows per block of stacked work (Euler paths, or MLP runs times rows per
+# run); a larger stack is split into near-equal blocks, so no block of a
+# larger ensemble has a single row (numpy sends 1-row products to gemv, whose
+# last bits differ from gemm's). On 2 cores with OpenBLAS, over 15 alternating
+# runs, mc_kl_bound at d = 8, 10^4 paths, 200 steps and record stride 10 took
+# a median 384 ms (quartiles 377-400) in 2048-row blocks and 399 ms (385-420)
+# as one block. An estimate_delta of 50 runs of 200-row batches (hidden 10)
+# took 1.6-1.8 s in such blocks and 2.5-4 s as one block, which page-faulted
+# about 600 times per step as its arrays were mapped and unmapped; 64 runs of
+# 32-row batches (hidden 16) were slower in 3 blocks than in one.
+_BLOCK_ROWS = 2048
+
+
+def _row_blocks(n: int, rows: int = 1) -> list[slice]:
+    """Near-equal blocks, in order, of a stack of n items (Euler paths, or
+    runs) of `rows` rows each; a block has at most _BLOCK_ROWS rows, or one
+    item."""
+    n_blocks = -(-n // max(1, _BLOCK_ROWS // rows))
+    return [slice(i * n // n_blocks, (i + 1) * n // n_blocks) for i in range(n_blocks)]
 
 
 def _usable_cpus() -> set[int]:

@@ -29,9 +29,10 @@ from typing import Callable
 
 import numpy as np
 
+from ._fork import _row_blocks
 from .errors import AnisoError, ScoreRequired, check_fields
 from .ou import GaussianState, QuadraticProblem, euler_law, mismatch_moment
-from .sde import ConstantSpd, SimConfig, _euler, _record_times, _row_blocks, _start_rows
+from .sde import ConstantSpd, SimConfig, _euler, _record_times, _start_rows
 
 # ---------------------------------------------------------------------------
 # score specifications

@@ -6,7 +6,8 @@ Configs are JSON documents shaped as
      "experiment": {"kind": "<experiment>", ...parameters...}}
 
 Relative paths (output_dir, dataset CSVs) resolve against the config file's
-directory, and no subcommand writes outside output_dir. `run` emits the
+directory, and no subcommand writes outside output_dir, which must not be, or
+lie under, a path that exists and is not a directory. `run` emits the
 experiment's files plus a manifest.json recording the semantic-config hash,
 seed, and versions; reruns of an identical config are byte-identical except
 the manifest's "timestamp" object, which holds the seconds spent reading,
@@ -37,17 +38,17 @@ the Euler grid, so it draws no normals; it reads paths, which sets no work,
 only to keep configs that give it valid. The closure only computes and
 writes.
 
-This module owns the output format: every file goes through _write_csv
-(floats at 17 significant digits, streamed row by row through a temporary
-file that then replaces the target) or _write_json (indent 2). Neither writes
-a number that is not finite; instead it writes nothing and raises AnisoError
-with operation "write", so the run exits 2 and no manifest is written.
+This module owns the output format: every file goes through _write_csv (one
+array per column, as the run holds it, each row formatted alone, floats at 17
+significant digits, streamed through a temporary file that then replaces the
+target) or _write_json (indent 2). Neither writes a number that is not finite;
+instead it writes nothing and raises AnisoError with operation "write", so the
+run exits 2 and no manifest is written.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import functools
 import hashlib
@@ -105,28 +106,26 @@ def _not_written(path, detail):
                       operation="write")
 
 
-def _csv_cell(v, path):
-    if isinstance(v, (int, str)):
-        return v
-    v = float(v)
-    if not math.isfinite(v):
-        raise _not_written(path, f"it would hold {v}, which is not finite")
-    return f"{v:.17g}"
-
-
-def _write_csv(path, header, rows) -> None:
-    """header, then rows: floats at 17 significant digits, which round-trip
-    through float(); ints and strings as they are. The rows stream into a
-    temporary file beside path, which then replaces path, so no more than a
-    row is held formatted. Raises AnisoError (operation write), and writes
-    nothing, when a number is not finite."""
+def _write_csv(path, header, columns) -> None:
+    """header, then a row per element of the columns, equal-shape arrays read
+    in C order: floats at 17 significant digits, which round-trip through
+    float(), ints and strings as they are, unquoted, so no header or string
+    cell may hold a comma, quote or newline; lines end in CRLF. The rows stream
+    into a temporary file beside path, which then replaces path. Raises
+    AnisoError (operation write), and writes nothing, when a number is not
+    finite."""
+    columns = [np.asarray(c) for c in columns]
+    for c in columns:
+        if c.dtype.kind == "f" and not np.isfinite(c).all():
+            bad = float(c[~np.isfinite(c)][0])
+            raise _not_written(path, f"it would hold {bad}, which is not finite")
+    row = ",".join("%.17g" if c.dtype.kind == "f" else "%s" for c in columns) + "\r\n"
     head, tail = os.path.split(path)
     tmp = os.path.join(head, f".{tail}.tmp")
     try:
         with open(tmp, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(header)
-            w.writerows([_csv_cell(v, path) for v in row] for row in rows)
+            fh.write(",".join(header) + "\r\n")
+            fh.writelines(row % cells for cells in zip(*(c.flat for c in columns), strict=True))
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -154,11 +153,11 @@ def _write_json(path, doc) -> None:
 
 
 def write_bound_csv(curve, path) -> None:
-    _write_csv(path, ["time", "bound"], zip(curve.times, curve.bounds))
+    _write_csv(path, ["time", "bound"], [curve.times, curve.bounds])
 
 
 def write_grid_csv(rows, path, *, header) -> None:
-    _write_csv(path, header, rows)
+    _write_csv(path, header, rows.T)
 
 
 def write_audit_json(report, path) -> None:
@@ -498,8 +497,8 @@ def _simulate(p, base_dir, seed):
         ens = simulate(drift, cov, x0, cfg)
         _write_csv(os.path.join(outdir, "ensemble.csv"),
                    ["path", "time", *[f"x{i}" for i in range(ens.dim)]],
-                   ([p, t, *ens.states[p, j]] for p in range(ens.paths)
-                    for j, t in enumerate(ens.times)))
+                   [*np.broadcast_arrays(np.arange(ens.paths)[:, None], ens.times),
+                    *np.moveaxis(ens.states, -1, 0)])
 
     return ["trajectory ensemble (ensemble.csv)"], run
 
@@ -517,8 +516,8 @@ def _ou_exact(p, base_dir, seed):
     def run(outdir):
         state = exact_state(problem, t)
         doc = {
-            "mean": [float(v) for v in state.mean],
-            "cov": [[float(v) for v in row] for row in state.cov.entries],
+            "mean": state.mean.tolist(),
+            "cov": state.cov.entries.tolist(),
             "time": "inf" if math.isinf(state.time) else state.time,
         }
         _write_json(os.path.join(outdir, "gaussian_state.json"), doc)
@@ -552,7 +551,7 @@ def _kl_bound(p, base_dir, seed):
         kls = np.zeros_like(curve.times)
         kls[later] = gaussian_kl(exact_state(prob_a, curve.times[later]),
                                  exact_state(prob_b, curve.times[later]))
-        _write_csv(os.path.join(outdir, "exact_kl.csv"), ["time", "kl"], zip(curve.times, kls))
+        _write_csv(os.path.join(outdir, "exact_kl.csv"), ["time", "kl"], [curve.times, kls])
 
     return ["KL bound curve, exact on the Euler grid (bound_curve.csv)",
             "exact Gaussian KL curve (exact_kl.csv)", *ignored,
@@ -610,7 +609,7 @@ def _optimize_cov(p, base_dir, seed):
         points = [optimal_diag_cov(gap, float(z)) for z in zetas]
         _write_csv(os.path.join(outdir, "optimal_cov.csv"),
                    ["zeta", *[f"sigma{i}" for i in range(gap.dim)], "kl_term"],
-                   ([z, *pt.diag_sigma, pt.kl_term] for z, pt in zip(zetas, points)))
+                   [zetas, *np.array([[*pt.diag_sigma, pt.kl_term] for pt in points]).T])
 
     return ["optimal diagonal covariance per zeta", "kl_term at each optimum",
             "optimal_cov.csv"], run
@@ -688,9 +687,9 @@ def _membership(p, base_dir, seed):
 
     def run(outdir):
         report = membership_experiment(cfg)
-        arms = (("D", report.losses_with), ("Dprime", report.losses_without))
+        losses = np.stack([report.losses_with, report.losses_without])
         _write_csv(os.path.join(outdir, "membership_hist.csv"), ["run", "arm", "loss_on_target"],
-                   ([r, arm, v] for arm, losses in arms for r, v in enumerate(losses)))
+                   [*np.broadcast_arrays(np.arange(cfg.runs), [["D"], ["Dprime"]]), losses])
         _write_json(os.path.join(outdir, "membership_report.json"), {
             "mean_gap": report.mean_gap,
             "worst_loss": report.worst_loss,
@@ -766,6 +765,11 @@ def _document(top, base_dir):
     out = top.get("output_dir", required=False, default="out")
     if isinstance(out, str) and out:
         out = os.path.join(base_dir, out)
+        blocked = os.path.abspath(out)  # then the nearest of it and its parents that exists
+        while not os.path.lexists(blocked):
+            blocked = os.path.dirname(blocked)
+        if not os.path.isdir(blocked):
+            top.err("output_dir", f"{os.path.relpath(blocked, base_dir)} is not a directory")
     else:
         top.err("output_dir", "must be a nonempty string")
     return top.object("experiment", _experiment, base_dir, seed, out)

@@ -36,18 +36,11 @@ from functools import partial, reduce
 
 import numpy as np
 
-from ._fork import _in_processes, _usable_cpus
+from ._fork import _in_processes, _row_blocks, _usable_cpus
 from .errors import BatchLargerThanDataset, FieldErrors, IndexOutOfRange, check_fields
 from .rng import BATCH_TAG, INIT_TAG, NOISE_TAG, SYNTH_TAG, tagged_stream
 
 _STREAM_BLOCK = 32  # iterations of batch indices and noise drawn per stream at once
-# Rows (runs times rows per run) per block of runs in one stacked pass; a
-# larger stack is split into near-equal blocks. On 2 cores, an estimate_delta
-# of 50 runs of 200-row batches (hidden 10) took 1.6-1.8 s in blocks of at
-# most 2048 rows and 2.5-4 s as one block, which page-faulted about 600 times
-# per step as its arrays were mapped and unmapped; 64 runs of 32-row batches
-# (hidden 16) were slower in 3 blocks than in one.
-_BLOCK_ROWS = 2048
 # Multiply-adds (iters x runs x batch x parameters) from which train splits
 # its runs over CPUs. On 2 cores a fork, pipe and wait cycle took about 3 ms,
 # and two parts were slower than one stack below about 1e7 (hidden 16 and 10,
@@ -206,20 +199,13 @@ def _loss_and_grad(layer_sizes, activation, params, x1, y):
     return loss, grad
 
 
-def _run_blocks(runs: int, rows: int) -> list[slice]:
-    """Near-equal blocks of a stack of runs with `rows` rows each; a block has
-    at most _BLOCK_ROWS rows, or one run."""
-    n_blocks = -(-runs // max(1, _BLOCK_ROWS // rows))
-    return [slice(i * runs // n_blocks, (i + 1) * runs // n_blocks) for i in range(n_blocks)]
-
-
 def _blocks(model: MlpModel, features):
     """The kernel arguments (layer_sizes, activation, params, x1) of each block
     of the model's runs on the shared rows features (n, m)."""
     x1 = _ones_column(features)
     return [(model.layer_sizes, model.activation, model.params[b],
              np.broadcast_to(x1, (b.stop - b.start, *x1.shape)))
-            for b in _run_blocks(len(model.params), x1.shape[0])]
+            for b in _row_blocks(len(model.params), x1.shape[0])]
 
 
 def forward(model: MlpModel, features: np.ndarray) -> np.ndarray:
@@ -419,7 +405,7 @@ def _train_stack(sizes, training, datasets, seeds, scheme):
                         noise_rngs[u].standard_normal(out=noise[u, :k])
             at = picks[batch_of[live], j] + offset[live, None]  # rows of flat_x
             loss, grad = np.empty(live.size), np.empty_like(params)
-            for b in _run_blocks(live.size, batch):
+            for b in _row_blocks(live.size, batch):
                 loss[b], grad[b] = _loss_and_grad(sizes, activation, params[b],
                                                   flat_x.take(at[b], axis=0), flat_y.take(at[b]))
             losses[live, it] = loss

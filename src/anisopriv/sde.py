@@ -38,7 +38,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from ._fork import _in_processes, _usable_cpus
+from ._fork import _in_processes, _row_blocks, _usable_cpus
 from .errors import (AnisoError, BatchLargerThanDataset, CovarianceEvaluationFailed,
                      NotPositiveDefinite, check_fields)
 from .linalg import SpdMatrix, SymMatrix, _sym_part
@@ -389,14 +389,6 @@ class TrajectoryEnsemble:
         return self.states.shape[2]
 
 
-# Rows per Euler update block. On 2 cores with OpenBLAS, mc_kl_bound at d = 8,
-# 10^4 paths, 200 steps and record stride 10 took a median 384 ms (quartiles
-# 377-400) in 2048-row blocks and 399 ms (385-420) as one block, over 15
-# alternating runs. Larger ensembles are split into near-equal blocks, so no
-# block has a single row: numpy sends 1-row products to gemv, whose last bits
-# differ from gemm's.
-_BLOCK_ROWS = 2048
-
 # The cost of a split pair (see _split_pays): seconds to fork a child, wait
 # for it and read back a small result, and seconds per byte of result. On 2
 # cores, in a process of 39 MB peak RSS that had run the sgd-diffusion
@@ -406,14 +398,6 @@ _BLOCK_ROWS = 2048
 # between 2 and 16 MB.
 _FORK_S = 5e-3
 _COLLECT_S_PER_BYTE = 3.5e-9
-
-
-def _row_blocks(paths: int) -> list[slice]:
-    """The near-equal row blocks, of at most _BLOCK_ROWS rows, that the Euler
-    update and the per-record callbacks work on."""
-    n_blocks = -(-paths // _BLOCK_ROWS)
-    return [slice(i * paths // n_blocks, (i + 1) * paths // n_blocks)
-            for i in range(n_blocks)]
 
 
 def _start_rows(x0, cfg: SimConfig) -> np.ndarray:
@@ -470,13 +454,15 @@ def _split_pays(update_s: float, draw_s: float, steps_left: int, cpus: int,
     In one process a step costs one draw and the updates of both arms, about
     draw_s + 2 update_s. Split, each process draws every step itself and
     updates one arm, about draw_s + update_s, which would save steps_left
-    update_s. Measured on 2 cores, a draw-bound split saves less: at d = 8
-    with 10^4 paths and 200 steps (update_s 0.9 ms, draw_s 1.9 ms) both sides
-    took a median 0.52-0.53 s, where steps_left update_s predicts 0.17 s
-    saved. So the saving counted is steps_left (update_s - draw_s). At d = 8
-    it keeps 10 to 10^4 paths in one process, which was faster at 10 and 200
-    paths and within the spread at 2000 and 10^4. The saving must exceed the
-    cost of forking the child and collecting its result.
+    update_s. Measured on 2 cores, a draw-bound split saves less: for a d = 8
+    QuadraticDrift pair (12 design rows, constant covariance, 200 steps), the
+    medians of two rounds of 15 alternating calls, one process vs split, were
+    7.8-11 vs 13.5-15 ms at 10 paths, 18-20 vs 31-33 ms at 200, 107-143 vs
+    125-145 ms at 2000, and 0.58-0.64 vs 0.57-0.64 s at 10^4 (update_s 1.2 ms,
+    draw_s 2.3 ms), where steps_left update_s predicts 0.24 s saved. So the
+    saving counted is steps_left (update_s - draw_s), which at d = 8 keeps 10
+    to 10^4 paths in one process. The saving must exceed the cost of forking
+    the child and collecting its result.
     """
     saving = steps_left * (update_s - draw_s)
     return cpus >= 2 and saving > _FORK_S + result_bytes * _COLLECT_S_PER_BYTE

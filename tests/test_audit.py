@@ -171,7 +171,7 @@ def test_estimate_delta_same_report_in_run_blocks(small_blobs, monkeypatch):
     # probabilities on the 16 rows
     cfg = small_config(small_blobs, adjacency="remove", epsilon=0.01)
     whole = dataclasses.asdict(estimate_delta(cfg))
-    monkeypatch.setattr("anisopriv.models._BLOCK_ROWS", 20)
+    monkeypatch.setattr("anisopriv._fork._BLOCK_ROWS", 20)
     assert dataclasses.asdict(estimate_delta(cfg)) == whole
     assert sum(whole["counts_per_outer"]) > 0
 

@@ -286,6 +286,20 @@ def test_run_resolves_paths_against_config_dir(tmp_path, capsys, monkeypatch):
     assert not (elsewhere / "results").exists()
 
 
+@pytest.mark.parametrize("output_dir", ["taken", "taken/sub"])
+def test_output_dir_on_a_file_rejected_by_validate_and_run(tmp_path, capsys, output_dir):
+    # run could not make output_dir a directory: a file holds its path, or a parent's
+    (tmp_path / "taken").write_text("a file")
+    cfg = write_config(tmp_path / "cfg.json",
+                       {**shipped_doc("privacy-translate"), "output_dir": output_dir})
+    for cmd in ("validate", "run"):
+        code, report = run_cli(capsys, cmd, cfg)
+        assert code == 1
+        assert report["errors"] == [{"path": "$.output_dir",
+                                     "message": "taken is not a directory"}]
+    assert (tmp_path / "taken").read_text() == "a file"
+
+
 def test_run_simulate_writes_ensemble(tmp_path, capsys):
     doc = {
         "seed": 5,
@@ -1293,7 +1307,8 @@ def test_runtime_does_not_import_scipy(tmp_path):
 def test_writers_round_trip_floats_and_refuse_non_finite(tmp_path, capsys, monkeypatch):
     values = [0.1 + 0.2, 1e-300, -0.0, 5e-324, np.float64(1.7976931348623157e308)]
     path = tmp_path / "a.csv"
-    _write_csv(path, ["i", "name", "x"], [[i, f"r{i}", v] for i, v in enumerate(values)])
+    _write_csv(path, ["i", "name", "x"],
+               [np.arange(len(values)), [f"r{i}" for i in range(len(values))], values])
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["i", "name", "x"]
@@ -1301,7 +1316,7 @@ def test_writers_round_trip_floats_and_refuse_non_finite(tmp_path, capsys, monke
         assert row[:2] == [str(i), f"r{i}"]
         assert struct.pack("<d", float(row[2])) == struct.pack("<d", v)  # bit for bit
 
-    for write, name, bad in ((_write_csv, "b.csv", [["x"], [[1.0], [math.inf]]]),
+    for write, name, bad in ((_write_csv, "b.csv", [["x"], [[1.0, math.inf]]]),
                              (_write_json, "c.json", [{"x": [1.0, {"y": math.nan}]}])):
         with pytest.raises(AnisoError) as exc:
             write(tmp_path / name, *bad)
@@ -1312,7 +1327,7 @@ def test_writers_round_trip_floats_and_refuse_non_finite(tmp_path, capsys, monke
     # an earlier file at the path as it was
     before = path.read_bytes()
     with pytest.raises(AnisoError):
-        _write_csv(path, ["x"], ([float(i) if i != 500 else math.nan] for i in range(1000)))
+        _write_csv(path, ["x"], [np.where(np.arange(1000) == 500, math.nan, np.arange(1000.0))])
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["a.csv"]
 
@@ -1322,6 +1337,56 @@ def test_writers_round_trip_floats_and_refuse_non_finite(tmp_path, capsys, monke
     code, report = run_cli(capsys, "run", cfg)
     assert code == 2 and report["operation"] == "write"
     assert list((tmp_path / "out").iterdir()) == []
+
+
+def reference_csv(path, header, columns):
+    """The CSV writer as it was before it took columns: csv.writer over rows
+    of Python cells, floats formatted at 17 significant digits."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows([v if isinstance(v, (int, str)) else f"{v:.17g}" for v in row]
+                     for row in zip(*(np.asarray(c).ravel().tolist() for c in columns)))
+
+
+EXTREME_FLOATS = [-0.0, 5e-324, -2.5e-323, 2.2250738585072009e-308, 1.7976931348623157e308,
+                  -1.7976931348623157e308, 0.1 + 0.2, 1 / 3, 2.0**53 + 2, 1e16, 1e-5, 123456789.0]
+CELLS = {"int": (st.integers(-2**63, 2**63 - 1), np.int64),
+         "str": (st.sampled_from(["D", "Dprime", "r0", "x0"]), str),
+         "float": (st.floats(allow_nan=False, allow_infinity=False)
+                   | st.sampled_from(EXTREME_FLOATS), float)}
+
+
+@st.composite
+def csv_columns(draw):
+    """One to four columns of ints, strings or floats, all 1-D of one length,
+    or all (n, m) views: full, broadcast along either axis, or transposed."""
+    n, m = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    two_d = draw(st.booleans())
+    columns = []
+    for _ in range(draw(st.integers(1, 4))):
+        cells, dtype = CELLS[draw(st.sampled_from(sorted(CELLS)))]
+        layout = draw(st.sampled_from(["full", "rows", "cols", "transposed"])) if two_d else "1d"
+        shape = {"1d": (n,), "full": (n, m), "rows": (1, m), "cols": (n, 1),
+                 "transposed": (m, n)}[layout]
+        size = math.prod(shape)
+        base = np.array(draw(st.lists(cells, min_size=size, max_size=size)),
+                        dtype=dtype).reshape(shape)
+        full = (n,) if layout == "1d" else (n, m)
+        columns.append(base.T if layout == "transposed" else np.broadcast_to(base, full))
+    return columns
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(columns=csv_columns())
+def test_write_csv_matches_the_row_writer_it_replaced(columns):
+    # the 200 fixed examples add about 1 s to tier-1 on 2 cores
+    header = [f"c{i}" for i in range(len(columns))]
+    with tempfile.TemporaryDirectory() as tmp:
+        got, want = Path(tmp) / "got.csv", Path(tmp) / "want.csv"
+        _write_csv(got, header, columns)
+        reference_csv(want, header, columns)
+        assert got.read_bytes() == want.read_bytes()
 
 
 def test_only_cli_and_models_import_csv_or_json():

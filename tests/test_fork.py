@@ -1,4 +1,5 @@
-"""Errors and results crossing the fork: every library error pickles, and a
+"""How stacked work is split: the row blocks of _fork._row_blocks, and the
+errors and results crossing the fork: every library error pickles, and a
 forked child's outcome reaches the caller of _fork._in_processes."""
 
 import inspect
@@ -8,7 +9,7 @@ import pickle
 import pytest
 
 from anisopriv import errors
-from anisopriv._fork import _in_processes, _usable_cpus
+from anisopriv._fork import _BLOCK_ROWS, _in_processes, _row_blocks, _usable_cpus
 from anisopriv.errors import FieldErrors
 
 
@@ -72,3 +73,18 @@ def test_outcome_that_does_not_unpickle_names_its_type():
         _in_processes(_usable_cpus(), [lambda: 1, raise_in_child(NeedsTwo("step", "nan"))])
     assert_no_child_left()
     assert _in_processes(_usable_cpus(), [lambda: 1, lambda: "two"]) == [1, "two"]
+
+
+@pytest.mark.parametrize("n, rows, n_blocks", [
+    (1, 1, 1), (2048, 1, 1), (2049, 1, 2), (4097, 1, 3), (5000, 1, 3),
+    (64, 32, 1), (64, 150, 5), (64, 200, 7), (3, 4096, 3),
+])
+def test_row_blocks_table(n, rows, n_blocks):
+    # Euler paths at one row each, and runs of a batch of rows each
+    blocks = _row_blocks(n, rows)
+    assert len(blocks) == n_blocks
+    assert [b.start for b in blocks] == [0, *(b.stop for b in blocks[:-1])]
+    assert blocks[-1].stop == n
+    sizes = [b.stop - b.start for b in blocks]
+    assert max(sizes) - min(sizes) <= 1
+    assert all(size * rows <= _BLOCK_ROWS or size == 1 for size in sizes)

@@ -157,7 +157,7 @@ def test_stacked_scoring_rows_match_single_models(blobs, monkeypatch, activation
     model = MlpModel((3, 6, 3), np.concatenate([params, params[:1] + 0.3]), activation)
     x, y = blobs.features[::3], blobs.labels[::3]
     whole = forward(model, x), loss_and_grad(model, x, y)
-    monkeypatch.setattr("anisopriv.models._BLOCK_ROWS", 100)
+    monkeypatch.setattr("anisopriv._fork._BLOCK_ROWS", 100)
     probs, (loss, grad) = forward(model, x), loss_and_grad(model, x, y)
     assert probs.shape == (5, x.shape[0], 3) and grad.shape == (5, model.n_params)
     for got, want in zip((probs, loss, grad), (whole[0], *whole[1])):
@@ -469,7 +469,7 @@ def test_stacked_training_unequal_rows_and_repeated_seeds(blobs, monkeypatch, bl
     # seed 21 trains on three row counts and twice on the same data; seed 22
     # on two datasets of equal row count, which share one batch stream. At
     # 20 rows per block every block holds one run
-    monkeypatch.setattr("anisopriv.models._BLOCK_ROWS", block)
+    monkeypatch.setattr("anisopriv._fork._BLOCK_ROWS", block)
     smaller = make_adjacent(blobs, 5, "remove")
     smallest = make_adjacent(smaller, 9, "remove")
     datasets = [blobs, smaller, smallest, blobs, smaller, *neighbours(smaller, 1)]
