@@ -13,7 +13,8 @@ seed, and versions; reruns of an identical config are byte-identical except
 the manifest's "timestamp" object, which holds the seconds spent reading,
 parsing and building the config (load_seconds) and running it
 (wall_clock_seconds). Exit codes: 0 success, 1 invalid config, 2 numerical
-failure (the error JSON names the offending operation).
+failure (the error JSON names the offending operation); a usage error, such as
+a missing config path or an unknown command, exits 1 with argparse's message.
 
 Each JSON object of a config is read through one _Reader, whose typed getters
 check JSON types, finite numbers and int64 counts. A parser's reads are its
@@ -30,13 +31,13 @@ failing field, at path.field; any other ValueError (a noise covariance that
 is not positive definite, or a law that does not factor, say) is one at the
 key it was built from. An object is not built, nor its value rules checked,
 while one of its fields fails its type read.
-A config whose run would hold an array of more than MAX_ELEMENTS elements is
-refused at the key of that array's largest factor. kl-bound refuses a
-sigma_prime other than sigma: its laws start at the point x0, so the second
-has no score at time 0. Its bound curve is bounds.euler_kl_bound, exact on
-the Euler grid, so it draws no normals; it reads paths, which sets no work,
-only to keep configs that give it valid. The closure only computes and
-writes.
+A config whose run would hold an array of more than MAX_ELEMENTS elements, or
+(simulate, dp-audit, membership) ask for more than _MAX_WORK units of work, is
+refused at the key of that array's or that work's largest factor. kl-bound
+refuses a sigma_prime other than sigma: its laws start at the point x0, so the
+second has no score at time 0. Its bound curve is bounds.euler_kl_bound, exact
+on the Euler grid, so it draws no normals; it reads paths, which sets no work,
+only to keep configs that give it valid. The closure only computes and writes.
 
 This module owns the output format: every file goes through _write_csv (one
 array per column, as the run holds it, each row formatted alone, floats at 17
@@ -404,17 +405,36 @@ def _sim_config(p, seed, **paths):
 # fits in int64 but not in memory is an invalid config and not a MemoryError
 # in run. The cap is fixed, so validate stays a function of the config alone.
 MAX_ELEMENTS = 2**27
+# The most work that one run may ask for, in units of its inner loop: steps x
+# paths x dim for simulate, and runs x iters x batch x parameters for the
+# training stack of dp-audit and membership. 2**40 units is about 1-3.5 h of
+# training (0.9-3.3e8 units/s) or 12-30 h of simulate (1-2.5e7 units/s) on
+# 2 cores, so a count that fits in memory but not in a day, such as iters
+# 2**62, is an invalid config too.
+_MAX_WORK = 2**40
+
+
+def _within(p, count, cap, sizes, message):
+    """Whether count is within cap; if not, message is an error at the key of
+    the largest of sizes ({key: size})."""
+    if count <= cap:
+        return True
+    p.err(max(sizes, key=sizes.get), message)
+    return False
 
 
 def _capped(p, what, elements, sizes):
-    """Whether elements, the size of the run's largest array (what), is within
-    MAX_ELEMENTS; if not, an error at the key of the largest of sizes
-    ({key: size})."""
-    if elements <= MAX_ELEMENTS:
-        return True
-    p.err(max(sizes, key=sizes.get), f"{what} would hold {elements} elements, "
-          f"above the {MAX_ELEMENTS} that one array of a run may hold")
-    return False
+    """_within for elements, the size of the run's largest array (what), and
+    MAX_ELEMENTS."""
+    return _within(p, elements, MAX_ELEMENTS, sizes, f"{what} would hold {elements} elements, "
+                   f"above the {MAX_ELEMENTS} that one array of a run may hold")
+
+
+def _work_capped(p, what, work, sizes):
+    """_within for work, the units of the run's inner loop (what), and
+    _MAX_WORK."""
+    return _within(p, work, _MAX_WORK, sizes, f"{what} would take {work} units of work, "
+                   f"above the {_MAX_WORK} that one run may ask for")
 
 
 # ---------------------------------------------------------------------------
@@ -469,13 +489,17 @@ def _check_training(p, base_dir):
 def _training_capped(p, runs, sizes, dataset, training):
     """_capped for runs models trained as one stack: each holds its
     (features + 1) hidden + (hidden + 1) classes parameters and, on the
-    dataset, records x (hidden + classes) activations and probabilities.
+    dataset, records x (hidden + classes) activations and probabilities; then
+    _work_capped for iters steps of batch rows of every run, if that passes.
     sizes ({key: size}) holds the keys that set runs."""
     h, k = training.hidden, dataset.n_classes
-    per_run = (dataset.n_features + 1) * h + (h + 1) * k + dataset.size * (h + k)
-    return _capped(p, "the training stack (runs x (parameters + records x (hidden + classes)))",
-                   runs * per_run,
-                   {**sizes, "hidden": h, "dataset": max(dataset.size, dataset.n_features, k)})
+    params = (dataset.n_features + 1) * h + (h + 1) * k
+    sizes = {**sizes, "hidden": h, "dataset": max(dataset.size, dataset.n_features, k)}
+    if _capped(p, "the training stack (runs x (parameters + records x (hidden + classes)))",
+               runs * (params + dataset.size * (h + k)), sizes):
+        _work_capped(p, "the training (runs x iters x batch x parameters)",
+                     runs * training.iters * training.batch * params,
+                     {**sizes, "iters": training.iters, "batch": training.batch})
 
 
 # ---------------------------------------------------------------------------
@@ -490,8 +514,11 @@ def _simulate(p, base_dir, seed):
     cov = p.built("sigma", ConstantSpd, sigma)
     drift = p.built(key, QuadraticDrift, design, target)
     if cfg is not None and x0 is not None:
-        _capped(p, "the ensemble (paths x records x dim)", cfg.paths * cfg.n_records * x0.shape[0],
-                {"paths": cfg.paths, "horizon": cfg.n_records, "x0": x0.shape[0]})
+        dim = x0.shape[0]
+        if _capped(p, "the ensemble (paths x records x dim)", cfg.paths * cfg.n_records * dim,
+                   {"paths": cfg.paths, "horizon": cfg.n_records, "x0": dim}):
+            _work_capped(p, "the simulation (steps x paths x dim)", cfg.n_steps * cfg.paths * dim,
+                         {"paths": cfg.paths, "horizon": cfg.n_steps, "x0": dim})
 
     def run(outdir):
         ens = simulate(drift, cov, x0, cfg)
@@ -863,8 +890,21 @@ def _cmd_run(path) -> int:
     return 0
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+class _ArgumentParser(argparse.ArgumentParser):
+    """argparse's parser, but a usage error exits 1, as an invalid config does:
+    exit 2 means a numerical failure. The message is argparse's own."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """main's parser, built once per process: parse_args keeps no state between
+    calls, and each build would repeat its gettext lookups, which probe locale
+    files."""
+    parser = _ArgumentParser(
         prog="anisopriv",
         description="Privacy bounds and audits for anisotropically noised gradient flows.",
     )
@@ -874,7 +914,11 @@ def main(argv=None) -> int:
     val_p = sub.add_parser("validate", help="check a config without running it")
     val_p.add_argument("config", help="JSON config path")
     sub.add_parser("version", help="print the package version")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     if args.command == "version":
         print(__version__)

@@ -4,7 +4,10 @@ Conventions
 -----------
 * Matrices are plain float64 ``numpy`` arrays wrapped in thin dataclasses
   that validate shape, symmetry, and (for ``SpdMatrix``) positive
-  definiteness at construction time.
+  definiteness at construction time. ``SpdMatrix`` checks definiteness by
+  computing its cached Cholesky factor, which its callers then reuse;
+  eigenvalues are computed only for a semidefinite-allowed matrix whose
+  factor fails.
 * Symmetry is enforced up to a relative tolerance of 1e-12; the stored
   entries are the symmetrized input (m + m.T)/2 and are read-only.
 * The checks work on (..., d, d) stacks, so a batch of matrices is checked
@@ -113,9 +116,13 @@ class SpdMatrix(SymMatrix):
     """Symmetric positive-definite matrix, or (..., d, d) stack of them, with a
     cached Cholesky factor.
 
-    ``allow_semidefinite=True`` relaxes the construction check to PSD
-    (needed for zero initial covariances and projection outputs); strict
-    operations on such a matrix still raise ``NotPositiveDefinite``.
+    Construction computes that factor, and its success is the definiteness
+    check; the factor is kept, so a matrix whose caller never factors it
+    holds twice its entries' memory. ``allow_semidefinite=True`` relaxes the
+    check to PSD (needed for zero initial covariances and projection
+    outputs): where the factor fails, the eigenvalues decide, by
+    ``_check_semidefinite``. Strict operations on such a matrix still raise
+    ``NotPositiveDefinite``.
     """
 
     allow_semidefinite: bool = field(default=False)
@@ -124,10 +131,12 @@ class SpdMatrix(SymMatrix):
         if not np.isfinite(_as_square(self.entries)).all():
             raise NotPositiveDefinite("matrix entries must be finite", operation="SpdMatrix")
         super().__post_init__()
-        if self.allow_semidefinite:
+        try:
+            self.chol_lower  # noqa: B018  - eager validation; the factor is cached
+        except NotPositiveDefinite:
+            if not self.allow_semidefinite:
+                raise
             _check_semidefinite(self.entries)
-        else:
-            self.chol_lower  # noqa: B018  - eager validation
 
     @cached_property
     def chol_lower(self) -> np.ndarray:

@@ -165,7 +165,9 @@ def _checked_laws(p: QuadraticProblem, p_other: QuadraticProblem, t: float,
         raise ValueError("both problems must carry grid.covariances as their noise_cov")
     laws = exact_state(p, t), exact_state(p_other, t)
     for law in laws:
-        law.cov.chol_lower  # noqa: B018  - eager factorization
+        # construction kept the factor of a definite law; a semidefinite one has
+        # none, and this read refuses it
+        law.cov.chol_lower  # noqa: B018
     return laws
 
 

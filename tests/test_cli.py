@@ -1,5 +1,6 @@
 """Config-driven CLI: validation paths, run outputs, reproducibility."""
 
+import argparse
 import ast
 import contextlib
 import copy
@@ -194,6 +195,63 @@ def test_validate_invalid_json(tmp_path, capsys):
     code, doc = run_cli(capsys, "validate", str(path))
     assert code == 1
     assert "invalid JSON" in doc["errors"][0]["message"]
+
+
+def invoke(argv):
+    """(exit code, stdout, stderr) of main(argv), with argparse's exits caught."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+USAGE_ERRORS = {
+    "missing config": (["run"], "anisopriv run: error: the following arguments are required: "
+                                "config\n"),
+    "unknown command": (["bogus", "x"], "anisopriv: error: argument command: invalid choice: "
+                                        "'bogus' "),
+}
+
+
+@pytest.mark.parametrize("argv, message", USAGE_ERRORS.values(), ids=USAGE_ERRORS)
+def test_usage_error_exits_1_with_argparse_message(monkeypatch, argv, message):
+    # exit 2 means a numerical failure, so a usage error is exit 1, as a bad
+    # config is; the stderr text is what a stock argparse parser prints
+    code, out, err = invoke(argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("usage: anisopriv") and message in err
+    monkeypatch.setattr(anisopriv.cli, "_ArgumentParser", argparse.ArgumentParser)
+    stock = anisopriv.cli._parser.__wrapped__()
+    assert type(stock) is argparse.ArgumentParser
+    monkeypatch.setattr(anisopriv.cli, "_parser", lambda: stock)
+    assert invoke(argv) == (2, "", err)
+
+
+def test_help_exits_0():
+    for argv in (["--help"], ["run", "--help"]):
+        code, out, err = invoke(argv)
+        assert (code, err) == (0, "")
+        assert out.startswith("usage: anisopriv")
+
+
+def test_parser_is_built_once_and_reused_by_every_command(tmp_path, monkeypatch):
+    # the cached parser gives each command, in any order, the exit code and
+    # output of a parser built for it alone
+    assert anisopriv.cli._parser() is anisopriv.cli._parser()
+    cfg = write_config(tmp_path / "cfg.json", closed_bounds_doc())
+    commands = [["run", cfg], ["validate", cfg], ["version"],
+                ["validate", str(tmp_path / "nope.json")], *(a for a, _ in USAGE_ERRORS.values())]
+    cached = [invoke(argv) for argv in commands]
+    assert [c[0] for c in cached] == [0, 0, 0, 1, 1, 1]
+    rng = np.random.default_rng(5)
+    orders = [commands[::-1], *([commands[i] for i in rng.permutation(6)] for _ in range(3))]
+    for order in orders:
+        assert [invoke(argv) for argv in order] == [cached[commands.index(a)] for a in order]
+    monkeypatch.setattr(anisopriv.cli, "_parser", anisopriv.cli._parser.__wrapped__)
+    assert [invoke(argv) for argv in commands] == cached
 
 
 def test_aniso_threads_env_is_ignored_and_not_recorded(tmp_path, capsys, monkeypatch):
@@ -703,6 +761,41 @@ def test_element_cap_is_inclusive(tmp_path, capsys):
                           "sigma_diag": [1.0], "x0": [0.0], "step": 1.0, "horizon": 1.0}}
     cap = anisopriv.cli.MAX_ELEMENTS
     for paths, code in ((cap // 2, 0), (cap // 2 + 1, 1)):
+        doc["experiment"]["paths"] = paths
+        cfg = write_config(tmp_path / "cfg.json", doc)
+        assert run_cli(capsys, "validate", cfg)[0] == code
+
+
+@pytest.mark.parametrize("name, over, path, what", [
+    ("dp-audit", {"iters": 2**62}, "experiment.iters", "the training "),
+    ("membership", {"iters": 2**62}, "experiment.iters", "the training "),
+    ("simulate", {"step": 2.0**-30, "horizon": 1.0, "record_stride": 2**30, "paths": 1024},
+     "experiment.horizon", "the simulation "),
+    ("simulate", {"step": 2.0**-15, "horizon": 1.0, "record_stride": 2**15, "paths": 2**25},
+     "experiment.paths", "the simulation "),
+], ids=["dp-audit-iters", "membership-iters", "simulate-steps", "simulate-paths"])
+def test_work_above_the_work_cap_rejected_by_validate(tmp_path, capsys, name, over, path, what):
+    # every array fits in memory, but the run would take days; validate refuses
+    # it at the key of the largest factor of its work
+    cfg = write_config(tmp_path / "cfg.json", shipped_doc(name, **over))
+    for cmd in ("validate", "run"):
+        code, report = run_cli(capsys, cmd, cfg)
+        assert code == 1
+        [error] = report["errors"]
+        assert error["path"] == path
+        assert error["message"].startswith(what)
+        assert f"above the {anisopriv.cli._MAX_WORK} that one run may ask for" in error["message"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_work_cap_is_inclusive(tmp_path, capsys):
+    # 2**20 steps of 2**20 paths in 1-d, recorded at t = 0 and the horizon, is
+    # exactly the cap. validate only, since a run at the cap takes hours
+    cap = anisopriv.cli._MAX_WORK
+    doc = {"experiment": {"kind": "simulate", "design": [[1.0]], "target": [0.0],
+                          "sigma_diag": [1.0], "x0": [0.0], "step": 2.0**-20, "horizon": 1.0,
+                          "record_stride": 2**20}}
+    for paths, code in ((cap // 2**20, 0), (cap // 2**20 + 1, 1)):
         doc["experiment"]["paths"] = paths
         cfg = write_config(tmp_path / "cfg.json", doc)
         assert run_cli(capsys, "validate", cfg)[0] == code

@@ -12,7 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from anisopriv.errors import AnisoError
+from anisopriv.errors import AnisoError, NotPositiveDefinite
 from anisopriv.linalg import SpdMatrix
 from anisopriv.sde import QuadraticDrift
 from anisopriv.ou import (
@@ -452,3 +452,32 @@ def test_gaussian_kl_that_overflows_raises():
     with pytest.raises(AnisoError) as exc:
         gaussian_kl(a, b)
     assert exc.value.operation == "gaussian_kl"
+
+
+@pytest.mark.parametrize("with_v0", [False, True])
+def test_exact_laws_are_factored_once_and_never_eigendecomposed(monkeypatch, with_v0):
+    # construction factors each law stack once, and the KL reuses that factor
+    import anisopriv.linalg as linalg
+
+    pa, pb = stacked_pair(3, with_v0)
+    calls = []
+    real = linalg._checked_cholesky
+    monkeypatch.setattr(linalg, "_checked_cholesky", lambda m: calls.append(m.shape) or real(m))
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda *a, **k: pytest.fail("eigvalsh called"))
+    times = np.array([1e-3, 0.3, 10.0, math.inf])
+    kl = gaussian_kl(exact_state(pa, times), exact_state(pb, times))
+    assert kl.shape == (9, 4)
+    assert calls == [(36, 3, 3), (36, 3, 3)]
+
+
+def test_law_at_time_zero_is_accepted_and_refused_by_the_kl():
+    # a zero covariance fails the factor, so its stack is checked by its
+    # eigenvalues and accepted; the KL, a strict operation, still refuses it
+    pa, pb = stacked_pair(2, with_v0=False)
+    times = np.array([0.5, 0.0, 1.0])
+    sa, sb = exact_state(pa, times), exact_state(pb, times)
+    assert np.all(sa.cov.entries[:, 1] == 0.0)
+    for _ in range(2):
+        with pytest.raises(NotPositiveDefinite) as exc:
+            gaussian_kl(sa, sb)
+        assert exc.value.operation == "cholesky"
