@@ -14,7 +14,10 @@ Two ingredients:
   the first process's by construction and is never stored. For two
   QuadraticProblems with a shared noise covariance the chain is Gaussian and
   the mismatch affine, and euler_kl_bound gives the exact expectation of that
-  estimate, with no paths.
+  estimate, with no paths, from the chain's law ou.euler_law. At
+  record_stride 1 it is the two Euler chains' exact path KL, so it bounds the
+  KL of their laws; at a larger stride it is a left-endpoint sum over the
+  record grid, which can fall below both that KL and the continuous laws'.
 
 * Closed-form bounds for strongly convex losses with isotropic noise,
   driven by log-Sobolev constants, plus the gradient-moment and
@@ -30,7 +33,7 @@ from typing import Callable
 import numpy as np
 
 from ._fork import _row_blocks
-from .errors import AnisoError, ScoreRequired, check_fields
+from .errors import AnisoError, NotPositiveDefinite, ScoreRequired, check_fields
 from .ou import GaussianState, QuadraticProblem, euler_law, mismatch_moment
 from .sde import ConstantSpd, SimConfig, _euler, _record_times, _start_rows
 
@@ -173,17 +176,20 @@ def euler_kl_bound(p_a: QuadraticProblem, p_b: QuadraticProblem, cfg: SimConfig)
     where X_i ~ ou.euler_law of p_a after the steps up to t_i and the moment
     is ou.mismatch_moment. cfg.paths and cfg.seed play no part, and stderr is
     zero. Raises ValueError when the noise matrices differ, and AnisoError
-    (operation euler_kl_bound) when a bound is not finite, as when the chain
-    diverges (step * w > 2 for a Gram eigenvalue w of p_a) long enough for its
-    moments to overflow."""
+    (operation euler_kl_bound) when the chain diverges (step * w > 2 for a Gram
+    eigenvalue w of p_a) long enough for its moments to overflow, or a bound
+    is otherwise not finite."""
     if not np.array_equal(p_a.noise_cov.entries, p_b.noise_cov.entries):
         raise ValueError("the problems must share their noise covariance")
     times = _record_times(cfg)
     left = np.arange(times.shape[0] - 1) * cfg.record_stride
     bounds = np.zeros(times.shape[0])
+    try:
+        law = euler_law(p_a, cfg.step, left)
+    except NotPositiveDefinite as exc:
+        raise AnisoError("the Euler chain's moments overflow", operation="euler_kl_bound") from exc
     with np.errstate(over="ignore", invalid="ignore"):
-        moment = mismatch_moment(p_a, p_b, *euler_law(p_a, cfg.step, left))
-        bounds[1:] = 0.5 * np.cumsum(moment * np.diff(times))
+        bounds[1:] = 0.5 * np.cumsum(mismatch_moment(p_a, p_b, law) * np.diff(times))
     if not np.all(np.isfinite(bounds)):
         raise AnisoError("the KL bound on the Euler grid is not finite",
                          operation="euler_kl_bound")

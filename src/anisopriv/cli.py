@@ -37,7 +37,10 @@ refused at the key of that array's or that work's largest factor. kl-bound
 refuses a sigma_prime other than sigma: its laws start at the point x0, so the
 second has no score at time 0. Its bound curve is bounds.euler_kl_bound, exact
 on the Euler grid, so it draws no normals; it reads paths, which sets no work,
-only to keep configs that give it valid. The closure only computes and writes.
+only to keep configs that give it valid. At record_stride 1 the curve is the
+two Euler chains' exact path KL, which bounds their KL; at a larger stride it
+is a record-grid sum, which can fall below both that KL and exact_kl.csv.
+The closure only computes and writes.
 
 This module owns the output format: every file goes through _write_csv (one
 array per column, as the run holds it, each row formatted alone, floats at 17

@@ -27,11 +27,14 @@ the drift, and t one time or a (T,) array. One pass gives (T, d) means,
 matrix axes, so each time's mean, shared by its G laws, broadcasts against
 them. One matrix or one time is the same computation without its axis.
 
-The Euler-Maruyama chain of the same process is Gaussian too: euler_law gives
-its law after each of an array of step counts, from the same eigenbasis, and
-mismatch_moment the mean whitened squared drift gap of two problems under any
-such law, which bounds.euler_kl_bound sums into the KL bound on the chain's
-grid.
+The Euler-Maruyama chain of the same process is Gaussian too:
+euler_law(p, step, counts) gives its law after one step count or an array of
+them as a GaussianState at the times counts * step. Both laws come from one
+eigenbasis assembly, _law, which the chain feeds lam^n for exp(-w t) and its
+geometric noise sums for the integral, so gaussian_kl compares two chains as
+it compares two processes. mismatch_moment(p_a, p_b, law) is the mean
+whitened squared drift gap of two problems under any such law, which
+bounds.euler_kl_bound sums over the chain's record grid.
 """
 
 from __future__ import annotations
@@ -118,6 +121,30 @@ def _rotated_noise(p: QuadraticProblem) -> tuple[np.ndarray, np.ndarray, np.ndar
     return w, q, q.T @ p.noise_cov.entries @ q
 
 
+def _law(p: QuadraticProblem, decay: np.ndarray, spread: np.ndarray, time) -> GaussianState:
+    """Gaussian law at each time of time, one time or a (T,) array, from its
+    factors in the Gram eigenbasis: decay (T, d), by which the start's distance
+    to the optimum has shrunk along each eigenvector, and spread (T, d, d), the
+    weights of the rotated noise S~ = q.T S q in the covariance. With
+    E = q diag(decay) q.T the mean is (I - E) x* + E x0 and the covariance
+    q (S~ * spread) q.T + E V0 E. A time 0 gives the initial law, x0 and v0 (or
+    zeros), exactly."""
+    ts = np.asarray(time, dtype=float)
+    _, q, s_rot = _rotated_noise(p)
+    e = (q * decay[:, None, :]) @ q.T
+    mean = (np.eye(p.dim) - e) @ p.optimum + e @ p.x0
+    cov = q @ (s_rot[..., None, :, :] * spread) @ q.T
+    start = 0.0
+    if p.v0 is not None:
+        cov = cov + e @ p.v0.entries @ e
+        start = p.v0.entries
+    # e is the identity only up to rounding at time 0, so the start law is put there
+    zero = ts.reshape(-1, 1, 1) == 0.0
+    mean = np.where(zero[:, 0], p.x0, mean).reshape(*ts.shape, p.dim)
+    cov = np.where(zero, start, _sym_part(cov)).reshape(*s_rot.shape[:-2], *ts.shape, p.dim, p.dim)
+    return GaussianState(mean, SpdMatrix(cov, allow_semidefinite=True), ts[()])
+
+
 def exact_state(p: QuadraticProblem, t) -> GaussianState:
     """Gaussian law of the process at each time of t, one time or a (T,) array
     of them, in [0, math.inf]; at math.inf it is the stationary law. A time 0
@@ -126,20 +153,9 @@ def exact_state(p: QuadraticProblem, t) -> GaussianState:
     if not np.all(ts >= 0.0):
         raise ValueError(f"time must be nonnegative, got {t}")
     tv = ts.reshape(-1, 1, 1)
-    w, q, s_rot = _rotated_noise(p)
-    e = (q * np.exp(-tv * w)) @ q.T
-    mean = (np.eye(p.dim) - e) @ p.optimum + e @ p.x0
+    w, _ = p._eig
     rate = np.add.outer(w, w)
-    cov = q @ (s_rot[..., None, :, :] * (-np.expm1(-rate * tv) / rate)) @ q.T
-    start = 0.0
-    if p.v0 is not None:
-        cov = cov + e @ p.v0.entries @ e
-        start = p.v0.entries
-    # e is the identity only up to rounding at t = 0, so the start law is put there
-    zero = tv == 0.0
-    mean = np.where(zero[:, 0], p.x0, mean).reshape(*ts.shape, p.dim)
-    cov = np.where(zero, start, _sym_part(cov)).reshape(*s_rot.shape[:-2], *ts.shape, p.dim, p.dim)
-    return GaussianState(mean, SpdMatrix(cov, allow_semidefinite=True), ts[()])
+    return _law(p, np.exp(-tv[:, 0] * w), -np.expm1(-rate * tv) / rate, ts)
 
 
 def _geometric_sums(r: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -157,45 +173,38 @@ def _geometric_sums(r: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return total
 
 
-def euler_law(p: QuadraticProblem, step: float, counts) -> tuple[np.ndarray, np.ndarray]:
-    """Means (T, d) and covariances (T, d, d) of the Euler-Maruyama chain
-    x' = x + step (pull - G x) + sqrt(step) S^{1/2} z started from p's initial
-    law, after each of the T step counts in counts; one noise matrix S.
+def euler_law(p: QuadraticProblem, step: float, counts) -> GaussianState:
+    """Gaussian law of the Euler-Maruyama chain x' = x + step (pull - G x) +
+    sqrt(step) S^{1/2} z started from p's initial law, after each of counts,
+    one step count or a (T,) array of them, at the times counts * step; a
+    count 0 gives the initial law, x0 and v0 (or zeros), exactly.
 
-    The chain is Gaussian. In the Gram eigenbasis, with lam = 1 - step w, the
-    mean after n steps is x*~ + lam^n (x0~ - x*~) and the covariance
-    lam_i^n lam_j^n V0~_ij + step S~_ij sum_{l<n} (lam_i lam_j)^l, with every
-    geometric sum from one doubling pass (_geometric_sums), so
-    lam_i lam_j = 1 (step w = 2) is no special case. A chain with step w > 2
-    diverges; its moments grow until they overflow to inf or nan, which the
-    caller must check."""
+    In the Gram eigenbasis, with lam = 1 - step w, the chain's start decays by
+    lam^n after n steps and its noise builds up as step S~_ij
+    sum_{l<n} (lam_i lam_j)^l, with every geometric sum from one doubling pass
+    (_geometric_sums), so lam_i lam_j = 1 (step w = 2) is no special case. A
+    chain with step w > 2 diverges; once its moments overflow to inf or nan
+    there is no law to hold, and the SpdMatrix check raises
+    NotPositiveDefinite."""
     counts = np.asarray(counts, dtype=np.int64)
-    w, q, s_rot = _rotated_noise(p)
-    lam = 1.0 - step * w
+    n = counts.reshape(-1)
+    lam = 1.0 - step * p._eig[0]
     with np.errstate(over="ignore", invalid="ignore"):
-        lam_n = lam ** counts[:, None]
-        opt = q.T @ p.optimum
-        means = (opt + lam_n * (q.T @ p.x0 - opt)) @ q.T
-        # step * S~ first, so that a finite S near the float maximum stays finite
-        covs = (step * s_rot) * _geometric_sums(np.multiply.outer(lam, lam), counts)
-        if p.v0 is not None:
-            covs = covs + lam_n[:, :, None] * (q.T @ p.v0.entries @ q) * lam_n[:, None, :]
-        covs = q @ covs @ q.T
-    return means, covs
+        return _law(p, lam ** n[:, None], step * _geometric_sums(np.multiply.outer(lam, lam), n),
+                    counts * step)
 
 
-def mismatch_moment(p_a: QuadraticProblem, p_b: QuadraticProblem, means, covs):
-    """E|L^{-1} (b_a - b_b)(X)|^2 for X ~ N(mean, cov), one value per law of
-    the (T, d) means and (T, d, d) covariances (or one law without the T
-    axis), where b = pull - G x is each problem's drift and L L.T = S is p_a's
-    noise matrix. The drift gap A x + c, with A = G_b - G_a and
-    c = pull_a - pull_b, is affine, so the moment is
+def mismatch_moment(p_a: QuadraticProblem, p_b: QuadraticProblem, law: GaussianState):
+    """E|L^{-1} (b_a - b_b)(X)|^2 for X ~ law, a GaussianState: one value per
+    time of a law over times, or one value for one law, where b = pull - G x is
+    each problem's drift and L L.T = S is p_a's noise matrix. The drift gap A x + c, with
+    A = G_b - G_a and c = pull_a - pull_b, is affine, so the moment is
     |L^{-1}(A m + c)|^2 + tr(L^{-1} A P A.T L^{-T})."""
     l = p_a.noise_cov.chol_lower
     wa = np.linalg.solve(l, p_b.gram - p_a.gram)
-    gap = means @ wa.T + np.linalg.solve(l, p_a._pull - p_b._pull)
+    gap = law.mean @ wa.T + np.linalg.solve(l, p_a._pull - p_b._pull)
     # tr(W P W.T) = sum_ij (W P)_ij W_ij
-    return np.sum(gap * gap, axis=-1) + np.sum((wa @ covs) * wa, axis=(-2, -1))
+    return np.sum(gap * gap, axis=-1) + np.sum((wa @ law.cov.entries) * wa, axis=(-2, -1))
 
 
 def gaussian_kl(state: GaussianState, other: GaussianState) -> float | np.ndarray:

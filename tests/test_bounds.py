@@ -30,7 +30,7 @@ from anisopriv.bounds import (
 )
 from anisopriv.errors import AnisoError, ScoreRequired
 from anisopriv.linalg import SpdMatrix
-from anisopriv.ou import GaussianState, QuadraticProblem, exact_state
+from anisopriv.ou import GaussianState, QuadraticProblem, euler_law, exact_state, gaussian_kl
 from anisopriv.sde import (ConstantSpd, DiagonalOfState, MinibatchSgd, QuadraticDrift, SimConfig,
                            simulate)
 from test_sde import least_squares_grads, projected_least_squares_cov
@@ -413,6 +413,37 @@ def test_mc_bound_within_four_standard_errors_of_the_euler_bound(equal_designs, 
     assert np.array_equal(mc.times, exact.times)
     assert np.all(np.abs(mc.bounds - exact.bounds)
                   <= 4.0 * mc.stderr + 1e-12 * exact.bounds)
+
+
+def chain_kl_pair(rng):
+    """Two QuadraticProblems that share a random SPD S and a start x0 ~ 3 N(0, I),
+    d = 1-3, where one design row and its target are replaced, and the step
+    0.2 / w_max for the largest Gram eigenvalue w_max of either arm."""
+    d = int(rng.integers(1, 4))
+    design = rng.standard_normal((d + 2, d))
+    target = rng.standard_normal(d + 2)
+    design_b, target_b = design.copy(), target.copy()
+    design_b[-1], target_b[-1] = rng.standard_normal(d), rng.standard_normal()
+    s = random_spd(rng, d)
+    x0 = 3.0 * rng.standard_normal(d)
+    pa, pb = (QuadraticProblem(b, y, s, x0) for b, y in ((design, target), (design_b, target_b)))
+    w_max = max(np.linalg.eigvalsh(pa.gram).max(), np.linalg.eigvalsh(pb.gram).max())
+    return pa, pb, 0.2 / w_max
+
+
+def test_euler_bound_at_stride_one_bounds_the_chains_kl():
+    # at stride 1 the curve is the two Euler chains' exact path KL, which
+    # bounds the KL of their laws after every step k >= 1 and equals it after
+    # one step, when both laws are N(x0 + h b(x0), h S); at k = 0 both are the
+    # point x0, which has no KL
+    rng = np.random.default_rng(2305)
+    steps = np.arange(1, 201)
+    for _ in range(300):
+        pa, pb, step = chain_kl_pair(rng)
+        curve = euler_kl_bound(pa, pb, SimConfig(step, 200 * step, paths=1, seed=0))
+        kl = gaussian_kl(euler_law(pa, step, steps), euler_law(pb, step, steps))
+        assert np.all(curve.bounds[1:] >= kl * (1.0 - 1e-10))
+        assert curve.bounds[1] == pytest.approx(kl[0], rel=1e-11)
 
 
 def test_euler_bound_of_a_diverging_chain_raises():

@@ -26,6 +26,8 @@ import anisopriv.sde
 from anisopriv import __version__
 from anisopriv.cli import _write_csv, _write_json, main
 from anisopriv.errors import AnisoError, TrainingDivergedWarning
+from anisopriv.linalg import SpdMatrix
+from anisopriv.ou import QuadraticProblem, euler_law, gaussian_kl
 
 
 def write_config(path, doc):
@@ -724,6 +726,26 @@ def test_kl_bound_chain_that_overflows_is_numerical_failure(tmp_path, capsys):
     assert report["operation"] == "euler_kl_bound"
     assert not (tmp_path / "out" / "bound_curve.csv").exists()
     assert not (tmp_path / "out" / "manifest.json").exists()
+
+
+def test_kl_bound_at_stride_one_bounds_the_chains_kl(tmp_path, capsys):
+    # the shipped config with drifts that agree at x0, so the drift gap grows
+    # from 0: on the shipped stride-10 grid the curve reads 0 at t = 0.1, below
+    # both KLs. At stride 1 it is the two Euler chains' exact path KL, at or
+    # above the KL of their laws after every step.
+    doc = shipped_doc("kl-bound", design_prime=[[2.0]], target_prime=[0.0], x0=[0.0],
+                      horizon=0.5, record_stride=1)
+    assert run_cli(capsys, "run", write_config(tmp_path / "cfg.json", doc))[0] == 0
+    curve = np.loadtxt(tmp_path / "out" / "bound_curve.csv", delimiter=",", skiprows=1)
+    exp = doc["experiment"]
+    s = SpdMatrix(np.diag(exp["sigma_diag"]))
+    pa, pb = (QuadraticProblem(exp[b], exp[y], s, exp["x0"])
+              for b, y in (("design", "target"), ("design_prime", "target_prime")))
+    steps = np.arange(1, curve.shape[0])
+    assert np.allclose(curve[1:, 0], steps * exp["step"], rtol=1e-14, atol=0.0)
+    kl = gaussian_kl(euler_law(pa, exp["step"], steps), euler_law(pb, exp["step"], steps))
+    assert kl[-1] > 0.3
+    assert np.all(curve[1:, 1] >= kl * (1.0 - 1e-10))
 
 
 @pytest.mark.parametrize("name, over, path, what", [

@@ -125,7 +125,8 @@ def test_euler_law_matches_per_step_recursion(with_v0):
     p = random_noncommuting_problem(with_v0)
     h = 0.9 / np.linalg.eigvalsh(p.gram).max()
     counts = [17, 0, 3, 3, 1, 64]
-    means, covs = euler_law(p, h, counts)
+    law = euler_law(p, h, counts)
+    means, covs = law.mean, law.cov.entries
     assert means.shape == (6, 3) and covs.shape == (6, 3, 3)
     f = np.eye(3) - h * p.gram
     m, v = p.x0.copy(), p.v0.entries.copy() if with_v0 else np.zeros((3, 3))
@@ -139,6 +140,42 @@ def test_euler_law_matches_per_step_recursion(with_v0):
                            + (n == 0 and not with_v0))
 
 
+@pytest.mark.parametrize("with_v0", [True, False])
+def test_euler_law_at_count_zero_is_the_start_law_bit_for_bit(with_v0):
+    p = random_noncommuting_problem(with_v0)
+    start = p.v0.entries if with_v0 else np.zeros((3, 3))
+    h = 0.9 / np.linalg.eigvalsh(p.gram).max()
+    law = euler_law(p, h, 0)
+    assert law.mean.shape == (3,) and law.time == 0.0
+    assert np.array_equal(law.mean, p.x0) and np.array_equal(law.cov.entries, start)
+    law = euler_law(p, h, [3, 0, 5])
+    assert np.array_equal(law.time, [3 * h, 0.0, 5 * h])
+    assert np.array_equal(law.mean[1], p.x0) and np.array_equal(law.cov.entries[1], start)
+
+
+@pytest.mark.parametrize("with_v0", [True, False])
+@pytest.mark.parametrize("seed", range(6))
+def test_euler_law_converges_to_the_exact_law_at_first_order(seed, with_v0):
+    # the Euler chain's law at t = n h is the exact law up to O(h), so its
+    # distance from it halves when n doubles
+    rng = np.random.default_rng(seed)
+    design = rng.standard_normal((4, 3))
+    a, b = rng.standard_normal((2, 3, 3))
+    p = QuadraticProblem(design, rng.standard_normal(4), SpdMatrix(a @ a.T + 0.2 * np.eye(3)),
+                         rng.standard_normal(3), SpdMatrix(0.1 * b @ b.T) if with_v0 else None)
+    s = p.noise_cov.entries
+    comm = p.gram @ s - s @ p.gram
+    assert np.linalg.norm(comm) > 0.05 * np.linalg.norm(p.gram) * np.linalg.norm(s)
+    exact = exact_state(p, 1.0)
+    errors = []
+    for n in (100, 200, 400):
+        law = euler_law(p, 1.0 / n, n)
+        errors.append([np.linalg.norm(law.mean - exact.mean),
+                       np.linalg.norm(law.cov.entries - exact.cov.entries)])
+    errors = np.array(errors)
+    assert np.all(np.abs(errors[:-1] / errors[1:] - 2.0) <= 0.2)
+
+
 def test_mismatch_moment_matches_sampled_mean():
     # an affine gap under one Gaussian law, against 2e5 draws of it
     p = random_noncommuting_problem()
@@ -150,7 +187,7 @@ def test_mismatch_moment_matches_sampled_mean():
     x = rng.multivariate_normal(state.mean, state.cov.entries, size=200_000)
     white = np.linalg.solve(p.noise_cov.chol_lower, (p.evaluate(x) - q.evaluate(x)).T)
     sampled = np.sum(white * white, axis=0)
-    got = mismatch_moment(p, q, state.mean, state.cov.entries)
+    got = mismatch_moment(p, q, state)
     assert np.ndim(got) == 0
     assert abs(got - sampled.mean()) <= 4.0 * sampled.std() / math.sqrt(sampled.size)
 
