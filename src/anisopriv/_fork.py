@@ -4,10 +4,11 @@ interpreter lock would run one thread at a time: `models.train` splits its
 runs by seed with these helpers, and `sde.paired_simulate` its two arms.
 
 A child is made with os.fork, sends back its result or its exception through
-a pipe, pickled, and exits with os._exit; no `multiprocessing` is used. On
+a pipe, pickled, and exits with os._exit; no `multiprocessing` is used. It
+inherits this process's CPU set, and the kernel places it there. On
 Python 3.12 and later, os.fork warns (DeprecationWarning) in a process with
-other threads, such as BLAS threads; the fork goes ahead (this case has not
-been run).
+other threads, such as BLAS threads; the fork goes ahead (the tier-1
+workflow's Python 3.12 leg runs this case).
 """
 
 from __future__ import annotations
@@ -37,34 +38,21 @@ def _row_blocks(n: int, rows: int = 1) -> list[slice]:
     return [slice(i * n // n_blocks, (i + 1) * n // n_blocks) for i in range(n_blocks)]
 
 
-def _usable_cpus() -> set[int]:
-    """The CPUs this process may run on; one where os.fork or
+def _usable_cpus() -> int:
+    """How many CPUs this process may run on; 1 where os.fork or
     os.sched_getaffinity is missing, so that no caller splits."""
     if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
-        return {0}
-    return os.sched_getaffinity(0)
+        return 1
+    return len(os.sched_getaffinity(0))
 
 
-def _current_cpu() -> int | None:
-    """The CPU this process last ran on (field 39 of /proc/self/stat), or
-    None where that is not readable."""
-    try:
-        with open("/proc/self/stat") as fh:
-            return int(fh.read().rpartition(")")[2].split()[36])
-    except (OSError, ValueError, IndexError):
-        return None
-
-
-def _in_processes(cpus: set[int], jobs) -> list:
+def _in_processes(jobs) -> list:
     """Results of the calls jobs[0](), ..., jobs[-1](): the first runs here,
     each other one in a forked child that sends back its result or its
-    exception through a pipe, pickled, and is kept off the CPU this process
-    is on. Raises the first failed job's exception, after every child has
-    been reaped; children still running then are killed. A child's result or
-    exception that cannot be unpickled here raises RuntimeError naming its
-    type."""
-    cpu = _current_cpu()
-    others = cpus - {cpu}
+    exception through a pipe, pickled. Raises the first failed job's
+    exception, after every child has been reaped; children still running
+    then are killed. A child's result or exception that cannot be unpickled
+    here raises RuntimeError naming its type."""
     results = [None] * len(jobs)
     pending = []  # (pid, read end, job index)
     try:
@@ -77,7 +65,7 @@ def _in_processes(cpus: set[int], jobs) -> list:
                 os.close(w)
                 raise
             if pid == 0:
-                _child(w, others, job)
+                _child(w, job)
             os.close(w)
             pending.append((pid, open(r, "rb"), i))
         results[0] = jobs[0]()
@@ -111,17 +99,12 @@ def _in_processes(cpus: set[int], jobs) -> list:
     return results
 
 
-def _child(w: int, cpus: set[int], job):
-    """Body of a forked child of _in_processes: run job on the given CPUs
-    and write to the pipe's write end w, pickled, (ok, the outcome's type
-    name) and then the outcome, job's result (ok True) or exception (ok
-    False); never returns."""
+def _child(w: int, job):
+    """Body of a forked child of _in_processes: run job and write to the
+    pipe's write end w, pickled, (ok, the outcome's type name) and then the
+    outcome, job's result (ok True) or exception (ok False); never returns."""
     code = 1
     try:
-        try:
-            os.sched_setaffinity(0, cpus)
-        except OSError:  # no such CPU: stay where the fork put us
-            pass
         try:
             ok, outcome = True, job()
         except BaseException as exc:

@@ -84,6 +84,7 @@ from .models import (
     IsotropicPerLayer,
     NO_NOISE,
     Training,
+    _STREAM_BLOCK,
     read_dataset_csv,
     synth_blobs,
 )
@@ -476,8 +477,16 @@ def _dataset(ds, base_dir):
 
 
 def _synth(sub):
-    return sub.built(None, synth_blobs, sub.integer("classes"), sub.integer("per_class"),
-                     sub.integer("dim"), sub.number("separation"), sub.seed("seed"))
+    """The synth_blobs Dataset. It is drawn here, at the parse, so its
+    (classes x per_class, dim) features are capped before they are drawn; a
+    count below 1 is left to synth_blobs' own rules."""
+    counts = {key: sub.integer(key) for key in ("classes", "per_class", "dim")}
+    separation, seed = sub.number("separation"), sub.seed("seed")
+    if None not in counts.values() and min(counts.values()) >= 1 and not _capped(
+            sub, "the synthetic features (classes x per_class x dim)",
+            math.prod(counts.values()), counts):
+        return None
+    return sub.built(None, synth_blobs, *counts.values(), separation, seed)
 
 
 def _check_training(p, base_dir):
@@ -489,20 +498,42 @@ def _check_training(p, base_dir):
     return scheme, dataset, training
 
 
-def _training_capped(p, runs, sizes, dataset, training):
-    """_capped for runs models trained as one stack: each holds its
-    (features + 1) hidden + (hidden + 1) classes parameters and, on the
-    dataset, records x (hidden + classes) activations and probabilities; then
-    _work_capped for iters steps of batch rows of every run, if that passes.
-    sizes ({key: size}) holds the keys that set runs."""
-    h, k = training.hidden, dataset.n_classes
-    params = (dataset.n_features + 1) * h + (h + 1) * k
-    sizes = {**sizes, "hidden": h, "dataset": max(dataset.size, dataset.n_features, k)}
-    if _capped(p, "the training stack (runs x (parameters + records x (hidden + classes)))",
-               runs * (params + dataset.size * (h + k)), sizes):
-        _work_capped(p, "the training (runs x iters x batch x parameters)",
-                     runs * training.iters * training.batch * params,
-                     {**sizes, "iters": training.iters, "batch": training.batch})
+def _training_capped(p, cfg, seeds, datasets, row_counts):
+    """The caps on cfg's training: 2 x seeds runs in one stack (runs i and
+    seeds + i share seed i) on `datasets` distinct datasets of row_counts
+    distinct record counts. seeds and datasets are (count, {key: size}), the
+    keys being those that set the count. First _capped for the stack (each
+    run's (features + 1) hidden + (hidden + 1) classes parameters, and its
+    records x (hidden + classes) activations and probabilities on the
+    dataset), then _work_capped for iters steps of batch rows of every run,
+    then _capped for each other array of the run, up to the first that
+    fails."""
+    (n_seeds, seed_sizes), (n_datasets, data_sizes) = seeds, datasets
+    ds, training = cfg.dataset, cfg.training
+    h, k, runs = training.hidden, ds.n_classes, 2 * n_seeds
+    params = (ds.n_features + 1) * h + (h + 1) * k
+    data = {"dataset": max(ds.size, ds.n_features, k)}
+    sizes = {**seed_sizes, "hidden": h, **data}
+    if not (_capped(p, "the training stack (runs x (parameters + records x (hidden + classes)))",
+                    runs * (params + ds.size * (h + k)), sizes)
+            and _work_capped(p, "the training (runs x iters x batch x parameters)",
+                             runs * training.iters * training.batch * params,
+                             {**sizes, "iters": training.iters, "batch": training.batch})):
+        return
+    arrays = [
+        ("the loss log (runs x iters)", runs * training.iters,
+         {**seed_sizes, "iters": training.iters}),
+        ("the noise block (seeds x 32 x parameters)",
+         n_seeds * _STREAM_BLOCK * params if cfg.scheme is not NO_NOISE else 0, sizes),
+        ("the batch-index block (seeds x record counts x 32 x batch)",
+         n_seeds * row_counts * _STREAM_BLOCK * training.batch,
+         {**seed_sizes, "batch": training.batch}),
+        ("the stacked datasets (datasets x records x (features + 1))",
+         n_datasets * ds.size * (ds.n_features + 1), {**data_sizes, **data}),
+    ]
+    for what, elements, factors in arrays:
+        if not _capped(p, what, elements, factors):
+            break
 
 
 # ---------------------------------------------------------------------------
@@ -695,8 +726,9 @@ def _dp_audit(p, base_dir, seed):
     cfg = p.built(None, AuditConfig, epsilon, outer, inner, scheme, training, dataset,
                   adjacency, seed)
     if cfg is not None:
-        _training_capped(p, 2 * outer * inner, {"outer_rounds": outer, "inner_rounds": inner},
-                         dataset, training)
+        # D and one neighbour per outer round; a removal leaves one record fewer
+        _training_capped(p, cfg, (outer * inner, {"outer_rounds": outer, "inner_rounds": inner}),
+                         (1 + outer, {"outer_rounds": outer}), 2 if adjacency == "remove" else 1)
 
     def run(outdir):
         write_audit_json(estimate_delta(cfg), os.path.join(outdir, "audit_report.json"))
@@ -713,7 +745,8 @@ def _membership(p, base_dir, seed):
     cfg = p.built(None, MembershipConfig, dataset, target, runs, scheme, training, null_control,
                   seed)
     if cfg is not None:
-        _training_capped(p, 2 * runs, {"runs": runs}, dataset, training)
+        datasets = 1 if null_control else 2  # D, and D without the target record
+        _training_capped(p, cfg, (runs, {"runs": runs}), (datasets, {}), datasets)
 
     def run(outdir):
         report = membership_experiment(cfg)

@@ -22,10 +22,10 @@ blocks of runs; a single model is the stack of one.
 
 On Linux (os.fork, os.sched_getaffinity), a large `train` call splits its
 runs by seed over the usable CPUs: the calling process trains one part and a
-forked child each other part, kept off the caller's CPU, since the step's
-many small numpy calls would run one at a time on threads. The results are
-the same bit for bit; see `train` for when the stack is split. The fork, pipe
-and reaping are `_fork._in_processes`, which `sde.paired_simulate` shares.
+forked child each other part, since the step's many small numpy calls would
+run one at a time on threads. The results are the same bit for bit; see
+`train` for when the stack is split. The fork, pipe and reaping are
+`_fork._in_processes`, which `sde.paired_simulate` shares.
 """
 
 from __future__ import annotations
@@ -315,15 +315,13 @@ def train(datasets, seeds, scheme, training: Training):
     step is many small numpy calls that threads would run one at a time. This
     process trains the first part and forks (os.fork) one child process per
     other part; each child trains its part with the same loop and pipes back
-    its result, or its exception, which is raised here. A child keeps off the
-    CPU this process was on at the fork: otherwise the scheduler often left
-    both on one CPU for the whole call, slower than one stack. Every child has
-    been reaped when train returns or raises. On Python 3.12 and later,
-    os.fork warns (DeprecationWarning) in a process with other threads, such
-    as BLAS threads; the split goes ahead, and the child calls only numpy
-    before it exits with os._exit (this case has not been run). Without
-    os.fork or os.sched_getaffinity, on one CPU, for one seed or below the
-    break-even, the stack trains in this process."""
+    its result, or its exception, which is raised here. Every child has been
+    reaped when train returns or raises. On Python 3.12 and later, os.fork
+    warns (DeprecationWarning) in a process with other threads, such as BLAS
+    threads; the split goes ahead, and the child calls only numpy before it
+    exits with os._exit (the tier-1 workflow's Python 3.12 leg runs this
+    case). Without os.fork or os.sched_getaffinity, on one CPU, for one seed
+    or below the break-even, the stack trains in this process."""
     if len(datasets) != len(seeds) or not seeds:
         raise ValueError("need one seed per dataset and at least one run")
     widths = {ds.n_features for ds in datasets}
@@ -343,11 +341,11 @@ def train(datasets, seeds, scheme, training: Training):
 
     cpus = _usable_cpus()
     small = iters * runs * training.batch * n_params < _SPLIT_WORK
-    parts = [range(runs)] if small else _seed_parts(seeds, len(cpus))
+    parts = [range(runs)] if small else _seed_parts(seeds, cpus)
     final = np.empty((runs, n_params))
     losses = np.empty((runs, iters))
     steps, diverged = np.empty(runs, dtype=int), np.empty(runs, dtype=bool)
-    for at, result in zip(parts, _in_processes(cpus, [partial(part, at) for at in parts])):
+    for at, result in zip(parts, _in_processes([partial(part, at) for at in parts])):
         final[at], losses[at], steps[at], diverged[at] = result
 
     logs = [TrainLog(losses[r, : steps[r]], bool(diverged[r])) for r in range(runs)]

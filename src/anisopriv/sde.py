@@ -514,8 +514,8 @@ def paired_simulate(drift_a, drift_b, cov, x0,
     the child has been reaped; when both arms fail, arm a's error is raised,
     where one process raises whichever fails at the earlier step. On Python
     3.12 and later, os.fork warns (DeprecationWarning) in a process with
-    other threads, such as BLAS threads; the split goes ahead (this case has
-    not been run), as in models.train.
+    other threads, such as BLAS threads; the split goes ahead, as in
+    models.train.
     """
     drifts, times = (drift_a, drift_b), _record_times(cfg)
     xs = [_start_rows(x0, cfg) for _ in drifts]
@@ -528,10 +528,9 @@ def paired_simulate(drift_a, drift_b, cov, x0,
     # step 0 runs here; its timings say whether splitting the arms pays
     xs, update_s, draw_s = _euler(drifts, cov, xs, cfg, store, range(1))
     rest = range(1, cfg.n_steps)
-    cpus = _usable_cpus() if rest else set()
-    if _split_pays(min(update_s), draw_s, len(rest), len(cpus), recs[-1].nbytes):
-        recs = _in_processes(cpus, [partial(_arm, drift, cov, x, cfg, rec, rest)
-                                    for drift, x, rec in zip(drifts, xs, recs)])
+    if _split_pays(min(update_s), draw_s, len(rest), _usable_cpus(), recs[-1].nbytes):
+        recs = _in_processes([partial(_arm, drift, cov, x, cfg, rec, rest)
+                              for drift, x, rec in zip(drifts, xs, recs)])
     else:
         _euler(drifts, cov, xs, cfg, store, rest)
         recs = [_all_finite(rec) for rec in recs]

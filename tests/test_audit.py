@@ -148,7 +148,7 @@ def test_estimate_delta_opens_each_seed_stream_once(small_blobs, monkeypatch, ad
     # both arms of a round train with one seed: one init and one noise stream
     # per round, and one batch stream per round and row count. On one CPU
     # train runs in this process, where the counter sees every stream
-    monkeypatch.setattr(models, "_usable_cpus", lambda: {0})
+    monkeypatch.setattr(models, "_usable_cpus", lambda: 1)
     opened = Counter()
     real = models.tagged_stream
 

@@ -748,6 +748,11 @@ def test_kl_bound_at_stride_one_bounds_the_chains_kl(tmp_path, capsys):
     assert np.all(curve[1:, 1] >= kl * (1.0 - 1e-10))
 
 
+def synth(**over):
+    return {"synth": {"classes": 2, "per_class": 2, "dim": 2, "separation": 3.0, "seed": 20,
+                      **over}}
+
+
 @pytest.mark.parametrize("name, over, path, what", [
     ("simulate", {"paths": 2**40}, "experiment.paths", "the ensemble"),
     ("simulate", {"step": 1e-12, "horizon": 1e2, "record_stride": 1, "paths": 4},
@@ -759,8 +764,24 @@ def test_kl_bound_at_stride_one_bounds_the_chains_kl(tmp_path, capsys):
     ("dp-audit", {"outer_rounds": 2**40}, "experiment.outer_rounds", "the training stack"),
     ("dp-audit", {"hidden": 2**40}, "experiment.hidden", "the training stack"),
     ("membership", {"runs": 2**40}, "experiment.runs", "the training stack"),
+    # the training stack and the work are within their caps here, but another
+    # array of the run is not, or the synthetic dataset drawn at the parse
+    ("dp-audit", {"dataset": synth(per_class=2**40)}, "experiment.dataset.synth.per_class",
+     "the synthetic features (classes x per_class x dim) would hold 4398046511104 "),
+    ("dp-audit", {"outer_rounds": 1, "inner_rounds": 1, "iters": 2**36, "batch": 1,
+                  "hidden": 1, "dataset": synth()},
+     "experiment.iters", "the loss log (runs x iters) would hold 137438953472 "),
+    ("dp-audit", {"outer_rounds": 1, "inner_rounds": 64, "iters": 32, "batch": 2,
+                  "hidden": 1000, "dataset": synth(dim=500)},
+     "experiment.hidden", "the noise block (seeds x 32 x parameters) would hold 1030148096 "),
+    ("dp-audit", {"outer_rounds": 16000, "inner_rounds": 1, "iters": 32, "batch": 1,
+                  "hidden": 1, "scheme": {"kind": "none"},
+                  "dataset": synth(per_class=500, dim=1000)},
+     "experiment.outer_rounds",
+     "the stacked datasets (datasets x records x (features + 1)) would hold 16017001000 "),
 ], ids=["simulate-paths", "simulate-records", "kl-bound-records", "grid-surface",
-        "quad-tradeoff", "dp-audit-rounds", "dp-audit-hidden", "membership-runs"])
+        "quad-tradeoff", "dp-audit-rounds", "dp-audit-hidden", "membership-runs",
+        "synth-features", "loss-log", "noise-block", "stacked-datasets"])
 def test_work_above_the_element_cap_rejected_by_validate(tmp_path, capsys, name, over, path,
                                                          what):
     # each count fits in int64, but the array it asks for does not fit in
@@ -774,6 +795,21 @@ def test_work_above_the_element_cap_rejected_by_validate(tmp_path, capsys, name,
         assert error["message"].startswith(what)
         assert f"above the {anisopriv.cli.MAX_ELEMENTS} " in error["message"]
     assert not (tmp_path / "out").exists()
+
+
+def test_batch_index_block_counts_each_record_count(tmp_path, capsys):
+    # under remove adjacency a seed draws batch indices for D and for D', of
+    # one record fewer: 2**21 seeds x 2 x 32 x batch 2 is twice the cap, while
+    # under replace adjacency the block holds the cap exactly
+    over = {"outer_rounds": 1, "inner_rounds": 2**21, "iters": 1, "batch": 2, "hidden": 1,
+            "scheme": {"kind": "none"}, "dataset": synth()}
+    for adjacency, code in (("replace", 0), ("remove", 1)):
+        cfg = write_config(tmp_path / "cfg.json",
+                           shipped_doc("dp-audit", adjacency=adjacency, **over))
+        assert run_cli(capsys, "validate", cfg)[0] == code
+    [error] = run_cli(capsys, "validate", cfg)[1]["errors"]
+    assert error["path"] == "experiment.inner_rounds"
+    assert error["message"].startswith("the batch-index block ")
 
 
 def test_element_cap_is_inclusive(tmp_path, capsys):

@@ -54,7 +54,7 @@ def raise_in_child(error):
 def test_child_field_errors_reach_the_caller():
     failed = FieldErrors([("lr", "must be positive")])
     with pytest.raises(FieldErrors) as info:
-        _in_processes(_usable_cpus(), [lambda: 1, raise_in_child(failed)])
+        _in_processes([lambda: 1, raise_in_child(failed)])
     assert info.value.fields == (("lr", "must be positive"),)
     assert str(info.value) == "lr: must be positive"
     assert_no_child_left()
@@ -70,9 +70,18 @@ class NeedsTwo(Exception):
 def test_outcome_that_does_not_unpickle_names_its_type():
     with pytest.raises(RuntimeError, match="an exception of type NeedsTwo, which could not "
                                            "be unpickled: TypeError"):
-        _in_processes(_usable_cpus(), [lambda: 1, raise_in_child(NeedsTwo("step", "nan"))])
+        _in_processes([lambda: 1, raise_in_child(NeedsTwo("step", "nan"))])
     assert_no_child_left()
-    assert _in_processes(_usable_cpus(), [lambda: 1, lambda: "two"]) == [1, "two"]
+    assert _in_processes([lambda: 1, lambda: "two"]) == [1, "two"]
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="needs os.sched_getaffinity")
+def test_forked_job_may_run_on_every_usable_cpu():
+    # the kernel places a child; it inherits the whole CPU set of this process
+    here = os.sched_getaffinity(0)
+    assert _in_processes([lambda: 1, lambda: os.sched_getaffinity(0)]) == [1, here]
+    assert_no_child_left()
+    assert _usable_cpus() == len(here)
 
 
 @pytest.mark.parametrize("n, rows, n_blocks", [

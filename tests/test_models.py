@@ -525,7 +525,7 @@ def test_stacked_training_validation(blobs):
 
 def split_over(monkeypatch, cpus):
     """Make train split every call over `cpus` usable CPUs."""
-    monkeypatch.setattr(models_module, "_usable_cpus", lambda: set(range(cpus)))
+    monkeypatch.setattr(models_module, "_usable_cpus", lambda: cpus)
     monkeypatch.setattr(models_module, "_SPLIT_WORK", 0)
 
 

@@ -584,9 +584,9 @@ def split_pairs(monkeypatch, split):
     returns the list that gets one entry per fork split."""
     forks, real = [], anisopriv.sde._in_processes
 
-    def counted(cpus, jobs):
+    def counted(jobs):
         forks.append(len(jobs))
-        return real(cpus, jobs)
+        return real(jobs)
 
     monkeypatch.setattr(anisopriv.sde, "_split_pays", lambda *args: split)
     monkeypatch.setattr(anisopriv.sde, "_in_processes", counted)
